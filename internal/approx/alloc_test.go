@@ -42,6 +42,9 @@ func TestClassifyAllocFree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.name == "classify-false-area" {
+				t.Skip("the race detector empties sync.Pool at random; the clip scratch is pooled")
+			}
 			tc.run() // warm the clip pool
 			if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
 				t.Fatalf("filter classify allocates %.1f objects per run, want 0", allocs)

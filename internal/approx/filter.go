@@ -1,8 +1,6 @@
 package approx
 
 import (
-	"math"
-
 	"spatialjoin/internal/convex"
 	"spatialjoin/internal/geom"
 )
@@ -153,29 +151,31 @@ func (f FilterConfig) Classify(a, b *Set) Class {
 // ClassifyWithin runs the geometric filter on one candidate pair of the
 // within-distance (ε-)join. The step order mirrors Classify:
 //
-//   - conservative approximations are supersets, so their distance lower
-//     bounds the object distance — a conservative distance above eps
-//     proves a false hit;
-//   - progressive approximations are subsets, so their distance upper
-//     bounds the object distance — a progressive distance of at most eps
-//     proves a hit;
+//   - conservative approximations are supersets, so they are at most as
+//     far apart as the objects — conservative approximations more than
+//     eps apart prove a false hit;
+//   - progressive approximations are subsets, so they are at least as far
+//     apart as the objects — progressive approximations within eps prove
+//     a hit;
 //   - the false-area test proves the objects intersect, i.e. distance 0,
 //     which is a hit for every eps ≥ 0.
 //
-// Unlike the intersection filter, the MBR is a useful conservative kind
-// here: step 1 prunes with the ε-expanded (per-axis) MBR test, while the
-// Euclidean MBR distance additionally rejects diagonal near-misses.
-// With eps = 0 the classification is equivalent to Classify wherever the
-// distance kernels and the boolean intersection tests agree (they do for
-// every polygonal kind; both are exact).
+// Both tests decide "within eps" directly (squared gaps against eps²,
+// early exits in the convex kernel); no distance is computed. Unlike the
+// intersection filter, the MBR is a useful conservative kind here: step 1
+// prunes with the ε-expanded (per-axis) MBR test, while the Euclidean MBR
+// distance additionally rejects diagonal near-misses. With eps = 0 the
+// classification is equivalent to Classify wherever the within-eps
+// kernels and the boolean intersection tests agree (they do for every
+// polygonal kind; both are exact).
 func (f FilterConfig) ClassifyWithin(a, b *Set, eps float64) Class {
 	if !f.NoConservative {
-		if ConservativeDist(f.Conservative, a, b) > eps {
+		if !ConservativeWithin(f.Conservative, a, b, eps) {
 			return FalseHit
 		}
 	}
 	if !f.NoProgressive {
-		if ProgressiveDist(f.Progressive, a, b) <= eps {
+		if ProgressiveWithin(f.Progressive, a, b, eps) {
 			return Hit
 		}
 	}
@@ -187,78 +187,76 @@ func (f FilterConfig) ClassifyWithin(a, b *Set, eps float64) Class {
 	return Candidate
 }
 
-// ConservativeDist returns a sound lower bound of the object distance
-// derived from the conservative approximations of kind k: the exact
-// distance of the approximations for polygonal and circular kinds, and
-// the MBR distance as the fallback for kinds without a cheap exact
-// distance (ellipses) or with degenerate data. Supersets are closer than
-// the objects, so any of these bounds the object distance from below.
-func ConservativeDist(k Kind, a, b *Set) float64 {
+// ConservativeWithin reports whether the conservative approximations of
+// kind k of the two objects lie within distance eps of each other. A
+// negative answer proves the pair is a false hit of the ε-join (supersets
+// are closer than the objects); a positive answer proves nothing. The
+// test is exact for polygonal and circular kinds and falls back to the
+// MBRs for kinds without a cheap exact test (ellipses) or with
+// degenerate data.
+func ConservativeWithin(k Kind, a, b *Set, eps float64) bool {
 	switch k {
-	case MBR:
-		return a.MBR.Dist(b.MBR)
+	case MBR, MBE:
+		// MBE: no closed-form ellipse distance; the MBR is the sound
+		// conservative fallback (an inscribed outline would overestimate).
+		return rectsWithin(a.MBR, b.MBR, eps)
 	case RMBR:
 		if a.RMBRA == nil || b.RMBRA == nil {
-			return a.MBR.Dist(b.MBR)
+			return rectsWithin(a.MBR, b.MBR, eps)
 		}
-		return convex.Distance(a.RMBRA.Ring(), b.RMBRA.Ring())
+		return convex.WithinDist(a.RMBRA.Corners[:], b.RMBRA.Corners[:], eps)
 	case CH:
-		return ringDistOrMBR(a.CHA, b.CHA, a, b)
+		return ringsWithin(a.CHA, b.CHA, a, b, eps)
 	case C4:
-		return ringDistOrMBR(a.C4A, b.C4A, a, b)
+		return ringsWithin(a.C4A, b.C4A, a, b, eps)
 	case C5:
-		return ringDistOrMBR(a.C5A, b.C5A, a, b)
+		return ringsWithin(a.C5A, b.C5A, a, b, eps)
 	case MBC:
 		if a.MBCA == nil || b.MBCA == nil {
-			return a.MBR.Dist(b.MBR)
+			return rectsWithin(a.MBR, b.MBR, eps)
 		}
-		return circleDist(a.MBCA, b.MBCA)
-	case MBE:
-		// No closed-form ellipse distance; the MBR distance is the sound
-		// conservative fallback (an inscribed outline would overestimate).
-		return a.MBR.Dist(b.MBR)
+		return circlesWithin(a.MBCA, b.MBCA, eps)
 	}
 	panic("approx: not a conservative kind: " + k.String())
 }
 
-// ringDistOrMBR is the exact convex-ring distance with the MBR fallback
-// for degenerate (empty) hull rings.
-func ringDistOrMBR(ra, rb geom.Ring, a, b *Set) float64 {
+// ringsWithin is the convex-ring test with the MBR fallback for
+// degenerate (empty) hull rings.
+func ringsWithin(ra, rb geom.Ring, a, b *Set, eps float64) bool {
 	if len(ra) == 0 || len(rb) == 0 {
-		return a.MBR.Dist(b.MBR)
+		return rectsWithin(a.MBR, b.MBR, eps)
 	}
-	return convex.Distance(ra, rb)
+	return convex.WithinDist(ra, rb, eps)
 }
 
-// ProgressiveDist returns a sound upper bound of the object distance
-// derived from the progressive approximations of kind k: their exact
-// distance when both exist, +Inf (proving nothing) when either object has
-// no progressive approximation. Subsets are farther apart than the
-// objects, so the approximation distance bounds the object distance from
-// above.
-func ProgressiveDist(k Kind, a, b *Set) float64 {
+// ProgressiveWithin reports whether the progressive approximations of
+// kind k of the two objects lie within distance eps of each other. A
+// positive answer proves the pair is a hit of the ε-join (subsets are
+// farther apart than the objects); it is negative, proving nothing, when
+// either object has no progressive approximation.
+func ProgressiveWithin(k Kind, a, b *Set, eps float64) bool {
 	switch k {
 	case MEC:
 		if a.MECA == nil || b.MECA == nil || a.MECA.R <= 0 || b.MECA.R <= 0 {
-			return math.Inf(1)
+			return false
 		}
-		return circleDist(a.MECA, b.MECA)
+		return circlesWithin(a.MECA, b.MECA, eps)
 	case MER:
-		if a.MERA == nil || b.MERA == nil || a.MERA.IsEmpty() || b.MERA.IsEmpty() {
-			return math.Inf(1)
+		if a.MERA == nil || b.MERA == nil {
+			return false
 		}
-		return a.MERA.Dist(*b.MERA)
+		return rectsWithin(*a.MERA, *b.MERA, eps) // an empty MER is infinitely far
 	}
 	panic("approx: not a progressive kind: " + k.String())
 }
 
-// circleDist is the exact distance between two closed discs.
-func circleDist(a, b *Circle) float64 {
-	d := a.C.Dist(b.C) - a.R - b.R
-	if d < 0 {
-		return 0
-	}
-	return d
+func rectsWithin(r, s geom.Rect, eps float64) bool { return r.Dist2(s) <= eps*eps }
+
+// circlesWithin reports whether two closed discs lie within eps of each
+// other: the centres are at most the radii plus eps apart.
+func circlesWithin(a, b *Circle, eps float64) bool {
+	reach := a.R + b.R + eps
+	return a.C.Dist2(b.C) <= reach*reach
 }
 
 // Kinds returns the approximation kinds Classify consumes, for use as

@@ -346,27 +346,116 @@ func hasSeparatingAxis(a, b geom.Ring) bool {
 }
 
 // Distance returns the Euclidean distance between the closed convex
-// regions bounded by two rings: 0 when they intersect (SAT), otherwise
-// the smallest distance between their boundaries. Degenerate rings with
-// fewer than three vertices are treated as the point or segment they
-// span. The result is exact, so it serves as a sound lower bound of the
-// object distance when the rings are conservative approximations and as
-// a sound upper bound when they are progressive ones.
+// regions bounded by two counterclockwise rings: 0 when they intersect,
+// otherwise the smallest distance between their boundaries, which for
+// disjoint convex sets is attained between a vertex of one ring and an
+// edge of the other — so the search enumerates vertex–edge pairs on
+// squared distances and takes one square root at the end. Rings with
+// fewer than three vertices are the point or segment they span. The
+// result is exact, so it is a sound lower bound of the object distance
+// when the rings are conservative approximations and a sound upper bound
+// when they are progressive ones.
 func Distance(a, b geom.Ring) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return math.Inf(1)
 	}
-	if len(a) >= 3 && len(b) >= 3 && SATIntersects(a, b) {
+	if meets(a, b) {
 		return 0
 	}
-	d := math.Inf(1)
-	for i := range a {
-		ea := a.Edge(i)
-		for j := range b {
-			if dd := ea.DistToSegment(b.Edge(j)); dd < d {
-				d = dd
+	return math.Sqrt(min(vertexEdgeDist2(a, b, 0), vertexEdgeDist2(b, a, 0)))
+}
+
+// WithinDist reports whether the closed convex regions bounded by two
+// counterclockwise rings lie within Euclidean distance eps of each
+// other. It decides Distance(a, b) ≤ eps without computing the distance:
+// every comparison is between squares, the answer is false at the first
+// edge normal along which the rings are more than eps apart, and true at
+// the first vertex–edge pair within eps.
+func WithinDist(a, b geom.Ring, eps float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	eps2 := eps * eps
+	if len(a) < 3 || len(b) < 3 {
+		return meets(a, b) || vertexEdgeDist2(a, b, eps2) <= eps2 || vertexEdgeDist2(b, a, eps2) <= eps2
+	}
+	sepA, farA := axisGap(a, b, eps2)
+	if farA {
+		return false
+	}
+	sepB, farB := axisGap(b, a, eps2)
+	if farB {
+		return false
+	}
+	if !sepA && !sepB {
+		return true // no separating axis: the regions intersect
+	}
+	return vertexEdgeDist2(a, b, eps2) <= eps2 || vertexEdgeDist2(b, a, eps2) <= eps2
+}
+
+// axisGap projects both rings on every outward edge normal of a, as
+// hasSeparatingAxis does and with the same arithmetic, so separated is
+// exactly hasSeparatingAxis(a, b). far reports that along some normal the
+// gap between the projections, in units of that normal's length, exceeds
+// √eps2: b then lies beyond a half-plane more than that far from a.
+func axisGap(a, b geom.Ring, eps2 float64) (separated, far bool) {
+	n := len(a)
+	for i := 0; i < n; i++ {
+		p := a[i]
+		q := a[(i+1)%n]
+		nx := q.Y - p.Y
+		ny := p.X - q.X
+		maxA := math.Inf(-1)
+		for _, v := range a {
+			maxA = max(maxA, v.X*nx+v.Y*ny)
+		}
+		minB := math.Inf(1)
+		for _, v := range b {
+			minB = min(minB, v.X*nx+v.Y*ny)
+		}
+		if minB > maxA+geom.Eps {
+			separated = true
+			if gap := minB - maxA; gap*gap > eps2*(nx*nx+ny*ny) {
+				return true, true
 			}
 		}
 	}
-	return d
+	return separated, false
+}
+
+// vertexEdgeDist2 returns the smallest squared distance between a vertex
+// of a and an edge of b — or the first one it finds that is at most
+// stop2, which is all a caller comparing against stop2 needs to know.
+func vertexEdgeDist2(a, b geom.Ring, stop2 float64) float64 {
+	d2 := math.Inf(1)
+	for j := range b {
+		e := b.Edge(j)
+		for _, v := range a {
+			if d2 = min(d2, e.Dist2ToPoint(v)); d2 <= stop2 {
+				return d2
+			}
+		}
+	}
+	return d2
+}
+
+// meets reports whether the closed regions of two non-empty rings share a
+// point. Proper rings are decided by the separating-axis test; a ring
+// with fewer than three vertices has no edge normals to test, so the
+// segment it spans is checked against the other ring's edges and, when
+// none crosses, for lying inside it.
+func meets(a, b geom.Ring) bool {
+	if len(a) >= 3 && len(b) >= 3 {
+		return SATIntersects(a, b)
+	}
+	if len(a) >= 3 {
+		a, b = b, a
+	}
+	s := geom.Segment{A: a[0], B: a[len(a)-1]}
+	for j := range b {
+		if s.Intersects(b.Edge(j)) {
+			return true
+		}
+	}
+	return len(b) >= 3 && b.ContainsPoint(s.A)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialjoin/internal/convex"
 	"spatialjoin/internal/geom"
 )
 
@@ -263,5 +264,48 @@ func TestDecompositionStats(t *testing.T) {
 	}
 	if cv.Components > tr.Components {
 		t.Error("convex parts must be at most as many as triangles")
+	}
+}
+
+// TestTrapezoidTestsOnRawCorners: Intersects and WithinDist hand the
+// corner array to the convex kernels as it is, coincident corners of
+// triangle-degenerate components included. Both must agree with the same
+// kernels run on the deduplicated ring.
+func TestTrapezoidTestsOnRawCorners(t *testing.T) {
+	rng := rand.New(rand.NewSource(389))
+	randTrap := func() Trapezoid {
+		x0, y0 := 4*rng.Float64(), 4*rng.Float64()
+		w := 0.1 + rng.Float64()
+		tr := Trapezoid{P: [4]geom.Point{
+			{X: x0, Y: y0}, {X: x0 + w, Y: y0 + rng.Float64() - 0.5},
+			{X: x0 + w, Y: y0 + 1 + rng.Float64()}, {X: x0, Y: y0 + 0.6 + rng.Float64()},
+		}}
+		switch rng.Intn(3) {
+		case 0:
+			tr.P[3] = tr.P[0] // left side degenerates to a point
+		case 1:
+			tr.P[2] = tr.P[1] // right side degenerates to a point
+		}
+		return tr
+	}
+	triangles := 0
+	for i := 0; i < 3000; i++ {
+		a, b := randTrap(), randTrap()
+		ra, rb := a.dedup(), b.dedup()
+		if len(ra) == 3 {
+			triangles++
+		}
+		if got, want := a.Intersects(b), convex.SATIntersects(ra, rb); got != want {
+			t.Fatalf("Intersects = %v, SAT on deduplicated rings = %v\na=%v\nb=%v", got, want, a, b)
+		}
+		d := convex.Distance(ra, rb)
+		for _, eps := range []float64{0, d * 0.5, d * (1 - 1e-6), d * (1 + 1e-6), d + 0.3} {
+			if got, want := a.WithinDist(b, eps), d <= eps; got != want {
+				t.Fatalf("WithinDist(%.17g) = %v, distance of deduplicated rings = %.17g\na=%v\nb=%v", eps, got, d, a, b)
+			}
+		}
+	}
+	if triangles < 500 {
+		t.Fatalf("only %d triangle-degenerate components generated", triangles)
 	}
 }

@@ -59,22 +59,24 @@ func (t Trapezoid) ContainsPoint(p geom.Point) bool {
 
 // Intersects reports whether two closed trapezoids share at least one
 // point — the "trapezoid intersection test" of Table 6, the innermost
-// operation of the TR*-tree join.
+// operation of the TR*-tree join. The corner arrays are tested as they
+// are: a triangle's coincident corners span a zero-length edge, whose
+// zero normal separates nothing.
 func (t Trapezoid) Intersects(u Trapezoid) bool {
-	return convex.SATIntersects(t.dedup(), u.dedup())
+	return convex.SATIntersects(t.P[:], u.P[:])
 }
 
-// Dist returns the Euclidean distance between two closed trapezoids: 0
-// when they intersect, otherwise the smallest boundary distance. Because
-// the trapezoids of a decomposition tile the closed region, the minimum
-// of Dist over all component pairs of two decomposed objects equals the
-// exact region distance — the within-distance analogue of the trapezoid
+// WithinDist reports whether two closed trapezoids lie within Euclidean
+// distance eps of each other (intersecting trapezoids have distance 0).
+// Because the trapezoids of a decomposition tile the closed region, two
+// decomposed objects are within eps exactly when some pair of their
+// components is — the within-distance analogue of the trapezoid
 // intersection test.
-func (t Trapezoid) Dist(u Trapezoid) float64 {
-	return convex.Distance(t.dedup(), u.dedup())
+func (t Trapezoid) WithinDist(u Trapezoid, eps float64) bool {
+	return convex.WithinDist(t.P[:], u.P[:], eps)
 }
 
-// dedup drops coincident corners so the SAT sees a clean convex ring.
+// dedup drops coincident corners: the triangle or quadrilateral t spans.
 func (t Trapezoid) dedup() geom.Ring {
 	out := make(geom.Ring, 0, 4)
 	for i := 0; i < 4; i++ {

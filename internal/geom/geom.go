@@ -55,6 +55,14 @@ func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
+// Dist2 returns the squared Euclidean distance between p and q — the
+// form the threshold kernels compare with ε², so that no decision pays
+// for a square root.
+func (p Point) Dist2(q Point) float64 {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return dx*dx + dy*dy
+}
+
 // Rotate returns p rotated by angle rad (radians) about the origin.
 func (p Point) Rotate(rad float64) Point {
 	s, c := math.Sincos(rad)

@@ -135,3 +135,40 @@ func TestQuickContainsPolygonTransitive(t *testing.T) {
 		}
 	}
 }
+
+// TestSquaredDistancesMatchTheirRoots pins the squared helpers the
+// threshold kernels use to the value-returning distances they shadow:
+// Dist2 is Dist², and WithinDist(·, eps²) is DistToSegment ≤ eps away
+// from the rounding band around eps.
+func TestSquaredDistancesMatchTheirRoots(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	near := func(d2, d float64) bool { return math.Abs(d2-d*d) <= 1e-12*(1+d*d) }
+	for i := 0; i < 5000; i++ {
+		p, q := boundedPoint(rng), boundedPoint(rng)
+		if !near(p.Dist2(q), p.Dist(q)) {
+			t.Fatalf("Point.Dist2(%v, %v) = %g, Dist² = %g", p, q, p.Dist2(q), p.Dist(q)*p.Dist(q))
+		}
+		r := RectFromPoints(boundedPoint(rng), boundedPoint(rng))
+		s := RectFromPoints(boundedPoint(rng), boundedPoint(rng))
+		if !near(r.Dist2(s), r.Dist(s)) {
+			t.Fatalf("Rect.Dist2(%v, %v) = %g, Dist² = %g", r, s, r.Dist2(s), r.Dist(s)*r.Dist(s))
+		}
+		a := Segment{boundedPoint(rng), boundedPoint(rng)}
+		b := Segment{boundedPoint(rng), boundedPoint(rng)}
+		if i%10 == 0 {
+			a.B = a.A // a zero-length segment is its endpoint
+		}
+		if !near(a.Dist2ToPoint(p), a.DistToPoint(p)) {
+			t.Fatalf("%v.Dist2ToPoint(%v) = %g, DistToPoint² = %g", a, p, a.Dist2ToPoint(p), a.DistToPoint(p)*a.DistToPoint(p))
+		}
+		d := a.DistToSegment(b)
+		for _, eps := range []float64{0, d * 0.5, d * (1 - 1e-9), d * (1 + 1e-9), d + 1} {
+			if got, want := a.WithinDist(b, eps*eps), d <= eps; got != want {
+				t.Fatalf("%v.WithinDist(%v, %g²) = %v, DistToSegment = %g", a, b, eps, got, d)
+			}
+		}
+	}
+	if d2 := EmptyRect().Dist2(Rect{0, 0, 1, 1}); !math.IsInf(d2, 1) {
+		t.Errorf("squared distance to the empty rectangle = %v, want +Inf", d2)
+	}
+}

@@ -151,6 +151,18 @@ func (r Rect) Dist(s Rect) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// Dist2 returns the squared Euclidean distance between the closed regions
+// r and s, +Inf when either is empty: Dist without the square root, for
+// callers that compare against a squared threshold.
+func (r Rect) Dist2(s Rect) float64 {
+	if r.IsEmpty() || s.IsEmpty() {
+		return math.Inf(1)
+	}
+	dx := max(0, s.MinX-r.MaxX, r.MinX-s.MaxX)
+	dy := max(0, s.MinY-r.MaxY, r.MinY-s.MaxY)
+	return dx*dx + dy*dy
+}
+
 // Translate returns r shifted by (dx, dy).
 func (r Rect) Translate(dx, dy float64) Rect {
 	if r.IsEmpty() {

@@ -171,3 +171,32 @@ func (s Segment) DistToPoint(p Point) float64 {
 	proj := s.A.Add(d.Scale(t))
 	return p.Dist(proj)
 }
+
+// Dist2ToPoint returns the squared Euclidean distance from p to the closed
+// segment s. It needs no square root, and a division only when the foot of
+// the perpendicular falls strictly inside s; a zero-length segment is the
+// point s.A.
+func (s Segment) Dist2ToPoint(p Point) float64 {
+	d := s.B.Sub(s.A)
+	w := p.Sub(s.A)
+	t := w.Dot(d)
+	if t <= 0 {
+		return w.Dot(w)
+	}
+	l2 := d.Dot(d)
+	if t >= l2 {
+		return p.Dist2(s.B)
+	}
+	c := w.CrossVec(d)
+	return c * c / l2
+}
+
+// WithinDist reports whether the closed segments s and t lie within
+// Euclidean distance √eps2 of each other — DistToSegment(t) ≤ ε decided on
+// squared distances: an endpoint of one within √eps2 of the other, or the
+// segments crossing.
+func (s Segment) WithinDist(t Segment, eps2 float64) bool {
+	return s.Dist2ToPoint(t.A) <= eps2 || s.Dist2ToPoint(t.B) <= eps2 ||
+		t.Dist2ToPoint(s.A) <= eps2 || t.Dist2ToPoint(s.B) <= eps2 ||
+		s.Intersects(t)
+}

@@ -314,17 +314,12 @@ func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, e
 		pl = echoPlan(cfg, &o)
 	}
 
-	emit := o.emit
-	var out []Pair
-	collect := emit == nil && !o.bufferless
-	if collect {
-		emit = func(p Pair) { out = append(out, p) }
-	}
+	collect := o.emit == nil && !o.bufferless
 	var started time.Time
 	if o.explain != nil {
 		started = time.Now()
 	}
-	st, err := joinStream(ctx, r, s, cfg, o.pred, o, emit)
+	out, st, err := joinStream(ctx, r, s, cfg, o.pred, o, collect)
 	if err == nil {
 		observeJoin(r, s, cfg, o.pred, pl, st)
 	}

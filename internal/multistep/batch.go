@@ -313,18 +313,19 @@ func joinStreamBatch(ctx context.Context, r, s *Relation, js []batchJoin, axR, a
 		}(&workerStates[w])
 	}
 
-	// The collector demultiplexes decided pairs per request.
+	// The collector counts decided pairs per request and keeps the
+	// batches; they are demultiplexed once the pipeline has drained and
+	// every response's size is known.
 	results := make([]BatchResult, nItems)
+	var decided [][]batchPair
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for batch := range resCh {
 			for _, bp := range batch {
 				results[bp.item].Stats.ResultPairs++
-				if js[bp.item].collect {
-					results[bp.item].Pairs = append(results[bp.item].Pairs, bp.p)
-				}
 			}
+			decided = append(decided, batch)
 		}
 	}()
 
@@ -348,6 +349,9 @@ func joinStreamBatch(ctx context.Context, r, s *Relation, js []batchJoin, axR, a
 		}
 		if mask == 0 {
 			return
+		}
+		if batches[w] == nil {
+			batches[w] = make([]batchCand, 0, shape.batch)
 		}
 		batches[w] = append(batches[w], batchCand{a.ID, b.ID, mask})
 		if len(batches[w]) >= shape.batch {
@@ -373,7 +377,21 @@ func joinStreamBatch(ctx context.Context, r, s *Relation, js []batchJoin, axR, a
 	}
 
 	// Per-request deterministic merge: sums and bitset unions over the
-	// worker shares, identical in shape to the solo pipeline's.
+	// worker shares, identical in shape to the solo pipeline's; the
+	// response sets are allocated at exactly their size (callers cache
+	// them).
+	for i := range js {
+		if n := results[i].Stats.ResultPairs; n > 0 && js[i].collect {
+			results[i].Pairs = make([]Pair, 0, n)
+		}
+	}
+	for _, batch := range decided {
+		for _, bp := range batch {
+			if js[bp.item].collect {
+				results[bp.item].Pairs = append(results[bp.item].Pairs, bp.p)
+			}
+		}
+	}
 	pagesR, pagesS := axR.Misses()-missesR, axS.Misses()-missesS
 	for i := range js {
 		st := &results[i].Stats

@@ -2,6 +2,7 @@ package multistep
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"spatialjoin/internal/approx"
@@ -19,8 +20,9 @@ import (
 //	            step 1 (MBR key)       step 2 (filter)          step 3 (exact)
 //	Intersects  MBR ∩ MBR              Classify                 engine intersection test
 //	Contains    MBR ⊇ MBR pretest      ClassifyContains         exact inclusion test
-//	Within(ε)   ε-expanded MBR ∩       ClassifyWithin (dist     engine distance test
-//	                                   bounds on approx.)       (dist ≤ ε)
+//	Within(ε)   ε-expanded MBR ∩       ClassifyWithin (approx.  engine within-ε test
+//	                                   within ε, decided on     (dist ≤ ε decided on
+//	                                   squared gaps)            squared gaps)
 //
 // The within-distance join needs no new index: the same R*-trees serve
 // it, because the ε-expanded rectangle predicate is evaluated by the same
@@ -51,7 +53,8 @@ func Contains() Predicate { return Predicate{kind: predContains} }
 // WithinDistance is the ε-join predicate of classical spatial query
 // processing (the buffer/distance join): the regions lie within Euclidean
 // distance eps of each other. WithinDistance(0) is equivalent to
-// Intersects. A negative eps is rejected when the query runs.
+// Intersects. A negative or non-finite eps is rejected when the query
+// runs.
 func WithinDistance(eps float64) Predicate {
 	return Predicate{kind: predWithin, eps: eps}
 }
@@ -84,18 +87,22 @@ func ParsePredicate(name string, eps float64) (Predicate, error) {
 	case "contains", "inclusion":
 		return Contains(), nil
 	case "within", "within-distance", "distance", "epsilon":
-		if eps < 0 {
-			return Predicate{}, fmt.Errorf("multistep: negative distance bound %g", eps)
+		p := WithinDistance(eps)
+		if err := p.validate(); err != nil {
+			return Predicate{}, err
 		}
-		return WithinDistance(eps), nil
+		return p, nil
 	}
 	return Predicate{}, fmt.Errorf("multistep: unknown predicate %q", name)
 }
 
-// validate rejects predicates a join cannot evaluate.
+// validate rejects predicates a join cannot evaluate: a distance bound
+// must be a finite, non-negative number. (NaN in particular fails every
+// comparison, so the kernels' d > ε and d² ≤ ε² tests would disagree on
+// it.)
 func (p Predicate) validate() error {
-	if p.kind == predWithin && p.eps < 0 {
-		return fmt.Errorf("multistep: negative distance bound %g", p.eps)
+	if p.kind == predWithin && !(p.eps >= 0 && p.eps <= math.MaxFloat64) {
+		return fmt.Errorf("multistep: distance bound %g is not a finite non-negative number", p.eps)
 	}
 	return nil
 }

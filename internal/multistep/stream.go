@@ -100,7 +100,8 @@ type streamWorker struct {
 }
 
 // joinStream runs the multi-step spatial join as a streaming, fully
-// parallel pipeline and calls emit for every response pair:
+// parallel pipeline and hands every response pair to o.emit or, with
+// collect set, returns them all (unordered):
 //
 //	step 1  — the candidate generator runs as the producer; with the
 //	          R*-tree generator the synchronized traversal itself is
@@ -112,10 +113,12 @@ type streamWorker struct {
 //	          predicate's geometric filter (once) and decide the
 //	          survivors on the predicate's exact geometry test.
 //
-// emit is called from a single collector goroutine, one pair at a time,
-// in no particular order; a nil emit discards the pairs and returns only
-// statistics. Memory stays bounded by the channel depths regardless of
-// the candidate-set size.
+// o.emit is called from a single collector goroutine, one pair at a time,
+// in no particular order; with neither an emitter nor collect the pairs
+// are discarded and only statistics return. A streamed join's memory
+// stays bounded by the channel depths regardless of the candidate-set
+// size; a collecting one keeps its result batches as they arrive and
+// copies them out once, into a slice of exactly the response's size.
 //
 // The emitted pair set and every statistic are independent of the worker
 // count: the per-task and per-worker counters are pure sums and set
@@ -127,7 +130,7 @@ type streamWorker struct {
 // pair, the producers at every batch boundary, and the filter/exact pool
 // at every pair; a cancelled context drains the pipeline without further
 // work and surfaces ctx.Err().
-func joinStream(ctx context.Context, r, s *Relation, cfg Config, pred Predicate, o queryOptions, emit func(Pair)) (Stats, error) {
+func joinStream(ctx context.Context, r, s *Relation, cfg Config, pred Predicate, o queryOptions, collect bool) ([]Pair, Stats, error) {
 	o = o.withDefaults()
 	var st Stats
 
@@ -232,19 +235,29 @@ func joinStream(ctx context.Context, r, s *Relation, cfg Config, pred Predicate,
 	}
 
 	// The collector serializes emission of the response set.
-	var resultPairs int64
+	var (
+		resultPairs int64
+		held        []*[]Pair // collect: the result batches, until copied out
+	)
+	recycle := func(op *[]Pair) {
+		*op = (*op)[:0]
+		pairBatchPool.Put(op)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for op := range resCh {
 			resultPairs += int64(len(*op))
-			if emit != nil {
+			if collect {
+				held = append(held, op)
+				continue
+			}
+			if o.emit != nil {
 				for _, p := range *op {
-					emit(p)
+					o.emit(p)
 				}
 			}
-			*op = (*op)[:0]
-			pairBatchPool.Put(op)
+			recycle(op)
 		}
 	}()
 
@@ -366,7 +379,7 @@ func joinStream(ctx context.Context, r, s *Relation, cfg Config, pred Predicate,
 		// Cause distinguishes an internal failure (worker panic, fired
 		// injection) from the caller's own cancellation, for which it
 		// reproduces ctx.Err().
-		return st, context.Cause(ctx)
+		return nil, st, context.Cause(ctx)
 	}
 
 	// Deterministic merge: every counter is a sum and the fetch sets are
@@ -388,5 +401,13 @@ func joinStream(ctx context.Context, r, s *Relation, cfg Config, pred Predicate,
 	st.PageAccessesR = axR.Misses() - missesR
 	st.PageAccessesS = axS.Misses() - missesS
 	st.ResultPairs = resultPairs
-	return st, nil
+	var out []Pair
+	if len(held) > 0 {
+		out = make([]Pair, 0, resultPairs)
+		for _, op := range held {
+			out = append(out, *op...)
+			recycle(op)
+		}
+	}
+	return out, st, nil
 }

@@ -241,3 +241,36 @@ func TestDistToPolygonKernel(t *testing.T) {
 		t.Errorf("rect distance = %g, want 1", d)
 	}
 }
+
+// TestDistanceBoundMustBeFinite: a distance bound that is negative, NaN
+// or infinite is refused by the parser and by every entry point that
+// validates a predicate — NaN compares false with everything, so it
+// would slip past a plain "eps < 0" check.
+func TestDistanceBoundMustBeFinite(t *testing.T) {
+	polys := data.GenerateMap(data.MapConfig{Cells: 9, TargetVerts: 12, Seed: 3})
+	rel := NewRelation("R", polys, DefaultConfig())
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		if _, err := ParsePredicate("within", eps); err == nil {
+			t.Errorf("ParsePredicate(within, %v) accepted", eps)
+		}
+		pred := WithinDistance(eps)
+		if err := pred.Validate(); err == nil {
+			t.Errorf("WithinDistance(%v).Validate() accepted", eps)
+		}
+		if _, _, err := Join(context.Background(), rel, rel, WithPredicate(pred)); err == nil {
+			t.Errorf("Join under WithinDistance(%v) ran", eps)
+		}
+		if _, err := Query(context.Background(), rel, ForPoint(geom.Point{X: 0.5, Y: 0.5}), WithPredicate(pred)); err == nil {
+			t.Errorf("Query under WithinDistance(%v) ran", eps)
+		}
+	}
+	for _, eps := range []float64{0, math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		if _, err := ParsePredicate("within", eps); err != nil {
+			t.Errorf("ParsePredicate(within, %v): %v", eps, err)
+		}
+	}
+	// Other predicates ignore the bound.
+	if _, err := ParsePredicate("contains", math.NaN()); err != nil {
+		t.Errorf("ParsePredicate(contains, NaN): %v", err)
+	}
+}

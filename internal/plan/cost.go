@@ -48,8 +48,9 @@ type Weights struct {
 	FilterNsPerCand float64
 	// ExactNs[engine] is the step 3 cost per exactly-tested pair at
 	// RefVerts mean vertices, per predicate family. Within-distance
-	// tests are a separate column: its exact test (min segment distance)
-	// has different engine constants than boolean intersection.
+	// tests are a separate column: deciding dist ≤ ε visits more
+	// component (or edge) pairs than finding one intersection, so the
+	// engine constants differ from boolean intersection's.
 	IntersectExactNs [3]float64
 	WithinExactNs    [3]float64
 	// ContainsExtraNs is added per exact containment test on top of the
@@ -87,8 +88,17 @@ func DefaultWeights() Weights {
 		PageNs:                250,
 		FilterNsPerCand:       400,
 		IntersectExactNs:      [3]float64{80000, 32000, 6000},
-		// within measured: quadratic ≈70600 → 230000, planesweep
-		// ≈5500 → 16000, trstar ≈4000 → 11000 (ident ≈0.7 for within).
+		// within was calibrated on kernels that computed every distance
+		// (ns/cand at ident ≈0.7: quadratic ≈70600 → 230000, planesweep
+		// ≈5500 → 16000, trstar ≈4000 → 11000). The threshold kernels
+		// measure ≈24100, ≈2600 and ≈1150 on the same grid (cmd/bench
+		// -planner, 1200 objects, 48 vertices, ε 0.005), so this column
+		// now overprices step 3 — about 3× for quadratic and plane
+		// sweep, more for the TR*-tree, whose ≈1150 is mostly traversal
+		// and filter. The ranking of the engines, which is what Choose
+		// takes from it, is unchanged and the 1.5× regression bound
+		// holds, so the column stays until costs are recalibrated as a
+		// whole.
 		WithinExactNs:         [3]float64{230000, 16000, 11000},
 		ContainsExtraNs:       4000,
 		RefVerts:              48,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -37,6 +38,21 @@ func (s *Server) relParam(w http.ResponseWriter, r *http.Request, key string) (*
 	return e, name, true
 }
 
+// parseFinite parses the value of a float parameter. strconv.ParseFloat
+// accepts "NaN" and "Inf", and every comparison with NaN is false — a
+// NaN coordinate or distance bound would pass the range checks and reach
+// the geometry kernels — so nothing but a finite number is a value.
+func parseFinite(raw string) (float64, error) {
+	v, err := strconv.ParseFloat(raw, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", raw)
+	}
+	return v, nil
+}
+
 // floatParam parses a required float query parameter.
 func floatParam(w http.ResponseWriter, r *http.Request, key string) (float64, bool) {
 	raw := r.URL.Query().Get(key)
@@ -44,7 +60,7 @@ func floatParam(w http.ResponseWriter, r *http.Request, key string) (float64, bo
 		writeError(w, http.StatusBadRequest, "missing parameter %q", key)
 		return 0, false
 	}
-	v, err := strconv.ParseFloat(raw, 64)
+	v, err := parseFinite(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parameter %q: %v", key, err)
 		return 0, false
@@ -99,7 +115,7 @@ func predicateParam(w http.ResponseWriter, r *http.Request) (multistep.Predicate
 	rawEps := r.URL.Query().Get("epsilon")
 	eps := 0.0
 	if rawEps != "" {
-		v, err := strconv.ParseFloat(rawEps, 64)
+		v, err := parseFinite(rawEps)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "parameter %q: %v", "epsilon", err)
 			return multistep.Predicate{}, false

@@ -175,6 +175,37 @@ func TestEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteParametersRejected: strconv.ParseFloat accepts NaN and
+// Inf spellings, and NaN passes every range check (NaN < 0 is false), so
+// each float parameter of each endpoint must refuse them with a 400
+// before they reach a kernel. 1e400 overflows to +Inf with a range error.
+func TestNonFiniteParametersRejected(t *testing.T) {
+	cat, _ := testCatalog(t)
+	h := NewServer(cat).Handler()
+	for _, bad := range []string{"NaN", "nan", "Inf", "%2BInf", "-Inf", "infinity", "1e400", "-1e400"} {
+		for _, path := range []string{
+			"/join?r=R&s=S&predicate=within&epsilon=" + bad,
+			"/join?r=R&s=S&epsilon=" + bad,
+			"/explain?r=R&s=S&epsilon=" + bad,
+			"/window?rel=R&minx=0&miny=0&maxx=1&maxy=1&epsilon=" + bad,
+			"/window?rel=R&minx=" + bad + "&miny=0&maxx=1&maxy=1",
+			"/window?rel=R&minx=0&miny=" + bad + "&maxx=1&maxy=1",
+			"/window?rel=R&minx=0&miny=0&maxx=" + bad + "&maxy=1",
+			"/window?rel=R&minx=0&miny=0&maxx=1&maxy=" + bad,
+			"/point?rel=R&x=" + bad + "&y=0.5",
+			"/point?rel=R&x=0.5&y=" + bad,
+			"/point?rel=R&x=0.5&y=0.5&epsilon=" + bad,
+			"/nearest?rel=R&x=" + bad + "&y=0.5",
+			"/nearest?rel=R&x=0.5&y=" + bad,
+		} {
+			get(t, h, path, http.StatusBadRequest, nil)
+		}
+	}
+	// The finite neighbours of the rejected values still work.
+	get(t, h, "/join?r=R&s=S&epsilon=0&limit=1", http.StatusOK, nil)
+	get(t, h, "/point?rel=R&x=1e300&y=-1e300", http.StatusOK, nil)
+}
+
 func TestCatalogLoadFile(t *testing.T) {
 	cfg := multistep.DefaultConfig()
 	rp := data.GenerateMap(data.MapConfig{Cells: 30, TargetVerts: 32, Seed: 77})

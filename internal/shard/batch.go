@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"spatialjoin/internal/multistep"
@@ -85,20 +84,19 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	outcomes := make([]BatchOutcome, len(items))
-	for i := range outcomes {
-		outcomes[i].Stats.SubJoins = len(eligible)
-	}
-
 	var (
 		mu       sync.Mutex
 		firstErr error
+		// subs[k][i] is request i's outcome of sub-join eligible[k],
+		// written by that sub-join's goroutine alone and merged after
+		// all of them have stopped.
+		subs = make([][]JoinTileResult, len(eligible))
 	)
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
-	for _, e := range eligible {
+	for k, e := range eligible {
 		wg.Add(1)
-		go func(e tilePair) {
+		go func(k int, e tilePair) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -174,24 +172,8 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 				}
 			}
 
-			mu.Lock()
-			defer mu.Unlock()
-			for i := range items {
-				tr := tileRes[i]
-				ex := tr.Explain
-				if ress[i].Explain == nil {
-					ex = nil
-				}
-				outcomes[i].Stats.PerTile = append(outcomes[i].Stats.PerTile,
-					SubJoinStats{RTile: e.ri, STile: e.si, Stats: tr.Stats, Explain: ex})
-				addStats(&outcomes[i].Stats.Stats, tr.Stats)
-				if !ress[i].Bufferless {
-					for _, p := range tr.Pairs {
-						outcomes[i].Pairs = append(outcomes[i].Pairs, multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
-					}
-				}
-			}
-		}(e)
+			subs[k] = tileRes
+		}(k, e)
 	}
 	wg.Wait()
 
@@ -202,34 +184,29 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 		return nil, firstErr
 	}
 
+	outcomes := make([]BatchOutcome, len(items))
 	for i := range outcomes {
 		o := &outcomes[i]
-		slices.SortFunc(o.Stats.PerTile, func(a, b SubJoinStats) int {
-			switch {
-			case a.RTile != b.RTile:
-				return a.RTile - b.RTile
-			default:
-				return a.STile - b.STile
+		o.Stats.SubJoins = len(eligible)
+		// eligible is in (RTile, STile) order, and so is PerTile.
+		for k, e := range eligible {
+			tr := subs[k][i]
+			ex := tr.Explain
+			if ress[i].Explain == nil {
+				ex = nil
 			}
-		})
+			o.Stats.PerTile = append(o.Stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: tr.Stats, Explain: ex})
+			addStats(&o.Stats.Stats, tr.Stats)
+		}
 		if ress[i].Explain != nil {
 			// aggregateExplain reads the sub-joins' Explain records; on
 			// this path they were surfaced only for requests that asked.
 			*ress[i].Explain = aggregateExplain(o.Stats.PerTile, false)
 		}
 		if !ress[i].Bufferless {
-			slices.SortFunc(o.Pairs, func(p, q multistep.Pair) int {
-				switch {
-				case p.A != q.A:
-					return int(p.A - q.A)
-				default:
-					return int(p.B - q.B)
-				}
-			})
-			o.Pairs = slices.Compact(o.Pairs)
-			if ress[i].Limit >= 0 && len(o.Pairs) > ress[i].Limit {
-				o.Pairs = o.Pairs[:ress[i].Limit]
-			}
+			// The tile-local pairs may be cache entries: read, never
+			// translated in place.
+			o.Pairs = mergePairs(r, s, eligible, ress[i].Limit, func(k int) []multistep.Pair { return subs[k][i].Pairs })
 		}
 	}
 	return outcomes, nil

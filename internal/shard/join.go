@@ -100,9 +100,10 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 
 	var (
 		mu       sync.Mutex
-		out      []multistep.Pair
 		firstErr error
-		stats    = JoinStats{SubJoins: len(eligible)}
+		// subs[k] is the outcome of sub-join eligible[k], written by its
+		// goroutine alone and merged after all of them have stopped.
+		subs = make([]subJoin, len(eligible))
 	)
 	collect := res.Stream == nil && !res.Bufferless
 	emit := res.Stream
@@ -117,9 +118,9 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
-	for _, e := range eligible {
+	for k, e := range eligible {
 		wg.Add(1)
-		go func(e tilePair) {
+		go func(e tilePair, sub *subJoin) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -131,11 +132,6 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 			// one tile pair's traversal becomes this sub-join's error
 			// (and, joins failing closed, the whole join's) instead of
 			// killing the process.
-			var (
-				ps    []multistep.Pair
-				sst   multistep.Stats
-				subEx *multistep.Explain
-			)
 			err := func() (err error) {
 				defer resilience.RecoverTo(&err, "tile-join")
 				if ferr := fault.Check("tile-join"); ferr != nil {
@@ -144,25 +140,25 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 				sessR, sessS := rt.Rel.NewSession(), st.Rel.NewSession()
 				// Fresh option slice per sub-join: appending to the shared
 				// opts would race on its backing array.
-				sub := make([]multistep.Option, 0, len(opts)+4)
-				sub = append(sub, opts...)
-				sub = append(sub, multistep.WithSessions(sessR, sessS),
+				subOpts := make([]multistep.Option, 0, len(opts)+4)
+				subOpts = append(subOpts, opts...)
+				subOpts = append(subOpts, multistep.WithSessions(sessR, sessS),
 					multistep.WithLimit(-1))
 				// Each sub-join gets its own Explain: the caller's capture
 				// target (if any) must not be written by N goroutines, and
 				// per-tile-pair plans are the point — appending a fresh
 				// WithExplain overrides the one inside opts.
 				if res.Explain != nil {
-					subEx = new(multistep.Explain)
-					sub = append(sub, multistep.WithExplain(subEx))
+					sub.explain = new(multistep.Explain)
+					subOpts = append(subOpts, multistep.WithExplain(sub.explain))
 				}
 				if emit != nil {
 					local := emit
-					sub = append(sub, multistep.WithStream(func(p multistep.Pair) {
+					subOpts = append(subOpts, multistep.WithStream(func(p multistep.Pair) {
 						local(multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
 					}))
 				}
-				ps, sst, err = multistep.Join(ctx, rt.Rel, st.Rel, sub...)
+				sub.pairs, sub.stats, err = multistep.Join(ctx, rt.Rel, st.Rel, subOpts...)
 				if err != nil {
 					return err
 				}
@@ -171,23 +167,15 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 				}
 				return sessS.Err()
 			}()
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
+				mu.Lock()
+				defer mu.Unlock()
 				if firstErr == nil {
 					firstErr = err
 					cancel()
 				}
-				return
 			}
-			stats.PerTile = append(stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: sst, Explain: subEx})
-			addStats(&stats.Stats, sst)
-			if collect {
-				for _, p := range ps {
-					out = append(out, multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
-				}
-			}
-		}(e)
+		}(e, &subs[k])
 	}
 	wg.Wait()
 
@@ -199,33 +187,65 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 	if firstErr != nil {
 		return nil, JoinStats{}, firstErr
 	}
-	slices.SortFunc(stats.PerTile, func(a, b SubJoinStats) int {
-		switch {
-		case a.RTile != b.RTile:
-			return a.RTile - b.RTile
-		default:
-			return a.STile - b.STile
-		}
-	})
+	// eligible is in (RTile, STile) order, and so is PerTile.
+	stats := JoinStats{SubJoins: len(eligible)}
+	for k, e := range eligible {
+		stats.PerTile = append(stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: subs[k].stats, Explain: subs[k].explain})
+		addStats(&stats.Stats, subs[k].stats)
+	}
 	if res.Explain != nil {
 		*res.Explain = aggregateExplain(stats.PerTile, res.Stream != nil)
 	}
+	var out []multistep.Pair
 	if collect {
-		slices.SortFunc(out, func(p, q multistep.Pair) int {
-			switch {
-			case p.A != q.A:
-				return int(p.A - q.A)
-			default:
-				return int(p.B - q.B)
-			}
-		})
-		// The partition is disjoint, so duplicates cannot arise; the
-		// compaction is the cheap invariant that keeps the merge correct
-		// should a replicating partitioner ever be plugged in.
-		out = slices.Compact(out)
-		if res.Limit >= 0 && len(out) > res.Limit {
-			out = out[:res.Limit]
-		}
+		out = mergePairs(r, s, eligible, res.Limit, func(k int) []multistep.Pair { return subs[k].pairs })
 	}
 	return out, stats, nil
+}
+
+// subJoin is the outcome of one tile-pair sub-join: tile-local pairs,
+// the sub-join's accounting and, under WithExplain, its plan record.
+type subJoin struct {
+	pairs   []multistep.Pair
+	stats   multistep.Stats
+	explain *multistep.Explain
+}
+
+// mergePairs gathers the tile-local response sets of the sub-joins
+// eligible[k] (pairs(k), read only) into the single-relation response:
+// translated to global IDs, (A, B)-sorted, cut to the first limit pairs
+// (limit < 0: all), in one allocation of exactly the merged size. A cut
+// response is a copy of its prefix, so that a caller who keeps it does
+// not keep the whole merge alive.
+func mergePairs(r, s *Sharded, eligible []tilePair, limit int, pairs func(k int) []multistep.Pair) []multistep.Pair {
+	total := 0
+	for k := range eligible {
+		total += len(pairs(k))
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]multistep.Pair, 0, total)
+	for k, e := range eligible {
+		ga, gb := r.Tiles[e.ri].Global, s.Tiles[e.si].Global
+		for _, p := range pairs(k) {
+			out = append(out, multistep.Pair{A: ga[p.A], B: gb[p.B]})
+		}
+	}
+	slices.SortFunc(out, func(p, q multistep.Pair) int {
+		switch {
+		case p.A != q.A:
+			return int(p.A - q.A)
+		default:
+			return int(p.B - q.B)
+		}
+	})
+	// The partition is disjoint, so duplicates cannot arise; the
+	// compaction is the cheap invariant that keeps the merge correct
+	// should a replicating partitioner ever be plugged in.
+	out = slices.Compact(out)
+	if limit >= 0 && len(out) > limit {
+		out = slices.Clone(out[:limit])
+	}
+	return out
 }

@@ -94,6 +94,7 @@ func UnmarshalBinary(data []byte) (*Tree, error) {
 		minFill:  (int(capByte)*2 + 4) / 5,
 		height:   int(height),
 		numTraps: int(count),
+		bounds:   root.bounds(),
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -25,6 +25,9 @@ type Tree struct {
 	minFill  int // minimum entries per node after a split
 	height   int // number of levels (leaf = level 1)
 	numTraps int
+	// bounds is root.bounds(), computed once the tree is complete: every
+	// exact test starts by comparing the two trees' bounds.
+	bounds geom.Rect
 }
 
 type entry struct {
@@ -91,6 +94,7 @@ func New(traps []decomp.Trapezoid, capacity int) *Tree {
 		t.insert(entry{rect: tr.Bounds(), trap: tr}, 1)
 		t.numTraps++
 	}
+	t.bounds = t.root.bounds()
 	return t
 }
 
@@ -105,7 +109,7 @@ func (t *Tree) NumTrapezoids() int { return t.numTraps }
 func (t *Tree) Capacity() int { return t.capacity }
 
 // Bounds returns the bounding rectangle of all components.
-func (t *Tree) Bounds() geom.Rect { return t.root.bounds() }
+func (t *Tree) Bounds() geom.Rect { return t.bounds }
 
 // pendingEntry is an entry awaiting (re)insertion at a given level
 // (counted from the leaves, leaf = 1, so the target stays valid when the
@@ -254,12 +258,11 @@ func Intersects(t1, t2 *Tree, c *ops.Counters) bool {
 	if t1.numTraps == 0 || t2.numTraps == 0 {
 		return false
 	}
-	b1, b2 := t1.root.bounds(), t2.root.bounds()
 	c.RectIntersection++
-	if !b1.Intersects(b2) {
+	if !t1.bounds.Intersects(t2.bounds) {
 		return false
 	}
-	return nodesIntersect(t1.root, t2.root, b1, b2, c)
+	return nodesIntersect(t1.root, t2.root, t1.bounds, t2.bounds, c)
 }
 
 // nodesIntersect expands one node pair; b1 and b2 are the node regions,
@@ -323,27 +326,30 @@ func nodesIntersect(n1, n2 *node, b1, b2 geom.Rect, c *ops.Counters) bool {
 // WithinDistance decides whether the regions of two TR*-trees lie within
 // Euclidean distance eps of each other, via the same synchronized
 // traversal as Intersects with the rectangle intersection tests replaced
-// by rectangle distance tests (a sound prune: the MBR distance lower
-// bounds the trapezoid distance) and the trapezoid intersection tests by
-// exact trapezoid distance tests. Because the trapezoids tile the closed
-// regions, the first component pair within eps decides the predicate —
-// containment configurations included (an overlapping pair has distance
-// 0). With eps = 0 the predicate coincides with Intersects.
+// by rectangle gap tests (a sound prune: the MBR distance lower bounds
+// the trapezoid distance) and the trapezoid intersection tests by
+// trapezoid within-eps tests. Neither computes a distance: gaps are
+// compared squared against eps², hoisted here once. Because the
+// trapezoids tile the closed regions, the first component pair within
+// eps decides the predicate — containment configurations included (an
+// overlapping pair has distance 0). With eps = 0 the predicate coincides
+// with Intersects.
 func WithinDistance(t1, t2 *Tree, eps float64, c *ops.Counters) bool {
 	if t1.numTraps == 0 || t2.numTraps == 0 {
 		return false
 	}
-	b1, b2 := t1.root.bounds(), t2.root.bounds()
+	eps2 := eps * eps
 	c.RectIntersection++
-	if b1.Dist(b2) > eps {
+	if t1.bounds.Dist2(t2.bounds) > eps2 {
 		return false
 	}
-	return nodesWithin(t1.root, t2.root, b1, b2, eps, c)
+	return nodesWithin(t1.root, t2.root, t1.bounds, t2.bounds, eps, eps2, c)
 }
 
 // nodesWithin mirrors nodesIntersect (threaded bounds, index-addressed
-// entries) with distance tests in place of intersection tests.
-func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps float64, c *ops.Counters) bool {
+// entries) with within-eps tests in place of intersection tests; eps2 is
+// eps squared.
+func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps, eps2 float64, c *ops.Counters) bool {
 	switch {
 	case n1.leaf && n2.leaf:
 		for i := range n1.entries {
@@ -351,11 +357,11 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps float64, c *ops.Counters) b
 			for j := range n2.entries {
 				e2 := &n2.entries[j]
 				c.RectIntersection++
-				if e1.rect.Dist(e2.rect) > eps {
+				if e1.rect.Dist2(e2.rect) > eps2 {
 					continue
 				}
 				c.TrapIntersection++
-				if e1.trap.Dist(e2.trap) <= eps {
+				if e1.trap.WithinDist(e2.trap, eps) {
 					return true
 				}
 			}
@@ -367,7 +373,7 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps float64, c *ops.Counters) b
 			for j := range n2.entries {
 				e2 := &n2.entries[j]
 				c.RectIntersection++
-				if e1.rect.Dist(e2.rect) <= eps && nodesWithin(e1.child, e2.child, e1.rect, e2.rect, eps, c) {
+				if e1.rect.Dist2(e2.rect) <= eps2 && nodesWithin(e1.child, e2.child, e1.rect, e2.rect, eps, eps2, c) {
 					return true
 				}
 			}
@@ -378,7 +384,7 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps float64, c *ops.Counters) b
 		for j := range n2.entries {
 			e2 := &n2.entries[j]
 			c.RectIntersection++
-			if e2.rect.Dist(b1) <= eps && nodesWithin(n1, e2.child, b1, e2.rect, eps, c) {
+			if e2.rect.Dist2(b1) <= eps2 && nodesWithin(n1, e2.child, b1, e2.rect, eps, eps2, c) {
 				return true
 			}
 		}
@@ -387,7 +393,7 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps float64, c *ops.Counters) b
 		for i := range n1.entries {
 			e1 := &n1.entries[i]
 			c.RectIntersection++
-			if e1.rect.Dist(b2) <= eps && nodesWithin(e1.child, n2, e1.rect, b2, eps, c) {
+			if e1.rect.Dist2(b2) <= eps2 && nodesWithin(e1.child, n2, e1.rect, b2, eps, eps2, c) {
 				return true
 			}
 		}

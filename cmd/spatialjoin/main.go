@@ -72,7 +72,7 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0, "distance bound of the within predicate (implies -predicate within)")
 	step1 := flag.String("step1", "rstar", "step 1 candidate generator: rstar, zorder, nested")
 	parallel := flag.Int("parallel", 0, "filter/exact worker count (0 = sequential; with -stream, 0 = GOMAXPROCS)")
-	stream := flag.Bool("stream", false, "use the streaming pipeline (JoinStream): bounded memory, -parallel workers")
+	stream := flag.Bool("stream", false, "stream the response pairs (WithStream): bounded memory, -parallel workers")
 	planOn := flag.Bool("plan", true, "resolve unset options (engine, filter, workers) through the cost-based planner; explicitly-set flags stay pinned")
 	explain := flag.Bool("explain", false, "print the chosen plan and predicted cost before the join, and the predicted-vs-actual error after (implies -plan)")
 	rstorePath := flag.String("rstore", "", "open relation R from this prebuilt store instead of generating it")

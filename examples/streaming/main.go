@@ -1,5 +1,5 @@
-// Streaming: run the join as the fully parallel, bounded-memory pipeline
-// (JoinStream) and consume response pairs as they are decided, instead of
+// Streaming: run the join with WithStream and consume response pairs as
+// they are decided, with memory bounded by the pipeline depth, instead of
 // waiting for the materialized response set. The statistics are exactly
 // those of the sequential Join; only the delivery changes.
 //

@@ -130,7 +130,7 @@ func ParallelIO(pageAccesses int64, disks int, p Params) float64 {
 // ParallelBreakdown rescales a modelled breakdown for d-way CPU and I/O
 // parallelism: I/O components divide by the disk count, the exact-test CPU
 // component by the worker count (the filter/exact steps parallelize pair-
-// wise, see multistep.JoinParallel).
+// wise over the worker pool of multistep.Join).
 func ParallelBreakdown(b Breakdown, disks, workers int) Breakdown {
 	if disks < 1 {
 		disks = 1

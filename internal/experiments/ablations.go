@@ -215,8 +215,8 @@ func Figure18Wall(p BigParams) *Table {
 // AblationParallelism models the section 6 outlook on one measured run:
 // the version 3 join statistics fed through the CPU/I/O parallelism model
 // for several disk and worker counts, plus the measured wall-clock scaling
-// of JoinParallel (collect-then-sort) and the streaming pipeline
-// JoinStream (partitioned step 1, bounded channels).
+// of the collected join (collect-then-sort) and the streamed one
+// (WithStream: bounded channels, nothing materialized).
 func AblationParallelism(p BigParams) *Table {
 	r, s := bigRelations(p)
 	cfg := multistep.DefaultConfig()
@@ -228,7 +228,7 @@ func AblationParallelism(p BigParams) *Table {
 
 	t := &Table{
 		Title:  "Ablation — CPU and I/O parallelism (section 6 outlook, version 3 join)",
-		Header: []string{"disks", "workers", "modelled total s", "wall s (JoinParallel)", "wall s (JoinStream)"},
+		Header: []string{"disks", "workers", "modelled total s", "wall s (collected)", "wall s (streamed)"},
 	}
 	for _, conf := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}} {
 		disks, workers := conf[0], conf[1]
@@ -240,7 +240,7 @@ func AblationParallelism(p BigParams) *Table {
 		}
 		wallParallel := time.Since(start).Seconds()
 		// Consume the streamed pairs so both wall columns include
-		// delivering every response pair (JoinParallel materializes them).
+		// delivering every response pair (the collected join materializes them).
 		var streamed int64
 		start = time.Now()
 		if _, _, err := multistep.Join(context.Background(), rr, ss,
@@ -254,8 +254,8 @@ func AblationParallelism(p BigParams) *Table {
 			fmt.Sprintf("%.2f", wallStream))
 	}
 	t.Comment = "The modelled column divides I/O by the disk count and exact CPU by the worker count;\n" +
-		"the wall columns measure real parallelism on this host. JoinStream additionally\n" +
-		"partitions the step 1 traversal and keeps memory bounded by the pipeline depth."
+		"the wall columns measure real parallelism on this host. Both runs are the same pipeline\n" +
+		"(partitioned step 1, pooled batches); streaming only keeps memory bounded by its depth."
 	return t
 }
 
@@ -281,7 +281,7 @@ func AblationBufferPolicy(p BigParams) *Table {
 		}
 		t1.Buffer().Clear()
 		t2.Buffer().Clear()
-		rstar.Join(t1, t2, func(a, b rstar.Item) {})
+		rstar.JoinParallelAccess(context.Background(), t1, t2, t1.Buffer(), t2.Buffer(), 0, 1, func(int, rstar.Item, rstar.Item) {})
 		faults := t1.Buffer().Misses() + t2.Buffer().Misses()
 		total := t1.Buffer().Accesses() + t2.Buffer().Accesses()
 		hitRate := 0.0

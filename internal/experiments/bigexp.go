@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -151,7 +152,8 @@ func Figure10(p BigParams) *Table {
 			for i, pair := range [2][2]*rstar.Tree{{a1, b1}, {a2, b2}} {
 				pair[0].Buffer().Clear()
 				pair[1].Buffer().Clear()
-				st := rstar.Join(pair[0], pair[1], func(a, b rstar.Item) {})
+				st := rstar.JoinParallelAccess(context.Background(), pair[0], pair[1],
+					pair[0].Buffer(), pair[1].Buffer(), 0, 1, func(int, rstar.Item, rstar.Item) {})
 				joinMisses[i] = pair[0].Buffer().Misses() + pair[1].Buffer().Misses()
 				if i == 0 {
 					// Approach 1: the key IS the approximation; every

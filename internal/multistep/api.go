@@ -19,16 +19,15 @@ import (
 // This file is the unified query API of the package: two entry points,
 //
 //	Join(ctx, r, s, opts...)  — the predicate-parameterized spatial join
+//	                            (join.go, with its batched form JoinBatch)
 //	Query(ctx, r, opts...)    — window / point / nearest queries on one
 //	                            relation
 //
-// replacing the pre-redesign combinatorial surface (Join, JoinParallel,
-// JoinStream, JoinContains, and an *Access twin of every query). The
-// predicate (Intersects, Contains, WithinDistance) and every execution
-// concern — worker count, streaming emission, per-query access contexts,
-// result limits — are orthogonal functional options, and the context is
-// threaded through the whole pipeline, so cancelling it stops the work
-// mid-join.
+// The predicate (Intersects, Contains, WithinDistance) and every
+// execution concern — worker count, streaming emission, per-query access
+// contexts, result limits — are orthogonal functional options, and the
+// context is threaded through the whole pipeline, so cancelling it stops
+// the work mid-join.
 
 // Errors of the unified query API.
 var (
@@ -46,8 +45,6 @@ type queryOptions struct {
 	cfg        *Config // nil: use the relations' build configuration
 	pred       Predicate
 	workers    int
-	batch      int
-	queue      int
 	emit       func(Pair)
 	bufferless bool
 	axR, axS   storage.Accessor
@@ -90,18 +87,6 @@ func WithConfig(cfg Config) Option {
 // Statistics are independent of the worker count by construction.
 func WithWorkers(n int) Option {
 	return func(o *queryOptions) { o.workers = n }
-}
-
-// WithBatch sets the candidate batch size of the join pipeline (default
-// 256); WithQueue sets the bounded channel depth in batches (default
-// 4×workers). Together they cap the in-flight memory.
-func WithBatch(n int) Option {
-	return func(o *queryOptions) { o.batch = n }
-}
-
-// WithQueue sets the bounded queue depth of the join pipeline in batches.
-func WithQueue(n int) Option {
-	return func(o *queryOptions) { o.queue = n }
 }
 
 // WithStream streams response pairs to emit as they are decided (from a
@@ -223,8 +208,10 @@ type Resolved struct {
 }
 
 // ResolveOptions applies an option list and returns the resolved view.
-func ResolveOptions(opts []Option) Resolved {
-	o := resolve(opts)
+func ResolveOptions(opts []Option) Resolved { return resolve(opts).resolved() }
+
+// resolved is the exported view of a resolved option set.
+func (o queryOptions) resolved() Resolved {
 	return Resolved{
 		Pred: o.pred, Cfg: o.cfg, Limit: o.limit,
 		Stream: o.emit, Bufferless: o.bufferless,
@@ -239,9 +226,10 @@ func ResolveOptions(opts []Option) Resolved {
 // distance bound) — the same check the Join and Query entry points run.
 func (p Predicate) Validate() error { return p.validate() }
 
-// ValidateQueryTarget checks the target/predicate combination exactly as
-// the single-relation Query entry point would, so a routing layer can
-// reject a malformed query before fanning it out to any tile.
+// ValidateQueryTarget checks the target and its combination with the
+// predicate. It is the one place a query target is validated: the
+// single-relation Query entry point calls it, and a routing layer calls
+// it to reject a malformed query before fanning it out to any tile.
 func (o Resolved) ValidateQueryTarget() error {
 	switch {
 	case o.Nearest:
@@ -259,6 +247,12 @@ func (o Resolved) ValidateQueryTarget() error {
 		if o.Pred.kind == predContains {
 			return fmt.Errorf("%w: containment of a window is not a query predicate", ErrBadPredicate)
 		}
+		// A window with swapped corners is empty to every rectangle test
+		// and would answer "no objects" instead of failing.
+		if w := o.Window; w != nil && (w.MinX > w.MaxX || w.MinY > w.MaxY) {
+			return fmt.Errorf("multistep: window [%g, %g]×[%g, %g] has a lower corner above its upper corner",
+				w.MinX, w.MaxX, w.MinY, w.MaxY)
+		}
 	}
 	return nil
 }
@@ -274,83 +268,6 @@ func joinConfig(r, s *Relation, o *queryOptions) (Config, error) {
 			r.Name, s.Name, ErrConfigMismatch)
 	}
 	return r.Cfg, nil
-}
-
-// Join runs the multi-step spatial join of r and s under the configured
-// predicate (default Intersects) and returns the response set sorted by
-// (A, B) along with the per-step statistics. Every statistic is
-// independent of the worker count and of streaming by construction, so
-// one entry point serves measurement and production alike.
-//
-// Cancellation: when ctx is cancelled, the step 1 traversal workers, the
-// filter/exact pool and the collector all stop at their next check; Join
-// returns ctx.Err() and partial statistics that must not be interpreted.
-//
-// Accounting: without WithSessions the page accounting runs on the shared
-// tree buffers (counters reset first) — the paper's sequential mode, one
-// query at a time. With per-query sessions on both sides the join is
-// fully concurrent-safe.
-func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := resolve(opts)
-	if err := o.pred.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	cfg, err := joinConfig(r, s, &o)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	// Adaptive planning: WithPlan resolves the dimensions the caller
-	// left open (engine, filter, workers) through internal/plan; pinned
-	// dimensions pass through unchanged, so explicit options win.
-	var pl Plan
-	switch {
-	case o.planned:
-		cfg, o.workers, pl = planJoin(r, s, cfg, &o)
-	case o.explain != nil:
-		pl = echoPlan(cfg, &o)
-	}
-
-	collect := o.emit == nil && !o.bufferless
-	var started time.Time
-	if o.explain != nil {
-		started = time.Now()
-	}
-	out, st, err := joinStream(ctx, r, s, cfg, o.pred, o, collect)
-	if err == nil {
-		observeJoin(r, s, cfg, o.pred, pl, st)
-	}
-	if o.explain != nil {
-		fillExplain(o.explain, pl, st, time.Since(started), err == nil)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	if collect {
-		sortResponse(out)
-		if o.limit >= 0 && len(out) > o.limit {
-			out = out[:o.limit]
-		}
-	}
-	return out, st, nil
-}
-
-// sortResponse orders a response set by (A, B) — the canonical order of
-// the collected join result. Pairs are unique, so the (A, B) comparison
-// is a total order and the typed sort returns the identical sequence the
-// reflection-based sort did.
-func sortResponse(ps []Pair) {
-	slices.SortFunc(ps, func(p, q Pair) int {
-		switch {
-		case p.A != q.A:
-			return int(p.A - q.A)
-		default:
-			return int(p.B - q.B)
-		}
-	})
 }
 
 // QueryResult is the answer of the unified Query entry point.
@@ -381,6 +298,9 @@ func Query(ctx context.Context, r *Relation, opts ...Option) (QueryResult, error
 	}
 	o := resolve(opts)
 	if err := o.pred.validate(); err != nil {
+		return QueryResult{}, err
+	}
+	if err := o.resolved().ValidateQueryTarget(); err != nil {
 		return QueryResult{}, err
 	}
 	cfg := r.Cfg
@@ -417,26 +337,17 @@ func Query(ctx context.Context, r *Relation, opts ...Option) (QueryResult, error
 	return queryDispatch(ctx, r, ax, cfg, &o)
 }
 
-// queryDispatch routes a resolved Query to its target implementation.
+// queryDispatch routes a resolved, validated Query to its target
+// implementation.
 func queryDispatch(ctx context.Context, r *Relation, ax storage.Accessor, cfg Config, o *queryOptions) (QueryResult, error) {
 	switch {
 	case o.nearest:
-		if o.window != nil {
-			return QueryResult{}, errors.New("multistep: query has more than one target")
-		}
-		if o.pred.kind != predIntersects {
-			return QueryResult{}, fmt.Errorf("%w: nearest-objects queries take no predicate", ErrBadPredicate)
-		}
 		return nearestQuery(ctx, r, ax, *o.point, o.nearestK)
-	case o.window != nil && o.point == nil:
+	case o.window != nil:
 		return rangeQuery(ctx, r, ax, *o.window, cfg, o.pred, o.limit)
-	case o.point != nil && o.window == nil:
+	default:
 		w := geom.Rect{MinX: o.point.X, MinY: o.point.Y, MaxX: o.point.X, MaxY: o.point.Y}
 		return rangeQuery(ctx, r, ax, w, cfg, o.pred, o.limit)
-	case o.window != nil && o.point != nil:
-		return QueryResult{}, errors.New("multistep: query has more than one target")
-	default:
-		return QueryResult{}, ErrNoTarget
 	}
 }
 
@@ -446,9 +357,6 @@ func queryDispatch(ctx context.Context, r *Relation, ax storage.Accessor, cfg Co
 // most of them on approximations (Intersects only; distance queries go
 // straight to the exact kernel), and the rest are decided exactly.
 func rangeQuery(ctx context.Context, r *Relation, ax storage.Accessor, w geom.Rect, cfg Config, pred Predicate, limit int) (QueryResult, error) {
-	if pred.kind == predContains {
-		return QueryResult{}, fmt.Errorf("%w: containment of a window is not a query predicate", ErrBadPredicate)
-	}
 	var res QueryResult
 	eps := pred.step1Eps()
 	missesBefore := ax.Misses()

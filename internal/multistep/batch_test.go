@@ -144,30 +144,58 @@ func TestJoinBatchExplain(t *testing.T) {
 	}
 }
 
-// TestJoinBatchRejections: mixed ε, streaming members and oversized
-// batches are rejected before any work happens.
+// TestJoinBatchRejections: mixed ε, streaming members, step 1 generators
+// other than the R*-tree traversal and oversized batches are rejected
+// before any work happens — and what only a single request can mean
+// (streaming, the Z-order and nested-loops generators) is admitted for a
+// batch of one, which is what Join is.
 func TestJoinBatchRejections(t *testing.T) {
-	r, s, _ := batchTestRelations(t)
+	r, s, cfg := batchTestRelations(t)
 	ctx := context.Background()
+	intersects := []Option{WithPredicate(Intersects())}
 
 	_, err := JoinBatch(ctx, r, s, nil, nil, [][]Option{
-		{WithPredicate(Intersects())},
+		intersects,
 		{WithPredicate(WithinDistance(0.01))},
 	})
 	if !errors.Is(err, ErrBatchMismatch) {
 		t.Fatalf("mixed-ε batch err = %v, want ErrBatchMismatch", err)
 	}
 
-	_, err = JoinBatch(ctx, r, s, nil, nil, [][]Option{
-		{WithStream(func(Pair) {})},
-	})
+	streaming := []Option{WithStream(func(Pair) {})}
+	_, err = JoinBatch(ctx, r, s, nil, nil, [][]Option{intersects, streaming})
 	if !errors.Is(err, ErrBatchStream) {
 		t.Fatalf("streaming batch err = %v, want ErrBatchStream", err)
+	}
+	if _, err = JoinBatch(ctx, r, s, nil, nil, [][]Option{streaming}); err != nil {
+		t.Fatalf("one streaming item: %v, want it admitted", err)
+	}
+
+	want, wantSt := soloRun(t, r, s, intersects)
+	for _, step1 := range []Step1{Step1ZOrder, Step1NestedLoops} {
+		alt := cfg
+		alt.Step1 = step1
+		item := []Option{WithConfig(alt)}
+		_, err = JoinBatch(ctx, r, s, nil, nil, [][]Option{intersects, item})
+		if !errors.Is(err, ErrBatchMismatch) {
+			t.Fatalf("%v in a batch of two: err = %v, want ErrBatchMismatch", step1, err)
+		}
+		outs, err := JoinBatch(ctx, r, s, r.NewSession(), s.NewSession(), [][]Option{item})
+		if err != nil {
+			t.Fatalf("%v in a batch of one: %v, want it admitted", step1, err)
+		}
+		// Another generator finds the same candidates, so everything but
+		// the step 1 work counters matches the R*-tree run.
+		if !reflect.DeepEqual(outs[0].Pairs, want) || outs[0].Stats.CandidatePairs != wantSt.CandidatePairs ||
+			outs[0].Stats.ExactTested != wantSt.ExactTested {
+			t.Errorf("%v in a batch of one: %d pairs, stats %+v; want %d pairs, stats %+v",
+				step1, len(outs[0].Pairs), outs[0].Stats, len(want), wantSt)
+		}
 	}
 
 	big := make([][]Option, MaxBatchItems+1)
 	for i := range big {
-		big[i] = []Option{WithPredicate(Intersects())}
+		big[i] = intersects
 	}
 	_, err = JoinBatch(ctx, r, s, nil, nil, big)
 	if !errors.Is(err, ErrBatchTooLarge) {
@@ -176,6 +204,39 @@ func TestJoinBatchRejections(t *testing.T) {
 
 	if outs, err := JoinBatch(ctx, r, s, nil, nil, nil); err != nil || outs != nil {
 		t.Fatalf("empty batch = %v, %v; want nil, nil", outs, err)
+	}
+}
+
+// TestJoinAllocsBounded guards the pooled batch buffers: a warmed
+// one-item join allocates its per-worker state, its channels, its
+// response slice and the R*-tree traversal's scratch — nothing that grows
+// with the number of candidate or result batches. With 16-pair batches
+// the workload moves several hundred of each, so an unpooled batch path
+// shows as more than one allocation per candidate batch.
+func TestJoinAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; the batch buffers are pooled")
+	}
+	cfg := DefaultConfig()
+	rp := data.GenerateMap(data.MapConfig{Cells: 1200, TargetVerts: 20, Seed: 223})
+	r, s := NewRelation("r", rp, cfg), NewRelation("s", data.StrategyA(rp, 0.45), cfg)
+	defer func(b int) { batchPairs = b }(batchPairs)
+	batchPairs = 16
+	var batches int64
+	run := func() {
+		_, st, err := Join(context.Background(), r, s, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = st.CandidatePairs / int64(batchPairs)
+	}
+	run() // warm the pools, the buffers and the lazily built exact representations
+	allocs := testing.AllocsPerRun(5, run)
+	if batches < 400 {
+		t.Fatalf("only %d candidate batches; the guard is vacuous", batches)
+	}
+	if allocs > float64(batches)/2 {
+		t.Errorf("a warmed join of %d candidate batches allocates %.0f objects, want at most one per two batches", batches, allocs)
 	}
 }
 

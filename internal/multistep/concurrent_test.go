@@ -116,9 +116,8 @@ func TestSessionStatsMatchSharedMode(t *testing.T) {
 
 		// A session join from state X...
 		var sessPairs []Pair
-		sessSt := testJoinStream(t, r, s, cfg, StreamOptions{
-			Workers: 2, AccessR: r.NewSession(), AccessS: s.NewSession(),
-		}, func(p Pair) { sessPairs = append(sessPairs, p) })
+		sessSt := testJoinStream(t, r, s, cfg, func(p Pair) { sessPairs = append(sessPairs, p) },
+			WithWorkers(2), WithSessions(r.NewSession(), s.NewSession()))
 
 		// ...must equal a shared join from state X (sessions left the
 		// shared buffers untouched, so this second shared run also
@@ -167,9 +166,8 @@ func computeBaselines(t *testing.T, r, s *Relation, cfg Config) *queryBaselines 
 	b.windowIDs, b.windowSt = testWindowAccess(t, r, r.NewSession(), b.window, cfg)
 	b.pointIDs, b.pointSt = testPointAccess(t, r, r.NewSession(), b.point, cfg)
 	b.nearest = testNearestAccess(t, r, r.NewSession(), b.point, 5)
-	b.joinSt = testJoinStream(t, r, s, cfg, StreamOptions{
-		Workers: 2, AccessR: r.NewSession(), AccessS: s.NewSession(),
-	}, func(p Pair) { b.joinPairs = append(b.joinPairs, p) })
+	b.joinSt = testJoinStream(t, r, s, cfg, func(p Pair) { b.joinPairs = append(b.joinPairs, p) },
+		WithWorkers(2), WithSessions(r.NewSession(), s.NewSession()))
 	sortPairs(b.joinPairs)
 	b.containsP, b.containsSt = testJoinContainsAccess(t, r, s, r.NewSession(), s.NewSession(), cfg)
 	return b
@@ -195,9 +193,8 @@ func runQueryMix(t *testing.T, g int, r, s *Relation, cfg Config, b *queryBaseli
 			}
 		case 3:
 			var pairs []Pair
-			st := testJoinStream(t, r, s, cfg, StreamOptions{
-				Workers: 2, AccessR: r.NewSession(), AccessS: s.NewSession(),
-			}, func(p Pair) { pairs = append(pairs, p) })
+			st := testJoinStream(t, r, s, cfg, func(p Pair) { pairs = append(pairs, p) },
+				WithWorkers(2), WithSessions(r.NewSession(), s.NewSession()))
 			sortPairs(pairs)
 			if !reflect.DeepEqual(st, b.joinSt) {
 				t.Errorf("goroutine %d: concurrent join stats diverged:\n got %+v\nwant %+v", g, st, b.joinSt)

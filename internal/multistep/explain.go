@@ -109,9 +109,12 @@ func ExplainJoin(r, s *Relation, opts ...Option) (Explain, error) {
 // planPred maps a predicate kind onto the planner's mirror type.
 func planPred(p Predicate) plan.Pred { return plan.Pred(p.kind) }
 
-// effectiveWorkers mirrors the worker defaulting of the join pipeline
-// (withDefaults): ≤ 0 selects GOMAXPROCS, and everything is clamped to
-// 4×GOMAXPROCS.
+// effectiveWorkers resolves a requested worker count for the join
+// pipeline: ≤ 0 selects GOMAXPROCS, and everything is clamped to
+// 4×GOMAXPROCS — beyond that, extra workers only cost memory and
+// scheduling (the serving layer applies the same guard to its
+// unauthenticated workers parameter; the library enforces it for every
+// caller rather than trusting them).
 func effectiveWorkers(n int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -11,12 +11,11 @@ import (
 	"spatialjoin/internal/storage"
 )
 
-// The helpers below run the pre-redesign entry points through the
-// unified API — each body is one row of the README migration table, so
-// every test exercising them doubles as an equivalence proof of the
-// redesign against the pre-redesign behaviour (goldens included).
+// The helpers below name the option sets the suites use over and over;
+// each is one Join or Query call (the goldens they pin predate the
+// option-based API and have not moved since).
 
-// testJoin is the old sequential Join(r, s, cfg).
+// testJoin is the one-worker, collected join — the reference run.
 func testJoin(t testing.TB, r, s *Relation, cfg Config) ([]Pair, Stats) {
 	t.Helper()
 	pairs, st, err := Join(context.Background(), r, s, WithConfig(cfg), WithWorkers(1))
@@ -26,7 +25,8 @@ func testJoin(t testing.TB, r, s *Relation, cfg Config) ([]Pair, Stats) {
 	return pairs, st
 }
 
-// testJoinWorkers is the old JoinParallel(r, s, cfg, workers).
+// testJoinWorkers is the collected join on the R*-tree generator with the
+// given worker count.
 func testJoinWorkers(t testing.TB, r, s *Relation, cfg Config, workers int) ([]Pair, Stats) {
 	t.Helper()
 	cfg.Step1 = Step1RStar
@@ -37,13 +37,11 @@ func testJoinWorkers(t testing.TB, r, s *Relation, cfg Config, workers int) ([]P
 	return pairs, st
 }
 
-// testJoinStream is the old JoinStream(r, s, cfg, opts, emit).
-func testJoinStream(t testing.TB, r, s *Relation, cfg Config, opts StreamOptions, emit func(Pair)) Stats {
+// testJoinStream runs Join under cfg and opts, streaming the response to
+// emit; a nil emit runs bufferless (statistics only).
+func testJoinStream(t testing.TB, r, s *Relation, cfg Config, emit func(Pair), opts ...Option) Stats {
 	t.Helper()
-	o := []Option{
-		WithConfig(cfg), WithWorkers(opts.Workers), WithBatch(opts.Batch),
-		WithQueue(opts.Queue), WithSessions(opts.AccessR, opts.AccessS),
-	}
+	o := append([]Option{WithConfig(cfg)}, opts...)
 	if emit != nil {
 		o = append(o, WithStream(emit))
 	} else {
@@ -56,8 +54,8 @@ func testJoinStream(t testing.TB, r, s *Relation, cfg Config, opts StreamOptions
 	return st
 }
 
-// testJoinContains is the old JoinContains(r, s, cfg);
-// testJoinContainsAccess its *Access twin.
+// testJoinContains is the inclusion join; testJoinContainsAccess runs it
+// on explicit per-query sessions.
 func testJoinContains(t testing.TB, r, s *Relation, cfg Config) ([]Pair, Stats) {
 	t.Helper()
 	pairs, st, err := Join(context.Background(), r, s,
@@ -78,9 +76,8 @@ func testJoinContainsAccess(t testing.TB, r, s *Relation, axR, axS storage.Acces
 	return pairs, st
 }
 
-// testWindow is the old WindowQuery(rel, w, cfg); testWindowAccess,
-// testPoint, testPointAccess and testNearestAccess follow the same
-// pattern for the remaining pre-redesign names.
+// testWindow, testPoint and their *Access forms (explicit session) are
+// the window, point and nearest queries.
 func testWindow(t testing.TB, rel *Relation, w geom.Rect, cfg Config) ([]int32, WindowStats) {
 	t.Helper()
 	res, err := Query(context.Background(), rel, ForWindow(w), WithConfig(cfg))

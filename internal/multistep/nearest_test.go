@@ -10,7 +10,7 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// testNearest is the old NearestObjects(rel, p, k): shared-buffer
+// testNearest is the k-nearest-objects query with shared-buffer
 // accounting through the unified Query entry point.
 func testNearest(t testing.TB, rel *Relation, p geom.Point, k int) []Neighbor {
 	t.Helper()

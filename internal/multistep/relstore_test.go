@@ -97,7 +97,7 @@ func TestRelationStoreStreamEquivalence(t *testing.T) {
 	if err := SaveRelation(&sBuf, s, cfg); err != nil {
 		t.Fatal(err)
 	}
-	wantStats := testJoinStream(t, r, s, cfg, StreamOptions{Workers: 3}, nil)
+	wantStats := testJoinStream(t, r, s, cfg, nil, WithWorkers(3))
 
 	r2, err := OpenRelation(&rBuf, cfg)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestRelationStoreStreamEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotStats := testJoinStream(t, r2, s2, cfg, StreamOptions{Workers: 3}, nil)
+	gotStats := testJoinStream(t, r2, s2, cfg, nil, WithWorkers(3))
 	if gotStats != wantStats {
 		t.Errorf("streaming stats differ after reopen:\n got %+v\nwant %+v", gotStats, wantStats)
 	}

@@ -14,10 +14,10 @@ func clearBuffers(r, s *Relation) {
 
 // TestJoinStreamEquivalence is the streaming pipeline's correctness
 // theorem: for every exact engine, every step 1 generator and every
-// worker count, JoinStream (and the JoinParallel wrapper) produce exactly
-// Join's response set and exactly Join's statistics — candidate counts,
-// filter decisions, exact tests, object fetches, operation counters and
-// page accesses alike.
+// worker count, a streamed Join (and a collected multi-worker one)
+// produces exactly the one-worker Join's response set and statistics —
+// candidate counts, filter decisions, exact tests, object fetches,
+// operation counters and page accesses alike.
 func TestJoinStreamEquivalence(t *testing.T) {
 	rp, sp := smallSeries(t)
 	for _, step1 := range []Step1{Step1RStar, Step1ZOrder, Step1NestedLoops} {
@@ -38,8 +38,8 @@ func TestJoinStreamEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 0} {
 				clearBuffers(r, s)
 				var got []Pair
-				st := testJoinStream(t, r, s, cfg, StreamOptions{Workers: workers},
-					func(p Pair) { got = append(got, p) })
+				st := testJoinStream(t, r, s, cfg,
+					func(p Pair) { got = append(got, p) }, WithWorkers(workers))
 				assertSameResponse(t, name, got, want)
 				if st != wantSt {
 					t.Errorf("%s workers=%d: stats diverge:\n got %+v\nwant %+v",
@@ -50,9 +50,9 @@ func TestJoinStreamEquivalence(t *testing.T) {
 			if step1 == Step1RStar {
 				clearBuffers(r, s)
 				got, st := testJoinWorkers(t, r, s, cfg, 4)
-				assertSameResponse(t, name+"/JoinParallel", got, want)
+				assertSameResponse(t, name+"/workers=4 collected", got, want)
 				if st != wantSt {
-					t.Errorf("%s: JoinParallel stats diverge:\n got %+v\nwant %+v",
+					t.Errorf("%s: collected 4-worker stats diverge:\n got %+v\nwant %+v",
 						name, st, wantSt)
 				}
 			}
@@ -74,8 +74,10 @@ func TestJoinStreamBackpressure(t *testing.T) {
 
 	clearBuffers(r, s)
 	var got []Pair
-	st := testJoinStream(t, r, s, cfg, StreamOptions{Workers: 3, Batch: 1, Queue: 1},
-		func(p Pair) { got = append(got, p) })
+	defer func(b, q int) { batchPairs, queuePerWorker = b, q }(batchPairs, queuePerWorker)
+	batchPairs, queuePerWorker = 1, 0 // one pair per batch, unbuffered channels
+	st := testJoinStream(t, r, s, cfg,
+		func(p Pair) { got = append(got, p) }, WithWorkers(3))
 	assertSameResponse(t, "batch=1", got, want)
 	if st != wantSt {
 		t.Errorf("batch=1: stats diverge:\n got %+v\nwant %+v", st, wantSt)
@@ -94,7 +96,7 @@ func TestJoinStreamNilEmit(t *testing.T) {
 	want, wantSt := testJoin(t, r, s, cfg)
 
 	clearBuffers(r, s)
-	st := testJoinStream(t, r, s, cfg, StreamOptions{}, nil)
+	st := testJoinStream(t, r, s, cfg, nil)
 	if st != wantSt {
 		t.Errorf("nil emit: stats diverge:\n got %+v\nwant %+v", st, wantSt)
 	}
@@ -113,18 +115,18 @@ func TestJoinStreamRepeatable(t *testing.T) {
 	s := NewRelation("S", sp, cfg)
 
 	clearBuffers(r, s)
-	first := testJoinStream(t, r, s, cfg, StreamOptions{Workers: 4}, nil)
+	first := testJoinStream(t, r, s, cfg, nil, WithWorkers(4))
 	clearBuffers(r, s)
-	second := testJoinStream(t, r, s, cfg, StreamOptions{Workers: 4}, nil)
+	second := testJoinStream(t, r, s, cfg, nil, WithWorkers(4))
 	if first != second {
 		t.Errorf("streaming join not repeatable:\n first %+v\nsecond %+v", first, second)
 	}
 }
 
-// TestDefaultStreamOptions pins the documented defaults.
-func TestDefaultStreamOptions(t *testing.T) {
-	o := DefaultStreamOptions()
-	if o.Workers <= 0 || o.Batch != 256 || o.Queue != 4*o.Workers {
-		t.Errorf("unexpected defaults: %+v", o)
+// TestPipelineShapeDefaults pins the documented pipeline shape: 256-pair
+// batches and a channel depth of four batches per worker.
+func TestPipelineShapeDefaults(t *testing.T) {
+	if batchPairs != 256 || queuePerWorker != 4 {
+		t.Errorf("unexpected pipeline shape: batch %d, queue %d per worker", batchPairs, queuePerWorker)
 	}
 }

@@ -54,21 +54,21 @@ func TestNodePairSweepAllocFree(t *testing.T) {
 }
 
 // TestJoinAllocsBounded guards the whole-join allocation budget: a full
-// JoinAccessEps on warmed trees may allocate only the visitor and its
+// sequential join on warmed trees may allocate only the visitor and its
 // scratch ladder, independent of the data size.
 func TestJoinAllocsBounded(t *testing.T) {
 	t1, t2 := buildAllocTrees(t)
 	var pairs int64
 	fn := func(a, b Item) { pairs++ }
-	JoinAccess(t1, t2, t1.buf, t2.buf, fn) // warm the buffers
+	seqJoin(t1, t2, fn) // warm the buffers
 
 	allocs := testing.AllocsPerRun(10, func() {
-		JoinAccess(t1, t2, t1.buf, t2.buf, fn)
+		seqJoin(t1, t2, fn)
 	})
 	// Visitor + scratch ladder + a few restrict-buffer growths to the
 	// high-water mark; anything near the node-pair count is a regression.
 	const budget = 64
 	if allocs > budget {
-		t.Fatalf("JoinAccess allocates %.1f objects per join, want <= %d", allocs, budget)
+		t.Fatalf("the sequential join allocates %.1f objects per join, want <= %d", allocs, budget)
 	}
 }

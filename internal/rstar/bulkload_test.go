@@ -78,7 +78,7 @@ func TestBulkLoadEmptyAndJoin(t *testing.T) {
 	t1 := BulkLoad(items1, DefaultConfig())
 	t2 := BulkLoad(items2, DefaultConfig())
 	got := 0
-	Join(t1, t2, func(a, b Item) { got++ })
+	seqJoin(t1, t2, func(a, b Item) { got++ })
 	want := 0
 	for _, a := range items1 {
 		for _, b := range items2 {

@@ -11,46 +11,46 @@ import (
 	"spatialjoin/internal/storage"
 )
 
-// JoinParallel runs the MBR-join of Join with the synchronized traversal
-// partitioned at the subtree level: the two roots are paired sequentially,
-// every intersecting pairing of root children becomes one task, and the
-// tasks are fanned out over a pool of workers that traverse their subtree
-// pairs independently.
+// JoinParallelAccess runs the MBR-join of step 1 [BKS 93a]: a synchronized
+// depth-first traversal of both trees. At each node pair the search space
+// is restricted to the intersection rectangle of the (ε-expanded) node
+// regions, entries are sorted by their lower x bound, and qualifying entry
+// pairs are enumerated with a plane sweep over that order. emit receives
+// every pair of items whose key rectangles come within eps of each other
+// per axis — the candidate set of the multi-step join; eps = 0 is the
+// plain MBR intersection join, eps > 0 the candidate predicate of the
+// within-distance join, with the slack folded into the sweep bounds.
 //
-// emit is called for every candidate pair, concurrently from the worker
-// goroutines; worker identifies the calling worker (0 ≤ worker < the
-// normalized worker count), and calls with the same worker index are
-// serial, so the caller can keep per-worker state without locks. The
-// emission order differs from Join's; the emitted multiset of pairs does
-// not.
-//
-// The buffer managers are not safe for concurrent use, so workers record
-// their page visits into per-task traces that are replayed through the
-// buffers in the sequential traversal order after the workers finish. The
-// returned JoinStats and the trees' buffer hit/miss counters are therefore
-// byte-identical to running Join on the same trees in the same buffer
-// state.
+// The traversal is partitioned at the subtree level: the two roots are
+// paired sequentially, every qualifying pairing of root children becomes
+// one task, and the tasks are fanned out over a pool of workers that
+// traverse their subtree pairs independently. emit is then called
+// concurrently from the worker goroutines; worker identifies the calling
+// worker (0 ≤ worker < the normalized worker count), and calls with the
+// same worker index are serial, so the caller can keep per-worker state
+// without locks. The emission order depends on the worker count; the
+// emitted multiset of pairs does not.
 //
 // workers ≤ 0 selects GOMAXPROCS. With one worker, a leaf root, or trees
-// of height one the traversal falls back to the sequential Join path
-// (emitting with worker index 0).
-func JoinParallel(t1, t2 *Tree, workers int, emit func(worker int, a, b Item)) JoinStats {
-	return JoinParallelAccess(context.Background(), t1, t2, t1.buf, t2.buf, 0, workers, emit)
-}
-
-// JoinParallelAccess is JoinParallel with each tree's page visits
-// replayed into an explicit access context instead of the shared
-// buffers, an ε-expanded rectangle predicate (eps = 0 selects the plain
-// MBR intersection join; see JoinAccessEps), and cooperative
-// cancellation: when ctx is cancelled the traversal workers stop at the
-// next node pair, pending tasks are dropped, the page-trace replay is
-// skipped, and the partial statistics are returned (the caller observes
-// the cancellation via ctx.Err()).
+// of height one the traversal is the sequential one: a single visitor on
+// the calling goroutine, emitting with worker index 0 and touching pages
+// directly through ax1 and ax2. It is the reference the partitioned
+// traversal is tested against.
 //
-// With per-query sessions (NewSession on both trees) the whole parallel
-// join — traversal fan-out included — is safe to run concurrently with
-// other queries on the same trees, and ax1/ax2 report accounting
-// identical to a sequential JoinAccessEps from the same buffer state.
+// Page visits go to the access contexts ax1 and ax2 (a tree's shared
+// Buffer for single-query accounting, or per-query sessions from
+// NewSession). Access contexts are not safe for concurrent use, so the
+// workers record their page visits into per-task traces that are replayed
+// in the sequential traversal order after the workers finish. The
+// returned JoinStats and the contexts' hit/miss counters are therefore
+// byte-identical for every worker count, and with sessions on both trees
+// the whole join — traversal fan-out included — is safe to run
+// concurrently with other queries on the same trees.
+//
+// Cancellation is cooperative: when ctx is cancelled the traversal stops
+// at the next node pair, pending tasks are dropped, the page-trace replay
+// is skipped, and the partial statistics are returned (the caller observes
+// the cancellation via ctx.Err()).
 func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Accessor, eps float64, workers int, emit func(worker int, a, b Item)) JoinStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"testing"
@@ -23,6 +24,18 @@ func joinTrees(n int) (*Tree, *Tree) {
 	return t1, t2
 }
 
+// joinShared runs the MBR-join with the given worker count on the trees'
+// shared buffers (single-query accounting); workers = 1 is the sequential
+// traversal, the reference of every equivalence test in this package.
+func joinShared(t1, t2 *Tree, workers int, emit func(w int, a, b Item)) JoinStats {
+	return JoinParallelAccess(context.Background(), t1, t2, t1.buf, t2.buf, 0, workers, emit)
+}
+
+// seqJoin is joinShared with one worker.
+func seqJoin(t1, t2 *Tree, fn func(a, b Item)) JoinStats {
+	return joinShared(t1, t2, 1, func(_ int, a, b Item) { fn(a, b) })
+}
+
 type idPair struct{ a, b int32 }
 
 func sortedPairs(ps []idPair) []idPair {
@@ -36,8 +49,9 @@ func sortedPairs(ps []idPair) []idPair {
 }
 
 // TestJoinParallelMatchesJoin checks that the partitioned traversal
-// delivers exactly the sequential candidate set, the same JoinStats, and —
-// thanks to the page-trace replay — the same buffer hit/miss counts.
+// delivers exactly the sequential (one-worker) candidate set, the same
+// JoinStats, and — thanks to the page-trace replay — the same buffer
+// hit/miss counts.
 func TestJoinParallelMatchesJoin(t *testing.T) {
 	for _, n := range []int{0, 5, 40, 800, 5000} {
 		t1, t2 := joinTrees(n)
@@ -45,7 +59,7 @@ func TestJoinParallelMatchesJoin(t *testing.T) {
 		t1.Buffer().Clear()
 		t2.Buffer().Clear()
 		var want []idPair
-		wantSt := Join(t1, t2, func(a, b Item) { want = append(want, idPair{a.ID, b.ID}) })
+		wantSt := seqJoin(t1, t2, func(a, b Item) { want = append(want, idPair{a.ID, b.ID}) })
 		wantM1, wantM2 := t1.Buffer().Misses(), t2.Buffer().Misses()
 		wantH1, wantH2 := t1.Buffer().Hits(), t2.Buffer().Hits()
 		sortedPairs(want)
@@ -55,7 +69,7 @@ func TestJoinParallelMatchesJoin(t *testing.T) {
 			t2.Buffer().Clear()
 			var mu sync.Mutex
 			var got []idPair
-			st := JoinParallel(t1, t2, workers, func(w int, a, b Item) {
+			st := joinShared(t1, t2, workers, func(w int, a, b Item) {
 				mu.Lock()
 				got = append(got, idPair{a.ID, b.ID})
 				mu.Unlock()
@@ -90,7 +104,7 @@ func TestJoinParallelWorkerIndexBounds(t *testing.T) {
 	t1, t2 := joinTrees(2000)
 	const workers = 4
 	counts := make([]int64, workers)
-	total := JoinParallel(t1, t2, workers, func(w int, a, b Item) {
+	total := joinShared(t1, t2, workers, func(w int, a, b Item) {
 		if w < 0 || w >= workers {
 			panic("worker index out of range")
 		}

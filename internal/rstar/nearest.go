@@ -1,0 +1,118 @@
+package rstar
+
+import (
+	"spatialjoin/internal/geom"
+	"spatialjoin/internal/storage"
+)
+
+// nnCandidate is one priority-queue element of the nearest-neighbour
+// search.
+type nnCandidate struct {
+	dist float64
+	n    *node
+	item Item
+	leaf bool
+}
+
+// NearestNeighbors returns the k items whose key rectangles are closest to
+// p (by minimum distance; 0 for covering rectangles), using best-first
+// traversal with a distance-ordered priority queue. Spatial selections
+// like this are among the basic operations the paper lists in section 2.
+// Page visits are accounted on the shared buffer (single-query mode).
+func (t *Tree) NearestNeighbors(p geom.Point, k int) []Item {
+	return t.NearestNeighborsAccess(t.buf, p, k)
+}
+
+// NearestNeighborsAccess is NearestNeighbors with page visits routed
+// through an explicit access context (see PointQueryAccess).
+func (t *Tree) NearestNeighborsAccess(ax storage.Accessor, p geom.Point, k int) []Item {
+	if k <= 0 || t.size == 0 {
+		return nil
+	}
+	var heap nnHeap
+	heap.push(nnCandidate{dist: rectDist(t.root.bounds(), p), n: t.root})
+	var out []Item
+	for heap.len() > 0 && len(out) < k {
+		c := heap.pop()
+		if c.leaf {
+			out = append(out, c.item)
+			continue
+		}
+		ax.Access(c.n.page)
+		for _, e := range c.n.entries {
+			if c.n.leaf {
+				heap.push(nnCandidate{dist: rectDist(e.rect, p), item: e.item, leaf: true})
+			} else {
+				heap.push(nnCandidate{dist: rectDist(e.rect, p), n: e.child})
+			}
+		}
+	}
+	return out
+}
+
+// rectDist returns the minimum distance between p and the closed rectangle.
+func rectDist(r geom.Rect, p geom.Point) float64 {
+	dx := 0.0
+	if p.X < r.MinX {
+		dx = r.MinX - p.X
+	} else if p.X > r.MaxX {
+		dx = p.X - r.MaxX
+	}
+	dy := 0.0
+	if p.Y < r.MinY {
+		dy = r.MinY - p.Y
+	} else if p.Y > r.MaxY {
+		dy = p.Y - r.MaxY
+	}
+	if dx == 0 {
+		return dy
+	}
+	if dy == 0 {
+		return dx
+	}
+	return geom.Point{X: dx, Y: dy}.Norm()
+}
+
+// nnHeap is a minimal binary min-heap on candidate distance.
+type nnHeap struct {
+	items []nnCandidate
+}
+
+func (h *nnHeap) len() int { return len(h.items) }
+
+func (h *nnHeap) push(c nnCandidate) {
+	h.items = append(h.items, c)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.items[parent].dist <= h.items[i].dist {
+			break
+		}
+		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		i = parent
+	}
+}
+
+func (h *nnHeap) pop() nnCandidate {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < last && h.items[l].dist < h.items[small].dist {
+			small = l
+		}
+		if r < last && h.items[r].dist < h.items[small].dist {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h.items[i], h.items[small] = h.items[small], h.items[i]
+		i = small
+	}
+	return top
+}

@@ -409,55 +409,15 @@ type JoinStats struct {
 	LeafTests int64 // key intersection tests between data entries only
 }
 
-// Join runs the MBR-join of step 1 [BKS 93a]: a synchronized depth-first
-// traversal of both trees. At each node pair the search space is
-// restricted to the intersection rectangle of the node regions, entries
-// are sorted by their lower x bound, and intersecting entry pairs are
-// enumerated with a plane sweep over that order. fn receives every pair of
-// items whose key rectangles intersect — the candidate set of the
-// multi-step join. Page visits are accounted on the trees' shared
-// buffers (single-query mode).
-func Join(t1, t2 *Tree, fn func(a, b Item)) JoinStats {
-	return JoinAccess(t1, t2, t1.buf, t2.buf, fn)
-}
-
-// JoinAccess is Join with each tree's page visits routed through an
-// explicit access context. With per-query sessions (NewSession on both
-// trees), any number of joins may run concurrently on the same trees.
-func JoinAccess(t1, t2 *Tree, ax1, ax2 storage.Accessor, fn func(a, b Item)) JoinStats {
-	return JoinAccessEps(t1, t2, ax1, ax2, 0, nil, fn)
-}
-
-// JoinAccessEps generalizes JoinAccess to the ε-expanded MBR predicate of
-// the within-distance join: fn receives every pair of items whose key
-// rectangles come within eps of each other per axis (equivalently, whose
-// ε-expanded rectangles intersect — the candidate predicate of the
-// ε-join; with eps = 0 this is exactly the MBR intersection join). The
-// traversal restricts the search space to the intersection of the
-// ε-expanded node regions and keeps the plane-sweep enumeration, with the
-// ε slack folded into the sweep bounds. A non-nil stop is polled at every
-// node pair and aborts the traversal when it returns true (partial
-// statistics are returned) — the cancellation hook of the
-// context-threaded join pipeline.
-func JoinAccessEps(t1, t2 *Tree, ax1, ax2 storage.Accessor, eps float64, stop func() bool, fn func(a, b Item)) JoinStats {
-	var st JoinStats
-	if t1.size == 0 || t2.size == 0 {
-		return st
-	}
-	v := newJoinVisit(t1, t2, &st, eps, stop, fn)
-	v.ax1, v.ax2 = ax1, ax2
-	v.nodes(t1.root, t2.root, t1.root.bounds(), t2.root.bounds())
-	return st
-}
-
-// joinVisit parameterizes the synchronized traversal over how node visits
-// are recorded: the sequential Join routes them through access contexts
-// (ax1/ax2), while the parallel traversal of JoinParallel records per-task
-// page traces (trace1/trace2) and replays them afterwards (the buffer
-// manager is not safe for concurrent use, and replaying in canonical
-// order keeps the miss counts identical to the sequential traversal). eps
-// widens every rectangle predicate for the within-distance join (0 =
-// plain intersection); stop, when non-nil, aborts the traversal early.
+// joinVisit is the synchronized traversal of JoinParallelAccess,
+// parameterized over how node visits are recorded: the sequential
+// traversal routes them through access contexts (ax1/ax2), while the
+// partitioned one records per-task page traces (trace1/trace2) and replays
+// them afterwards (the buffer manager is not safe for concurrent use, and
+// replaying in canonical order keeps the miss counts identical to the
+// sequential traversal). eps widens every rectangle predicate for the
+// within-distance join (0 = plain intersection); stop, when non-nil,
+// aborts the traversal early.
 //
 // The visitor owns one sweep scratch per traversal depth, so the restrict
 // and plane-sweep buffers of every node-pair expansion are reused across

@@ -115,7 +115,7 @@ func TestJoinAgainstNestedLoops(t *testing.T) {
 	t2, items2 := buildTree(t, rng, 700, cfg)
 	type pair struct{ a, b int32 }
 	got := map[pair]int{}
-	st := Join(t1, t2, func(a, b Item) { got[pair{a.ID, b.ID}]++ })
+	st := seqJoin(t1, t2, func(a, b Item) { got[pair{a.ID, b.ID}]++ })
 	want := map[pair]bool{}
 	for _, a := range items1 {
 		for _, b := range items2 {
@@ -154,10 +154,10 @@ func TestJoinEmptyTrees(t *testing.T) {
 	empty := New(cfg)
 	rng := rand.New(rand.NewSource(179))
 	full, _ := buildTree(t, rng, 100, cfg)
-	if st := Join(empty, full, func(a, b Item) { t.Fatal("no pairs expected") }); st.Pairs != 0 {
+	if st := seqJoin(empty, full, func(a, b Item) { t.Fatal("no pairs expected") }); st.Pairs != 0 {
 		t.Fatal("empty join must produce nothing")
 	}
-	if st := Join(full, empty, func(a, b Item) { t.Fatal("no pairs expected") }); st.Pairs != 0 {
+	if st := seqJoin(full, empty, func(a, b Item) { t.Fatal("no pairs expected") }); st.Pairs != 0 {
 		t.Fatal("empty join must produce nothing (swapped)")
 	}
 }
@@ -171,7 +171,7 @@ func TestJoinDifferentHeights(t *testing.T) {
 		t.Skip("heights coincide")
 	}
 	got := 0
-	Join(big, small, func(a, b Item) { got++ })
+	seqJoin(big, small, func(a, b Item) { got++ })
 	want := 0
 	for _, a := range items1 {
 		for _, b := range items2 {

@@ -93,7 +93,7 @@ func TestTreeSerializeJoinEquivalence(t *testing.T) {
 	t1.Buffer().Clear()
 	t2.Buffer().Clear()
 	var want int
-	wantStats := Join(t1, t2, func(a, b Item) { want++ })
+	wantStats := seqJoin(t1, t2, func(a, b Item) { want++ })
 	wantM := t1.Buffer().Misses() + t2.Buffer().Misses()
 
 	r1, err := UnmarshalTree(b1, cfg)
@@ -107,7 +107,7 @@ func TestTreeSerializeJoinEquivalence(t *testing.T) {
 	r1.Buffer().Clear()
 	r2.Buffer().Clear()
 	var got int
-	gotStats := Join(r1, r2, func(a, b Item) { got++ })
+	gotStats := seqJoin(r1, r2, func(a, b Item) { got++ })
 	gotM := r1.Buffer().Misses() + r2.Buffer().Misses()
 	if got != want || gotStats != wantStats || gotM != wantM {
 		t.Errorf("join differs after round trip: %d pairs/%+v/%d misses, want %d/%+v/%d",

@@ -57,6 +57,8 @@ func TestParamRejections(t *testing.T) {
 		// Missing and malformed geometry.
 		{"window missing maxy", "/window?rel=R&minx=0&miny=0&maxx=1", http.StatusBadRequest},
 		{"window malformed minx", "/window?rel=R&minx=abc&miny=0&maxx=1&maxy=1", http.StatusBadRequest},
+		{"window swapped corners", "/window?rel=R&minx=0.6&miny=0.6&maxx=0.4&maxy=0.4", http.StatusBadRequest},
+		{"window swapped y, within", "/window?rel=R&minx=0.4&miny=0.6&maxx=0.6&maxy=0.4&predicate=within&epsilon=0.2", http.StatusBadRequest},
 		{"point missing y", "/point?rel=R&x=0.5", http.StatusBadRequest},
 
 		// Negative and overflowing limits: rejected, not clamped — a

@@ -274,6 +274,20 @@ func TestQueryTargetValidation(t *testing.T) {
 		multistep.WithPredicate(multistep.WithinDistance(0.1))); !errors.Is(err, multistep.ErrBadPredicate) {
 		t.Errorf("nearest with predicate: %v, want ErrBadPredicate", err)
 	}
+	// A window with swapped corners is an error, not an empty answer, and
+	// the single-relation entry point rejects it with the same words.
+	inverted := geom.Rect{MinX: 0.6, MinY: 0.6, MaxX: 0.4, MaxY: 0.4}
+	for _, opts := range [][]multistep.Option{
+		{multistep.ForWindow(inverted)},
+		{multistep.ForWindow(inverted), multistep.WithPredicate(multistep.WithinDistance(0.2))},
+		{multistep.ForWindow(geom.Rect{MinX: 0.4, MinY: 0.6, MaxX: 0.6, MaxY: 0.4})},
+	} {
+		_, shardErr := Query(context.Background(), sh, opts...)
+		_, soloErr := multistep.Query(context.Background(), sh.Tiles[0].Rel, opts...)
+		if shardErr == nil || soloErr == nil || shardErr.Error() != soloErr.Error() {
+			t.Errorf("inverted window: shard.Query %v, multistep.Query %v; want the same error", shardErr, soloErr)
+		}
+	}
 }
 
 // cancelWorkload is sized so the scatter-gather join takes hundreds of

@@ -31,11 +31,6 @@
 // geometry step on TR*-trees over trapezoid decompositions. Each
 // predicate — Intersects, Contains, WithinDistance(ε) — specializes all
 // three steps; see the Predicate documentation.
-//
-// The pre-redesign entry points (JoinParallel, JoinStream, JoinContains,
-// WindowQuery, PointQuery, NearestObjects and their *Access twins)
-// remain as deprecated wrappers with identical outputs; see the
-// migration table in README.md.
 package spatialjoin
 
 import (
@@ -87,11 +82,6 @@ type (
 	Option = multistep.Option
 	// QueryResult is the answer of the unified Query entry point.
 	QueryResult = multistep.QueryResult
-	// StreamOptions tunes the streaming pipeline of JoinStream.
-	//
-	// Deprecated: use the WithWorkers/WithBatch/WithQueue/WithSessions
-	// options of Join.
-	StreamOptions = multistep.StreamOptions
 	// ApproximationKind identifies a conservative or progressive
 	// approximation of section 3 of the paper.
 	ApproximationKind = approx.Kind
@@ -187,12 +177,6 @@ func WithConfig(cfg Config) Option { return multistep.WithConfig(cfg) }
 // WithWorkers sets the join pipeline's worker count (≤ 0: GOMAXPROCS).
 func WithWorkers(n int) Option { return multistep.WithWorkers(n) }
 
-// WithBatch sets the candidate batch size of the join pipeline.
-func WithBatch(n int) Option { return multistep.WithBatch(n) }
-
-// WithQueue sets the bounded queue depth of the join pipeline.
-func WithQueue(n int) Option { return multistep.WithQueue(n) }
-
 // WithStream streams response pairs to emit as they are decided instead
 // of collecting them; memory stays bounded by the pipeline depth.
 func WithStream(emit func(Pair)) Option { return multistep.WithStream(emit) }
@@ -274,138 +258,6 @@ func Query(ctx context.Context, r *Relation, opts ...Option) (QueryResult, error
 // Neighbor is one nearest-neighbour result: object ID and exact region
 // distance.
 type Neighbor = multistep.Neighbor
-
-// Deprecated pre-redesign entry points. Each is a thin wrapper over the
-// unified Join/Query surface with byte-identical outputs (response sets,
-// statistics, buffer accounting), kept for downstream users; the
-// repository itself no longer calls them outside their equivalence
-// tests.
-
-// JoinParallel is Join spread over a worker pool (workers ≤ 0 selects
-// GOMAXPROCS). The response set and statistics are identical to Join's.
-//
-// Deprecated: use Join(ctx, r, s, WithConfig(cfg), WithWorkers(workers)).
-func JoinParallel(r, s *Relation, cfg Config, workers int) ([]Pair, Stats) {
-	cfg.Step1 = multistep.Step1RStar
-	pairs, st, _ := multistep.Join(context.Background(), r, s,
-		multistep.WithConfig(cfg), multistep.WithWorkers(workers))
-	return pairs, st
-}
-
-// JoinStream runs the join as a streaming, fully parallel pipeline and
-// calls emit for every response pair (in no particular order); a nil
-// emit discards the pairs and returns only statistics.
-//
-// Deprecated: use Join(ctx, r, s, WithConfig(cfg), WithStream(emit),
-// WithWorkers/WithBatch/WithQueue/WithSessions as needed); pass
-// WithBufferless() for a nil emit.
-func JoinStream(r, s *Relation, cfg Config, opts StreamOptions, emit func(Pair)) Stats {
-	o := []Option{
-		multistep.WithConfig(cfg),
-		multistep.WithWorkers(opts.Workers),
-		multistep.WithBatch(opts.Batch),
-		multistep.WithQueue(opts.Queue),
-		multistep.WithSessions(opts.AccessR, opts.AccessS),
-	}
-	if emit != nil {
-		o = append(o, multistep.WithStream(emit))
-	} else {
-		o = append(o, multistep.WithBufferless())
-	}
-	_, st, _ := multistep.Join(context.Background(), r, s, o...)
-	return st
-}
-
-// DefaultStreamOptions returns the resolved default pipeline shape of
-// JoinStream (GOMAXPROCS workers, 256-pair batches, 4×Workers queue).
-//
-// Deprecated: the unified Join applies the same defaults.
-func DefaultStreamOptions() StreamOptions { return multistep.DefaultStreamOptions() }
-
-// JoinContains computes the inclusion join: all pairs (a, b) with the
-// region of a containing the region of b.
-//
-// Deprecated: use Join(ctx, r, s, WithConfig(cfg),
-// WithPredicate(Contains())).
-func JoinContains(r, s *Relation, cfg Config) ([]Pair, Stats) {
-	cfg.Step1 = multistep.Step1RStar
-	pairs, st, _ := multistep.Join(context.Background(), r, s,
-		multistep.WithConfig(cfg), multistep.WithPredicate(multistep.Contains()))
-	return pairs, st
-}
-
-// JoinContainsAccess is JoinContains with each side's page visits routed
-// through an explicit per-query access context (Relation.NewSession).
-//
-// Deprecated: use Join(ctx, r, s, WithConfig(cfg),
-// WithPredicate(Contains()), WithSessions(axR, axS)).
-func JoinContainsAccess(r, s *Relation, axR, axS Accessor, cfg Config) ([]Pair, Stats) {
-	cfg.Step1 = multistep.Step1RStar
-	pairs, st, _ := multistep.Join(context.Background(), r, s,
-		multistep.WithConfig(cfg), multistep.WithPredicate(multistep.Contains()),
-		multistep.WithSessions(axR, axS))
-	return pairs, st
-}
-
-// WindowQuery returns the IDs of the objects of r intersecting the
-// window (shared-buffer accounting, one query at a time).
-//
-// Deprecated: use Query(ctx, r, ForWindow(w), WithConfig(cfg)).
-func WindowQuery(r *Relation, w Rect, cfg Config) ([]int32, WindowStats) {
-	res, _ := multistep.Query(context.Background(), r,
-		multistep.ForWindow(w), multistep.WithConfig(cfg))
-	return res.IDs, res.Stats
-}
-
-// WindowQueryAccess is WindowQuery with an explicit per-query access
-// context (Relation.NewSession).
-//
-// Deprecated: use Query(ctx, r, ForWindow(w), WithConfig(cfg),
-// WithSession(ax)).
-func WindowQueryAccess(r *Relation, ax Accessor, w Rect, cfg Config) ([]int32, WindowStats) {
-	res, _ := multistep.Query(context.Background(), r,
-		multistep.ForWindow(w), multistep.WithConfig(cfg), multistep.WithSession(ax))
-	return res.IDs, res.Stats
-}
-
-// PointQuery returns the IDs of the objects of r containing the point
-// (shared-buffer accounting; see WindowQuery).
-//
-// Deprecated: use Query(ctx, r, ForPoint(p), WithConfig(cfg)).
-func PointQuery(r *Relation, p Point, cfg Config) ([]int32, WindowStats) {
-	res, _ := multistep.Query(context.Background(), r,
-		multistep.ForPoint(p), multistep.WithConfig(cfg))
-	return res.IDs, res.Stats
-}
-
-// PointQueryAccess is PointQuery with an explicit per-query access
-// context.
-//
-// Deprecated: use Query(ctx, r, ForPoint(p), WithConfig(cfg),
-// WithSession(ax)).
-func PointQueryAccess(r *Relation, ax Accessor, p Point, cfg Config) ([]int32, WindowStats) {
-	res, _ := multistep.Query(context.Background(), r,
-		multistep.ForPoint(p), multistep.WithConfig(cfg), multistep.WithSession(ax))
-	return res.IDs, res.Stats
-}
-
-// NearestObjects returns the k objects of r closest to p by exact region
-// distance, refined over R*-tree MBR-distance candidates.
-//
-// Deprecated: use Query(ctx, r, ForNearest(p, k)).
-func NearestObjects(r *Relation, p Point, k int) []Neighbor {
-	return NearestObjectsAccess(r, r.Tree.Buffer(), p, k)
-}
-
-// NearestObjectsAccess is NearestObjects with an explicit per-query
-// access context.
-//
-// Deprecated: use Query(ctx, r, ForNearest(p, k), WithSession(ax)).
-func NearestObjectsAccess(r *Relation, ax Accessor, p Point, k int) []Neighbor {
-	res, _ := multistep.Query(context.Background(), r,
-		multistep.ForNearest(p, k), multistep.WithSession(ax))
-	return res.Neighbors
-}
 
 // GenerateMap produces a deterministic synthetic cartographic relation: a
 // tiling of county-like polygons with fractal boundaries (see

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"spatialjoin"
@@ -198,5 +199,71 @@ func TestPublicAPI(t *testing.T) {
 	}
 	if len(alt) != len(pairs) {
 		t.Fatalf("alternative configuration changed the response set: %d vs %d", len(alt), len(pairs))
+	}
+}
+
+// TestUnifiedAPIErrors pins the error surface of the new entry points.
+func TestUnifiedAPIErrors(t *testing.T) {
+	base := spatialjoin.GenerateMap(spatialjoin.MapConfig{Cells: 20, TargetVerts: 24, Seed: 5})
+	cfgA := spatialjoin.DefaultConfig()
+	cfgB := spatialjoin.DefaultConfig()
+	cfgB.Engine = spatialjoin.EnginePlaneSweep
+	r := spatialjoin.NewRelation("R", base, cfgA)
+	s := spatialjoin.NewRelation("S", base, cfgB)
+	ctx := context.Background()
+
+	// Mismatched build configurations are rejected without an override…
+	if _, _, err := spatialjoin.Join(ctx, r, s); err == nil {
+		t.Error("mismatched build configs not rejected")
+	}
+	// …and accepted with one.
+	if _, _, err := spatialjoin.Join(ctx, r, s, spatialjoin.WithConfig(cfgA)); err != nil {
+		t.Errorf("explicit config override rejected: %v", err)
+	}
+	// Negative ε is invalid.
+	if _, _, err := spatialjoin.Join(ctx, r, r,
+		spatialjoin.WithPredicate(spatialjoin.WithinDistance(-1))); err == nil {
+		t.Error("negative epsilon not rejected")
+	}
+	// Query requires a target; nearest takes no predicate.
+	if _, err := spatialjoin.Query(ctx, r); err == nil {
+		t.Error("targetless query not rejected")
+	}
+	if _, err := spatialjoin.Query(ctx, r,
+		spatialjoin.ForNearest(spatialjoin.Point{}, 2),
+		spatialjoin.WithPredicate(spatialjoin.Contains())); err == nil {
+		t.Error("nearest with predicate not rejected")
+	}
+	// ForNearest with k ≤ 0 is an empty nearest result, not a point query.
+	if res, err := spatialjoin.Query(ctx, r,
+		spatialjoin.ForNearest(spatialjoin.Point{X: 0.5, Y: 0.5}, 0)); err != nil || len(res.Neighbors) != 0 || len(res.IDs) != 0 {
+		t.Errorf("ForNearest(p, 0) = %v neighbors, %v ids, err %v; want empty result", res.Neighbors, res.IDs, err)
+	}
+	// Conflicting targets are rejected in every combination.
+	if _, err := spatialjoin.Query(ctx, r,
+		spatialjoin.ForWindow(spatialjoin.Rect{MaxX: 1, MaxY: 1}),
+		spatialjoin.ForNearest(spatialjoin.Point{}, 2)); err == nil {
+		t.Error("window+nearest targets not rejected")
+	}
+	if _, err := spatialjoin.Query(ctx, r,
+		spatialjoin.ForWindow(spatialjoin.Rect{MaxX: 1, MaxY: 1}),
+		spatialjoin.ForPoint(spatialjoin.Point{})); err == nil {
+		t.Error("window+point targets not rejected")
+	}
+
+	// WithLimit returns the sorted prefix.
+	full, _, err := spatialjoin.Join(ctx, r, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limited, st, err := spatialjoin.Join(ctx, r, r, spatialjoin.WithLimit(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(limited) != 3 || !reflect.DeepEqual(limited, full[:3]) {
+		t.Errorf("WithLimit(3) returned %v, want prefix of %v", limited, full[:6])
+	}
+	if st.ResultPairs != int64(len(full)) {
+		t.Errorf("WithLimit changed the statistics: %d vs %d", st.ResultPairs, len(full))
 	}
 }

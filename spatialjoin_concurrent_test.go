@@ -1,7 +1,7 @@
-//lint:file-ignore SA1019 this file exercises the deprecated *Access wrappers under concurrency
 package spatialjoin_test
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -24,13 +24,31 @@ func TestConcurrentFacadeQueries(t *testing.T) {
 	win := spatialjoin.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6}
 	pt := spatialjoin.Point{X: 0.5, Y: 0.5}
 
-	wantIDs, wantWSt := spatialjoin.WindowQueryAccess(r, r.NewSession(), win, cfg)
-	wantPt, wantPSt := spatialjoin.PointQueryAccess(r, r.NewSession(), pt, cfg)
-	wantNN := spatialjoin.NearestObjectsAccess(r, r.NewSession(), pt, 4)
-	wantJoinSt := spatialjoin.JoinStream(r, s, cfg, spatialjoin.StreamOptions{
-		Workers: 2, AccessR: r.NewSession(), AccessS: s.NewSession(),
-	}, nil)
-	wantCont, wantContSt := spatialjoin.JoinContainsAccess(r, s, r.NewSession(), s.NewSession(), cfg)
+	ctx := context.Background()
+	window := func() spatialjoin.QueryResult {
+		return mustQuery(t, r, spatialjoin.ForWindow(win), spatialjoin.WithSession(r.NewSession()))
+	}
+	point := func() spatialjoin.QueryResult {
+		return mustQuery(t, r, spatialjoin.ForPoint(pt), spatialjoin.WithSession(r.NewSession()))
+	}
+	nearest := func() spatialjoin.QueryResult {
+		return mustQuery(t, r, spatialjoin.ForNearest(pt, 4), spatialjoin.WithSession(r.NewSession()))
+	}
+	join := func(opts ...spatialjoin.Option) ([]spatialjoin.Pair, spatialjoin.Stats) {
+		// A fresh slice: goroutines share the option lists they pass in.
+		opts = append([]spatialjoin.Option{spatialjoin.WithSessions(r.NewSession(), s.NewSession())}, opts...)
+		pairs, st, err := spatialjoin.Join(ctx, r, s, opts...)
+		if err != nil {
+			t.Error(err)
+		}
+		return pairs, st
+	}
+	bufferless := []spatialjoin.Option{spatialjoin.WithWorkers(2), spatialjoin.WithBufferless()}
+	contains := spatialjoin.WithPredicate(spatialjoin.Contains())
+
+	wantWin, wantPt, wantNN := window(), point(), nearest()
+	_, wantJoinSt := join(bufferless...)
+	wantCont, wantContSt := join(contains)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -40,29 +58,23 @@ func TestConcurrentFacadeQueries(t *testing.T) {
 			defer wg.Done()
 			switch g % 5 {
 			case 0:
-				ids, st := spatialjoin.WindowQueryAccess(r, r.NewSession(), win, cfg)
-				if !reflect.DeepEqual(ids, wantIDs) || st != wantWSt {
+				if got := window(); !reflect.DeepEqual(got, wantWin) {
 					t.Errorf("goroutine %d: window query diverged", g)
 				}
 			case 1:
-				ids, st := spatialjoin.PointQueryAccess(r, r.NewSession(), pt, cfg)
-				if !reflect.DeepEqual(ids, wantPt) || st != wantPSt {
+				if got := point(); !reflect.DeepEqual(got, wantPt) {
 					t.Errorf("goroutine %d: point query diverged", g)
 				}
 			case 2:
-				nn := spatialjoin.NearestObjectsAccess(r, r.NewSession(), pt, 4)
-				if !reflect.DeepEqual(nn, wantNN) {
+				if got := nearest(); !reflect.DeepEqual(got, wantNN) {
 					t.Errorf("goroutine %d: nearest query diverged", g)
 				}
 			case 3:
-				st := spatialjoin.JoinStream(r, s, cfg, spatialjoin.StreamOptions{
-					Workers: 2, AccessR: r.NewSession(), AccessS: s.NewSession(),
-				}, nil)
-				if !reflect.DeepEqual(st, wantJoinSt) {
+				if _, st := join(bufferless...); !reflect.DeepEqual(st, wantJoinSt) {
 					t.Errorf("goroutine %d: join stats diverged", g)
 				}
 			case 4:
-				pairs, st := spatialjoin.JoinContainsAccess(r, s, r.NewSession(), s.NewSession(), cfg)
+				pairs, st := join(contains)
 				if !reflect.DeepEqual(pairs, wantCont) || !reflect.DeepEqual(st, wantContSt) {
 					t.Errorf("goroutine %d: inclusion join diverged", g)
 				}
@@ -77,4 +89,14 @@ func TestConcurrentFacadeQueries(t *testing.T) {
 	if ax.Accesses() != 1 {
 		t.Error("Session accessor alias broken")
 	}
+}
+
+// mustQuery runs one facade Query, reporting (not aborting on) an error:
+// it is called from the test's worker goroutines.
+func mustQuery(t *testing.T, r *spatialjoin.Relation, opts ...spatialjoin.Option) spatialjoin.QueryResult {
+	res, err := spatialjoin.Query(context.Background(), r, opts...)
+	if err != nil {
+		t.Error(err)
+	}
+	return res
 }

@@ -320,8 +320,8 @@ func measurePlanned(r, s *multistep.Relation, pred multistep.Predicate, reps int
 // answered.
 func measureServing(rr, ss *multistep.Relation, cfg multistep.Config, eps float64, total int) []Result {
 	cat := serve.NewCatalog()
-	cat.Add("R", rr, cfg)
-	cat.Add("S", ss, cfg)
+	cat.Add("R", shard.FromRelation(rr))
+	cat.Add("S", shard.FromRelation(ss))
 
 	// The distinct queries of the mix, hottest first. plan=off pins the
 	// configuration so both servers execute identical physical plans.

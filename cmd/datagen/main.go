@@ -1,8 +1,9 @@
 // Command datagen emits a generated cartographic relation: as
 // tab-separated WKT-like polygons on stdout (the default, for inspection
 // or external tools), as the compact binary polygon format (-bin), or as
-// a fully preprocessed relation store (-store) that cmd/spatialjoin and
-// OpenRelation reopen instantly — build once, serve many.
+// a fully preprocessed relation store directory (-store) that
+// cmd/spatialjoin, cmd/spatialjoinserve and OpenRelation reopen
+// instantly — build once, serve many.
 //
 // Usage:
 //
@@ -16,8 +17,8 @@
 // -stream switches to the bounded-memory streaming generator
 // (data.StreamMap): polygons are emitted one at a time and never
 // materialized, so -n in the millions builds in constant memory. With
-// -store the relation streams through a spill file into a sharded store
-// directory (-shards, default 1) whose bytes are identical to the
+// -store the relation streams through a spill file into a store
+// directory (-shards tiles) whose bytes are identical to the
 // materialized shard.Build path; with -bin the binary relation streams
 // straight to disk. -sf F builds one side of the scale-factor dataset
 // pair of internal/loadgen instead — object count, extent and seeds
@@ -27,13 +28,12 @@
 // With -store, the configuration flags select the preprocessing
 // (approximations, exact engine, page geometry, buffer policy) and are
 // fingerprinted into the store; opening it later requires the same
-// configuration. -shards N partitions the relation into N Z-order tiles
-// and writes a sharded store directory (shard.Save layout) instead of a
-// single file; cmd/spatialjoinserve opens either form. -strategy
-// transforms the generated map into the paper's test-series counterpart
-// before preprocessing: A is the shifted copy, and B/B2 are the two
-// randomized placements cmd/spatialjoin joins as R and S under its
-// -strategy B.
+// configuration. The store is a directory (shard.Save layout): a
+// manifest plus one file per tile, -shards N Z-order tiles (default 1,
+// the paper's single R*-tree). -strategy transforms the generated map
+// into the paper's test-series counterpart before preprocessing: A is
+// the shifted copy, and B/B2 are the two randomized placements
+// cmd/spatialjoin joins as R and S under its -strategy B.
 package main
 
 import (
@@ -59,16 +59,16 @@ func main() {
 	seed := flag.Int64("seed", 9401, "generation seed")
 	statsOnly := flag.Bool("stats", false, "print relation statistics instead of geometry")
 	binOut := flag.String("bin", "", "write the relation in binary form to this file instead of WKT on stdout")
-	storeOut := flag.String("store", "", "preprocess the relation and write it as a relation store to this file")
+	storeOut := flag.String("store", "", "preprocess the relation and write it as a relation store to this directory")
 	strategy := flag.String("strategy", "", "with -store: transform the map first: A (shifted copy), B (random placement, R side) or B2 (random placement, S side)")
-	name := flag.String("name", "", "with -store: relation name (default: the file name)")
+	name := flag.String("name", "", "with -store: relation name (default: the store path)")
 	engine := flag.String("engine", "trstar", "with -store: exact engine: trstar, planesweep, quadratic")
 	conservative := flag.String("conservative", "5C", "with -store: conservative approximation: 5C, 4C, RMBR, CH, MBC, MBE")
 	progressive := flag.String("progressive", "MER", "with -store: progressive approximation: MER, MEC")
 	noFilter := flag.Bool("no-filter", false, "with -store: disable the geometric filter (step 2)")
 	pageSize := flag.Int("page", 4096, "with -store: R*-tree page size in bytes")
 	policy := flag.String("policy", "lru", "with -store: buffer replacement policy: lru, fifo, clock")
-	shards := flag.Int("shards", 0, "with -store: partition into this many Z-order tiles and write a sharded store directory")
+	shards := flag.Int("shards", 1, "with -store: partition the relation into this many Z-order tiles")
 	sf := flag.Float64("sf", 0, "build a scale-factor dataset side instead of -n/-verts/-holes/-seed (implies -stream; see -side)")
 	side := flag.String("side", "R", "with -sf: which relation of the dataset pair to build: R or S")
 	stream := flag.Bool("stream", false, "generate with the bounded-memory streaming generator (for very large -n; a different — equally valid — polygon sequence than the default generator)")
@@ -135,22 +135,12 @@ func main() {
 		if relName == "" {
 			relName = *storeOut
 		}
-		if *shards > 0 {
-			sh := shard.Build(relName, rel, *shards, cfg)
-			if err := shard.Save(*storeOut, sh); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s: %d objects preprocessed into %d tile(s) (engine %s, filter %s+%s, page %d, policy %s)\n",
-				*storeOut, sh.Objects(), sh.Shards(), cfg.Engine, cfg.Filter.Conservative, cfg.Filter.Progressive,
-				cfg.PageSize, cfg.BufferPolicy)
-			return
-		}
-		r := multistep.NewRelation(relName, rel, cfg)
-		if err := multistep.SaveRelationFile(*storeOut, r, cfg); err != nil {
+		sh := shard.Build(relName, rel, *shards, cfg)
+		if err := shard.Save(*storeOut, sh); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s: %d objects preprocessed (engine %s, filter %s+%s, page %d, policy %s)\n",
-			*storeOut, len(r.Objects), cfg.Engine, cfg.Filter.Conservative, cfg.Filter.Progressive,
+		fmt.Printf("wrote %s: %d objects preprocessed into %d tile(s) (engine %s, filter %s+%s, page %d, policy %s)\n",
+			*storeOut, sh.Objects(), sh.Shards(), cfg.Engine, cfg.Filter.Conservative, cfg.Filter.Progressive,
 			cfg.PageSize, cfg.BufferPolicy)
 		return
 	}
@@ -184,10 +174,8 @@ func parseCfg(engine, conservative, progressive string, noFilter bool, pageSize 
 
 // streamMain is the bounded-memory path (-stream, and always -sf): the
 // relation is generated by data.StreamMap and never materialized.
-// -store writes a sharded store directory via the spill-and-partition
-// builder (a plain -store file would need the whole relation in memory
-// to preprocess — use -shards, 1 is fine); -bin streams the binary
-// relation; the default streams WKT rows.
+// -store writes the store directory via the spill-and-partition builder;
+// -bin streams the binary relation; the default streams WKT rows.
 func streamMain(mc data.MapConfig, sfName string, statsOnly bool, binOut, storeOut string,
 	shards int, strategy, name, engine, conservative, progressive string,
 	noFilter bool, pageSize int, policy string) {
@@ -241,9 +229,6 @@ func streamMain(mc data.MapConfig, sfName string, statsOnly bool, binOut, storeO
 		}
 		if relName == "" {
 			relName = storeOut
-		}
-		if shards < 1 {
-			shards = 1
 		}
 		bs, err := loadgen.BuildStore(storeOut, relName, mc, shards, cfg)
 		if err != nil {

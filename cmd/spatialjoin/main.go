@@ -1,8 +1,9 @@
 // Command spatialjoin runs the complete multi-step spatial join end to end
 // and prints per-step statistics and the modelled cost breakdown — a
 // one-command demonstration of the paper's processor. Inputs are either
-// generated on the fly (the default) or opened from prebuilt relation
-// stores written by cmd/datagen, in which case the expensive
+// generated on the fly (the default, one tile per relation: the paper's
+// single R*-tree) or opened from prebuilt relation stores written by
+// cmd/datagen — any tile count — in which case the expensive
 // preprocessing is skipped entirely.
 //
 // Usage:
@@ -21,7 +22,7 @@
 // join), so performance work starts from evidence: see README
 // "Profiling the hot path".
 //
-// Joins run through the unified multistep.Join entry point: -predicate
+// Joins run through the one join entry point, shard.Join: -predicate
 // selects the spatial predicate (-epsilon is the distance bound of the
 // within predicate, and implies it), -parallel spreads the pipeline over
 // N workers, and -stream switches from collect-and-sort to the
@@ -51,9 +52,10 @@ import (
 	"time"
 
 	"spatialjoin/internal/approx"
-	"spatialjoin/internal/costmodel"
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/multistep"
+	"spatialjoin/internal/plan"
+	"spatialjoin/internal/shard"
 	"spatialjoin/internal/storage"
 )
 
@@ -108,20 +110,18 @@ func main() {
 		fatal(fmt.Errorf("unknown step1 generator %q", *step1))
 	}
 
-	var r, s *multistep.Relation
-	var prep time.Duration
+	var r, s *shard.Sharded
 	switch {
 	case *rstorePath != "" && *sstorePath != "":
 		t0 := time.Now()
-		if r, err = multistep.OpenRelationFile(*rstorePath, cfg); err != nil {
+		if r, err = shard.Open(*rstorePath, cfg); err != nil {
 			fatal(fmt.Errorf("open %s: %w", *rstorePath, err))
 		}
-		if s, err = multistep.OpenRelationFile(*sstorePath, cfg); err != nil {
+		if s, err = shard.Open(*sstorePath, cfg); err != nil {
 			fatal(fmt.Errorf("open %s: %w", *sstorePath, err))
 		}
-		prep = time.Since(t0)
 		fmt.Printf("opened prebuilt stores %s (%d objects) and %s (%d objects) in %.3fs — preprocessing skipped\n",
-			*rstorePath, len(r.Objects), *sstorePath, len(s.Objects), prep.Seconds())
+			*rstorePath, r.Objects(), *sstorePath, s.Objects(), time.Since(t0).Seconds())
 	case *rstorePath != "" || *sstorePath != "":
 		fatal(fmt.Errorf("-rstore and -sstore must be given together"))
 	default:
@@ -138,11 +138,10 @@ func main() {
 			fatal(fmt.Errorf("unknown strategy %q", *strategy))
 		}
 		t0 := time.Now()
-		r = multistep.NewRelation("R", rPolys, cfg)
-		s = multistep.NewRelation("S", sPolys, cfg)
-		prep = time.Since(t0)
+		r = shard.Build("R", rPolys, 1, cfg)
+		s = shard.Build("S", sPolys, 1, cfg)
 		fmt.Printf("preprocessing: %.2fs (approximations + R*-trees, entry %d bytes)\n",
-			prep.Seconds(), multistep.EntryBytes(cfg))
+			time.Since(t0).Seconds(), multistep.EntryBytes(cfg))
 	}
 
 	predName := *predicate
@@ -190,11 +189,11 @@ func main() {
 	var ex multistep.Explain
 	opts = append(opts, multistep.WithExplain(&ex))
 	if *explain {
-		pre, err := multistep.ExplainJoin(r, s, opts...)
+		pre, err := shard.Explain(context.Background(), r, s, false, opts...)
 		if err != nil {
 			fatal(err)
 		}
-		p := pre.Plan
+		p := pre.Explain.Plan
 		fmt.Printf("\nplan: engine=%s filter=%v workers=%d planned=%v\n", p.Engine, p.UseFilter, p.Workers, p.Planned)
 		if p.Planned {
 			fmt.Printf("predicted: %.0f candidates, %.0f exact tests, %.0f result pairs, cost %.2fms\n",
@@ -219,7 +218,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	t1 := time.Now()
-	collected, st, err := multistep.Join(context.Background(), r, s, opts...)
+	collected, st, err := shard.Join(context.Background(), r, s, opts...)
 	if err != nil {
 		fatal(err)
 	}
@@ -243,9 +242,11 @@ func main() {
 	}
 
 	// Report what actually executed: under the planner, cfg's engine and
-	// filter flags are only the search space, not the choice.
-	if e, err := multistep.ParseEngine(ex.Plan.Engine); err == nil {
-		cfg.Engine = e
+	// filter flags are only the search space, not the choice — and tile
+	// pairs choose independently, so the aggregate engine may be "mixed".
+	engineName := ex.Plan.Engine
+	if e, err := multistep.ParseEngine(engineName); err == nil {
+		engineName = e.String()
 	}
 	cfg.UseFilter = ex.Plan.UseFilter
 
@@ -259,16 +260,38 @@ func main() {
 			st.FilterHits, st.FilterFalseHits, 100*st.Identified())
 	}
 	fmt.Printf("step 3 (%s):   %8d pairs tested, %d hits; ops: %s\n",
-		cfg.Engine, st.ExactTested, st.ExactHits, st.Ops.String())
+		engineName, st.ExactTested, st.ExactHits, st.Ops.String())
 	fmt.Printf("\nresponse set: %d pairs (%s)\n", len(pairs), pred)
 	if *explain && ex.Plan.Planned {
 		fmt.Printf("plan accuracy: candidates %.2fx, cost %.2fx (predicted/actual; 1 is perfect)\n",
 			ex.CandidateError, ex.CostError)
 	}
 
-	b := costmodel.FromStats(st, cfg.Engine, costmodel.PaperParams())
+	b, err := modelledCost(st)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("modelled cost (section 5): MBR-join %.1fs + object access %.1fs + exact %.1fs = %.1fs\n",
 		b.MBRJoin, b.ObjectAccess, b.ExactTest, b.Total())
+}
+
+// modelledCost is the section 5 model of a finished join. The model
+// prices a pair by the engine that tested it and tile pairs choose their
+// engines independently, so it is summed over the sub-joins, each under
+// the engine its plan record names.
+func modelledCost(st shard.JoinStats) (plan.Breakdown, error) {
+	var b plan.Breakdown
+	for _, sub := range st.PerTile {
+		e, err := multistep.ParseEngine(sub.Explain.Plan.Engine)
+		if err != nil {
+			return b, err
+		}
+		m := plan.FromStats(sub.Stats.PageAccessesR+sub.Stats.PageAccessesS, sub.Stats.ExactTested, plan.Engine(e), plan.PaperParams())
+		b.MBRJoin += m.MBRJoin
+		b.ObjectAccess += m.ObjectAccess
+		b.ExactTest += m.ExactTest
+	}
+	return b, nil
 }
 
 func fatal(err error) {

@@ -18,12 +18,11 @@
 //	                 [-faults spec]
 //	spatialjoinserve [-addr :8080] -demo 810
 //
-// A -rel path may be a single relation store file (cmd/datagen -store)
-// or a sharded store directory (cmd/datagen -store -shards N); sharded
-// relations are served through the scatter-gather coordinator. The
+// A -rel path is a store directory (cmd/datagen -store, any -shards N)
+// or a single-file store written by an earlier version. The
 // configuration flags must match the ones the stores were built with; a
 // mismatch is rejected at startup via the stores' config fingerprint
-// (for sharded stores, per tile). -demo skips the stores and serves a
+// (manifest and every tile file). -demo skips the stores and serves a
 // generated relation pair (demo-r, demo-s) instead — handy for a
 // first run:
 //
@@ -79,6 +78,7 @@ import (
 	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/resilience/fault"
 	"spatialjoin/internal/serve"
+	"spatialjoin/internal/shard"
 	"spatialjoin/internal/storage"
 )
 
@@ -164,7 +164,7 @@ func main() {
 		// A failed store does not take the server down: the name is
 		// quarantined (answers 503 with the reason) and the healthy
 		// relations keep serving.
-		if err := cat.LoadPath(e.name, e.path, cfg); err != nil {
+		if err := cat.LoadDir(e.name, e.path, cfg); err != nil {
 			log.Printf("QUARANTINED %q: %v", e.name, err)
 			continue
 		}
@@ -180,8 +180,8 @@ func main() {
 		log.Printf("generating demo relations (%d objects each)...", *demo)
 		rp := data.GenerateMap(data.MapConfig{Cells: *demo, TargetVerts: 84, HoleFraction: 0.06, Seed: *seed})
 		sp := data.StrategyA(rp, 0.45)
-		cat.Add("demo-r", multistep.NewRelation("demo-r", rp, cfg), cfg)
-		cat.Add("demo-s", multistep.NewRelation("demo-s", sp, cfg), cfg)
+		cat.Add("demo-r", shard.Build("demo-r", rp, 1, cfg))
+		cat.Add("demo-s", shard.Build("demo-s", sp, 1, cfg))
 		log.Printf("serving demo-r and demo-s")
 	}
 

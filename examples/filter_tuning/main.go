@@ -14,21 +14,20 @@ import (
 	"fmt"
 	"time"
 
-	"spatialjoin/internal/data"
-	"spatialjoin/internal/multistep"
+	"spatialjoin"
 )
 
 const reps = 3
 
 // measure returns the fastest of reps timed runs (the first run warms up
 // the lazy exact representations before any timing starts).
-func measure(r, s *multistep.Relation, opts ...multistep.Option) (time.Duration, multistep.Stats) {
-	opts = append(opts, multistep.WithBufferless())
+func measure(r, s *spatialjoin.Relation, opts ...spatialjoin.Option) (time.Duration, spatialjoin.Stats) {
+	opts = append(opts, spatialjoin.WithBufferless())
 	var best time.Duration
-	var stats multistep.Stats
+	var stats spatialjoin.Stats
 	for i := 0; i <= reps; i++ {
 		t0 := time.Now()
-		_, st, err := multistep.Join(context.Background(), r, s, opts...)
+		_, st, err := spatialjoin.Join(context.Background(), r, s, opts...)
 		if err != nil {
 			panic(err)
 		}
@@ -40,17 +39,17 @@ func measure(r, s *multistep.Relation, opts ...multistep.Option) (time.Duration,
 }
 
 func main() {
-	cfg := multistep.DefaultConfig()
-	base := data.GenerateMap(data.MapConfig{Cells: 400, TargetVerts: 48, Seed: 7})
-	shifted := data.StrategyA(base, 0.45)
-	r := multistep.NewRelation("R", base, cfg)
-	s := multistep.NewRelation("S", shifted, cfg)
+	cfg := spatialjoin.DefaultConfig()
+	base := spatialjoin.GenerateMap(spatialjoin.MapConfig{Cells: 400, TargetVerts: 48, Seed: 7})
+	shifted := spatialjoin.ShiftedCopy(base, 0.45)
+	r := spatialjoin.NewRelation("R", base, 1, cfg)
+	s := spatialjoin.NewRelation("S", shifted, 1, cfg)
 
 	// The manual route: sweep every engine × filter cell and keep score.
 	fmt.Println("manual sweep (engine × filter):")
 	fmt.Printf("  %-12s %-8s %10s %12s %10s\n", "engine", "filter", "time", "candidates", "exact")
-	engines := []multistep.Engine{
-		multistep.EngineTRStar, multistep.EnginePlaneSweep, multistep.EngineQuadratic,
+	engines := []spatialjoin.Engine{
+		spatialjoin.EngineTRStar, spatialjoin.EnginePlaneSweep, spatialjoin.EngineQuadratic,
 	}
 	var best, worst time.Duration
 	var bestName string
@@ -59,7 +58,7 @@ func main() {
 			c := cfg
 			c.Engine = eng
 			c.UseFilter = filt
-			d, st := measure(r, s, multistep.WithConfig(c), multistep.WithWorkers(1))
+			d, st := measure(r, s, spatialjoin.WithConfig(c), spatialjoin.WithWorkers(1))
 			name := eng.String()
 			filtCol := "on"
 			if !filt {
@@ -80,16 +79,16 @@ func main() {
 
 	// The planner route: ask for a plan instead of sweeping. ExplainJoin
 	// shows the choice and its cost estimate without executing anything.
-	ex, err := multistep.ExplainJoin(r, s, multistep.WithPlan())
+	ex, err := spatialjoin.ExplainJoin(context.Background(), r, s, false, spatialjoin.WithPlan())
 	if err != nil {
 		panic(err)
 	}
-	p := ex.Plan
+	p := ex.Explain.Plan
 	fmt.Printf("planner choice: engine=%s filter=%v workers=%d\n", p.Engine, p.UseFilter, p.Workers)
 	fmt.Printf("  predicted: %.0f candidates, cost %v\n",
 		p.PredictedCandidates, time.Duration(p.PredictedCostNs).Round(time.Microsecond))
 
-	d, st := measure(r, s, multistep.WithPlan())
+	d, st := measure(r, s, spatialjoin.WithPlan())
 	fmt.Printf("  actual:    %d candidates in %v — %.2f× the best hand-tuned cell\n",
 		st.CandidatePairs, d.Round(time.Microsecond), float64(d)/float64(best))
 	fmt.Println("\nThe sweep above is what the planner replaces: relation statistics plus a")

@@ -35,8 +35,8 @@ func main() {
 	forests := spatialjoin.RandomizedCopy(forestBase, 3)
 
 	cfg := spatialjoin.DefaultConfig()
-	cityRel := spatialjoin.NewRelation("cities", cities, cfg)
-	forestRel := spatialjoin.NewRelation("forests", forests, cfg)
+	cityRel := spatialjoin.NewRelation("cities", cities, 1, cfg)
+	forestRel := spatialjoin.NewRelation("forests", forests, 1, cfg)
 
 	ctx := context.Background()
 
@@ -56,7 +56,7 @@ func main() {
 	for i := 0; i < len(parkGrid); i += 12 {
 		parks = append(parks, parkGrid[i])
 	}
-	parkRel := spatialjoin.NewRelation("parks", parks, cfg)
+	parkRel := spatialjoin.NewRelation("parks", parks, 1, cfg)
 	contained, _, err := spatialjoin.Join(ctx, cityRel, parkRel,
 		spatialjoin.WithPredicate(spatialjoin.Contains()))
 	if err != nil {

@@ -1,47 +1,53 @@
 // Map service: a batch query workload over a persisted map — the spatial
 // selections of section 2 (point queries, window queries, nearest
 // neighbours) served by the same multi-step machinery as the join. The
-// map is generated once, persisted to disk, reloaded and indexed, and
-// then a mixed workload runs against it.
+// map is generated and preprocessed once into a four-tile relation store,
+// reopened without preprocessing, and then a mixed workload runs against
+// it.
 //
 //	go run ./examples/map_service
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"spatialjoin"
 )
 
 func main() {
-	// Build and persist the base map (in memory here; cmd/datagen writes
-	// the same format to files).
+	// Build once: preprocess the base map — approximations, R*-trees,
+	// TR*-trees — and persist it (cmd/datagen -store writes the same
+	// directory layout).
 	parcels := spatialjoin.GenerateMap(spatialjoin.MapConfig{
 		Cells:        900,
 		TargetVerts:  48,
 		HoleFraction: 0.08,
 		Seed:         2024,
 	})
-	var store bytes.Buffer
-	if err := spatialjoin.WritePolygons(&store, parcels); err != nil {
-		panic(err)
-	}
-	fmt.Printf("persisted %d parcels in %d KiB\n", len(parcels), store.Len()/1024)
-
-	// Reload and index.
-	loaded, err := spatialjoin.ReadPolygons(&store)
-	if err != nil {
-		panic(err)
-	}
 	cfg := spatialjoin.DefaultConfig()
+	dir, err := os.MkdirTemp("", "map_service")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
 	start := time.Now()
-	rel := spatialjoin.NewRelation("parcels", loaded, cfg)
-	fmt.Printf("indexed in %.2fs (approximations + R*-tree)\n\n", time.Since(start).Seconds())
+	if err := spatialjoin.SaveRelation(dir, spatialjoin.NewRelation("parcels", parcels, 4, cfg)); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("preprocessed %d parcels into a 4-tile store in %.2fs\n", len(parcels), time.Since(start).Seconds())
+
+	// Serve many: reopening skips the preprocessing.
+	start = time.Now()
+	rel, err := spatialjoin.OpenRelation(dir, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("reopened in %.2fs\n\n", time.Since(start).Seconds())
 
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -87,7 +93,7 @@ func main() {
 	fmt.Println("\nfive parcels nearest to the landmark:")
 	for _, nb := range near.Neighbors {
 		fmt.Printf("  parcel %3d at distance %.4f (%d vertices)\n",
-			nb.ID, nb.Dist, loaded[nb.ID].NumVertices())
+			nb.ID, nb.Dist, parcels[nb.ID].NumVertices())
 	}
 
 	// ε-range query: every parcel within 0.02 of the landmark — the

@@ -25,8 +25,8 @@ func main() {
 	shifted := spatialjoin.ShiftedCopy(counties, 0.45)
 
 	cfg := spatialjoin.DefaultConfig()
-	r := spatialjoin.NewRelation("counties", counties, cfg)
-	s := spatialjoin.NewRelation("shifted", shifted, cfg)
+	r := spatialjoin.NewRelation("counties", counties, 1, cfg)
+	s := spatialjoin.NewRelation("shifted", shifted, 1, cfg)
 
 	ctx := context.Background()
 

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"spatialjoin/internal/approx"
-	"spatialjoin/internal/costmodel"
 	"spatialjoin/internal/decomp"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/ops"
+	"spatialjoin/internal/plan"
 	"spatialjoin/internal/rplus"
 	"spatialjoin/internal/rstar"
 	"spatialjoin/internal/storage"
@@ -224,7 +224,7 @@ func AblationParallelism(p BigParams) *Table {
 	rr := multistep.NewRelation("R", r, cfg)
 	ss := multistep.NewRelation("S", s, cfg)
 	_, st := seqJoin(rr, ss, cfg)
-	base := costmodel.FromStats(st, cfg.Engine, costmodel.PaperParams())
+	base := plan.FromStats(st.PageAccessesR+st.PageAccessesS, st.ExactTested, plan.Engine(cfg.Engine), plan.PaperParams())
 
 	t := &Table{
 		Title:  "Ablation — CPU and I/O parallelism (section 6 outlook, version 3 join)",
@@ -232,7 +232,7 @@ func AblationParallelism(p BigParams) *Table {
 	}
 	for _, conf := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}} {
 		disks, workers := conf[0], conf[1]
-		modelled := costmodel.ParallelBreakdown(base, disks, workers).Total()
+		modelled := plan.ParallelBreakdown(base, disks, workers).Total()
 		start := time.Now()
 		if _, _, err := multistep.Join(context.Background(), rr, ss,
 			multistep.WithConfig(cfg), multistep.WithWorkers(workers)); err != nil {

@@ -8,10 +8,10 @@ import (
 
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/convex"
-	"spatialjoin/internal/costmodel"
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
+	"spatialjoin/internal/plan"
 	"spatialjoin/internal/rstar"
 )
 
@@ -229,7 +229,8 @@ func Figure11(p BigParams) (*Table, []Figure11Row) {
 			s1 := multistep.NewRelation("S", s, filt)
 			_, st1 := seqJoin(r1, s1, filt)
 
-			gl := costmodel.Figure11(st0, st1, costmodel.PaperParams())
+			gl := plan.Figure11(st0.PageAccessesR+st0.PageAccessesS, st1.PageAccessesR+st1.PageAccessesS,
+				st1.FilterHits+st1.FilterFalseHits, plan.PaperParams())
 			rows = append(rows, Figure11Row{Kind: kind, PageSize: pageSize,
 				Loss: gl.Loss, Gain: gl.Gain, Total: gl.Total})
 			t.AddRow(kind.String(), fmt.Sprint(pageSize/1024),
@@ -244,7 +245,7 @@ func Figure11(p BigParams) (*Table, []Figure11Row) {
 // Figure18Row is one stacked bar of Figure 18.
 type Figure18Row struct {
 	Version   string
-	Breakdown costmodel.Breakdown
+	Breakdown plan.Breakdown
 }
 
 // Figure18 reproduces Figure 18: the total join performance of the three
@@ -269,25 +270,28 @@ func Figure18(p BigParams) (*Table, []Figure18Row) {
 	v3cfg.Engine = multistep.EngineTRStar
 	v3cfg.BufferBytes = p.BufferBytes
 
-	params := costmodel.PaperParams()
+	params := plan.PaperParams()
+	model := func(st multistep.Stats, e multistep.Engine) plan.Breakdown {
+		return plan.FromStats(st.PageAccessesR+st.PageAccessesS, st.ExactTested, plan.Engine(e), params)
+	}
 	var rows []Figure18Row
 
 	r1 := multistep.NewRelation("R", r, v1cfg)
 	s1 := multistep.NewRelation("S", s, v1cfg)
 	_, st1 := seqJoin(r1, s1, v1cfg)
 	rows = append(rows, Figure18Row{Version: "version 1 (no filter, plane-sweep)",
-		Breakdown: costmodel.FromStats(st1, v1cfg.Engine, params)})
+		Breakdown: model(st1, v1cfg.Engine)})
 
 	// Versions 2 and 3 share the filtered relations (same entry layout).
 	r2 := multistep.NewRelation("R", r, v2cfg)
 	s2 := multistep.NewRelation("S", s, v2cfg)
 	_, st2 := seqJoin(r2, s2, v2cfg)
 	rows = append(rows, Figure18Row{Version: "version 2 (5-C+MER filter, plane-sweep)",
-		Breakdown: costmodel.FromStats(st2, v2cfg.Engine, params)})
+		Breakdown: model(st2, v2cfg.Engine)})
 
 	_, st3 := seqJoin(r2, s2, v3cfg)
 	rows = append(rows, Figure18Row{Version: "version 3 (5-C+MER filter, TR*-tree)",
-		Breakdown: costmodel.FromStats(st3, v3cfg.Engine, params)})
+		Breakdown: model(st3, v3cfg.Engine)})
 
 	t := &Table{
 		Title:  "Figure 18 — total join performance (section 5 cost model, seconds)",

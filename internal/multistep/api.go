@@ -40,35 +40,15 @@ var (
 	ErrBadPredicate = errors.New("multistep: unsupported predicate for this query")
 )
 
-// queryOptions is the resolved option set of one Join or Query call.
-type queryOptions struct {
-	cfg        *Config // nil: use the relations' build configuration
-	pred       Predicate
-	workers    int
-	emit       func(Pair)
-	bufferless bool
-	axR, axS   storage.Accessor
-	limit      int // < 0: unlimited
-
-	window   *geom.Rect
-	point    *geom.Point
-	nearest  bool
-	nearestK int
-	partial  bool // WithPartialResults: coordinators may degrade
-
-	planned bool     // WithPlan: resolve unset options via the planner
-	explain *Explain // WithExplain: capture plan + predicted-vs-actual
-}
-
 // Option configures one Join or Query call. Options are orthogonal: any
 // combination that makes sense may be passed, and the zero set reproduces
 // the paper's sequential accounting on the relations' build
 // configuration.
-type Option func(*queryOptions)
+type Option func(*Resolved)
 
 // WithPredicate selects the spatial predicate (default Intersects).
 func WithPredicate(p Predicate) Option {
-	return func(o *queryOptions) { o.pred = p }
+	return func(o *Resolved) { o.Pred = p }
 }
 
 // WithConfig overrides the processor configuration. Without it the
@@ -77,7 +57,7 @@ func WithPredicate(p Predicate) Option {
 // relations built under different configurations are rejected unless an
 // explicit override is given.
 func WithConfig(cfg Config) Option {
-	return func(o *queryOptions) { o.cfg = &cfg }
+	return func(o *Resolved) { o.Cfg = &cfg }
 }
 
 // WithWorkers sets the worker count of the join pipeline: the step 1
@@ -86,7 +66,7 @@ func WithConfig(cfg Config) Option {
 // beyond that, extra workers only cost memory and scheduling overhead.
 // Statistics are independent of the worker count by construction.
 func WithWorkers(n int) Option {
-	return func(o *queryOptions) { o.workers = n }
+	return func(o *Resolved) { o.Workers = n }
 }
 
 // WithStream streams response pairs to emit as they are decided (from a
@@ -94,7 +74,7 @@ func WithWorkers(n int) Option {
 // collecting them: Join returns a nil slice and memory stays bounded by
 // the pipeline depth regardless of the response-set size.
 func WithStream(emit func(Pair)) Option {
-	return func(o *queryOptions) { o.emit = emit }
+	return func(o *Resolved) { o.Stream = emit }
 }
 
 // WithBufferless discards the response set entirely: Join returns a nil
@@ -102,7 +82,7 @@ func WithStream(emit func(Pair)) Option {
 // memory; WithBufferless is for measurement runs that need no pairs at
 // all.)
 func WithBufferless() Option {
-	return func(o *queryOptions) { o.bufferless = true }
+	return func(o *Resolved) { o.Bufferless = true }
 }
 
 // WithSessions routes each side's page visits through explicit per-query
@@ -113,31 +93,31 @@ func WithBufferless() Option {
 // buffer (counters reset first) for that side — the paper's sequential
 // single-query accounting, one query at a time.
 func WithSessions(axR, axS storage.Accessor) Option {
-	return func(o *queryOptions) { o.axR, o.axS = axR, axS }
+	return func(o *Resolved) { o.AxR, o.AxS = axR, axS }
 }
 
 // WithSession is WithSessions for the single-relation Query entry point.
 func WithSession(ax storage.Accessor) Option {
-	return func(o *queryOptions) { o.axR = ax }
+	return func(o *Resolved) { o.AxR = ax }
 }
 
 // WithLimit caps the number of response pairs Join returns (the sorted
 // (A, B)-prefix of the full response set; statistics always reflect the
 // complete join). n < 0 means unlimited, the default.
 func WithLimit(n int) Option {
-	return func(o *queryOptions) { o.limit = n }
+	return func(o *Resolved) { o.Limit = n }
 }
 
 // ForWindow targets Query at a window: the objects whose regions
 // intersect w (or, under WithinDistance(ε), come within ε of it).
 func ForWindow(w geom.Rect) Option {
-	return func(o *queryOptions) { o.window = &w }
+	return func(o *Resolved) { o.Window = &w }
 }
 
 // ForPoint targets Query at a point: the objects whose regions contain p
 // (or, under WithinDistance(ε), come within ε of it — the ε-range query).
 func ForPoint(p geom.Point) Option {
-	return func(o *queryOptions) { o.point = &p }
+	return func(o *Resolved) { o.Point = &p }
 }
 
 // WithPartialResults marks a query as degradable: a multi-relation
@@ -147,38 +127,32 @@ func ForPoint(p geom.Point) Option {
 // entry points ignore it (one relation either answers or errors), and
 // joins always fail closed — a partial join silently loses pairs.
 func WithPartialResults() Option {
-	return func(o *queryOptions) { o.partial = true }
+	return func(o *Resolved) { o.Partial = true }
 }
 
 // ForNearest targets Query at the k objects closest to p by exact region
 // distance, refined over R*-tree MBR-distance candidates.
 func ForNearest(p geom.Point, k int) Option {
-	return func(o *queryOptions) {
-		o.point = &p
-		o.nearest = true
-		o.nearestK = k
+	return func(o *Resolved) {
+		o.Point = &p
+		o.Nearest = true
+		o.NearestK = k
 	}
 }
 
-// resolve applies the options and defaults.
-func resolve(opts []Option) queryOptions {
-	o := queryOptions{limit: -1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// Resolved is the read-only resolved view of an option list. It exists
-// for coordinators that route one logical query across several
-// relations (internal/shard's scatter-gather layer): they need the
-// predicate for tile routing, the limit for global truncation, and the
-// target to pick the merge shape, while the remaining options pass
-// through to the per-tile Join/Query calls verbatim.
+// Resolved is the resolved option set of one Join or Query call — the
+// one options struct of the package: every Option writes into it and
+// the drivers read from it. It is exported for coordinators that route
+// one logical query across several relations (internal/shard's
+// scatter-gather layer): they resolve a request once, read the
+// predicate for tile routing, the limit for global truncation and the
+// target for the merge shape, and hand JoinBatch or RunQuery a per-tile
+// copy with the limit lifted, its own Explain and its own sessions.
 type Resolved struct {
 	// Pred is the configured predicate (the zero value is Intersects).
 	Pred Predicate
-	// Cfg is the WithConfig override, nil without one.
+	// Cfg is the WithConfig override, nil without one (the relations'
+	// build configuration then applies).
 	Cfg *Config
 	// Limit is the WithLimit cap; < 0 means unlimited.
 	Limit int
@@ -186,6 +160,9 @@ type Resolved struct {
 	Stream func(Pair)
 	// Bufferless reports WithBufferless.
 	Bufferless bool
+	// AxR and AxS are the WithSessions page-access contexts (AxR alone
+	// for WithSession); nil selects the shared tree buffer.
+	AxR, AxS storage.Accessor
 	// Window, Point, Nearest and NearestK mirror the ForWindow, ForPoint
 	// and ForNearest targets.
 	Window   *geom.Rect
@@ -194,8 +171,8 @@ type Resolved struct {
 	NearestK int
 	// Plan reports WithPlan; Explain is the WithExplain capture target,
 	// nil without one. A coordinator fanning one logical join across
-	// tile pairs must give each sub-join its own Explain (appending a
-	// fresh WithExplain overrides this one) and aggregate afterwards.
+	// tile pairs must give each sub-join its own Explain and aggregate
+	// afterwards.
 	Plan    bool
 	Explain *Explain
 	// Workers is the WithWorkers value, 0 when unset. Caching
@@ -207,24 +184,14 @@ type Resolved struct {
 	Partial bool
 }
 
-// ResolveOptions applies an option list and returns the resolved view.
-func ResolveOptions(opts []Option) Resolved { return resolve(opts).resolved() }
-
-// resolved is the exported view of a resolved option set.
-func (o queryOptions) resolved() Resolved {
-	return Resolved{
-		Pred: o.pred, Cfg: o.cfg, Limit: o.limit,
-		Stream: o.emit, Bufferless: o.bufferless,
-		Window: o.window, Point: o.point,
-		Nearest: o.nearest, NearestK: o.nearestK,
-		Plan: o.planned, Explain: o.explain,
-		Workers: o.workers, Partial: o.partial,
+// ResolveOptions applies an option list over the defaults.
+func ResolveOptions(opts []Option) Resolved {
+	o := Resolved{Limit: -1}
+	for _, opt := range opts {
+		opt(&o)
 	}
+	return o
 }
-
-// Validate rejects predicates no join or query can evaluate (a negative
-// distance bound) — the same check the Join and Query entry points run.
-func (p Predicate) Validate() error { return p.validate() }
 
 // ValidateQueryTarget checks the target and its combination with the
 // predicate. It is the one place a query target is validated: the
@@ -259,9 +226,9 @@ func (o Resolved) ValidateQueryTarget() error {
 
 // joinConfig picks the effective configuration of a join and rejects
 // mismatched build configurations without an explicit override.
-func joinConfig(r, s *Relation, o *queryOptions) (Config, error) {
-	if o.cfg != nil {
-		return *o.cfg, nil
+func joinConfig(r, s *Relation, o *Resolved) (Config, error) {
+	if o.Cfg != nil {
+		return *o.Cfg, nil
 	}
 	if ConfigFingerprint(r.Cfg) != ConfigFingerprint(s.Cfg) {
 		return Config{}, fmt.Errorf("multistep: relations %q and %q were built under different configurations: %w",
@@ -293,61 +260,64 @@ type QueryResult struct {
 // Cancellation stops the tree traversal at the next node and returns
 // ctx.Err().
 func Query(ctx context.Context, r *Relation, opts ...Option) (QueryResult, error) {
+	return RunQuery(ctx, r, ResolveOptions(opts))
+}
+
+// RunQuery is Query on an already resolved option set — the entry of
+// coordinators that resolve a request once and run it on several
+// relations.
+func RunQuery(ctx context.Context, r *Relation, o Resolved) (QueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := resolve(opts)
-	if err := o.pred.validate(); err != nil {
+	if err := o.Pred.Validate(); err != nil {
 		return QueryResult{}, err
 	}
-	if err := o.resolved().ValidateQueryTarget(); err != nil {
+	if err := o.ValidateQueryTarget(); err != nil {
 		return QueryResult{}, err
 	}
 	cfg := r.Cfg
-	if o.cfg != nil {
-		cfg = *o.cfg
+	if o.Cfg != nil {
+		cfg = *o.Cfg
 	}
 	// Adaptive planning for single-relation queries: the only open
 	// dimension is the filter (queries are single-threaded and engine-
 	// free), pinned by an explicit WithConfig as usual.
 	var pl Plan
-	if o.planned || o.explain != nil {
+	if o.Plan || o.Explain != nil {
 		cfg, pl = planQuery(r, cfg, &o)
 	}
-	ax := o.axR
+	ax := o.AxR
 	if ax == nil {
 		buf := r.Tree.Buffer()
 		buf.ResetCounters()
 		ax = buf
 	}
-	if o.explain != nil {
-		started := time.Now()
-		res, err := queryDispatch(ctx, r, ax, cfg, &o)
-		ex := o.explain
-		ex.Plan = pl
-		ex.Executed = err == nil
+	started := time.Now()
+	res, err := queryDispatch(ctx, r, ax, cfg, &o)
+	if ex := o.Explain; ex != nil {
+		*ex = Explain{Plan: pl, Executed: err == nil}
 		if err == nil {
 			ex.ActualCandidates = res.Stats.Candidates
 			ex.ActualExactTested = res.Stats.ExactTested
 			ex.ActualResultPairs = res.Stats.ResultObjects
 			ex.ActualWallNs = time.Since(started).Nanoseconds()
 		}
-		return res, err
 	}
-	return queryDispatch(ctx, r, ax, cfg, &o)
+	return res, err
 }
 
 // queryDispatch routes a resolved, validated Query to its target
 // implementation.
-func queryDispatch(ctx context.Context, r *Relation, ax storage.Accessor, cfg Config, o *queryOptions) (QueryResult, error) {
+func queryDispatch(ctx context.Context, r *Relation, ax storage.Accessor, cfg Config, o *Resolved) (QueryResult, error) {
 	switch {
-	case o.nearest:
-		return nearestQuery(ctx, r, ax, *o.point, o.nearestK)
-	case o.window != nil:
-		return rangeQuery(ctx, r, ax, *o.window, cfg, o.pred, o.limit)
+	case o.Nearest:
+		return nearestQuery(ctx, r, ax, *o.Point, o.NearestK)
+	case o.Window != nil:
+		return rangeQuery(ctx, r, ax, *o.Window, cfg, o.Pred, o.Limit)
 	default:
-		w := geom.Rect{MinX: o.point.X, MinY: o.point.Y, MaxX: o.point.X, MaxY: o.point.Y}
-		return rangeQuery(ctx, r, ax, w, cfg, o.pred, o.limit)
+		w := geom.Rect{MinX: o.Point.X, MinY: o.Point.Y, MaxX: o.Point.X, MaxY: o.Point.Y}
+		return rangeQuery(ctx, r, ax, w, cfg, o.Pred, o.Limit)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spatialjoin/internal/data"
+	"spatialjoin/internal/storage"
 )
 
 // batchTestRelations builds a small relation pair for the batch
@@ -18,6 +19,16 @@ func batchTestRelations(t *testing.T) (*Relation, *Relation, Config) {
 	rp := data.GenerateMap(data.MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211})
 	sp := data.StrategyA(rp, 0.45)
 	return NewRelation("r", rp, cfg), NewRelation("s", sp, cfg), cfg
+}
+
+// joinBatchOpts is JoinBatch over option lists, each resolved once as a
+// coordinator would.
+func joinBatchOpts(ctx context.Context, r, s *Relation, axR, axS storage.Accessor, items [][]Option) ([]BatchResult, error) {
+	var ress []Resolved
+	for _, opts := range items {
+		ress = append(ress, ResolveOptions(opts))
+	}
+	return JoinBatch(ctx, r, s, axR, axS, ress)
 }
 
 // soloRun executes one request exactly as JoinBatch members are
@@ -55,7 +66,7 @@ func TestJoinBatchMatchesSolo(t *testing.T) {
 		{WithPredicate(Intersects()), WithBufferless()},
 	}
 
-	outs, err := JoinBatch(context.Background(), r, s, r.NewSession(), s.NewSession(), items)
+	outs, err := joinBatchOpts(context.Background(), r, s, r.NewSession(), s.NewSession(), items)
 	if err != nil {
 		t.Fatalf("JoinBatch: %v", err)
 	}
@@ -82,7 +93,7 @@ func TestJoinBatchMatchesSolo(t *testing.T) {
 func TestJoinBatchSingleItem(t *testing.T) {
 	r, s, _ := batchTestRelations(t)
 	opts := []Option{WithPredicate(Intersects()), WithLimit(25)}
-	outs, err := JoinBatch(context.Background(), r, s, r.NewSession(), s.NewSession(), [][]Option{opts})
+	outs, err := joinBatchOpts(context.Background(), r, s, r.NewSession(), s.NewSession(), [][]Option{opts})
 	if err != nil {
 		t.Fatalf("JoinBatch: %v", err)
 	}
@@ -104,7 +115,7 @@ func TestJoinBatchWithinEps(t *testing.T) {
 		{WithPredicate(WithinDistance(eps)), WithConfig(noFilter)},
 		{WithPredicate(WithinDistance(eps)), WithWorkers(2), WithLimit(11)},
 	}
-	outs, err := JoinBatch(context.Background(), r, s, r.NewSession(), s.NewSession(), items)
+	outs, err := joinBatchOpts(context.Background(), r, s, r.NewSession(), s.NewSession(), items)
 	if err != nil {
 		t.Fatalf("JoinBatch: %v", err)
 	}
@@ -128,7 +139,7 @@ func TestJoinBatchExplain(t *testing.T) {
 		{WithPredicate(Intersects()), WithPlan(), WithExplain(&ex0)},
 		{WithPredicate(Contains()), WithPlan(), WithExplain(&ex1)},
 	}
-	outs, err := JoinBatch(context.Background(), r, s, r.NewSession(), s.NewSession(), items)
+	outs, err := joinBatchOpts(context.Background(), r, s, r.NewSession(), s.NewSession(), items)
 	if err != nil {
 		t.Fatalf("JoinBatch: %v", err)
 	}
@@ -154,7 +165,7 @@ func TestJoinBatchRejections(t *testing.T) {
 	ctx := context.Background()
 	intersects := []Option{WithPredicate(Intersects())}
 
-	_, err := JoinBatch(ctx, r, s, nil, nil, [][]Option{
+	_, err := joinBatchOpts(ctx, r, s, nil, nil, [][]Option{
 		intersects,
 		{WithPredicate(WithinDistance(0.01))},
 	})
@@ -163,11 +174,11 @@ func TestJoinBatchRejections(t *testing.T) {
 	}
 
 	streaming := []Option{WithStream(func(Pair) {})}
-	_, err = JoinBatch(ctx, r, s, nil, nil, [][]Option{intersects, streaming})
+	_, err = joinBatchOpts(ctx, r, s, nil, nil, [][]Option{intersects, streaming})
 	if !errors.Is(err, ErrBatchStream) {
 		t.Fatalf("streaming batch err = %v, want ErrBatchStream", err)
 	}
-	if _, err = JoinBatch(ctx, r, s, nil, nil, [][]Option{streaming}); err != nil {
+	if _, err = joinBatchOpts(ctx, r, s, nil, nil, [][]Option{streaming}); err != nil {
 		t.Fatalf("one streaming item: %v, want it admitted", err)
 	}
 
@@ -176,11 +187,11 @@ func TestJoinBatchRejections(t *testing.T) {
 		alt := cfg
 		alt.Step1 = step1
 		item := []Option{WithConfig(alt)}
-		_, err = JoinBatch(ctx, r, s, nil, nil, [][]Option{intersects, item})
+		_, err = joinBatchOpts(ctx, r, s, nil, nil, [][]Option{intersects, item})
 		if !errors.Is(err, ErrBatchMismatch) {
 			t.Fatalf("%v in a batch of two: err = %v, want ErrBatchMismatch", step1, err)
 		}
-		outs, err := JoinBatch(ctx, r, s, r.NewSession(), s.NewSession(), [][]Option{item})
+		outs, err := joinBatchOpts(ctx, r, s, r.NewSession(), s.NewSession(), [][]Option{item})
 		if err != nil {
 			t.Fatalf("%v in a batch of one: %v, want it admitted", step1, err)
 		}
@@ -197,12 +208,12 @@ func TestJoinBatchRejections(t *testing.T) {
 	for i := range big {
 		big[i] = intersects
 	}
-	_, err = JoinBatch(ctx, r, s, nil, nil, big)
+	_, err = joinBatchOpts(ctx, r, s, nil, nil, big)
 	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized batch err = %v, want ErrBatchTooLarge", err)
 	}
 
-	if outs, err := JoinBatch(ctx, r, s, nil, nil, nil); err != nil || outs != nil {
+	if outs, err := joinBatchOpts(ctx, r, s, nil, nil, nil); err != nil || outs != nil {
 		t.Fatalf("empty batch = %v, %v; want nil, nil", outs, err)
 	}
 }
@@ -246,7 +257,7 @@ func TestJoinBatchCancellation(t *testing.T) {
 	r, s, _ := batchTestRelations(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := JoinBatch(ctx, r, s, r.NewSession(), s.NewSession(), [][]Option{
+	_, err := joinBatchOpts(ctx, r, s, r.NewSession(), s.NewSession(), [][]Option{
 		{WithPredicate(Intersects())},
 	})
 	if !errors.Is(err, context.Canceled) {

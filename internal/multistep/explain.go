@@ -76,21 +76,20 @@ type Explain struct {
 // Relations without statistics fall back to their build configuration
 // unchanged. See internal/plan for the model.
 func WithPlan() Option {
-	return func(o *queryOptions) { o.planned = true }
+	return func(o *Resolved) { o.Plan = true }
 }
 
 // WithExplain records the resolved plan and, after execution, the
 // predicted-vs-actual error into *ex. It composes with WithPlan (the
 // chosen plan) or without it (an echo of the static configuration).
 func WithExplain(ex *Explain) Option {
-	return func(o *queryOptions) { o.explain = ex }
+	return func(o *Resolved) { o.Explain = ex }
 }
 
-// ExplainJoin resolves and plans a join exactly as Join with the same
+// ExplainJoin plans a join exactly as Join with the same resolved
 // options would, without executing it — the EXPLAIN verb.
-func ExplainJoin(r, s *Relation, opts ...Option) (Explain, error) {
-	o := resolve(opts)
-	if err := o.pred.validate(); err != nil {
+func ExplainJoin(r, s *Relation, o Resolved) (Explain, error) {
+	if err := o.Pred.Validate(); err != nil {
 		return Explain{}, err
 	}
 	cfg, err := joinConfig(r, s, &o)
@@ -98,7 +97,7 @@ func ExplainJoin(r, s *Relation, opts ...Option) (Explain, error) {
 		return Explain{}, err
 	}
 	var ex Explain
-	if o.planned {
+	if o.Plan {
 		_, _, ex.Plan = planJoin(r, s, cfg, &o)
 	} else {
 		ex.Plan = echoPlan(cfg, &o)
@@ -137,12 +136,12 @@ func workerGrid() []int {
 }
 
 // echoPlan describes the static (unplanned) execution of a call.
-func echoPlan(cfg Config, o *queryOptions) Plan {
+func echoPlan(cfg Config, o *Resolved) Plan {
 	return Plan{
 		Engine:    plan.Engine(cfg.Engine).String(),
 		UseFilter: cfg.UseFilter,
-		Workers:   effectiveWorkers(o.workers),
-		Stream:    o.emit != nil,
+		Workers:   effectiveWorkers(o.Workers),
+		Stream:    o.Stream != nil,
 	}
 }
 
@@ -151,22 +150,22 @@ func echoPlan(cfg Config, o *queryOptions) Plan {
 // dimensions (WithConfig → engine and filter, WithWorkers → workers)
 // reach the search as one-element candidate lists; relations without
 // statistics skip planning entirely.
-func planJoin(r, s *Relation, cfg Config, o *queryOptions) (Config, int, Plan) {
+func planJoin(r, s *Relation, cfg Config, o *Resolved) (Config, int, Plan) {
 	if r.Stats == nil || s.Stats == nil {
 		pl := echoPlan(cfg, o)
-		return cfg, o.workers, pl
+		return cfg, o.Workers, pl
 	}
 	req := plan.Request{
-		Pred:     planPred(o.pred),
-		Eps:      o.pred.Epsilon(),
+		Pred:     planPred(o.Pred),
+		Eps:      o.Pred.Epsilon(),
 		MaxProcs: runtime.GOMAXPROCS(0),
-		Collect:  o.emit == nil && !o.bufferless,
+		Collect:  o.Stream == nil && !o.Bufferless,
 		// Serving-layer cache pressure: when lookups against either side
 		// mostly hit, the plan rarely executes, and an open workers
 		// dimension collapses to 1 (see plan.Request.CacheHitRate).
 		CacheHitRate: math.Max(r.Stats.CacheHitRate(), s.Stats.CacheHitRate()),
 	}
-	if o.cfg != nil {
+	if o.Cfg != nil {
 		// An explicit configuration pins the engine and the filter.
 		req.Engines = []plan.Engine{plan.Engine(cfg.Engine)}
 		req.Filters = []bool{cfg.UseFilter}
@@ -184,8 +183,8 @@ func planJoin(r, s *Relation, cfg Config, o *queryOptions) (Config, int, Plan) {
 			req.Filters = []bool{false}
 		}
 	}
-	if o.workers > 0 {
-		req.Workers = []int{effectiveWorkers(o.workers)}
+	if o.Workers > 0 {
+		req.Workers = []int{effectiveWorkers(o.Workers)}
 	} else {
 		req.Workers = workerGrid()
 	}
@@ -201,7 +200,7 @@ func planJoin(r, s *Relation, cfg Config, o *queryOptions) (Config, int, Plan) {
 		Engine:               c.Engine.String(),
 		UseFilter:            c.UseFilter,
 		Workers:              c.Workers,
-		Stream:               o.emit != nil,
+		Stream:               o.Stream != nil,
 		StreamRecommended:    c.StreamRecommended,
 		PredictedCandidates:  c.PredCandidates,
 		PredictedExactTested: c.PredExactTested,
@@ -215,18 +214,18 @@ func planJoin(r, s *Relation, cfg Config, o *queryOptions) (Config, int, Plan) {
 // the only open knob there: queries are single-threaded and engine-free
 // (the exact window test has one kernel). WithConfig pins the filter
 // as it does for joins.
-func planQuery(r *Relation, cfg Config, o *queryOptions) (Config, Plan) {
+func planQuery(r *Relation, cfg Config, o *Resolved) (Config, Plan) {
 	pl := Plan{
 		Engine:    plan.Engine(cfg.Engine).String(),
 		UseFilter: cfg.UseFilter,
 		Workers:   1,
 	}
-	if !o.planned || o.cfg != nil || r.Stats == nil {
+	if !o.Plan || o.Cfg != nil || r.Stats == nil {
 		return cfg, pl
 	}
 	if cfg.UseFilter {
 		// The filter can be switched off at query time, never on.
-		cfg.UseFilter = plan.ChooseQueryFilter(r.Stats, plan.DefaultWeights(), planPred(o.pred))
+		cfg.UseFilter = plan.ChooseQueryFilter(r.Stats, plan.DefaultWeights(), planPred(o.Pred))
 	}
 	pl.Planned = true
 	pl.UseFilter = cfg.UseFilter

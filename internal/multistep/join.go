@@ -92,13 +92,13 @@ type BatchResult struct {
 
 // joinItem is the resolved execution state of one request.
 type joinItem struct {
-	o   queryOptions
+	o   Resolved
 	cfg Config
 	pl  Plan
 }
 
 // collects reports whether the request wants its response set returned.
-func (it *joinItem) collects() bool { return it.o.emit == nil && !it.o.bufferless }
+func (it *joinItem) collects() bool { return it.o.Stream == nil && !it.o.Bufferless }
 
 // Join runs the multi-step spatial join of r and s under the configured
 // predicate (default Intersects) and returns the response set sorted by
@@ -115,8 +115,8 @@ func (it *joinItem) collects() bool { return it.o.emit == nil && !it.o.bufferles
 // query at a time. With per-query sessions on both sides the join is
 // fully concurrent-safe.
 func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, error) {
-	o := resolve(opts)
-	res, err := runJoins(ctx, r, s, o.axR, o.axS, []queryOptions{o})
+	o := ResolveOptions(opts)
+	res, err := JoinBatch(ctx, r, s, o.AxR, o.AxS, []Resolved{o})
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -129,8 +129,8 @@ func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, e
 // shared accessors axR and axS (nil selects the shared tree buffers,
 // counters reset first, as in Join): because the traversal trace is
 // deterministic and replayed once, every request observes exactly the
-// page accesses of a solo run on the same accessor snapshot. Per-item
-// WithSessions options are overridden by axR/axS.
+// page accesses of a solo run on the same accessor snapshot. The items'
+// own AxR/AxS are ignored.
 //
 // Two or more requests must resolve to the R*-tree step-1 generator,
 // agree on the step-1 ε (the predicate's traversal expansion) and not
@@ -138,33 +138,28 @@ func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, e
 // WithBufferless keep their solo semantics per request — the shared
 // pipeline runs with the largest requested worker count, which is
 // invisible in the statistics. Explain wall time is the batch's, since
-// the work is genuinely shared.
-func JoinBatch(ctx context.Context, r, s *Relation, axR, axS storage.Accessor, items [][]Option) ([]BatchResult, error) {
-	if len(items) > MaxBatchItems {
-		return nil, ErrBatchTooLarge
-	}
-	os := make([]queryOptions, len(items))
-	for i, opts := range items {
-		os[i] = resolve(opts)
-	}
-	return runJoins(ctx, r, s, axR, axS, os)
-}
-
-// runJoins is the prologue and epilogue every join goes through, around
-// the one pipeline: validate and plan each request, execute them
-// together, then feed the planner, fill the explains, and sort and cut
-// each collected response.
-func runJoins(ctx context.Context, r, s *Relation, axR, axS storage.Accessor, os []queryOptions) ([]BatchResult, error) {
+// the work is genuinely shared. Items are resolved option sets
+// (ResolveOptions): a coordinator resolves each request once and passes
+// per-relation-pair copies.
+//
+// It is the prologue and epilogue every join goes through, around the
+// one pipeline: validate and plan each request, execute them together,
+// then feed the planner, fill the explains, and sort and cut each
+// collected response.
+func JoinBatch(ctx context.Context, r, s *Relation, axR, axS storage.Accessor, os []Resolved) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(os) == 0 {
 		return nil, nil
 	}
+	if len(os) > MaxBatchItems {
+		return nil, ErrBatchTooLarge
+	}
 	js := make([]joinItem, len(os))
 	explained := false
 	for i, o := range os {
-		if err := o.pred.validate(); err != nil {
+		if err := o.Pred.Validate(); err != nil {
 			return nil, err
 		}
 		cfg, err := joinConfig(r, s, &o)
@@ -176,20 +171,20 @@ func runJoins(ctx context.Context, r, s *Relation, axR, axS storage.Accessor, os
 		// dimensions pass through unchanged, so explicit options win.
 		var pl Plan
 		switch {
-		case o.planned:
-			cfg, o.workers, pl = planJoin(r, s, cfg, &o)
-		case o.explain != nil:
+		case o.Plan:
+			cfg, o.Workers, pl = planJoin(r, s, cfg, &o)
+		case o.Explain != nil:
 			pl = echoPlan(cfg, &o)
 		}
 		if len(os) > 1 {
-			if o.emit != nil {
+			if o.Stream != nil {
 				return nil, ErrBatchStream
 			}
-			if cfg.Step1 != Step1RStar || o.pred.step1Eps() != os[0].pred.step1Eps() {
+			if cfg.Step1 != Step1RStar || o.Pred.step1Eps() != os[0].Pred.step1Eps() {
 				return nil, ErrBatchMismatch
 			}
 		}
-		explained = explained || o.explain != nil
+		explained = explained || o.Explain != nil
 		js[i] = joinItem{o: o, cfg: cfg, pl: pl}
 	}
 
@@ -206,10 +201,10 @@ func runJoins(ctx context.Context, r, s *Relation, axR, axS storage.Accessor, os
 		var st Stats
 		if err == nil {
 			st = results[i].Stats
-			observeJoin(r, s, it.cfg, it.o.pred, it.pl, st)
+			observeJoin(r, s, it.cfg, it.o.Pred, it.pl, st)
 		}
-		if it.o.explain != nil {
-			fillExplain(it.o.explain, it.pl, st, elapsed, err == nil)
+		if it.o.Explain != nil {
+			fillExplain(it.o.Explain, it.pl, st, elapsed, err == nil)
 		}
 	}
 	if err != nil {
@@ -218,7 +213,7 @@ func runJoins(ctx context.Context, r, s *Relation, axR, axS storage.Accessor, os
 	for i := range js {
 		if js[i].collects() {
 			sortResponse(results[i].Pairs)
-			if limit := js[i].o.limit; limit >= 0 && len(results[i].Pairs) > limit {
+			if limit := js[i].o.Limit; limit >= 0 && len(results[i].Pairs) > limit {
 				results[i].Pairs = results[i].Pairs[:limit]
 			}
 		}
@@ -312,7 +307,7 @@ func joinPipeline(ctx context.Context, r, s *Relation, js []joinItem, axR, axS s
 	// statistics are worker-count independent.
 	n, workers := len(js), 0
 	for i := range js {
-		workers = max(workers, effectiveWorkers(js[i].o.workers))
+		workers = max(workers, effectiveWorkers(js[i].o.Workers))
 	}
 
 	if axR == nil {
@@ -369,7 +364,7 @@ func joinPipeline(ctx context.Context, r, s *Relation, js []joinItem, axR, axS s
 						// Step 2: this request's geometric filter, evaluated
 						// exactly once per (candidate, request).
 						if it.cfg.UseFilter {
-							switch it.o.pred.classify(it.cfg.Filter, oa, ob) {
+							switch it.o.Pred.classify(it.cfg.Filter, oa, ob) {
 							case approx.Hit:
 								wi.hits++
 								out = append(out, itemPair{int32(i), Pair{A: c.a, B: c.b}})
@@ -387,7 +382,7 @@ func joinPipeline(ctx context.Context, r, s *Relation, js []joinItem, axR, axS s
 							fail(ferr)
 							break cands
 						}
-						if it.o.pred.exactDecide(it.cfg, oa, ob, &wi.ops) {
+						if it.o.Pred.exactDecide(it.cfg, oa, ob, &wi.ops) {
 							wi.exactHits++
 							out = append(out, itemPair{int32(i), Pair{A: c.a, B: c.b}})
 						}
@@ -411,7 +406,7 @@ func joinPipeline(ctx context.Context, r, s *Relation, js []joinItem, axR, axS s
 	// The collector serializes counting and emission of the decided pairs.
 	results := make([]BatchResult, n)
 	collecting := slices.ContainsFunc(js, func(it joinItem) bool { return it.collects() })
-	emit := js[0].o.emit // runJoins admits an emitter on a single request only
+	emit := js[0].o.Stream // JoinBatch admits an emitter on a single request only
 	var held []*[]itemPair
 	done := make(chan struct{})
 	go func() {
@@ -438,7 +433,7 @@ func joinPipeline(ctx context.Context, r, s *Relation, js []joinItem, axR, axS s
 	// counters need no locks) and queues it under the mask of the requests
 	// whose pretest admits it. Candidate counting happens here, producer-
 	// side: the counts are pure sums, so the merge is scheduling-independent.
-	eps := js[0].o.pred.step1Eps()
+	eps := js[0].o.Pred.step1Eps()
 	batches := make([]*[]maskedCand, workers)
 	cands := make([]int64, workers*n) // [w*n+i]: worker w's candidates of request i
 	send := func(bp *[]maskedCand) {
@@ -451,7 +446,7 @@ func joinPipeline(ctx context.Context, r, s *Relation, js []joinItem, axR, axS s
 		oa, ob := r.Objects[a], s.Objects[b]
 		var mask uint64
 		for i := range js {
-			if js[i].o.pred.pretest(oa, ob) {
+			if js[i].o.Pred.pretest(oa, ob) {
 				mask |= 1 << uint(i)
 				cands[w*n+i]++
 			}

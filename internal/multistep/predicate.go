@@ -88,7 +88,7 @@ func ParsePredicate(name string, eps float64) (Predicate, error) {
 		return Contains(), nil
 	case "within", "within-distance", "distance", "epsilon":
 		p := WithinDistance(eps)
-		if err := p.validate(); err != nil {
+		if err := p.Validate(); err != nil {
 			return Predicate{}, err
 		}
 		return p, nil
@@ -96,11 +96,12 @@ func ParsePredicate(name string, eps float64) (Predicate, error) {
 	return Predicate{}, fmt.Errorf("multistep: unknown predicate %q", name)
 }
 
-// validate rejects predicates a join cannot evaluate: a distance bound
-// must be a finite, non-negative number. (NaN in particular fails every
-// comparison, so the kernels' d > ε and d² ≤ ε² tests would disagree on
-// it.)
-func (p Predicate) validate() error {
+// Validate rejects predicates no join or query can evaluate: a distance
+// bound must be a finite, non-negative number. (NaN in particular fails
+// every comparison, so the kernels' d > ε and d² ≤ ε² tests would
+// disagree on it.) Join and Query run it; a routing layer runs it before
+// fanning a request out.
+func (p Predicate) Validate() error {
 	if p.kind == predWithin && !(p.eps >= 0 && p.eps <= math.MaxFloat64) {
 		return fmt.Errorf("multistep: distance bound %g is not a finite non-negative number", p.eps)
 	}

@@ -1,9 +1,9 @@
 // Package plan is the cost-based adaptive query planner: the System-R
 // recipe (statistics → selectivity → cheapest access path) applied to the
-// paper's multi-step join processor. The seed's internal/costmodel
-// reproduces section 5's *descriptive* model — it explains a measured
-// run after the fact. This package is the *prescriptive* counterpart:
-// per-relation statistics collected at build time, a histogram-overlap
+// paper's multi-step join processor. model.go reproduces section 5's
+// *descriptive* model — it explains a measured run after the fact, in
+// the paper's constants. The rest of the package is the *prescriptive*
+// counterpart: per-relation statistics collected at build time, a histogram-overlap
 // selectivity estimator for the step 1 candidate count, calibrated cost
 // weights per plan point, and an exhaustive search over the small plan
 // space (exact engine × filter on/off × worker count × emission mode)
@@ -12,8 +12,7 @@
 // The package is a leaf: it imports only internal/geom, so the multistep
 // processor can consult it without an import cycle. All inputs are plain
 // statistics; the bridge from multistep.Relation is on the multistep
-// side (Relation.Stats), and internal/costmodel.CalibratedParams bridges
-// the calibrated weights back into the paper's section 5 units.
+// side (Relation.Stats).
 //
 // Estimates feed back: after every completed join the observed candidate
 // count, filter identification rate and hit rate update per-relation

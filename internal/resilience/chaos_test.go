@@ -41,8 +41,8 @@ func chaosServer(t testing.TB) *httptest.Server {
 	rp := data.GenerateMap(data.MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211})
 	sp := data.StrategyA(rp, 0.45)
 	cat := serve.NewCatalog()
-	cat.AddSharded("R", shard.Build("R", rp, 4, cfg), cfg)
-	cat.AddSharded("S", shard.Build("S", sp, 4, cfg), cfg)
+	cat.Add("R", shard.Build("R", rp, 4, cfg))
+	cat.Add("S", shard.Build("S", sp, 4, cfg))
 	srv := serve.NewServer(cat)
 	// Cache off: every storm request must walk the full pipeline past
 	// the injection sites instead of replaying the baseline pass.

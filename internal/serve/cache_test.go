@@ -75,8 +75,8 @@ func TestCachedShardedJoin(t *testing.T) {
 	rp := data.GenerateMap(data.MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211})
 	sp := data.StrategyA(rp, 0.45)
 	cat := NewCatalog()
-	cat.AddSharded("R", shard.Build("R", rp, 4, cfg), cfg)
-	cat.AddSharded("S", shard.Build("S", sp, 4, cfg), cfg)
+	cat.Add("R", shard.Build("R", rp, 4, cfg))
+	cat.Add("S", shard.Build("S", sp, 4, cfg))
 	h := NewServer(cat).Handler()
 
 	const u = "/join?r=R&s=S&epsilon=0.01&limit=5&plan=off"
@@ -112,8 +112,8 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	rp := data.GenerateMap(data.MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211})
 	sp := data.StrategyA(rp, 0.45)
 	cat := NewCatalog()
-	cat.Add("R", multistep.NewRelation("R", rp, cfg), cfg)
-	cat.Add("S", multistep.NewRelation("S", sp, cfg), cfg)
+	cat.Add("R", shard.FromRelation(multistep.NewRelation("R", rp, cfg)))
+	cat.Add("S", shard.FromRelation(multistep.NewRelation("S", sp, cfg)))
 	h := NewServer(cat).Handler()
 
 	const u = "/join?r=R&s=S&plan=off"
@@ -127,7 +127,7 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	// the fingerprint is unchanged, so only the generation can (and
 	// must) invalidate.
 	rp2 := data.GenerateMap(data.MapConfig{Cells: 60, TargetVerts: 40, Seed: 99})
-	cat.Add("R", multistep.NewRelation("R", rp2, cfg), cfg)
+	cat.Add("R", shard.FromRelation(multistep.NewRelation("R", rp2, cfg)))
 	swapped := getBody(t, h, u, http.StatusOK)
 	if strings.Contains(swapped, `"cached": true`) {
 		t.Fatal("stale response served after the relation was swapped")

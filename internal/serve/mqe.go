@@ -219,11 +219,10 @@ func (s *Server) execQuery(ctx context.Context, p *queryParams) (*queryCanonical
 		opts = append(opts, multistep.WithPredicate(p.pred), multistep.WithExplain(&ex))
 		if p.plan {
 			// WithConfig would pin the filter knob; the planner path runs on
-			// the tiles' build configuration (identical to e.Cfg — the entry
-			// was opened under it) and chooses the filter per tile.
+			// the tiles' build configuration and chooses the filter per tile.
 			opts = append(opts, multistep.WithPlan())
 		} else {
-			opts = append(opts, multistep.WithConfig(p.e.Cfg))
+			opts = append(opts, multistep.WithConfig(p.e.Sh.Cfg))
 		}
 	}
 	if p.partial {
@@ -310,7 +309,7 @@ func (s *Server) execJoinBatch(ctx context.Context, reqs []any) ([]any, error) {
 			// relies on the tiles' build configuration instead.
 			opts = append(opts, multistep.WithPlan())
 		} else {
-			opts = append(opts, multistep.WithConfig(p.eR.Cfg))
+			opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
 		}
 		items[i] = opts
 	}

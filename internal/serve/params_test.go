@@ -8,6 +8,7 @@ import (
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/multistep"
+	"spatialjoin/internal/shard"
 )
 
 // getError issues the request, asserts the status, and asserts the body
@@ -99,8 +100,8 @@ func TestJoinFingerprintConflict(t *testing.T) {
 	other.PageSize = cfg.PageSize * 2
 	polys := data.GenerateMap(data.MapConfig{Cells: 40, TargetVerts: 32, Seed: 7})
 	cat := NewCatalog()
-	cat.Add("R", multistep.NewRelation("R", polys, cfg), cfg)
-	cat.Add("S", multistep.NewRelation("S", polys, other), other)
+	cat.Add("R", shard.FromRelation(multistep.NewRelation("R", polys, cfg)))
+	cat.Add("S", shard.FromRelation(multistep.NewRelation("S", polys, other)))
 	h := NewServer(cat).Handler()
 	e409 := getError(t, h, "/join?r=R&s=S", http.StatusConflict)
 	if len(e409.RFingerprint) != 16 || len(e409.SFingerprint) != 16 || e409.RFingerprint == e409.SFingerprint {

@@ -24,8 +24,8 @@ func shardedCatalog(t testing.TB, tiles int) *Catalog {
 	rp := data.GenerateMap(data.MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211})
 	sp := data.StrategyA(rp, 0.45)
 	cat := NewCatalog()
-	cat.AddSharded("R", shard.Build("R", rp, tiles, cfg), cfg)
-	cat.AddSharded("S", shard.Build("S", sp, tiles, cfg), cfg)
+	cat.Add("R", shard.Build("R", rp, tiles, cfg))
+	cat.Add("S", shard.Build("S", sp, tiles, cfg))
 	return cat
 }
 
@@ -283,7 +283,7 @@ func TestQuarantinedRelation503(t *testing.T) {
 	// Re-registering the name lifts the quarantine.
 	cfg := multistep.DefaultConfig()
 	rp := data.GenerateMap(data.MapConfig{Cells: 40, TargetVerts: 32, Seed: 3})
-	cat.Add("bad", multistep.NewRelation("bad", rp, cfg), cfg)
+	cat.Add("bad", shard.FromRelation(multistep.NewRelation("bad", rp, cfg)))
 	var win windowResponse
 	get(t, h, "/window?rel=bad&minx=0&miny=0&maxx=1&maxy=1", http.StatusOK, &win)
 }

@@ -1,11 +1,11 @@
 // Package serve is the concurrent query-serving layer on top of the
-// multi-step processor: an HTTP service over a catalog of sharded
-// relations, answered by the internal/shard scatter-gather coordinator.
-// Every relation — monolithic or tile-partitioned — is served through
-// the same path: requests fan out to the owning tiles on per-tile
-// storage.Sessions (one opened relation serves any number of
-// simultaneous join, window, point and nearest-neighbour queries) and
-// the merge layer reassembles one paper-faithful response per request.
+// multi-step processor: an HTTP service over a catalog of relations,
+// answered by the internal/shard scatter-gather coordinator. A relation
+// is a tile set, one tile or many: requests fan out to the owning tiles
+// on per-tile storage.Sessions (one opened relation serves any number
+// of simultaneous join, window, point and nearest-neighbour queries)
+// and the merge layer reassembles one paper-faithful response per
+// request.
 //
 // On top of that path sits the multi-query execution layer (DESIGN.md
 // §12): a fingerprint-keyed, byte-bounded result cache, single-flight
@@ -16,9 +16,8 @@
 //
 // The intended deployment is "build once, serve many": preprocess
 // relations offline (cmd/datagen -store, optionally -shards N), open
-// the persisted stores at startup (multistep.OpenRelationFile or
-// shard.Open), and serve queries from the immutable in-memory tiles.
-// cmd/spatialjoinserve is the binary.
+// the persisted stores at startup (shard.Open), and serve queries from
+// the immutable in-memory tiles. cmd/spatialjoinserve is the binary.
 package serve
 
 import (
@@ -44,13 +43,12 @@ import (
 	"spatialjoin/internal/shard"
 )
 
-// Entry is one served relation — a sharded facade (possibly a single
-// tile) with the configuration it was built under. Queries against the
-// entry use exactly this configuration; joining two entries requires
-// equal preprocessing fingerprints.
+// Entry is one served relation — a tile set (possibly a single tile).
+// Queries against the entry use the configuration it was built under,
+// Sh.Cfg; joining two entries requires equal preprocessing
+// fingerprints.
 type Entry struct {
-	Sh  *shard.Sharded
-	Cfg multistep.Config
+	Sh *shard.Sharded
 	// Gen is the catalog generation of this entry: a counter bumped on
 	// every registration. Cache keys include it, so re-registering a
 	// name (a data swap) invalidates every cached response involving
@@ -80,22 +78,15 @@ func NewCatalog() *Catalog {
 	return &Catalog{rels: make(map[string]*Entry), quarantined: make(map[string]string)}
 }
 
-// Add registers a monolithic relation under a name, replacing any
-// previous entry. The relation is wrapped as a single-tile shard so it
-// serves through the same scatter-gather path as partitioned stores.
-func (c *Catalog) Add(name string, rel *multistep.Relation, cfg multistep.Config) {
-	c.AddSharded(name, shard.FromRelation(rel), cfg)
-}
-
-// AddSharded registers a sharded relation under a name, replacing any
-// previous entry. Replacement is how serving-layer caches invalidate:
-// the new entry carries a fresh generation, so no stale response can be
-// served for the name.
-func (c *Catalog) AddSharded(name string, sh *shard.Sharded, cfg multistep.Config) {
+// Add registers a relation under a name, replacing any previous entry.
+// Replacement is how serving-layer caches invalidate: the new entry
+// carries a fresh generation, so no stale response can be served for
+// the name.
+func (c *Catalog) Add(name string, sh *shard.Sharded) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen++
-	c.rels[name] = &Entry{Sh: sh, Cfg: cfg, Gen: c.gen}
+	c.rels[name] = &Entry{Sh: sh, Gen: c.gen}
 	delete(c.quarantined, name)
 }
 
@@ -132,44 +123,20 @@ func (c *Catalog) QuarantinedAll() map[string]string {
 	return out
 }
 
-// LoadPath opens a persisted store at path — a sharded store directory
-// or a single-relation store file — and registers it under name. On
-// failure the name is quarantined instead of registered, and the error
-// is returned so the caller can log it: a server loading several
-// relations keeps serving the healthy ones while the quarantined name
-// answers 503 with the reason.
-func (c *Catalog) LoadPath(name, path string, cfg multistep.Config) error {
-	var err error
-	if shard.IsStoreDir(path) {
-		err = c.LoadDir(name, path, cfg)
-	} else {
-		err = c.LoadFile(name, path, cfg)
-	}
+// LoadDir opens a persisted store under cfg — a store directory or a
+// legacy single-file relation store (shard.Open) — and registers it
+// under name. On failure the name is quarantined instead of registered,
+// and the error is returned so the caller can log it: a server loading
+// several relations keeps serving the healthy ones while the quarantined
+// name answers 503 with the reason.
+func (c *Catalog) LoadDir(name, path string, cfg multistep.Config) error {
+	sh, err := shard.Open(path, cfg)
 	if err != nil {
+		err = fmt.Errorf("serve: open %s: %w", path, err)
 		c.Quarantine(name, err.Error())
+		return err
 	}
-	return err
-}
-
-// LoadFile opens a persisted relation store (multistep.SaveRelationFile
-// layout) and registers it under the given name.
-func (c *Catalog) LoadFile(name, path string, cfg multistep.Config) error {
-	rel, err := multistep.OpenRelationFile(path, cfg)
-	if err != nil {
-		return fmt.Errorf("serve: open %s: %w", path, err)
-	}
-	c.Add(name, rel, cfg)
-	return nil
-}
-
-// LoadDir opens a sharded store directory (shard.Save layout) and
-// registers it under the given name.
-func (c *Catalog) LoadDir(name, dir string, cfg multistep.Config) error {
-	sh, err := shard.Open(dir, cfg)
-	if err != nil {
-		return fmt.Errorf("serve: open %s: %w", dir, err)
-	}
-	c.AddSharded(name, sh, cfg)
+	c.Add(name, sh)
 	return nil
 }
 
@@ -518,7 +485,7 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 			MBR:         e.Sh.MBR(),
 			Fingerprint: fingerprintString(e.Sh.Fingerprint()),
 			Shards:      e.Sh.Shards(),
-			Engine:      e.Cfg.Engine.String(),
+			Engine:      e.Sh.Cfg.Engine.String(),
 		}
 		for _, t := range e.Sh.Tiles {
 			if h := t.Rel.Tree.Height(); h > info.Height {
@@ -784,7 +751,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, t *endpoi
 	if p.plan {
 		opts = append(opts, multistep.WithPlan())
 	} else {
-		opts = append(opts, multistep.WithConfig(p.eR.Cfg))
+		opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
 	}
 	res, err := shard.Explain(r.Context(), p.eR.Sh, p.eS.Sh, run, opts...)
 	if !s.finishQuery(w, r, t, err) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -28,8 +29,8 @@ func testCatalog(t testing.TB) (*Catalog, multistep.Config) {
 	rp := data.GenerateMap(data.MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211})
 	sp := data.StrategyA(rp, 0.45)
 	cat := NewCatalog()
-	cat.Add("R", multistep.NewRelation("R", rp, cfg), cfg)
-	cat.Add("S", multistep.NewRelation("S", sp, cfg), cfg)
+	cat.Add("R", shard.FromRelation(multistep.NewRelation("R", rp, cfg)))
+	cat.Add("S", shard.FromRelation(multistep.NewRelation("S", sp, cfg)))
 	return cat, cfg
 }
 
@@ -143,7 +144,7 @@ func TestEndpointErrors(t *testing.T) {
 	other := cfg
 	other.PageSize = 2048
 	rp := data.GenerateMap(data.MapConfig{Cells: 20, TargetVerts: 24, Seed: 7})
-	cat.Add("T", multistep.NewRelation("T", rp, other), other)
+	cat.Add("T", shard.FromRelation(multistep.NewRelation("T", rp, other)))
 	h := NewServer(cat).Handler()
 
 	get(t, h, "/window?rel=missing&minx=0&miny=0&maxx=1&maxy=1", http.StatusNotFound, nil)
@@ -206,6 +207,10 @@ func TestNonFiniteParametersRejected(t *testing.T) {
 	get(t, h, "/point?rel=R&x=1e300&y=-1e300", http.StatusOK, nil)
 }
 
+// TestCatalogLoadFile: a legacy single-file SJRL store (what cmd/datagen
+// -store wrote before every store became a directory) opens through the
+// one open path as a one-tile relation with the file's object IDs; a
+// truncated or missing file is an error and quarantines the name.
 func TestCatalogLoadFile(t *testing.T) {
 	cfg := multistep.DefaultConfig()
 	rp := data.GenerateMap(data.MapConfig{Cells: 30, TargetVerts: 32, Seed: 77})
@@ -215,15 +220,37 @@ func TestCatalogLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := NewCatalog()
-	if err := cat.LoadFile("stored", path, cfg); err != nil {
+	if err := cat.LoadDir("stored", path, cfg); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := cat.Get("stored")
-	if !ok || e.Sh.Objects() != len(rel.Objects) {
-		t.Fatal("loaded relation missing or truncated")
+	if !ok || e.Sh.Shards() != 1 || e.Sh.Objects() != len(rel.Objects) {
+		t.Fatal("loaded relation missing, truncated or not one tile")
 	}
-	if err := cat.LoadFile("bad", filepath.Join(t.TempDir(), "absent.store"), cfg); err == nil {
-		t.Fatal("loading a missing file must fail")
+	want, _, err := multistep.Join(context.Background(), rel, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := shard.Join(context.Background(), e.Sh, e.Sh)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("self-join of the reopened file: %d pairs, err %v; want %d pairs", len(got), err, len(want))
+	}
+
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.store")
+	if err := os.WriteFile(cut, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]string{"cut": cut, "absent": filepath.Join(t.TempDir(), "absent.store")} {
+		if err := cat.LoadDir(name, p, cfg); err == nil {
+			t.Fatalf("loading the %s file must fail", name)
+		}
+		if _, q := cat.Quarantined(name); !q {
+			t.Errorf("%s file: name not quarantined", name)
+		}
 	}
 }
 
@@ -439,7 +466,7 @@ func ExampleServer() {
 	cat := NewCatalog()
 	cfg := multistep.DefaultConfig()
 	rp := data.GenerateMap(data.MapConfig{Cells: 12, TargetVerts: 16, Seed: 3})
-	cat.Add("demo", multistep.NewRelation("demo", rp, cfg), cfg)
+	cat.Add("demo", shard.Build("demo", rp, 1, cfg))
 	h := NewServer(cat).Handler()
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	rec := httptest.NewRecorder()
@@ -527,8 +554,8 @@ func TestCancelledRequestReleasesWorkers(t *testing.T) {
 	rp := data.GenerateMap(data.MapConfig{Cells: 600, TargetVerts: 56, HoleFraction: 0.1, Seed: 613})
 	sp := data.StrategyA(rp, 0.45)
 	cat := NewCatalog()
-	cat.Add("R", multistep.NewRelation("R", rp, cfg), cfg)
-	cat.Add("S", multistep.NewRelation("S", sp, cfg), cfg)
+	cat.Add("R", shard.FromRelation(multistep.NewRelation("R", rp, cfg)))
+	cat.Add("S", shard.FromRelation(multistep.NewRelation("S", sp, cfg)))
 	srv := httptest.NewServer(NewServer(cat).Handler())
 	defer srv.Close()
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"spatialjoin/internal/multistep"
 )
@@ -118,9 +119,7 @@ func Explain(ctx context.Context, r, s *Sharded, run bool, opts ...multistep.Opt
 
 	if run {
 		var agg multistep.Explain
-		runOpts := make([]multistep.Option, 0, len(opts)+2)
-		runOpts = append(runOpts, opts...)
-		runOpts = append(runOpts, multistep.WithBufferless(), multistep.WithExplain(&agg))
+		runOpts := slices.Concat(opts, []multistep.Option{multistep.WithBufferless(), multistep.WithExplain(&agg)})
 		_, st, err := Join(ctx, r, s, runOpts...)
 		if err != nil {
 			return ExplainResult{}, err
@@ -141,7 +140,7 @@ func Explain(ctx context.Context, r, s *Sharded, run bool, opts ...multistep.Opt
 		if err := ctx.Err(); err != nil {
 			return ExplainResult{}, err
 		}
-		ex, err := multistep.ExplainJoin(r.Tiles[e.ri].Rel, s.Tiles[e.si].Rel, opts...)
+		ex, err := multistep.ExplainJoin(r.Tiles[e.ri].Rel, s.Tiles[e.si].Rel, res)
 		if err != nil {
 			return ExplainResult{}, err
 		}

@@ -214,28 +214,29 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 				if ferr := fault.Check("tile-join"); ferr != nil {
 					return ferr
 				}
-				// A fresh option slice per (sub-join, request): appending to
-				// the caller's would race on its backing array.
-				subItems := make([][]multistep.Option, len(todo))
+				// Each request's resolved options, copied per sub-join: the
+				// limit lifted to the merge layer, and the fields a sub-join
+				// must own replaced.
+				subItems := make([]multistep.Resolved, len(todo))
 				for n, i := range todo {
-					sub := make([]multistep.Option, 0, len(items[i])+3)
-					sub = append(sub, items[i]...)
-					sub = append(sub, multistep.WithLimit(-1))
+					sub := ress[i]
+					sub.Limit = -1
 					// Each sub-join gets its own Explain: the caller's
 					// capture target must not be written by N goroutines,
 					// and per-tile-pair plans are the point. The caching
 					// path always captures it (see QueryCached), so a later
 					// request that wants the plan can be served from cache.
+					sub.Explain = nil
 					if ress[i].Explain != nil || cacheable(i) {
 						tileRes[i].Explain = new(multistep.Explain)
-						sub = append(sub, multistep.WithExplain(tileRes[i].Explain))
+						sub.Explain = tileRes[i].Explain
 					}
 					if emit := ress[i].Stream; emit != nil {
-						sub = append(sub, multistep.WithStream(func(p multistep.Pair) {
+						sub.Stream = func(p multistep.Pair) {
 							mu.Lock()
 							defer mu.Unlock()
 							emit(multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
-						}))
+						}
 					}
 					subItems[n] = sub
 				}

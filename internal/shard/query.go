@@ -166,28 +166,26 @@ func QueryCached(ctx context.Context, r *Sharded, tc QueryTileCache, opts ...mul
 						return nil
 					}
 				}
+				// The resolved options, copied for this tile: its own session,
+				// the limit lifted to the merge layer, and its own Explain —
+				// the caller's capture target must not be written by N
+				// goroutines. The caching path always captures one, so a
+				// cached sub-result can serve a later request that wants the
+				// plan echo.
 				sess := t.Rel.NewSession()
-				sub := make([]multistep.Option, 0, len(opts)+3)
-				sub = append(sub, opts...)
-				sub = append(sub, multistep.WithSession(sess), multistep.WithLimit(-1))
-				// Each routed tile gets its own Explain: the caller's capture
-				// target must not be written by N goroutines — appending a
-				// fresh WithExplain overrides the one inside opts. The caching
-				// path always captures one, so a cached sub-result can serve a
-				// later request that wants the plan echo.
-				var subEx *multistep.Explain
+				sub := res
+				sub.AxR, sub.Limit, sub.Explain = sess, -1, nil
 				if res.Explain != nil || tc != nil {
-					subEx = new(multistep.Explain)
-					sub = append(sub, multistep.WithExplain(subEx))
+					sub.Explain = new(multistep.Explain)
 				}
-				qr, qerr := multistep.Query(ctx, t.Rel, sub...)
+				qr, qerr := multistep.RunQuery(ctx, t.Rel, sub)
 				if qerr != nil {
 					return qerr
 				}
 				if serr := sess.Err(); serr != nil {
 					return serr
 				}
-				tr := QueryTileResult{IDs: qr.IDs, Neighbors: qr.Neighbors, Stats: qr.Stats, PageTouches: sess.Accesses(), Explain: subEx}
+				tr := QueryTileResult{IDs: qr.IDs, Neighbors: qr.Neighbors, Stats: qr.Stats, PageTouches: sess.Accesses(), Explain: sub.Explain}
 				if tc != nil {
 					tc.PutQueryTile(key, tr)
 				}

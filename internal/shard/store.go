@@ -57,17 +57,6 @@ func tilePath(dir string, t int) string {
 	return filepath.Join(dir, fmt.Sprintf("tile-%04d.sjrl", t))
 }
 
-// IsStoreDir reports whether path is a sharded store directory — a
-// directory holding a manifest file.
-func IsStoreDir(path string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		return false
-	}
-	_, err = os.Stat(filepath.Join(path, ManifestName))
-	return err == nil
-}
-
 // Save writes sh as a sharded store directory, creating dir if needed.
 // It is a loop over StoreWriter; incremental builders that never hold
 // the whole relation drive the writer directly.
@@ -84,14 +73,32 @@ func Save(dir string, sh *Sharded) error {
 	return w.Finish()
 }
 
-// Open reopens a sharded store directory under cfg. The manifest's
-// fingerprint must match cfg (multistep.ErrConfigMismatch otherwise),
-// every tile file must itself open under cfg — a tile built under a
-// different configuration fails its own fingerprint check — and the
-// manifest's counts, MBRs and ID mapping must agree with the tiles: the
-// global IDs must be a bijection onto 0..objects-1 and each tile MBR
-// must equal the union of the reopened tile's object MBRs bit for bit.
-func Open(dir string, cfg multistep.Config) (*Sharded, error) {
+// Open reopens a persisted relation under cfg — the one open path. path
+// is a store directory or a legacy single-file SJRL relation store
+// (multistep.SaveRelationFile layout, what cmd/datagen -store wrote
+// before every store became a directory), which opens as a one-tile
+// relation through FromRelation.
+//
+// For a directory the manifest's fingerprint must match cfg
+// (multistep.ErrConfigMismatch otherwise), every tile file must itself
+// open under cfg — a tile built under a different configuration fails
+// its own fingerprint check — and the manifest's counts, MBRs and ID
+// mapping must agree with the tiles: the global IDs must be a bijection
+// onto 0..objects-1 and each tile MBR must equal the union of the
+// reopened tile's object MBRs bit for bit.
+func Open(path string, cfg multistep.Config) (*Sharded, error) {
+	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
+		rel, err := multistep.OpenRelationFile(path, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("shard: store file %q: %w", path, err)
+		}
+		return FromRelation(rel), nil
+	}
+	return openDir(path, cfg)
+}
+
+// openDir opens a store directory: the manifest plus one tile file each.
+func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err

@@ -31,11 +31,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := Save(sDir, shS); err != nil {
 		t.Fatal(err)
 	}
-	if !IsStoreDir(rDir) {
-		t.Error("IsStoreDir must recognize a saved store")
-	}
-	if IsStoreDir(dir) {
-		t.Error("IsStoreDir must reject a directory without a manifest")
+	if _, err := Open(dir, cfg); err == nil {
+		t.Error("Open must reject a directory without a manifest")
 	}
 
 	gotR, err := Open(rDir, cfg)

@@ -1,220 +1,215 @@
 package spatialjoin_test
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spatialjoin"
+	"spatialjoin/internal/multistep"
+	"spatialjoin/internal/shard"
 )
 
-// TestPublicAPI exercises the facade end to end: generation, intersection
-// join, parallel join, inclusion join, window and point queries.
+// TestPublicAPI drives the facade end to end as one table over tile
+// count × predicate: every join equals a brute-force oracle, the
+// candidate/filter/exact counters do not depend on the tile count,
+// queries return ascending global IDs equal to a linear scan, and a
+// saved and reopened relation answers with equal pairs and statistics.
 func TestPublicAPI(t *testing.T) {
 	base := spatialjoin.GenerateMap(spatialjoin.MapConfig{Cells: 60, TargetVerts: 40, Seed: 99})
 	shifted := spatialjoin.ShiftedCopy(base, 0.45)
 	cfg := spatialjoin.DefaultConfig()
-
-	r := spatialjoin.NewRelation("R", base, cfg)
-	s := spatialjoin.NewRelation("S", shifted, cfg)
-
+	cfg.BufferBytes = 8192 // small buffer: the page accounting is non-trivial
 	ctx := context.Background()
-	pairs, st, err := spatialjoin.Join(ctx, r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) == 0 || st.CandidatePairs == 0 {
-		t.Fatal("join produced nothing")
-	}
-	par, _, err := spatialjoin.Join(ctx, r, s, spatialjoin.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(pairs) {
-		t.Fatalf("parallel join %d pairs, sequential %d", len(par), len(pairs))
-	}
 
-	cont, _, err := spatialjoin.Join(ctx, r, r, spatialjoin.WithPredicate(spatialjoin.Contains()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	selfCount := 0
-	for _, p := range cont {
-		if p.A == p.B {
-			selfCount++
+	const eps = 0.02
+	var within []spatialjoin.Pair
+	for i, a := range base {
+		for j, b := range shifted {
+			if a.DistToPolygon(b) <= eps {
+				within = append(within, spatialjoin.Pair{A: int32(i), B: int32(j)})
+			}
 		}
 	}
-	if selfCount != len(base) {
-		t.Errorf("inclusion join self pairs = %d, want %d", selfCount, len(base))
+	// Strategy-A copies rarely contain each other, so the inclusion join
+	// is the self-join (its diagonal is the response).
+	preds := []struct {
+		name string
+		pred spatialjoin.Predicate
+		s    []*spatialjoin.Polygon
+		want []spatialjoin.Pair
+	}{
+		{"intersects", spatialjoin.Intersects(), shifted, multistep.NestedLoopsJoin(base, shifted)},
+		{"contains", spatialjoin.Contains(), base, multistep.NestedLoopsContains(base, base)},
+		{"within", spatialjoin.WithinDistance(eps), shifted, within},
+	}
+	win := spatialjoin.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6}
+	pt := spatialjoin.Point{X: 0.5, Y: 0.5}
+	scan := func(keep func(p *spatialjoin.Polygon) bool) []int32 {
+		var ids []int32
+		for i, p := range base {
+			if keep(p) {
+				ids = append(ids, int32(i))
+			}
+		}
+		return ids
+	}
+	queries := []struct {
+		name string
+		opts []spatialjoin.Option
+		want []int32
+	}{
+		{"window", []spatialjoin.Option{spatialjoin.ForWindow(win)},
+			scan(func(p *spatialjoin.Polygon) bool { return p.DistToRect(win) == 0 })},
+		{"point", []spatialjoin.Option{spatialjoin.ForPoint(pt)},
+			scan(func(p *spatialjoin.Polygon) bool { return p.ContainsPoint(pt) })},
+		{"range", []spatialjoin.Option{spatialjoin.ForWindow(win), spatialjoin.WithPredicate(spatialjoin.WithinDistance(eps))},
+			scan(func(p *spatialjoin.Polygon) bool { return p.DistToRect(win) <= eps })},
+	}
+	nearest := make([]spatialjoin.Neighbor, len(base))
+	for i, p := range base {
+		nearest[i] = spatialjoin.Neighbor{ID: int32(i), Dist: p.DistToPoint(pt)}
+	}
+	slices.SortFunc(nearest, func(a, b spatialjoin.Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
+
+	type counters [5]int64
+	counts := map[string]counters{} // per predicate, from the first tile count
+	for _, tiles := range []int{1, 3} {
+		r := spatialjoin.NewRelation("R", base, tiles, cfg)
+		if r.Shards() != tiles || r.Objects() != len(base) {
+			t.Fatalf("NewRelation(tiles=%d): %d tiles, %d objects", tiles, r.Shards(), r.Objects())
+		}
+		dir := filepath.Join(t.TempDir(), "r.store")
+		if err := spatialjoin.SaveRelation(dir, r); err != nil {
+			t.Fatalf("SaveRelation: %v", err)
+		}
+		reopened, err := spatialjoin.OpenRelation(dir, cfg)
+		if err != nil {
+			t.Fatalf("OpenRelation: %v", err)
+		}
+
+		for _, pc := range preds {
+			t.Run(fmt.Sprintf("tiles=%d/%s", tiles, pc.name), func(t *testing.T) {
+				s := spatialjoin.NewRelation("S", pc.s, tiles, cfg)
+				pairs, st, err := spatialjoin.Join(ctx, r, s, spatialjoin.WithPredicate(pc.pred))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(pc.want) == 0 || !reflect.DeepEqual(pairs, pc.want) {
+					t.Fatalf("Join returned %d pairs, the oracle %d", len(pairs), len(pc.want))
+				}
+				got := counters{st.CandidatePairs, st.FilterHits, st.FilterFalseHits, st.ExactTested, st.ExactHits}
+				if want, ok := counts[pc.name]; !ok {
+					counts[pc.name] = got
+				} else if got != want {
+					t.Errorf("step counters %v differ from the one-tile run's %v", got, want)
+				}
+				par, parSt, err := spatialjoin.Join(ctx, r, s, spatialjoin.WithPredicate(pc.pred), spatialjoin.WithWorkers(4))
+				if err != nil || !reflect.DeepEqual(par, pairs) || !reflect.DeepEqual(parSt, st) {
+					t.Errorf("4-worker join diverged (err %v)", err)
+				}
+				rePairs, reSt, err := spatialjoin.Join(ctx, reopened, s, spatialjoin.WithPredicate(pc.pred))
+				if err != nil || !reflect.DeepEqual(rePairs, pairs) || !reflect.DeepEqual(reSt, st) {
+					t.Errorf("reopened relation diverged (err %v):\n got %+v\nwant %+v", err, reSt.Stats, st.Stats)
+				}
+			})
+		}
+
+		for _, q := range queries {
+			res, err := spatialjoin.Query(ctx, r, q.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(q.want) == 0 || !slices.Equal(res.IDs, q.want) {
+				t.Errorf("tiles=%d %s query: ids %v, linear scan %v", tiles, q.name, res.IDs, q.want)
+			}
+			if re, err := spatialjoin.Query(ctx, reopened, q.opts...); err != nil || !reflect.DeepEqual(re, res) {
+				t.Errorf("tiles=%d %s query on the reopened relation diverged (err %v)", tiles, q.name, err)
+			}
+		}
+		nn, err := spatialjoin.Query(ctx, r, spatialjoin.ForNearest(pt, 4))
+		if err != nil || !slices.Equal(nn.Neighbors, nearest[:4]) {
+			t.Errorf("tiles=%d nearest: %v (err %v), want %v", tiles, nn.Neighbors, err, nearest[:4])
+		}
+
+		// A batch shares each tile pair's traversal; every member equals
+		// its solo run. EXPLAIN plans the same sub-joins without running.
+		s := spatialjoin.NewRelation("S", shifted, tiles, cfg)
+		items := [][]spatialjoin.Option{
+			{spatialjoin.WithPredicate(spatialjoin.Intersects())},
+			{spatialjoin.WithPredicate(spatialjoin.WithinDistance(0)), spatialjoin.WithLimit(5)},
+		}
+		outs, err := spatialjoin.JoinBatch(ctx, r, s, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(outs[0].Pairs, preds[0].want) || !reflect.DeepEqual(outs[1].Pairs, preds[0].want[:5]) {
+			t.Errorf("tiles=%d: batched joins differ from their solo response sets", tiles)
+		}
+		ex, err := spatialjoin.ExplainJoin(ctx, r, s, false, spatialjoin.WithPlan())
+		if err != nil || ex.SubJoins != outs[0].Stats.SubJoins || len(ex.PerTile) != ex.SubJoins || ex.Explain.Executed {
+			t.Errorf("tiles=%d: ExplainJoin = %d sub-joins, %d plans, err %v; the join ran %d", tiles, ex.SubJoins, len(ex.PerTile), err, outs[0].Stats.SubJoins)
+		}
+
+		// The store refuses a different configuration and a damaged manifest.
+		other := cfg
+		other.BufferPolicy = spatialjoin.PolicyClock
+		if _, err := spatialjoin.OpenRelation(dir, other); !errors.Is(err, spatialjoin.ErrConfigMismatch) {
+			t.Errorf("tiles=%d: config mismatch not rejected: %v", tiles, err)
+		}
+		manifest := filepath.Join(dir, shard.ManifestName)
+		blob, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifest, blob[:len(blob)-3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := spatialjoin.OpenRelation(dir, cfg); !errors.Is(err, spatialjoin.ErrBadShardManifest) {
+			t.Errorf("tiles=%d: damaged manifest not rejected: %v", tiles, err)
+		}
 	}
 
-	win, err := spatialjoin.Query(ctx, r, spatialjoin.ForWindow(spatialjoin.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6}))
-	if err != nil {
-		t.Fatal(err)
+	// Engine and approximation-kind constants are wired: another
+	// configuration computes the same response set.
+	alt := cfg
+	alt.Engine = spatialjoin.EnginePlaneSweep
+	alt.Filter.Conservative = spatialjoin.RMBR
+	alt.Filter.Progressive = spatialjoin.MEC
+	alt.MECPrecision = 5e-3
+	pairs, _, err := spatialjoin.Join(ctx, spatialjoin.NewRelation("R", base, 1, alt), spatialjoin.NewRelation("S", shifted, 1, alt))
+	if err != nil || !reflect.DeepEqual(pairs, preds[0].want) {
+		t.Errorf("alternative configuration changed the response set (err %v)", err)
 	}
-	if len(win.IDs) == 0 || win.Stats.Candidates == 0 {
-		t.Error("window query found nothing in the map center")
-	}
-	ptRes, err := spatialjoin.Query(ctx, r, spatialjoin.ForPoint(spatialjoin.Point{X: 0.5, Y: 0.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ptRes.IDs) > 2 {
-		t.Errorf("point query in a tiling found %d covering objects", len(ptRes.IDs))
-	}
-
-	// The within-distance predicate supersets the intersection join and
-	// degenerates to it at ε = 0.
-	atZero, _, err := spatialjoin.Join(ctx, r, s,
-		spatialjoin.WithPredicate(spatialjoin.WithinDistance(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(atZero) != len(pairs) {
-		t.Errorf("WithinDistance(0) returned %d pairs, Intersects %d", len(atZero), len(pairs))
-	}
-	near, _, err := spatialjoin.Join(ctx, r, s,
-		spatialjoin.WithPredicate(spatialjoin.WithinDistance(0.02)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(near) < len(pairs) {
-		t.Errorf("ε-join returned fewer pairs (%d) than the intersection join (%d)", len(near), len(pairs))
-	}
-
-	randomized := spatialjoin.RandomizedCopy(base, 7)
-	if len(randomized) != len(base) {
+	if len(spatialjoin.RandomizedCopy(base, 7)) != len(base) {
 		t.Error("randomized copy changed cardinality")
 	}
-
-	poly := spatialjoin.NewPolygon([]spatialjoin.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}})
-	if poly.Area() <= 0 {
+	if spatialjoin.NewPolygon([]spatialjoin.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}}).Area() <= 0 {
 		t.Error("NewPolygon broken")
-	}
-
-	// Persist & reopen: the store round trip through the facade.
-	var buf bytes.Buffer
-	if err := spatialjoin.SaveRelation(&buf, r, cfg); err != nil {
-		t.Fatalf("SaveRelation: %v", err)
-	}
-	reopened, err := spatialjoin.OpenRelation(bytes.NewReader(buf.Bytes()), cfg)
-	if err != nil {
-		t.Fatalf("OpenRelation: %v", err)
-	}
-	rePairs, _, err := spatialjoin.Join(ctx, reopened, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rePairs) != len(pairs) {
-		t.Fatalf("reopened relation joined %d pairs, want %d", len(rePairs), len(pairs))
-	}
-	otherCfg := cfg
-	otherCfg.BufferPolicy = spatialjoin.PolicyClock
-	if _, err := spatialjoin.OpenRelation(bytes.NewReader(buf.Bytes()), otherCfg); !errors.Is(err, spatialjoin.ErrConfigMismatch) {
-		t.Errorf("config mismatch not rejected: %v", err)
-	}
-	storePath := filepath.Join(t.TempDir(), "r.store")
-	if err := spatialjoin.SaveRelationFile(storePath, r, cfg); err != nil {
-		t.Fatalf("SaveRelationFile: %v", err)
-	}
-	fromFile, err := spatialjoin.OpenRelationFile(storePath, cfg)
-	if err != nil {
-		t.Fatalf("OpenRelationFile: %v", err)
-	}
-	filePairs, _, err := spatialjoin.Join(ctx, fromFile, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filePairs) != len(pairs) {
-		t.Fatalf("file-store relation joined %d pairs, want %d", len(filePairs), len(pairs))
-	}
-
-	// Sharded facade: build, join, query, persist, reopen — the sharded
-	// response sets match the unsharded ones (the scatter-gather
-	// equivalence itself is proven exhaustively in internal/shard).
-	shR := spatialjoin.BuildSharded("R", base, 4, cfg)
-	shS := spatialjoin.BuildSharded("S", shifted, 4, cfg)
-	if shR.Shards() != 4 || shR.Objects() != len(base) {
-		t.Fatalf("BuildSharded: %d shards, %d objects", shR.Shards(), shR.Objects())
-	}
-	shPairs, shSt, err := spatialjoin.JoinSharded(ctx, shR, shS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shPairs) != len(pairs) {
-		t.Fatalf("sharded join %d pairs, unsharded %d", len(shPairs), len(pairs))
-	}
-	if shSt.CandidatePairs != st.CandidatePairs || shSt.ExactHits != st.ExactHits {
-		t.Errorf("sharded stats diverge: candidates %d vs %d, exact hits %d vs %d",
-			shSt.CandidatePairs, st.CandidatePairs, shSt.ExactHits, st.ExactHits)
-	}
-	shWin, err := spatialjoin.QuerySharded(ctx, shR,
-		spatialjoin.ForWindow(spatialjoin.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shWin.IDs) != len(win.IDs) {
-		t.Errorf("sharded window query %d objects, unsharded %d", len(shWin.IDs), len(win.IDs))
-	}
-	wrapped := spatialjoin.ShardedFromRelation(r)
-	if wrapped.Shards() != 1 || wrapped.Objects() != len(base) {
-		t.Errorf("ShardedFromRelation: %d shards, %d objects", wrapped.Shards(), wrapped.Objects())
-	}
-	storeDir := filepath.Join(t.TempDir(), "r.shards")
-	if err := spatialjoin.SaveShardedStore(storeDir, shR); err != nil {
-		t.Fatalf("SaveShardedStore: %v", err)
-	}
-	if !spatialjoin.IsShardedStore(storeDir) || spatialjoin.IsShardedStore(storePath) {
-		t.Error("IsShardedStore misclassifies")
-	}
-	reShR, err := spatialjoin.OpenShardedStore(storeDir, cfg)
-	if err != nil {
-		t.Fatalf("OpenShardedStore: %v", err)
-	}
-	rePairsSh, _, err := spatialjoin.JoinSharded(ctx, reShR, shS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rePairsSh) != len(pairs) {
-		t.Fatalf("reopened sharded store joined %d pairs, want %d", len(rePairsSh), len(pairs))
-	}
-	if _, err := spatialjoin.OpenShardedStore(storeDir, otherCfg); !errors.Is(err, spatialjoin.ErrConfigMismatch) {
-		t.Errorf("sharded config mismatch not rejected: %v", err)
-	}
-
-	// Engine and kind constants are wired.
-	altCfg := cfg
-	altCfg.Engine = spatialjoin.EnginePlaneSweep
-	altCfg.Filter.Conservative = spatialjoin.RMBR
-	altCfg.Filter.Progressive = spatialjoin.MEC
-	altCfg.MECPrecision = 5e-3
-	r2 := spatialjoin.NewRelation("R", base, altCfg)
-	s2 := spatialjoin.NewRelation("S", shifted, altCfg)
-	alt, _, err := spatialjoin.Join(ctx, r2, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(alt) != len(pairs) {
-		t.Fatalf("alternative configuration changed the response set: %d vs %d", len(alt), len(pairs))
 	}
 }
 
-// TestUnifiedAPIErrors pins the error surface of the new entry points.
+// TestUnifiedAPIErrors pins the error surface of the entry points.
 func TestUnifiedAPIErrors(t *testing.T) {
 	base := spatialjoin.GenerateMap(spatialjoin.MapConfig{Cells: 20, TargetVerts: 24, Seed: 5})
 	cfgA := spatialjoin.DefaultConfig()
 	cfgB := spatialjoin.DefaultConfig()
 	cfgB.Engine = spatialjoin.EnginePlaneSweep
-	r := spatialjoin.NewRelation("R", base, cfgA)
-	s := spatialjoin.NewRelation("S", base, cfgB)
+	r := spatialjoin.NewRelation("R", base, 1, cfgA)
+	s := spatialjoin.NewRelation("S", base, 3, cfgB)
 	ctx := context.Background()
 
 	// Mismatched build configurations are rejected without an override…
-	if _, _, err := spatialjoin.Join(ctx, r, s); err == nil {
-		t.Error("mismatched build configs not rejected")
+	if _, _, err := spatialjoin.Join(ctx, r, s); !errors.Is(err, spatialjoin.ErrConfigMismatch) {
+		t.Errorf("mismatched build configs not rejected: %v", err)
 	}
 	// …and accepted with one.
 	if _, _, err := spatialjoin.Join(ctx, r, s, spatialjoin.WithConfig(cfgA)); err != nil {
@@ -224,6 +219,12 @@ func TestUnifiedAPIErrors(t *testing.T) {
 	if _, _, err := spatialjoin.Join(ctx, r, r,
 		spatialjoin.WithPredicate(spatialjoin.WithinDistance(-1))); err == nil {
 		t.Error("negative epsilon not rejected")
+	}
+	// Batched requests must share the step-1 ε.
+	if _, err := spatialjoin.JoinBatch(ctx, r, r, [][]spatialjoin.Option{
+		{}, {spatialjoin.WithPredicate(spatialjoin.WithinDistance(0.01))},
+	}); !errors.Is(err, spatialjoin.ErrBatchMismatch) {
+		t.Errorf("mixed-ε batch err = %v, want ErrBatchMismatch", err)
 	}
 	// Query requires a target; nearest takes no predicate.
 	if _, err := spatialjoin.Query(ctx, r); err == nil {

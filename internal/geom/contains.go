@@ -16,12 +16,9 @@ func (p *Polygon) ContainsPolygon(q *Polygon) bool {
 	if !p.Bounds().Contains(q.Bounds()) {
 		return false
 	}
-	var pe, qe []Segment
-	pe = p.Edges(pe)
-	qe = q.Edges(qe)
-	for _, eq := range qe {
+	for eq := range q.edges {
 		qb := eq.Bounds()
-		for _, ep := range pe {
+		for ep := range p.edges {
 			if qb.Intersects(ep.Bounds()) && properCross(eq, ep) {
 				return false
 			}

@@ -64,15 +64,27 @@ func (p *Polygon) Area() float64 {
 // the extended slice. Passing a reused buffer avoids per-pair allocations
 // in the exact geometry processor.
 func (p *Polygon) Edges(dst []Segment) []Segment {
+	for e := range p.edges {
+		dst = append(dst, e)
+	}
+	return dst
+}
+
+// edges yields all edges of p, outer ring first, without materialising
+// them: the distance and intersection kernels range over it.
+func (p *Polygon) edges(yield func(Segment) bool) {
 	for i := range p.Outer {
-		dst = append(dst, p.Outer.Edge(i))
+		if !yield(p.Outer.Edge(i)) {
+			return
+		}
 	}
 	for _, h := range p.Holes {
 		for i := range h {
-			dst = append(dst, h.Edge(i))
+			if !yield(h.Edge(i)) {
+				return
+			}
 		}
 	}
-	return dst
 }
 
 // Vertices appends all vertices of p to dst and returns the extended slice.
@@ -126,12 +138,9 @@ func (p *Polygon) Intersects(q *Polygon) bool {
 	if !p.Bounds().Intersects(q.Bounds()) {
 		return false
 	}
-	var pe, qe []Segment
-	pe = p.Edges(pe)
-	qe = q.Edges(qe)
-	for _, a := range pe {
+	for a := range p.edges {
 		ab := a.Bounds()
-		for _, b := range qe {
+		for b := range q.edges {
 			if ab.Intersects(b.Bounds()) && a.Intersects(b) {
 				return true
 			}
@@ -176,10 +185,8 @@ func (p *Polygon) DistToPoint(q Point) float64 {
 	if p.Bounds().ContainsPoint(q) && p.ContainsPoint(q) {
 		return 0
 	}
-	var edges []Segment
-	edges = p.Edges(edges)
 	d := math.Inf(1)
-	for _, e := range edges {
+	for e := range p.edges {
 		if dd := e.DistToPoint(q); dd < d {
 			d = dd
 		}
@@ -199,12 +206,9 @@ func (p *Polygon) DistToPolygon(q *Polygon) float64 {
 	// Disjoint closed regions: the infimum distance is attained between
 	// boundary points (hole rings included — one region may lie inside a
 	// hole of the other).
-	var pe, qe []Segment
-	pe = p.Edges(pe)
-	qe = q.Edges(qe)
 	d := math.Inf(1)
-	for _, a := range pe {
-		for _, b := range qe {
+	for a := range p.edges {
+		for b := range q.edges {
 			if dd := a.DistToSegment(b); dd < d {
 				d = dd
 			}
@@ -217,6 +221,10 @@ func (p *Polygon) DistToPolygon(q *Polygon) float64 {
 // region and the closed rectangle (degenerate rectangles — segments and
 // points — included): 0 when they share a point, otherwise the smallest
 // boundary distance. It is the exact kernel of the ε-range query.
+//
+// The result is the minimum of Segment.DistToSegment over every edge and
+// every side of r, bit for bit; an edge is skipped only when its bounding
+// box proves that none of its four terms can be below the running minimum.
 func (p *Polygon) DistToRect(r Rect) float64 {
 	if r.IsEmpty() {
 		return math.Inf(1)
@@ -224,24 +232,47 @@ func (p *Polygon) DistToRect(r Rect) float64 {
 	// Containment either way means intersection (holes cannot separate a
 	// rectangle that contains the full outer ring, and a rectangle corner
 	// inside the region is decided by ContainsPoint).
-	if r.Contains(p.Bounds()) {
+	b := p.Bounds()
+	if r.Contains(b) {
 		return 0
 	}
 	c := r.Corners()
-	if p.Bounds().ContainsPoint(c[0]) && p.ContainsPoint(c[0]) {
+	if b.ContainsPoint(c[0]) && p.ContainsPoint(c[0]) {
 		return 0
 	}
-	var edges []Segment
-	edges = p.Edges(edges)
+	sides := 4
+	if c[0] == c[2] {
+		sides = 1 // a point: its four sides are one zero-length segment
+	}
+	w, h := r.MaxX-r.MinX, r.MaxY-r.MinY
+	// slack covers what separates a computed segment distance from the
+	// true one: coordinate rounding, and the Eps box of onSegment.
+	slack := max(1e-9*max(-b.MinX, b.MaxX, -b.MinY, b.MaxY, -r.MinX, r.MaxX, -r.MinY, r.MaxY), 4*Eps)
 	d := math.Inf(1)
-	for _, e := range edges {
-		for i := 0; i < 4; i++ {
+	for e := range p.edges {
+		eb := Rect{min(e.A.X, e.B.X), min(e.A.Y, e.B.Y), max(e.A.X, e.B.X), max(e.A.Y, e.B.Y)}
+		if far := d + slack; eb.Dist2(r) > far*far &&
+			offLine(w, eb.MinY, eb.MaxY, r.MinY) && offLine(w, eb.MinY, eb.MaxY, r.MaxY) &&
+			offLine(h, eb.MinX, eb.MaxX, r.MinX) && offLine(h, eb.MinX, eb.MaxX, r.MaxX) {
+			continue
+		}
+		for i := 0; i < sides; i++ {
 			if dd := e.DistToSegment(Segment{A: c[i], B: c[(i+1)%4]}); dd < d {
 				d = dd
 			}
 		}
 	}
 	return d
+}
+
+// offLine reports whether an edge spanning [lo, hi] across a rectangle side
+// of length l at coordinate c lies on one side of it for Segment.Intersects,
+// whose Orientation there is the sign of ±l·(v−c) against Eps. A far edge
+// running along the side's line within that tolerance counts as crossing
+// it — distance 0 — and must not be skipped; a zero-length side crosses
+// nothing.
+func offLine(l, lo, hi, c float64) bool {
+	return l == 0 || l*(lo-c) > Eps || l*(hi-c) < -Eps
 }
 
 // ValidateSimple checks structural invariants: every ring is simple

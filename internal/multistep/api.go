@@ -387,63 +387,39 @@ func rangeQuery(ctx context.Context, r *Relation, ax storage.Accessor, w geom.Re
 	return res, nil
 }
 
-// nearestQuery answers ForNearest targets: the best-first R*-tree search
-// delivers MBR-distance candidates (a lower bound of the region
-// distance), which are refined by exact region distance until the k-th
-// best exact distance is proven final.
+// nearestQuery answers ForNearest targets by multi-step k-nearest search
+// (Seidl and Kriegel): the R*-tree ranks the objects by MBR distance, a
+// lower bound of the region distance; each is refined by its exact
+// distance as it arrives, and the search ends at the first MBR distance
+// strictly greater than the k-th best exact distance. No object closer
+// than that bound is left unrefined and none farther is refined, and the
+// objects tied at the k-th distance are all seen, so the answer is the
+// first k of the (distance, ID) order whatever the tree looks like.
 func nearestQuery(ctx context.Context, r *Relation, ax storage.Accessor, p geom.Point, k int) (QueryResult, error) {
 	var res QueryResult
 	missesBefore := ax.Misses()
-	if k <= 0 || len(r.Objects) == 0 {
+	k = min(k, len(r.Objects))
+	if k <= 0 {
 		return res, nil
 	}
-	if k > len(r.Objects) {
-		k = len(r.Objects)
+	stop, release := ctxpoll.Stop(ctx)
+	defer release()
+	best := make(kNearest, 0, k)
+	r.Tree.NearestRankAccess(ax, p, func(it rstar.Item, mbrDist float64) bool {
+		if len(best) == k && mbrDist > best[0].Dist || stop != nil && stop() {
+			return false
+		}
+		res.Stats.Candidates++
+		res.Stats.ExactTested++
+		best.offer(Neighbor{ID: it.ID, Dist: r.Objects[it.ID].Poly.DistToPoint(p)})
+		return true
+	})
+	if err := ctx.Err(); err != nil {
+		return QueryResult{}, err
 	}
-	fetch := k * 4
-	if fetch < k+8 {
-		fetch = k + 8
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return QueryResult{}, err
-		}
-		if fetch > len(r.Objects) {
-			fetch = len(r.Objects)
-		}
-		cands := r.Tree.NearestNeighborsAccess(ax, p, fetch)
-		res.Stats.Candidates = int64(len(cands))
-		out := make([]Neighbor, 0, len(cands))
-		for _, it := range cands {
-			out = append(out, Neighbor{
-				ID:   it.ID,
-				Dist: r.Objects[it.ID].Poly.DistToPoint(p),
-			})
-		}
-		res.Stats.ExactTested += int64(len(cands))
-		slices.SortFunc(out, func(a, b Neighbor) int {
-			switch {
-			case a.Dist < b.Dist:
-				return -1
-			case a.Dist > b.Dist:
-				return 1
-			default:
-				return int(a.ID - b.ID)
-			}
-		})
-		done := fetch == len(r.Objects)
-		if !done {
-			// The MBR distance of the last candidate bounds every
-			// unexamined object from below.
-			lastMBRDist := mbrDist(cands[len(cands)-1].Rect, p)
-			done = out[k-1].Dist <= lastMBRDist
-		}
-		if done {
-			res.Neighbors = out[:k]
-			res.Stats.ResultObjects = int64(k)
-			res.Stats.PageAccesses = ax.Misses() - missesBefore
-			return res, nil
-		}
-		fetch *= 2
-	}
+	slices.SortFunc(best, CompareNeighbors)
+	res.Neighbors = best
+	res.Stats.ResultObjects = int64(k)
+	res.Stats.PageAccesses = ax.Misses() - missesBefore
+	return res, nil
 }

@@ -6,12 +6,11 @@ import (
 )
 
 // nnCandidate is one priority-queue element of the nearest-neighbour
-// search.
+// ranking: a node entry (a subtree, or an item when the entry's child is
+// nil) and the distance of its rectangle to the query point.
 type nnCandidate struct {
 	dist float64
-	n    *node
-	item Item
-	leaf bool
+	e    *entry
 }
 
 // NearestNeighbors returns the k items whose key rectangles are closest to
@@ -24,30 +23,49 @@ func (t *Tree) NearestNeighbors(p geom.Point, k int) []Item {
 }
 
 // NearestNeighborsAccess is NearestNeighbors with page visits routed
-// through an explicit access context (see PointQueryAccess).
+// through an explicit access context (see PointQueryAccess): the first k
+// items of the ranking.
 func (t *Tree) NearestNeighborsAccess(ax storage.Accessor, p geom.Point, k int) []Item {
 	if k <= 0 || t.size == 0 {
 		return nil
 	}
-	var heap nnHeap
-	heap.push(nnCandidate{dist: rectDist(t.root.bounds(), p), n: t.root})
-	var out []Item
-	for heap.len() > 0 && len(out) < k {
-		c := heap.pop()
-		if c.leaf {
-			out = append(out, c.item)
-			continue
+	out := make([]Item, 0, min(k, t.size))
+	t.NearestRankAccess(ax, p, func(it Item, _ float64) bool {
+		out = append(out, it)
+		return len(out) < k
+	})
+	return out
+}
+
+// NearestRankAccess is the incremental best-first ranking (Hjaltason and
+// Samet's distance browsing): it calls visit with every item and the
+// distance of its key rectangle to p, in ascending distance, until visit
+// returns false. A node's page is accessed when the node is expanded, so
+// a caller that stops early pays only for the part of the tree closer
+// than the last item it saw.
+func (t *Tree) NearestRankAccess(ax storage.Accessor, p geom.Point, visit func(it Item, dist float64) bool) {
+	if t.size == 0 {
+		return
+	}
+	// The root's entries and two full leaves: a ranking that stops after a
+	// handful of items seldom queues more, and one allocation then serves.
+	heap := nnHeap{items: make([]nnCandidate, 0, len(t.root.entries)+2*t.leafCap)}
+	for n := t.root; n != nil; {
+		ax.Access(n.page)
+		for i := range n.entries {
+			e := &n.entries[i]
+			heap.push(nnCandidate{dist: rectDist(e.rect, p), e: e})
 		}
-		ax.Access(c.n.page)
-		for _, e := range c.n.entries {
-			if c.n.leaf {
-				heap.push(nnCandidate{dist: rectDist(e.rect, p), item: e.item, leaf: true})
-			} else {
-				heap.push(nnCandidate{dist: rectDist(e.rect, p), n: e.child})
+		// Items nearer than every queued subtree are final; the nearest
+		// subtree, once it surfaces, is expanded next.
+		for n = nil; n == nil && heap.len() > 0; {
+			if c := heap.pop(); c.e.child != nil {
+				n = c.e.child
+			} else if !visit(c.e.item, c.dist) {
+				return
 			}
 		}
 	}
-	return out
 }
 
 // rectDist returns the minimum distance between p and the closed rectangle.

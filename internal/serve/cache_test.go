@@ -299,3 +299,41 @@ func TestWindowLimit(t *testing.T) {
 		t.Fatalf("limited window stats = %+v", limited.Stats)
 	}
 }
+
+// TestTileKeysDifferExactlyWhenStructsDo: the tile-cache keys are spelled
+// out field by field, so every field must reach the key, fields must not
+// run into each other, and equal structs must give equal keys.
+func TestTileKeysDifferExactlyWhenStructsDo(t *testing.T) {
+	qa := queryTileAdapter{scope: "tq|R|1"}
+	qk := []shard.QueryTileKey{
+		{},
+		{Tile: 1}, {Tile: 12, K: 3}, {Tile: 1, K: 23}, {K: 1}, {Nearest: true}, {Planned: true},
+		{MinX: 1}, {MinY: 1}, {MaxX: 1}, {MaxY: 1}, {MinX: 0.1, MinY: 0.2}, {MinX: 0.1, MaxX: 0.2},
+		{MinX: 1e-300}, {MinX: 0.30000000000000004}, {MinX: 0.3},
+		{CfgFP: 1}, {CfgFP: 0x10}, {Tile: 1, CfgFP: 0}, {Pred: "intersects"}, {Pred: "within(0.5)"},
+		{CfgFP: 1, Pred: "|1"}, {CfgFP: 1, Pred: "1"},
+	}
+	for i, a := range qk {
+		for j, b := range qk {
+			if (qa.key(a) == qa.key(b)) != (a == b) {
+				t.Errorf("query keys %d and %d: %q and %q for %+v and %+v", i, j, qa.key(a), qa.key(b), a, b)
+			}
+		}
+	}
+	ja := joinTileAdapter{scope: "tj|R|1|S|1"}
+	jk := []shard.JoinTileKey{
+		{},
+		{RTile: 1}, {STile: 1}, {RTile: 1, STile: 23}, {RTile: 12, STile: 3}, {Workers: 1}, {STile: 1, Workers: 0},
+		{Planned: true}, {CfgFP: 1}, {Pred: "contains"}, {Pred: "within(0.25)"},
+	}
+	for i, a := range jk {
+		for j, b := range jk {
+			if (ja.key(a) == ja.key(b)) != (a == b) {
+				t.Errorf("join keys %d and %d: %q and %q for %+v and %+v", i, j, ja.key(a), ja.key(b), a, b)
+			}
+		}
+	}
+	if other := (queryTileAdapter{scope: "tq|S|1"}); other.key(qk[1]) == qa.key(qk[1]) {
+		t.Error("keys of different scopes collide")
+	}
+}

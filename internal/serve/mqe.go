@@ -3,8 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 
 	"spatialjoin/internal/hist"
 	"spatialjoin/internal/mqe"
@@ -104,7 +105,28 @@ type queryTileAdapter struct {
 }
 
 func (a queryTileAdapter) key(k shard.QueryTileKey) string {
-	return a.scope + fmt.Sprintf("|%v", k)
+	return tileKey(a.scope, k.Pred, uint64(k.Tile), uint64(k.K), bit(k.Nearest), bit(k.Planned), k.CfgFP,
+		math.Float64bits(k.MinX), math.Float64bits(k.MinY), math.Float64bits(k.MaxX), math.Float64bits(k.MaxY))
+}
+
+// tileKey spells a tile-cache key out: the adapter's scope, every other
+// field as an integer (a float by its bits), and last the predicate, the
+// one field that could hold the separator — so two keys of a scope are
+// equal exactly when their structs are (0 and -0 aside, which miss).
+func tileKey(scope, pred string, nums ...uint64) string {
+	var buf [192]byte
+	b := append(buf[:0], scope...)
+	for _, n := range nums {
+		b = strconv.AppendUint(append(b, '|'), n, 36)
+	}
+	return string(append(append(b, '|'), pred...))
+}
+
+func bit(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 func (a queryTileAdapter) GetQueryTile(k shard.QueryTileKey) (shard.QueryTileResult, bool) {
@@ -127,7 +149,7 @@ type joinTileAdapter struct {
 }
 
 func (a joinTileAdapter) key(k shard.JoinTileKey) string {
-	return a.scope + fmt.Sprintf("|%v", k)
+	return tileKey(a.scope, k.Pred, uint64(k.RTile), uint64(k.STile), uint64(k.Workers), bit(k.Planned), k.CfgFP)
 }
 
 func (a joinTileAdapter) GetJoinTile(k shard.JoinTileKey) (shard.JoinTileResult, bool) {

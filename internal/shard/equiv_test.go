@@ -290,6 +290,29 @@ func TestQueryTargetValidation(t *testing.T) {
 	}
 }
 
+// TestNearestTiesResolveByID: forty coincident squares leave the nearest
+// three to the (distance, ID) order alone, and the answer must not depend
+// on how many tiles they are dealt into or on the shape of a tile's tree.
+// The per-tile search used to stop with objects tied at the k-th distance
+// unexamined and answered 14, 29, 30 on one tile.
+func TestNearestTiesResolveByID(t *testing.T) {
+	polys := make([]*geom.Polygon, 40)
+	for i := range polys {
+		polys[i] = geom.NewPolygon([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}})
+	}
+	want := []multistep.Neighbor{{ID: 0}, {ID: 1}, {ID: 2}}
+	for _, tiles := range []int{1, 4} {
+		sh := Build("R", polys, tiles, multistep.DefaultConfig())
+		got, err := Query(context.Background(), sh, multistep.ForNearest(geom.Point{X: 0.5, Y: 0.5}, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Neighbors, want) {
+			t.Errorf("%d tiles: neighbours %v, want %v", tiles, got.Neighbors, want)
+		}
+	}
+}
+
 // cancelWorkload is sized so the scatter-gather join takes hundreds of
 // milliseconds — the same shape as multistep's cancelSeries, split into
 // tiles.

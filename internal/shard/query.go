@@ -239,16 +239,7 @@ func QueryCached(ctx context.Context, r *Sharded, tc QueryTileCache, opts ...mul
 	}
 	out.Degraded = len(out.Failed) > 0
 	if res.Nearest {
-		slices.SortFunc(neighbors, func(a, b multistep.Neighbor) int {
-			switch {
-			case a.Dist < b.Dist:
-				return -1
-			case a.Dist > b.Dist:
-				return 1
-			default:
-				return int(a.ID - b.ID)
-			}
-		})
+		slices.SortFunc(neighbors, multistep.CompareNeighbors)
 		k := res.NearestK
 		if k > len(neighbors) {
 			k = len(neighbors)

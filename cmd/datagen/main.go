@@ -11,7 +11,7 @@
 //	        [-bin out.sjr]
 //	        [-store out.store] [-shards N] [-strategy ""|A|B|B2] [-name NAME]
 //	        [-engine trstar] [-conservative 5C] [-progressive MER]
-//	        [-no-filter] [-page 4096] [-policy lru]
+//	        [-no-filter] [-page 4096] [-buffer 131072] [-policy lru]
 //	        [-stream] [-sf F] [-side R|S]
 //
 // -stream switches to the bounded-memory streaming generator
@@ -43,13 +43,11 @@ import (
 	"os"
 	"strings"
 
-	"spatialjoin/internal/approx"
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/loadgen"
 	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/shard"
-	"spatialjoin/internal/storage"
 )
 
 func main() {
@@ -62,18 +60,17 @@ func main() {
 	storeOut := flag.String("store", "", "preprocess the relation and write it as a relation store to this directory")
 	strategy := flag.String("strategy", "", "with -store: transform the map first: A (shifted copy), B (random placement, R side) or B2 (random placement, S side)")
 	name := flag.String("name", "", "with -store: relation name (default: the store path)")
-	engine := flag.String("engine", "trstar", "with -store: exact engine: trstar, planesweep, quadratic")
-	conservative := flag.String("conservative", "5C", "with -store: conservative approximation: 5C, 4C, RMBR, CH, MBC, MBE")
-	progressive := flag.String("progressive", "MER", "with -store: progressive approximation: MER, MEC")
-	noFilter := flag.Bool("no-filter", false, "with -store: disable the geometric filter (step 2)")
-	pageSize := flag.Int("page", 4096, "with -store: R*-tree page size in bytes")
-	policy := flag.String("policy", "lru", "with -store: buffer replacement policy: lru, fifo, clock")
+	config := multistep.ConfigFlags(flag.CommandLine)
 	shards := flag.Int("shards", 1, "with -store: partition the relation into this many Z-order tiles")
 	sf := flag.Float64("sf", 0, "build a scale-factor dataset side instead of -n/-verts/-holes/-seed (implies -stream; see -side)")
 	side := flag.String("side", "R", "with -sf: which relation of the dataset pair to build: R or S")
 	stream := flag.Bool("stream", false, "generate with the bounded-memory streaming generator (for very large -n; a different — equally valid — polygon sequence than the default generator)")
 	flag.Parse()
 
+	cfg, err := config()
+	if err != nil {
+		fatal(err)
+	}
 	mc := data.MapConfig{Cells: *n, TargetVerts: *verts, HoleFraction: *holes, Seed: *seed}
 	sfName := ""
 	if *sf > 0 {
@@ -90,8 +87,7 @@ func main() {
 			*sf, strings.ToUpper(*side), mc.Cells, mc.Extent)
 	}
 	if *stream {
-		streamMain(mc, sfName, *statsOnly, *binOut, *storeOut, *shards, *strategy, *name,
-			*engine, *conservative, *progressive, *noFilter, *pageSize, *policy)
+		streamMain(mc, sfName, *statsOnly, *binOut, *storeOut, *shards, *strategy, *name, cfg)
 		return
 	}
 
@@ -114,7 +110,6 @@ func main() {
 		return
 	}
 	if *storeOut != "" {
-		cfg := parseCfg(*engine, *conservative, *progressive, *noFilter, *pageSize, *policy)
 		// The seed offsets mirror cmd/spatialjoin's test-series pairs:
 		// its strategy B joins StrategyB(base, seed+1) with
 		// StrategyB(base, seed+2), so B emits the R side and B2 the S
@@ -151,34 +146,12 @@ func main() {
 	}
 }
 
-// parseCfg resolves the preprocessing flags into a configuration.
-func parseCfg(engine, conservative, progressive string, noFilter bool, pageSize int, policy string) multistep.Config {
-	cfg := multistep.DefaultConfig()
-	cfg.PageSize = pageSize
-	cfg.UseFilter = !noFilter
-	var err error
-	if cfg.Engine, err = multistep.ParseEngine(engine); err != nil {
-		fatal(err)
-	}
-	if cfg.Filter.Conservative, err = approx.ParseKind(conservative); err != nil {
-		fatal(err)
-	}
-	if cfg.Filter.Progressive, err = approx.ParseKind(progressive); err != nil {
-		fatal(err)
-	}
-	if cfg.BufferPolicy, err = storage.ParsePolicy(policy); err != nil {
-		fatal(err)
-	}
-	return cfg
-}
-
 // streamMain is the bounded-memory path (-stream, and always -sf): the
 // relation is generated by data.StreamMap and never materialized.
 // -store writes the store directory via the spill-and-partition builder;
 // -bin streams the binary relation; the default streams WKT rows.
 func streamMain(mc data.MapConfig, sfName string, statsOnly bool, binOut, storeOut string,
-	shards int, strategy, name, engine, conservative, progressive string,
-	noFilter bool, pageSize int, policy string) {
+	shards int, strategy, name string, cfg multistep.Config) {
 	if strategy != "" {
 		fatal(fmt.Errorf("-strategy is not available with -stream/-sf: the test-series transforms need the materialized map"))
 	}
@@ -222,7 +195,6 @@ func streamMain(mc data.MapConfig, sfName string, statsOnly bool, binOut, storeO
 			fatal(err)
 		}
 	case storeOut != "":
-		cfg := parseCfg(engine, conservative, progressive, noFilter, pageSize, policy)
 		relName := name
 		if relName == "" {
 			relName = sfName

@@ -1,14 +1,12 @@
 // Command loadtest drives a live spatialjoinserve with the fixed
 // scale-factor query flight of internal/loadgen and reports QPS and
-// latency percentiles per query class — the service-level counterpart
-// of cmd/bench's single-process measurements.
+// latency percentiles per query class.
 //
 // Usage:
 //
 //	loadtest -base http://127.0.0.1:8080 -sf 1
 //	         [-mode closed|open] [-rate 50] [-workers 4] [-mix uniform|zipf]
 //	         [-warmup 2s] [-duration 10s] [-seed 1]
-//	         [-label NAME] [-out BENCH_X.json]
 //
 // The server must already expose the two relations of the scale-factor
 // dataset (sf1-R and sf1-S for -sf 1), built by cmd/datagen -sf:
@@ -27,10 +25,10 @@
 // saturated server shows up in the percentiles instead of silently
 // thinning the arrival stream (no coordinated omission).
 //
-// The full report is printed as JSON. With -out, one row per query
-// class (plus "all") is appended to the versioned measurement file
-// under -label, in the same schema cmd/bench writes and validates
-// (cmd/bench -check FILE).
+// The full report is printed as JSON on stdout; the exit status is
+// non-zero on any request error or cardinality mismatch. Measurements
+// that are compared across commits come from the repository benchmark
+// (bench/README.md), not from here.
 package main
 
 import (
@@ -41,11 +39,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
-	"spatialjoin/internal/benchfmt"
 	"spatialjoin/internal/loadgen"
 	"spatialjoin/internal/mqe"
 )
@@ -60,8 +56,6 @@ func main() {
 	warmup := flag.Duration("warmup", 2*time.Second, "unmeasured warm-up before the window")
 	duration := flag.Duration("duration", 10*time.Second, "measured window")
 	seed := flag.Int64("seed", 1, "request-sequence seed")
-	label := flag.String("label", "", "run label for -out (default: derived from sf/mode/cache state)")
-	out := flag.String("out", "", "append the run to this versioned measurement file (benchfmt schema)")
 	flag.Parse()
 
 	spec, err := loadgen.For(*sf)
@@ -115,64 +109,9 @@ func main() {
 			rep.Overall.Errors, rep.Overall.Requests, rep.ErrorSamples)
 	}
 
-	if *out != "" {
-		runLabel := *label
-		if runLabel == "" {
-			runLabel = fmt.Sprintf("load-sf%g-%s-cache-%s", *sf, rep.Mode, onOff(cacheOn))
-		}
-		if err := benchfmt.WriteRun(*out, toRun(runLabel, spec, rep, cacheOn)); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "loadtest: wrote run %q to %s\n", runLabel, *out)
-	}
 	if rep.Overall.Errors > 0 {
 		os.Exit(1)
 	}
-}
-
-// toRun converts a load report into a measurement-file run: one result
-// row per query class plus the "all" aggregate.
-func toRun(label string, spec loadgen.Spec, rep *loadgen.Report, cacheOn bool) benchfmt.Run {
-	run := benchfmt.Run{
-		Label:      label,
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPU:        benchfmt.CPUModel(),
-		Workload: benchfmt.Workload{
-			Objects:     spec.Objects,
-			Verts:       spec.Verts,
-			Seed:        spec.SeedR,
-			ScaleFactor: spec.SF,
-			Mode:        rep.Mode,
-			Workers:     rep.Workers,
-			DurationSec: rep.DurationSec,
-		},
-		PeakRSSBytes: benchfmt.PeakRSS(),
-	}
-	add := func(c loadgen.ClassReport) {
-		run.Results = append(run.Results, benchfmt.Result{
-			Name:           label + "/" + c.Class,
-			Class:          c.Class,
-			Requests:       c.Requests,
-			Errors:         c.Errors,
-			Shed:           c.Shed,
-			TimedOut:       c.TimedOut,
-			Degraded:       c.Degraded,
-			QPS:            c.QPS,
-			P50Ms:          c.Latency.P50Ms,
-			P95Ms:          c.Latency.P95Ms,
-			P99Ms:          c.Latency.P99Ms,
-			MaxMs:          c.Latency.MaxMs,
-			CacheOn:        cacheOn,
-			ServerRSSBytes: rep.ServerRSSBytes,
-		})
-	}
-	add(rep.Overall)
-	for _, c := range rep.Classes {
-		add(c)
-	}
-	return run
 }
 
 // serverCacheOn probes GET /stats for whether the server's result cache

@@ -10,7 +10,7 @@
 //
 //	spatialjoin [-n 810] [-verts 84] [-strategy A|B] [-engine trstar|planesweep|quadratic]
 //	            [-conservative 5C|RMBR|CH|4C|MBC|MBE] [-progressive MER|MEC]
-//	            [-no-filter] [-page 4096] [-policy lru|fifo|clock] [-seed 9401]
+//	            [-no-filter] [-page 4096] [-buffer 131072] [-policy lru|fifo|clock] [-seed 9401]
 //	            [-predicate intersects|contains|within] [-epsilon ε]
 //	            [-parallel N] [-stream] [-plan=false] [-explain]
 //	            [-rstore R.store -sstore S.store]
@@ -51,24 +51,17 @@ import (
 	"strings"
 	"time"
 
-	"spatialjoin/internal/approx"
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/plan"
 	"spatialjoin/internal/shard"
-	"spatialjoin/internal/storage"
 )
 
 func main() {
 	n := flag.Int("n", 810, "objects per relation")
 	verts := flag.Int("verts", 84, "average vertices per object")
 	strategy := flag.String("strategy", "A", "test-series strategy: A (shifted copy) or B (random placement)")
-	engine := flag.String("engine", "trstar", "exact engine: trstar, planesweep, quadratic")
-	conservative := flag.String("conservative", "5C", "conservative approximation: 5C, 4C, RMBR, CH, MBC, MBE")
-	progressive := flag.String("progressive", "MER", "progressive approximation: MER, MEC")
-	noFilter := flag.Bool("no-filter", false, "disable the geometric filter (step 2)")
-	pageSize := flag.Int("page", 4096, "R*-tree page size in bytes")
-	policy := flag.String("policy", "lru", "buffer replacement policy: lru, fifo, clock")
+	config := multistep.ConfigFlags(flag.CommandLine)
 	seed := flag.Int64("seed", 9401, "data seed")
 	predicate := flag.String("predicate", "intersects", "join predicate: intersects, contains, or within (the ε-distance join)")
 	epsilon := flag.Float64("epsilon", 0, "distance bound of the within predicate (implies -predicate within)")
@@ -83,20 +76,8 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the join to this file")
 	flag.Parse()
 
-	cfg := multistep.DefaultConfig()
-	cfg.PageSize = *pageSize
-	cfg.UseFilter = !*noFilter
-	var err error
-	if cfg.Engine, err = multistep.ParseEngine(*engine); err != nil {
-		fatal(err)
-	}
-	if cfg.Filter.Conservative, err = approx.ParseKind(*conservative); err != nil {
-		fatal(err)
-	}
-	if cfg.Filter.Progressive, err = approx.ParseKind(*progressive); err != nil {
-		fatal(err)
-	}
-	if cfg.BufferPolicy, err = storage.ParsePolicy(*policy); err != nil {
+	cfg, err := config()
+	if err != nil {
 		fatal(err)
 	}
 	switch strings.ToLower(*step1) {

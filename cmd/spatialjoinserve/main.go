@@ -73,13 +73,11 @@ import (
 	"syscall"
 	"time"
 
-	"spatialjoin/internal/approx"
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/resilience/fault"
 	"spatialjoin/internal/serve"
 	"spatialjoin/internal/shard"
-	"spatialjoin/internal/storage"
 )
 
 // relFlags collects repeated -rel name=path arguments in order.
@@ -108,13 +106,7 @@ func main() {
 	flag.Var(&rels, "rel", "serve a relation store as name=path (repeatable)")
 	demo := flag.Int("demo", 0, "serve a generated demo relation pair of this many objects instead of stores")
 	seed := flag.Int64("seed", 9401, "with -demo: generation seed")
-	engine := flag.String("engine", "trstar", "exact engine: trstar, planesweep, quadratic")
-	conservative := flag.String("conservative", "5C", "conservative approximation: 5C, 4C, RMBR, CH, MBC, MBE")
-	progressive := flag.String("progressive", "MER", "progressive approximation: MER, MEC")
-	noFilter := flag.Bool("no-filter", false, "disable the geometric filter (step 2)")
-	pageSize := flag.Int("page", 4096, "R*-tree page size in bytes")
-	bufferBytes := flag.Int("buffer", 128<<10, "R*-tree buffer size in bytes")
-	policy := flag.String("policy", "lru", "buffer replacement policy: lru, fifo, clock")
+	config := multistep.ConfigFlags(flag.CommandLine)
 	joinWorkers := flag.Int("join-workers", 0, "streaming-join workers per request (0 = planner-chosen, or GOMAXPROCS with -no-plan)")
 	noPlan := flag.Bool("no-plan", false, "disable the cost-based planner: serve every request under the build configuration verbatim")
 	maxPairs := flag.Int("max-pairs", serve.DefaultMaxJoinPairs, "cap on join pairs returned inline per request")
@@ -137,21 +129,8 @@ func main() {
 		log.Printf("WARNING: fault injection armed (%q) — this server WILL fail requests on purpose", *faults)
 	}
 
-	cfg := multistep.DefaultConfig()
-	cfg.PageSize = *pageSize
-	cfg.BufferBytes = *bufferBytes
-	cfg.UseFilter = !*noFilter
-	var err error
-	if cfg.Engine, err = multistep.ParseEngine(*engine); err != nil {
-		fatal(err)
-	}
-	if cfg.Filter.Conservative, err = approx.ParseKind(*conservative); err != nil {
-		fatal(err)
-	}
-	if cfg.Filter.Progressive, err = approx.ParseKind(*progressive); err != nil {
-		fatal(err)
-	}
-	if cfg.BufferPolicy, err = storage.ParsePolicy(*policy); err != nil {
+	cfg, err := config()
+	if err != nil {
 		fatal(err)
 	}
 

@@ -26,7 +26,7 @@ func (e Engine) String() string {
 }
 
 // Weights are the calibrated cost coefficients, all in nanoseconds. The
-// defaults come from the committed BENCH_PR6.json trajectory (1200
+// defaults come from the PR 6 engine × predicate grid (CHANGES.md; 1200
 // objects/relation, ~48 vertices/object, filter on, GOMAXPROCS=1): the
 // measured ns-per-candidate figures are decomposed into traversal +
 // filter + (1 − ident) · exact using the suite's observed ~0.85
@@ -77,7 +77,7 @@ type Weights struct {
 	WindowExactNs float64
 }
 
-// DefaultWeights returns the BENCH_PR6-calibrated coefficients.
+// DefaultWeights returns the coefficients calibrated on the PR 6 grid.
 func DefaultWeights() Weights {
 	return Weights{
 		// trstar intersects measured ≈1600 ns/cand = 300 traversal +
@@ -91,9 +91,9 @@ func DefaultWeights() Weights {
 		// within was calibrated on kernels that computed every distance
 		// (ns/cand at ident ≈0.7: quadratic ≈70600 → 230000, planesweep
 		// ≈5500 → 16000, trstar ≈4000 → 11000). The threshold kernels
-		// measure ≈24100, ≈2600 and ≈1150 on the same grid (cmd/bench
-		// -planner, 1200 objects, 48 vertices, ε 0.005), so this column
-		// now overprices step 3 — about 3× for quadratic and plane
+		// measure ≈24100, ≈2600 and ≈1150 on the same grid (PR 16: 1200
+		// objects, 48 vertices, ε 0.005), so this column now
+		// overprices step 3 — about 3× for quadratic and plane
 		// sweep, more for the TR*-tree, whose ≈1150 is mostly traversal
 		// and filter. The ranking of the engines, which is what Choose
 		// takes from it, is unchanged and the 1.5× regression bound

@@ -1,8 +1,7 @@
-// Package procinfo reads this process's resource figures from /proc —
-// the RSS and CPU identification that measurement reports (cmd/bench,
-// cmd/loadtest) and the serving layer's /stats endpoint attach to their
-// output. Everything degrades to zero values where /proc is missing
-// (non-Linux), so callers need no build tags.
+// Package procinfo reads this process's resident set size from /proc
+// for the serving layer's /stats endpoint. Everything degrades to zero
+// values where /proc is missing (non-Linux), so callers need no build
+// tags.
 package procinfo
 
 import (
@@ -43,23 +42,4 @@ func statusBytes(field string) int64 {
 		return kb << 10
 	}
 	return 0
-}
-
-// CPUModel returns the CPU model name (Linux /proc/cpuinfo), or "".
-func CPUModel() string {
-	f, err := os.Open("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "model name") {
-			if i := strings.IndexByte(line, ':'); i >= 0 {
-				return strings.TrimSpace(line[i+1:])
-			}
-		}
-	}
-	return ""
 }

@@ -89,9 +89,9 @@ func TestCachedShardedJoin(t *testing.T) {
 		t.Fatalf("cached sharded join differs from the cold run:\nfirst:  %s\nsecond: %s", first, second)
 	}
 
-	// A different limit misses the whole-response key but every
-	// tile-pair sub-join replays from the tile cache; the response must
-	// still be the canonical sorted prefix.
+	// The limit is not part of the whole-response key, so the limited
+	// request is a whole-response hit on the full one's entry; the
+	// response must be the canonical sorted prefix.
 	var full, limited joinResponse
 	get(t, h, "/join?r=R&s=S&plan=off", http.StatusOK, &full)
 	get(t, h, "/join?r=R&s=S&limit=2&plan=off", http.StatusOK, &limited)

@@ -12,7 +12,7 @@
 //	                 [-engine trstar|planesweep|quadratic]
 //	                 [-conservative 5C|RMBR|CH|4C|MBC|MBE] [-progressive MER|MEC]
 //	                 [-no-filter] [-page 4096] [-buffer 131072] [-policy lru|fifo|clock]
-//	                 [-no-plan] [-cache-bytes 67108864] [-batch-window 2ms]
+//	                 [-no-plan] [-cache-bytes 67108864]
 //	                 [-drain 15s] [-timeout 0] [-max-timeout 0]
 //	                 [-max-inflight 0] [-max-queue 0] [-queue-wait 100ms]
 //	                 [-faults spec]
@@ -38,12 +38,11 @@
 //
 // Responses are served through the multi-query execution layer
 // (DESIGN.md §12): repeated requests answer from a fingerprint-keyed
-// LRU cache (-cache-bytes budgets it; <=0 disables), identical
-// concurrent requests coalesce into one execution, and concurrent
-// joins over the same relation pair within -batch-window share one
-// synchronized traversal. GET /stats reports the cache, coalesce and
-// batch counters, per-endpoint request counts with latency percentiles,
-// and the process RSS.
+// LRU cache (-cache-bytes budgets it; <=0 disables) and identical
+// concurrent requests coalesce into one execution; any other join runs
+// its own traversal at once. GET /stats reports the cache and
+// coalesce counters, per-endpoint request counts with latency
+// percentiles, and the process RSS.
 //
 // The server is resilient by configuration (DESIGN.md §14): -timeout /
 // -max-timeout bound each query request server-side (requests may set
@@ -111,7 +110,6 @@ func main() {
 	noPlan := flag.Bool("no-plan", false, "disable the cost-based planner: serve every request under the build configuration verbatim")
 	maxPairs := flag.Int("max-pairs", serve.DefaultMaxJoinPairs, "cap on join pairs returned inline per request")
 	cacheBytes := flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result/tile cache budget in bytes (<=0 disables caching)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "join batching window (0 disables shared-traversal batching)")
 	drain := flag.Duration("drain", 15*time.Second, "how long to let in-flight requests drain on SIGINT/SIGTERM before closing connections")
 	timeout := flag.Duration("timeout", 0, "default server-side deadline per query request (0 = none; requests may set ?timeout_ms=)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on every request deadline, default or ?timeout_ms= (0 = uncapped)")
@@ -169,7 +167,6 @@ func main() {
 	srv.MaxJoinPairs = *maxPairs
 	srv.NoPlan = *noPlan
 	srv.CacheBytes = *cacheBytes
-	srv.BatchWindow = *batchWindow
 	srv.RequestTimeout = *timeout
 	srv.MaxRequestTimeout = *maxTimeout
 	srv.MaxInFlight = *maxInflight

@@ -1,7 +1,6 @@
 // Package mqe implements the multi-query execution primitives used by
-// the serving layer: a byte-bounded LRU result cache, single-flight
-// coalescing of identical in-flight requests, and a batching window
-// that groups concurrent requests for shared-work execution.
+// the serving layer: a byte-bounded LRU result cache and single-flight
+// coalescing of identical in-flight requests.
 //
 // The package is deliberately storage- and query-agnostic: keys are
 // opaque strings (the serving layer normalizes them from relation

@@ -191,123 +191,3 @@ func TestGroupPropagatesError(t *testing.T) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
 }
-
-func TestBatcherGroupsWithinWindow(t *testing.T) {
-	b := NewBatcher(150 * time.Millisecond)
-	var runs atomic.Int64
-	run := func(reqs []any) ([]any, error) {
-		runs.Add(1)
-		out := make([]any, len(reqs))
-		for i, r := range reqs {
-			out[i] = r.(int) * 10
-		}
-		return out, nil
-	}
-
-	const n = 4
-	var wg sync.WaitGroup
-	got := make([]any, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Stagger arrivals well inside the window.
-			time.Sleep(time.Duration(i) * 10 * time.Millisecond)
-			v, err := b.Run("pair", i, run)
-			if err != nil {
-				t.Errorf("Run(%d): %v", i, err)
-				return
-			}
-			got[i] = v
-		}(i)
-	}
-	wg.Wait()
-
-	if r := runs.Load(); r != 1 {
-		t.Fatalf("run executed %d times, want 1 batch", r)
-	}
-	for i := 0; i < n; i++ {
-		if got[i] != i*10 {
-			t.Fatalf("request %d got %v, want %d", i, got[i], i*10)
-		}
-	}
-	st := b.Stats()
-	if st.Groups != 1 || st.Batched != n {
-		t.Fatalf("stats = %+v, want 1 group / %d batched", st, n)
-	}
-
-	// After sealing, a new request opens a fresh batch.
-	v, err := b.Run("pair", 9, run)
-	if err != nil || v != 90 {
-		t.Fatalf("post-seal Run = %v, %v", v, err)
-	}
-	if runs.Load() != 2 {
-		t.Fatal("post-seal request did not run fresh")
-	}
-}
-
-func TestBatcherDistinctKeysDoNotShare(t *testing.T) {
-	b := NewBatcher(80 * time.Millisecond)
-	var runs atomic.Int64
-	run := func(reqs []any) ([]any, error) {
-		runs.Add(1)
-		return reqs, nil
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := b.Run(fmt.Sprintf("k%d", i), i, run); err != nil {
-				t.Errorf("Run: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if r := runs.Load(); r != 2 {
-		t.Fatalf("distinct keys ran %d batches, want 2", r)
-	}
-}
-
-func TestBatcherZeroWindowRunsImmediately(t *testing.T) {
-	b := NewBatcher(0)
-	v, err := b.Run("k", 3, func(reqs []any) ([]any, error) {
-		if len(reqs) != 1 {
-			t.Fatalf("len(reqs) = %d", len(reqs))
-		}
-		return []any{reqs[0].(int) + 1}, nil
-	})
-	if err != nil || v != 4 {
-		t.Fatalf("Run = %v, %v", v, err)
-	}
-	var nilB *Batcher
-	v, err = b.Run("k", 1, func(reqs []any) ([]any, error) { return []any{2}, nil })
-	if err != nil || v != 2 {
-		t.Fatalf("Run = %v, %v", v, err)
-	}
-	v, err = nilB.Run("k", 1, func(reqs []any) ([]any, error) { return []any{5}, nil })
-	if err != nil || v != 5 {
-		t.Fatalf("nil batcher Run = %v, %v", v, err)
-	}
-}
-
-func TestBatcherErrorReachesAllMembers(t *testing.T) {
-	b := NewBatcher(100 * time.Millisecond)
-	wantErr := errors.New("traversal failed")
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			time.Sleep(time.Duration(i) * 5 * time.Millisecond)
-			_, errs[i] = b.Run("k", i, func(reqs []any) ([]any, error) { return nil, wantErr })
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("member %d err = %v, want %v", i, err, wantErr)
-		}
-	}
-}

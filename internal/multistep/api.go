@@ -19,7 +19,7 @@ import (
 // This file is the unified query API of the package: two entry points,
 //
 //	Join(ctx, r, s, opts...)  — the predicate-parameterized spatial join
-//	                            (join.go, with its batched form JoinBatch)
+//	                            (join.go)
 //	Query(ctx, r, opts...)    — window / point / nearest queries on one
 //	                            relation
 //
@@ -146,7 +146,7 @@ func ForNearest(p geom.Point, k int) Option {
 // one logical query across several relations (internal/shard's
 // scatter-gather layer): they resolve a request once, read the
 // predicate for tile routing, the limit for global truncation and the
-// target for the merge shape, and hand JoinBatch or RunQuery a per-tile
+// target for the merge shape, and hand RunJoin or RunQuery a per-tile
 // copy with the limit lifted, its own Explain and its own sessions.
 type Resolved struct {
 	// Pred is the configured predicate (the zero value is Intersects).

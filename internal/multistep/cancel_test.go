@@ -89,6 +89,19 @@ func TestJoinCancelledBeforeStart(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// TestJoinCancelledOnSessions: a pre-cancelled join on per-query
+// sessions — the way internal/shard runs every sub-join — surfaces the
+// context error too.
+func TestJoinCancelledOnSessions(t *testing.T) {
+	r, s, _ := cancelSeries(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := Join(ctx, r, s, WithSessions(r.NewSession(), s.NewSession()))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 // TestQueryCancellation covers the single-relation entry point: a
 // cancelled context surfaces the error.
 func TestQueryCancellation(t *testing.T) {

@@ -222,6 +222,28 @@ func TestJoinStrategyB(t *testing.T) {
 	assertSameResponse(t, "strategy B", got, want)
 }
 
+// TestJoinExplainActuals: a planned join's Explain keeps its plan record
+// and, after execution, carries actuals equal to the join's statistics.
+func TestJoinExplainActuals(t *testing.T) {
+	rp, sp := smallSeries(t)
+	cfg := DefaultConfig()
+	r, s := NewRelation("R", rp, cfg), NewRelation("S", sp, cfg)
+	for _, pred := range []Predicate{Intersects(), Contains()} {
+		var ex Explain
+		_, st, err := Join(context.Background(), r, s, WithPredicate(pred), WithPlan(), WithExplain(&ex))
+		if err != nil {
+			t.Fatalf("%v: %v", pred, err)
+		}
+		if !ex.Executed || !ex.Plan.Planned {
+			t.Errorf("%v: explain executed=%t planned=%t, want both", pred, ex.Executed, ex.Plan.Planned)
+		}
+		if ex.ActualCandidates != st.CandidatePairs || ex.ActualExactTested != st.ExactTested || ex.ActualResultPairs != st.ResultPairs {
+			t.Errorf("%v: explain actuals %d/%d/%d, stats %d/%d/%d", pred,
+				ex.ActualCandidates, ex.ActualExactTested, ex.ActualResultPairs, st.CandidatePairs, st.ExactTested, st.ResultPairs)
+		}
+	}
+}
+
 func TestFilterReducesExactWork(t *testing.T) {
 	rp, sp := smallSeries(t)
 	base := DefaultConfig()

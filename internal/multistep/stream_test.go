@@ -1,7 +1,10 @@
 package multistep
 
 import (
+	"context"
 	"testing"
+
+	"spatialjoin/internal/data"
 )
 
 // clearBuffers puts both relations' page buffers into the same (cold)
@@ -81,6 +84,39 @@ func TestJoinStreamBackpressure(t *testing.T) {
 	assertSameResponse(t, "batch=1", got, want)
 	if st != wantSt {
 		t.Errorf("batch=1: stats diverge:\n got %+v\nwant %+v", st, wantSt)
+	}
+}
+
+// TestJoinAllocsBounded guards the pooled batch buffers: a warmed join
+// allocates its per-worker state, its channels, its response slice and
+// the R*-tree traversal's scratch — nothing that grows with the number of
+// candidate or result batches. With 16-pair batches the workload moves
+// several hundred of each, so an unpooled batch path shows as more than
+// one allocation per candidate batch.
+func TestJoinAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; the batch buffers are pooled")
+	}
+	cfg := DefaultConfig()
+	rp := data.GenerateMap(data.MapConfig{Cells: 1200, TargetVerts: 20, Seed: 223})
+	r, s := NewRelation("r", rp, cfg), NewRelation("s", data.StrategyA(rp, 0.45), cfg)
+	defer func(b int) { batchPairs = b }(batchPairs)
+	batchPairs = 16
+	var batches int64
+	run := func() {
+		_, st, err := Join(context.Background(), r, s, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = st.CandidatePairs / int64(batchPairs)
+	}
+	run() // warm the pools, the buffers and the lazily built exact representations
+	allocs := testing.AllocsPerRun(5, run)
+	if batches < 400 {
+		t.Fatalf("only %d candidate batches; the guard is vacuous", batches)
+	}
+	if allocs > float64(batches)/2 {
+		t.Errorf("a warmed join of %d candidate batches allocates %.0f objects, want at most one per two batches", batches, allocs)
 	}
 }
 

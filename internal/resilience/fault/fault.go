@@ -14,7 +14,7 @@
 // can reject typos and the docs have one registry to point at:
 //
 //	tile-query  one tile's sub-query in the scatter-gather fan-out
-//	tile-join   one tile pair's sub-join (solo or batched traversal)
+//	tile-join   one tile pair's sub-join
 //	page-read   one disk page read of a storage session (corrupt only
 //	            errors and delays here: disk reads fail, they don't
 //	            panic)

@@ -1,16 +1,17 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/multistep"
+	"spatialjoin/internal/resilience/fault"
 	"spatialjoin/internal/shard"
 )
 
@@ -142,84 +143,123 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after a generous
+// deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fired reports how often the armed injections at site have fired.
+func fired(site string) int64 {
+	var n int64
+	for _, st := range fault.Stats() {
+		if st.Site == site {
+			n += st.Fired
+		}
+	}
+	return n
+}
+
+// serveAsync serves req on a goroutine of its own and delivers the
+// recorded response.
+func serveAsync(h http.Handler, req *http.Request) <-chan *httptest.ResponseRecorder {
+	out := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		out <- rec
+	}()
+	return out
+}
+
 // TestCoalescedJoinMatchesSolo: a request arriving while an identical
 // one is in flight receives the leader's result, marked coalesced and
-// otherwise byte-identical. The batch window holds the leader open so
-// the follower's arrival is deterministic.
+// otherwise byte-identical. An injected tile-join latency holds the
+// leader open so the follower's arrival is deterministic.
 func TestCoalescedJoinMatchesSolo(t *testing.T) {
 	cat, _ := testCatalog(t)
-	srv := NewServer(cat)
-	srv.BatchWindow = 500 * time.Millisecond
-	h := srv.Handler()
+	h := NewServer(cat).Handler()
+	armFaults(t, "tile-join:latency=300ms")
 
 	const u = "/join?r=R&s=S&plan=off"
-	var leader, follower string
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		leader = getBody(t, h, u, http.StatusOK)
-	}()
-	time.Sleep(150 * time.Millisecond) // the leader is now inside its batch window
-	go func() {
-		defer wg.Done()
-		follower = getBody(t, h, u, http.StatusOK)
-	}()
-	wg.Wait()
-
-	if !strings.Contains(follower, `"coalesced": true`) {
+	leaderCh := serveAsync(h, httptest.NewRequest("GET", u, nil))
+	waitFor(t, "the leader to reach the injected latency", func() bool { return fired("tile-join") >= 1 })
+	followerCh := serveAsync(h, httptest.NewRequest("GET", u, nil))
+	leader, follower := <-leaderCh, <-followerCh
+	if leader.Code != http.StatusOK || follower.Code != http.StatusOK {
+		t.Fatalf("statuses %d and %d, want 200:\nleader:   %s\nfollower: %s", leader.Code, follower.Code, leader.Body, follower.Body)
+	}
+	if !strings.Contains(follower.Body.String(), `"coalesced": true`) {
 		t.Fatal("concurrent identical request was not coalesced")
 	}
-	if stripMarkers(follower) != stripMarkers(leader) {
-		t.Fatalf("coalesced response differs from the leader's:\nleader:   %s\nfollower: %s", leader, follower)
+	if stripMarkers(follower.Body.String()) != stripMarkers(leader.Body.String()) {
+		t.Fatalf("coalesced response differs from the leader's:\nleader:   %s\nfollower: %s", leader.Body, follower.Body)
 	}
 }
 
-// TestBatchedJoinsMatchSolo: two concurrent joins with different
-// predicates over the same relation pair share one synchronized
-// traversal (the batch window groups them) and each still answers
-// byte-identically to its solo run on an unbatched, uncached server.
-func TestBatchedJoinsMatchSolo(t *testing.T) {
-	cat, _ := testCatalog(t)
-	srv := NewServer(cat)
-	srv.BatchWindow = 500 * time.Millisecond
-	h := srv.Handler()
-	soloSrv := NewServer(cat)
-	soloSrv.CacheBytes = -1
-	solo := soloSrv.Handler()
-
-	u1 := "/join?r=R&s=S&plan=off"
-	u2 := "/join?r=R&s=S&predicate=contains&plan=off"
-	var b1, b2 string
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		b1 = getBody(t, h, u1, http.StatusOK)
-	}()
-	time.Sleep(150 * time.Millisecond) // u1 opened the batch; u2 joins it
-	go func() {
-		defer wg.Done()
-		b2 = getBody(t, h, u2, http.StatusOK)
-	}()
-	wg.Wait()
-
-	var st serveStats
-	get(t, h, "/stats", http.StatusOK, &st)
-	if st.Batch.Batched < 2 {
-		t.Fatalf("batch stats report %d batched requests, want >= 2", st.Batch.Batched)
+// TestCancelledLeaderFollowerReruns: a leader whose client goes away
+// does not poison the followers coalesced onto it (DESIGN.md §12). The
+// follower reruns on its own context, answers 200 marked coalesced, and
+// its body is the solo body. The rerun pays the injected latency once —
+// it executes again instead of waiting on another flight.
+func TestCancelledLeaderFollowerReruns(t *testing.T) {
+	cases := []struct{ name, site, url string }{
+		{"join", "tile-join", "/join?r=R&s=S&plan=off"},
+		{"window", "tile-query", "/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&plan=off"},
 	}
-	if got, want := stripMarkers(b1), getBody(t, solo, u1, http.StatusOK); got != want {
-		t.Errorf("batched intersects join differs from solo:\nbatched: %s\nsolo:    %s", got, want)
-	}
-	if got, want := stripMarkers(b2), getBody(t, solo, u2, http.StatusOK); got != want {
-		t.Errorf("batched contains join differs from solo:\nbatched: %s\nsolo:    %s", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cat, _ := testCatalog(t)
+			soloSrv := NewServer(cat)
+			soloSrv.CacheBytes = -1
+			solo := getBody(t, soloSrv.Handler(), tc.url, http.StatusOK)
+
+			srv := NewServer(cat)
+			h := srv.Handler()
+			armFaults(t, tc.site+":latency=300ms")
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			leader := serveAsync(h, httptest.NewRequest("GET", tc.url, nil).WithContext(ctx))
+			waitFor(t, "the leader to reach the injected latency", func() bool { return fired(tc.site) >= 1 })
+			follower := serveAsync(h, httptest.NewRequest("GET", tc.url, nil))
+			waitFor(t, "the follower to coalesce", func() bool { return srv.flight.Coalesced() >= 1 })
+			cancel()
+			<-leader
+
+			var rec *httptest.ResponseRecorder
+			select {
+			case rec = <-follower:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the follower is still waiting 10 s after its leader was cancelled")
+			}
+			body := rec.Body.String()
+			if rec.Code != http.StatusOK {
+				t.Fatalf("follower: status %d, want 200: %s", rec.Code, body)
+			}
+			if !strings.Contains(body, `"coalesced": true`) {
+				t.Error("follower's rerun is not marked coalesced")
+			}
+			if stripMarkers(body) != solo {
+				t.Errorf("follower's rerun differs from the solo response:\nrerun: %s\nsolo:  %s", body, solo)
+			}
+			if n := fired(tc.site); n != 2 {
+				t.Errorf("the injected latency fired %d times, want 2: the leader's run and the follower's one rerun", n)
+			}
+		})
 	}
 }
 
-// TestStatsEndpoint: /stats exposes the cache, coalesce and batch
-// counters, and the cache-lookup feedback reaches the relations'
-// planner statistics.
+// TestStatsEndpoint: /stats exposes the cache and coalesce counters,
+// and the cache-lookup feedback reaches the relations' planner
+// statistics.
 func TestStatsEndpoint(t *testing.T) {
 	cat, _ := testCatalog(t)
 	h := NewServer(cat).Handler()

@@ -19,14 +19,12 @@ import (
 // Multi-query execution (DESIGN.md §12). Every query request runs
 // through a canonical execution path: the validated parameters build a
 // normalized, limit-insensitive key; identical concurrent requests
-// coalesce into a single execution (mqe.Group); completed canonical
+// coalesce into a single execution (mqe.Group); and completed canonical
 // results live in one byte-bounded LRU (mqe.Cache) shared between
-// whole responses and per-tile sub-results; and concurrent join
-// requests over the same relation pair within the batching window run
-// one synchronized traversal (mqe.Batcher → shard.JoinBatch). Each
-// response is then derived from the canonical result per request —
-// sorted-prefix limit, recomputed truncation — so cached, coalesced
-// and solo runs are byte-identical up to the cached/coalesced markers.
+// whole responses and per-tile sub-results. Each response is then
+// derived from the canonical result per request — sorted-prefix limit,
+// recomputed truncation — so cached, coalesced and solo runs are
+// byte-identical up to the cached/coalesced markers.
 
 // queryCanonical is the cached canonical result of a single-relation
 // request: the uncapped merged answer plus the plan echo. Derivations
@@ -78,7 +76,6 @@ func joinTileSize(r shard.JoinTileResult) int64 {
 func (s *Server) init() {
 	s.initOnce.Do(func() {
 		s.cache = mqe.NewCache(s.CacheBytes)
-		s.batcher = mqe.NewBatcher(s.BatchWindow)
 		s.metrics = make(map[string]*endpointTally)
 		if s.MaxInFlight > 0 {
 			s.limiter = resilience.NewLimiter(s.MaxInFlight, s.MaxQueue, s.QueueWait)
@@ -260,15 +257,9 @@ func (s *Server) execQuery(ctx context.Context, p *queryParams) (*queryCanonical
 	}, nil
 }
 
-// joinBatchReq is one member of a batched join execution.
-type joinBatchReq struct {
-	p *joinParams
-}
-
 // runJoin serves a join request through the canonical path: LRU
-// lookup, single-flight coalescing, then the batching window — all
-// misses over the same relation pair and step-1 ε within the window
-// run ONE synchronized traversal (shard.JoinBatch).
+// lookup, single-flight coalescing, canonical (capped) execution, with
+// the same rerun rule as runQuery.
 func (s *Server) runJoin(ctx context.Context, p *joinParams) (jc *joinCanonical, cached, coalesced bool, err error) {
 	key := p.cacheKey()
 	if v, ok := s.cache.Get(key); ok {
@@ -279,27 +270,22 @@ func (s *Server) runJoin(ctx context.Context, p *joinParams) (jc *joinCanonical,
 		s.observeLookup(false, p.eR, p.eS)
 	}
 	v, coalesced, err := s.flight.Do(key, func() (any, error) {
-		out, err := s.batcher.Run(p.batchKey(), &joinBatchReq{p: p}, func(reqs []any) ([]any, error) {
-			return s.execJoinBatch(ctx, reqs)
-		})
+		c, err := s.execJoin(ctx, p)
 		if err != nil {
 			return nil, err
 		}
-		c := out.(*joinCanonical)
 		s.cache.Put(key, c, c.size())
 		return c, nil
 	})
 	if err != nil {
-		// The executing leader (single-flight or batch opener) may have
-		// been cancelled by its own client — or timed out on its own
-		// server-side deadline — while this request is still live: rerun
+		// A coalesced leader's client may disconnect — or its server-side
+		// deadline may fire — while this request is still live: rerun
 		// solo on our own context.
-		if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
-			out, err := s.execJoinBatch(ctx, []any{&joinBatchReq{p: p}})
+		if coalesced && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
+			c, err := s.execJoin(ctx, p)
 			if err != nil {
 				return nil, false, false, err
 			}
-			c := out[0].(*joinCanonical)
 			s.cache.Put(key, c, c.size())
 			return c, false, true, nil
 		}
@@ -308,54 +294,41 @@ func (s *Server) runJoin(ctx context.Context, p *joinParams) (jc *joinCanonical,
 	return v.(*joinCanonical), false, coalesced, nil
 }
 
-// execJoinBatch runs one batch of join requests — all over the same
-// relation pair and step-1 ε, by batchKey construction — as a single
-// shard.JoinBatch call and builds each member's canonical result.
-func (s *Server) execJoinBatch(ctx context.Context, reqs []any) ([]any, error) {
-	first := reqs[0].(*joinBatchReq).p
-	items := make([][]multistep.Option, len(reqs))
-	exs := make([]multistep.Explain, len(reqs))
-	for i, rq := range reqs {
-		p := rq.(*joinBatchReq).p
-		opts := []multistep.Option{
-			multistep.WithPredicate(p.pred),
-			multistep.WithWorkers(p.workers),
-			// Canonical cap: the largest limit any request can ask for.
-			multistep.WithLimit(s.MaxJoinPairs),
-			multistep.WithExplain(&exs[i]),
-		}
-		if p.plan {
-			// WithPlan resolves engine, filter and workers per tile pair; an
-			// explicit workers parameter stays pinned (WithWorkers > 0 wins).
-			// WithConfig would pin engine and filter, so the planner path
-			// relies on the tiles' build configuration instead.
-			opts = append(opts, multistep.WithPlan())
-		} else {
-			opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
-		}
-		items[i] = opts
+// execJoin is the canonical join execution: capped at MaxJoinPairs (every
+// request limit is a prefix of it), per-tile-pair cached.
+func (s *Server) execJoin(ctx context.Context, p *joinParams) (*joinCanonical, error) {
+	var ex multistep.Explain
+	opts := []multistep.Option{
+		multistep.WithPredicate(p.pred),
+		multistep.WithWorkers(p.workers),
+		multistep.WithLimit(s.MaxJoinPairs),
+		multistep.WithExplain(&ex),
 	}
-	outs, err := shard.JoinBatch(ctx, first.eR.Sh, first.eS.Sh, s.joinTileCache(first), items)
+	if p.plan {
+		// WithPlan resolves engine, filter and workers per tile pair; an
+		// explicit workers parameter stays pinned (WithWorkers > 0 wins).
+		// WithConfig would pin engine and filter, so the planner path
+		// relies on the tiles' build configuration instead.
+		opts = append(opts, multistep.WithPlan())
+	} else {
+		opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
+	}
+	pairs, st, err := shard.JoinCached(ctx, p.eR.Sh, p.eS.Sh, s.joinTileCache(p), opts...)
 	if err != nil {
 		return nil, err
 	}
-	res := make([]any, len(reqs))
-	for i := range outs {
-		res[i] = &joinCanonical{Pairs: outs[i].Pairs, Stats: outs[i].Stats, Plan: echoOf(exs[i].Plan)}
-	}
-	return res, nil
+	return &joinCanonical{Pairs: pairs, Stats: st, Plan: echoOf(ex.Plan)}, nil
 }
 
 // serveStats answers GET /stats: the shared cache counters, the
-// single-flight coalesce count, the batching counters, the admission
-// controller's gauges, per-endpoint request counts with latency
-// percentiles and resilience outcomes, any quarantined relations, any
-// armed fault injections, and the process's resident set size (the
-// figure the load harness samples during a run).
+// single-flight coalesce count, the admission controller's gauges,
+// per-endpoint request counts with latency percentiles and resilience
+// outcomes, any quarantined relations, any armed fault injections, and
+// the process's resident set size (the figure the load harness samples
+// during a run).
 type serveStats struct {
 	Cache       mqe.CacheStats           `json:"cache"`
 	Coalesced   int64                    `json:"coalesced"`
-	Batch       mqe.BatcherStats         `json:"batch"`
 	Admission   resilience.LimiterStats  `json:"admission"`
 	Endpoints   map[string]endpointStats `json:"endpoints"`
 	Quarantined map[string]string        `json:"quarantined,omitempty"`
@@ -400,7 +373,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, serveStats{
 		Cache:       s.cache.Stats(),
 		Coalesced:   s.flight.Coalesced(),
-		Batch:       s.batcher.Stats(),
 		Admission:   s.limiter.Stats(),
 		Endpoints:   eps,
 		Quarantined: s.cat.QuarantinedAll(),

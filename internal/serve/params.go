@@ -367,12 +367,3 @@ func (p *joinParams) cacheKey() string {
 	return fmt.Sprintf("j|%s|%s|%s|w%d|pl%t",
 		entryScope(p.nameR, p.eR), entryScope(p.nameS, p.eS), p.pred.String(), p.workers, p.plan)
 }
-
-// batchKey groups join requests that can share one synchronized
-// traversal: the same relation pair (by generation) and the same
-// step-1 ε. Predicate kind, workers and plan mode legitimately differ
-// within a batch — the batched traversal demultiplexes per request.
-func (p *joinParams) batchKey() string {
-	return fmt.Sprintf("b|%s|%s|e%s",
-		entryScope(p.nameR, p.eR), entryScope(p.nameS, p.eS), fmtFloat(p.pred.Epsilon()))
-}

@@ -8,11 +8,9 @@
 // request.
 //
 // On top of that path sits the multi-query execution layer (DESIGN.md
-// §12): a fingerprint-keyed, byte-bounded result cache, single-flight
-// coalescing of identical concurrent requests, and a batching window
-// under which concurrent joins over the same relation pair share one
-// synchronized R*-tree traversal. All three preserve byte-identical
-// responses up to the cached/coalesced markers.
+// §12): a fingerprint-keyed, byte-bounded result cache and single-flight
+// coalescing of identical concurrent requests. Both preserve
+// byte-identical responses up to the cached/coalesced markers.
 //
 // The intended deployment is "build once, serve many": preprocess
 // relations offline (cmd/datagen -store, optionally -shards N), open
@@ -171,11 +169,11 @@ func (c *Catalog) Names() []string {
 // the whole server with NoPlan.
 //
 // Responses are served through the multi-query execution layer: a
-// byte-bounded LRU result cache (CacheBytes), single-flight coalescing
-// of identical in-flight requests, and an optional batching window
-// (BatchWindow) under which concurrent joins over the same relation
-// pair share one synchronized traversal. Configure the fields before
-// the first Handler call; they are latched when serving starts.
+// byte-bounded LRU result cache (CacheBytes) and single-flight
+// coalescing of identical in-flight requests; a join that neither hits
+// the cache nor coalesces runs its own traversal at once. Configure the
+// fields before the first Handler call; they are latched when serving
+// starts.
 type Server struct {
 	cat *Catalog
 	// MaxJoinPairs caps the number of response pairs a /join request
@@ -192,11 +190,6 @@ type Server struct {
 	// CacheBytes bounds the shared result/tile cache in bytes; ≤ 0
 	// disables caching. NewServer sets DefaultCacheBytes.
 	CacheBytes int64
-	// BatchWindow is how long the first join request of a batch group
-	// waits for concurrent requests over the same relation pair to
-	// join its synchronized traversal; 0 (the default) disables
-	// batching — each request runs its own traversal immediately.
-	BatchWindow time.Duration
 
 	// RequestTimeout is the default server-side deadline of each query
 	// request; ≤ 0 means no default deadline. A request may pick its own
@@ -219,7 +212,6 @@ type Server struct {
 	initOnce sync.Once
 	cache    *mqe.Cache
 	flight   mqe.Group
-	batcher  *mqe.Batcher
 	metrics  map[string]*endpointTally
 	limiter  *resilience.Limiter
 	draining atomic.Bool
@@ -257,7 +249,7 @@ func NewServer(cat *Catalog) *Server {
 //	GET /healthz                                     liveness + relation count
 //	GET /readyz                                      readiness: 503 while draining or empty
 //	GET /relations                                   catalog listing
-//	GET /stats                                       cache / coalesce / batch / resilience counters
+//	GET /stats                                       cache / coalesce / resilience counters
 //	GET /window?rel=R&minx=&miny=&maxx=&maxy=        multi-step window query
 //	         [&epsilon=ε][&limit=]                   (ε-range: within ε of the window)
 //	GET /point?rel=R&x=&y=[&epsilon=ε][&limit=]      multi-step point / ε-range query

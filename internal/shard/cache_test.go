@@ -58,109 +58,64 @@ func (c *memTileCache) PutQueryTile(k QueryTileKey, r QueryTileResult) {
 	c.queries[k] = r
 }
 
-// stripPerTileExplains nulls the per-tile Explain pointers so JoinStats
-// can be compared structurally between runs that captured explains and
-// runs that did not.
-func stripPerTileExplains(st *JoinStats) {
-	for i := range st.PerTile {
-		st.PerTile[i].Explain = nil
-	}
-}
-
-// TestShardJoinBatchMatchesSolo: each request of a mixed batch over a
-// sharded pair must return exactly its solo shard.Join result — pairs,
-// aggregated stats, and per-tile breakdown — at several shard counts.
-func TestShardJoinBatchMatchesSolo(t *testing.T) {
-	rp, sp, cfg := testWorkload(t)
-	noFilter := cfg
-	noFilter.UseFilter = false
-	items := [][]multistep.Option{
-		{multistep.WithPredicate(multistep.Intersects())},
-		{multistep.WithPredicate(multistep.Contains())},
-		{multistep.WithPredicate(multistep.Intersects()), multistep.WithConfig(noFilter)},
-		{multistep.WithPredicate(multistep.Intersects()), multistep.WithLimit(9)},
-		{multistep.WithPredicate(multistep.Contains()), multistep.WithWorkers(2)},
-	}
-	for _, n := range []int{1, 3} {
-		r := Build("R", rp, n, cfg)
-		s := Build("S", sp, n, cfg)
-		outs, err := JoinBatch(context.Background(), r, s, nil, items)
-		if err != nil {
-			t.Fatalf("n=%d JoinBatch: %v", n, err)
-		}
-		for i, opts := range items {
-			pairs, st, err := Join(context.Background(), r, s, opts...)
-			if err != nil {
-				t.Fatalf("n=%d solo Join: %v", n, err)
-			}
-			if !reflect.DeepEqual(outs[i].Pairs, pairs) {
-				t.Errorf("n=%d item %d: batched pairs (%d) != solo pairs (%d)", n, i, len(outs[i].Pairs), len(pairs))
-			}
-			if !reflect.DeepEqual(outs[i].Stats, st) {
-				t.Errorf("n=%d item %d: batched JoinStats differ\nbatch %+v\nsolo  %+v", n, i, outs[i].Stats.Stats, st.Stats)
-			}
-		}
-	}
-}
-
-// TestShardJoinBatchTileCache: a second batch over the same requests is
-// served entirely from the tile-pair cache with identical results, and
-// a request variant that misses the whole batch identity still hits the
+// TestShardJoinTileCache: a second run of the same joins is served
+// entirely from the tile-pair cache with identical results, and a join
+// variant that misses the whole-join identity still hits the
 // per-tile-pair entries it shares.
-func TestShardJoinBatchTileCache(t *testing.T) {
+func TestShardJoinTileCache(t *testing.T) {
 	rp, sp, cfg := testWorkload(t)
 	r := Build("R", rp, 3, cfg)
 	s := Build("S", sp, 3, cfg)
 	tc := newMemTileCache()
-	items := [][]multistep.Option{
+	joins := [][]multistep.Option{
 		{multistep.WithPredicate(multistep.Intersects())},
 		{multistep.WithPredicate(multistep.Contains())},
 	}
+	type outcome struct {
+		pairs []multistep.Pair
+		stats JoinStats
+	}
+	run := func(opts []multistep.Option) outcome {
+		t.Helper()
+		pairs, st, err := JoinCached(context.Background(), r, s, tc, opts...)
+		if err != nil {
+			t.Fatalf("JoinCached: %v", err)
+		}
+		return outcome{pairs, st}
+	}
 
-	first, err := JoinBatch(context.Background(), r, s, tc, items)
-	if err != nil {
-		t.Fatalf("JoinBatch: %v", err)
+	var first []outcome
+	for _, opts := range joins {
+		first = append(first, run(opts))
 	}
 	if tc.joinHits != 0 {
-		t.Fatalf("cold batch hit the cache %d times", tc.joinHits)
+		t.Fatalf("cold joins hit the cache %d times", tc.joinHits)
 	}
 	entries := len(tc.joins)
 	if entries == 0 {
-		t.Fatal("cold batch cached nothing")
+		t.Fatal("cold joins cached nothing")
 	}
 
-	second, err := JoinBatch(context.Background(), r, s, tc, items)
-	if err != nil {
-		t.Fatalf("second JoinBatch: %v", err)
+	for i, opts := range joins {
+		if !reflect.DeepEqual(run(opts), first[i]) {
+			t.Errorf("join %d: cached run differs from cold run", i)
+		}
 	}
 	if tc.joinHits != entries {
-		t.Fatalf("warm batch hit %d tile entries, want %d", tc.joinHits, entries)
-	}
-	for i := range items {
-		sf, ss := first[i], second[i]
-		stripPerTileExplains(&sf.Stats)
-		stripPerTileExplains(&ss.Stats)
-		if !reflect.DeepEqual(sf, ss) {
-			t.Errorf("item %d: cached batch differs from cold batch", i)
-		}
+		t.Fatalf("warm joins hit %d tile entries, want %d", tc.joinHits, entries)
 	}
 
 	// A different limit is a different full request but the same
 	// tile-pair identity: everything replays from cache.
 	hitsBefore := tc.joinHits
-	third, err := JoinBatch(context.Background(), r, s, tc, [][]multistep.Option{
-		{multistep.WithPredicate(multistep.Intersects()), multistep.WithLimit(3)},
-	})
-	if err != nil {
-		t.Fatalf("third JoinBatch: %v", err)
-	}
+	third := run([]multistep.Option{multistep.WithPredicate(multistep.Intersects()), multistep.WithLimit(3)})
 	if tc.joinHits == hitsBefore {
 		t.Fatal("limit variant did not reuse tile-pair entries")
 	}
-	if len(third[0].Pairs) != 3 {
-		t.Fatalf("limit variant returned %d pairs, want 3", len(third[0].Pairs))
+	if len(third.pairs) != 3 {
+		t.Fatalf("limit variant returned %d pairs, want 3", len(third.pairs))
 	}
-	if !reflect.DeepEqual(third[0].Pairs, first[0].Pairs[:3]) {
+	if !reflect.DeepEqual(third.pairs, first[0].pairs[:3]) {
 		t.Fatal("limit variant is not the global sorted prefix of the full result")
 	}
 }

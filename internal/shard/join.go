@@ -62,105 +62,59 @@ func addStats(dst *multistep.Stats, src multistep.Stats) {
 	dst.ResultPairs += src.ResultPairs
 }
 
-// BatchOutcome is one request's result from JoinBatch: exactly what the
-// corresponding solo Join would have returned.
-type BatchOutcome struct {
-	Pairs []multistep.Pair
-	Stats JoinStats
-}
-
 // Join runs the multi-step join of two sharded relations as per-tile-pair
 // sub-joins and merges the responses back into the single-relation
 // contract: pairs carry global object IDs, the collected response is
 // (A, B)-sorted with adjacent duplicates removed, and a WithLimit cap is
-// the prefix of that global order. It is JoinBatch of one request without
-// a tile cache — there is one scatter-gather loop — and the one thing only
-// a single request can ask for is admitted: a WithStream emitter receives
+// the prefix of that global order. A WithStream emitter receives
 // globally-translated pairs in arrival order, interleaved across
-// sub-joins.
+// sub-joins. It is JoinCached without a tile cache — there is one
+// scatter-gather loop.
 func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multistep.Pair, JoinStats, error) {
-	outs, err := JoinBatch(ctx, r, s, nil, [][]multistep.Option{opts})
-	if err != nil {
-		return nil, JoinStats{}, err
-	}
-	return outs[0].Pairs, outs[0].Stats, nil
+	return JoinCached(ctx, r, s, nil, opts...)
 }
 
-// JoinBatch runs N join requests over the sharded relation pair (r, s)
-// as shared work: the tile-pair routing happens once (all requests
-// share one step-1 ε, so they route identically), and each eligible
-// tile pair runs ONE batched synchronized traversal
-// (multistep.JoinBatch) that serves every request, on one fresh session
-// pair per tile pair — each request still observes its solo per-tile page
-// accounting because the shared traversal replays the solo trace.
-// Results come back per request: globally translated, (A, B)-sorted,
-// compacted, limit-truncated. The limit is lifted to the merge layer
-// (sub-joins run uncapped): tiles sort by local IDs, a permutation of the
-// global order, so a local prefix need not contain the global one.
+// JoinCached is Join with a tile-pair sub-result cache. Each eligible
+// tile pair runs one sub-join (multistep.RunJoin) on a fresh session
+// pair, so its page accounting is the solo per-tile figure. The limit is
+// lifted to the merge layer (sub-joins run uncapped): tiles sort by local
+// IDs, a permutation of the global order, so a local prefix need not
+// contain the global one.
 //
 // Routing: sub-join (i, j) runs iff r.Tiles[i].MBR expanded by the
 // predicate's ε intersects s.Tiles[j].MBR — tile MBRs are true object
 // bounds, so no qualifying pair can be routed away.
 //
-// tc, when non-nil, caches tile-pair sub-results: requests whose
-// per-tile-pair identity (predicate, config override, plan mode,
-// requested workers) hits the cache skip that tile pair's share of the
-// traversal entirely and contribute the original run's sub-statistics.
-// Bufferless and streaming requests bypass the cache (their sub-results
-// carry no pairs and must not be served to collecting requests).
-//
-// Two or more requests must share the predicate's step-1 ε and not
-// stream. Groups larger than multistep.MaxBatchItems are chunked into
-// successive batched traversals, preserving per-request order.
+// tc, when non-nil, caches tile-pair sub-results: a tile pair whose
+// identity (predicate, config override, plan mode, requested workers)
+// hits the cache skips its sub-join and contributes the original run's
+// sub-statistics. Bufferless and streaming joins bypass the cache (their
+// sub-results carry no pairs and must not be served to collecting
+// joins). A nil tc is exactly Join; the caller must scope tc to this
+// exact relation pair — see JoinTileCache.
 //
 // Cancellation fans out: the first sub-join error (including ctx
-// cancellation) cancels every other sub-join, and JoinBatch returns only
+// cancellation) cancels every other sub-join, and JoinCached returns only
 // after all of them have stopped — no goroutine outlives the call. Joins
-// fail closed: one failed tile pair fails every request.
-func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]multistep.Option) ([]BatchOutcome, error) {
+// fail closed: one failed tile pair fails the join.
+func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...multistep.Option) ([]multistep.Pair, JoinStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(items) == 0 {
-		return nil, nil
+	res := multistep.ResolveOptions(opts)
+	if err := res.Pred.Validate(); err != nil {
+		return nil, JoinStats{}, err
 	}
-	if len(items) > multistep.MaxBatchItems {
-		out := make([]BatchOutcome, 0, len(items))
-		for start := 0; start < len(items); start += multistep.MaxBatchItems {
-			end := min(start+multistep.MaxBatchItems, len(items))
-			chunk, err := JoinBatch(ctx, r, s, tc, items[start:end])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, chunk...)
-		}
-		return out, nil
+	if res.Cfg == nil && r.Fingerprint() != s.Fingerprint() {
+		return nil, JoinStats{}, fmt.Errorf("shard: relations %q and %q were built under different configurations: %w",
+			r.Name, s.Name, multistep.ErrConfigMismatch)
+	}
+	collects := !res.Bufferless && res.Stream == nil
+	if !collects {
+		tc = nil
 	}
 
-	ress := make([]multistep.Resolved, len(items))
-	for i, opts := range items {
-		res := multistep.ResolveOptions(opts)
-		if err := res.Pred.Validate(); err != nil {
-			return nil, err
-		}
-		if res.Stream != nil && len(items) > 1 {
-			return nil, multistep.ErrBatchStream
-		}
-		if res.Cfg == nil && r.Fingerprint() != s.Fingerprint() {
-			return nil, fmt.Errorf("shard: relations %q and %q were built under different configurations: %w",
-				r.Name, s.Name, multistep.ErrConfigMismatch)
-		}
-		if i > 0 && res.Pred.Epsilon() != ress[0].Pred.Epsilon() {
-			return nil, multistep.ErrBatchMismatch
-		}
-		ress[i] = res
-	}
-	// collects reports whether request i wants its pairs returned;
-	// cacheable whether its tile-pair sub-results go through tc.
-	collects := func(i int) bool { return !ress[i].Bufferless && ress[i].Stream == nil }
-	cacheable := func(i int) bool { return tc != nil && collects(i) }
-
-	eligible := eligiblePairs(r, s, ress[0].Pred.Epsilon())
+	eligible := eligiblePairs(r, s, res.Pred.Epsilon())
 
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -169,10 +123,10 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 	var (
 		mu       sync.Mutex // guards firstErr and serializes the stream emitter
 		firstErr error
-		// subs[k][i] is request i's outcome of sub-join eligible[k],
-		// written by that sub-join's goroutine alone and merged after
-		// all of them have stopped.
-		subs = make([][]JoinTileResult, len(eligible))
+		// subs[k] is the outcome of sub-join eligible[k], written by that
+		// sub-join's goroutine alone and merged after all of them have
+		// stopped.
+		subs = make([]JoinTileResult, len(eligible))
 	)
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
@@ -186,62 +140,45 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 				return
 			}
 			rt, st := r.Tiles[e.ri], s.Tiles[e.si]
-
-			// Split the requests into tile-cache hits and the remainder
-			// that shares this tile pair's batched traversal.
-			tileRes := make([]JoinTileResult, len(items))
-			var todo []int
-			for i := range items {
-				if cacheable(i) {
-					if cr, ok := tc.GetJoinTile(joinTileKey(e.ri, e.si, ress[i])); ok {
-						tileRes[i] = cr
-						continue
-					}
+			var key JoinTileKey
+			if tc != nil {
+				key = joinTileKey(e.ri, e.si, res)
+				if cr, ok := tc.GetJoinTile(key); ok {
+					subs[k] = cr
+					return
 				}
-				todo = append(todo, i)
-			}
-			if len(todo) == 0 {
-				subs[k] = tileRes
-				return
 			}
 
-			// The shared traversal is a recovery boundary: a panic in
-			// this tile pair's sub-join becomes its error (and, joins
-			// failing closed, every request's) instead of killing the
-			// process.
+			// The sub-join is a recovery boundary: a panic in this tile
+			// pair's sub-join becomes its error (and, joins failing closed,
+			// the join's) instead of killing the process.
 			err := func() (err error) {
 				defer resilience.RecoverTo(&err, "tile-join")
 				if ferr := fault.Check("tile-join"); ferr != nil {
 					return ferr
 				}
-				// Each request's resolved options, copied per sub-join: the
-				// limit lifted to the merge layer, and the fields a sub-join
-				// must own replaced.
-				subItems := make([]multistep.Resolved, len(todo))
-				for n, i := range todo {
-					sub := ress[i]
-					sub.Limit = -1
-					// Each sub-join gets its own Explain: the caller's
-					// capture target must not be written by N goroutines,
-					// and per-tile-pair plans are the point. The caching
-					// path always captures it (see QueryCached), so a later
-					// request that wants the plan can be served from cache.
-					sub.Explain = nil
-					if ress[i].Explain != nil || cacheable(i) {
-						tileRes[i].Explain = new(multistep.Explain)
-						sub.Explain = tileRes[i].Explain
-					}
-					if emit := ress[i].Stream; emit != nil {
-						sub.Stream = func(p multistep.Pair) {
-							mu.Lock()
-							defer mu.Unlock()
-							emit(multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
-						}
-					}
-					subItems[n] = sub
-				}
+				// The resolved options, copied for this sub-join: its own
+				// sessions, the limit lifted to the merge layer, and its own
+				// Explain — the caller's capture target must not be written
+				// by N goroutines, and per-tile-pair plans are the point. The
+				// caching path always captures one (see QueryCached), so a
+				// later join that wants the plan can be served from cache.
 				sessR, sessS := rt.Rel.NewSession(), st.Rel.NewSession()
-				outs, err := multistep.JoinBatch(ctx, rt.Rel, st.Rel, sessR, sessS, subItems)
+				sub := res
+				sub.AxR, sub.AxS, sub.Limit, sub.Explain = sessR, sessS, -1, nil
+				var tr JoinTileResult
+				if res.Explain != nil || tc != nil {
+					tr.Explain = new(multistep.Explain)
+					sub.Explain = tr.Explain
+				}
+				if emit := res.Stream; emit != nil {
+					sub.Stream = func(p multistep.Pair) {
+						mu.Lock()
+						defer mu.Unlock()
+						emit(multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
+					}
+				}
+				pairs, sst, err := multistep.RunJoin(ctx, rt.Rel, st.Rel, sub)
 				if err != nil {
 					return err
 				}
@@ -251,12 +188,11 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 				if serr := sessS.Err(); serr != nil {
 					return serr
 				}
-				for n, i := range todo {
-					tileRes[i].Pairs, tileRes[i].Stats = outs[n].Pairs, outs[n].Stats
-					if cacheable(i) {
-						tc.PutJoinTile(joinTileKey(e.ri, e.si, ress[i]), tileRes[i])
-					}
+				tr.Pairs, tr.Stats = pairs, sst
+				if tc != nil {
+					tc.PutJoinTile(key, tr)
 				}
+				subs[k] = tr
 				return nil
 			}()
 			if err != nil {
@@ -266,9 +202,7 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 					firstErr = err
 					cancel()
 				}
-				return
 			}
-			subs[k] = tileRes
 		}(k, e)
 	}
 	wg.Wait()
@@ -279,32 +213,29 @@ func JoinBatch(ctx context.Context, r, s *Sharded, tc JoinTileCache, items [][]m
 		firstErr = parent.Err()
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return nil, JoinStats{}, firstErr
 	}
 
-	outcomes := make([]BatchOutcome, len(items))
-	for i := range outcomes {
-		o := &outcomes[i]
-		o.Stats.SubJoins = len(eligible)
-		// eligible is in (RTile, STile) order, and so is PerTile.
-		for k, e := range eligible {
-			tr := subs[k][i]
-			if ress[i].Explain == nil {
-				tr.Explain = nil // captured for the cache only
-			}
-			o.Stats.PerTile = append(o.Stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: tr.Stats, Explain: tr.Explain})
-			addStats(&o.Stats.Stats, tr.Stats)
+	stats := JoinStats{SubJoins: len(eligible)}
+	// eligible is in (RTile, STile) order, and so is PerTile.
+	for k, e := range eligible {
+		tr := subs[k]
+		if res.Explain == nil {
+			tr.Explain = nil // captured for the cache only
 		}
-		if ress[i].Explain != nil {
-			*ress[i].Explain = aggregateExplain(o.Stats.PerTile, ress[i].Stream != nil)
-		}
-		if collects(i) {
-			// The tile-local pairs may be cache entries: read, never
-			// translated in place.
-			o.Pairs = mergePairs(r, s, eligible, ress[i].Limit, func(k int) []multistep.Pair { return subs[k][i].Pairs })
-		}
+		stats.PerTile = append(stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: tr.Stats, Explain: tr.Explain})
+		addStats(&stats.Stats, tr.Stats)
 	}
-	return outcomes, nil
+	if res.Explain != nil {
+		*res.Explain = aggregateExplain(stats.PerTile, res.Stream != nil)
+	}
+	var pairs []multistep.Pair
+	if collects {
+		// The tile-local pairs may be cache entries: read, never
+		// translated in place.
+		pairs = mergePairs(r, s, eligible, res.Limit, func(k int) []multistep.Pair { return subs[k].Pairs })
+	}
+	return pairs, stats, nil
 }
 
 // mergePairs gathers the tile-local response sets of the sub-joins

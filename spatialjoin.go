@@ -314,25 +314,6 @@ func SaveRelation(dir string, rel *Relation) error { return shard.Save(dir, rel)
 // included, as on the originally built one.
 func OpenRelation(path string, cfg Config) (*Relation, error) { return shard.Open(path, cfg) }
 
-// BatchResult is one request's outcome from JoinBatch: its pairs and
-// statistics, as if it had run alone.
-type BatchResult = shard.BatchOutcome
-
-// ErrBatchMismatch reports batched requests that cannot share one
-// traversal (different step-1 ε).
-var ErrBatchMismatch = multistep.ErrBatchMismatch
-
-// JoinBatch runs several join requests over one relation pair as shared
-// work: each tile pair is traversed ONCE for all requests, every
-// request's predicate is evaluated per candidate pair, and the results
-// are demultiplexed. items[i] holds the i-th request's options
-// (predicate, workers, limit, explain...); the i-th result corresponds
-// to it and equals its solo Join — response set, ordering, limit
-// semantics and statistics. See DESIGN.md §12.
-func JoinBatch(ctx context.Context, r, s *Relation, items [][]Option) ([]BatchResult, error) {
-	return shard.JoinBatch(ctx, r, s, nil, items)
-}
-
 // WritePolygons persists a relation in the compact binary format of
 // cmd/datagen.
 func WritePolygons(w io.Writer, rel []*Polygon) error {

@@ -140,23 +140,15 @@ func TestPublicAPI(t *testing.T) {
 			t.Errorf("tiles=%d nearest: %v (err %v), want %v", tiles, nn.Neighbors, err, nearest[:4])
 		}
 
-		// A batch shares each tile pair's traversal; every member equals
-		// its solo run. EXPLAIN plans the same sub-joins without running.
+		// EXPLAIN plans the same sub-joins a Join runs, without running.
 		s := spatialjoin.NewRelation("S", shifted, tiles, cfg)
-		items := [][]spatialjoin.Option{
-			{spatialjoin.WithPredicate(spatialjoin.Intersects())},
-			{spatialjoin.WithPredicate(spatialjoin.WithinDistance(0)), spatialjoin.WithLimit(5)},
-		}
-		outs, err := spatialjoin.JoinBatch(ctx, r, s, items)
+		_, st, err := spatialjoin.Join(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(outs[0].Pairs, preds[0].want) || !reflect.DeepEqual(outs[1].Pairs, preds[0].want[:5]) {
-			t.Errorf("tiles=%d: batched joins differ from their solo response sets", tiles)
-		}
 		ex, err := spatialjoin.ExplainJoin(ctx, r, s, false, spatialjoin.WithPlan())
-		if err != nil || ex.SubJoins != outs[0].Stats.SubJoins || len(ex.PerTile) != ex.SubJoins || ex.Explain.Executed {
-			t.Errorf("tiles=%d: ExplainJoin = %d sub-joins, %d plans, err %v; the join ran %d", tiles, ex.SubJoins, len(ex.PerTile), err, outs[0].Stats.SubJoins)
+		if err != nil || ex.SubJoins != st.SubJoins || len(ex.PerTile) != ex.SubJoins || ex.Explain.Executed {
+			t.Errorf("tiles=%d: ExplainJoin = %d sub-joins, %d plans, err %v; the join ran %d", tiles, ex.SubJoins, len(ex.PerTile), err, st.SubJoins)
 		}
 
 		// The store refuses a different configuration and a damaged manifest.
@@ -219,12 +211,6 @@ func TestUnifiedAPIErrors(t *testing.T) {
 	if _, _, err := spatialjoin.Join(ctx, r, r,
 		spatialjoin.WithPredicate(spatialjoin.WithinDistance(-1))); err == nil {
 		t.Error("negative epsilon not rejected")
-	}
-	// Batched requests must share the step-1 ε.
-	if _, err := spatialjoin.JoinBatch(ctx, r, r, [][]spatialjoin.Option{
-		{}, {spatialjoin.WithPredicate(spatialjoin.WithinDistance(0.01))},
-	}); !errors.Is(err, spatialjoin.ErrBatchMismatch) {
-		t.Errorf("mixed-ε batch err = %v, want ErrBatchMismatch", err)
 	}
 	// Query requires a target; nearest takes no predicate.
 	if _, err := spatialjoin.Query(ctx, r); err == nil {

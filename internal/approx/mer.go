@@ -1,7 +1,9 @@
 package approx
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"spatialjoin/internal/geom"
@@ -10,10 +12,10 @@ import (
 // MERMaxCandidates caps the number of distinct x coordinates enumerated by
 // MaxEnclosedRect. The paper's definition restricts rectangle coordinates
 // to vertex coordinates; with complex objects (the BW relation averages
-// 527 vertices) the exact enumeration is cubic, so the implementation
-// subsamples the candidate set uniformly beyond this cap. The cap keeps
-// preprocessing cost bounded while changing the found rectangle only
-// marginally (quality is reported by the Figure 8 experiment).
+// 527 vertices) the implementation subsamples the candidate set uniformly
+// beyond this cap, which bounds the strips per object at MERMaxCandidates²/2
+// while changing the found rectangle only marginally (quality is reported
+// by the Figure 8 experiment).
 const MERMaxCandidates = 48
 
 // MaxEnclosedRect returns the paper's maximum enclosed rectangle (MER) of
@@ -22,11 +24,21 @@ const MERMaxCandidates = 48
 // in a vertex of the polygon and (2) has x and y coordinates drawn from
 // the vertex coordinates. The empty rectangle is returned for degenerate
 // polygons where no such rectangle exists.
+//
+// The strip rule: a candidate strip [x1, x2] spans two candidate x's and
+// overlaps the chord's open span (x1 < xr and x2 > xl), so the chord
+// crosses its interior. Inside the strip the boundary leaves a free
+// vertical interval around the chord level; the rectangle is the strip
+// with that interval snapped inward to vertex y's. For each x1 one
+// left-to-right sweep over x2 maintains the interval: an edge whose x
+// range ends inside the strip is clipped and folded in once, only the
+// edges straddling x2 are re-clipped per step, and the sweep stops at the
+// first strip an edge crosses at chord level or that has no room left —
+// widening a strip only adds boundary, so every wider strip fails too.
+// The result is the first largest rectangle that enclosed certifies.
 func MaxEnclosedRect(p *geom.Polygon) geom.Rect {
-	var edges []geom.Segment
-	edges = p.Edges(edges)
-	var verts []geom.Point
-	verts = p.Vertices(verts)
+	edges := p.Edges(nil)
+	verts := p.Vertices(nil)
 
 	chord, ok := longestHorizontalChord(p, edges, verts)
 	if !ok {
@@ -63,42 +75,146 @@ func MaxEnclosedRect(p *geom.Polygon) geom.Rect {
 	sort.Float64s(ysBelow)
 	sort.Float64s(ysAbove)
 
-	best := geom.EmptyRect()
-	bestArea := 0.0
-	for i := 0; i < len(xs); i++ {
-		x1 := xs[i]
-		if x1 > xr {
-			break // the strip can no longer intersect the chord span
-		}
-		for j := i + 1; j < len(xs); j++ {
-			x2 := xs[j]
-			if x2 < xl {
-				continue // strip entirely left of the chord span
-			}
-			if (x2-x1)*maxPossibleHeight(p.Bounds()) <= bestArea {
-				// Even the full bounding-box height cannot beat the
-				// incumbent; wider strips only shrink the free height.
-				continue
-			}
-			floor, ceil, valid := stripFreeInterval(edges, x1, x2, yc)
-			if !valid || ceil-floor <= 0 {
-				continue
-			}
-			y1, ok1 := smallestAtLeast(ysBelow, floor)
-			y2, ok2 := largestAtMost(ysAbove, ceil)
-			if !ok1 || !ok2 || y1 > yc || y2 < yc || y2 <= y1 {
-				continue
-			}
-			if area := (x2 - x1) * (y2 - y1); area > bestArea {
-				bestArea = area
-				best = geom.Rect{MinX: x1, MinY: y1, MaxX: x2, MaxY: y2}
-			}
-		}
+	// Edges in order of their minimum x, the order a sweep meets them.
+	byLo := make([]spanEdge, len(edges))
+	for i, e := range edges {
+		byLo[i] = spanEdge{e: e, lo: min(e.A.X, e.B.X), hi: max(e.A.X, e.B.X)}
 	}
-	return best
+	slices.SortFunc(byLo, func(a, b spanEdge) int { return cmp.Compare(a.lo, b.lo) })
+
+	height := p.Bounds().Height()
+	var straddling []spanEdge
+	// search returns the first largest candidate, among the certified ones
+	// when certify is set.
+	search := func(certify bool) geom.Rect {
+		best, bestArea := geom.EmptyRect(), 0.0
+		for i, x1 := range xs {
+			if x1 >= xr || (xs[len(xs)-1]-x1)*height <= bestArea {
+				break // no strip left overlaps the chord's open span and can win
+			}
+			// Sweep x2 rightwards. An edge is in the open strip once its x
+			// range overlaps (x1+Eps, x2−Eps); floor and ceil hold the free
+			// interval over the edges whose x range ends inside the strip,
+			// straddling the edges that extend past x2.
+			next, floor, ceil, crossed := 0, math.Inf(-1), math.Inf(1), false
+			straddling = straddling[:0]
+			for _, x2 := range xs[i+1:] {
+				for ; next < len(byLo) && byLo[next].lo < x2-geom.Eps; next++ {
+					if e := byLo[next]; e.hi > x1+geom.Eps {
+						straddling = append(straddling, e)
+					}
+				}
+				fl, ce := math.Inf(-1), math.Inf(1)
+				kept := straddling[:0]
+				for _, e := range straddling {
+					if e.hi <= x2 { // its clip no longer depends on x2: fold it in for good
+						crossed = crossed || !fold(e, x1, e.hi, yc, &floor, &ceil)
+					} else {
+						kept = append(kept, e)
+						crossed = crossed || !fold(e, x1, x2, yc, &fl, &ce)
+					}
+				}
+				straddling = kept
+				fl, ce = max(fl, floor), min(ce, ceil)
+				if crossed || ce-fl <= 0 {
+					break // crossed or no room: so is every wider strip
+				}
+				if x2 <= xl {
+					continue // strip left of the chord's open span
+				}
+				if (x2-x1)*height <= bestArea {
+					continue // even the full bounding-box height cannot win
+				}
+				y1, ok1 := smallestAtLeast(ysBelow, fl)
+				y2, ok2 := largestAtMost(ysAbove, ce)
+				if !ok1 || !ok2 || y1 > yc || y2 < yc || y2 <= y1 {
+					continue
+				}
+				r := geom.Rect{MinX: x1, MinY: y1, MaxX: x2, MaxY: y2}
+				if area := (x2 - x1) * (y2 - y1); area > bestArea && (!certify || enclosed(p, edges, r)) {
+					best, bestArea = r, area
+				}
+			}
+		}
+		return best
+	}
+	// The first largest candidate is almost always enclosed, and then it is
+	// also the first largest certified one: certify it alone, and certify
+	// every improvement only when it fails.
+	if best := search(false); best.IsEmpty() || enclosed(p, edges, best) {
+		return best
+	}
+	return search(true)
 }
 
-func maxPossibleHeight(b geom.Rect) float64 { return b.Height() }
+// spanEdge is a polygon edge with its x range.
+type spanEdge struct {
+	e      geom.Segment
+	lo, hi float64
+}
+
+// fold narrows the free interval (floor, ceil) around the chord level yc
+// by edge e clipped to [max(e.lo, x1), b]. It reports false when the
+// clipped edge crosses the chord level, which rules out the strip.
+func fold(e spanEdge, x1, b, yc float64, floor, ceil *float64) bool {
+	lo, hi := edgeYRangeInStrip(e.e, max(e.lo, x1), b)
+	switch {
+	case lo >= yc-geom.Eps && hi <= yc+geom.Eps:
+		// Edge lies on the chord level: the chord itself borders such
+		// edges; they constrain nothing beyond the level line.
+	case lo > yc:
+		*ceil = min(*ceil, lo)
+	case hi < yc:
+		*floor = max(*floor, hi)
+	default:
+		return false
+	}
+	return true
+}
+
+// enclosed certifies that the closed rectangle r lies in the closed region
+// of p: no ring edge meets the open rectangle — decided with exact
+// orientations, so no rounding can let an edge through — and a point
+// strictly inside it lies in the region. The open rectangle is connected
+// and free of boundary, so it lies wholly inside or wholly outside.
+func enclosed(p *geom.Polygon, edges []geom.Segment, r geom.Rect) bool {
+	c := geom.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
+	if !(r.MinX < c.X && c.X < r.MaxX && r.MinY < c.Y && c.Y < r.MaxY) {
+		return false
+	}
+	corners := r.Corners()
+	for _, e := range edges {
+		if meetsOpenRect(e, r, &corners) {
+			return false
+		}
+	}
+	return p.ContainsPoint(c)
+}
+
+// meetsOpenRect reports whether the closed segment e shares a point with
+// the interior of r. Past the bounding-box test, a segment meets the
+// interior iff its line has corners of r strictly on both sides: a
+// segment that stops short of the interior lies beyond one side of r,
+// where its bounding box cannot overlap the interior.
+func meetsOpenRect(e geom.Segment, r geom.Rect, corners *[4]geom.Point) bool {
+	if max(e.A.X, e.B.X) <= r.MinX || min(e.A.X, e.B.X) >= r.MaxX ||
+		max(e.A.Y, e.B.Y) <= r.MinY || min(e.A.Y, e.B.Y) >= r.MaxY {
+		return false
+	}
+	if e.A == e.B {
+		return true // a point strictly inside r
+	}
+	var left, right bool
+	for _, q := range corners {
+		switch geom.OrientationAdaptive(e.A, e.B, q) {
+		case 1:
+			left = true
+		case -1:
+			right = true
+		}
+	}
+	return left && right
+}
 
 // longestHorizontalChord finds the longest horizontal segment that starts
 // in a vertex of p and stays inside the closed region.
@@ -106,9 +222,9 @@ func longestHorizontalChord(p *geom.Polygon, edges []geom.Segment, verts []geom.
 	var best geom.Segment
 	bestLen := -1.0
 	for _, v := range verts {
-		for _, dir := range [2]float64{1, -1} {
-			end, ok := horizontalRayExit(p, edges, v, dir)
-			if !ok {
+		left, right := horizontalRayExits(edges, v)
+		for _, end := range [2]float64{right, left} {
+			if math.IsInf(end, 0) {
 				continue
 			}
 			if l := math.Abs(end - v.X); l > bestLen {
@@ -128,90 +244,45 @@ func longestHorizontalChord(p *geom.Polygon, edges []geom.Segment, verts []geom.
 	return best, true
 }
 
-// horizontalRayExit walks from v in direction dir (±x) and returns the x
-// coordinate where the ray first meets the boundary again.
-func horizontalRayExit(p *geom.Polygon, edges []geom.Segment, v geom.Point, dir float64) (float64, bool) {
-	bestX := math.Inf(1) * dir
-	found := false
+// horizontalRayExits walks from v along −x and +x and returns the x
+// coordinates where the two rays first meet the boundary again, −Inf and
+// +Inf for a ray that meets none.
+func horizontalRayExits(edges []geom.Segment, v geom.Point) (left, right float64) {
+	left, right = math.Inf(-1), math.Inf(1)
+	exit := func(x float64) {
+		if x-v.X > geom.Eps {
+			right = min(right, x)
+		} else if v.X-x > geom.Eps {
+			left = max(left, x)
+		}
+	}
 	for _, e := range edges {
-		lo := math.Min(e.A.Y, e.B.Y)
-		hi := math.Max(e.A.Y, e.B.Y)
-		if v.Y < lo-geom.Eps || v.Y > hi+geom.Eps {
+		if v.Y < min(e.A.Y, e.B.Y)-geom.Eps || v.Y > max(e.A.Y, e.B.Y)+geom.Eps {
 			continue
 		}
 		dy := e.B.Y - e.A.Y
 		if math.Abs(dy) < geom.Eps {
-			// Horizontal edge on the ray's line: its endpoints bound the ray.
-			for _, ex := range [2]float64{e.A.X, e.B.X} {
-				if (ex-v.X)*dir > geom.Eps && (!found || (ex-bestX)*dir < 0) {
-					bestX = ex
-					found = true
-				}
-			}
+			// Horizontal edge on the rays' line: its endpoints bound them.
+			exit(e.A.X)
+			exit(e.B.X)
 			continue
 		}
-		t := (v.Y - e.A.Y) / dy
-		if t < -geom.Eps || t > 1+geom.Eps {
-			continue
-		}
-		x := e.A.X + t*(e.B.X-e.A.X)
-		if (x-v.X)*dir > geom.Eps {
-			if !found || (x-bestX)*dir < 0 {
-				bestX = x
-				found = true
-			}
+		if t := (v.Y - e.A.Y) / dy; t >= -geom.Eps && t <= 1+geom.Eps {
+			exit(e.A.X + t*(e.B.X-e.A.X))
 		}
 	}
-	return bestX, found
-}
-
-// stripFreeInterval computes the free vertical interval around the chord
-// level yc inside the strip (x1, x2): floor is the highest boundary point
-// below yc, ceil the lowest boundary point above yc. valid is false when
-// some edge crosses the chord level strictly inside the strip, which rules
-// out any rectangle of this width.
-func stripFreeInterval(edges []geom.Segment, x1, x2, yc float64) (floor, ceil float64, valid bool) {
-	floor = math.Inf(-1)
-	ceil = math.Inf(1)
-	for _, e := range edges {
-		exLo := math.Min(e.A.X, e.B.X)
-		exHi := math.Max(e.A.X, e.B.X)
-		if exHi <= x1+geom.Eps || exLo >= x2-geom.Eps {
-			continue // edge outside the open strip
-		}
-		// Clip the edge to the strip and take its y range there.
-		lo, hi := edgeYRangeInStrip(e, math.Max(exLo, x1), math.Min(exHi, x2))
-		switch {
-		case lo >= yc-geom.Eps && hi <= yc+geom.Eps:
-			// Edge lies on the chord level: the chord itself borders such
-			// edges; they constrain nothing beyond the level line.
-			continue
-		case lo > yc:
-			if lo < ceil {
-				ceil = lo
-			}
-		case hi < yc:
-			if hi > floor {
-				floor = hi
-			}
-		default:
-			return 0, 0, false // edge crosses the chord level inside the strip
-		}
-	}
-	return floor, ceil, true
+	return left, right
 }
 
 // edgeYRangeInStrip returns the y range of segment e over x ∈ [a, b],
 // assuming e's x range covers [a, b] at least partially (callers clip).
 func edgeYRangeInStrip(e geom.Segment, a, b float64) (lo, hi float64) {
-	ya := e.YAt(a)
-	yb := e.YAt(b)
 	if math.Abs(e.B.X-e.A.X) < geom.Eps {
 		// Vertical edge: its whole y range lies in the strip.
-		ya = math.Min(e.A.Y, e.B.Y)
-		yb = math.Max(e.A.Y, e.B.Y)
+		return min(e.A.Y, e.B.Y), max(e.A.Y, e.B.Y)
 	}
-	return math.Min(ya, yb), math.Max(ya, yb)
+	ya, yb := e.YAt(a), e.YAt(b)
+	return min(ya, yb), max(ya, yb)
 }
 
 // smallestAtLeast returns the smallest element of the sorted slice ys that

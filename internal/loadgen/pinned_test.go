@@ -19,7 +19,10 @@ import (
 // and the TR*-tree and edge loops visit the pairs — of the
 // distance-computing ones they replaced. The numbers were recorded at
 // the last commit that computed distances (9853f64) and must not move
-// unless step 1, the approximations or the decomposition change.
+// unless step 1, the approximations or the decomposition change. They
+// moved once since: MERs certified to lie inside their objects dropped
+// three pairs at distance > ε that unsound MERs had made filter hits
+// (R 55 × S 53, R 131 × S 133, R 456 × S 385).
 func TestWithinJoinPinnedCounts(t *testing.T) {
 	spec, err := For(0.01)
 	if err != nil {
@@ -48,15 +51,15 @@ func TestWithinJoinPinnedCounts(t *testing.T) {
 		ops                                              ops.Counters
 	}
 	// Steps 1 and 2 do not depend on the engine.
-	const cand, hits, falseHits, tested, exactHits, result = 28395, 13044, 5117, 10234, 9374, 22418
-	const pairsHash = 0x3bfb5733bb3a44fe
+	const cand, hits, falseHits, tested, exactHits, result = 28395, 13049, 5117, 10229, 9366, 22415
+	const pairsHash = 0xde915b299f0aa26b
 	cases := []struct {
 		engine multistep.Engine
 		ops    ops.Counters
 	}{
-		{multistep.EngineTRStar, ops.Counters{RectIntersection: 276211, TrapIntersection: 24989}},
-		{multistep.EnginePlaneSweep, ops.Counters{EdgeIntersection: 272059, EdgeRect: 717231, RectIntersection: 10234}},
-		{multistep.EngineQuadratic, ops.Counters{EdgeIntersection: 4509937, RectIntersection: 10234}},
+		{multistep.EngineTRStar, ops.Counters{RectIntersection: 276496, TrapIntersection: 25022}},
+		{multistep.EnginePlaneSweep, ops.Counters{EdgeIntersection: 272154, EdgeRect: 716849, RectIntersection: 10229}},
+		{multistep.EngineQuadratic, ops.Counters{EdgeIntersection: 4511986, RectIntersection: 10229}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.engine.String(), func(t *testing.T) {

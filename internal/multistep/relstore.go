@@ -33,7 +33,7 @@ import (
 // Layout (little endian):
 //
 //	magic       uint32  'SJRL'
-//	version     uint16  1
+//	version     uint16  3
 //	fingerprint uint64  FNV-1a of the canonical config string
 //	name        uint16 length + bytes
 //	objectCount uint32
@@ -49,10 +49,14 @@ import (
 //
 // Version 2 appended the planner-statistics trailer; version 1 stores
 // (no trailer) still open, with the statistics recomputed from the
-// decoded objects.
+// decoded objects. Version 3 changed no byte of the layout: it marks
+// stores whose MERs approx.MaxEnclosedRect certified to lie inside their
+// objects. Earlier MERs could leave the object — a filter hit without
+// the pair intersecting — so opening a version 1 or 2 store recomputes
+// every MER from its polygon.
 const (
 	relstoreMagic   = 0x534A524C // "SJRL"
-	relstoreVersion = 2
+	relstoreVersion = 3
 
 	// fingerprintVersion seeds ConfigFingerprint. It is deliberately
 	// decoupled from relstoreVersion: the fingerprint identifies the
@@ -168,9 +172,10 @@ func appendRelation(buf []byte, rel *Relation, cfg Config) ([]byte, error) {
 
 // OpenRelation reads a relation store written by SaveRelation under the
 // same configuration. The restored relation is ready to join
-// immediately: no approximations are recomputed, no trees rebuilt, and
-// the R*-tree resumes in the exact page layout and buffer state it was
-// saved in, so join results and statistics equal the original's.
+// immediately: no approximations are recomputed (except the MERs of a
+// store older than version 3), no trees rebuilt, and the R*-tree resumes
+// in the exact page layout and buffer state it was saved in, so join
+// results and statistics equal the original's.
 func OpenRelation(r io.Reader, cfg Config) (*Relation, error) {
 	blob, err := io.ReadAll(r)
 	if err != nil {
@@ -250,6 +255,10 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 			return nil, fmt.Errorf("%w: object %d: %v", ErrBadRelationStore, i, err)
 		}
 		d.Skip(n)
+		if version < 3 && set.MERA != nil {
+			mer := approx.MaxEnclosedRect(poly)
+			set.MERA = &mer
+		}
 		o := &Object{ID: int32(i), Poly: poly, Approx: set}
 		if hasTR {
 			trLen := int(d.U32())

@@ -8,8 +8,7 @@
 package decomp
 
 import (
-	"math"
-	"sort"
+	"slices"
 
 	"spatialjoin/internal/convex"
 	"spatialjoin/internal/geom"
@@ -102,7 +101,7 @@ func Trapezoidize(p *geom.Polygon) []Trapezoid {
 	for _, e := range edges {
 		xs = append(xs, e.A.X)
 	}
-	sort.Float64s(xs)
+	slices.Sort(xs)
 	xs = dedupFloats(xs)
 	if len(xs) < 2 {
 		return nil
@@ -116,16 +115,17 @@ func Trapezoidize(p *geom.Polygon) []Trapezoid {
 	}
 	sw := make([]swEdge, 0, len(edges))
 	for _, e := range edges {
-		minX := math.Min(e.A.X, e.B.X)
-		maxX := math.Max(e.A.X, e.B.X)
+		minX := min(e.A.X, e.B.X)
+		maxX := max(e.A.X, e.B.X)
 		if maxX-minX < geom.Eps {
 			continue // vertical edges never span a slab
 		}
 		sw = append(sw, swEdge{s: e, minX: minX, maxX: maxX})
 	}
-	sort.Slice(sw, func(i, j int) bool { return sw[i].minX < sw[j].minX })
+	slices.SortFunc(sw, func(a, b swEdge) int { return compareLess(a.minX, b.minX) })
 
-	var out []Trapezoid
+	// Map polygons decompose into 1 to 2 trapezoids per edge.
+	out := make([]Trapezoid, 0, 2*len(edges))
 	active := make([]swEdge, 0, 16)
 	next := 0
 	type span struct {
@@ -155,11 +155,7 @@ func Trapezoidize(p *geom.Polygon) []Trapezoid {
 				spans = append(spans, span{yl: e.s.YAt(xl), yr: e.s.YAt(xr), e: e})
 			}
 		}
-		sort.Slice(spans, func(a, b int) bool {
-			ma := spans[a].yl + spans[a].yr
-			mb := spans[b].yl + spans[b].yr
-			return ma < mb
-		})
+		slices.SortFunc(spans, func(a, b span) int { return compareLess(a.yl+a.yr, b.yl+b.yr) })
 		for k := 0; k+1 < len(spans); k += 2 {
 			lo := spans[k]
 			hi := spans[k+1]
@@ -175,6 +171,20 @@ func Trapezoidize(p *geom.Polygon) []Trapezoid {
 		}
 	}
 	return out
+}
+
+// compareLess is a three-way comparison that is negative exactly where
+// a < b: slices.SortFunc consults only that sign and runs sort.Slice's
+// pdqsort, so sorting by it orders ties exactly as sort.Slice with
+// "a < b" did, and the sweep emits the same trapezoids in the same order.
+func compareLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 func dedupFloats(xs []float64) []float64 {

@@ -91,10 +91,10 @@ func (r Rect) Intersects(s Rect) bool {
 // they do not intersect.
 func (r Rect) Intersection(s Rect) Rect {
 	out := Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX),
+		MaxY: min(r.MaxY, s.MaxY),
 	}
 	if out.IsEmpty() {
 		return EmptyRect()
@@ -111,10 +111,10 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -140,8 +140,8 @@ func (r Rect) Dist(s Rect) float64 {
 	if r.IsEmpty() || s.IsEmpty() {
 		return math.Inf(1)
 	}
-	dx := math.Max(0, math.Max(s.MinX-r.MaxX, r.MinX-s.MaxX))
-	dy := math.Max(0, math.Max(s.MinY-r.MaxY, r.MinY-s.MaxY))
+	dx := max(0, s.MinX-r.MaxX, r.MinX-s.MaxX)
+	dy := max(0, s.MinY-r.MaxY, r.MinY-s.MaxY)
 	if dx == 0 {
 		return dy
 	}

@@ -13,10 +13,10 @@ type Segment struct {
 // Bounds returns the minimum bounding rectangle of s.
 func (s Segment) Bounds() Rect {
 	return Rect{
-		MinX: math.Min(s.A.X, s.B.X),
-		MinY: math.Min(s.A.Y, s.B.Y),
-		MaxX: math.Max(s.A.X, s.B.X),
-		MaxY: math.Max(s.A.Y, s.B.Y),
+		MinX: min(s.A.X, s.B.X),
+		MinY: min(s.A.Y, s.B.Y),
+		MaxX: max(s.A.X, s.B.X),
+		MaxY: max(s.A.Y, s.B.Y),
 	}
 }
 
@@ -31,8 +31,8 @@ func (s Segment) Midpoint() Point {
 // onSegment reports whether p, already known to be collinear with s, lies
 // within the bounding box of s.
 func (s Segment) onSegment(p Point) bool {
-	return p.X >= math.Min(s.A.X, s.B.X)-Eps && p.X <= math.Max(s.A.X, s.B.X)+Eps &&
-		p.Y >= math.Min(s.A.Y, s.B.Y)-Eps && p.Y <= math.Max(s.A.Y, s.B.Y)+Eps
+	return p.X >= min(s.A.X, s.B.X)-Eps && p.X <= max(s.A.X, s.B.X)+Eps &&
+		p.Y >= min(s.A.Y, s.B.Y)-Eps && p.Y <= max(s.A.Y, s.B.Y)+Eps
 }
 
 // ContainsPoint reports whether p lies on the closed segment s.
@@ -103,7 +103,7 @@ func (s Segment) IntersectsRect(r Rect) bool {
 func (s Segment) YAt(x float64) float64 {
 	dx := s.B.X - s.A.X
 	if math.Abs(dx) < Eps {
-		return math.Min(s.A.Y, s.B.Y)
+		return min(s.A.Y, s.B.Y)
 	}
 	t := (x - s.A.X) / dx
 	return s.A.Y + t*(s.B.Y-s.A.Y)
@@ -167,7 +167,7 @@ func (s Segment) DistToPoint(p Point) float64 {
 		return p.Dist(s.A)
 	}
 	t := p.Sub(s.A).Dot(d) / l2
-	t = math.Max(0, math.Min(1, t))
+	t = max(0, min(1, t))
 	proj := s.A.Add(d.Scale(t))
 	return p.Dist(proj)
 }

@@ -266,7 +266,7 @@ func (t *Tree) overflowTreatment(n *node, level int, reinserted map[int]bool, qu
 		for i, e := range n.entries {
 			rects[i] = e.rect
 		}
-		order := rtreecore.ReinsertOrder(rects, p)
+		order := rtreecore.ReinsertOrder(rects, p, make([]int, len(rects)))
 		drop := make(map[int]bool, p)
 		for _, i := range order {
 			drop[i] = true
@@ -293,7 +293,9 @@ func (t *Tree) split(n *node) *node {
 	if t.cfg.Split == SplitQuadraticGuttman {
 		g1, g2 = rtreecore.SplitQuadratic(rects, t.minFillOf(n.leaf))
 	} else {
-		g1, g2 = rtreecore.Split(rects, t.minFillOf(n.leaf))
+		order := make([]int, len(rects))
+		k := rtreecore.Split(rects, t.minFillOf(n.leaf), order)
+		g1, g2 = order[:k], order[k:]
 	}
 	older := n.entries
 	n.entries = make([]entry, 0, len(g1))

@@ -6,7 +6,7 @@
 package rtreecore
 
 import (
-	"sort"
+	"slices"
 
 	"spatialjoin/internal/geom"
 )
@@ -25,7 +25,8 @@ const chooseSubtreeCandidates = 32
 func ChooseSubtree(children []geom.Rect, r geom.Rect, childrenAreLeaves bool) int {
 	best := 0
 	if childrenAreLeaves {
-		cands := candidateIndices(children, r)
+		var buf [chooseSubtreeCandidates]int
+		cands := candidateIndices(children, r, buf[:0])
 		best = cands[0]
 		bestOverlap, bestEnl, bestArea := overlapEnlargement(children, best, r), children[best].Enlargement(r), children[best].Area()
 		for _, i := range cands[1:] {
@@ -51,16 +52,18 @@ func ChooseSubtree(children []geom.Rect, r geom.Rect, childrenAreLeaves bool) in
 	return best
 }
 
-// candidateIndices returns the indices examined by the leaf-level overlap
-// criterion: all of them for small nodes, otherwise the
+// candidateIndices appends to idx the indices examined by the leaf-level
+// overlap criterion: all of them for small nodes, otherwise the
 // chooseSubtreeCandidates entries with the least area enlargement.
-func candidateIndices(children []geom.Rect, r geom.Rect) []int {
-	idx := all(len(children))
+func candidateIndices(children []geom.Rect, r geom.Rect, idx []int) []int {
+	for i := range children {
+		idx = append(idx, i)
+	}
 	if len(children) <= chooseSubtreeCandidates {
 		return idx
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return children[idx[a]].Enlargement(r) < children[idx[b]].Enlargement(r)
+	slices.SortFunc(idx, func(a, b int) int {
+		return compareLess(children[a].Enlargement(r), children[b].Enlargement(r))
 	})
 	return idx[:chooseSubtreeCandidates]
 }
@@ -81,11 +84,14 @@ func overlapEnlargement(children []geom.Rect, i int, r geom.Rect) float64 {
 }
 
 // Split partitions the rectangles into two groups according to the R*-tree
-// topological split and returns the index sets of both groups. minFill is
-// the minimum number of entries per group (the R*-tree uses 40 % of the
-// capacity).
-func Split(rects []geom.Rect, minFill int) (g1, g2 []int) {
+// topological split. It writes all entry indices into order, which must
+// have room for len(rects), in the chosen distribution's order and
+// returns the size k of the first group: the groups are order[:k] and
+// order[k:]. minFill is the minimum number of entries per group (the
+// R*-tree uses 40 % of the capacity).
+func Split(rects []geom.Rect, minFill int, order []int) int {
 	n := len(rects)
+	order = order[:n]
 	if minFill < 1 {
 		minFill = 1
 	}
@@ -96,14 +102,14 @@ func Split(rects []geom.Rect, minFill int) (g1, g2 []int) {
 	// Choose the split axis: the one with the smallest total margin over
 	// all candidate distributions of both sortings.
 	bestAxis := 0
-	bestMargin := marginSum(rects, 0, minFill)
-	if m := marginSum(rects, 1, minFill); m < bestMargin {
+	bestMargin := marginSum(rects, 0, minFill, order)
+	if m := marginSum(rects, 1, minFill, order); m < bestMargin {
 		bestAxis = 1
 	}
 
 	// Choose the distribution on the winning axis: minimum overlap,
 	// resolving ties by minimum total area.
-	order := sortedOrder(rects, bestAxis)
+	sortOrder(rects, bestAxis, order)
 	bestK := -1
 	bestOverlap, bestArea := 0.0, 0.0
 	for k := minFill; k <= n-minFill; k++ {
@@ -115,15 +121,14 @@ func Split(rects []geom.Rect, minFill int) (g1, g2 []int) {
 			bestK, bestOverlap, bestArea = k, ov, area
 		}
 	}
-	g1 = append(g1, order[:bestK]...)
-	g2 = append(g2, order[bestK:]...)
-	return g1, g2
+	return bestK
 }
 
 // marginSum returns the sum of the margins of all candidate distributions
-// along the given axis (0 = x, 1 = y), the R*-tree split-axis goodness.
-func marginSum(rects []geom.Rect, axis, minFill int) float64 {
-	order := sortedOrder(rects, axis)
+// along the given axis (0 = x, 1 = y), the R*-tree split-axis goodness;
+// order is its scratch.
+func marginSum(rects []geom.Rect, axis, minFill int, order []int) float64 {
+	sortOrder(rects, axis, order)
 	n := len(rects)
 	var s float64
 	for k := minFill; k <= n-minFill; k++ {
@@ -132,26 +137,26 @@ func marginSum(rects []geom.Rect, axis, minFill int) float64 {
 	return s
 }
 
-// sortedOrder returns entry indices sorted by (min, max) along the axis.
-func sortedOrder(rects []geom.Rect, axis int) []int {
-	order := make([]int, len(rects))
+// sortOrder fills order with the entry indices sorted by (min, max) along
+// the axis. It starts from the identity every time, so a sort along an
+// axis always permutes ties the same way.
+func sortOrder(rects []geom.Rect, axis int, order []int) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := rects[order[a]], rects[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		ra, rb := &rects[a], &rects[b]
 		if axis == 0 {
 			if ra.MinX != rb.MinX {
-				return ra.MinX < rb.MinX
+				return compareLess(ra.MinX, rb.MinX)
 			}
-			return ra.MaxX < rb.MaxX
+			return compareLess(ra.MaxX, rb.MaxX)
 		}
 		if ra.MinY != rb.MinY {
-			return ra.MinY < rb.MinY
+			return compareLess(ra.MinY, rb.MinY)
 		}
-		return ra.MaxY < rb.MaxY
+		return compareLess(ra.MaxY, rb.MaxY)
 	})
-	return order
 }
 
 func unionOf(rects []geom.Rect, idx []int) geom.Rect {
@@ -165,25 +170,34 @@ func unionOf(rects []geom.Rect, idx []int) geom.Rect {
 // ReinsertOrder returns the indices of the p entries to remove for forced
 // reinsertion: the entries whose centers are farthest from the center of
 // the node's bounding rectangle, in decreasing distance ("far reinsert").
-func ReinsertOrder(rects []geom.Rect, p int) []int {
-	bounds := unionOf(rects, all(len(rects)))
-	c := bounds.Center()
-	order := all(len(rects))
-	sort.Slice(order, func(a, b int) bool {
-		da := rects[order[a]].Center().Dist(c)
-		db := rects[order[b]].Center().Dist(c)
-		return da > db
-	})
-	if p > len(order) {
-		p = len(order)
+// The result is a prefix of order, which must have room for len(rects).
+func ReinsertOrder(rects []geom.Rect, p int, order []int) []int {
+	bounds := geom.EmptyRect()
+	for _, r := range rects {
+		bounds = bounds.Union(r)
 	}
-	return order[:p]
+	c := bounds.Center()
+	order = order[:len(rects)]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return compareLess(rects[b].Center().Dist(c), rects[a].Center().Dist(c))
+	})
+	return order[:min(p, len(order))]
 }
 
-func all(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// compareLess is a three-way comparison that is negative exactly where
+// a < b. slices.SortFunc consults only that sign, and it runs the same
+// pdqsort as sort.Slice, so a sort by compareLess permutes equal keys
+// exactly as sort.Slice with "a < b" did — which entries tie, and how the
+// tie falls, decides the shape of every tree built with these algorithms.
+func compareLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
 	}
-	return idx
+	return 0
 }

@@ -16,6 +16,13 @@ func randRects(rng *rand.Rand, n int) []geom.Rect {
 	return out
 }
 
+// split runs Split with a fresh order buffer and returns both groups.
+func split(rects []geom.Rect, minFill int) (g1, g2 []int) {
+	order := make([]int, len(rects))
+	k := Split(rects, minFill, order)
+	return order[:k], order[k:]
+}
+
 func TestChooseSubtreePrefersContaining(t *testing.T) {
 	children := []geom.Rect{
 		{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10},
@@ -59,7 +66,7 @@ func TestSplitRespectsMinFill(t *testing.T) {
 		n := 4 + rng.Intn(60)
 		minFill := 1 + rng.Intn(3)
 		rects := randRects(rng, n)
-		g1, g2 := Split(rects, minFill)
+		g1, g2 := split(rects, minFill)
 		if len(g1)+len(g2) != n {
 			t.Fatalf("split lost entries: %d + %d != %d", len(g1), len(g2), n)
 		}
@@ -92,7 +99,7 @@ func TestSplitSeparatesClusters(t *testing.T) {
 		x, y := 100+rng.Float64(), rng.Float64()
 		rects = append(rects, geom.Rect{MinX: x, MinY: y, MaxX: x + 0.1, MaxY: y + 0.1})
 	}
-	g1, g2 := Split(rects, 4)
+	g1, g2 := split(rects, 4)
 	firstGroupOf := func(idx int) bool {
 		for _, i := range g1 {
 			if i == idx {
@@ -122,7 +129,7 @@ func TestReinsertOrderFarthestFirst(t *testing.T) {
 		{MinX: 10, MinY: 10, MaxX: 11, MaxY: 11},   // far corner
 		{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8},
 	}
-	order := ReinsertOrder(rects, 2)
+	order := ReinsertOrder(rects, 2, make([]int, len(rects)))
 	if len(order) != 2 {
 		t.Fatalf("want 2 indices, got %d", len(order))
 	}
@@ -132,7 +139,7 @@ func TestReinsertOrderFarthestFirst(t *testing.T) {
 		}
 	}
 	// Requesting more than available clamps.
-	if got := ReinsertOrder(rects, 99); len(got) != len(rects) {
+	if got := ReinsertOrder(rects, 99, make([]int, len(rects))); len(got) != len(rects) {
 		t.Errorf("over-request must clamp to %d, got %d", len(rects), len(got))
 	}
 }
@@ -141,7 +148,7 @@ func TestSplitPropertyBoundingBoxesShrink(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		rects := randRects(rng, 20)
-		g1, g2 := Split(rects, 4)
+		g1, g2 := split(rects, 4)
 		u := geom.EmptyRect()
 		for _, r := range rects {
 			u = u.Union(r)

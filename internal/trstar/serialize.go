@@ -78,10 +78,10 @@ func UnmarshalBinary(data []byte) (*Tree, error) {
 	capByte, ok1 := r.u8()
 	height, ok2 := r.u8()
 	count, ok3 := r.u32()
-	if !ok1 || !ok2 || !ok3 || capByte < 3 {
+	if !ok1 || !ok2 || !ok3 || capByte < 3 || height == 0 {
 		return nil, ErrCorrupt
 	}
-	root, err := unmarshalNode(r, int(capByte))
+	root, err := unmarshalNode(r, int(capByte), int(height))
 	if err != nil {
 		return nil, err
 	}
@@ -102,14 +102,28 @@ func UnmarshalBinary(data []byte) (*Tree, error) {
 	return t, nil
 }
 
-func unmarshalNode(r *reader, capacity int) (*node, error) {
+// unmarshalNode decodes the subtree of a node at the given level (leaf =
+// 1). Leaves must sit at level 1 and internal nodes above it, so a blob
+// cannot nest deeper than its header's height: a long chain of one-entry
+// internal nodes in a corrupt store is an error, not a stack overflow.
+func unmarshalNode(r *reader, capacity, level int) (*node, error) {
 	tag, ok1 := r.u8()
 	count, ok2 := r.u8()
-	if !ok1 || !ok2 || tag > 1 || int(count) > capacity {
+	if !ok1 || !ok2 || tag > 1 || int(count) > capacity || (tag == 1) != (level == 1) {
 		return nil, ErrCorrupt
 	}
-	n := &node{leaf: tag == 1}
-	for i := 0; i < int(count); i++ {
+	// Every entry takes at least a node header's or a trapezoid's bytes:
+	// a count the rest of the blob cannot hold is rejected before the
+	// entries are allocated.
+	minEntryBytes := 2
+	if tag == 1 {
+		minEntryBytes = 64
+	}
+	if int(count)*minEntryBytes > len(r.data)-r.pos {
+		return nil, ErrCorrupt
+	}
+	n := &node{leaf: tag == 1, entries: make([]entry, count)}
+	for i := range n.entries {
 		if n.leaf {
 			var tr decomp.Trapezoid
 			for k := 0; k < 4; k++ {
@@ -120,13 +134,13 @@ func unmarshalNode(r *reader, capacity int) (*node, error) {
 				}
 				tr.P[k] = geom.Point{X: x, Y: y}
 			}
-			n.entries = append(n.entries, entry{rect: tr.Bounds(), trap: tr})
+			n.entries[i] = entry{rect: tr.Bounds(), trap: tr}
 		} else {
-			child, err := unmarshalNode(r, capacity)
+			child, err := unmarshalNode(r, capacity, level-1)
 			if err != nil {
 				return nil, err
 			}
-			n.entries = append(n.entries, entry{rect: child.bounds(), child: child})
+			n.entries[i] = entry{rect: child.bounds(), child: child}
 		}
 	}
 	return n, nil

@@ -2,9 +2,12 @@ package trstar
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"spatialjoin/internal/decomp"
 	"spatialjoin/internal/ops"
 )
 
@@ -65,19 +68,87 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	data, _ := tree.MarshalBinary()
 
 	cases := map[string][]byte{
-		"empty":     {},
-		"short":     data[:8],
-		"bad magic": append([]byte{1, 2, 3, 4}, data[4:]...),
-		"truncated": data[:len(data)-5],
-		"trailing":  append(append([]byte{}, data...), 0xAB),
-		"tiny cap":  mutate(data, 4, 1),
-		"node tag":  mutate(data, 10, 7),
+		"empty":          {},
+		"short":          data[:8],
+		"bad magic":      append([]byte{1, 2, 3, 4}, data[4:]...),
+		"truncated":      data[:len(data)-5],
+		"trailing":       append(append([]byte{}, data...), 0xAB),
+		"tiny cap":       mutate(data, 4, 1),
+		"zero height":    mutate(data, 5, 0),
+		"height too low": mutate(data, 5, byte(tree.Height()-1)),
+		"height too big": mutate(data, 5, byte(tree.Height()+1)),
+		"node tag":       mutate(data, 10, 7),
+		"count too big":  mutate(data, 11, 255),
+		"deep chain":     deepChain(1 << 16),
 	}
 	for name, bad := range cases {
-		if _, err := UnmarshalBinary(bad); err == nil {
-			t.Errorf("%s: corruption not detected", name)
+		if _, err := UnmarshalBinary(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: corruption not detected (%v)", name, err)
 		}
 	}
+}
+
+// TestUnmarshalStopsAtHeight checks that a chain deeper than the
+// header's height, or under a zero height, is rejected at the first node
+// too deep — after a handful of allocations, not one node per level of
+// the blob.
+func TestUnmarshalStopsAtHeight(t *testing.T) {
+	const depth = 1 << 16
+	chain := deepChain(depth)
+	for _, height := range []byte{2, 0} {
+		blob := mutate(chain, 5, height)
+		if allocs := testing.AllocsPerRun(1, func() { UnmarshalBinary(blob) }); allocs > 16 {
+			t.Errorf("decoding a %d-deep chain under height %d allocated %.0f objects", depth, height, allocs)
+		}
+	}
+}
+
+// deepChain returns a blob whose header claims a two-level tree over a
+// chain of depth one-entry internal nodes ending in an empty leaf: the
+// shape that, decoded without regard to the height, grows the stack with
+// the blob.
+func deepChain(depth int) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, serialMagic)
+	b = append(b, DefaultCapacity, 2)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for i := 0; i < depth; i++ {
+		b = append(b, 0, 1)
+	}
+	return append(b, 1, 0)
+}
+
+// FuzzUnmarshalBinary feeds corrupt trees to the decoder: it must answer
+// ErrCorrupt or a tree that marshals back to exactly its input, and never
+// panic or nest deeper than the header's height.
+func FuzzUnmarshalBinary(f *testing.F) {
+	for _, p := range sf001(f, "R", 4) {
+		for _, capacity := range []int{3, 5} {
+			data, err := New(decomp.Trapezoidize(p), capacity).MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	empty, _ := New(nil, DefaultCapacity).MarshalBinary()
+	f.Add(empty)
+	f.Add(deepChain(1000))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tree, err := UnmarshalBinary(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		again, err := tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("the decoded tree does not marshal back to its input")
+		}
+	})
 }
 
 func mutate(data []byte, pos int, v byte) []byte {

@@ -11,6 +11,7 @@ package trstar
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"spatialjoin/internal/decomp"
 	"spatialjoin/internal/geom"
@@ -43,8 +44,8 @@ type node struct {
 
 func (n *node) bounds() geom.Rect {
 	b := geom.EmptyRect()
-	for _, e := range n.entries {
-		b = b.Union(e.rect)
+	for i := range n.entries {
+		b = b.Union(n.entries[i].rect)
 	}
 	return b
 }
@@ -75,27 +76,53 @@ func New(traps []decomp.Trapezoid, capacity int) *Tree {
 		minFill = 2
 	}
 	t := &Tree{
-		root:     &node{leaf: true},
 		capacity: capacity,
 		minFill:  minFill,
 		height:   1,
 	}
-	// Trapezoidize emits components in x order; sequential insertion into
-	// an R-tree produces poorly filled nodes. A deterministic shuffle
-	// restores the random insertion order the R*-tree algorithms assume.
-	perm := make([]int, len(traps))
+	b := newBuilder(t)
+	t.root = b.newNode(true)
+	for _, i := range insertionOrder(len(traps)) {
+		tr := traps[i]
+		b.insert(entry{rect: tr.Bounds(), trap: tr})
+		t.numTraps++
+	}
+	t.bounds = t.root.bounds()
+	return t
+}
+
+// maxMemoisedOrder bounds the trapezoid counts whose insertion order is
+// memoised, and with it the memo: at most half a million indices.
+const maxMemoisedOrder = 1024
+
+// insertionOrders[n] holds insertionOrder(n) once it has been computed.
+var insertionOrders [maxMemoisedOrder + 1]atomic.Pointer[[]int]
+
+// insertionOrder returns the order in which New inserts n trapezoids.
+// Trapezoidize emits components in x order; sequential insertion into an
+// R-tree produces poorly filled nodes. A deterministic shuffle restores
+// the random insertion order the R*-tree algorithms assume. The shuffle
+// is part of the tree's shape — and so of every persisted tree and every
+// traversal count — so it stays, with its seed; but it depends on n
+// alone, and seeding math/rand costs more than inserting a small
+// object's trapezoids, so it is computed once per count. The result is
+// shared and must not be modified.
+func insertionOrder(n int) []int {
+	if n <= maxMemoisedOrder {
+		if perm := insertionOrders[n].Load(); perm != nil {
+			return *perm
+		}
+	}
+	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
 	rng := rand.New(rand.NewSource(0x7257a2))
 	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	for _, i := range perm {
-		tr := traps[i]
-		t.insert(entry{rect: tr.Bounds(), trap: tr}, 1)
-		t.numTraps++
+	if n <= maxMemoisedOrder {
+		insertionOrders[n].Store(&perm)
 	}
-	t.bounds = t.root.bounds()
-	return t
+	return perm
 }
 
 // Height returns the number of levels of the tree. The paper reports
@@ -119,24 +146,70 @@ type pendingEntry struct {
 	level int
 }
 
-// insert adds an entry at the given level (1 = leaf), applying forced
-// reinsertion on the first overflow per level and splitting otherwise.
-// Reinsertions are queued and performed after the current descent unwinds,
-// so a descent never mutates nodes outside its own path.
-func (t *Tree) insert(e entry, level int) {
-	queue := []pendingEntry{{e: e, level: level}}
-	reinserted := make(map[int]bool)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		split := t.chooseAndInsert(t.root, t.height, p.e, p.level, reinserted, &queue)
-		if split != nil {
+// builder is the scratch of one New call. Each insertion needs a queue of
+// pending reinsertions, the set of levels that have had their forced
+// reinsertion, and the entry rectangles, index order and drop marks of the
+// node it examines; allocating them per insertion made the garbage
+// collector the largest cost of a build. The builder holds them for the
+// whole build, sized to an overflowing node (capacity + 1 entries), so a
+// build allocates its nodes and little else.
+type builder struct {
+	t     *Tree
+	queue []pendingEntry // one insertion's FIFO, walked by index
+	// reinserted has bit level-1 set once that level has had its forced
+	// reinsertion during the current insertion. Every level at least
+	// doubles the entry count, so a tree has far fewer than 64 levels.
+	reinserted uint64
+	rects      []geom.Rect
+	order      []int
+	drop       []bool
+	older      []entry // an overflowing node's entries while it splits in place
+}
+
+func newBuilder(t *Tree) *builder {
+	m := t.capacity + 1
+	return &builder{
+		t:     t,
+		rects: make([]geom.Rect, 0, m),
+		order: make([]int, m),
+		drop:  make([]bool, m),
+		older: make([]entry, 0, m),
+	}
+}
+
+// newNode allocates a node with room for an overflowing entry, so that it
+// never reallocates.
+func (b *builder) newNode(leaf bool) *node {
+	return &node{leaf: leaf, entries: make([]entry, 0, b.t.capacity+1)}
+}
+
+// entryRects returns n's entry rectangles in the builder's buffer, valid
+// until the next call.
+func (b *builder) entryRects(n *node) []geom.Rect {
+	b.rects = b.rects[:0]
+	for i := range n.entries {
+		b.rects = append(b.rects, n.entries[i].rect)
+	}
+	return b.rects
+}
+
+// insert adds a leaf entry, applying forced reinsertion on the first
+// overflow per level and splitting otherwise. Reinsertions are queued and
+// performed after the current descent unwinds, so a descent never mutates
+// nodes outside its own path.
+func (b *builder) insert(e entry) {
+	t := b.t
+	b.queue = append(b.queue[:0], pendingEntry{e: e, level: 1})
+	b.reinserted = 0
+	for i := 0; i < len(b.queue); i++ {
+		p := b.queue[i]
+		if split := b.chooseAndInsert(t.root, t.height, p.e, p.level); split != nil {
 			// Root split: the tree grows by one level.
 			old := t.root
-			t.root = &node{leaf: false, entries: []entry{
-				{rect: old.bounds(), child: old},
-				{rect: split.bounds(), child: split},
-			}}
+			t.root = b.newNode(false)
+			t.root.entries = append(t.root.entries,
+				entry{rect: old.bounds(), child: old},
+				entry{rect: split.bounds(), child: split})
 			t.height++
 		}
 	}
@@ -144,23 +217,19 @@ func (t *Tree) insert(e entry, level int) {
 
 // chooseAndInsert descends to the target level, inserts, and returns a new
 // sibling node if the node split.
-func (t *Tree) chooseAndInsert(n *node, nodeLevel int, e entry, targetLevel int, reinserted map[int]bool, queue *[]pendingEntry) *node {
+func (b *builder) chooseAndInsert(n *node, nodeLevel int, e entry, targetLevel int) *node {
 	if nodeLevel == targetLevel {
 		n.entries = append(n.entries, e)
-		return t.overflowTreatment(n, nodeLevel, reinserted, queue)
-	}
-	rects := make([]geom.Rect, len(n.entries))
-	for i, c := range n.entries {
-		rects[i] = c.rect
+		return b.overflowTreatment(n, nodeLevel)
 	}
 	childrenAreLeaves := nodeLevel-1 == 1
-	i := rtreecore.ChooseSubtree(rects, e.rect, childrenAreLeaves)
+	i := rtreecore.ChooseSubtree(b.entryRects(n), e.rect, childrenAreLeaves)
 	child := n.entries[i].child
-	split := t.chooseAndInsert(child, nodeLevel-1, e, targetLevel, reinserted, queue)
+	split := b.chooseAndInsert(child, nodeLevel-1, e, targetLevel)
 	n.entries[i].rect = child.bounds()
 	if split != nil {
 		n.entries = append(n.entries, entry{rect: split.bounds(), child: split})
-		return t.overflowTreatment(n, nodeLevel, reinserted, queue)
+		return b.overflowTreatment(n, nodeLevel)
 	}
 	return nil
 }
@@ -168,54 +237,45 @@ func (t *Tree) chooseAndInsert(n *node, nodeLevel int, e entry, targetLevel int,
 // overflowTreatment applies the R*-tree policy: on the first overflow of a
 // level during one insertion, remove the 30 % farthest entries and queue
 // them for reinsertion; afterwards, split.
-func (t *Tree) overflowTreatment(n *node, level int, reinserted map[int]bool, queue *[]pendingEntry) *node {
+func (b *builder) overflowTreatment(n *node, level int) *node {
+	t := b.t
 	if len(n.entries) <= t.capacity {
 		return nil
 	}
-	if level != t.height && !reinserted[level] {
-		reinserted[level] = true
-		p := len(n.entries) * 3 / 10
-		if p < 1 {
-			p = 1
-		}
-		rects := make([]geom.Rect, len(n.entries))
-		for i, e := range n.entries {
-			rects[i] = e.rect
-		}
-		order := rtreecore.ReinsertOrder(rects, p)
-		drop := make(map[int]bool, p)
-		for _, i := range order {
+	if bit := uint64(1) << (level - 1); level != t.height && b.reinserted&bit == 0 {
+		b.reinserted |= bit
+		p := max(len(n.entries)*3/10, 1)
+		drop := b.drop[:len(n.entries)]
+		clear(drop)
+		for _, i := range rtreecore.ReinsertOrder(b.entryRects(n), p, b.order) {
 			drop[i] = true
-			*queue = append(*queue, pendingEntry{e: n.entries[i], level: level})
+			b.queue = append(b.queue, pendingEntry{e: n.entries[i], level: level})
 		}
 		kept := n.entries[:0]
-		for i, e := range n.entries {
+		for i := range n.entries {
 			if !drop[i] {
-				kept = append(kept, e)
+				kept = append(kept, n.entries[i])
 			}
 		}
 		n.entries = kept
 		return nil
 	}
-	return t.split(n)
+	return b.split(n)
 }
 
-// split performs the R*-tree topological split, keeping one group in n and
-// returning the other as a new sibling.
-func (t *Tree) split(n *node) *node {
-	rects := make([]geom.Rect, len(n.entries))
-	for i, e := range n.entries {
-		rects[i] = e.rect
+// split performs the R*-tree topological split in place: n keeps the first
+// group, in distribution order, and a new sibling takes the second.
+func (b *builder) split(n *node) *node {
+	k := rtreecore.Split(b.entryRects(n), b.t.minFill, b.order)
+	order := b.order[:len(n.entries)]
+	b.older = append(b.older[:0], n.entries...)
+	n.entries = n.entries[:0]
+	for _, i := range order[:k] {
+		n.entries = append(n.entries, b.older[i])
 	}
-	g1, g2 := rtreecore.Split(rects, t.minFill)
-	older := n.entries
-	n.entries = make([]entry, 0, len(g1))
-	for _, i := range g1 {
-		n.entries = append(n.entries, older[i])
-	}
-	sib := &node{leaf: n.leaf, entries: make([]entry, 0, len(g2))}
-	for _, i := range g2 {
-		sib.entries = append(sib.entries, older[i])
+	sib := b.newNode(n.leaf)
+	for _, i := range order[k:] {
+		sib.entries = append(sib.entries, b.older[i])
 	}
 	return sib
 }

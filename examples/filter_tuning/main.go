@@ -91,7 +91,7 @@ func main() {
 	d, st := measure(r, s, spatialjoin.WithPlan())
 	fmt.Printf("  actual:    %d candidates in %v — %.2f× the best hand-tuned cell\n",
 		st.CandidatePairs, d.Round(time.Microsecond), float64(d)/float64(best))
-	fmt.Println("\nThe sweep above is what the planner replaces: relation statistics plus a")
-	fmt.Println("calibrated cost model pick the engine and filter per join, and feedback from")
-	fmt.Println("each run keeps the selectivity estimates honest.")
+	fmt.Println("\nThe sweep above is what the planner replaces: statistics counted when each")
+	fmt.Println("relation is built or opened, plus a calibrated cost model, pick the engine")
+	fmt.Println("and filter per join — the same choice every time for the same request.")
 }

@@ -1,7 +1,6 @@
 package multistep
 
 import (
-	"math"
 	"runtime"
 	"time"
 
@@ -160,10 +159,6 @@ func planJoin(r, s *Relation, cfg Config, o *Resolved) (Config, int, Plan) {
 		Eps:      o.Pred.Epsilon(),
 		MaxProcs: runtime.GOMAXPROCS(0),
 		Collect:  o.Stream == nil && !o.Bufferless,
-		// Serving-layer cache pressure: when lookups against either side
-		// mostly hit, the plan rarely executes, and an open workers
-		// dimension collapses to 1 (see plan.Request.CacheHitRate).
-		CacheHitRate: math.Max(r.Stats.CacheHitRate(), s.Stats.CacheHitRate()),
 	}
 	if o.Cfg != nil {
 		// An explicit configuration pins the engine and the filter.
@@ -230,29 +225,6 @@ func planQuery(r *Relation, cfg Config, o *Resolved) (Config, Plan) {
 	pl.Planned = true
 	pl.UseFilter = cfg.UseFilter
 	return cfg, pl
-}
-
-// observeJoin feeds a completed join back into both relations' EWMAs:
-// the candidate-count prediction error (planned runs only), the filter
-// identification rate (filtered runs only), and the hit rate.
-func observeJoin(r, s *Relation, cfg Config, pred Predicate, pl Plan, st Stats) {
-	if r.Stats == nil || s.Stats == nil {
-		return
-	}
-	predicted := 0.0
-	if pl.Planned {
-		predicted = pl.PredictedCandidates
-	}
-	ident, hit := -1.0, -1.0
-	if st.CandidatePairs > 0 {
-		hit = float64(st.ResultPairs) / float64(st.CandidatePairs)
-		if cfg.UseFilter {
-			ident = st.Identified()
-		}
-	}
-	p := planPred(pred)
-	r.Stats.Observe(p, predicted, float64(st.CandidatePairs), ident, hit)
-	s.Stats.Observe(p, predicted, float64(st.CandidatePairs), ident, hit)
 }
 
 // fillExplain completes an Explain record after execution.

@@ -87,9 +87,6 @@ func RunJoin(ctx context.Context, r, s *Relation, o Resolved) ([]Pair, Stats, er
 	}
 	pairs, st, err := joinPipeline(ctx, r, s, &o, cfg)
 	elapsed := time.Since(started)
-	if err == nil {
-		observeJoin(r, s, cfg, o.Pred, pl, st)
-	}
 	if o.Explain != nil {
 		// On error the explain records the plan with zero actuals,
 		// marked not executed.

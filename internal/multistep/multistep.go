@@ -223,21 +223,16 @@ type Relation struct {
 	// engine. The unified Join/Query entry points default to it, so a
 	// relation carries everything a query needs.
 	Cfg Config
-	// Stats are the planner statistics of the relation: computed at
-	// build time, persisted in the relation store, recomputed on open
-	// for stores that predate them. The embedded feedback EWMAs are the
-	// only mutable part of a Relation and are safe for concurrent use;
-	// everything the golden equivalence suites pin is independent of
-	// them (the planner only runs under WithPlan). Nil on relations
-	// assembled by hand — the planner then falls back to static
-	// defaults.
+	// Stats are the planner statistics of the relation, derived from the
+	// object table whenever the relation is built or opened and never
+	// updated afterwards; the stores do not persist them. Nil on
+	// relations assembled by hand — the planner then falls back to
+	// static defaults.
 	Stats *plan.Stats
 }
 
-// ComputeStats (re)derives the planner statistics from the object table.
-// NewRelation calls it; it is exported for coordinators that assemble
-// relations through other paths.
-func (r *Relation) ComputeStats() *plan.Stats {
+// computeStats derives the planner statistics from the object table.
+func (r *Relation) computeStats() *plan.Stats {
 	return plan.ComputeStats(len(r.Objects),
 		func(i int) geom.Rect { return r.Objects[i].Approx.MBR },
 		func(i int) int { return r.Objects[i].Poly.NumVertices() })
@@ -297,7 +292,7 @@ func NewRelationWithStore(name string, polys []*geom.Polygon, cfg Config, store 
 		tree.Insert(rstar.Item{Rect: o.Approx.MBR, ID: o.ID})
 	}
 	rel.Tree = tree
-	rel.Stats = rel.ComputeStats()
+	rel.Stats = rel.computeStats()
 	return rel
 }
 

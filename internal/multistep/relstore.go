@@ -10,7 +10,6 @@ import (
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/codec"
 	"spatialjoin/internal/data"
-	"spatialjoin/internal/plan"
 	"spatialjoin/internal/rstar"
 	"spatialjoin/internal/storage"
 	"spatialjoin/internal/trstar"
@@ -33,7 +32,7 @@ import (
 // Layout (little endian):
 //
 //	magic       uint32  'SJRL'
-//	version     uint16  3
+//	version     uint16  4
 //	fingerprint uint64  FNV-1a of the canonical config string
 //	name        uint16 length + bytes
 //	objectCount uint32
@@ -45,18 +44,18 @@ import (
 //	  polygon   data.AppendPolygon layout
 //	  approx    approx.Set layout
 //	  tr-tree   uint32 length + trstar.MarshalBinary (if hasTRTrees)
-//	stats       uint32 length + plan.AppendStats layout (version ≥ 2)
 //
-// Version 2 appended the planner-statistics trailer; version 1 stores
-// (no trailer) still open, with the statistics recomputed from the
-// decoded objects. Version 3 changed no byte of the layout: it marks
-// stores whose MERs approx.MaxEnclosedRect certified to lie inside their
-// objects. Earlier MERs could leave the object — a filter hit without
-// the pair intersecting — so opening a version 1 or 2 store recomputes
-// every MER from its polygon.
+// The planner statistics are not stored: every open derives them from
+// the decoded objects. Versions 2 and 3 ended in a statistics trailer
+// (uint32 length + blob); it is length-checked and skipped. Version 3
+// changed no other byte: it marks stores whose MERs
+// approx.MaxEnclosedRect certified to lie inside their objects. Earlier
+// MERs could leave the object — a filter hit without the pair
+// intersecting — so opening a version 1 or 2 store recomputes every MER
+// from its polygon. Version 4 dropped the trailer.
 const (
 	relstoreMagic   = 0x534A524C // "SJRL"
-	relstoreVersion = 3
+	relstoreVersion = 4
 
 	// fingerprintVersion seeds ConfigFingerprint. It is deliberately
 	// decoupled from relstoreVersion: the fingerprint identifies the
@@ -156,17 +155,6 @@ func appendRelation(buf []byte, rel *Relation, cfg Config) ([]byte, error) {
 			buf = append(buf, tr...)
 		}
 	}
-
-	// Planner-statistics trailer (version 2). A snapshot of the current
-	// feedback EWMAs is persisted with the structural statistics, so a
-	// reopened relation resumes from its run history.
-	pstats := rel.Stats
-	if pstats == nil {
-		pstats = rel.ComputeStats()
-	}
-	stats := plan.AppendStats(nil, pstats)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(stats)))
-	buf = append(buf, stats...)
 	return buf, nil
 }
 
@@ -284,31 +272,20 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if version >= 2 {
+	if version == 2 || version == 3 {
 		statsLen := int(d.U32())
 		if d.Err() == nil && d.Remaining() < statsLen {
 			return nil, fmt.Errorf("%w: stats trailer of %d bytes exceeds the remaining data", ErrBadRelationStore, statsLen)
 		}
-		statsBytes := d.Bytes(statsLen)
+		d.Skip(statsLen)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		st, err := plan.DecodeStats(statsBytes)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRelationStore, err)
-		}
-		if st.Objects != int64(count) {
-			return nil, fmt.Errorf("%w: stats describe %d objects, store holds %d", ErrBadRelationStore, st.Objects, count)
-		}
-		rel.Stats = st
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRelationStore, d.Remaining())
 	}
-	if rel.Stats == nil {
-		// Pre-statistics store: derive what save time would have written.
-		rel.Stats = rel.ComputeStats()
-	}
+	rel.Stats = rel.computeStats()
 
 	// The tree items must index the object table: same cardinality, IDs
 	// in range, every entry rectangle equal to its object's MBR.

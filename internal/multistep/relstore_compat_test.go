@@ -1,17 +1,17 @@
 package multistep
 
-// Backward compatibility of the relation store: version 1 stores —
-// written before the planner-statistics trailer existed — must still
-// open, with the statistics recomputed from the decoded objects, and
-// must join identically to a current store of the same relation.
-// Version 1 and 2 stores — written before MERs were certified enclosed —
-// open with every MER recomputed. The tests derive byte-exact old blobs
-// from the current encoder by stripping the trailer and patching the
-// version field: nothing else differs between the layouts.
+// Backward compatibility of the relation store. Version 1 stores have
+// the current layout; versions 2 and 3 end in a planner-statistics
+// trailer that opening skips; versions 1 and 2 — written before MERs
+// were certified enclosed — open with every MER recomputed. Every store
+// opens with the statistics a fresh build derives. The tests forge
+// byte-exact old blobs from the current encoder: patch the version
+// field and, for versions 2 and 3, append the trailer in its old layout.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -21,21 +21,44 @@ import (
 	"spatialjoin/internal/plan"
 )
 
-// toV1 converts a current relation-store blob into the version 1
-// layout: the stats trailer (u32 length + blob at the very end) is
-// dropped and the version field rewritten.
-func toV1(t *testing.T, blob []byte, st *plan.Stats) []byte {
-	t.Helper()
-	n := len(plan.AppendStats(nil, st))
-	if len(blob) < n+4 {
-		t.Fatalf("blob of %d bytes cannot hold a %d-byte stats trailer", len(blob), n)
+// appendStatsV1 appends st in the statistics-blob layout that SJRL
+// version 2–3 trailers and SJSM version 2 manifests carried (big
+// endian): a 6-byte header ('SJPS', version 1), the object count, seven
+// float64 (MBR, mean extents, mean vertices), the 2 × uint16 histogram
+// dimensions, the 256 histogram cells, a run counter and nine feedback
+// words. A relation saved straight after its build had run no join, so
+// the last ten words are zero.
+func appendStatsV1(buf []byte, st *plan.Stats) []byte {
+	be := binary.BigEndian
+	buf = be.AppendUint32(buf, 0x534A5053)
+	buf = be.AppendUint16(buf, 1)
+	buf = be.AppendUint64(buf, uint64(st.Objects))
+	for _, v := range []float64{st.MBR.MinX, st.MBR.MinY, st.MBR.MaxX, st.MBR.MaxY, st.MeanW, st.MeanH, st.MeanVerts} {
+		buf = be.AppendUint64(buf, math.Float64bits(v))
 	}
-	if got := binary.LittleEndian.Uint32(blob[len(blob)-n-4:]); got != uint32(n) {
-		t.Fatalf("trailer length prefix %d, want %d", got, n)
+	buf = be.AppendUint16(buf, plan.GridDim)
+	buf = be.AppendUint16(buf, plan.GridDim)
+	for _, v := range st.Grid {
+		buf = be.AppendUint64(buf, math.Float64bits(v))
 	}
-	v1 := append([]byte(nil), blob[:len(blob)-n-4]...)
-	binary.LittleEndian.PutUint16(v1[4:], 1)
-	return v1
+	return append(buf, make([]byte, 8*(1+9))...)
+}
+
+// withVersion returns a copy of a relation-store blob with its version
+// field rewritten.
+func withVersion(blob []byte, v uint16) []byte {
+	out := bytes.Clone(blob)
+	binary.LittleEndian.PutUint16(out[4:], v)
+	return out
+}
+
+// withTrailer forges the version 2 or 3 layout of a current blob: the
+// version field rewritten and the statistics trailer (uint32 length +
+// blob) appended.
+func withTrailer(blob []byte, v uint16, st *plan.Stats) []byte {
+	stats := appendStatsV1(nil, st)
+	out := binary.LittleEndian.AppendUint32(withVersion(blob, v), uint32(len(stats)))
+	return append(out, stats...)
 }
 
 // rectBytes is r as the approximation-set layout stores it.
@@ -47,6 +70,9 @@ func rectBytes(r geom.Rect) []byte {
 	return b
 }
 
+// TestRelationStoreV1Compat: stores of every earlier version open with
+// the statistics of a fresh build and join identically to a current
+// store; a trailer whose length prefix runs past the data is rejected.
 func TestRelationStoreV1Compat(t *testing.T) {
 	cfg := DefaultConfig()
 	base := data.GenerateMap(data.MapConfig{Cells: 120, TargetVerts: 24, Seed: 99})
@@ -58,48 +84,49 @@ func TestRelationStoreV1Compat(t *testing.T) {
 	if err := SaveRelation(&buf, rel, cfg); err != nil {
 		t.Fatal(err)
 	}
-	v3 := buf.Bytes()
-	v1 := toV1(t, v3, rel.Stats)
-
-	fromV3, err := OpenRelation(bytes.NewReader(v3), cfg)
+	current := buf.Bytes()
+	fromCurrent, err := OpenRelation(bytes.NewReader(current), cfg)
 	if err != nil {
-		t.Fatalf("open v3: %v", err)
+		t.Fatalf("open version %d: %v", relstoreVersion, err)
 	}
-	fromV1, err := OpenRelation(bytes.NewReader(v1), cfg)
-	if err != nil {
-		t.Fatalf("open v1 (stats-less) store: %v", err)
-	}
-
-	// A v1 store has no persisted statistics; opening must recompute the
-	// structural part so the planner works on old stores too.
-	if fromV1.Stats == nil {
-		t.Fatal("v1 store opened without recomputed statistics")
-	}
-	if fromV1.Stats.Objects != int64(len(rel.Objects)) {
-		t.Fatalf("recomputed stats describe %d objects, want %d", fromV1.Stats.Objects, len(rel.Objects))
-	}
-	if fromV1.Stats.MBR != rel.Stats.MBR || fromV1.Stats.MeanVerts != rel.Stats.MeanVerts {
-		t.Errorf("recomputed structural stats diverge: %+v vs %+v", fromV1.Stats, rel.Stats)
-	}
-	if !reflect.DeepEqual(fromV1.Stats.Grid, rel.Stats.Grid) {
-		t.Error("recomputed density grid diverges from the saved one")
-	}
-
-	// Identical joins: response set and full statistics, including the
-	// restored buffer accounting.
-	p3, st3, err := Join(t.Context(), fromV3, s, WithWorkers(1))
+	want, wantSt, err := Join(t.Context(), fromCurrent, s, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, st1, err := Join(t.Context(), fromV1, s, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
+
+	stores := map[string][]byte{
+		"v1": withVersion(current, 1),
+		"v2": withTrailer(current, 2, rel.Stats),
+		"v3": withTrailer(current, 3, rel.Stats),
+		"v4": current,
 	}
-	if !reflect.DeepEqual(p1, p3) {
-		t.Errorf("v1-opened relation joined differently: %d vs %d pairs", len(p1), len(p3))
+	for name, blob := range stores {
+		old, err := OpenRelation(bytes.NewReader(blob), cfg)
+		if err != nil {
+			t.Fatalf("open %s store: %v", name, err)
+		}
+		if !reflect.DeepEqual(old.Stats, rel.Stats) {
+			t.Errorf("%s store opened with statistics %+v, a fresh build has %+v", name, old.Stats, rel.Stats)
+		}
+		// Identical joins: response set and full statistics, including
+		// the restored buffer accounting.
+		got, gotSt, err := Join(t.Context(), old, s, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotSt, wantSt) {
+			t.Errorf("%s store joined differently: %d pairs %+v, want %d pairs %+v", name, len(got), gotSt, len(want), wantSt)
+		}
 	}
-	if !reflect.DeepEqual(st1, st3) {
-		t.Errorf("v1-opened relation reported different statistics:\nv1 %+v\nv3 %+v", st1, st3)
+
+	v3 := stores["v3"]
+	n := len(v3) - len(current) - 4
+	for _, lie := range []uint32{uint32(n + 1), math.MaxUint32} {
+		bad := bytes.Clone(v3)
+		binary.LittleEndian.PutUint32(bad[len(current):], lie)
+		if _, err := OpenRelation(bytes.NewReader(bad), cfg); !errors.Is(err, ErrBadRelationStore) {
+			t.Errorf("trailer length %d over %d bytes: err = %v, want ErrBadRelationStore", lie, n, err)
+		}
 	}
 }
 
@@ -117,7 +144,7 @@ func TestRelationStoreV2RecomputesMER(t *testing.T) {
 	if err := SaveRelation(&buf, rel, cfg); err != nil {
 		t.Fatal(err)
 	}
-	v3 := buf.Bytes()
+	v3 := withTrailer(buf.Bytes(), 3, rel.Stats)
 	k := -1
 	for i, o := range rel.Objects {
 		if mer := o.Approx.MERA; mer != nil && !mer.IsEmpty() && *mer != o.Approx.MBR {
@@ -143,8 +170,7 @@ func TestRelationStoreV2RecomputesMER(t *testing.T) {
 		t.Fatalf("version 3 store: MER of object %d opened as %v, want the stored MBR", k, got)
 	}
 
-	v2 := bytes.Clone(forged)
-	binary.LittleEndian.PutUint16(v2[4:], 2)
+	v2 := withVersion(forged, 2)
 	fromV2, err := OpenRelation(bytes.NewReader(v2), cfg)
 	if err != nil {
 		t.Fatalf("open v2: %v", err)

@@ -66,7 +66,9 @@ type Weights struct {
 	WorkerSetupNsPerCand  float64
 	CollectNsPerResult    float64
 	StreamResultThreshold float64
-	// Priors used when a relation has no feedback history yet.
+	// IdentPrior and HitFracPrior are the calibration grid's measured
+	// filter identification rate and response pairs per candidate, per
+	// Pred; the planner reads them as constants.
 	IdentPrior    [3]float64 // per Pred
 	HitFracPrior  [3]float64 // per Pred
 	ContainPrior  float64    // P(MBR nesting | MBR intersection)
@@ -123,7 +125,7 @@ func ChooseQueryFilter(s *Stats, w Weights, p Pred) bool {
 	if p == PredWithin || s == nil {
 		return false
 	}
-	ident := s.IdentRate(p, w.IdentPrior[p])
+	ident := w.IdentPrior[p]
 	verts := s.MeanVerts
 	if verts <= 0 {
 		verts = w.RefVerts
@@ -184,13 +186,6 @@ type Request struct {
 	PagesR, PagesS int
 	// VertsR and VertsS override the stats' mean vertex counts when > 0.
 	VertsR, VertsS float64
-	// CacheHitRate is the serving layer's result-cache hit-rate EWMA
-	// for this traffic (0 when unknown or not serving). A likely hit
-	// means the plan almost never executes, so burning worker setup on
-	// it is waste: at a rate ≥ 0.5 an *open* workers dimension is
-	// restricted to a single worker. A pinned (one-element) workers
-	// list is respected regardless.
-	CacheHitRate float64
 	// Collect is true when the caller materializes the response set
 	// (Join without WithStream) — adds per-result collection cost and
 	// makes large results a reason to recommend streaming.
@@ -233,16 +228,10 @@ func Choose(r, s *Stats, w Weights, req Request) Choice {
 	if len(req.Workers) == 0 {
 		req.Workers = []int{1}
 	}
-	if req.CacheHitRate >= 0.5 && len(req.Workers) > 1 {
-		req.Workers = []int{1}
-	}
 
 	cand := EstimateCandidates(r, s, req.Pred, req.Eps, w)
-	ident := math.Sqrt(r.IdentRate(req.Pred, w.IdentPrior[req.Pred]) *
-		s.IdentRate(req.Pred, w.IdentPrior[req.Pred]))
-	hit := math.Sqrt(r.HitFrac(req.Pred, w.HitFracPrior[req.Pred]) *
-		s.HitFrac(req.Pred, w.HitFracPrior[req.Pred]))
-	results := cand * hit
+	ident := w.IdentPrior[req.Pred]
+	results := cand * w.HitFracPrior[req.Pred]
 	vr, vs := req.VertsR, req.VertsS
 	if vr <= 0 {
 		vr = r.MeanVerts

@@ -3,28 +3,27 @@
 // paper's multi-step join processor. model.go reproduces section 5's
 // *descriptive* model — it explains a measured run after the fact, in
 // the paper's constants. The rest of the package is the *prescriptive*
-// counterpart: per-relation statistics collected at build time, a histogram-overlap
-// selectivity estimator for the step 1 candidate count, calibrated cost
-// weights per plan point, and an exhaustive search over the small plan
-// space (exact engine × filter on/off × worker count × emission mode)
-// that picks the cheapest predicted configuration for one join.
+// counterpart: per-relation statistics derived from the objects, a
+// histogram-overlap selectivity estimator for the step 1 candidate
+// count, calibrated cost weights per plan point, and an exhaustive search
+// over the small plan space (exact engine × filter on/off × worker count
+// × emission mode) that picks the cheapest predicted configuration for
+// one join.
 //
 // The package is a leaf: it imports only internal/geom, so the multistep
 // processor can consult it without an import cycle. All inputs are plain
 // statistics; the bridge from multistep.Relation is on the multistep
 // side (Relation.Stats).
 //
-// Estimates feed back: after every completed join the observed candidate
-// count, filter identification rate and hit rate update per-relation
-// EWMAs (Observe), so systematic estimator bias — skew the grid cannot
-// see, workload-specific filter behaviour — corrects itself over a few
-// runs. The EWMAs are persisted with the statistics in the relation
-// store, so a reopened relation starts from what its history taught it.
+// Statistics are load-time counts, as in System R: ComputeStats derives
+// them from a relation's objects whenever the relation is built or
+// opened, and nothing updates them per query. The planner is therefore
+// a pure function of (statistics, request, GOMAXPROCS) — the same
+// request plans the same way, however many joins ran before it.
 package plan
 
 import (
 	"math"
-	"sync/atomic"
 
 	"spatialjoin/internal/geom"
 )
@@ -45,14 +44,12 @@ const (
 	PredIntersects Pred = iota
 	PredContains
 	PredWithin
-	numPreds
 )
 
-// Stats are the per-relation statistics the planner estimates from:
-// computed once at build time (ComputeStats), persisted in the relation
-// store, and recomputed on open for stores predating the statistics
-// section. The feedback EWMAs are the only mutable part and are safe for
-// concurrent use.
+// Stats are the per-relation statistics the planner estimates from,
+// derived by ComputeStats from the relation's objects. A Stats value is
+// never modified after ComputeStats returns it, so any number of
+// concurrent plans may read it.
 type Stats struct {
 	// Objects is the relation cardinality.
 	Objects int64
@@ -68,128 +65,6 @@ type Stats struct {
 	// MBR, row-major (x fastest). Float so future partitioners can store
 	// fractional assignments.
 	Grid []float64
-
-	fb feedback
-}
-
-// feedback holds the per-predicate EWMAs updated by Observe. Values are
-// float64 bits in atomics: observations arrive from concurrent joins.
-// A zero word means "no observation yet".
-type feedback struct {
-	runs      atomic.Int64
-	candRatio [numPreds]atomic.Uint64 // observed/predicted candidate count
-	ident     [numPreds]atomic.Uint64 // fraction of candidates the filter decided
-	hitFrac   [numPreds]atomic.Uint64 // fraction of candidates in the response set
-	cacheHit  atomic.Uint64           // serving-layer result-cache hit rate
-}
-
-// ewmaAlpha weights a new observation against the running average. 0.3
-// converges in a handful of runs without letting one outlier dominate.
-const ewmaAlpha = 0.3
-
-func ewmaStore(w *atomic.Uint64, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	for {
-		old := w.Load()
-		next := v
-		if old != 0 {
-			next = (1-ewmaAlpha)*math.Float64frombits(old) + ewmaAlpha*v
-		}
-		if w.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-func ewmaLoad(w *atomic.Uint64, def float64) float64 {
-	if bits := w.Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	return def
-}
-
-// Observe feeds one completed join back into the relation's EWMAs.
-// predicted ≤ 0 skips the candidate-ratio update (the run was not
-// planned), ident < 0 skips the identification update (the filter was
-// off), hitFrac < 0 skips the hit-rate update (no candidates).
-func (s *Stats) Observe(p Pred, predicted, actual, ident, hitFrac float64) {
-	if s == nil || p < 0 || p >= numPreds {
-		return
-	}
-	s.fb.runs.Add(1)
-	if predicted > 0 && actual >= 0 {
-		ratio := actual / predicted
-		// Clamp: one degenerate estimate must not poison the EWMA.
-		ratio = math.Max(0.05, math.Min(20, ratio))
-		ewmaStore(&s.fb.candRatio[p], ratio)
-	}
-	if ident >= 0 {
-		ewmaStore(&s.fb.ident[p], math.Min(1, ident))
-	}
-	if hitFrac >= 0 {
-		ewmaStore(&s.fb.hitFrac[p], math.Min(1, hitFrac))
-	}
-}
-
-// Runs returns the number of observations fed back so far.
-func (s *Stats) Runs() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.fb.runs.Load()
-}
-
-// CandCorrection returns the EWMA of observed/predicted candidates for
-// the predicate, or 1 with no history.
-func (s *Stats) CandCorrection(p Pred) float64 {
-	if s == nil || p < 0 || p >= numPreds {
-		return 1
-	}
-	return ewmaLoad(&s.fb.candRatio[p], 1)
-}
-
-// IdentRate returns the EWMA filter identification rate, or def.
-func (s *Stats) IdentRate(p Pred, def float64) float64 {
-	if s == nil || p < 0 || p >= numPreds {
-		return def
-	}
-	return ewmaLoad(&s.fb.ident[p], def)
-}
-
-// ObserveCacheLookup feeds one serving-layer result-cache lookup
-// against this relation into the cache-hit EWMA. Unlike the join
-// feedback EWMAs this one is not persisted in the relation stores: hit
-// rates describe the current serving session's traffic, not the data.
-func (s *Stats) ObserveCacheLookup(hit bool) {
-	if s == nil {
-		return
-	}
-	v := 0.0
-	if hit {
-		v = 1.0
-	}
-	ewmaStore(&s.fb.cacheHit, v)
-}
-
-// CacheHitRate returns the EWMA of serving-layer result-cache lookups
-// against this relation, or 0 with no history. Because ewmaStore treats
-// a zero word as "no observation", an all-miss history decays toward
-// but never reaches zero — which is fine: the rate only matters near 1.
-func (s *Stats) CacheHitRate() float64 {
-	if s == nil {
-		return 0
-	}
-	return ewmaLoad(&s.fb.cacheHit, 0)
-}
-
-// HitFrac returns the EWMA response-pairs-per-candidate rate, or def.
-func (s *Stats) HitFrac(p Pred, def float64) float64 {
-	if s == nil || p < 0 || p >= numPreds {
-		return def
-	}
-	return ewmaLoad(&s.fb.hitFrac[p], def)
 }
 
 // ComputeStats builds the statistics of a relation of n objects; rect
@@ -199,8 +74,9 @@ func (s *Stats) HitFrac(p Pred, def float64) float64 {
 func ComputeStats(n int, rect func(int) geom.Rect, verts func(int) int) *Stats {
 	s := &Stats{Objects: int64(n), Grid: make([]float64, GridDim*GridDim)}
 	if n == 0 {
-		// Keep the zero Rect rather than EmptyRect(): the ±Inf empty
-		// sentinel is not representable in the stats codec.
+		// An empty relation has no data space: keep the zero Rect rather
+		// than the ±Inf EmptyRect() sentinel (EstimateCandidates returns 0
+		// for it before reading the MBR).
 		return s
 	}
 	s.MBR = geom.EmptyRect()
@@ -246,10 +122,9 @@ func cellCoord(lo, hi, v float64) int {
 // of two relations under the given predicate: the histogram-overlap
 // selectivity over the two center histograms, with the mean-extent
 // Minkowski threshold (two MBRs intersect iff their centers are within
-// (wa+wb)/2 + ε per axis), corrected by the relations' feedback EWMAs.
-// The inclusion predicate's MBR-nesting pretest is modelled as a
-// constant nesting prior on top of the intersection estimate, corrected
-// by the same feedback.
+// (wa+wb)/2 + ε per axis). The inclusion predicate's MBR-nesting
+// pretest is modelled as a constant nesting prior on top of the
+// intersection estimate.
 func EstimateCandidates(r, s *Stats, p Pred, eps float64, w Weights) float64 {
 	if r == nil || s == nil || r.Objects == 0 || s.Objects == 0 {
 		return 0
@@ -300,9 +175,6 @@ func EstimateCandidates(r, s *Stats, p Pred, eps float64, w Weights) float64 {
 	if p == PredContains {
 		est *= w.ContainPrior
 	}
-	// Geometric mean of the two sides' corrections: each EWMA saw the
-	// same joint ratio, so averaging in log space avoids double counting.
-	est *= math.Sqrt(r.CandCorrection(p) * s.CandCorrection(p))
 	return est
 }
 

@@ -118,6 +118,11 @@ func TestComputeStats(t *testing.T) {
 	if total != 2 {
 		t.Fatalf("histogram mass = %v, want 2", total)
 	}
+	// Centers (1, 0.5) and (5, 5) over the data space [0,6]×[0,7] land in
+	// cells (2, 1) and (13, 11), row-major with x fastest.
+	if s.Grid[2+GridDim*1] != 1 || s.Grid[13+GridDim*11] != 1 {
+		t.Fatalf("centers binned into the wrong cells: %v", s.Grid)
+	}
 	empty := ComputeStats(0, nil, nil)
 	if empty.Objects != 0 || empty.MBR != (geom.Rect{}) {
 		t.Fatalf("empty stats = %+v", empty)
@@ -176,126 +181,5 @@ func TestChooseWorkers(t *testing.T) {
 	req.MaxProcs = 1
 	if c := Choose(r, r, w, req); c.Workers != 1 {
 		t.Fatalf("single-proc host chose %d workers", c.Workers)
-	}
-}
-
-// TestFeedbackCorrection: observing that real candidate counts run 3×
-// the prediction must pull future estimates up, and the EWMAs must
-// survive a codec round trip.
-func TestFeedbackCorrection(t *testing.T) {
-	r := uniformStats(500, 9, 0.02, 0.02)
-	s := uniformStats(500, 10, 0.02, 0.02)
-	w := DefaultWeights()
-	base := EstimateCandidates(r, s, PredIntersects, 0, w)
-	for i := 0; i < 8; i++ {
-		r.Observe(PredIntersects, base, 3*base, 0.9, 0.5)
-		s.Observe(PredIntersects, base, 3*base, 0.9, 0.5)
-	}
-	corrected := EstimateCandidates(r, s, PredIntersects, 0, w)
-	if corrected < 2*base {
-		t.Fatalf("after 3× feedback, estimate %.1f did not rise from %.1f", corrected, base)
-	}
-	if r.Runs() != 8 {
-		t.Fatalf("Runs() = %d, want 8", r.Runs())
-	}
-	if got := r.IdentRate(PredIntersects, 0); math.Abs(got-0.9) > 1e-9 {
-		t.Fatalf("IdentRate = %v, want 0.9", got)
-	}
-
-	blob := AppendStats(nil, r)
-	back, err := DecodeStats(blob)
-	if err != nil {
-		t.Fatalf("DecodeStats: %v", err)
-	}
-	if back.Objects != r.Objects || back.MBR != r.MBR || back.MeanVerts != r.MeanVerts ||
-		back.MeanW != r.MeanW || back.MeanH != r.MeanH {
-		t.Fatalf("round trip lost scalar stats: %+v vs %+v", back, r)
-	}
-	for i := range r.Grid {
-		if back.Grid[i] != r.Grid[i] {
-			t.Fatalf("round trip lost histogram cell %d", i)
-		}
-	}
-	if back.Runs() != r.Runs() || back.CandCorrection(PredIntersects) != r.CandCorrection(PredIntersects) ||
-		back.IdentRate(PredIntersects, 0) != r.IdentRate(PredIntersects, 0) ||
-		back.HitFrac(PredIntersects, 0) != r.HitFrac(PredIntersects, 0) {
-		t.Fatalf("round trip lost feedback EWMAs")
-	}
-}
-
-// TestDecodeStatsRejects: corrupted blobs error, never panic.
-func TestDecodeStatsRejects(t *testing.T) {
-	good := AppendStats(nil, uniformStats(10, 11, 0.1, 0.1))
-	cases := map[string][]byte{
-		"empty":     {},
-		"short":     good[:5],
-		"truncated": good[:len(good)-3],
-		"trailing":  append(append([]byte{}, good...), 0),
-		"badmagic":  append([]byte{0, 0, 0, 0}, good[4:]...),
-	}
-	badVersion := append([]byte{}, good...)
-	badVersion[5] = 99
-	cases["badversion"] = badVersion
-	for name, b := range cases {
-		if _, err := DecodeStats(b); err == nil {
-			t.Errorf("%s: decode succeeded, want error", name)
-		}
-	}
-}
-
-// TestChooseCacheHitRate: a predicted cache hit plans workers=1 when
-// the workers dimension is open, but a pinned workers list still wins.
-func TestChooseCacheHitRate(t *testing.T) {
-	r := uniformStats(2000, 8, 0.05, 0.05)
-	w := DefaultWeights()
-	req := Request{Pred: PredIntersects, Workers: []int{1, 2, 4, 8}, MaxProcs: 8, Collect: true}
-	if c := Choose(r, r, w, req); c.Workers <= 1 {
-		t.Fatalf("heavy load without cache traffic chose %d workers", c.Workers)
-	}
-	req.CacheHitRate = 0.8
-	if c := Choose(r, r, w, req); c.Workers != 1 {
-		t.Fatalf("predicted cache hit chose %d workers, want 1", c.Workers)
-	}
-	pinned := Request{Pred: PredIntersects, Workers: []int{4}, MaxProcs: 8, CacheHitRate: 0.9}
-	if c := Choose(r, r, w, pinned); c.Workers != 4 {
-		t.Fatalf("pinned workers overridden to %d by cache hit rate", c.Workers)
-	}
-	req.CacheHitRate = 0.2
-	if c := Choose(r, r, w, req); c.Workers <= 1 {
-		t.Fatalf("low hit rate restricted workers to %d", c.Workers)
-	}
-}
-
-// TestCacheHitEWMA: the serving-session cache EWMA converges toward
-// the lookup mix and is not part of the persisted stats codec.
-func TestCacheHitEWMA(t *testing.T) {
-	r := uniformStats(100, 11, 0.02, 0.02)
-	if r.CacheHitRate() != 0 {
-		t.Fatalf("fresh CacheHitRate = %v, want 0", r.CacheHitRate())
-	}
-	for i := 0; i < 20; i++ {
-		r.ObserveCacheLookup(true)
-	}
-	if got := r.CacheHitRate(); got < 0.9 {
-		t.Fatalf("after 20 hits CacheHitRate = %v, want > 0.9", got)
-	}
-	for i := 0; i < 20; i++ {
-		r.ObserveCacheLookup(false)
-	}
-	if got := r.CacheHitRate(); got > 0.1 {
-		t.Fatalf("after 20 misses CacheHitRate = %v, want < 0.1", got)
-	}
-	blob := AppendStats(nil, r)
-	back, err := DecodeStats(blob)
-	if err != nil {
-		t.Fatalf("DecodeStats: %v", err)
-	}
-	if back.CacheHitRate() != 0 {
-		t.Fatalf("cache EWMA leaked into the store codec: %v", back.CacheHitRate())
-	}
-	var nilStats *Stats
-	nilStats.ObserveCacheLookup(true)
-	if nilStats.CacheHitRate() != 0 {
-		t.Fatal("nil stats CacheHitRate != 0")
 	}
 }

@@ -265,3 +265,48 @@ func TestChaos(t *testing.T) {
 		t.Error("admission stats recorded no admitted requests")
 	}
 }
+
+// TestFailedJoinsLeaveBaselinesIntact is the storm's byte-identity
+// contract made deterministic: 200 joins that each fail on an injected
+// exact-test error must leave every request's answer — plan echo and
+// /explain included — exactly what it was before them. The sub-joins
+// that complete inside a failed join must leave nothing behind that a
+// later plan reads.
+func TestFailedJoinsLeaveBaselinesIntact(t *testing.T) {
+	fault.Disarm()
+	ts := chaosServer(t)
+	urls := []string{"/explain?r=R&s=S"}
+	for _, r := range chaosRequests() {
+		urls = append(urls, r.base)
+	}
+	baseline := make(map[string]string)
+	for _, u := range urls {
+		status, _, body := fetch(t, ts.URL, u)
+		if status != http.StatusOK {
+			t.Fatalf("baseline GET %s: status %d: %s", u, status, body)
+		}
+		baseline[u] = stripMarkers(body)
+	}
+
+	if err := fault.Arm("exact:error@43"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Disarm)
+	const join = "/join?r=R&s=S&limit=50"
+	for i := 0; i < 200; i++ {
+		if status, _, body := fetch(t, ts.URL, join); status != http.StatusInternalServerError {
+			t.Fatalf("join %d under exact:error@43: status %d, want 500: %s", i, status, body)
+		}
+	}
+	fault.Disarm()
+
+	for u, want := range baseline {
+		status, _, body := fetch(t, ts.URL, u)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s after the failed joins: status %d: %s", u, status, body)
+		}
+		if got := stripMarkers(body); got != want {
+			t.Errorf("GET %s after the failed joins diverged from its baseline:\nbefore: %s\nafter:  %s", u, want, got)
+		}
+	}
+}

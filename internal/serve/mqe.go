@@ -83,17 +83,6 @@ func (s *Server) init() {
 	})
 }
 
-// observeLookup feeds one whole-response cache lookup into the planner
-// feedback of every tile of the involved relations, driving the
-// cache-aware worker collapse (plan.Request.CacheHitRate).
-func (s *Server) observeLookup(hit bool, entries ...*Entry) {
-	for _, e := range entries {
-		for _, t := range e.Sh.Tiles {
-			t.Rel.Stats.ObserveCacheLookup(hit)
-		}
-	}
-}
-
 // queryTileAdapter scopes the shared LRU to one entry's per-tile
 // sub-query results.
 type queryTileAdapter struct {
@@ -186,11 +175,7 @@ func (s *Server) joinTileCache(p *joinParams) shard.JoinTileCache {
 func (s *Server) runQuery(ctx context.Context, p *queryParams) (qc *queryCanonical, cached, coalesced bool, err error) {
 	key := p.cacheKey()
 	if v, ok := s.cache.Get(key); ok {
-		s.observeLookup(true, p.e)
 		return v.(*queryCanonical), true, false, nil
-	}
-	if s.cache != nil {
-		s.observeLookup(false, p.e)
 	}
 	v, coalesced, err := s.flight.Do(key, func() (any, error) {
 		c, err := s.execQuery(ctx, p)
@@ -263,11 +248,7 @@ func (s *Server) execQuery(ctx context.Context, p *queryParams) (*queryCanonical
 func (s *Server) runJoin(ctx context.Context, p *joinParams) (jc *joinCanonical, cached, coalesced bool, err error) {
 	key := p.cacheKey()
 	if v, ok := s.cache.Get(key); ok {
-		s.observeLookup(true, p.eR, p.eS)
 		return v.(*joinCanonical), true, false, nil
-	}
-	if s.cache != nil {
-		s.observeLookup(false, p.eR, p.eS)
 	}
 	v, coalesced, err := s.flight.Do(key, func() (any, error) {
 		c, err := s.execJoin(ctx, p)

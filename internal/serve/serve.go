@@ -492,10 +492,8 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 }
 
 // planEcho is the execution-plan echo of /join, /window and /point: the
-// resolved knobs only. The planner's predicted-cost figures are
-// deliberately left out — they evolve with the feedback EWMAs request
-// over request, so echoing them would make otherwise-identical
-// responses diverge; /explain reports them.
+// resolved knobs only, which is what ran. The planner's predictions are
+// left out; /explain reports them.
 type planEcho struct {
 	Planned bool   `json:"planned"`
 	Engine  string `json:"engine"`

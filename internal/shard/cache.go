@@ -29,8 +29,7 @@ import (
 //
 // Cached sub-results carry the ORIGINAL run's statistics and plan
 // record — the same policy as whole-response caching (see DESIGN.md
-// §12) — and a cache hit skips the planner feedback EWMAs for that
-// sub-problem, since no execution happened.
+// §12).
 
 // QueryTileKey identifies one tile's sub-query result within one
 // sharded relation. The target geometry is spelled out (not hashed) so

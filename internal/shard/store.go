@@ -10,7 +10,6 @@ import (
 	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
-	"spatialjoin/internal/plan"
 )
 
 // A sharded store is a directory: one SJRL relation store per tile
@@ -25,7 +24,7 @@ import (
 // Manifest layout (little endian):
 //
 //	magic       uint32  'SJSM'
-//	version     uint16  1
+//	version     uint16  3
 //	fingerprint uint64  multistep.ConfigFingerprint of the build config
 //	name        uint16 length + bytes
 //	objects     uint32  total object count
@@ -34,15 +33,14 @@ import (
 //	  mbr       4 × float64 bits (MinX, MinY, MaxX, MaxY)
 //	  count     uint32
 //	  global    count × uint32 global object IDs (local order)
-//	  stats     uint32 length + plan.AppendStats layout (version ≥ 2)
 //
-// Version 2 added the per-tile planner-statistics blob, so a
-// coordinator can plan tile-pair sub-joins from the manifest alone.
-// Version 1 manifests (no blobs) still open; the statistics then come
-// from the reopened tiles (recomputed there for version 1 tile files).
+// Version 2 appended a per-tile planner-statistics blob (uint32 length +
+// blob) to each tile record; version 3 dropped it again. A version 2
+// blob is length-checked and skipped: every tile's statistics are
+// derived when multistep opens its tile file.
 const (
 	manifestMagic   = 0x534A534D // "SJSM"
-	manifestVersion = 2
+	manifestVersion = 3
 
 	// ManifestName is the manifest's file name inside a store directory.
 	ManifestName = "manifest.sjsm"
@@ -151,36 +149,19 @@ func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 			seen[g] = true
 			global[i] = int32(g)
 		}
-		var manifestStats *plan.Stats
-		if version >= 2 {
+		if version == 2 {
 			statsLen := int(d.U32())
 			if d.Err() == nil && d.Remaining() < statsLen {
 				return nil, fmt.Errorf("%w: tile %d stats of %d bytes exceed the remaining data", ErrBadManifest, t, statsLen)
 			}
-			statsBytes := d.Bytes(statsLen)
+			d.Skip(statsLen)
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
-			st, err := plan.DecodeStats(statsBytes)
-			if err != nil {
-				return nil, fmt.Errorf("%w: tile %d: %v", ErrBadManifest, t, err)
-			}
-			if st.Objects != int64(count) {
-				return nil, fmt.Errorf("%w: tile %d stats describe %d objects, manifest says %d",
-					ErrBadManifest, t, st.Objects, count)
-			}
-			manifestStats = st
 		}
 		rel, err := multistep.OpenRelationFile(tilePath(dir, t), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard: tile %d of %q: %w", t, dir, err)
-		}
-		if manifestStats != nil {
-			// The manifest copy is authoritative for the routing layer; it
-			// was snapshotted from the same statistics the tile file holds,
-			// and keeping one instance means coordinator-level planning and
-			// sub-join feedback share the same EWMAs.
-			rel.Stats = manifestStats
 		}
 		if len(rel.Objects) != count {
 			return nil, fmt.Errorf("%w: tile %d holds %d objects, manifest says %d",

@@ -9,14 +9,13 @@ import (
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
-	"spatialjoin/internal/plan"
 )
 
 // StoreWriter writes a sharded store directory one tile at a time, so a
 // builder never needs the whole relation in memory: preprocess a tile,
 // hand it to WriteTile, drop it, repeat. The manifest is accumulated
-// incrementally (MBRs, counts, ID mappings, planner statistics — small
-// next to the geometry) and written by Finish. Save is a thin loop over
+// incrementally (MBRs, counts, ID mappings — small next to the
+// geometry) and written by Finish. Save is a thin loop over
 // this writer; the streaming scale-factor builder (internal/loadgen)
 // drives it directly with tiles cut from a spill file.
 //
@@ -83,13 +82,6 @@ func (w *StoreWriter) writeRel(rel *multistep.Relation, global []int32, mbr geom
 	for _, g := range global {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(g))
 	}
-	st := rel.Stats
-	if st == nil {
-		st = rel.ComputeStats()
-	}
-	stats := plan.AppendStats(nil, st)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(stats)))
-	buf = append(buf, stats...)
 	w.records = buf
 	w.tiles++
 	w.objects += len(global)

@@ -316,27 +316,37 @@ func SATIntersects(a, b geom.Ring) bool {
 	return !hasSeparatingAxis(a, b) && !hasSeparatingAxis(b, a)
 }
 
+// hasSeparatingAxis reports whether some outward edge normal n of a
+// separates the projections of a and b: minB > maxA + Eps, where minB is
+// the smallest projection of b on n and maxA the largest of a. A NaN
+// projection never proves separation — a filter must not reject what it
+// cannot decide — so an axis with one is not separating.
+//
+// Most axes do not separate, and a single vertex of b shows it. The
+// edge's endpoints p and q are vertices of a, so lo = max(proj(p),
+// proj(q)) + Eps is at most maxA + Eps (rounded addition is monotone):
+// a vertex of b projecting to at most lo, or to NaN, decides the axis
+// before the rest of a is projected. Only an axis on which all of b lies
+// above lo is decided by the full comparison, on exactly the operands a
+// projection of every vertex gives.
 func hasSeparatingAxis(a, b geom.Ring) bool {
-	n := len(a)
-	for i := 0; i < n; i++ {
-		p := a[i]
-		q := a[(i+1)%n]
-		// Outward normal of a CCW edge.
-		nx := q.Y - p.Y
-		ny := p.X - q.X
-		maxA := math.Inf(-1)
-		for _, v := range a {
-			d := v.X*nx + v.Y*ny
-			if d > maxA {
-				maxA = d
-			}
-		}
+	p := a[len(a)-1]
+next:
+	for _, q := range a {
+		nx, ny := q.Y-p.Y, p.X-q.X
+		lo := max(proj(p, nx, ny), proj(q, nx, ny)) + geom.Eps
+		p = q
 		minB := math.Inf(1)
 		for _, v := range b {
-			d := v.X*nx + v.Y*ny
-			if d < minB {
-				minB = d
+			d := proj(v, nx, ny)
+			if !(d > lo) {
+				continue next
 			}
+			minB = min(minB, d)
+		}
+		maxA := math.Inf(-1)
+		for _, v := range a {
+			maxA = max(maxA, proj(v, nx, ny))
 		}
 		if minB > maxA+geom.Eps {
 			return true
@@ -344,6 +354,11 @@ func hasSeparatingAxis(a, b geom.Ring) bool {
 	}
 	return false
 }
+
+// proj is the projection of v on the axis (nx, ny), unnormalised. Every
+// projection of the separating-axis passes is this one expression, so
+// they all round alike.
+func proj(v geom.Point, nx, ny float64) float64 { return v.X*nx + v.Y*ny }
 
 // Distance returns the Euclidean distance between the closed convex
 // regions bounded by two counterclockwise rings: 0 when they intersect,
@@ -393,25 +408,29 @@ func WithinDist(a, b geom.Ring, eps float64) bool {
 	return vertexEdgeDist2(a, b, eps2) <= eps2 || vertexEdgeDist2(b, a, eps2) <= eps2
 }
 
-// axisGap projects both rings on every outward edge normal of a, as
-// hasSeparatingAxis does and with the same arithmetic, so separated is
-// exactly hasSeparatingAxis(a, b). far reports that along some normal the
-// gap between the projections, in units of that normal's length, exceeds
+// axisGap is hasSeparatingAxis's pass over every outward edge normal of
+// a, with its arithmetic and its shortcut, so separated is exactly
+// hasSeparatingAxis(a, b). far reports that along some normal the gap
+// between the projections, in units of that normal's length, exceeds
 // √eps2: b then lies beyond a half-plane more than that far from a.
 func axisGap(a, b geom.Ring, eps2 float64) (separated, far bool) {
-	n := len(a)
-	for i := 0; i < n; i++ {
-		p := a[i]
-		q := a[(i+1)%n]
-		nx := q.Y - p.Y
-		ny := p.X - q.X
-		maxA := math.Inf(-1)
-		for _, v := range a {
-			maxA = max(maxA, v.X*nx+v.Y*ny)
-		}
+	p := a[len(a)-1]
+next:
+	for _, q := range a {
+		nx, ny := q.Y-p.Y, p.X-q.X
+		lo := max(proj(p, nx, ny), proj(q, nx, ny)) + geom.Eps
+		p = q
 		minB := math.Inf(1)
 		for _, v := range b {
-			minB = min(minB, v.X*nx+v.Y*ny)
+			d := proj(v, nx, ny)
+			if !(d > lo) {
+				continue next
+			}
+			minB = min(minB, d)
+		}
+		maxA := math.Inf(-1)
+		for _, v := range a {
+			maxA = max(maxA, proj(v, nx, ny))
 		}
 		if minB > maxA+geom.Eps {
 			separated = true

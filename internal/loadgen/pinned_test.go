@@ -12,18 +12,23 @@ import (
 	"spatialjoin/internal/shard"
 )
 
-// TestWithinJoinPinnedCounts pins the work a within-distance join does on
-// the standard SF 0.01 dataset (4 tiles, ε = one cell): the step 2 and
-// step 3 kernels decide dist ≤ ε without computing the distance, and
-// this test is the proof that the decision kernels return the verdicts —
-// and the TR*-tree and edge loops visit the pairs — of the
-// distance-computing ones they replaced. The numbers were recorded at
-// the last commit that computed distances (9853f64) and must not move
-// unless step 1, the approximations or the decomposition change. They
-// moved once since: MERs certified to lie inside their objects dropped
-// three pairs at distance > ε that unsound MERs had made filter hits
-// (R 55 × S 53, R 131 × S 133, R 456 × S 385).
-func TestWithinJoinPinnedCounts(t *testing.T) {
+// TestJoinPinnedCounts pins the work an intersection join and a
+// within-distance join do on the standard SF 0.01 dataset (4 tiles,
+// DefaultConfig, ε = one cell), on every exact engine: the candidates,
+// the step 2 and step 3 verdicts, the kernels' operation counts and the
+// response itself. A change to a step 2 or step 3 kernel that claims
+// identical verdicts is held to these numbers; they move only when
+// step 1, the approximations or the decomposition change.
+//
+// The within numbers were recorded at the last commit that computed
+// distances (9853f64): the decision kernels that replaced the
+// distance-computing ones return the same verdicts and visit the same
+// pairs. They moved once since: MERs certified to lie inside their
+// objects dropped three pairs at distance > ε that unsound MERs had made
+// filter hits (R 55 × S 53, R 131 × S 133, R 456 × S 385). The
+// intersects numbers were recorded at 503afa4, before the separating-axis
+// shortcut and the branch-free TR*-tree rectangle tests.
+func TestJoinPinnedCounts(t *testing.T) {
 	spec, err := For(0.01)
 	if err != nil {
 		t.Fatal(err)
@@ -46,42 +51,66 @@ func TestWithinJoinPinnedCounts(t *testing.T) {
 	}
 	eps := spec.Extent / float64(intSqrt(spec.Objects))
 
+	// Steps 1 and 2 do not depend on the engine.
 	type counts struct {
 		cand, hits, falseHits, tested, exactHits, result int64
 		ops                                              ops.Counters
 	}
-	// Steps 1 and 2 do not depend on the engine.
-	const cand, hits, falseHits, tested, exactHits, result = 28395, 13049, 5117, 10229, 9366, 22415
-	const pairsHash = 0xde915b299f0aa26b
-	cases := []struct {
-		engine multistep.Engine
-		ops    ops.Counters
+	predicates := []struct {
+		name      string
+		pred      multistep.Predicate
+		counts    counts // ops left zero: it is the engine's
+		pairsHash uint64
+		ops       map[multistep.Engine]ops.Counters
 	}{
-		{multistep.EngineTRStar, ops.Counters{RectIntersection: 276496, TrapIntersection: 25022}},
-		{multistep.EnginePlaneSweep, ops.Counters{EdgeIntersection: 272154, EdgeRect: 716849, RectIntersection: 10229}},
-		{multistep.EngineQuadratic, ops.Counters{EdgeIntersection: 4511986, RectIntersection: 10229}},
+		{
+			name:      "intersects",
+			pred:      multistep.Intersects(),
+			counts:    counts{cand: 9218, hits: 2202, falseHits: 1131, tested: 5885, exactHits: 4885, result: 7087},
+			pairsHash: 0x65bba8de29c508a2,
+			ops: map[multistep.Engine]ops.Counters{
+				multistep.EngineTRStar:     {RectIntersection: 132213, TrapIntersection: 8771},
+				multistep.EnginePlaneSweep: {EdgeIntersection: 29634, EdgeRect: 410849, Position: 104343},
+				multistep.EngineQuadratic:  {EdgeIntersection: 3397375},
+			},
+		},
+		{
+			name:      "within",
+			pred:      multistep.WithinDistance(eps),
+			counts:    counts{cand: 28395, hits: 13049, falseHits: 5117, tested: 10229, exactHits: 9366, result: 22415},
+			pairsHash: 0xde915b299f0aa26b,
+			ops: map[multistep.Engine]ops.Counters{
+				multistep.EngineTRStar:     {RectIntersection: 276496, TrapIntersection: 25022},
+				multistep.EnginePlaneSweep: {EdgeIntersection: 272154, EdgeRect: 716849, RectIntersection: 10229},
+				multistep.EngineQuadratic:  {EdgeIntersection: 4511986, RectIntersection: 10229},
+			},
+		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.engine.String(), func(t *testing.T) {
-			c := cfg
-			c.Engine = tc.engine
-			pairs, st, err := shard.Join(context.Background(), rel[0], rel[1],
-				multistep.WithConfig(c), multistep.WithPredicate(multistep.WithinDistance(eps)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := counts{st.CandidatePairs, st.FilterHits, st.FilterFalseHits, st.ExactTested, st.ExactHits, st.ResultPairs, st.Ops}
-			want := counts{cand, hits, falseHits, tested, exactHits, result, tc.ops}
-			if got != want {
-				t.Errorf("counts moved:\n got  %+v\n want %+v", got, want)
-			}
-			h := fnv.New64a()
-			for _, p := range pairs {
-				_ = binary.Write(h, binary.LittleEndian, p) // a hash.Hash never fails
-			}
-			if int64(len(pairs)) != st.ResultPairs || h.Sum64() != pairsHash {
-				t.Errorf("response moved: %d pairs (ResultPairs %d), hash %#x, want %#x", len(pairs), st.ResultPairs, h.Sum64(), uint64(pairsHash))
-			}
-		})
+	engines := []multistep.Engine{multistep.EngineTRStar, multistep.EnginePlaneSweep, multistep.EngineQuadratic}
+	for _, pc := range predicates {
+		for _, engine := range engines {
+			t.Run(pc.name+"/"+engine.String(), func(t *testing.T) {
+				c := cfg
+				c.Engine = engine
+				pairs, st, err := shard.Join(context.Background(), rel[0], rel[1],
+					multistep.WithConfig(c), multistep.WithPredicate(pc.pred))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := counts{st.CandidatePairs, st.FilterHits, st.FilterFalseHits, st.ExactTested, st.ExactHits, st.ResultPairs, st.Ops}
+				want := pc.counts
+				want.ops = pc.ops[engine]
+				if got != want {
+					t.Errorf("counts moved:\n got  %+v\n want %+v", got, want)
+				}
+				h := fnv.New64a()
+				for _, p := range pairs {
+					_ = binary.Write(h, binary.LittleEndian, p) // a hash.Hash never fails
+				}
+				if int64(len(pairs)) != st.ResultPairs || h.Sum64() != pc.pairsHash {
+					t.Errorf("response moved: %d pairs (ResultPairs %d), hash %#x, want %#x", len(pairs), st.ResultPairs, h.Sum64(), pc.pairsHash)
+				}
+			})
+		}
 	}
 }

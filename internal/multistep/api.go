@@ -146,15 +146,17 @@ func ForNearest(p geom.Point, k int) Option {
 // one logical query across several relations (internal/shard's
 // scatter-gather layer): they resolve a request once, read the
 // predicate for tile routing, the limit for global truncation and the
-// target for the merge shape, and hand RunJoin or RunQuery a per-tile
-// copy with the limit lifted, its own Explain and its own sessions.
+// target for the merge shape, and hand RunJoin (which applies no limit)
+// or RunQuery a per-tile copy with its own Explain and its own sessions,
+// and for RunQuery the limit lifted.
 type Resolved struct {
 	// Pred is the configured predicate (the zero value is Intersects).
 	Pred Predicate
 	// Cfg is the WithConfig override, nil without one (the relations'
 	// build configuration then applies).
 	Cfg *Config
-	// Limit is the WithLimit cap; < 0 means unlimited.
+	// Limit is the WithLimit cap; < 0 means unlimited. Join and RunQuery
+	// apply it, RunJoin does not.
 	Limit int
 	// Stream is the WithStream emitter, nil without one.
 	Stream func(Pair)

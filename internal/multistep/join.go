@@ -18,12 +18,12 @@ import (
 )
 
 // This file is the join driver of the package — the only one. Join
-// resolves its options and RunJoin executes them: validate and plan the
-// request, run the one pipeline, then feed the planner, fill the
-// explain, and sort and cut the collected response. Every delivery mode
-// (collected, streamed, bufferless), every worker count and every step-1
-// generator runs the same pipeline, so the statistics of one request do
-// not depend on how its pairs were delivered.
+// resolves its options, RunJoin executes them — validate and plan the
+// request, run the one pipeline, then fill the explain — and Join sorts
+// and cuts the collected response. Every delivery mode (collected,
+// streamed, bufferless), every worker count and every step-1 generator
+// runs the same pipeline, so the statistics of one request do not depend
+// on how its pairs were delivered.
 
 // The pipeline shape: candidate pairs per batch, and the bounded depth of
 // the candidate and result channels in batches per worker. Together they
@@ -52,13 +52,24 @@ var (
 // query at a time. With per-query sessions on both sides the join is
 // fully concurrent-safe.
 func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, error) {
-	return RunJoin(ctx, r, s, ResolveOptions(opts))
+	o := ResolveOptions(opts)
+	pairs, st, err := RunJoin(ctx, r, s, o)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	slices.SortFunc(pairs, ComparePairs)
+	if o.Limit >= 0 && len(pairs) > o.Limit {
+		pairs = pairs[:o.Limit]
+	}
+	return pairs, st, nil
 }
 
-// RunJoin is Join on an already resolved option set — the entry of
-// coordinators that resolve a request once and run it on several
-// relation pairs (internal/shard hands each tile pair a copy with its
-// own sessions in AxR/AxS, its own Explain and the limit lifted).
+// RunJoin is Join on an already resolved option set, except that it
+// returns the collected response in pipeline order, unsorted and uncut:
+// o.Limit is not applied. It is the entry of coordinators that resolve a
+// request once and run it on several relation pairs (internal/shard
+// hands each tile pair a copy with its own sessions in AxR/AxS and its
+// own Explain, and orders, merges and cuts the responses itself).
 func RunJoin(ctx context.Context, r, s *Relation, o Resolved) ([]Pair, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -95,26 +106,7 @@ func RunJoin(ctx context.Context, r, s *Relation, o Resolved) ([]Pair, Stats, er
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	sortResponse(pairs)
-	if o.Limit >= 0 && len(pairs) > o.Limit {
-		pairs = pairs[:o.Limit]
-	}
 	return pairs, st, nil
-}
-
-// sortResponse orders a response set by (A, B) — the canonical order of
-// the collected join result. Pairs are unique, so the (A, B) comparison
-// is a total order and the typed sort returns the identical sequence the
-// reflection-based sort did.
-func sortResponse(ps []Pair) {
-	slices.SortFunc(ps, func(p, q Pair) int {
-		switch {
-		case p.A != q.A:
-			return int(p.A - q.A)
-		default:
-			return int(p.B - q.B)
-		}
-	})
 }
 
 // candPair is one candidate pair in flight between step 1 and step 2: a

@@ -301,6 +301,15 @@ type Pair struct {
 	A, B int32 // object IDs in the two relations
 }
 
+// ComparePairs orders pairs by (A, B), the order of every collected join
+// response.
+func ComparePairs(p, q Pair) int {
+	if p.A != q.A {
+		return int(p.A - q.A)
+	}
+	return int(p.B - q.B)
+}
+
 // Stats reports the work of one multi-step join, step by step.
 type Stats struct {
 	// Step 1.

@@ -96,9 +96,11 @@ type JoinTileKey struct {
 	Workers int
 }
 
-// JoinTileResult is one tile pair's cached sub-join outcome. Pairs are
-// tile-local.
+// JoinTileResult is one tile pair's cached sub-join outcome.
 type JoinTileResult struct {
+	// Pairs is the tile pair's run of the response: global object IDs,
+	// (A, B)-sorted — what the merge layer reads, whether the run was
+	// just computed or comes from the cache.
 	Pairs   []multistep.Pair
 	Stats   multistep.Stats
 	Explain *multistep.Explain

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -61,7 +62,9 @@ func (c *memTileCache) PutQueryTile(k QueryTileKey, r QueryTileResult) {
 // TestShardJoinTileCache: a second run of the same joins is served
 // entirely from the tile-pair cache with identical results, and a join
 // variant that misses the whole-join identity still hits the
-// per-tile-pair entries it shares.
+// per-tile-pair entries it shares. An entry holds its tile pair's run of
+// the response — global IDs, (A, B)-sorted — which the merge of a hit
+// reads as it reads a fresh sub-join's.
 func TestShardJoinTileCache(t *testing.T) {
 	rp, sp, cfg := testWorkload(t)
 	r := Build("R", rp, 3, cfg)
@@ -96,6 +99,18 @@ func TestShardJoinTileCache(t *testing.T) {
 		t.Fatal("cold joins cached nothing")
 	}
 
+	for k, e := range tc.joins {
+		rt, st := r.Tiles[k.RTile], s.Tiles[k.STile]
+		var want []multistep.Pair
+		for _, p := range first[slices.Index([]string{"intersects", "contains"}, k.Pred)].pairs {
+			if slices.Contains(rt.Global, p.A) && slices.Contains(st.Global, p.B) {
+				want = append(want, p)
+			}
+		}
+		if !slices.Equal(e.Pairs, want) {
+			t.Errorf("entry %+v holds %d pairs, want the %d of the response in its tiles, in response order", k, len(e.Pairs), len(want))
+		}
+	}
 	for i, opts := range joins {
 		if !reflect.DeepEqual(run(opts), first[i]) {
 			t.Errorf("join %d: cached run differs from cold run", i)

@@ -91,7 +91,8 @@ func TestJoinEquivalence(t *testing.T) {
 
 // TestJoinLimitIsGlobalSortedPrefix: a WithLimit cap on the
 // scatter-gather join returns the prefix of the globally sorted
-// response, not a first-arrived subset.
+// response, not a first-arrived subset, in an allocation of exactly its
+// size — a caller who keeps it keeps nothing of the rest.
 func TestJoinLimitIsGlobalSortedPrefix(t *testing.T) {
 	rp, sp, cfg := testWorkload(t)
 	r := multistep.NewRelation("R", rp, cfg)
@@ -100,7 +101,7 @@ func TestJoinLimitIsGlobalSortedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, limit := range []int{0, 1, 7, len(want) - 1, len(want) + 10} {
+	for _, limit := range []int{0, 1, 7, 50, len(want) - 1, len(want) + 10} {
 		wantCap := want
 		if limit < len(want) {
 			wantCap = want[:limit]
@@ -113,6 +114,9 @@ func TestJoinLimitIsGlobalSortedPrefix(t *testing.T) {
 			}
 			if !slices.Equal(got, wantCap) {
 				t.Fatalf("n=%d limit=%d: got %d pairs, want the global sorted prefix of %d", n, limit, len(got), len(wantCap))
+			}
+			if cap(got) != len(wantCap) {
+				t.Errorf("n=%d limit=%d: cap(pairs) = %d, want %d", n, limit, cap(got), len(wantCap))
 			}
 		}
 	}

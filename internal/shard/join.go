@@ -76,10 +76,11 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 
 // JoinCached is Join with a tile-pair sub-result cache. Each eligible
 // tile pair runs one sub-join (multistep.RunJoin) on a fresh session
-// pair, so its page accounting is the solo per-tile figure. The limit is
-// lifted to the merge layer (sub-joins run uncapped): tiles sort by local
-// IDs, a permutation of the global order, so a local prefix need not
-// contain the global one.
+// pair, so its page accounting is the solo per-tile figure. Its goroutine
+// translates the sub-join's pairs to global IDs and sorts them, so the
+// sorts run in parallel; the merge layer k-way merges these runs and
+// applies the limit (sub-joins run uncapped: a tile's run holds only its
+// own pairs, so its prefix need not contain the global one).
 //
 // Routing: sub-join (i, j) runs iff r.Tiles[i].MBR expanded by the
 // predicate's ε intersects s.Tiles[j].MBR — tile MBRs are true object
@@ -158,14 +159,14 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 					return ferr
 				}
 				// The resolved options, copied for this sub-join: its own
-				// sessions, the limit lifted to the merge layer, and its own
-				// Explain — the caller's capture target must not be written
-				// by N goroutines, and per-tile-pair plans are the point. The
-				// caching path always captures one (see QueryCached), so a
-				// later join that wants the plan can be served from cache.
+				// sessions and its own Explain — the caller's capture target
+				// must not be written by N goroutines, and per-tile-pair
+				// plans are the point. The caching path always captures one
+				// (see QueryCached), so a later join that wants the plan can
+				// be served from cache.
 				sessR, sessS := rt.Rel.NewSession(), st.Rel.NewSession()
 				sub := res
-				sub.AxR, sub.AxS, sub.Limit, sub.Explain = sessR, sessS, -1, nil
+				sub.AxR, sub.AxS, sub.Explain = sessR, sessS, nil
 				var tr JoinTileResult
 				if res.Explain != nil || tc != nil {
 					tr.Explain = new(multistep.Explain)
@@ -188,6 +189,13 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 				if serr := sessS.Err(); serr != nil {
 					return serr
 				}
+				// The pairs are this sub-join's own allocation: translated
+				// and sorted in place, they become the run the merge reads
+				// and the cache keeps.
+				for i, p := range pairs {
+					pairs[i] = multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]}
+				}
+				slices.SortFunc(pairs, multistep.ComparePairs)
 				tr.Pairs, tr.Stats = pairs, sst
 				if tc != nil {
 					tc.PutJoinTile(key, tr)
@@ -231,48 +239,72 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 	}
 	var pairs []multistep.Pair
 	if collects {
-		// The tile-local pairs may be cache entries: read, never
-		// translated in place.
-		pairs = mergePairs(r, s, eligible, res.Limit, func(k int) []multistep.Pair { return subs[k].Pairs })
+		runs := make([][]multistep.Pair, len(subs))
+		for k := range subs {
+			runs[k] = subs[k].Pairs
+		}
+		pairs = mergePairs(runs, res.Limit)
 	}
 	return pairs, stats, nil
 }
 
-// mergePairs gathers the tile-local response sets of the sub-joins
-// eligible[k] (pairs(k), read only) into the single-relation response:
-// translated to global IDs, (A, B)-sorted, cut to the first limit pairs
-// (limit < 0: all), in one allocation of exactly the merged size. A cut
-// response is a copy of its prefix, so that a caller who keeps it does
-// not keep the whole merge alive.
-func mergePairs(r, s *Sharded, eligible []tilePair, limit int, pairs func(k int) []multistep.Pair) []multistep.Pair {
+// mergePairs merges the sub-joins' runs — each in global IDs and
+// (A, B)-sorted, read only, as they may be tile-cache entries — into the
+// single-relation response: (A, B)-sorted, adjacent duplicates dropped,
+// cut to the first limit pairs (limit < 0: all). It allocates the
+// response once, at min(total, limit) pairs, and stops at the limit; the
+// runs slice itself is consumed as the merge heap's storage. The
+// partition is disjoint, so duplicates cannot arise; dropping them is
+// the cheap invariant that keeps the merge correct should a replicating
+// partitioner ever be plugged in.
+func mergePairs(runs [][]multistep.Pair, limit int) []multistep.Pair {
+	// heap is a binary min-heap of the non-empty runs, keyed by their
+	// first pair: each merged pair costs O(log k) comparisons for k runs.
+	heap := runs[:0]
 	total := 0
-	for k := range eligible {
-		total += len(pairs(k))
+	for _, run := range runs {
+		if len(run) > 0 {
+			heap = append(heap, run)
+			total += len(run)
+		}
 	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]multistep.Pair, 0, total)
-	for k, e := range eligible {
-		ga, gb := r.Tiles[e.ri].Global, s.Tiles[e.si].Global
-		for _, p := range pairs(k) {
-			out = append(out, multistep.Pair{A: ga[p.A], B: gb[p.B]})
-		}
+	if limit >= 0 {
+		total = min(total, limit)
 	}
-	slices.SortFunc(out, func(p, q multistep.Pair) int {
-		switch {
-		case p.A != q.A:
-			return int(p.A - q.A)
-		default:
-			return int(p.B - q.B)
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	out := make([]multistep.Pair, 0, total)
+	for len(out) < total && len(heap) > 0 {
+		p := heap[0][0]
+		if n := len(out); n == 0 || out[n-1] != p {
+			out = append(out, p)
 		}
-	})
-	// The partition is disjoint, so duplicates cannot arise; the
-	// compaction is the cheap invariant that keeps the merge correct
-	// should a replicating partitioner ever be plugged in.
-	out = slices.Compact(out)
-	if limit >= 0 && len(out) > limit {
-		out = slices.Clone(out[:limit])
+		if heap[0] = heap[0][1:]; len(heap[0]) == 0 {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap, 0)
 	}
 	return out
+}
+
+// siftDown restores the heap order of mergePairs below index i.
+func siftDown(heap [][]multistep.Pair, i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(heap) && multistep.ComparePairs(heap[c][0], heap[least][0]) < 0 {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		heap[i], heap[least] = heap[least], heap[i]
+		i = least
+	}
 }

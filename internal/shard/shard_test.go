@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialjoin/internal/data"
@@ -99,5 +101,37 @@ func TestFromRelationWrapsIdentity(t *testing.T) {
 	}
 	if sh.Fingerprint() != multistep.ConfigFingerprint(cfg) {
 		t.Error("fingerprint disagrees with the relation's configuration")
+	}
+}
+
+// TestMergePairs holds the k-way merge to its definition — concatenate,
+// sort, drop duplicates, cut — on runs that share pairs (which the
+// disjoint partition never produces, but the merge must survive), at
+// run counts from 0 to 40 and limits below, at and above the total.
+func TestMergePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		runs := make([][]multistep.Pair, rng.Intn(41))
+		var all []multistep.Pair
+		for k := range runs {
+			for n := rng.Intn(30); n > 0; n-- {
+				runs[k] = append(runs[k], multistep.Pair{A: int32(rng.Intn(20)), B: int32(rng.Intn(20))})
+			}
+			slices.SortFunc(runs[k], multistep.ComparePairs)
+			runs[k] = slices.Compact(runs[k])
+			all = append(all, runs[k]...)
+		}
+		slices.SortFunc(all, multistep.ComparePairs)
+		want := slices.Compact(all)
+		for _, limit := range []int{-1, 0, 1, len(want) / 2, len(want), len(want) + 1} {
+			got := mergePairs(slices.Clone(runs), limit)
+			w := want
+			if limit >= 0 && limit < len(w) {
+				w = w[:limit]
+			}
+			if !slices.Equal(got, w) {
+				t.Fatalf("trial %d, %d runs, limit %d: merged %v, want %v", trial, len(runs), limit, got, w)
+			}
+		}
 	}
 }

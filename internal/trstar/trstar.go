@@ -319,10 +319,10 @@ func Intersects(t1, t2 *Tree, c *ops.Counters) bool {
 		return false
 	}
 	c.RectIntersection++
-	if !t1.bounds.Intersects(t2.bounds) {
+	if !overlaps(&t1.bounds, &t2.bounds) {
 		return false
 	}
-	return nodesIntersect(t1.root, t2.root, t1.bounds, t2.bounds, c)
+	return nodesIntersect(t1.root, t2.root, &t1.bounds, &t2.bounds, c)
 }
 
 // nodesIntersect expands one node pair; b1 and b2 are the node regions,
@@ -330,8 +330,8 @@ func Intersects(t1, t2 *Tree, c *ops.Counters) bool {
 // runs once per remaining candidate pair of the join) never recomputes a
 // bounds union. Entries are addressed by index — the entry struct embeds
 // a whole trapezoid, and copying it per comparison dominated the
-// traversal's CPU profile.
-func nodesIntersect(n1, n2 *node, b1, b2 geom.Rect, c *ops.Counters) bool {
+// traversal's CPU profile — and their rectangles by pointer.
+func nodesIntersect(n1, n2 *node, b1, b2 *geom.Rect, c *ops.Counters) bool {
 	switch {
 	case n1.leaf && n2.leaf:
 		for i := range n1.entries {
@@ -339,7 +339,7 @@ func nodesIntersect(n1, n2 *node, b1, b2 geom.Rect, c *ops.Counters) bool {
 			for j := range n2.entries {
 				e2 := &n2.entries[j]
 				c.RectIntersection++
-				if !e1.rect.Intersects(e2.rect) {
+				if !overlaps(&e1.rect, &e2.rect) {
 					continue
 				}
 				c.TrapIntersection++
@@ -355,7 +355,7 @@ func nodesIntersect(n1, n2 *node, b1, b2 geom.Rect, c *ops.Counters) bool {
 			for j := range n2.entries {
 				e2 := &n2.entries[j]
 				c.RectIntersection++
-				if e1.rect.Intersects(e2.rect) && nodesIntersect(e1.child, e2.child, e1.rect, e2.rect, c) {
+				if overlaps(&e1.rect, &e2.rect) && nodesIntersect(e1.child, e2.child, &e1.rect, &e2.rect, c) {
 					return true
 				}
 			}
@@ -366,7 +366,7 @@ func nodesIntersect(n1, n2 *node, b1, b2 geom.Rect, c *ops.Counters) bool {
 		for j := range n2.entries {
 			e2 := &n2.entries[j]
 			c.RectIntersection++
-			if e2.rect.Intersects(b1) && nodesIntersect(n1, e2.child, b1, e2.rect, c) {
+			if overlaps(&e2.rect, b1) && nodesIntersect(n1, e2.child, b1, &e2.rect, c) {
 				return true
 			}
 		}
@@ -375,12 +375,33 @@ func nodesIntersect(n1, n2 *node, b1, b2 geom.Rect, c *ops.Counters) bool {
 		for i := range n1.entries {
 			e1 := &n1.entries[i]
 			c.RectIntersection++
-			if e1.rect.Intersects(b2) && nodesIntersect(e1.child, n2, e1.rect, b2, c) {
+			if overlaps(&e1.rect, b2) && nodesIntersect(e1.child, n2, &e1.rect, b2, c) {
 				return true
 			}
 		}
 		return false
 	}
+}
+
+// overlaps reports whether the closed rectangles r and s share a point.
+// It is geom.Rect.Intersects without its two IsEmpty tests and without
+// branches: the four comparisons are ANDed as 0/1 flags, so the traversal
+// pays one hard-to-predict branch per entry pair, on the result, instead
+// of up to four. It requires both rectangles to be proper — MinX ≤ MaxX
+// and MinY ≤ MaxY, no NaN — where Intersects also answers false for an
+// inverted one. Every entry rectangle of a tree is proper: the exact MBR
+// of a trapezoid or of a non-empty child, rederived on decode and checked
+// by Validate; so are the tree bounds, their union.
+func overlaps(r, s *geom.Rect) bool {
+	return bit(r.MinX <= s.MaxX)&bit(s.MinX <= r.MaxX)&bit(r.MinY <= s.MaxY)&bit(s.MinY <= r.MaxY) != 0
+}
+
+// bit is 1 for true and 0 for false; the compiler emits it as a SETcc.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // WithinDistance decides whether the regions of two TR*-trees lie within
@@ -400,16 +421,16 @@ func WithinDistance(t1, t2 *Tree, eps float64, c *ops.Counters) bool {
 	}
 	eps2 := eps * eps
 	c.RectIntersection++
-	if t1.bounds.Dist2(t2.bounds) > eps2 {
+	if gap2(&t1.bounds, &t2.bounds) > eps2 {
 		return false
 	}
-	return nodesWithin(t1.root, t2.root, t1.bounds, t2.bounds, eps, eps2, c)
+	return nodesWithin(t1.root, t2.root, &t1.bounds, &t2.bounds, eps, eps2, c)
 }
 
 // nodesWithin mirrors nodesIntersect (threaded bounds, index-addressed
-// entries) with within-eps tests in place of intersection tests; eps2 is
-// eps squared.
-func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps, eps2 float64, c *ops.Counters) bool {
+// entries, rectangles by pointer) with within-eps tests in place of
+// intersection tests; eps2 is eps squared.
+func nodesWithin(n1, n2 *node, b1, b2 *geom.Rect, eps, eps2 float64, c *ops.Counters) bool {
 	switch {
 	case n1.leaf && n2.leaf:
 		for i := range n1.entries {
@@ -417,7 +438,7 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps, eps2 float64, c *ops.Count
 			for j := range n2.entries {
 				e2 := &n2.entries[j]
 				c.RectIntersection++
-				if e1.rect.Dist2(e2.rect) > eps2 {
+				if gap2(&e1.rect, &e2.rect) > eps2 {
 					continue
 				}
 				c.TrapIntersection++
@@ -433,7 +454,7 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps, eps2 float64, c *ops.Count
 			for j := range n2.entries {
 				e2 := &n2.entries[j]
 				c.RectIntersection++
-				if e1.rect.Dist2(e2.rect) <= eps2 && nodesWithin(e1.child, e2.child, e1.rect, e2.rect, eps, eps2, c) {
+				if gap2(&e1.rect, &e2.rect) <= eps2 && nodesWithin(e1.child, e2.child, &e1.rect, &e2.rect, eps, eps2, c) {
 					return true
 				}
 			}
@@ -444,7 +465,7 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps, eps2 float64, c *ops.Count
 		for j := range n2.entries {
 			e2 := &n2.entries[j]
 			c.RectIntersection++
-			if e2.rect.Dist2(b1) <= eps2 && nodesWithin(n1, e2.child, b1, e2.rect, eps, eps2, c) {
+			if gap2(&e2.rect, b1) <= eps2 && nodesWithin(n1, e2.child, b1, &e2.rect, eps, eps2, c) {
 				return true
 			}
 		}
@@ -453,7 +474,7 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps, eps2 float64, c *ops.Count
 		for i := range n1.entries {
 			e1 := &n1.entries[i]
 			c.RectIntersection++
-			if e1.rect.Dist2(b2) <= eps2 && nodesWithin(e1.child, n2, e1.rect, b2, eps, eps2, c) {
+			if gap2(&e1.rect, b2) <= eps2 && nodesWithin(e1.child, n2, &e1.rect, b2, eps, eps2, c) {
 				return true
 			}
 		}
@@ -461,8 +482,17 @@ func nodesWithin(n1, n2 *node, b1, b2 geom.Rect, eps, eps2 float64, c *ops.Count
 	}
 }
 
-// Validate checks the TR*-tree invariants (entry rectangles tightly bound
-// children, capacities respected, all trapezoids reachable at one level).
+// gap2 is geom.Rect.Dist2 for proper rectangles, as overlaps is
+// Intersects: the squared distance between r and s, 0 when they meet.
+func gap2(r, s *geom.Rect) float64 {
+	dx := max(0, s.MinX-r.MaxX, r.MinX-s.MaxX)
+	dy := max(0, s.MinY-r.MaxY, r.MinY-s.MaxY)
+	return dx*dx + dy*dy
+}
+
+// Validate checks the TR*-tree invariants (entry rectangles are proper and
+// tightly bound children, capacities respected, all trapezoids reachable
+// at one level).
 // It is meant for tests.
 func (t *Tree) Validate() error {
 	count, err := validate(t.root, t.height, t.capacity)
@@ -478,6 +508,13 @@ func (t *Tree) Validate() error {
 func validate(n *node, level, capacity int) (int, error) {
 	if len(n.entries) > capacity {
 		return 0, fmt.Errorf("trstar: node with %d > %d entries", len(n.entries), capacity)
+	}
+	for _, e := range n.entries {
+		// The traversals' rectangle tests assume proper rectangles (see
+		// overlaps); an empty child's bounds, say, would be inverted.
+		if !(e.rect.MinX <= e.rect.MaxX && e.rect.MinY <= e.rect.MaxY) {
+			return 0, fmt.Errorf("trstar: entry rect %v is inverted or NaN", e.rect)
+		}
 	}
 	if n.leaf {
 		if level != 1 {

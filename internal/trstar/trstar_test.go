@@ -3,6 +3,7 @@ package trstar
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/decomp"
@@ -212,4 +213,44 @@ func TestNewPanicsOnTinyCapacity(t *testing.T) {
 		}
 	}()
 	New([]decomp.Trapezoid{}, 1)
+}
+
+// TestValidateRejectsImproperRects pins the precondition of the
+// traversals' rectangle tests (overlaps, gap2): every entry rectangle is
+// proper. A hand-built tree whose directory holds an inverted or NaN
+// rectangle over an empty child — which the bounds checks alone accept,
+// an empty child's bounds being empty — fails Validate, and so would a
+// decoded one.
+func TestValidateRejectsImproperRects(t *testing.T) {
+	leaf := NewFromPolygon(geom.NewPolygon(sq(0, 0, 1)), 3)
+	if leaf.Height() != 1 {
+		t.Fatalf("fixture tree has height %d, want a single leaf", leaf.Height())
+	}
+	nan := math.NaN()
+	for _, bad := range []geom.Rect{
+		{MinX: 1, MinY: 0, MaxX: 0, MaxY: 1},
+		{MinX: 0, MinY: 1, MaxX: 1, MaxY: 0},
+		geom.EmptyRect(),
+		{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1},
+		{MinX: 0, MinY: 0, MaxX: 1, MaxY: nan},
+	} {
+		tr := &Tree{
+			root: &node{entries: []entry{
+				{rect: leaf.bounds, child: leaf.root},
+				{rect: bad, child: &node{leaf: true}},
+			}},
+			capacity: 3,
+			minFill:  2,
+			height:   2,
+			numTraps: leaf.numTraps,
+		}
+		tr.bounds = tr.root.bounds()
+		err := tr.Validate()
+		if err == nil || !strings.Contains(err.Error(), "inverted or NaN") {
+			t.Errorf("entry rect %v: Validate = %v, want the inverted-or-NaN error", bad, err)
+		}
+	}
+	if err := leaf.Validate(); err != nil {
+		t.Errorf("fixture tree: %v", err)
+	}
 }

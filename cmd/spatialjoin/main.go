@@ -31,14 +31,14 @@
 // ones the stores were built with — a mismatch is rejected via the
 // stores' config fingerprint).
 //
-// The cost-based planner (internal/plan) resolves the options left at
-// their defaults: engine, filter and worker count are chosen from the
-// relations' statistics unless the corresponding flag was set explicitly
-// on the command line (an explicit -engine/-no-filter pins both, an
-// explicit -parallel pins the workers — exactly the WithConfig /
-// WithWorkers contract). -plan=false disables planning entirely;
-// -explain prints the chosen plan and its predicted cost before the
-// join, and the predicted-vs-actual error after it.
+// The planner (internal/plan) resolves the options left at their
+// defaults — the TR*-tree engine, the filter on, GOMAXPROCS workers —
+// unless the corresponding flag was set explicitly on the command line
+// (an explicit -engine/-no-filter pins both, an explicit -parallel pins
+// the workers — exactly the WithConfig / WithWorkers contract).
+// -plan=false disables planning entirely; -explain prints the chosen
+// plan and its predicted counts before the join, and the
+// predicted-vs-actual error after it.
 package main
 
 import (
@@ -68,8 +68,8 @@ func main() {
 	step1 := flag.String("step1", "rstar", "step 1 candidate generator: rstar, zorder, nested")
 	parallel := flag.Int("parallel", 0, "filter/exact worker count (0 = sequential; with -stream, 0 = GOMAXPROCS)")
 	stream := flag.Bool("stream", false, "stream the response pairs (WithStream): bounded memory, -parallel workers")
-	planOn := flag.Bool("plan", true, "resolve unset options (engine, filter, workers) through the cost-based planner; explicitly-set flags stay pinned")
-	explain := flag.Bool("explain", false, "print the chosen plan and predicted cost before the join, and the predicted-vs-actual error after (implies -plan)")
+	planOn := flag.Bool("plan", true, "resolve unset options (engine, filter, workers) through the planner; explicitly-set flags stay pinned")
+	explain := flag.Bool("explain", false, "print the chosen plan and predicted counts before the join, and the predicted-vs-actual error after (implies -plan)")
 	rstorePath := flag.String("rstore", "", "open relation R from this prebuilt store instead of generating it")
 	sstorePath := flag.String("sstore", "", "open relation S from this prebuilt store instead of generating it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the join phase to this file")
@@ -177,8 +177,8 @@ func main() {
 		p := pre.Explain.Plan
 		fmt.Printf("\nplan: engine=%s filter=%v workers=%d planned=%v\n", p.Engine, p.UseFilter, p.Workers, p.Planned)
 		if p.Planned {
-			fmt.Printf("predicted: %.0f candidates, %.0f exact tests, %.0f result pairs, cost %.2fms\n",
-				p.PredictedCandidates, p.PredictedExactTested, p.PredictedResultPairs, p.PredictedCostNs/1e6)
+			fmt.Printf("predicted: %.0f candidates, %.0f exact tests, %.0f result pairs\n",
+				p.PredictedCandidates, p.PredictedExactTested, p.PredictedResultPairs)
 			if p.StreamRecommended && !*stream {
 				fmt.Println("planner recommends -stream: the predicted response set is large")
 			}
@@ -223,8 +223,8 @@ func main() {
 	}
 
 	// Report what actually executed: under the planner, cfg's engine and
-	// filter flags are only the search space, not the choice — and tile
-	// pairs choose independently, so the aggregate engine may be "mixed".
+	// filter flags are only the admissible choices — and tile pairs
+	// choose independently, so the aggregate engine may be "mixed".
 	engineName := ex.Plan.Engine
 	if e, err := multistep.ParseEngine(engineName); err == nil {
 		engineName = e.String()
@@ -244,8 +244,7 @@ func main() {
 		engineName, st.ExactTested, st.ExactHits, st.Ops.String())
 	fmt.Printf("\nresponse set: %d pairs (%s)\n", len(pairs), pred)
 	if *explain && ex.Plan.Planned {
-		fmt.Printf("plan accuracy: candidates %.2fx, cost %.2fx (predicted/actual; 1 is perfect)\n",
-			ex.CandidateError, ex.CostError)
+		fmt.Printf("plan accuracy: candidates %.2fx (predicted/actual; 1 is perfect)\n", ex.CandidateError)
 	}
 
 	b, err := modelledCost(st)

@@ -12,7 +12,7 @@
 //	                 [-engine trstar|planesweep|quadratic]
 //	                 [-conservative 5C|RMBR|CH|4C|MBC|MBE] [-progressive MER|MEC]
 //	                 [-no-filter] [-page 4096] [-buffer 131072] [-policy lru|fifo|clock]
-//	                 [-no-plan] [-cache-bytes 67108864]
+//	                 [-join-workers 0] [-cache-bytes 67108864]
 //	                 [-drain 15s] [-timeout 0] [-max-timeout 0]
 //	                 [-max-inflight 0] [-max-queue 0] [-queue-wait 100ms]
 //	                 [-faults spec]
@@ -30,11 +30,10 @@
 //	spatialjoinserve -rel R=r.store -rel S=s.store &
 //	curl 'localhost:8080/join?r=R&s=S&limit=3'
 //
-// Requests plan through the cost-based planner by default (see
-// internal/serve); -no-plan pins the build configuration server-wide,
-// and a single request opts out with &plan=off. GET /explain reports
-// the per-tile-pair plans without (or with run=1, alongside) executing
-// the join.
+// Requests plan through the planner by default (see internal/serve); a
+// request opts out with &plan=off and runs the build configuration
+// verbatim. GET /explain reports the per-tile-pair plans without (or
+// with run=1, alongside) executing the join.
 //
 // Responses are served through the multi-query execution layer
 // (DESIGN.md §12): repeated requests answer from a fingerprint-keyed
@@ -106,8 +105,7 @@ func main() {
 	demo := flag.Int("demo", 0, "serve a generated demo relation pair of this many objects instead of stores")
 	seed := flag.Int64("seed", 9401, "with -demo: generation seed")
 	config := multistep.ConfigFlags(flag.CommandLine)
-	joinWorkers := flag.Int("join-workers", 0, "streaming-join workers per request (0 = planner-chosen, or GOMAXPROCS with -no-plan)")
-	noPlan := flag.Bool("no-plan", false, "disable the cost-based planner: serve every request under the build configuration verbatim")
+	joinWorkers := flag.Int("join-workers", 0, "streaming-join workers per request (0 = GOMAXPROCS)")
 	maxPairs := flag.Int("max-pairs", serve.DefaultMaxJoinPairs, "cap on join pairs returned inline per request")
 	cacheBytes := flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result/tile cache budget in bytes (<=0 disables caching)")
 	drain := flag.Duration("drain", 15*time.Second, "how long to let in-flight requests drain on SIGINT/SIGTERM before closing connections")
@@ -165,7 +163,6 @@ func main() {
 	srv := serve.NewServer(cat)
 	srv.JoinWorkers = *joinWorkers
 	srv.MaxJoinPairs = *maxPairs
-	srv.NoPlan = *noPlan
 	srv.CacheBytes = *cacheBytes
 	srv.RequestTimeout = *timeout
 	srv.MaxRequestTimeout = *maxTimeout

@@ -1,10 +1,10 @@
 // Filter tuning, revisited: the knobs this example used to hand-sweep —
-// exact engine and geometric filter — are now owned by the cost-based
-// planner. The example still runs the manual sweep so the design space of
-// section 3 stays visible, then lets the planner pick a configuration for
-// the same workload and compares its choice against the sweep: the plan
-// should land within a small factor of the best hand-tuned cell, without
-// anyone sweeping anything.
+// exact engine and geometric filter — are now owned by the planner. The
+// example still runs the manual sweep so the design space of section 3
+// stays visible, then lets the planner pick a configuration for the same
+// workload and compares its choice against the sweep: the plan should
+// land within a small factor of the best hand-tuned cell, without anyone
+// sweeping anything.
 //
 //	go run ./examples/filter_tuning
 package main
@@ -78,20 +78,19 @@ func main() {
 		bestName, best.Round(time.Microsecond), worst.Round(time.Microsecond), float64(worst)/float64(best))
 
 	// The planner route: ask for a plan instead of sweeping. ExplainJoin
-	// shows the choice and its cost estimate without executing anything.
+	// shows the choice and its estimates without executing anything.
 	ex, err := spatialjoin.ExplainJoin(context.Background(), r, s, false, spatialjoin.WithPlan())
 	if err != nil {
 		panic(err)
 	}
 	p := ex.Explain.Plan
 	fmt.Printf("planner choice: engine=%s filter=%v workers=%d\n", p.Engine, p.UseFilter, p.Workers)
-	fmt.Printf("  predicted: %.0f candidates, cost %v\n",
-		p.PredictedCandidates, time.Duration(p.PredictedCostNs).Round(time.Microsecond))
+	fmt.Printf("  predicted: %.0f candidates\n", p.PredictedCandidates)
 
 	d, st := measure(r, s, spatialjoin.WithPlan())
 	fmt.Printf("  actual:    %d candidates in %v — %.2f× the best hand-tuned cell\n",
 		st.CandidatePairs, d.Round(time.Microsecond), float64(d)/float64(best))
-	fmt.Println("\nThe sweep above is what the planner replaces: statistics counted when each")
-	fmt.Println("relation is built or opened, plus a calibrated cost model, pick the engine")
-	fmt.Println("and filter per join — the same choice every time for the same request.")
+	fmt.Println("\nThe sweep above is what the planner replaces: the TR*-tree engine with the")
+	fmt.Println("filter on whenever the relations carry object trees and approximations —")
+	fmt.Println("the paper's recommendation, and the same choice every time.")
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the adaptive-planning surface of the join processor. The
-// planner itself lives in internal/plan (statistics, selectivity, cost,
-// search); here it is bridged into the option machinery:
+// planner itself lives in internal/plan (statistics, selectivity, the
+// rules); here it is bridged into the option machinery:
 //
 //   - WithPlan() lets Join resolve the options the caller left unset —
 //     exact engine, filter on/off, worker count — through the planner.
@@ -18,7 +18,7 @@ import (
 //     reaches the planner as a one-element candidate list, so a fully
 //     pinned planned join executes bit-identically to the unplanned
 //     call (the regression tests assert exactly that).
-//   - WithExplain(&ex) captures the chosen plan, its predicted cost,
+//   - WithExplain(&ex) captures the chosen plan, its predicted counts,
 //     and — after execution — the predicted-vs-actual error.
 //   - ExplainJoin plans without executing (the EXPLAIN verb).
 //
@@ -49,7 +49,6 @@ type Plan struct {
 	PredictedCandidates  float64 `json:"predictedCandidates,omitempty"`
 	PredictedExactTested float64 `json:"predictedExactTested,omitempty"`
 	PredictedResultPairs float64 `json:"predictedResultPairs,omitempty"`
-	PredictedCostNs      float64 `json:"predictedCostNs,omitempty"`
 }
 
 // Explain is the EXPLAIN record of one join: the plan, and after
@@ -62,18 +61,17 @@ type Explain struct {
 	ActualExactTested int64 `json:"actualExactTested,omitempty"`
 	ActualResultPairs int64 `json:"actualResultPairs,omitempty"`
 	ActualWallNs      int64 `json:"actualWallNs,omitempty"`
-	// CandidateError and CostError are predicted/actual ratios (1 is a
-	// perfect prediction); zero when the run was not planned or the
-	// denominator is zero.
+	// CandidateError is the predicted/actual candidate ratio (1 is a
+	// perfect prediction); zero when the run was not planned or had no
+	// candidates.
 	CandidateError float64 `json:"candidateError,omitempty"`
-	CostError      float64 `json:"costError,omitempty"`
 }
 
 // WithPlan resolves the options the caller left unset through the
-// cost-based planner: the exact engine and filter setting (unless
-// WithConfig pinned them) and the worker count (unless WithWorkers did).
-// Relations without statistics fall back to their build configuration
-// unchanged. See internal/plan for the model.
+// planner: the exact engine and filter setting (unless WithConfig pinned
+// them) and the worker count (unless WithWorkers did). Relations without
+// statistics fall back to their build configuration unchanged. See
+// plan.Choose for the rules.
 func WithPlan() Option {
 	return func(o *Resolved) { o.Plan = true }
 }
@@ -123,17 +121,6 @@ func effectiveWorkers(n int) int {
 	return n
 }
 
-// workerGrid returns the candidate worker counts of an unpinned search:
-// powers of two from 1 to the pipeline's 4×GOMAXPROCS clamp.
-func workerGrid() []int {
-	limit := 4 * runtime.GOMAXPROCS(0)
-	var ws []int
-	for w := 1; w <= limit; w *= 2 {
-		ws = append(ws, w)
-	}
-	return ws
-}
-
 // echoPlan describes the static (unplanned) execution of a call.
 func echoPlan(cfg Config, o *Resolved) Plan {
 	return Plan{
@@ -147,7 +134,7 @@ func echoPlan(cfg Config, o *Resolved) Plan {
 // planJoin runs the planner for one join and returns the adjusted
 // configuration, the chosen worker count, and the plan record. Pinned
 // dimensions (WithConfig → engine and filter, WithWorkers → workers)
-// reach the search as one-element candidate lists; relations without
+// reach the planner as one-element candidate lists; relations without
 // statistics skip planning entirely.
 func planJoin(r, s *Relation, cfg Config, o *Resolved) (Config, int, Plan) {
 	if r.Stats == nil || s.Stats == nil {
@@ -180,12 +167,7 @@ func planJoin(r, s *Relation, cfg Config, o *Resolved) (Config, int, Plan) {
 	}
 	if o.Workers > 0 {
 		req.Workers = []int{effectiveWorkers(o.Workers)}
-	} else {
-		req.Workers = workerGrid()
 	}
-	rl, rd := r.Tree.PageBreakdown()
-	sl, sd := s.Tree.PageBreakdown()
-	req.PagesR, req.PagesS = rl+rd, sl+sd
 
 	c := plan.Choose(r.Stats, s.Stats, plan.DefaultWeights(), req)
 	cfg.Engine = Engine(c.Engine)
@@ -200,7 +182,6 @@ func planJoin(r, s *Relation, cfg Config, o *Resolved) (Config, int, Plan) {
 		PredictedCandidates:  c.PredCandidates,
 		PredictedExactTested: c.PredExactTested,
 		PredictedResultPairs: c.PredResults,
-		PredictedCostNs:      c.PredCostNs,
 	}
 	return cfg, c.Workers, pl
 }
@@ -218,9 +199,10 @@ func planQuery(r *Relation, cfg Config, o *Resolved) (Config, Plan) {
 	if !o.Plan || o.Cfg != nil || r.Stats == nil {
 		return cfg, pl
 	}
-	if cfg.UseFilter {
-		// The filter can be switched off at query time, never on.
-		cfg.UseFilter = plan.ChooseQueryFilter(r.Stats, plan.DefaultWeights(), planPred(o.Pred))
+	// The filter stays as built, except for distance (ε-range) queries:
+	// they go straight to the exact distance kernel.
+	if o.Pred.kind == predWithin {
+		cfg.UseFilter = false
 	}
 	pl.Planned = true
 	pl.UseFilter = cfg.UseFilter
@@ -238,12 +220,7 @@ func fillExplain(ex *Explain, pl Plan, st Stats, wall time.Duration, ok bool) {
 	ex.ActualExactTested = st.ExactTested
 	ex.ActualResultPairs = st.ResultPairs
 	ex.ActualWallNs = wall.Nanoseconds()
-	if pl.Planned {
-		if st.CandidatePairs > 0 {
-			ex.CandidateError = pl.PredictedCandidates / float64(st.CandidatePairs)
-		}
-		if ex.ActualWallNs > 0 {
-			ex.CostError = pl.PredictedCostNs / float64(ex.ActualWallNs)
-		}
+	if pl.Planned && st.CandidatePairs > 0 {
+		ex.CandidateError = pl.PredictedCandidates / float64(st.CandidatePairs)
 	}
 }

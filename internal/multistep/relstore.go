@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/codec"
@@ -20,7 +19,7 @@ import (
 // its page-granular node layout, the tree's buffer state, and (under the
 // TR*-tree engine) each object's serialized TR*-tree. The expensive
 // preprocessing — approximations, trapezoid decomposition, tree builds —
-// runs once at save time; OpenRelation restores a relation that joins
+// runs once at save time; OpenRelationFile restores a relation that joins
 // with the identical response set and identical statistics (including
 // the buffer hit/miss counts) as the relation it was saved from.
 //
@@ -91,19 +90,10 @@ func ConfigFingerprint(cfg Config) uint64 {
 	return h.Sum64()
 }
 
-// SaveRelation writes rel as a relation store built under cfg. Under the
-// TR*-tree engine every object's TR*-tree is built (if it was not
+// appendRelation appends rel as a relation store built under cfg. Under
+// the TR*-tree engine every object's TR*-tree is built (if it was not
 // already) and persisted, completing the preprocessing the paper's
 // section 4.2 stores on secondary storage.
-func SaveRelation(w io.Writer, rel *Relation, cfg Config) error {
-	blob, err := appendRelation(nil, rel, cfg)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(blob)
-	return err
-}
-
 func appendRelation(buf []byte, rel *Relation, cfg Config) ([]byte, error) {
 	if len(rel.Name) > 1<<16-1 {
 		return nil, fmt.Errorf("multistep: relation name of %d bytes exceeds the format", len(rel.Name))
@@ -158,20 +148,12 @@ func appendRelation(buf []byte, rel *Relation, cfg Config) ([]byte, error) {
 	return buf, nil
 }
 
-// OpenRelation reads a relation store written by SaveRelation under the
-// same configuration. The restored relation is ready to join
+// decodeRelation reads a relation store written by appendRelation under
+// the same configuration. The restored relation is ready to join
 // immediately: no approximations are recomputed (except the MERs of a
 // store older than version 3), no trees rebuilt, and the R*-tree resumes
 // in the exact page layout and buffer state it was saved in, so join
 // results and statistics equal the original's.
-func OpenRelation(r io.Reader, cfg Config) (*Relation, error) {
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRelationStore, err)
-	}
-	return decodeRelation(blob, cfg)
-}
-
 func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	d := codec.New(blob, fmt.Errorf("%w: truncated", ErrBadRelationStore))
 	if d.U32() != relstoreMagic {
@@ -340,7 +322,7 @@ func SaveRelationFile(path string, rel *Relation, cfg Config) error {
 
 // OpenRelationFile opens a relation store written by SaveRelationFile,
 // reading it page by page through a buffered storage.FileStore — the
-// disk-backed counterpart of OpenRelation.
+// disk-backed form of the store.
 func OpenRelationFile(path string, cfg Config) (*Relation, error) {
 	fs, err := storage.OpenFileStore(path, 1, storage.LRU)
 	if err != nil {

@@ -80,12 +80,8 @@ func TestRelationStoreV1Compat(t *testing.T) {
 	rel := NewRelation("R", base, cfg)
 	s := NewRelation("S", shifted, cfg)
 
-	var buf bytes.Buffer
-	if err := SaveRelation(&buf, rel, cfg); err != nil {
-		t.Fatal(err)
-	}
-	current := buf.Bytes()
-	fromCurrent, err := OpenRelation(bytes.NewReader(current), cfg)
+	current := storeBlob(t, rel, cfg)
+	fromCurrent, err := decodeRelation(current, cfg)
 	if err != nil {
 		t.Fatalf("open version %d: %v", relstoreVersion, err)
 	}
@@ -101,7 +97,7 @@ func TestRelationStoreV1Compat(t *testing.T) {
 		"v4": current,
 	}
 	for name, blob := range stores {
-		old, err := OpenRelation(bytes.NewReader(blob), cfg)
+		old, err := decodeRelation(blob, cfg)
 		if err != nil {
 			t.Fatalf("open %s store: %v", name, err)
 		}
@@ -124,7 +120,7 @@ func TestRelationStoreV1Compat(t *testing.T) {
 	for _, lie := range []uint32{uint32(n + 1), math.MaxUint32} {
 		bad := bytes.Clone(v3)
 		binary.LittleEndian.PutUint32(bad[len(current):], lie)
-		if _, err := OpenRelation(bytes.NewReader(bad), cfg); !errors.Is(err, ErrBadRelationStore) {
+		if _, err := decodeRelation(bad, cfg); !errors.Is(err, ErrBadRelationStore) {
 			t.Errorf("trailer length %d over %d bytes: err = %v, want ErrBadRelationStore", lie, n, err)
 		}
 	}
@@ -140,11 +136,7 @@ func TestRelationStoreV2RecomputesMER(t *testing.T) {
 	rel := NewRelation("R", base, cfg)
 	s := NewRelation("S", data.StrategyA(base, 0.45), cfg)
 
-	var buf bytes.Buffer
-	if err := SaveRelation(&buf, rel, cfg); err != nil {
-		t.Fatal(err)
-	}
-	v3 := withTrailer(buf.Bytes(), 3, rel.Stats)
+	v3 := withTrailer(storeBlob(t, rel, cfg), 3, rel.Stats)
 	k := -1
 	for i, o := range rel.Objects {
 		if mer := o.Approx.MERA; mer != nil && !mer.IsEmpty() && *mer != o.Approx.MBR {
@@ -162,7 +154,7 @@ func TestRelationStoreV2RecomputesMER(t *testing.T) {
 	forged := bytes.Clone(v3)
 	copy(forged[bytes.Index(forged, mer):], mbr)
 
-	untouched, err := OpenRelation(bytes.NewReader(forged), cfg)
+	untouched, err := decodeRelation(forged, cfg)
 	if err != nil {
 		t.Fatalf("open forged v3: %v", err)
 	}
@@ -171,7 +163,7 @@ func TestRelationStoreV2RecomputesMER(t *testing.T) {
 	}
 
 	v2 := withVersion(forged, 2)
-	fromV2, err := OpenRelation(bytes.NewReader(v2), cfg)
+	fromV2, err := decodeRelation(v2, cfg)
 	if err != nil {
 		t.Fatalf("open v2: %v", err)
 	}
@@ -180,7 +172,7 @@ func TestRelationStoreV2RecomputesMER(t *testing.T) {
 			t.Errorf("version 2 store: MER of object %d opened as %v, want %v", i, got, want)
 		}
 	}
-	fromV3, err := OpenRelation(bytes.NewReader(v3), cfg)
+	fromV3, err := decodeRelation(v3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

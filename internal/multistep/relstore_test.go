@@ -1,7 +1,6 @@
 package multistep
 
 import (
-	"bytes"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -19,18 +18,15 @@ func buildPair(cfg Config) (*Relation, *Relation) {
 	return NewRelation("R", base, cfg), NewRelation("S", shifted, cfg)
 }
 
-// saveOpen round-trips a relation through the store format.
-func saveOpen(t *testing.T, rel *Relation, cfg Config) *Relation {
+// storeBlob encodes rel as a relation store: the blob SaveRelationFile
+// lays out on pages and decodeRelation reads back.
+func storeBlob(t testing.TB, rel *Relation, cfg Config) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := SaveRelation(&buf, rel, cfg); err != nil {
-		t.Fatalf("SaveRelation: %v", err)
-	}
-	got, err := OpenRelation(&buf, cfg)
+	blob, err := appendRelation(nil, rel, cfg)
 	if err != nil {
-		t.Fatalf("OpenRelation: %v", err)
+		t.Fatalf("encode %s: %v", rel.Name, err)
 	}
-	return got
+	return blob
 }
 
 // TestRelationStoreRoundTripEquivalence is the acceptance criterion of
@@ -48,23 +44,17 @@ func TestRelationStoreRoundTripEquivalence(t *testing.T) {
 			// Save before joining: the store captures the
 			// post-construction buffer state that the in-memory join
 			// starts from.
-			var rBuf, sBuf bytes.Buffer
-			if err := SaveRelation(&rBuf, r, cfg); err != nil {
-				t.Fatalf("SaveRelation(R): %v", err)
-			}
-			if err := SaveRelation(&sBuf, s, cfg); err != nil {
-				t.Fatalf("SaveRelation(S): %v", err)
-			}
+			rBlob, sBlob := storeBlob(t, r, cfg), storeBlob(t, s, cfg)
 
 			wantPairs, wantStats := testJoin(t, r, s, cfg)
 
-			r2, err := OpenRelation(&rBuf, cfg)
+			r2, err := decodeRelation(rBlob, cfg)
 			if err != nil {
-				t.Fatalf("OpenRelation(R): %v", err)
+				t.Fatalf("decode R: %v", err)
 			}
-			s2, err := OpenRelation(&sBuf, cfg)
+			s2, err := decodeRelation(sBlob, cfg)
 			if err != nil {
-				t.Fatalf("OpenRelation(S): %v", err)
+				t.Fatalf("decode S: %v", err)
 			}
 			if r2.Name != "R" || s2.Name != "S" {
 				t.Errorf("names %q, %q after reopen", r2.Name, s2.Name)
@@ -90,20 +80,14 @@ func TestRelationStoreRoundTripEquivalence(t *testing.T) {
 func TestRelationStoreStreamEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	r, s := buildPair(cfg)
-	var rBuf, sBuf bytes.Buffer
-	if err := SaveRelation(&rBuf, r, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveRelation(&sBuf, s, cfg); err != nil {
-		t.Fatal(err)
-	}
+	rBlob, sBlob := storeBlob(t, r, cfg), storeBlob(t, s, cfg)
 	wantStats := testJoinStream(t, r, s, cfg, nil, WithWorkers(3))
 
-	r2, err := OpenRelation(&rBuf, cfg)
+	r2, err := decodeRelation(rBlob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenRelation(&sBuf, cfg)
+	s2, err := decodeRelation(sBlob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +102,11 @@ func TestRelationStoreStreamEquivalence(t *testing.T) {
 func TestRelationStoreWindowQuery(t *testing.T) {
 	cfg := DefaultConfig()
 	r, _ := buildPair(cfg)
-	var buf bytes.Buffer
-	if err := SaveRelation(&buf, r, cfg); err != nil {
-		t.Fatal(err)
-	}
+	blob := storeBlob(t, r, cfg)
 	w := r.Objects[3].Approx.MBR
 	wantIDs, wantStats := testWindow(t, r, w, cfg)
 
-	r2, err := OpenRelation(&buf, cfg)
+	r2, err := decodeRelation(blob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +155,7 @@ func TestRelationStoreFileRoundTrip(t *testing.T) {
 func TestRelationStoreConfigMismatch(t *testing.T) {
 	cfg := DefaultConfig()
 	r, _ := buildPair(cfg)
-	var buf bytes.Buffer
-	if err := SaveRelation(&buf, r, cfg); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
+	blob := storeBlob(t, r, cfg)
 
 	for name, mutate := range map[string]func(*Config){
 		"engine":       func(c *Config) { c.Engine = EngineQuadratic },
@@ -189,7 +166,7 @@ func TestRelationStoreConfigMismatch(t *testing.T) {
 	} {
 		other := cfg
 		mutate(&other)
-		if _, err := OpenRelation(bytes.NewReader(blob), other); !errors.Is(err, ErrConfigMismatch) {
+		if _, err := decodeRelation(blob, other); !errors.Is(err, ErrConfigMismatch) {
 			t.Errorf("%s changed: err = %v, want ErrConfigMismatch", name, err)
 		}
 	}
@@ -201,20 +178,16 @@ func TestRelationStoreCorruptInputs(t *testing.T) {
 	cfg := DefaultConfig()
 	base := data.GenerateMap(data.MapConfig{Cells: 8, TargetVerts: 16, Seed: 31})
 	r := NewRelation("R", base, cfg)
-	var buf bytes.Buffer
-	if err := SaveRelation(&buf, r, cfg); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
+	blob := storeBlob(t, r, cfg)
 
 	// Every prefix must fail cleanly (the full blob parses).
 	for _, n := range []int{0, 1, 2, 5, 13, 16, 40, 100, len(blob) / 2, len(blob) - 1} {
-		if _, err := OpenRelation(bytes.NewReader(blob[:n]), cfg); err == nil {
+		if _, err := decodeRelation(blob[:n], cfg); err == nil {
 			t.Errorf("truncation to %d bytes: no error", n)
 		}
 	}
 	// Trailing garbage must be rejected.
-	if _, err := OpenRelation(bytes.NewReader(append(append([]byte{}, blob...), 0xFF)), cfg); err == nil {
+	if _, err := decodeRelation(append(append([]byte{}, blob...), 0xFF), cfg); err == nil {
 		t.Error("trailing byte: no error")
 	}
 	// Flipping bytes across the blob must error or yield a fully valid
@@ -229,7 +202,7 @@ func TestRelationStoreCorruptInputs(t *testing.T) {
 					t.Fatalf("byte flip at %d: panic %v", pos, p)
 				}
 			}()
-			rel, err := OpenRelation(bytes.NewReader(mut), cfg)
+			rel, err := decodeRelation(mut, cfg)
 			if err == nil && len(rel.Objects) != len(r.Objects) {
 				t.Errorf("byte flip at %d: silently changed object count", pos)
 			}
@@ -243,23 +216,17 @@ func TestRelationStoreCorruptInputs(t *testing.T) {
 func FuzzOpenRelation(f *testing.F) {
 	cfg := DefaultConfig()
 	base := data.GenerateMap(data.MapConfig{Cells: 2, TargetVerts: 8, Seed: 31})
-	rel := NewRelation("seed", base, cfg)
-	var buf bytes.Buffer
-	if err := SaveRelation(&buf, rel, cfg); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:40])
+	blob := storeBlob(f, NewRelation("seed", base, cfg), cfg)
+	f.Add(blob)
+	f.Add(blob[:40])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		// decodeRelation is OpenRelation minus the io.ReadAll slurp,
-		// which is disproportionately slow under fuzz instrumentation.
 		rel, err := decodeRelation(blob, cfg)
 		if err != nil {
 			return
 		}
-		if err := SaveRelation(&bytes.Buffer{}, rel, cfg); err != nil {
+		if _, err := appendRelation(nil, rel, cfg); err != nil {
 			t.Errorf("decoded relation does not re-save: %v", err)
 		}
 	})

@@ -3,10 +3,9 @@ package plan
 // The total-performance model of section 5 (Figure 18): the execution
 // time of an intersection join split into the MBR-join I/O, the object
 // accesses (transferring exact geometry into main memory) and the exact
-// intersection tests. It is the *descriptive* sibling of the planner's
-// cost function — it explains a finished run from its counts, in the
-// paper's 1993 constants — and takes plain counts so that the package
-// stays a leaf.
+// intersection tests. It is the *descriptive* sibling of the planner —
+// it explains a finished run from its counts, in the paper's 1993
+// constants — and takes plain counts so that the package stays a leaf.
 
 // Params are the constants of the section 5 model.
 type Params struct {

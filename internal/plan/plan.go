@@ -1,14 +1,11 @@
-// Package plan is the cost-based adaptive query planner: the System-R
-// recipe (statistics → selectivity → cheapest access path) applied to the
-// paper's multi-step join processor. model.go reproduces section 5's
-// *descriptive* model — it explains a measured run after the fact, in
-// the paper's constants. The rest of the package is the *prescriptive*
-// counterpart: per-relation statistics derived from the objects, a
-// histogram-overlap selectivity estimator for the step 1 candidate
-// count, calibrated cost weights per plan point, and an exhaustive search
-// over the small plan space (exact engine × filter on/off × worker count
-// × emission mode) that picks the cheapest predicted configuration for
-// one join.
+// Package plan is the adaptive query planner of the paper's multi-step
+// join processor. model.go reproduces section 5's *descriptive* model —
+// it explains a measured run after the fact, in the paper's constants.
+// The rest of the package is the *prescriptive* side: per-relation
+// statistics derived from the objects, a histogram-overlap selectivity
+// estimator for the step 1 candidate count, and Choose, which resolves
+// the options a join left open (exact engine, filter on/off, worker
+// count) by three rules and attaches the estimates EXPLAIN reports.
 //
 // The package is a leaf: it imports only internal/geom, so the multistep
 // processor can consult it without an import cycle. All inputs are plain
@@ -59,7 +56,7 @@ type Stats struct {
 	// they carry the Minkowski-style intersection test of the estimator:
 	// two MBRs intersect iff their centers are within (wa+wb)/2 per axis.
 	MeanW, MeanH float64
-	// MeanVerts is the mean vertex count — the exact-test cost scale.
+	// MeanVerts is the mean vertex count.
 	MeanVerts float64
 	// Grid is the GridDim×GridDim histogram of MBR-center counts over
 	// MBR, row-major (x fastest). Float so future partitioners can store

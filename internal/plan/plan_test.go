@@ -51,10 +51,6 @@ func uniformStats(n int, seed int64, w, h float64) *Stats {
 		cx, cy := rng.Float64(), rng.Float64()
 		rects[i] = geom.Rect{MinX: cx - w/2, MinY: cy - h/2, MaxX: cx + w/2, MaxY: cy + h/2}
 	}
-	// 48 mean vertices: the calibration point of DefaultWeights, so the
-	// engine-ordering assertions exercise the measured regime. (Below
-	// ~15 vertices the vertex scaling correctly makes the quadratic
-	// engine the cheapest — that is a feature, not the case pinned here.)
 	return ComputeStats(n, func(i int) geom.Rect { return rects[i] }, func(int) int { return 48 })
 }
 
@@ -129,31 +125,89 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-// TestChooseOrdersEngines: with the calibrated defaults and a
-// non-trivial candidate load, the search must prefer the TR*-tree,
-// then plane sweep, then quadratic — the ordering every committed BENCH
-// baseline measured.
+// TestChooseRules is the rule table's open column: an open dimension
+// takes the first admissible engine or filter setting, and MaxProcs
+// workers — at every vertex count, since no rule reads one.
+// TestChooseRespectsPins covers the pinned column.
+func TestChooseRules(t *testing.T) {
+	all := []Engine{EngineTRStar, EnginePlaneSweep, EngineQuadratic}
+	cases := []struct {
+		name   string
+		req    Request
+		engine Engine
+		filter bool
+		procs  int
+	}{
+		{"open", Request{Engines: all, Filters: []bool{true, false}, MaxProcs: 4}, EngineTRStar, true, 4},
+		{"defaults", Request{MaxProcs: 2}, EngineTRStar, true, 2},
+		{"no object trees", Request{Engines: all[1:], MaxProcs: 2}, EnginePlaneSweep, true, 2},
+		{"no approximations", Request{Filters: []bool{false}, MaxProcs: 2}, EngineTRStar, false, 2},
+		{"worker list left open", Request{Workers: []int{1, 2, 4, 8}, MaxProcs: 2}, EngineTRStar, true, 2},
+		{"no MaxProcs", Request{}, EngineTRStar, true, 1},
+	}
+	for _, verts := range []int{6, 48, 3000} {
+		r := ComputeStats(1, func(int) geom.Rect { return geom.Rect{MaxX: 1, MaxY: 1} }, func(int) int { return verts })
+		for _, tc := range cases {
+			for _, pred := range []Pred{PredIntersects, PredContains, PredWithin} {
+				c := Choose(r, r, DefaultWeights(), Request{
+					Pred: pred, Engines: tc.req.Engines, Filters: tc.req.Filters,
+					Workers: tc.req.Workers, MaxProcs: tc.req.MaxProcs,
+				})
+				if c.Engine != tc.engine || c.UseFilter != tc.filter || c.Workers != tc.procs {
+					t.Errorf("%s, %d vertices, pred %d: chose %v/filter %v/%d workers, want %v/filter %v/%d workers",
+						tc.name, verts, pred, c.Engine, c.UseFilter, c.Workers, tc.engine, tc.filter, tc.procs)
+				}
+			}
+		}
+	}
+}
+
+// TestChooseOrdersEngines: the open engine dimension follows the
+// admissible list's preference order — the TR*-tree, then plane sweep,
+// then quadratic, the ordering every committed BENCH baseline measured
+// — and a free choice takes the TR*-tree with the filter on.
 func TestChooseOrdersEngines(t *testing.T) {
 	r := uniformStats(1000, 5, 0.03, 0.03)
 	s := uniformStats(1000, 6, 0.03, 0.03)
 	w := DefaultWeights()
-	costOf := func(e Engine) float64 {
+	order := []Engine{EngineTRStar, EnginePlaneSweep, EngineQuadratic}
+	for i, want := range order {
 		c := Choose(r, s, w, Request{
-			Pred: PredIntersects, Engines: []Engine{e}, Filters: []bool{true},
+			Pred: PredIntersects, Engines: order[i:], Filters: []bool{true},
 			Workers: []int{1}, MaxProcs: 1, Collect: true,
 		})
-		return c.PredCostNs
-	}
-	tr, ps, q := costOf(EngineTRStar), costOf(EnginePlaneSweep), costOf(EngineQuadratic)
-	if !(tr < ps && ps < q) {
-		t.Fatalf("engine cost ordering wrong: trstar=%v planesweep=%v quadratic=%v", tr, ps, q)
+		if c.Engine != want {
+			t.Fatalf("admissible engines %v: chose %v, want %v", order[i:], c.Engine, want)
+		}
 	}
 	free := Choose(r, s, w, Request{Pred: PredIntersects, MaxProcs: 1, Collect: true})
 	if free.Engine != EngineTRStar || !free.UseFilter {
-		t.Fatalf("free search chose %v filter=%v, want trstar with filter", free.Engine, free.UseFilter)
+		t.Fatalf("free choice chose %v filter=%v, want trstar with filter", free.Engine, free.UseFilter)
 	}
-	if free.Evaluated != 6 {
-		t.Fatalf("evaluated %d plan points, want 6 (3 engines × 2 filters × 1 worker)", free.Evaluated)
+}
+
+// TestChoosePredictions: the estimates ride along with the rules — the
+// filter removes the identified share of the candidates from step 3,
+// and only a collecting caller with a large predicted result is advised
+// to stream.
+func TestChoosePredictions(t *testing.T) {
+	r := uniformStats(2000, 8, 0.05, 0.05)
+	w := DefaultWeights()
+	on := Choose(r, r, w, Request{Pred: PredIntersects})
+	off := Choose(r, r, w, Request{Pred: PredIntersects, Filters: []bool{false}})
+	if on.PredCandidates <= 0 || on.PredCandidates != EstimateCandidates(r, r, PredIntersects, 0, w) {
+		t.Fatalf("predicted candidates %v, estimator says %v", on.PredCandidates, EstimateCandidates(r, r, PredIntersects, 0, w))
+	}
+	if off.PredExactTested != off.PredCandidates || on.PredExactTested != on.PredCandidates*(1-w.IdentPrior[PredIntersects]) {
+		t.Fatalf("predicted exact tests %v with the filter, %v without, of %v candidates",
+			on.PredExactTested, off.PredExactTested, on.PredCandidates)
+	}
+	w.StreamResultThreshold = on.PredResults / 2
+	if c := Choose(r, r, w, Request{Pred: PredIntersects, Collect: true}); !c.StreamRecommended {
+		t.Error("collecting caller with a large predicted result not advised to stream")
+	}
+	if c := Choose(r, r, w, Request{Pred: PredIntersects}); c.StreamRecommended {
+		t.Error("streaming caller advised to stream")
 	}
 }
 
@@ -169,14 +223,14 @@ func TestChooseRespectsPins(t *testing.T) {
 	}
 }
 
-// TestChooseWorkers: with many processors and a heavy predicted load,
-// more workers must win; with MaxProcs=1 the setup cost keeps it at 1.
+// TestChooseWorkers: an open worker count runs MaxProcs workers, so an
+// 8-way host runs more than one and a single-proc host runs one.
 func TestChooseWorkers(t *testing.T) {
 	r := uniformStats(2000, 8, 0.05, 0.05)
 	w := DefaultWeights()
 	req := Request{Pred: PredIntersects, Workers: []int{1, 2, 4, 8}, MaxProcs: 8, Collect: true}
-	if c := Choose(r, r, w, req); c.Workers <= 1 {
-		t.Fatalf("8-way host with heavy load chose %d workers", c.Workers)
+	if c := Choose(r, r, w, req); c.Workers != 8 {
+		t.Fatalf("8-way host chose %d workers, want 8", c.Workers)
 	}
 	req.MaxProcs = 1
 	if c := Choose(r, r, w, req); c.Workers != 1 {

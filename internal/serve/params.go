@@ -140,12 +140,9 @@ func predicateParam(w http.ResponseWriter, r *http.Request) (multistep.Predicate
 }
 
 // planParam reports whether the request should resolve its open options
-// through the cost-based planner: on by default, switched off per
-// request with plan=off (or 0/false/no) and server-wide with NoPlan.
-func (s *Server) planParam(r *http.Request) bool {
-	if s.NoPlan {
-		return false
-	}
+// through the planner: on by default, switched off with plan=off (or
+// 0/false/no).
+func planParam(r *http.Request) bool {
 	switch strings.ToLower(r.URL.Query().Get("plan")) {
 	case "off", "0", "false", "no":
 		return false
@@ -252,7 +249,7 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, kind queryKi
 		return nil, false
 	}
 	p.limit = limit
-	p.plan = s.planParam(r)
+	p.plan = planParam(r)
 	return p, true
 }
 
@@ -321,7 +318,7 @@ func (s *Server) parseJoin(w http.ResponseWriter, r *http.Request, workersDef in
 		workers = maxWorkers
 	}
 	p.workers = workers
-	p.plan = s.planParam(r)
+	p.plan = planParam(r)
 	return p, true
 }
 

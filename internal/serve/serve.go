@@ -161,12 +161,11 @@ func (c *Catalog) Names() []string {
 // Server serves the catalog over HTTP. Every query request creates
 // per-query sessions, so requests are handled fully concurrently.
 //
-// Joins and window/point queries run through the cost-based planner
-// (internal/plan) by default: the engine, filter setting and worker
-// count the request left open are chosen per tile pair from the
-// relations' statistics, and every response echoes the resolved plan.
-// A request opts out with plan=off (the build configuration verbatim),
-// the whole server with NoPlan.
+// Joins and window/point queries run through the planner (internal/plan)
+// by default: the engine, filter setting and worker count the request
+// left open are resolved per tile pair, and every response echoes the
+// resolved plan. A request opts out with plan=off (the build
+// configuration verbatim).
 //
 // Responses are served through the multi-query execution layer: a
 // byte-bounded LRU result cache (CacheBytes) and single-flight
@@ -181,12 +180,8 @@ type Server struct {
 	// statistics). Defaults to DefaultMaxJoinPairs.
 	MaxJoinPairs int
 	// JoinWorkers is the per-request worker count of the streaming join
-	// pipeline; ≤ 0 lets the planner choose (GOMAXPROCS when planning
-	// is off).
+	// pipeline; ≤ 0 runs GOMAXPROCS workers.
 	JoinWorkers int
-	// NoPlan disables adaptive planning server-wide: every request runs
-	// its relations' build configuration verbatim, as if plan=off.
-	NoPlan bool
 	// CacheBytes bounds the shared result/tile cache in bytes; ≤ 0
 	// disables caching. NewServer sets DefaultCacheBytes.
 	CacheBytes int64
@@ -262,10 +257,9 @@ func NewServer(cat *Catalog) *Server {
 //
 // All responses are JSON; query statistics (the paper's per-step
 // measures, including the per-query buffer page accesses) ride along
-// with every result. /join, /window and /point plan through the
-// cost-based planner by default and echo the resolved plan (engine,
-// filter, workers) in the response; plan=off pins the build
-// configuration instead.
+// with every result. /join, /window and /point plan through the planner
+// by default and echo the resolved plan (engine, filter, workers) in the
+// response; plan=off pins the build configuration instead.
 //
 // A response served from the result cache carries "cached": true; one
 // that received a concurrent identical request's result carries

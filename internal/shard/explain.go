@@ -40,7 +40,7 @@ type TileExplain struct {
 // skewed tiles legitimately show different engines or worker counts).
 type ExplainResult struct {
 	// Explain aggregates the sub-joins: predicted and actual counters
-	// are sums; the summed cost/wall figures are serial-equivalent work
+	// are sums; the summed wall time is serial-equivalent work
 	// (sub-joins overlap in wall time under the coordinator's
 	// GOMAXPROCS cap).
 	Explain multistep.Explain `json:"explain"`
@@ -52,7 +52,7 @@ type ExplainResult struct {
 }
 
 // aggregateExplain folds the per-sub-join explains of a completed join
-// into one record: sums for the counters and cost figures, the plan
+// into one record: sums for the counters and wall times, the plan
 // knobs merged ("mixed" when sub-joins chose different engines).
 func aggregateExplain(perTile []SubJoinStats, stream bool) multistep.Explain {
 	var agg multistep.Explain
@@ -82,7 +82,6 @@ func aggregateExplain(perTile []SubJoinStats, stream bool) multistep.Explain {
 			agg.Plan.PredictedCandidates += ex.Plan.PredictedCandidates
 			agg.Plan.PredictedExactTested += ex.Plan.PredictedExactTested
 			agg.Plan.PredictedResultPairs += ex.Plan.PredictedResultPairs
-			agg.Plan.PredictedCostNs += ex.Plan.PredictedCostNs
 		}
 		agg.Executed = agg.Executed && ex.Executed
 		agg.ActualCandidates += ex.ActualCandidates
@@ -90,13 +89,8 @@ func aggregateExplain(perTile []SubJoinStats, stream bool) multistep.Explain {
 		agg.ActualResultPairs += ex.ActualResultPairs
 		agg.ActualWallNs += ex.ActualWallNs
 	}
-	if agg.Plan.Planned {
-		if agg.ActualCandidates > 0 {
-			agg.CandidateError = agg.Plan.PredictedCandidates / float64(agg.ActualCandidates)
-		}
-		if agg.ActualWallNs > 0 {
-			agg.CostError = agg.Plan.PredictedCostNs / float64(agg.ActualWallNs)
-		}
+	if agg.Plan.Planned && agg.ActualCandidates > 0 {
+		agg.CandidateError = agg.Plan.PredictedCandidates / float64(agg.ActualCandidates)
 	}
 	return agg
 }

@@ -123,6 +123,11 @@ func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 	if tiles < 1 {
 		return nil, fmt.Errorf("%w: %d tiles", ErrBadManifest, tiles)
 	}
+	// Every global ID takes 4 manifest bytes: a count the remaining
+	// bytes cannot hold is rejected before it sizes an allocation.
+	if objects > d.Remaining()/4 {
+		return nil, fmt.Errorf("%w: %d objects exceed the manifest", ErrBadManifest, objects)
+	}
 
 	sh := &Sharded{Name: name, Cfg: cfg, objects: objects, mbr: geom.EmptyRect()}
 	seen := make([]bool, objects)
@@ -136,6 +141,9 @@ func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 		count := int(d.U32())
 		if d.Err() != nil {
 			return nil, d.Err()
+		}
+		if count > d.Remaining()/4 {
+			return nil, fmt.Errorf("%w: tile %d count %d exceeds the manifest", ErrBadManifest, t, count)
 		}
 		global := make([]int32, count)
 		for i := range global {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -149,4 +150,67 @@ func TestOpenRejectsCorruptManifest(t *testing.T) {
 			t.Errorf("%s: opened corrupt manifest: %v", tc.name, err)
 		}
 	}
+}
+
+// forgeManifest returns a 59-byte manifest under cfg: relation "R" of
+// objects objects, one tile of count global IDs, and none of the IDs.
+func forgeManifest(cfg multistep.Config, objects, count uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, manifestMagic)
+	b = binary.LittleEndian.AppendUint16(b, manifestVersion)
+	b = binary.LittleEndian.AppendUint64(b, multistep.ConfigFingerprint(cfg))
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = append(b, 'R')
+	b = binary.LittleEndian.AppendUint32(b, objects)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = append(b, make([]byte, 32)...) // the tile MBR
+	return binary.LittleEndian.AppendUint32(b, count)
+}
+
+// TestOpenRejectsOversizedCounts: an object or tile count larger than
+// the manifest bytes that remain is corrupt, and must be rejected before
+// it sizes an allocation — a count of 0xFFFFFFF0 used to end the
+// process out of memory.
+func TestOpenRejectsOversizedCounts(t *testing.T) {
+	rp, _, cfg := testWorkload(t)
+	dir := filepath.Join(t.TempDir(), "R")
+	if err := Save(dir, Build("R", rp, 2, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range [][]byte{forgeManifest(cfg, 1, 0xFFFFFFF0), forgeManifest(cfg, 0xFFFFFFF0, 0)} {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), m, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, cfg); !errors.Is(err, ErrBadManifest) {
+			t.Errorf("manifest %x: err = %v, want ErrBadManifest", m, err)
+		}
+	}
+}
+
+// FuzzOpenManifest fuzzes the manifest decoder beside the tile files of
+// a real 2-tile store: any manifest must open or fail with an error —
+// never panic and never over-allocate.
+func FuzzOpenManifest(f *testing.F) {
+	rp, _, cfg := testWorkload(f)
+	dir := filepath.Join(f.TempDir(), "R")
+	if err := Save(dir, Build("R", rp[:20], 2, cfg)); err != nil {
+		f.Fatal(err)
+	}
+	manifest := filepath.Join(dir, ManifestName)
+	blob, err := os.ReadFile(manifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add(forgeManifest(cfg, 1, 0xFFFFFFF0))
+	f.Add(forgeManifest(cfg, 0xFFFFFFF0, 0))
+
+	f.Fuzz(func(t *testing.T, m []byte) {
+		if err := os.WriteFile(manifest, m, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if sh, err := Open(dir, cfg); err == nil && sh.Objects() != 20 {
+			t.Errorf("opened %d objects from a 20-object store", sh.Objects())
+		}
+	})
 }

@@ -211,7 +211,7 @@ func ForNearest(p Point, k int) Option { return multistep.ForNearest(p, k) }
 
 // Adaptive planning (internal/plan). Planning is opt-in: a bare Join
 // runs the relations' build configuration verbatim, WithPlan lets the
-// cost-based planner resolve the options the caller left unset.
+// planner resolve the options the caller left unset.
 type (
 	// Plan describes the execution configuration one call ran (or would
 	// run) under, with the planner's predictions when planned.
@@ -226,8 +226,9 @@ type (
 )
 
 // WithPlan resolves the options the caller left unset — exact engine,
-// filter setting, worker count — through the cost-based planner, per
-// tile pair. Explicit options always win: WithConfig pins the engine and
+// filter setting, worker count — through the planner, per tile pair:
+// the TR*-tree engine, the filter on and GOMAXPROCS workers wherever the
+// relations' build configuration allows. Explicit options always win: WithConfig pins the engine and
 // filter, WithWorkers pins the workers, and a fully pinned planned join
 // executes bit-identically to the unplanned call.
 func WithPlan() Option { return multistep.WithPlan() }

@@ -89,3 +89,38 @@ func TestSetSerializeCorruptInputs(t *testing.T) {
 		t.Errorf("missing MBR bit: err = %v, want ErrCorruptSet", err)
 	}
 }
+
+// FuzzDecodeSet fuzzes the approximation-set decoder: any input must
+// either fail with an error or decode into a set whose every present
+// kind takes its filter test against a computed set in both argument
+// orders — never panic and never over-allocate.
+func FuzzDecodeSet(f *testing.F) {
+	p := geom.NewPolygon([]geom.Point{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 0, Y: 4}})
+	for _, opt := range []Options{{}, {Conservative: []Kind{C5}, Progressive: []Kind{MER}}, AllOptions()} {
+		blob, err := Compute(p, opt).AppendBinary(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	ref := Compute(geom.NewPolygon([]geom.Point{{X: 1, Y: 1}, {X: 5, Y: 2}, {X: 3, Y: 6}}), AllOptions())
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		s, _, err := DecodeSet(blob)
+		if err != nil {
+			return
+		}
+		for k := MBR; k <= MER; k++ {
+			if !s.Has(k) {
+				continue
+			}
+			if k == MEC || k == MER {
+				ProgressiveIntersects(k, s, ref)
+				ProgressiveIntersects(k, ref, s)
+			} else {
+				ConservativeIntersects(k, s, ref)
+				ConservativeIntersects(k, ref, s)
+			}
+		}
+	})
+}

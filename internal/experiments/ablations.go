@@ -317,7 +317,7 @@ func AblationSAMs(p BigParams) *Table {
 		height int
 		point  func(geom.Point)
 		window func(geom.Rect)
-		buf    storage.PageStore
+		buf    *storage.BufferManager
 	}
 	var sams []sam
 	addStar := func(name string, tree *rstar.Tree) {

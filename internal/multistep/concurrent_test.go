@@ -10,7 +10,6 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/ops"
 	"spatialjoin/internal/rstar"
-	"spatialjoin/internal/storage"
 )
 
 // The workload of the pre-refactor golden statistics: identical to
@@ -240,47 +239,6 @@ func TestConcurrentQueriesInMemory(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestConcurrentQueriesFileStore is the disk-backed counterpart: the
-// R*-trees run on storage.FileStore page stores, so concurrent sessions
-// exercise the locked frame cache and the single-flight disk reads.
-func TestConcurrentQueriesFileStore(t *testing.T) {
-	rp, sp := goldenSeries()
-	cfg := DefaultConfig()
-	cfg.BufferBytes = 8192
-
-	dir := t.TempDir()
-	newFS := func(name string) *storage.FileStore {
-		fs, err := storage.CreateFileStore(filepath.Join(dir, name), cfg.PageSize, cfg.BufferBytes/cfg.PageSize, cfg.BufferPolicy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	}
-	fsR, fsS := newFS("r.sjps"), newFS("s.sjps")
-	defer fsR.Close()
-	defer fsS.Close()
-	r := NewRelationWithStore("R", rp, cfg, fsR)
-	s := NewRelationWithStore("S", sp, cfg, fsS)
-	b := computeBaselines(t, r, s, cfg)
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			runQueryMix(t, g, r, s, cfg, b)
-		}(g)
-	}
-	wg.Wait()
-	if err := fsR.Err(); err != nil {
-		t.Errorf("R store: %v", err)
-	}
-	if err := fsS.Err(); err != nil {
-		t.Errorf("S store: %v", err)
-	}
 }
 
 // TestConcurrentQueriesOnReopenedRelation is the serving scenario: a

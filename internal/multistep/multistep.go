@@ -265,14 +265,6 @@ func EntryBytes(cfg Config) int {
 // NewRelation preprocesses a relation: approximations for every object
 // (only those the configuration needs) and the R*-tree over the MBRs.
 func NewRelation(name string, polys []*geom.Polygon, cfg Config) *Relation {
-	return NewRelationWithStore(name, polys, cfg, nil)
-}
-
-// NewRelationWithStore is NewRelation with an explicit page store
-// plugged into the R*-tree — pass a storage.FileStore to back the page
-// accounting with real (concurrency-safe, single-flight) disk reads. A
-// nil store selects the counting buffer the configuration describes.
-func NewRelationWithStore(name string, polys []*geom.Polygon, cfg Config, store storage.PageStore) *Relation {
 	rel := &Relation{Name: name, Cfg: cfg}
 	var opt approx.Options
 	if cfg.UseFilter {
@@ -284,7 +276,6 @@ func NewRelationWithStore(name string, polys []*geom.Polygon, cfg Config, store 
 		LeafEntryBytes: EntryBytes(cfg),
 		BufferBytes:    cfg.BufferBytes,
 		BufferPolicy:   cfg.BufferPolicy,
-		Store:          store,
 	})
 	for i, p := range polys {
 		o := &Object{ID: int32(i), Poly: p, Approx: approx.Compute(p, opt)}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/codec"
@@ -213,6 +214,13 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	if d.Err() == nil && hasTR != (cfg.Engine == EngineTRStar) {
 		return nil, fmt.Errorf("%w: TR*-tree presence contradicts the engine", ErrBadRelationStore)
 	}
+	// The kinds the configured filter reads: an object lacking one would
+	// open cleanly and then fail every join that tests it.
+	var need []approx.Kind
+	if cfg.UseFilter {
+		kinds := cfg.Filter.Kinds()
+		need = append(kinds.Conservative, kinds.Progressive...)
+	}
 	rel := &Relation{Name: name, Tree: tree, Cfg: cfg}
 	for i := 0; i < count && d.Err() == nil; i++ {
 		poly, n, err := data.DecodePolygon(d.Rest())
@@ -225,6 +233,11 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 			return nil, fmt.Errorf("%w: object %d: %v", ErrBadRelationStore, i, err)
 		}
 		d.Skip(n)
+		for _, k := range need {
+			if !set.Has(k) {
+				return nil, fmt.Errorf("%w: object %d lacks the %v approximation the filter reads", ErrBadRelationStore, i, k)
+			}
+		}
 		if version < 3 && set.MERA != nil {
 			mer := approx.MaxEnclosedRect(poly)
 			set.MERA = &mer
@@ -294,63 +307,90 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	return rel, nil
 }
 
-// SaveRelationFile writes rel as a relation store laid out on a
-// storage.FileStore: page 0 starts with the store length, and the blob
-// spans consecutive cfg.PageSize-sized page slots.
+// A relation store file wraps the store in a paged container
+// (little endian): a 16-byte header — magic 'SJPS', uint32 version 1,
+// uint32 slot size (cfg.PageSize), 4 zero bytes — then the uint64 store
+// length and the store itself, zero-padded to a whole number of slots.
+// The container is written and read sequentially, whole.
+const (
+	fileMagic       = 0x534A5053 // "SJPS"
+	fileVersion     = 1
+	fileHeaderBytes = 16
+)
+
+// SaveRelationFile writes rel as a relation store file: one write, then
+// a sync.
 func SaveRelationFile(path string, rel *Relation, cfg Config) error {
-	blob, err := appendRelation(make([]byte, 8), rel, cfg)
+	buf, err := encodeRelationFile(rel, cfg)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(blob, uint64(len(blob)-8))
-	fs, err := storage.CreateFileStore(path, cfg.PageSize, 1, storage.LRU)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	for off := 0; off < len(blob); off += cfg.PageSize {
-		end := off + cfg.PageSize
-		if end > len(blob) {
-			end = len(blob)
-		}
-		if _, err := fs.AppendPage(blob[off:end]); err != nil {
-			fs.Close()
-			return err
-		}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return err
 	}
-	return fs.Close()
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// OpenRelationFile opens a relation store written by SaveRelationFile,
-// reading it page by page through a buffered storage.FileStore — the
-// disk-backed form of the store.
-func OpenRelationFile(path string, cfg Config) (*Relation, error) {
-	fs, err := storage.OpenFileStore(path, 1, storage.LRU)
+// encodeRelationFile returns the bytes of rel's relation store file.
+func encodeRelationFile(rel *Relation, cfg Config) ([]byte, error) {
+	buf := make([]byte, fileHeaderBytes+8)
+	binary.LittleEndian.PutUint32(buf[0:], fileMagic)
+	binary.LittleEndian.PutUint32(buf[4:], fileVersion)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(cfg.PageSize))
+	buf, err := appendRelation(buf, rel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer fs.Close()
-	if fs.SlotBytes() != cfg.PageSize {
-		return nil, fmt.Errorf("%w: %d-byte pages, this configuration uses %d", ErrConfigMismatch, fs.SlotBytes(), cfg.PageSize)
+	binary.LittleEndian.PutUint64(buf[fileHeaderBytes:], uint64(len(buf)-fileHeaderBytes-8))
+	if pad := (len(buf) - fileHeaderBytes) % cfg.PageSize; pad != 0 {
+		buf = append(buf, make([]byte, cfg.PageSize-pad)...)
 	}
-	first, err := fs.ReadPage(0)
+	return buf, nil
+}
+
+// OpenRelationFile opens a relation store file written by
+// SaveRelationFile.
+func OpenRelationFile(path string, cfg Config) (*Relation, error) {
+	file, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRelationStore, err)
+		return nil, err
 	}
-	if len(first) < 8 {
+	return decodeRelationFile(file, cfg)
+}
+
+// decodeRelationFile validates the container of a relation store file
+// and decodes the store inside it. A slot size other than cfg.PageSize
+// is a configuration mismatch; everything else malformed is a corrupt
+// store.
+func decodeRelationFile(file []byte, cfg Config) (*Relation, error) {
+	if len(file) < fileHeaderBytes {
+		return nil, fmt.Errorf("%w: truncated file header", ErrBadRelationStore)
+	}
+	magic := binary.LittleEndian.Uint32(file[0:])
+	version := binary.LittleEndian.Uint32(file[4:])
+	slot := binary.LittleEndian.Uint32(file[8:])
+	if magic != fileMagic || version != fileVersion || slot == 0 {
+		return nil, fmt.Errorf("%w: bad file header (magic %#x version %d slot %d)", ErrBadRelationStore, magic, version, slot)
+	}
+	if uint64(slot) != uint64(cfg.PageSize) {
+		return nil, fmt.Errorf("%w: %d-byte pages, this configuration uses %d", ErrConfigMismatch, slot, cfg.PageSize)
+	}
+	body := file[fileHeaderBytes:]
+	if len(body) < 8 {
 		return nil, fmt.Errorf("%w: truncated length prefix", ErrBadRelationStore)
 	}
-	blobLen := binary.LittleEndian.Uint64(first)
-	if blobLen > uint64(fs.Pages())*uint64(fs.SlotBytes()) {
-		return nil, fmt.Errorf("%w: store length %d exceeds %d pages", ErrBadRelationStore, blobLen, fs.Pages())
+	n := binary.LittleEndian.Uint64(body)
+	if n > uint64(len(body)-8) {
+		return nil, fmt.Errorf("%w: store length %d exceeds the %d-byte file", ErrBadRelationStore, n, len(file))
 	}
-	blob := make([]byte, 0, blobLen)
-	blob = append(blob, first[8:]...)
-	for page := storage.PageID(1); uint64(len(blob)) < blobLen; page++ {
-		p, err := fs.ReadPage(page)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRelationStore, err)
-		}
-		blob = append(blob, p...)
-	}
-	return decodeRelation(blob[:blobLen], cfg)
+	return decodeRelation(body[8:8+n], cfg)
 }

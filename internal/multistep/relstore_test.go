@@ -1,11 +1,14 @@
 package multistep
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"spatialjoin/internal/approx"
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/storage"
 )
@@ -19,7 +22,7 @@ func buildPair(cfg Config) (*Relation, *Relation) {
 }
 
 // storeBlob encodes rel as a relation store: the blob SaveRelationFile
-// lays out on pages and decodeRelation reads back.
+// wraps in its file container and decodeRelation reads back.
 func storeBlob(t testing.TB, rel *Relation, cfg Config) []byte {
 	t.Helper()
 	blob, err := appendRelation(nil, rel, cfg)
@@ -116,9 +119,9 @@ func TestRelationStoreWindowQuery(t *testing.T) {
 	}
 }
 
-// TestRelationStoreFileRoundTrip exercises the disk-backed path:
-// SaveRelationFile lays the store out on a storage.FileStore and
-// OpenRelationFile reads it back page by page.
+// TestRelationStoreFileRoundTrip exercises the file path:
+// SaveRelationFile writes the store file and OpenRelationFile reads it
+// back.
 func TestRelationStoreFileRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	r, s := buildPair(cfg)
@@ -143,10 +146,10 @@ func TestRelationStoreFileRoundTrip(t *testing.T) {
 	}
 	gotPairs, gotStats := testJoin(t, r2, s2, cfg)
 	if !reflect.DeepEqual(gotPairs, wantPairs) {
-		t.Errorf("response set differs through the file store")
+		t.Errorf("response set differs through the store file")
 	}
 	if gotStats != wantStats {
-		t.Errorf("stats differ through the file store:\n got %+v\nwant %+v", gotStats, wantStats)
+		t.Errorf("stats differ through the store file:\n got %+v\nwant %+v", gotStats, wantStats)
 	}
 }
 
@@ -210,24 +213,102 @@ func TestRelationStoreCorruptInputs(t *testing.T) {
 	}
 }
 
-// FuzzOpenRelation fuzzes the relation-store decoder: any input must
-// either fail with an error or decode into a relation that re-saves
-// successfully — never panic and never over-allocate.
+// TestRelationFileRejectsBadInputs: a malformed file container fails
+// with ErrBadRelationStore, and a container of another page size with
+// ErrConfigMismatch, before the store inside is decoded.
+func TestRelationFileRejectsBadInputs(t *testing.T) {
+	cfg := DefaultConfig()
+	base := data.GenerateMap(data.MapConfig{Cells: 2, TargetVerts: 8, Seed: 31})
+	file, err := encodeRelationFile(NewRelation("R", base, cfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (len(file)-fileHeaderBytes)%cfg.PageSize != 0 {
+		t.Errorf("file of %d bytes is not a header plus whole %d-byte slots", len(file), cfg.PageSize)
+	}
+	if _, err := decodeRelationFile(file, cfg); err != nil {
+		t.Fatalf("valid file: %v", err)
+	}
+	withU32 := func(off int, v uint32) []byte {
+		mut := append([]byte{}, file...)
+		binary.LittleEndian.PutUint32(mut[off:], v)
+		return mut
+	}
+	withLen := func(n uint64) []byte {
+		mut := append([]byte{}, file...)
+		binary.LittleEndian.PutUint64(mut[fileHeaderBytes:], n)
+		return mut
+	}
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want error
+	}{
+		{"empty", nil, ErrBadRelationStore},
+		{"truncated header", file[:2], ErrBadRelationStore},
+		{"bad magic", []byte("not a store file"), ErrBadRelationStore},
+		{"bad version", withU32(4, fileVersion+1), ErrBadRelationStore},
+		{"zero slot", withU32(8, 0), ErrBadRelationStore},
+		{"oversized slot", withU32(8, 0xFFFFFFF0), ErrConfigMismatch},
+		{"other page size", withU32(8, 2048), ErrConfigMismatch},
+		{"truncated length prefix", file[:fileHeaderBytes+4], ErrBadRelationStore},
+		{"length beyond the file", withLen(uint64(len(file))), ErrBadRelationStore},
+		{"huge length", withLen(1 << 62), ErrBadRelationStore},
+	} {
+		if _, err := decodeRelationFile(tc.file, cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRelationStoreRejectsMissingFilterKind: a store whose objects lack
+// an approximation the configured filter reads must be rejected at open,
+// not open cleanly and then fail every join.
+func TestRelationStoreRejectsMissingFilterKind(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.Filter.Progressive != approx.MER {
+		t.Fatalf("default progressive kind is %v; this test strips MER", cfg.Filter.Progressive)
+	}
+	r, _ := buildPair(cfg)
+	for _, o := range r.Objects {
+		o.Approx.MERA = nil
+	}
+	blob := storeBlob(t, r, cfg)
+	if _, err := decodeRelation(blob, cfg); !errors.Is(err, ErrBadRelationStore) {
+		t.Errorf("store without MERs: err = %v, want ErrBadRelationStore", err)
+	}
+	// Without the filter the same store is complete.
+	off := cfg
+	off.UseFilter = false
+	rOff, _ := buildPair(off)
+	if _, err := decodeRelation(storeBlob(t, rOff, off), off); err != nil {
+		t.Errorf("filterless store: %v", err)
+	}
+}
+
+// FuzzOpenRelation fuzzes the relation store file decoder — container
+// header, length prefix and store: any input must either fail with an
+// error or decode into a relation that joins its seed relation without
+// an error — never panic and never over-allocate.
 func FuzzOpenRelation(f *testing.F) {
 	cfg := DefaultConfig()
 	base := data.GenerateMap(data.MapConfig{Cells: 2, TargetVerts: 8, Seed: 31})
-	blob := storeBlob(f, NewRelation("seed", base, cfg), cfg)
-	f.Add(blob)
-	f.Add(blob[:40])
+	seed := NewRelation("seed", base, cfg)
+	file, err := encodeRelationFile(seed, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file)
+	f.Add(file[:fileHeaderBytes+40])
 	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		rel, err := decodeRelation(blob, cfg)
+	f.Fuzz(func(t *testing.T, file []byte) {
+		rel, err := decodeRelationFile(file, cfg)
 		if err != nil {
 			return
 		}
-		if _, err := appendRelation(nil, rel, cfg); err != nil {
-			t.Errorf("decoded relation does not re-save: %v", err)
+		if _, _, err := Join(context.Background(), rel, seed, WithWorkers(1)); err != nil {
+			t.Errorf("decoded relation does not join: %v", err)
 		}
 	})
 }

@@ -4,8 +4,8 @@ package resilience_test
 // the fault harness armed at every site at once. It proves the three
 // resilience contracts end to end, under the race detector:
 //
-//  1. the process survives — injected panics, errors, latency and page
-//     corruption never take the server down;
+//  1. the process survives — injected panics, errors and latency never
+//     take the server down;
 //  2. responses that dodge injection are byte-identical to solo runs —
 //     faults never leak into results that claim to be complete;
 //  3. every shed, timed-out, degraded or failed response is well-formed
@@ -145,7 +145,7 @@ func TestChaos(t *testing.T) {
 	// Every site armed at once. The primes keep the sites' firing
 	// patterns out of phase so the storm sees mixed, not synchronized,
 	// failure modes; deterministic counters keep the run reproducible.
-	if err := fault.Arm("tile-query:latency=5ms@7,tile-query:error@31,tile-join:panic@29,exact:error@43,page-read:corrupt@97"); err != nil {
+	if err := fault.Arm("tile-query:latency=5ms@7,tile-query:error@31,tile-join:panic@29,exact:error@43"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fault.Disarm)
@@ -207,8 +207,8 @@ func TestChaos(t *testing.T) {
 						report("GET %s: 504 body %q does not explain the deadline", r.url, cb.Error)
 					}
 				case statusBoom:
-					// Injected errors, page corruption, or a contained panic
-					// (which must carry its incident ID).
+					// Injected errors or a contained panic (which must
+					// carry its incident ID).
 					if cb.Error == "" {
 						report("GET %s: 500 with empty error", r.url)
 					}

@@ -1,8 +1,7 @@
 // Package fault is the repository's fault-injection harness: named
 // injection sites in the serving pipeline call Check, and a test (or an
-// operator armed via the -faults flag) injects latency, errors, panics
-// or page corruption at those sites to prove the resilience layer
-// contains them.
+// operator armed via the -faults flag) injects latency, errors or panics
+// at those sites to prove the resilience layer contains them.
 //
 // The package is built to be free when idle: a disarmed Check is one
 // atomic load and nothing else, so the sites stay compiled into
@@ -15,9 +14,6 @@
 //
 //	tile-query  one tile's sub-query in the scatter-gather fan-out
 //	tile-join   one tile pair's sub-join
-//	page-read   one disk page read of a storage session (corrupt only
-//	            errors and delays here: disk reads fail, they don't
-//	            panic)
 //	exact       one exact-geometry decision in the join pipeline's
 //	            step 3 worker or a query's exact branch
 //
@@ -26,10 +22,12 @@
 //	spec     = injection *("," injection)
 //	injection = site ":" kind ["=" param] ["@" every]
 //	kind     = "latency" (param: Go duration, default 10ms)
-//	         | "error" | "panic" | "corrupt"
+//	         | "error" | "panic"
 //	every    = positive integer N: fire on every Nth Check (default 1)
 //
-// Example: "tile-query:latency=5ms@3,exact:panic@97,page-read:corrupt@11".
+// Every site accepts every kind.
+//
+// Example: "tile-query:latency=5ms@3,exact:panic@97,tile-join:error@11".
 package fault
 
 import (
@@ -54,9 +52,6 @@ const (
 	Error
 	// Panic makes Check panic — the panic-isolation proof.
 	Panic
-	// Corrupt makes Check return ErrCorrupted, modelling a page that
-	// read back damaged (valid at the page-read site only).
-	Corrupt
 )
 
 func (k Kind) String() string {
@@ -67,19 +62,13 @@ func (k Kind) String() string {
 		return "error"
 	case Panic:
 		return "panic"
-	case Corrupt:
-		return "corrupt"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
 
-// Sentinel errors of fired injections. ErrCorrupted wraps ErrInjected,
-// so errors.Is(err, ErrInjected) recognizes every injected failure.
-var (
-	ErrInjected  = errors.New("fault: injected error")
-	ErrCorrupted = fmt.Errorf("injected page corruption: %w", ErrInjected)
-)
+// ErrInjected is the error of a fired error injection.
+var ErrInjected = errors.New("fault: injected error")
 
 // IsInjected reports whether err originates from a fired injection.
 func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
@@ -95,12 +84,11 @@ func Sites() []string {
 	return out
 }
 
-// siteRegistry maps each site to the kinds valid there.
-var siteRegistry = map[string]map[Kind]bool{
-	"tile-query": {Latency: true, Error: true, Panic: true},
-	"tile-join":  {Latency: true, Error: true, Panic: true},
-	"page-read":  {Latency: true, Error: true, Corrupt: true},
-	"exact":      {Latency: true, Error: true, Panic: true},
+// siteRegistry is the set of injection sites.
+var siteRegistry = map[string]bool{
+	"tile-query": true,
+	"tile-join":  true,
+	"exact":      true,
 }
 
 // injection is one armed fault.
@@ -124,9 +112,8 @@ var (
 )
 
 // Arm parses a spec and arms its injections, replacing any previous
-// arming. An empty spec is a no-op. Unknown sites, kinds invalid at a
-// site, and malformed parameters are rejected with the whole spec left
-// disarmed.
+// arming. An empty spec is a no-op. Unknown sites, unknown kinds and
+// malformed parameters are rejected with the whole spec left disarmed.
 func Arm(spec string) error {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -152,8 +139,7 @@ func parseInjection(part string) (*injection, error) {
 	if !ok {
 		return nil, fmt.Errorf("fault: %q: want site:kind[=param][@every]", part)
 	}
-	kinds, okSite := siteRegistry[site]
-	if !okSite {
+	if !siteRegistry[site] {
 		return nil, fmt.Errorf("fault: unknown site %q (sites: %s)", site, strings.Join(Sites(), ", "))
 	}
 	rest, everyStr, hasEvery := strings.Cut(rest, "@")
@@ -174,16 +160,11 @@ func parseInjection(part string) (*injection, error) {
 		inj.kind = Error
 	case "panic":
 		inj.kind = Panic
-	case "corrupt":
-		inj.kind = Corrupt
 	default:
 		return nil, fmt.Errorf("fault: %q: unknown kind %q", part, kindStr)
 	}
 	if inj.kind != Latency && hasParam {
 		return nil, fmt.Errorf("fault: %q: kind %s takes no parameter", part, inj.kind)
-	}
-	if !kinds[inj.kind] {
-		return nil, fmt.Errorf("fault: kind %s is not valid at site %q", inj.kind, site)
 	}
 	if hasEvery {
 		n, err := strconv.ParseInt(everyStr, 10, 64)
@@ -209,8 +190,8 @@ func Enabled() bool { return armed.Load() }
 // Check is the injection point. Sites call it at each sub-task or
 // decision; when disarmed it costs one atomic load. When an armed
 // injection's every-Nth counter fires, latency sleeps and continues,
-// error and corrupt return their sentinel, and panic panics with a
-// value naming the site.
+// error returns ErrInjected, and panic panics with a value naming the
+// site.
 func Check(site string) error {
 	if !armed.Load() {
 		return nil
@@ -231,8 +212,6 @@ func Check(site string) error {
 			return fmt.Errorf("%w at %s", ErrInjected, site)
 		case Panic:
 			panic(fmt.Sprintf("fault: injected panic at %s", site))
-		case Corrupt:
-			return fmt.Errorf("%w at %s", ErrCorrupted, site)
 		}
 	}
 	return nil

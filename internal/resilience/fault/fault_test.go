@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +27,19 @@ func TestDisarmedCheckIsNil(t *testing.T) {
 	}
 }
 
+// TestEverySiteAcceptsEveryKind pins the registry: three sites, and no
+// kind is restricted to some of them.
+func TestEverySiteAcceptsEveryKind(t *testing.T) {
+	if got := strings.Join(Sites(), ","); got != "exact,tile-join,tile-query" {
+		t.Fatalf("Sites() = %s", got)
+	}
+	for _, site := range Sites() {
+		for _, kind := range []string{"latency", "error", "panic"} {
+			arm(t, site+":"+kind)
+		}
+	}
+}
+
 func TestArmEmptySpecIsNoOp(t *testing.T) {
 	Disarm()
 	if err := Arm(""); err != nil {
@@ -43,7 +55,6 @@ func TestArmRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"nope:error",            // unknown site
 		"tile-query:explode",    // unknown kind
-		"page-read:panic",       // kind invalid at site
 		"exact:error=5",         // parameter on a parameterless kind
 		"exact:latency=xyz",     // bad duration
 		"exact:latency=-1ms",    // non-positive duration
@@ -81,14 +92,6 @@ func TestErrorInjectionFiresEveryNth(t *testing.T) {
 	st := Stats()
 	if len(st) != 1 || st[0].Site != "exact" || st[0].Kind != "error" || st[0].Checks != 9 || st[0].Fired != 3 {
 		t.Fatalf("Stats() = %+v", st)
-	}
-}
-
-func TestCorruptWrapsInjected(t *testing.T) {
-	arm(t, "page-read:corrupt")
-	err := Check("page-read")
-	if !errors.Is(err, ErrCorrupted) || !IsInjected(err) {
-		t.Fatalf("err = %v, want corrupted and injected", err)
 	}
 }
 

@@ -48,7 +48,7 @@ const (
 // Tree is a bulk-built R+-tree.
 type Tree struct {
 	root     *node
-	buf      storage.PageStore
+	buf      *storage.BufferManager
 	leafCap  int
 	innerCap int
 	height   int
@@ -184,8 +184,8 @@ func (t *Tree) partition(items []Item, region geom.Rect, fanout int) []partition
 	return rec(items, region, fanout)
 }
 
-// Buffer exposes the page store.
-func (t *Tree) Buffer() storage.PageStore { return t.buf }
+// Buffer exposes the page buffer.
+func (t *Tree) Buffer() *storage.BufferManager { return t.buf }
 
 // Size returns the number of distinct items.
 func (t *Tree) Size() int { return t.size }

@@ -42,13 +42,10 @@ type Config struct {
 	// topological split; SplitQuadraticGuttman gives the classic R-tree).
 	Split SplitAlgorithm
 	// BufferPolicy selects the page replacement policy (default LRU, the
-	// paper's choice).
+	// paper's choice). Every tree counts its node visits on a
+	// storage.BufferManager sized by PageSize, BufferBytes and
+	// BufferPolicy.
 	BufferPolicy storage.Policy
-	// Store, when non-nil, is the page store node visits are routed
-	// through, overriding the counting buffer the tree would otherwise
-	// build from BufferBytes/PageSize/BufferPolicy. Pass a
-	// storage.FileStore to back the accounting with real paged reads.
-	Store storage.PageStore
 }
 
 // DefaultConfig mirrors the section 5 setup: 4 KB pages, MBR-only entries,
@@ -65,7 +62,7 @@ const (
 // Tree is a paged R*-tree.
 type Tree struct {
 	cfg      Config
-	buf      storage.PageStore
+	buf      *storage.BufferManager
 	root     *node
 	height   int
 	size     int
@@ -105,13 +102,9 @@ func New(cfg Config) *Tree {
 		panic(fmt.Sprintf("rstar: page size %d too small for entries of %d bytes",
 			cfg.PageSize, cfg.LeafEntryBytes))
 	}
-	buf := cfg.Store
-	if buf == nil {
-		buf = storage.NewBufferManagerPolicy(cfg.BufferBytes, cfg.PageSize, cfg.BufferPolicy)
-	}
 	t := &Tree{
 		cfg:      cfg,
-		buf:      buf,
+		buf:      storage.NewBufferManagerPolicy(cfg.BufferBytes, cfg.PageSize, cfg.BufferPolicy),
 		height:   1,
 		leafCap:  leafCap,
 		innerCap: innerCap,
@@ -135,8 +128,8 @@ func (t *Tree) newNode(leaf bool) *node {
 	return n
 }
 
-// Buffer exposes the page store for measurements.
-func (t *Tree) Buffer() storage.PageStore { return t.buf }
+// Buffer exposes the page buffer for measurements.
+func (t *Tree) Buffer() *storage.BufferManager { return t.buf }
 
 // Size returns the number of stored items.
 func (t *Tree) Size() int { return t.size }

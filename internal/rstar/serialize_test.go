@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -176,4 +177,37 @@ func TestTreeSerializeCorruptInputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzUnmarshalTree fuzzes the page-granular tree decoder: any input must
+// either fail with an error or decode into a tree that answers a window
+// query and a self-join — never panic, hang or over-allocate. Small
+// pages keep the seed trees a few hundred bytes.
+func FuzzUnmarshalTree(f *testing.F) {
+	cfg := Config{PageSize: 256, LeafEntryBytes: 48, BufferBytes: 1024}
+	for _, n := range []int{0, 3, 40} {
+		blob, err := BulkLoad(randomItems(n, int64(n)), cfg).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	dyn := New(cfg)
+	for _, it := range randomItems(25, 5) {
+		dyn.Insert(it)
+	}
+	blob, err := dyn.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		tr, err := UnmarshalTree(blob, cfg)
+		if err != nil {
+			return
+		}
+		tr.WindowQuery(geom.Rect{MinX: 100, MinY: 100, MaxX: 600, MaxY: 600}, func(Item) {})
+		JoinParallelAccess(context.Background(), tr, tr, tr.NewSession(), tr.NewSession(), 0, 2, func(int, Item, Item) {})
+	})
 }

@@ -183,12 +183,6 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 				if err != nil {
 					return err
 				}
-				if serr := sessR.Err(); serr != nil {
-					return serr
-				}
-				if serr := sessS.Err(); serr != nil {
-					return serr
-				}
 				// The pairs are this sub-join's own allocation: translated
 				// and sorted in place, they become the run the merge reads
 				// and the cache keeps.

@@ -182,9 +182,6 @@ func QueryCached(ctx context.Context, r *Sharded, tc QueryTileCache, opts ...mul
 				if qerr != nil {
 					return qerr
 				}
-				if serr := sess.Err(); serr != nil {
-					return serr
-				}
 				tr := QueryTileResult{IDs: qr.IDs, Neighbors: qr.Neighbors, Stats: qr.Stats, PageTouches: sess.Accesses(), Explain: sub.Explain}
 				if tc != nil {
 					tc.PutQueryTile(key, tr)

@@ -1,94 +1,48 @@
 package storage
 
-import "spatialjoin/internal/resilience/fault"
-
 // A Session is the per-query page-access context that makes one opened
-// store serve many concurrent queries. The paper's buffer accounting is
+// tree serve many concurrent queries. The paper's buffer accounting is
 // inherently stateful — every Access mutates the replacement structures —
-// so a shared PageStore supports exactly one query at a time. A Session
-// privatizes that state: it snapshots the store's buffer contents at
+// so a shared BufferManager supports exactly one query at a time. A
+// Session privatizes that state: it snapshots the buffer contents at
 // creation and runs its own replacement simulation (same frame count,
-// same policy) with its own hit/miss counters, leaving the shared store
+// same policy) with its own hit/miss counters, leaving the shared buffer
 // untouched.
 //
 // Consequences, both deliberate:
 //
-//   - Isolation. N sessions on one store never observe each other: each
+//   - Isolation. N sessions on one buffer never observe each other: each
 //     query's Stats are exactly what a sequential query from the same
 //     starting buffer state would report, regardless of what runs
 //     concurrently.
-//   - Determinism. Because sessions never write back, the store's
+//   - Determinism. Because sessions never write back, the buffer's
 //     snapshot is stable while only sessions are active, so every
 //     session created from it starts from the identical state — the
 //     serving layer's per-request stats are reproducible.
 //
-// A Session over a disk-backed store (FileStore) additionally performs a
-// real page read on every simulated miss, through the store's
-// concurrency-safe shared frame cache with single-flight loading — so
-// concurrent queries touch the disk like a real buffered server would,
-// without duplicating in-flight I/O and without perturbing the shared
-// accounting state.
-//
 // A Session is itself not safe for concurrent use; create one per query.
 type Session struct {
 	sim *BufferManager
-	src ByteSource
-	err error
 }
 
 // Session implements Accessor.
 var _ Accessor = (*Session)(nil)
 
-// ByteSource is implemented by stores that can serve page bytes to
-// concurrent sessions. FileStore implements it; the counting
-// BufferManager does not (it models accounting only, there are no
-// bytes).
-type ByteSource interface {
-	// ReadShared returns the bytes of a page without touching the
-	// store's accounting state. It must be safe for concurrent use.
-	ReadShared(id PageID) ([]byte, error)
-}
-
-// NewSession creates a per-query access context on store: a private
-// replacement simulation seeded from the store's current buffer
-// snapshot, with counters starting at zero. If the store serves bytes
-// (FileStore), every simulated miss reads the page through the store's
-// shared cache.
+// NewSession creates a per-query access context on buf: a private
+// replacement simulation seeded from the buffer's current snapshot, with
+// counters starting at zero.
 //
 // Creating sessions concurrently is safe as long as no query is
-// concurrently mutating the store in shared mode (sessions themselves
-// never mutate it).
-func NewSession(store PageStore) *Session {
-	sim := NewBufferFrames(store.Frames(), store.Policy())
-	sim.Restore(store.State())
-	s := &Session{sim: sim}
-	if src, ok := store.(ByteSource); ok {
-		s.src = src
-	}
-	return s
+// concurrently mutating buf in shared mode (sessions themselves never
+// mutate it).
+func NewSession(buf *BufferManager) *Session {
+	sim := NewBufferFrames(buf.Frames(), buf.Policy())
+	sim.Restore(buf.State())
+	return &Session{sim: sim}
 }
 
-// Access touches a page in the session's private simulation; on a miss
-// over a byte-serving store the page is read from the shared cache or
-// disk. Each real read passes the "page-read" fault site first, so the
-// chaos harness can model slow disks, failed reads and pages that come
-// back corrupt; like a real read error, an injected one parks in Err()
-// for the query layer to surface after the traversal.
-func (s *Session) Access(id PageID) {
-	before := s.sim.misses.Load()
-	s.sim.Access(id)
-	if s.src != nil && s.sim.misses.Load() != before {
-		if ferr := fault.Check("page-read"); ferr != nil {
-			if s.err == nil {
-				s.err = ferr
-			}
-			return
-		}
-		if _, err := s.src.ReadShared(id); err != nil && s.err == nil {
-			s.err = err
-		}
-	}
-}
+// Access touches a page in the session's private simulation.
+func (s *Session) Access(id PageID) { s.sim.Access(id) }
 
 // Hits returns the session's buffered accesses.
 func (s *Session) Hits() int64 { return s.sim.Hits() }
@@ -104,7 +58,3 @@ func (s *Session) Accesses() int64 { return s.sim.Accesses() }
 // simulated buffer contents, so one session can measure several queries
 // back to back.
 func (s *Session) ResetCounters() { s.sim.ResetCounters() }
-
-// Err returns the first I/O error a disk-backed read produced, if any
-// (always nil over a counting store).
-func (s *Session) Err() error { return s.err }

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bytes"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -108,38 +106,30 @@ func TestSessionResetCounters(t *testing.T) {
 	}
 }
 
-func TestFileStoreSessionsConcurrent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.sjps")
-	fs, err := CreateFileStore(path, 64, 4, LRU)
-	if err != nil {
-		t.Fatal(err)
+// TestSessionsConcurrent runs eight sessions on one warmed buffer at
+// once (under -race in CI): each must report the solo session's
+// counters, and none may touch the shared buffer's counters or contents.
+func TestSessionsConcurrent(t *testing.T) {
+	store := NewBufferFrames(4, LRU)
+	for _, id := range accessPattern(20) {
+		store.Access(id)
 	}
-	defer fs.Close()
-	const pages = 16
-	for i := 0; i < pages; i++ {
-		content := bytes.Repeat([]byte{byte(i + 1)}, 64)
-		if _, err := fs.AppendPage(content); err != nil {
-			t.Fatal(err)
-		}
-	}
+	store.ResetCounters()
+	warm := store.State()
 	seq := accessPattern(200)
 
-	solo := NewSession(fs)
+	solo := NewSession(store)
 	for _, id := range seq {
 		solo.Access(id)
-	}
-	if err := solo.Err(); err != nil {
-		t.Fatal(err)
 	}
 
 	const goroutines = 8
 	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sess := NewSession(fs)
+			sess := NewSession(store)
 			for _, id := range seq {
 				sess.Access(id)
 			}
@@ -147,54 +137,14 @@ func TestFileStoreSessionsConcurrent(t *testing.T) {
 				t.Errorf("goroutine %d: hits/misses %d/%d, want %d/%d",
 					g, sess.Hits(), sess.Misses(), solo.Hits(), solo.Misses())
 			}
-			errs[g] = sess.Err()
 		}(g)
 	}
 	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
-		}
-	}
 
-	// ReadShared serves the true page bytes and never perturbs the
-	// shared accounting.
-	if fs.Accesses() != 0 {
-		t.Errorf("sessions must not touch the shared counters (accesses %d)", fs.Accesses())
+	if store.Accesses() != 0 {
+		t.Errorf("sessions must not touch the shared counters (accesses %d)", store.Accesses())
 	}
-	data, err := fs.ReadShared(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, bytes.Repeat([]byte{4}, 64)) {
-		t.Error("ReadShared returned wrong page bytes")
-	}
-	if fs.Accesses() != 0 {
-		t.Error("ReadShared must not count as an access")
-	}
-}
-
-func TestFileStoreReadSharedServesFromCache(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.sjps")
-	fs, err := CreateFileStore(path, 32, 4, LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	if _, err := fs.AppendPage([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	// Fault the page into the shared cache via the accounting path, then
-	// read it through the session path: same bytes, same backing frame.
-	cached, err := fs.ReadPage(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := fs.ReadShared(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &cached[0] != &shared[0] {
-		t.Error("ReadShared must serve the resident frame without a disk read")
+	if !bufferStatesEqual(store.State(), warm) {
+		t.Error("sessions perturbed the shared buffer state")
 	}
 }

@@ -4,15 +4,11 @@
 // accesses that miss the buffer (sections 3.4 and 5: page sizes of 2 and
 // 4 KB, an LRU buffer of 128 KB, 10 ms per access).
 //
-// The layer is pluggable behind the PageStore interface, with two
-// implementations (see DESIGN.md at the repository root, "Substitutions"
-// and "On-disk formats"):
-//
-//   - BufferManager, the in-memory counting simulator that reproduces the
-//     paper's metric exactly without any disk, and
-//   - FileStore, a disk-backed paged file whose reads go through the same
-//     replacement logic, so its hit/miss accounting is byte-for-byte
-//     identical to the simulator's on the same access sequence.
+// BufferManager is the in-memory counting simulator that reproduces the
+// paper's metric exactly without any disk; every R*-tree runs on one.
+// A Session privatizes a BufferManager's replacement state for one query,
+// so many queries can share a tree concurrently (see DESIGN.md at the
+// repository root, "Substitutions").
 package storage
 
 import (
@@ -29,11 +25,11 @@ const InvalidPage PageID = -1
 
 // Accessor is the page-access face of one query: every node visit of a
 // tree traversal is routed through an Accessor, which decides hit or
-// miss and counts both. A PageStore is itself an Accessor — the shared,
-// single-query mode in which one traversal at a time mutates the store's
+// miss and counts both. A BufferManager is itself an Accessor — the
+// shared, single-query mode in which one traversal at a time mutates the
 // buffer directly, reproducing the paper's sequential accounting. A
 // Session is the per-query alternative: a private replacement simulation
-// seeded from a snapshot of the store, so N concurrent queries each
+// seeded from a snapshot of the buffer, so N concurrent queries each
 // carry their own isolated accounting (see NewSession).
 type Accessor interface {
 	// Access touches a page: a buffered page is a hit, an unbuffered page
@@ -46,35 +42,6 @@ type Accessor interface {
 	Misses() int64
 	// Accesses returns the total number of page touches.
 	Accesses() int64
-}
-
-// PageStore is the pluggable buffered page substrate: a page-granular
-// access path with hit/miss accounting. The R*-trees route every node
-// visit through a PageStore; the counting BufferManager simulates the
-// paper's buffered disk, while FileStore backs the same accounting with a
-// real paged file.
-//
-// Used directly, a PageStore is the shared-mode Accessor of exactly one
-// query at a time; wrap it in a Session (NewSession) for concurrent
-// queries with isolated accounting.
-type PageStore interface {
-	Accessor
-	// ResetCounters zeroes the statistics without dropping buffer
-	// contents.
-	ResetCounters()
-	// Clear drops all buffered pages and zeroes the statistics.
-	Clear()
-	// Frames returns the buffer capacity in pages.
-	Frames() int
-	// Policy returns the replacement policy.
-	Policy() Policy
-	// State snapshots the buffer contents (not the counters), so a
-	// persisted relation can resume in the exact buffer state it was
-	// saved in.
-	State() BufferState
-	// Restore replaces the buffer contents with a snapshot taken by
-	// State, without touching the counters.
-	Restore(BufferState)
 }
 
 // Policy selects the buffer replacement strategy. The paper uses LRU; the
@@ -121,10 +88,8 @@ func (p Policy) String() string {
 //
 // The replacement structures are single-writer (one query at a time in
 // shared mode, or one private simulation per Session), but the hit/miss
-// counters are atomics: readers (statistics endpoints, concurrent
-// sessions polling the shared store's totals) never need the owner's
-// lock, which removes the main mutex contention from FileStore's shared
-// read path while reporting exactly the same totals.
+// counters are atomics: readers (statistics endpoints polling a shared
+// buffer's totals) never need the owner's lock.
 type BufferManager struct {
 	frames int
 	policy Policy
@@ -135,15 +100,10 @@ type BufferManager struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
-
-	// onEvict, when set, observes every eviction — FileStore uses it to
-	// drop the evicted page's cached bytes. It must not call back into
-	// the buffer.
-	onEvict func(PageID)
 }
 
-// BufferManager implements PageStore.
-var _ PageStore = (*BufferManager)(nil)
+// BufferManager implements Accessor.
+var _ Accessor = (*BufferManager)(nil)
 
 type frameNode struct {
 	id         PageID
@@ -160,7 +120,12 @@ func NewBufferManager(bufferBytes, pageSize int) *BufferManager {
 // NewBufferManagerPolicy sizes a buffer with an explicit replacement
 // policy.
 func NewBufferManagerPolicy(bufferBytes, pageSize int, policy Policy) *BufferManager {
-	frames := bufferBytes / pageSize
+	return NewBufferFrames(bufferBytes/pageSize, policy)
+}
+
+// NewBufferFrames sizes a buffer by frame count directly (at least one
+// frame).
+func NewBufferFrames(frames int, policy Policy) *BufferManager {
 	if frames < 1 {
 		frames = 1
 	}
@@ -220,9 +185,6 @@ func (b *BufferManager) evict() {
 				b.hand = next
 				b.unlink(victim)
 				delete(b.table, victim.id)
-				if b.onEvict != nil {
-					b.onEvict(victim.id)
-				}
 				return
 			}
 			victim.referenced = false
@@ -235,9 +197,6 @@ func (b *BufferManager) evict() {
 		evict := b.tail
 		b.unlink(evict)
 		delete(b.table, evict.id)
-		if b.onEvict != nil {
-			b.onEvict(evict.id)
-		}
 	}
 }
 

@@ -63,15 +63,12 @@ func main() {
 		{"figure11", true, func() *experiments.Table { t, _ := experiments.Figure11(big); return t }},
 		{"figure18", true, func() *experiments.Table { t, _ := experiments.Figure18(big); return t }},
 		// Ablations beyond the paper's own figures (DESIGN.md §8).
-		{"ablation-step1", false, func() *experiments.Table { return experiments.AblationStep1(env) }},
 		{"ablation-decomp", false, func() *experiments.Table { return experiments.AblationDecomposition(env) }},
 		{"ablation-trcap", false, func() *experiments.Table { return experiments.AblationTRCapacityWide(env) }},
-		{"ablation-build", true, func() *experiments.Table { return experiments.AblationBuildStrategy(big) }},
 		{"ablation-filters", false, func() *experiments.Table { return experiments.AblationFilterCombos(env) }},
 		{"figure18-wall", true, func() *experiments.Table { return experiments.Figure18Wall(big) }},
 		{"ablation-parallel", true, func() *experiments.Table { return experiments.AblationParallelism(big) }},
 		{"ablation-buffer", true, func() *experiments.Table { return experiments.AblationBufferPolicy(big) }},
-		{"ablation-sams", true, func() *experiments.Table { return experiments.AblationSAMs(big) }},
 	}
 
 	start := time.Now()

@@ -65,7 +65,6 @@ func main() {
 	seed := flag.Int64("seed", 9401, "data seed")
 	predicate := flag.String("predicate", "intersects", "join predicate: intersects, contains, or within (the ε-distance join)")
 	epsilon := flag.Float64("epsilon", 0, "distance bound of the within predicate (implies -predicate within)")
-	step1 := flag.String("step1", "rstar", "step 1 candidate generator: rstar, zorder, nested")
 	parallel := flag.Int("parallel", 0, "filter/exact worker count (0 = sequential; with -stream, 0 = GOMAXPROCS)")
 	stream := flag.Bool("stream", false, "stream the response pairs (WithStream): bounded memory, -parallel workers")
 	planOn := flag.Bool("plan", true, "resolve unset options (engine, filter, workers) through the planner; explicitly-set flags stay pinned")
@@ -80,17 +79,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch strings.ToLower(*step1) {
-	case "rstar":
-		cfg.Step1 = multistep.Step1RStar
-	case "zorder", "z":
-		cfg.Step1 = multistep.Step1ZOrder
-	case "nested", "nl":
-		cfg.Step1 = multistep.Step1NestedLoops
-	default:
-		fatal(fmt.Errorf("unknown step1 generator %q", *step1))
-	}
-
 	var r, s *shard.Sharded
 	switch {
 	case *rstorePath != "" && *sstorePath != "":

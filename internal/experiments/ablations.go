@@ -3,16 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/decomp"
-	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/ops"
 	"spatialjoin/internal/plan"
-	"spatialjoin/internal/rplus"
 	"spatialjoin/internal/rstar"
 	"spatialjoin/internal/storage"
 	"spatialjoin/internal/trstar"
@@ -20,37 +17,6 @@ import (
 
 // The ablation experiments quantify the design decisions DESIGN.md §8
 // calls out, beyond what the paper's own figures cover.
-
-// AblationStep1 compares the three candidate generators of step 1 on one
-// workload: candidate quality is identical by construction (all produce
-// the MBR-intersecting pairs); what differs is the work done to get there.
-func AblationStep1(e *Env) *Table {
-	sd := e.SeriesByName("Europe A")
-	t := &Table{
-		Title:  "Ablation — step 1 candidate generators (Europe A)",
-		Header: []string{"generator", "candidates", "wall ms", "notes"},
-	}
-	for _, step1 := range []multistep.Step1{multistep.Step1RStar, multistep.Step1ZOrder, multistep.Step1NestedLoops} {
-		cfg := multistep.DefaultConfig()
-		cfg.Step1 = step1
-		cfg.Filter.NoProgressive = true
-		cfg.Filter.NoConservative = true
-		cfg.UseFilter = false
-		r := multistep.NewRelation("R", sd.R, cfg)
-		s := multistep.NewRelation("S", sd.S, cfg)
-		start := time.Now()
-		_, st := seqJoin(r, s, cfg)
-		wall := time.Since(start)
-		note := ""
-		if step1 == multistep.Step1ZOrder {
-			note = fmt.Sprintf("%d raw Z candidates", st.ZOrderCandidates)
-		}
-		t.AddRow(step1.String(), fmt.Sprint(st.CandidatePairs),
-			fmt.Sprintf("%.1f", wall.Seconds()*1e3), note)
-	}
-	t.Comment = "All generators deliver the identical candidate set; they differ in how they enumerate it."
-	return t
-}
 
 // AblationDecomposition compares the three decomposition techniques of
 // Figure 14 on the BW relation: component counts and the TR*-tree exact
@@ -115,45 +81,6 @@ func AblationTRCapacityWide(e *Env) *Table {
 			fmt.Sprintf("%.2f", c.Cost(w)))
 	}
 	t.Comment = "Figure 17's finding extends: small nodes stay best; cost grows steadily with M."
-	return t
-}
-
-// AblationBuildStrategy compares dynamic R*-tree construction with STR
-// bulk loading on build effort and query quality.
-func AblationBuildStrategy(p BigParams) *Table {
-	r, _ := bigRelations(p)
-	items := make([]rstar.Item, len(r))
-	for i, poly := range r {
-		items[i] = rstar.Item{Rect: poly.Bounds(), ID: int32(i)}
-	}
-	t := &Table{
-		Title:  "Ablation — R*-tree build strategy",
-		Header: []string{"strategy", "build ms", "pages", "height", "window-query page touches"},
-	}
-	for _, mode := range []string{"dynamic insert", "STR bulk load"} {
-		start := time.Now()
-		var tree *rstar.Tree
-		if mode == "dynamic insert" {
-			tree = rstar.New(rstar.DefaultConfig())
-			for _, it := range items {
-				tree.Insert(it)
-			}
-		} else {
-			tree = rstar.BulkLoad(items, rstar.DefaultConfig())
-		}
-		build := time.Since(start)
-		tree.Buffer().Clear()
-		for q := 0; q < 200; q++ {
-			x := float64(q%20) / 20 * 0.95
-			y := float64(q/20) / 10 * 0.95
-			w := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.03, MaxY: y + 0.03}
-			tree.WindowQuery(w, func(rstar.Item) {})
-		}
-		t.AddRow(mode, fmt.Sprintf("%.0f", build.Seconds()*1e3),
-			fmt.Sprint(tree.Pages()), fmt.Sprint(tree.Height()),
-			fmt.Sprint(tree.Buffer().Accesses()))
-	}
-	t.Comment = "STR builds orders of magnitude faster and packs tighter; dynamic insertion keeps the index incremental."
 	return t
 }
 
@@ -292,80 +219,6 @@ func AblationBufferPolicy(p BigParams) *Table {
 	}
 	t.Comment = "LRU and FIFO run neck and neck on the synchronized traversal (either may edge out\n" +
 		"the other by a few percent); Clock's coarser recency approximation pays noticeably more faults."
-	return t
-}
-
-// AblationSAMs compares the spatial access methods the paper names: the
-// R*-tree (dynamic and STR-bulk-loaded), the classic Guttman R-tree and
-// the R+-tree, on storage and query page touches over the same items.
-func AblationSAMs(p BigParams) *Table {
-	r, _ := bigRelations(p)
-	items := make([]rstar.Item, len(r))
-	plusItems := make([]rplus.Item, len(r))
-	for i, poly := range r {
-		b := poly.Bounds()
-		items[i] = rstar.Item{Rect: b, ID: int32(i)}
-		plusItems[i] = rplus.Item{Rect: b, ID: int32(i)}
-	}
-	t := &Table{
-		Title:  "Ablation — spatial access methods (point / window page touches, 500 queries each)",
-		Header: []string{"SAM", "pages", "height", "point touches", "window touches"},
-	}
-	type sam struct {
-		name   string
-		pages  int
-		height int
-		point  func(geom.Point)
-		window func(geom.Rect)
-		buf    *storage.BufferManager
-	}
-	var sams []sam
-	addStar := func(name string, tree *rstar.Tree) {
-		sams = append(sams, sam{
-			name: name, pages: tree.Pages(), height: tree.Height(),
-			point:  func(pt geom.Point) { tree.PointQuery(pt, func(rstar.Item) {}) },
-			window: func(w geom.Rect) { tree.WindowQuery(w, func(rstar.Item) {}) },
-			buf:    tree.Buffer(),
-		})
-	}
-	dyn := rstar.New(rstar.DefaultConfig())
-	for _, it := range items {
-		dyn.Insert(it)
-	}
-	addStar("R*-tree (dynamic)", dyn)
-	addStar("R*-tree (STR bulk)", rstar.BulkLoad(items, rstar.DefaultConfig()))
-	gutCfg := rstar.DefaultConfig()
-	gutCfg.Split = rstar.SplitQuadraticGuttman
-	gut := rstar.New(gutCfg)
-	for _, it := range items {
-		gut.Insert(it)
-	}
-	addStar("R-tree (Guttman)", gut)
-	plus := rplus.Build(plusItems, rplus.DefaultConfig())
-	sams = append(sams, sam{
-		name: "R+-tree", pages: plus.Pages(), height: plus.Height(),
-		point:  func(pt geom.Point) { plus.PointQuery(pt, func(rplus.Item) {}) },
-		window: func(w geom.Rect) { plus.WindowQuery(w, func(rplus.Item) {}) },
-		buf:    plus.Buffer(),
-	})
-
-	for _, s := range sams {
-		qrng := rand.New(rand.NewSource(p.Seed + 9))
-		s.buf.Clear()
-		for q := 0; q < 500; q++ {
-			s.point(geom.Point{X: qrng.Float64(), Y: qrng.Float64()})
-		}
-		pointTouches := s.buf.Accesses()
-		s.buf.Clear()
-		for q := 0; q < 500; q++ {
-			x, y := qrng.Float64()*0.95, qrng.Float64()*0.95
-			s.window(geom.Rect{MinX: x, MinY: y, MaxX: x + 0.03, MaxY: y + 0.03})
-		}
-		t.AddRow(s.name, fmt.Sprint(s.pages), fmt.Sprint(s.height),
-			fmt.Sprint(pointTouches), fmt.Sprint(s.buf.Accesses()))
-	}
-	t.Comment = "The R+-tree wins point queries via its single-path property and pays in duplicated entries;\n" +
-		"the R*-tree split beats Guttman's; STR packs the fewest pages."
 	return t
 }
 

@@ -4,21 +4,6 @@ import (
 	"testing"
 )
 
-func TestAblationStep1AllGeneratorsAgree(t *testing.T) {
-	skipInShort(t)
-	tab := AblationStep1(sharedEnv())
-	if len(tab.Rows) != 3 {
-		t.Fatal("need three generators")
-	}
-	c0 := cell(t, tab, 0, 1)
-	for row := 1; row < 3; row++ {
-		if cell(t, tab, row, 1) != c0 {
-			t.Errorf("generator %s delivered %v candidates, want %v",
-				tab.Rows[row][0], cell(t, tab, row, 1), c0)
-		}
-	}
-}
-
 func TestAblationDecompositionShape(t *testing.T) {
 	skipInShort(t)
 	tab := AblationDecomposition(sharedEnv())
@@ -36,25 +21,6 @@ func TestAblationDecompositionShape(t *testing.T) {
 		if cell(t, tab, row, 3) > 1e-6 {
 			t.Errorf("row %d: area error %v too large", row, cell(t, tab, row, 3))
 		}
-	}
-}
-
-func TestAblationSAMsShape(t *testing.T) {
-	skipInShort(t)
-	tab := AblationSAMs(smallBig())
-	if len(tab.Rows) != 4 {
-		t.Fatal("need four SAMs")
-	}
-	// Rows: R* dynamic, R* STR, Guttman, R+.
-	strPages := cell(t, tab, 1, 1)
-	dynPages := cell(t, tab, 0, 1)
-	if strPages > dynPages {
-		t.Errorf("STR pages %v must not exceed dynamic pages %v", strPages, dynPages)
-	}
-	rplusPoint := cell(t, tab, 3, 3)
-	dynPoint := cell(t, tab, 0, 3)
-	if rplusPoint > dynPoint {
-		t.Errorf("R+ point touches %v must not exceed R* %v (single-path property)", rplusPoint, dynPoint)
 	}
 }
 

@@ -2,10 +2,11 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
@@ -140,8 +141,10 @@ func TestFlightCalibration(t *testing.T) {
 	}
 }
 
-// TestRunClosedLoop drives the closed-loop generator against a live
-// cached server and checks the report's internal consistency.
+// TestRunClosedLoop runs the calibrated flight from four concurrent
+// clients, three passes each, against a live cached server: every answer
+// must arrive and match its calibrated cardinality, and the server's
+// /stats must then report a non-zero process RSS.
 func TestRunClosedLoop(t *testing.T) {
 	spec, err := For(0.01)
 	if err != nil {
@@ -153,53 +156,31 @@ func TestRunClosedLoop(t *testing.T) {
 	if err := f.Calibrate(ctx, ts.Client(), ts.URL); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(ctx, f, Options{
-		BaseURL:  ts.URL,
-		Workers:  4,
-		Mix:      "zipf",
-		Warmup:   100 * time.Millisecond,
-		Duration: 400 * time.Millisecond,
-		Seed:     7,
-		Client:   ts.Client(),
-	})
+	if err := f.Check(ctx, ts.Client(), ts.URL, 4); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Overall.Errors != 0 {
-		t.Fatalf("%d/%d requests errored: %v", rep.Overall.Errors, rep.Overall.Requests, rep.ErrorSamples)
+	defer resp.Body.Close()
+	var st struct {
+		Process struct {
+			RSSBytes int64 `json:"rss_bytes"`
+		} `json:"process"`
 	}
-	if rep.Overall.Requests == 0 {
-		t.Fatal("no requests measured")
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
 	}
-	if rep.Mode != "closed" || rep.Mix != "zipf" || rep.SF != spec.SF || rep.Workers != 4 {
-		t.Errorf("report header wrong: %+v", rep)
-	}
-	var sum int64
-	for _, c := range rep.Classes {
-		sum += c.Requests
-		if c.Latency.Count != c.Requests-c.Errors {
-			t.Errorf("class %s: %d latency samples for %d ok requests",
-				c.Class, c.Latency.Count, c.Requests-c.Errors)
-		}
-		if c.Requests > 0 && c.Latency.P50Ms > c.Latency.MaxMs {
-			t.Errorf("class %s: p50 %.3fms above max %.3fms", c.Class, c.Latency.P50Ms, c.Latency.MaxMs)
-		}
-	}
-	if sum != rep.Overall.Requests {
-		t.Errorf("class requests sum to %d, overall says %d", sum, rep.Overall.Requests)
-	}
-	if rep.Overall.QPS <= 0 {
-		t.Errorf("QPS %.1f", rep.Overall.QPS)
-	}
-	if rep.ServerRSSBytes <= 0 {
-		t.Errorf("server RSS not sampled (got %d)", rep.ServerRSSBytes)
+	if st.Process.RSSBytes <= 0 {
+		t.Errorf("/stats process.rss_bytes = %d, want > 0", st.Process.RSSBytes)
 	}
 }
 
-// TestRunOpenMode exercises the fixed-arrival-rate loop: the scheduler
-// must issue roughly rate×duration requests and measure from intended
-// start times without errors.
-func TestRunOpenMode(t *testing.T) {
+// TestFlightCheck checks that the flight check refuses an uncalibrated
+// flight and a check with no workers, and fails naming the query whose
+// calibrated cardinality is wrong.
+func TestFlightCheck(t *testing.T) {
 	spec, err := For(0.01)
 	if err != nil {
 		t.Fatal(err)
@@ -207,44 +188,19 @@ func TestRunOpenMode(t *testing.T) {
 	ts := startServer(t, spec, serve.DefaultCacheBytes)
 	f := NewFlight(spec)
 	ctx := context.Background()
+	if err := f.Check(ctx, ts.Client(), ts.URL, 4); err == nil {
+		t.Error("check of an uncalibrated flight passed")
+	}
 	if err := f.Calibrate(ctx, ts.Client(), ts.URL); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(ctx, f, Options{
-		BaseURL:  ts.URL,
-		Mode:     "open",
-		RateQPS:  100,
-		Warmup:   50 * time.Millisecond,
-		Duration: 400 * time.Millisecond,
-		Seed:     11,
-		Client:   ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if err := f.Check(ctx, ts.Client(), ts.URL, 0); err == nil {
+		t.Error("check with no workers passed")
 	}
-	if rep.Overall.Errors != 0 {
-		t.Fatalf("%d/%d requests errored: %v", rep.Overall.Errors, rep.Overall.Requests, rep.ErrorSamples)
-	}
-	if rep.Overall.Requests == 0 {
-		t.Fatal("no requests measured")
-	}
-	// 100 QPS over a 400 ms window is ~40 intended arrivals; allow wide
-	// scheduling slop but catch a stuck or runaway scheduler.
-	if rep.Overall.Requests > 60 {
-		t.Errorf("open mode issued %d measured requests for a 40-request schedule", rep.Overall.Requests)
-	}
-	if rep.Mode != "open" {
-		t.Errorf("mode %q", rep.Mode)
-	}
-
-	// Rejection paths of Run itself.
-	if _, err := Run(ctx, f, Options{BaseURL: ts.URL, Mode: "open"}); err == nil {
-		t.Error("open mode without a rate accepted")
-	}
-	if _, err := Run(ctx, f, Options{BaseURL: ts.URL, Mode: "sawtooth"}); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if _, err := Run(ctx, f, Options{BaseURL: ts.URL, Mix: "pareto"}); err == nil {
-		t.Error("unknown mix accepted")
+	q := f.Queries[len(f.Queries)-1]
+	q.Expected++
+	err = f.Check(ctx, ts.Client(), ts.URL, 4)
+	if err == nil || !strings.Contains(err.Error(), q.Name) {
+		t.Errorf("check with %s's cardinality bumped: err = %v, want a mismatch on %s", q.Name, err, q.Name)
 	}
 }

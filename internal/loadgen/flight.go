@@ -8,19 +8,18 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 )
 
 // Query is one named, fully parameterized request of the flight. The
 // parameters are fixed per scale factor, so a query's response
 // cardinality is a deterministic property of the dataset — Calibrate
-// records it once and every subsequent response is checked against it,
-// turning the load run into a continuous correctness assertion.
+// records it once and every later response is checked against it.
 type Query struct {
-	// Name identifies the query in reports ("join_intersects",
+	// Name identifies the query in errors ("join_intersects",
 	// "window_low", …).
 	Name string
-	// Class is the latency-histogram group: join, window, point or
-	// nearest.
+	// Class is the response shape: join, window, point or nearest.
 	Class string
 	// Path is the request path and query string, relative to the server
 	// base URL.
@@ -30,15 +29,12 @@ type Query struct {
 	Expected int64
 }
 
-// Flight is the fixed query set the load generator samples from — the
-// harness's Wisconsin-style micro-benchmark: every query is named,
-// parameterized by the scale factor only, and individually checkable.
-// Queries are ordered cheapest-first; the Zipf mix weights the head of
-// this order, so a skewed mix behaves like a realistic read-heavy
-// workload (frequent cheap point/window lookups, occasional full
-// joins).
+// Flight is the fixed query set of a scale factor, Wisconsin-style:
+// every query is named, parameterized by the scale factor only, and
+// individually checkable. Queries are ordered cheapest-first: point,
+// nearest and window lookups, then the joins. The repository
+// benchmark's serve workloads draw their requests from it.
 type Flight struct {
-	Spec    Spec
 	Queries []*Query
 }
 
@@ -119,7 +115,7 @@ func NewFlight(spec Spec) *Flight {
 	for _, q := range qs {
 		q.Expected = -1
 	}
-	return &Flight{Spec: spec, Queries: qs}
+	return &Flight{Queries: qs}
 }
 
 func intSqrt(n int) int {
@@ -170,77 +166,36 @@ type errorSliver struct {
 	Error string `json:"error"`
 }
 
-// Outcome classifies one request's result. Shed, timed-out and degraded
-// responses are first-class outcomes, not errors: a resilient server
-// under overload or injected faults is SUPPOSED to produce them, and a
-// chaos run needs to count them separately from genuine failures
-// (malformed bodies, wrong cardinalities, unexpected statuses).
-type Outcome string
-
-const (
-	// OutcomeOK is a well-formed 200 with the calibrated cardinality.
-	OutcomeOK Outcome = "ok"
-	// OutcomeShed is a 429 from admission control.
-	OutcomeShed Outcome = "shed"
-	// OutcomeTimeout is a 504 from a fired server-side deadline.
-	OutcomeTimeout Outcome = "timeout"
-	// OutcomeDegraded is a well-formed 200 with degraded:true (partial
-	// results after tile failure); its cardinality is not checked — the
-	// answer legitimately covers fewer tiles.
-	OutcomeDegraded Outcome = "degraded"
-	// OutcomeError is everything else.
-	OutcomeError Outcome = "error"
-)
-
-// Fetch issues q against base and returns the response cardinality. A
-// non-200 status, a malformed body, or (after calibration) a
-// cardinality mismatch is an error — including shed, timed-out and
-// degraded responses, which Calibrate and other strict callers must
-// treat as failures. Load runs use FetchOutcome instead.
+// Fetch issues q against base and returns the response cardinality.
+// Anything but a well-formed, non-degraded 200 is an error: a shed (429),
+// a server-side timeout (504) and a degraded partial answer included. So
+// is, once q is calibrated, a cardinality other than the calibrated one.
 func Fetch(ctx context.Context, client *http.Client, base string, q *Query) (int64, error) {
-	card, oc, err := FetchOutcome(ctx, client, base, q)
-	if err != nil {
-		return card, err
-	}
-	switch oc {
-	case OutcomeShed:
-		return card, fmt.Errorf("request shed (status 429)")
-	case OutcomeTimeout:
-		return card, fmt.Errorf("request timed out server-side (status 504)")
-	case OutcomeDegraded:
-		return card, fmt.Errorf("degraded response")
-	}
-	return card, nil
-}
-
-// FetchOutcome issues q against base and classifies the result. The
-// outcome is OutcomeError exactly when the returned error is non-nil.
-func FetchOutcome(ctx context.Context, client *http.Client, base string, q *Query) (int64, Outcome, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+q.Path, nil)
 	if err != nil {
-		return 0, OutcomeError, err
+		return 0, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, OutcomeError, err
+		return 0, err
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	resp.Body.Close()
 	if err != nil {
-		return 0, OutcomeError, err
+		return 0, err
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
-		return 0, OutcomeShed, nil
+		return 0, fmt.Errorf("request shed (status 429)")
 	case http.StatusGatewayTimeout:
-		return 0, OutcomeTimeout, nil
+		return 0, fmt.Errorf("request timed out server-side (status 504)")
 	default:
 		var e errorSliver
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return 0, OutcomeError, fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
+			return 0, fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
 		}
-		return 0, OutcomeError, fmt.Errorf("status %d", resp.StatusCode)
+		return 0, fmt.Errorf("status %d", resp.StatusCode)
 	}
 
 	var card int64
@@ -249,29 +204,66 @@ func FetchOutcome(ctx context.Context, client *http.Client, base string, q *Quer
 	case "join":
 		var v joinSliver
 		if err := json.Unmarshal(body, &v); err != nil {
-			return 0, OutcomeError, fmt.Errorf("bad join body: %w", err)
+			return 0, fmt.Errorf("bad join body: %w", err)
 		}
 		card = v.Stats.ResultPairs
 	case "window", "point":
 		var v windowSliver
 		if err := json.Unmarshal(body, &v); err != nil {
-			return 0, OutcomeError, fmt.Errorf("bad %s body: %w", q.Class, err)
+			return 0, fmt.Errorf("bad %s body: %w", q.Class, err)
 		}
 		card, degraded = int64(len(v.IDs)), v.Degraded
 	case "nearest":
 		var v nearestSliver
 		if err := json.Unmarshal(body, &v); err != nil {
-			return 0, OutcomeError, fmt.Errorf("bad nearest body: %w", err)
+			return 0, fmt.Errorf("bad nearest body: %w", err)
 		}
 		card, degraded = int64(len(v.Neighbors)), v.Degraded
 	default:
-		return 0, OutcomeError, fmt.Errorf("unknown query class %q", q.Class)
+		return 0, fmt.Errorf("unknown query class %q", q.Class)
 	}
 	if degraded {
-		return card, OutcomeDegraded, nil
+		return card, fmt.Errorf("degraded response")
 	}
 	if q.Expected >= 0 && card != q.Expected {
-		return card, OutcomeError, fmt.Errorf("cardinality %d, expected %d", card, q.Expected)
+		return card, fmt.Errorf("cardinality %d, expected %d", card, q.Expected)
 	}
-	return card, OutcomeOK, nil
+	return card, nil
+}
+
+// checkPasses is how many times each client of Check runs the whole
+// flight.
+const checkPasses = 3
+
+// Check runs the calibrated flight from workers concurrent clients, each
+// issuing every query checkPasses times, and returns the first request
+// error or cardinality mismatch. Client w starts its passes at query w,
+// so the flight's classes overlap in time.
+func (f *Flight) Check(ctx context.Context, client *http.Client, base string, workers int) error {
+	if workers < 1 {
+		return fmt.Errorf("loadgen: check needs at least one worker (got %d)", workers)
+	}
+	for _, q := range f.Queries {
+		if q.Expected < 0 {
+			return fmt.Errorf("loadgen: check: %s is not calibrated", q.Name)
+		}
+	}
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range checkPasses * len(f.Queries) {
+				q := f.Queries[(w+i)%len(f.Queries)]
+				if _, err := Fetch(ctx, client, base, q); err != nil {
+					fail(fmt.Errorf("loadgen: check %s: %w", q.Name, err))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return context.Cause(ctx)
 }

@@ -1,10 +1,11 @@
-// Package loadgen is the service-level load harness: scale-factor
-// dataset specs with bounded-memory store builds, a fixed flight of
-// named parameterized queries with expected-cardinality checks, and a
-// multi-client closed/open-loop generator that drives a live
-// spatialjoinserve over HTTP and reports QPS and latency percentiles
-// per query class. DESIGN.md §13 describes the harness; cmd/loadtest
-// and cmd/datagen -sf are the front ends.
+// Package loadgen is the service-level harness: scale-factor dataset
+// specs with bounded-memory store builds, and a fixed flight of named
+// parameterized queries whose calibrated cardinalities check a live
+// spatialjoinserve over HTTP from concurrent clients. It measures
+// nothing: timings come from the repository benchmark (bench/), which
+// draws its serve workloads from the same flight. DESIGN.md §13
+// describes the harness; cmd/loadtest and cmd/datagen -sf are the front
+// ends.
 package loadgen
 
 import (

@@ -9,21 +9,19 @@ import (
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/bitset"
 	"spatialjoin/internal/ctxpoll"
-	"spatialjoin/internal/geom"
 	"spatialjoin/internal/ops"
 	"spatialjoin/internal/resilience"
 	"spatialjoin/internal/resilience/fault"
 	"spatialjoin/internal/rstar"
-	"spatialjoin/internal/zorder"
 )
 
 // This file is the join driver of the package — the only one. Join
 // resolves its options, RunJoin executes them — validate and plan the
 // request, run the one pipeline, then fill the explain — and Join sorts
 // and cuts the collected response. Every delivery mode (collected,
-// streamed, bufferless), every worker count and every step-1 generator
-// runs the same pipeline, so the statistics of one request do not depend
-// on how its pairs were delivered.
+// streamed, bufferless) and every worker count runs the same pipeline,
+// so the statistics of one request do not depend on how its pairs were
+// delivered.
 
 // The pipeline shape: candidate pairs per batch, and the bounded depth of
 // the candidate and result channels in batches per worker. Together they
@@ -138,9 +136,8 @@ type workerShare struct {
 // joinPipeline executes one resolved join under the effective
 // configuration cfg as a streaming, fully parallel pipeline:
 //
-//	step 1  — the candidate generator runs as the producer; with the
-//	          R*-tree generator the synchronized traversal itself is
-//	          partitioned at the subtree level over the workers
+//	step 1  — the R*-tree join runs as the producer: its synchronized
+//	          traversal is partitioned at the subtree level over the workers
 //	          (rstar.JoinParallelAccess), evaluating the (possibly
 //	          ε-expanded) rectangle test; each survivor that passes the
 //	          predicate's pretest becomes a candidate.
@@ -308,53 +305,9 @@ func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) 
 			batches[w] = nil
 		}
 	}
-	switch cfg.Step1 {
-	case Step1RStar:
-		st.MBRJoin = rstar.JoinParallelAccess(ctx, r.Tree, s.Tree, axR, axS, eps, workers, func(w int, a, b rstar.Item) {
-			offer(w, a.ID, b.ID)
-		})
-	case Step1ZOrder:
-		// Space-filling-curve sort-merge: the Z covers of the ε-expanded
-		// R-side MBRs yield a candidate superset; the (ε-expanded) MBR
-		// test removes the quantization false positives before the
-		// geometric filter sees the pair.
-		mbrsR := make([]geom.Rect, len(r.Objects))
-		space := geom.EmptyRect()
-		for i, o := range r.Objects {
-			mbrsR[i] = o.Approx.MBR.Expand(eps)
-			space = space.Union(mbrsR[i])
-		}
-		mbrsS := make([]geom.Rect, len(s.Objects))
-		for i, o := range s.Objects {
-			mbrsS[i] = o.Approx.MBR
-			space = space.Union(mbrsS[i])
-		}
-		zcfg := zorder.DefaultCoverConfig()
-		zcfg.DataSpace = space // both relations must be fully covered
-		zorder.Join(mbrsR, mbrsS, zcfg, func(i, j int) {
-			if stop != nil && stop() {
-				return
-			}
-			st.ZOrderCandidates++
-			if mbrsR[i].Intersects(mbrsS[j]) {
-				offer(0, int32(i), int32(j))
-			}
-		})
-	case Step1NestedLoops:
-		for _, oa := range r.Objects {
-			if stop != nil && stop() {
-				break
-			}
-			grown := oa.Approx.MBR.Expand(eps)
-			for _, ob := range s.Objects {
-				if grown.Intersects(ob.Approx.MBR) {
-					offer(0, oa.ID, ob.ID)
-				}
-			}
-		}
-	default:
-		panic("multistep: unknown step 1 generator")
-	}
+	st.MBRJoin = rstar.JoinParallelAccess(ctx, r.Tree, s.Tree, axR, axS, eps, workers, func(w int, a, b rstar.Item) {
+		offer(w, a.ID, b.ID)
+	})
 	for _, bp := range batches {
 		if bp != nil {
 			send(bp)

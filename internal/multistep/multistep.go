@@ -81,39 +81,10 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("multistep: unknown engine %q", s)
 }
 
-// Step1 selects the candidate generator of step 1. The paper recommends
-// the R*-tree join of [BKS 93a] and names space-filling-curve sort-merge
-// [Ore 86, Fal 88, Jag 90b] as the alternative; nested loops is the
-// section 2.3 baseline.
-type Step1 int
-
-// Step 1 candidate generators.
-const (
-	Step1RStar Step1 = iota
-	Step1ZOrder
-	Step1NestedLoops
-)
-
-// String returns a human-readable generator name.
-func (s Step1) String() string {
-	switch s {
-	case Step1RStar:
-		return "R*-tree join"
-	case Step1ZOrder:
-		return "Z-order sort-merge"
-	case Step1NestedLoops:
-		return "nested loops"
-	default:
-		return fmt.Sprintf("Step1(%d)", int(s))
-	}
-}
-
 // Config assembles a join processor variant. The zero value is not valid;
 // use DefaultConfig (the paper's final recommendation, "version 3" of
 // Figure 18) and modify from there.
 type Config struct {
-	// Step1 selects the candidate generator (default: the R*-tree join).
-	Step1 Step1
 	// UseFilter enables step 2. Without it every candidate pair goes to
 	// the exact processor ("version 1" of Figure 18).
 	UseFilter bool
@@ -304,11 +275,10 @@ func ComparePairs(p, q Pair) int {
 // Stats reports the work of one multi-step join, step by step.
 type Stats struct {
 	// Step 1.
-	CandidatePairs   int64           // pairs of intersecting MBRs
-	MBRJoin          rstar.JoinStats // traversal work (R*-tree generator)
-	ZOrderCandidates int64           // raw Z-order candidates before the MBR check
-	PageAccessesR    int64           // buffer misses of relation R's tree
-	PageAccessesS    int64           // buffer misses of relation S's tree
+	CandidatePairs int64           // pairs of intersecting MBRs
+	MBRJoin        rstar.JoinStats // traversal work of the R*-tree join
+	PageAccessesR  int64           // buffer misses of relation R's tree
+	PageAccessesS  int64           // buffer misses of relation S's tree
 
 	// Step 2.
 	FilterHits      int64 // pairs proven hits by approximations

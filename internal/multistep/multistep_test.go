@@ -25,11 +25,9 @@ func testJoin(t testing.TB, r, s *Relation, cfg Config) ([]Pair, Stats) {
 	return pairs, st
 }
 
-// testJoinWorkers is the collected join on the R*-tree generator with the
-// given worker count.
+// testJoinWorkers is the collected join with the given worker count.
 func testJoinWorkers(t testing.TB, r, s *Relation, cfg Config, workers int) ([]Pair, Stats) {
 	t.Helper()
-	cfg.Step1 = Step1RStar
 	pairs, st, err := Join(context.Background(), r, s, WithConfig(cfg), WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)

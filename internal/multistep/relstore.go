@@ -77,8 +77,8 @@ var (
 // ConfigFingerprint hashes the configuration fields that shape a
 // preprocessed relation: the filter approximations, the exact engine and
 // its TR*-tree capacity, the page geometry, the buffer size and policy,
-// and the MEC precision. Join-time-only fields (Step1, the worker
-// options, PlaneSweepRestrict) are excluded — the same store serves any
+// and the MEC precision. Join-time-only fields (the worker options,
+// PlaneSweepRestrict) are excluded — the same store serves any
 // of them.
 func ConfigFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()

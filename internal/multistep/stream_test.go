@@ -16,49 +16,44 @@ func clearBuffers(r, s *Relation) {
 }
 
 // TestJoinStreamEquivalence is the streaming pipeline's correctness
-// theorem: for every exact engine, every step 1 generator and every
-// worker count, a streamed Join (and a collected multi-worker one)
-// produces exactly the one-worker Join's response set and statistics —
-// candidate counts, filter decisions, exact tests, object fetches,
-// operation counters and page accesses alike.
+// theorem: for every exact engine and every worker count, a streamed Join
+// (and a collected multi-worker one) produces exactly the one-worker
+// Join's response set and statistics — candidate counts, filter
+// decisions, exact tests, object fetches, operation counters and page
+// accesses alike.
 func TestJoinStreamEquivalence(t *testing.T) {
 	rp, sp := smallSeries(t)
-	for _, step1 := range []Step1{Step1RStar, Step1ZOrder, Step1NestedLoops} {
-		for _, engine := range []Engine{EngineQuadratic, EnginePlaneSweep, EngineTRStar} {
-			cfg := DefaultConfig()
-			cfg.Step1 = step1
-			cfg.Engine = engine
-			r := NewRelation("R", rp, cfg)
-			s := NewRelation("S", sp, cfg)
-			name := step1.String() + "/" + engine.String()
+	for _, engine := range []Engine{EngineQuadratic, EnginePlaneSweep, EngineTRStar} {
+		cfg := DefaultConfig()
+		cfg.Engine = engine
+		r := NewRelation("R", rp, cfg)
+		s := NewRelation("S", sp, cfg)
+		name := engine.String()
 
+		clearBuffers(r, s)
+		want, wantSt := testJoin(t, r, s, cfg)
+		if len(want) == 0 {
+			t.Fatalf("%s: join produced nothing; test is vacuous", name)
+		}
+
+		for _, workers := range []int{1, 2, 4, 0} {
 			clearBuffers(r, s)
-			want, wantSt := testJoin(t, r, s, cfg)
-			if len(want) == 0 {
-				t.Fatalf("%s: join produced nothing; test is vacuous", name)
+			var got []Pair
+			st := testJoinStream(t, r, s, cfg,
+				func(p Pair) { got = append(got, p) }, WithWorkers(workers))
+			assertSameResponse(t, name, got, want)
+			if st != wantSt {
+				t.Errorf("%s workers=%d: stats diverge:\n got %+v\nwant %+v",
+					name, workers, st, wantSt)
 			}
+		}
 
-			for _, workers := range []int{1, 2, 4, 0} {
-				clearBuffers(r, s)
-				var got []Pair
-				st := testJoinStream(t, r, s, cfg,
-					func(p Pair) { got = append(got, p) }, WithWorkers(workers))
-				assertSameResponse(t, name, got, want)
-				if st != wantSt {
-					t.Errorf("%s workers=%d: stats diverge:\n got %+v\nwant %+v",
-						name, workers, st, wantSt)
-				}
-			}
-
-			if step1 == Step1RStar {
-				clearBuffers(r, s)
-				got, st := testJoinWorkers(t, r, s, cfg, 4)
-				assertSameResponse(t, name+"/workers=4 collected", got, want)
-				if st != wantSt {
-					t.Errorf("%s: collected 4-worker stats diverge:\n got %+v\nwant %+v",
-						name, st, wantSt)
-				}
-			}
+		clearBuffers(r, s)
+		got, st := testJoinWorkers(t, r, s, cfg, 4)
+		assertSameResponse(t, name+"/workers=4 collected", got, want)
+		if st != wantSt {
+			t.Errorf("%s: collected 4-worker stats diverge:\n got %+v\nwant %+v",
+				name, st, wantSt)
 		}
 	}
 }

@@ -38,9 +38,6 @@ type Config struct {
 	LeafEntryBytes int
 	// BufferBytes is the LRU buffer capacity (the paper uses 128 KB).
 	BufferBytes int
-	// Split selects the overflow split algorithm (default: the R*-tree
-	// topological split; SplitQuadraticGuttman gives the classic R-tree).
-	Split SplitAlgorithm
 	// BufferPolicy selects the page replacement policy (default LRU, the
 	// paper's choice). Every tree counts its node visits on a
 	// storage.BufferManager sized by PageSize, BufferBytes and
@@ -247,9 +244,7 @@ func (t *Tree) overflowTreatment(n *node, level int, reinserted map[int]bool, qu
 	if len(n.entries) <= t.capacityOf(n.leaf) {
 		return nil
 	}
-	// Forced reinsertion is an R*-tree mechanism; the classic Guttman
-	// variant splits immediately.
-	if t.cfg.Split == SplitRStar && level != t.height && !reinserted[level] {
+	if level != t.height && !reinserted[level] {
 		reinserted[level] = true
 		p := len(n.entries) * 3 / 10
 		if p < 1 {
@@ -282,14 +277,9 @@ func (t *Tree) split(n *node) *node {
 	for i, e := range n.entries {
 		rects[i] = e.rect
 	}
-	var g1, g2 []int
-	if t.cfg.Split == SplitQuadraticGuttman {
-		g1, g2 = rtreecore.SplitQuadratic(rects, t.minFillOf(n.leaf))
-	} else {
-		order := make([]int, len(rects))
-		k := rtreecore.Split(rects, t.minFillOf(n.leaf), order)
-		g1, g2 = order[:k], order[k:]
-	}
+	order := make([]int, len(rects))
+	k := rtreecore.Split(rects, t.minFillOf(n.leaf), order)
+	g1, g2 := order[:k], order[k:]
 	older := n.entries
 	n.entries = make([]entry, 0, len(g1))
 	for _, i := range g1 {

@@ -22,24 +22,33 @@ func randomItems(n int, seed int64) []Item {
 	return items
 }
 
+// insertAll builds a tree by dynamic insertion of items.
+func insertAll(cfg Config, items []Item) *Tree {
+	tr := New(cfg)
+	for _, it := range items {
+		tr.Insert(it)
+	}
+	return tr
+}
+
 func TestTreeSerializeRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
+	// "full" is one leaf filled exactly to capacity: the page slot holds
+	// the largest node the configuration admits.
+	leafCap := New(cfg).leafCap
 	for _, build := range []struct {
 		name string
-		make func([]Item) *Tree
+		n    int
 	}{
-		{"dynamic", func(items []Item) *Tree {
-			tr := New(cfg)
-			for _, it := range items {
-				tr.Insert(it)
-			}
-			return tr
-		}},
-		{"bulk", func(items []Item) *Tree { return BulkLoad(items, cfg) }},
+		{"dynamic", 700},
+		{"full", leafCap},
 	} {
 		t.Run(build.name, func(t *testing.T) {
-			items := randomItems(700, 17)
-			tr := build.make(items)
+			tr := insertAll(cfg, randomItems(build.n, 17))
+			if build.name == "full" && (tr.Height() != 1 || len(tr.root.entries) != leafCap) {
+				t.Fatalf("root holds %d entries at height %d, want one full leaf of %d",
+					len(tr.root.entries), tr.Height(), leafCap)
+			}
 			blob, err := tr.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
@@ -81,8 +90,8 @@ func TestTreeSerializeRoundTrip(t *testing.T) {
 
 func TestTreeSerializeJoinEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
-	t1 := BulkLoad(randomItems(400, 5), cfg)
-	t2 := BulkLoad(randomItems(400, 6), cfg)
+	t1 := insertAll(cfg, randomItems(400, 5))
+	t2 := insertAll(cfg, randomItems(400, 6))
 	b1, err := t1.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +127,7 @@ func TestTreeSerializeJoinEquivalence(t *testing.T) {
 
 func TestTreeSerializeInsertAfterReopen(t *testing.T) {
 	cfg := DefaultConfig()
-	tr := BulkLoad(randomItems(200, 9), cfg)
+	tr := insertAll(cfg, randomItems(200, 9))
 	blob, err := tr.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +152,7 @@ func TestTreeSerializeInsertAfterReopen(t *testing.T) {
 
 func TestTreeSerializeCorruptInputs(t *testing.T) {
 	cfg := DefaultConfig()
-	tr := BulkLoad(randomItems(150, 3), cfg)
+	tr := insertAll(cfg, randomItems(150, 3))
 	blob, err := tr.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -186,17 +195,13 @@ func TestTreeSerializeCorruptInputs(t *testing.T) {
 func FuzzUnmarshalTree(f *testing.F) {
 	cfg := Config{PageSize: 256, LeafEntryBytes: 48, BufferBytes: 1024}
 	for _, n := range []int{0, 3, 40} {
-		blob, err := BulkLoad(randomItems(n, int64(n)), cfg).MarshalBinary()
+		blob, err := insertAll(cfg, randomItems(n, int64(n))).MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(blob)
 	}
-	dyn := New(cfg)
-	for _, it := range randomItems(25, 5) {
-		dyn.Insert(it)
-	}
-	blob, err := dyn.MarshalBinary()
+	blob, err := insertAll(cfg, randomItems(25, 5)).MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -50,7 +50,6 @@ func addStats(dst *multistep.Stats, src multistep.Stats) {
 	dst.MBRJoin.Pairs += src.MBRJoin.Pairs
 	dst.MBRJoin.RectTests += src.MBRJoin.RectTests
 	dst.MBRJoin.LeafTests += src.MBRJoin.LeafTests
-	dst.ZOrderCandidates += src.ZOrderCandidates
 	dst.PageAccessesR += src.PageAccessesR
 	dst.PageAccessesS += src.PageAccessesS
 	dst.FilterHits += src.FilterHits

@@ -1,32 +1,11 @@
-// Package zorder implements the space-filling-curve alternative for the
-// MBR-join of step 1, which the paper names alongside the R*-tree
-// ("approaches based on space filling curves [Fal 88, Jag 90b] might be
-// considered for implementing the MBR-join", section 2.4, after
-// Orenstein's sort-merge proposal [Ore 86]).
-//
-// An object's MBR is covered by a small set of quadtree-aligned Z-order
-// regions (bit-interleaved cell codes); each region is one contiguous
-// interval on the Z curve. Two objects whose MBRs intersect always own
-// overlapping intervals, so a sort-merge over the interval endpoints
-// produces a candidate superset of the MBR-join — with additional false
-// positives from the quantized, blocky covers, which the later steps
-// filter out.
+// Package zorder computes Z-order (Morton) cell codes: the bits of a
+// cell's x and y coordinates interleaved, so that sorting cells by their
+// code visits the plane quadrant by quadrant. The tile layer orders and
+// partitions objects by the code of their MBR center (shard.ZCenter).
 package zorder
-
-import (
-	"sort"
-
-	"spatialjoin/internal/geom"
-)
 
 // MaxLevel is the finest quadtree level supported: a 2^20 × 2^20 grid.
 const MaxLevel = 20
-
-// Region is one Z-curve interval [Lo, Hi] (inclusive), covering a
-// quadtree-aligned block of cells.
-type Region struct {
-	Lo, Hi uint64
-}
 
 // interleave spreads the low 20 bits of v to even bit positions.
 func interleave(v uint32) uint64 {
@@ -43,207 +22,4 @@ func interleave(v uint32) uint64 {
 // grid.
 func Encode(x, y uint32) uint64 {
 	return interleave(x) | interleave(y)<<1
-}
-
-// deinterleave collects the even bit positions of z into the low 20 bits
-// — the inverse of interleave.
-func deinterleave(z uint64) uint32 {
-	x := z & 0x5555555555555555
-	x = (x | x>>1) & 0x3333333333333333
-	x = (x | x>>2) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x>>4) & 0x00FF00FF00FF00FF
-	x = (x | x>>8) & 0x0000FFFF0000FFFF
-	x = (x | x>>16) & 0x00000000FFFFFFFF
-	return uint32(x)
-}
-
-// Decode returns the cell (x, y) of a Z value on the full-resolution
-// grid — the inverse of Encode for any z below 1<<(2·MaxLevel).
-func Decode(z uint64) (x, y uint32) {
-	return deinterleave(z), deinterleave(z >> 1)
-}
-
-// CoverConfig bounds the cover computation.
-type CoverConfig struct {
-	// Level is the quadtree depth used for quantization (1..MaxLevel).
-	Level int
-	// MaxRegions caps the cover size per object; coarser blocks are used
-	// beyond it, keeping the cover conservative. Orenstein's trade-off:
-	// finer covers give fewer candidates but longer interval lists.
-	MaxRegions int
-	// DataSpace maps world coordinates onto the unit grid; objects must
-	// lie inside it.
-	DataSpace geom.Rect
-}
-
-// DefaultCoverConfig covers the unit data space at level 10 with at most
-// eight regions per object.
-func DefaultCoverConfig() CoverConfig {
-	return CoverConfig{Level: 10, MaxRegions: 8, DataSpace: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
-}
-
-// Cover returns a set of Z intervals whose union of cells contains every
-// cell the rectangle r touches. It works at the finest quadtree level at
-// which the rectangle spans at most MaxRegions blocks — the adaptive
-// block-size rule keeps covers small for large objects and tight for small
-// ones, the trade-off Orenstein's cell decomposition tunes. The intervals
-// are sorted and disjoint.
-func Cover(r geom.Rect, cfg CoverConfig) []Region {
-	if cfg.Level < 1 {
-		cfg.Level = 1
-	}
-	if cfg.Level > MaxLevel {
-		cfg.Level = MaxLevel
-	}
-	if cfg.MaxRegions < 1 {
-		cfg.MaxRegions = 1
-	}
-	ds := cfg.DataSpace
-	if ds.IsEmpty() || !ds.Intersects(r) {
-		return nil
-	}
-	clip := r.Intersection(ds)
-
-	// Quantize to cell coordinates at the finest level.
-	n := uint32(1) << uint(cfg.Level)
-	quant := func(v, lo, hi float64) uint32 {
-		t := (v - lo) / (hi - lo) * float64(n)
-		if t < 0 {
-			t = 0
-		}
-		if t > float64(n-1) {
-			t = float64(n - 1)
-		}
-		return uint32(t)
-	}
-	x0 := quant(clip.MinX, ds.MinX, ds.MaxX)
-	x1 := quant(clip.MaxX, ds.MinX, ds.MaxX)
-	y0 := quant(clip.MinY, ds.MinY, ds.MaxY)
-	y1 := quant(clip.MaxY, ds.MinY, ds.MaxY)
-
-	// Coarsen until the block count fits the budget.
-	shift := uint(0)
-	for shift < uint(cfg.Level) {
-		cells := (uint64(x1>>shift-x0>>shift) + 1) * (uint64(y1>>shift-y0>>shift) + 1)
-		if cells <= uint64(cfg.MaxRegions) {
-			break
-		}
-		shift++
-	}
-	cx0, cx1 := x0>>shift, x1>>shift
-	cy0, cy1 := y0>>shift, y1>>shift
-	out := make([]Region, 0, (cx1-cx0+1)*(cy1-cy0+1))
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			code := Encode(cx, cy)
-			out = append(out, Region{Lo: code << (2 * shift), Hi: (code+1)<<(2*shift) - 1})
-		}
-	}
-	return mergeRegions(out)
-}
-
-// mergeRegions sorts and coalesces adjacent or overlapping intervals.
-func mergeRegions(rs []Region) []Region {
-	if len(rs) < 2 {
-		return rs
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r.Lo <= last.Hi+1 {
-			if r.Hi > last.Hi {
-				last.Hi = r.Hi
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// JoinStats reports the work of one Z-order candidate join.
-type JoinStats struct {
-	IntervalsA, IntervalsB int   // total intervals after covering
-	Pairs                  int64 // candidate pairs emitted (deduplicated)
-	Comparisons            int64 // interval comparisons during the merge
-}
-
-// interval is one cover interval tagged with its object and relation.
-type interval struct {
-	lo, hi uint64
-	idx    int32
-	side   int8
-}
-
-// Join enumerates candidate pairs (i, j) of objects whose Z covers share
-// at least one cell — a superset of the pairs with intersecting MBRs —
-// using a sort-merge sweep over the interval endpoints, in the spirit of
-// Orenstein's spatial sort-merge join. fn receives each candidate pair
-// exactly once.
-func Join(a, b []geom.Rect, cfg CoverConfig, fn func(i, j int)) JoinStats {
-	var ivs []interval
-	var st JoinStats
-	for i, r := range a {
-		for _, reg := range Cover(r, cfg) {
-			ivs = append(ivs, interval{lo: reg.Lo, hi: reg.Hi, idx: int32(i), side: 0})
-			st.IntervalsA++
-		}
-	}
-	for j, r := range b {
-		for _, reg := range Cover(r, cfg) {
-			ivs = append(ivs, interval{lo: reg.Lo, hi: reg.Hi, idx: int32(j), side: 1})
-			st.IntervalsB++
-		}
-	}
-	sort.Slice(ivs, func(x, y int) bool {
-		if ivs[x].lo != ivs[y].lo {
-			return ivs[x].lo < ivs[y].lo
-		}
-		return ivs[x].side < ivs[y].side
-	})
-
-	seen := make(map[uint64]struct{})
-	emit := func(i, j int32) {
-		key := uint64(i)<<32 | uint64(uint32(j))
-		if _, ok := seen[key]; ok {
-			return
-		}
-		seen[key] = struct{}{}
-		st.Pairs++
-		fn(int(i), int(j))
-	}
-
-	// Sweep: keep the active intervals of each side; activation order by
-	// lo guarantees every overlapping pair is seen when the later interval
-	// starts.
-	var activeA, activeB []interval
-	for _, iv := range ivs {
-		// Retire expired intervals lazily.
-		activeA = retire(activeA, iv.lo, &st)
-		activeB = retire(activeB, iv.lo, &st)
-		if iv.side == 0 {
-			for _, o := range activeB {
-				emit(iv.idx, o.idx)
-			}
-			activeA = append(activeA, iv)
-		} else {
-			for _, o := range activeA {
-				emit(o.idx, iv.idx)
-			}
-			activeB = append(activeB, iv)
-		}
-	}
-	return st
-}
-
-func retire(active []interval, lo uint64, st *JoinStats) []interval {
-	out := active[:0]
-	for _, o := range active {
-		st.Comparisons++
-		if o.hi >= lo {
-			out = append(out, o)
-		}
-	}
-	return out
 }

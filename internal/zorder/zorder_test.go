@@ -1,11 +1,6 @@
 package zorder
 
-import (
-	"math/rand"
-	"testing"
-
-	"spatialjoin/internal/geom"
-)
+import "testing"
 
 func TestEncodeInterleaves(t *testing.T) {
 	if Encode(0, 0) != 0 {
@@ -25,236 +20,21 @@ func TestEncodeInterleaves(t *testing.T) {
 	if Encode(2, 2) <= Encode(1, 1) {
 		t.Error("quadrant ordering broken")
 	}
-}
-
-func TestCoverContainsRectCells(t *testing.T) {
-	rng := rand.New(rand.NewSource(457))
-	cfg := DefaultCoverConfig()
-	for trial := 0; trial < 300; trial++ {
-		x, y := rng.Float64()*0.9, rng.Float64()*0.9
-		r := geom.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*0.1, MaxY: y + rng.Float64()*0.1}
-		regions := Cover(r, cfg)
-		if len(regions) == 0 {
-			t.Fatalf("trial %d: empty cover", trial)
-		}
-		if len(regions) > cfg.MaxRegions {
-			t.Fatalf("trial %d: %d regions exceed the cap %d", trial, len(regions), cfg.MaxRegions)
-		}
-		// Sample points of the rectangle: their cells must be covered.
-		for s := 0; s < 20; s++ {
-			p := geom.Point{
-				X: r.MinX + rng.Float64()*(r.MaxX-r.MinX),
-				Y: r.MinY + rng.Float64()*(r.MaxY-r.MinY),
-			}
-			// Cover emits intervals at cfg.Level resolution.
-			scale := float64(uint32(1) << cfg.Level)
-			z := Encode(uint32(p.X*scale), uint32(p.Y*scale))
-			covered := false
-			for _, reg := range regions {
-				if z >= reg.Lo && z <= reg.Hi {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				t.Fatalf("trial %d: point %v (z=%d) not covered by %v", trial, p, z, regions)
-			}
-		}
-		// Regions are sorted and disjoint.
-		for i := 1; i < len(regions); i++ {
-			if regions[i].Lo <= regions[i-1].Hi {
-				t.Fatalf("trial %d: regions overlap or unsorted: %v", trial, regions)
-			}
-		}
-	}
-}
-
-// TestDecodeInvertsEncode is the round-trip property test: Decode is the
-// exact inverse of Encode over the full 20-bit coordinate range, and
-// Encode inverts Decode over the full 40-bit curve — the invariant the
-// tile partitioner (internal/shard) leans on.
-func TestDecodeInvertsEncode(t *testing.T) {
-	// Exhaustive corners and boundaries of the coordinate range.
-	edge := []uint32{0, 1, 2, 3, (1 << 10) - 1, 1 << 10, (1 << 20) - 2, (1 << 20) - 1}
-	for _, x := range edge {
-		for _, y := range edge {
-			gx, gy := Decode(Encode(x, y))
-			if gx != x || gy != y {
-				t.Fatalf("Decode(Encode(%d, %d)) = (%d, %d)", x, y, gx, gy)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(499))
-	for trial := 0; trial < 10000; trial++ {
-		x := rng.Uint32() & ((1 << 20) - 1)
-		y := rng.Uint32() & ((1 << 20) - 1)
-		gx, gy := Decode(Encode(x, y))
-		if gx != x || gy != y {
-			t.Fatalf("Decode(Encode(%d, %d)) = (%d, %d)", x, y, gx, gy)
-		}
-		z := rng.Uint64() & ((1 << 40) - 1)
-		if got := Encode(Decode(z)); got != z {
-			t.Fatalf("Encode(Decode(%d)) = %d", z, got)
-		}
-	}
-}
-
-// TestCoverTileBoundaries pins the quantization at block boundaries: a
-// rectangle whose edges lie exactly on quadtree cell boundaries must
-// still cover the cells it touches, including the boundary cells on both
-// sides of the cut when the rectangle spans it.
-func TestCoverTileBoundaries(t *testing.T) {
-	cfg := DefaultCoverConfig()
-	n := uint32(1) << uint(cfg.Level)
-	covers := func(r geom.Rect, x, y uint32) bool {
-		z := Encode(x, y)
-		for _, reg := range Cover(r, cfg) {
-			if z >= reg.Lo && z <= reg.Hi {
-				return true
-			}
-		}
-		return false
-	}
-	// A rectangle ending exactly at the midline: quantizing MaxX = 0.5
-	// lands in cell n/2, so the cover includes the first cell right of
-	// the cut (the closed-boundary convention) and everything left of it.
-	onCut := geom.Rect{MinX: 0.25, MinY: 0.25, MaxX: 0.5, MaxY: 0.5}
-	for _, cell := range [][2]uint32{
-		{n / 4, n / 4},     // lower-left corner cell
-		{n / 2, n / 2},     // the boundary cell itself
-		{n/2 - 1, n/2 - 1}, // last cell strictly inside
-		{n / 4, n / 2},     // boundary cell on one axis only
+	// The top bits of both 20-bit axes land in the code's top bits: x's
+	// bit i at bit 2i, y's at bit 2i+1.
+	const top = 1 << (MaxLevel - 1)
+	for _, c := range []struct {
+		x, y uint32
+		want uint64
+	}{
+		{top, 0, 1 << (2*MaxLevel - 2)},
+		{0, top, 1 << (2*MaxLevel - 1)},
+		{1<<MaxLevel - 1, 0, 0x55_5555_5555},
+		{0, 1<<MaxLevel - 1, 0xAA_AAAA_AAAA},
+		{1<<MaxLevel - 1, 1<<MaxLevel - 1, 1<<(2*MaxLevel) - 1},
 	} {
-		if !covers(onCut, cell[0], cell[1]) {
-			t.Errorf("boundary-aligned rect misses cell %v", cell)
+		if got := Encode(c.x, c.y); got != c.want {
+			t.Errorf("Encode(%#x, %#x) = %#x, want %#x", c.x, c.y, got, c.want)
 		}
-	}
-	// A rectangle starting exactly on a boundary must not leak into the
-	// cell below it.
-	if covers(geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.75, MaxY: 0.75}, n/2-1, n/2-1) {
-		t.Error("cover leaks below the aligned lower boundary")
-	}
-	// Coordinates at the far data-space edge clamp into the last cell.
-	if !covers(geom.Rect{MinX: 1, MinY: 1, MaxX: 1, MaxY: 1}, n-1, n-1) {
-		t.Error("far-corner point not clamped into the last cell")
-	}
-}
-
-// TestCoverPointMBR: degenerate (zero-extent) rectangles — point objects
-// — cover exactly one cell.
-func TestCoverPointMBR(t *testing.T) {
-	cfg := DefaultCoverConfig()
-	rng := rand.New(rand.NewSource(503))
-	for trial := 0; trial < 200; trial++ {
-		x, y := rng.Float64(), rng.Float64()
-		regions := Cover(geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}, cfg)
-		if len(regions) != 1 {
-			t.Fatalf("point MBR (%g, %g) covered by %d regions, want 1", x, y, len(regions))
-		}
-		if regions[0].Lo != regions[0].Hi {
-			t.Fatalf("point MBR (%g, %g) covered by interval [%d, %d], want a single cell",
-				x, y, regions[0].Lo, regions[0].Hi)
-		}
-	}
-}
-
-// TestCoverFullExtent: an object spanning the whole data space collapses
-// to the single root region covering the entire curve, at every level.
-func TestCoverFullExtent(t *testing.T) {
-	for _, level := range []int{1, 5, 10, MaxLevel} {
-		cfg := DefaultCoverConfig()
-		cfg.Level = level
-		whole := Cover(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, cfg)
-		if len(whole) != 1 {
-			t.Fatalf("level %d: full-extent cover = %v, want one region", level, whole)
-		}
-		wantHi := uint64(1)<<(2*uint(level)) - 1
-		if whole[0].Lo != 0 || whole[0].Hi != wantHi {
-			t.Errorf("level %d: full-extent region [%d, %d], want [0, %d]",
-				level, whole[0].Lo, whole[0].Hi, wantHi)
-		}
-	}
-}
-
-func TestCoverDegenerate(t *testing.T) {
-	cfg := DefaultCoverConfig()
-	if got := Cover(geom.EmptyRect(), cfg); got != nil {
-		t.Error("empty rect must give nil cover")
-	}
-	outside := geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}
-	if got := Cover(outside, cfg); got != nil {
-		t.Error("rect outside the data space must give nil cover")
-	}
-	// Whole space collapses to one region.
-	whole := Cover(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, cfg)
-	if len(whole) != 1 {
-		t.Errorf("whole-space cover = %v, want a single region", whole)
-	}
-}
-
-func randRects(rng *rand.Rand, n int, maxExt float64) []geom.Rect {
-	out := make([]geom.Rect, n)
-	for i := range out {
-		x := rng.Float64() * (1 - maxExt)
-		y := rng.Float64() * (1 - maxExt)
-		out[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*maxExt, MaxY: y + rng.Float64()*maxExt}
-	}
-	return out
-}
-
-func TestJoinIsCandidateSuperset(t *testing.T) {
-	rng := rand.New(rand.NewSource(461))
-	a := randRects(rng, 300, 0.08)
-	b := randRects(rng, 300, 0.08)
-	got := map[[2]int]bool{}
-	st := Join(a, b, DefaultCoverConfig(), func(i, j int) { got[[2]int{i, j}] = true })
-	trueCount := 0
-	for i, ra := range a {
-		for j, rb := range b {
-			if ra.Intersects(rb) {
-				trueCount++
-				if !got[[2]int{i, j}] {
-					t.Fatalf("missing candidate pair (%d,%d): MBRs intersect", i, j)
-				}
-			}
-		}
-	}
-	if trueCount == 0 {
-		t.Fatal("vacuous workload")
-	}
-	if st.Pairs < int64(trueCount) {
-		t.Fatalf("stats pairs %d below true pairs %d", st.Pairs, trueCount)
-	}
-	// The cover-based candidate set should not explode: the paper's point
-	// is that curve-based joins are viable candidates generators.
-	if st.Pairs > 25*int64(trueCount) {
-		t.Errorf("candidate blowup: %d candidates for %d true pairs", st.Pairs, trueCount)
-	}
-	if st.IntervalsA == 0 || st.IntervalsB == 0 || st.Comparisons == 0 {
-		t.Error("stats not populated")
-	}
-}
-
-func TestJoinFinerLevelsFewerFalsePositives(t *testing.T) {
-	rng := rand.New(rand.NewSource(467))
-	a := randRects(rng, 250, 0.06)
-	b := randRects(rng, 250, 0.06)
-	counts := map[int]int64{}
-	for _, level := range []int{4, 8, 12} {
-		cfg := DefaultCoverConfig()
-		cfg.Level = level
-		cfg.MaxRegions = 16
-		st := Join(a, b, cfg, func(i, j int) {})
-		counts[level] = st.Pairs
-	}
-	if counts[12] > counts[4] {
-		t.Errorf("finer grids must not produce more candidates: L4=%d L12=%d", counts[4], counts[12])
-	}
-}
-
-func TestJoinEmpty(t *testing.T) {
-	st := Join(nil, nil, DefaultCoverConfig(), func(i, j int) { t.Fatal("no pairs expected") })
-	if st.Pairs != 0 {
-		t.Error("empty join must emit nothing")
 	}
 }

@@ -141,11 +141,11 @@ func TestFlightCalibration(t *testing.T) {
 	}
 }
 
-// TestRunClosedLoop runs the calibrated flight from four concurrent
-// clients, three passes each, against a live cached server: every answer
-// must arrive and match its calibrated cardinality, and the server's
-// /stats must then report a non-zero process RSS.
-func TestRunClosedLoop(t *testing.T) {
+// TestFlightCheckPasses checks a calibrated flight with Flight.Check
+// from four concurrent clients, three passes each, against a live cached
+// server: every answer must arrive and match its calibrated cardinality,
+// and the server's /stats must then report a non-zero process RSS.
+func TestFlightCheckPasses(t *testing.T) {
 	spec, err := For(0.01)
 	if err != nil {
 		t.Fatal(err)

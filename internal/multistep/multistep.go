@@ -302,18 +302,3 @@ func (s Stats) Identified() float64 {
 	}
 	return float64(s.FilterHits+s.FilterFalseHits) / float64(s.CandidatePairs)
 }
-
-// NestedLoopsJoin is the section 2.3 baseline: the full Cartesian product
-// decided on exact geometry with the quadratic test. It exists to validate
-// the multi-step processor and to quantify its speedup.
-func NestedLoopsJoin(r, s []*geom.Polygon) []Pair {
-	var out []Pair
-	for i, a := range r {
-		for j, b := range s {
-			if a.Intersects(b) {
-				out = append(out, Pair{A: int32(i), B: int32(j)})
-			}
-		}
-	}
-	return out
-}

@@ -10,13 +10,30 @@ import (
 	"spatialjoin/internal/geom"
 )
 
+// NestedLoopsJoin is the section 2.3 baseline: the full Cartesian product
+// decided on exact geometry with the quadratic test.
+func NestedLoopsJoin(r, s []*geom.Polygon) []Pair {
+	return nestedLoops(r, s, (*geom.Polygon).Intersects)
+}
+
+// NestedLoopsContains is the brute-force inclusion join.
+func NestedLoopsContains(r, s []*geom.Polygon) []Pair {
+	return nestedLoops(r, s, (*geom.Polygon).ContainsPolygon)
+}
+
 // NestedLoopsWithin is the brute-force oracle of the ε-join: all pairs
 // within eps by the exact region distance (geom.Polygon.DistToPolygon).
 func NestedLoopsWithin(r, s []*geom.Polygon, eps float64) []Pair {
+	return nestedLoops(r, s, func(a, b *geom.Polygon) bool { return a.DistToPolygon(b) <= eps })
+}
+
+// nestedLoops pairs every a of r with every b of s for which pred holds,
+// in (A, B) order.
+func nestedLoops(r, s []*geom.Polygon, pred func(a, b *geom.Polygon) bool) []Pair {
 	var out []Pair
 	for i, a := range r {
 		for j, b := range s {
-			if a.DistToPolygon(b) <= eps {
+			if pred(a, b) {
 				out = append(out, Pair{A: int32(i), B: int32(j)})
 			}
 		}

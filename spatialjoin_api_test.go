@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"spatialjoin"
-	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/shard"
 )
 
@@ -29,14 +28,18 @@ func TestPublicAPI(t *testing.T) {
 	ctx := context.Background()
 
 	const eps = 0.02
-	var within []spatialjoin.Pair
-	for i, a := range base {
-		for j, b := range shifted {
-			if a.DistToPolygon(b) <= eps {
-				within = append(within, spatialjoin.Pair{A: int32(i), B: int32(j)})
+	nestedLoops := func(r, s []*spatialjoin.Polygon, pred func(a, b *spatialjoin.Polygon) bool) []spatialjoin.Pair {
+		var out []spatialjoin.Pair
+		for i, a := range r {
+			for j, b := range s {
+				if pred(a, b) {
+					out = append(out, spatialjoin.Pair{A: int32(i), B: int32(j)})
+				}
 			}
 		}
+		return out
 	}
+	within := nestedLoops(base, shifted, func(a, b *spatialjoin.Polygon) bool { return a.DistToPolygon(b) <= eps })
 	// Strategy-A copies rarely contain each other, so the inclusion join
 	// is the self-join (its diagonal is the response).
 	preds := []struct {
@@ -45,8 +48,8 @@ func TestPublicAPI(t *testing.T) {
 		s    []*spatialjoin.Polygon
 		want []spatialjoin.Pair
 	}{
-		{"intersects", spatialjoin.Intersects(), shifted, multistep.NestedLoopsJoin(base, shifted)},
-		{"contains", spatialjoin.Contains(), base, multistep.NestedLoopsContains(base, base)},
+		{"intersects", spatialjoin.Intersects(), shifted, nestedLoops(base, shifted, (*spatialjoin.Polygon).Intersects)},
+		{"contains", spatialjoin.Contains(), base, nestedLoops(base, base, (*spatialjoin.Polygon).ContainsPolygon)},
 		{"within", spatialjoin.WithinDistance(eps), shifted, within},
 	}
 	win := spatialjoin.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6}

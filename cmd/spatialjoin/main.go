@@ -65,7 +65,7 @@ func main() {
 	seed := flag.Int64("seed", 9401, "data seed")
 	predicate := flag.String("predicate", "intersects", "join predicate: intersects, contains, or within (the ε-distance join)")
 	epsilon := flag.Float64("epsilon", 0, "distance bound of the within predicate (implies -predicate within)")
-	parallel := flag.Int("parallel", 0, "filter/exact worker count (0 = sequential; with -stream, 0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "worker count of the step 1 traversal and the filter/exact pool; 0 = the planner's choice, or with -plan=false sequential (GOMAXPROCS with -stream)")
 	stream := flag.Bool("stream", false, "stream the response pairs (WithStream): bounded memory, -parallel workers")
 	planOn := flag.Bool("plan", true, "resolve unset options (engine, filter, workers) through the planner; explicitly-set flags stay pinned")
 	explain := flag.Bool("explain", false, "print the chosen plan and predicted counts before the join, and the predicted-vs-actual error after (implies -plan)")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
@@ -33,9 +32,8 @@ type BuildStats struct {
 //  1. Stream the polygons to a temporary spill file beside dir,
 //     keeping only per-object MBRs and spill offsets in memory
 //     (~60 bytes/object, against ~1 KB/object for live geometry).
-//  2. Z-sort the object index exactly as shard.Build does (Z code of
-//     the MBR center over the union data space, ties by object ID) and
-//     cut it into contiguous balanced runs.
+//  2. Cut the object index into shard.Partition's tiles, the
+//     partition shard.Build uses.
 //  3. Rehydrate one tile's polygons at a time from the spill and hand
 //     them to a shard.StoreWriter; peak geometry in memory is one tile.
 //
@@ -66,7 +64,6 @@ func BuildStore(dir, name string, mc data.MapConfig, shards int, cfg multistep.C
 	w := bufio.NewWriterSize(spill, 1<<20)
 	offsets := make([]int64, 1, mc.Cells+1)
 	bounds := make([]geom.Rect, 0, mc.Cells)
-	ds := geom.EmptyRect()
 	var pos int64
 	var scratch []byte
 	st, err := data.StreamMap(mc, func(_ int32, p *geom.Polygon) error {
@@ -76,9 +73,7 @@ func BuildStore(dir, name string, mc data.MapConfig, shards int, cfg multistep.C
 		}
 		pos += int64(len(scratch))
 		offsets = append(offsets, pos)
-		b := p.Bounds()
-		bounds = append(bounds, b)
-		ds = ds.Union(b)
+		bounds = append(bounds, p.Bounds())
 		return nil
 	})
 	if err != nil {
@@ -89,62 +84,32 @@ func BuildStore(dir, name string, mc data.MapConfig, shards int, cfg multistep.C
 	}
 	bs.Seams, bs.QuadFallbacks, bs.SpillBytes = st.Seams, st.QuadFallbacks, pos
 
-	// Pass 2: the same partition shard.Build computes — Z code of the
-	// MBR center over the union data space, ties broken by object ID,
-	// contiguous balanced runs.
-	n := st.Objects
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	codes := make([]uint64, n)
-	for i := range codes {
-		codes[i] = shard.ZCenter(bounds[i], ds)
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int {
-		switch {
-		case codes[a] != codes[b]:
-			if codes[a] < codes[b] {
-				return -1
-			}
-			return 1
-		default:
-			return int(a - b)
-		}
-	})
-	codes, bounds = nil, nil
+	// Pass 2: the store's tile partition, as shard.Build cuts it.
+	runs, _ := shard.Partition(bounds, shards)
+	bounds = nil
 
 	// Pass 3: rehydrate and preprocess one tile at a time.
 	sw, err := shard.NewStoreWriter(dir, name, cfg)
 	if err != nil {
 		return bs, err
 	}
-	for t := 0; t < shards; t++ {
-		lo, hi := t*n/shards, (t+1)*n/shards
-		polys := make([]*geom.Polygon, 0, hi-lo)
-		global := make([]int32, 0, hi-lo)
-		for _, g := range order[lo:hi] {
+	for _, run := range runs {
+		polys := make([]*geom.Polygon, 0, len(run))
+		for _, g := range run {
 			p, err := readSpillPolygon(spill, offsets[g], offsets[g+1]-offsets[g])
 			if err != nil {
 				return bs, fmt.Errorf("loadgen: spill object %d: %w", g, err)
 			}
 			polys = append(polys, p)
-			global = append(global, g)
 		}
-		if err := sw.WriteTile(polys, global); err != nil {
+		if err := sw.WriteTile(polys, run); err != nil {
 			return bs, err
 		}
 	}
 	if err := sw.Finish(); err != nil {
 		return bs, err
 	}
-	bs.Objects, bs.Tiles = n, shards
+	bs.Objects, bs.Tiles = st.Objects, len(runs)
 	return bs, nil
 }
 

@@ -177,9 +177,8 @@ type Resolved struct {
 	// afterwards.
 	Plan    bool
 	Explain *Explain
-	// Workers is the WithWorkers value, 0 when unset. Caching
-	// coordinators need it: sub-result identity includes the requested
-	// worker count because the per-tile plan echo depends on it.
+	// Workers is the WithWorkers value, 0 when unset (the planner, or
+	// else GOMAXPROCS, then decides).
 	Workers int
 	// Partial reports WithPartialResults — a coordinator may answer
 	// from the succeeding tiles and mark the result degraded.

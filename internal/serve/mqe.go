@@ -21,7 +21,7 @@ import (
 // normalized, limit-insensitive key; identical concurrent requests
 // coalesce into a single execution (mqe.Group); and completed canonical
 // results live in one byte-bounded LRU (mqe.Cache) shared between
-// whole responses and per-tile sub-results. Each response is then
+// whole responses and per-tile sub-query results. Each response is then
 // derived from the canonical result per request — sorted-prefix limit,
 // recomputed truncation — so cached, coalesced and solo runs are
 // byte-identical up to the cached/coalesced markers.
@@ -51,6 +51,13 @@ type joinCanonical struct {
 	Plan  planEcho
 }
 
+// canonical is a cached canonical result: its charged size in the LRU,
+// and whether it may be stored there at all.
+type canonical interface {
+	size() int64
+	storable() bool
+}
+
 // entryOverhead is the assumed fixed footprint of one cache entry
 // (key, struct headers, LRU bookkeeping) on top of its slices.
 const entryOverhead = 256
@@ -63,12 +70,12 @@ func (c *joinCanonical) size() int64 {
 	return entryOverhead + 8*int64(len(c.Pairs)) + 160*int64(len(c.Stats.PerTile))
 }
 
+func (c *queryCanonical) storable() bool { return !c.Degraded }
+
+func (c *joinCanonical) storable() bool { return true }
+
 func queryTileSize(r shard.QueryTileResult) int64 {
 	return entryOverhead + 4*int64(len(r.IDs)) + 16*int64(len(r.Neighbors))
-}
-
-func joinTileSize(r shard.JoinTileResult) int64 {
-	return entryOverhead + 8*int64(len(r.Pairs))
 }
 
 // init lazily builds the multi-query execution state from the
@@ -90,22 +97,18 @@ type queryTileAdapter struct {
 	scope string
 }
 
+// key spells a tile-cache key out: the adapter's scope, every other field
+// as an integer (a float by its bits), and last the predicate, the one
+// field that could hold the separator — so two keys of a scope are equal
+// exactly when their structs are (0 and -0 aside, which miss).
 func (a queryTileAdapter) key(k shard.QueryTileKey) string {
-	return tileKey(a.scope, k.Pred, uint64(k.Tile), uint64(k.K), bit(k.Nearest), bit(k.Planned), k.CfgFP,
-		math.Float64bits(k.MinX), math.Float64bits(k.MinY), math.Float64bits(k.MaxX), math.Float64bits(k.MaxY))
-}
-
-// tileKey spells a tile-cache key out: the adapter's scope, every other
-// field as an integer (a float by its bits), and last the predicate, the
-// one field that could hold the separator — so two keys of a scope are
-// equal exactly when their structs are (0 and -0 aside, which miss).
-func tileKey(scope, pred string, nums ...uint64) string {
 	var buf [192]byte
-	b := append(buf[:0], scope...)
-	for _, n := range nums {
+	b := append(buf[:0], a.scope...)
+	for _, n := range [...]uint64{uint64(k.Tile), uint64(k.K), bit(k.Nearest), bit(k.Planned), k.CfgFP,
+		math.Float64bits(k.MinX), math.Float64bits(k.MinY), math.Float64bits(k.MaxX), math.Float64bits(k.MaxY)} {
 		b = strconv.AppendUint(append(b, '|'), n, 36)
 	}
-	return string(append(append(b, '|'), pred...))
+	return string(append(append(b, '|'), k.Pred...))
 }
 
 func bit(v bool) uint64 {
@@ -127,29 +130,6 @@ func (a queryTileAdapter) PutQueryTile(k shard.QueryTileKey, r shard.QueryTileRe
 	a.c.Put(a.key(k), r, queryTileSize(r))
 }
 
-// joinTileAdapter scopes the shared LRU to one entry pair's
-// tile-pair sub-join results.
-type joinTileAdapter struct {
-	c     *mqe.Cache
-	scope string
-}
-
-func (a joinTileAdapter) key(k shard.JoinTileKey) string {
-	return tileKey(a.scope, k.Pred, uint64(k.RTile), uint64(k.STile), uint64(k.Workers), bit(k.Planned), k.CfgFP)
-}
-
-func (a joinTileAdapter) GetJoinTile(k shard.JoinTileKey) (shard.JoinTileResult, bool) {
-	v, ok := a.c.Get(a.key(k))
-	if !ok {
-		return shard.JoinTileResult{}, false
-	}
-	return v.(shard.JoinTileResult), true
-}
-
-func (a joinTileAdapter) PutJoinTile(k shard.JoinTileKey, r shard.JoinTileResult) {
-	a.c.Put(a.key(k), r, joinTileSize(r))
-}
-
 // queryTileCache returns the per-tile sub-result cache for one entry,
 // or nil (cache disabled). The typed-nil trap is why this returns the
 // interface only when a real adapter backs it.
@@ -160,50 +140,35 @@ func (s *Server) queryTileCache(p *queryParams) shard.QueryTileCache {
 	return queryTileAdapter{c: s.cache, scope: "tq|" + entryScope(p.name, p.e)}
 }
 
-// joinTileCache returns the tile-pair sub-result cache for one entry
-// pair, or nil (cache disabled).
-func (s *Server) joinTileCache(p *joinParams) shard.JoinTileCache {
-	if s.cache == nil {
-		return nil
-	}
-	return joinTileAdapter{c: s.cache, scope: "tj|" + entryScope(p.nameR, p.eR) + "|" + entryScope(p.nameS, p.eS)}
-}
-
-// runQuery serves a single-relation request through the canonical
-// path: LRU lookup, single-flight coalescing, canonical (uncapped)
-// execution. cached and coalesced report how the result was obtained.
-func (s *Server) runQuery(ctx context.Context, p *queryParams) (qc *queryCanonical, cached, coalesced bool, err error) {
+// runCanonical serves a request through the canonical path: LRU lookup,
+// single-flight coalescing, canonical execution, and a store of the
+// result unless it is not storable. cached and coalesced report how the
+// result was obtained.
+func runCanonical[P interface{ cacheKey() string }, C canonical](ctx context.Context, s *Server, p P,
+	exec func(context.Context, P) (C, error)) (c C, cached, coalesced bool, err error) {
 	key := p.cacheKey()
 	if v, ok := s.cache.Get(key); ok {
-		return v.(*queryCanonical), true, false, nil
+		return v.(C), true, false, nil
 	}
-	v, coalesced, err := s.flight.Do(key, func() (any, error) {
-		c, err := s.execQuery(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		if !c.Degraded {
+	run := func() (C, error) {
+		c, err := exec(ctx, p)
+		if err == nil && c.storable() {
 			s.cache.Put(key, c, c.size())
 		}
-		return c, nil
-	})
-	if err != nil {
-		// A coalesced leader's client may disconnect — or its server-side
-		// deadline may fire — while this request is still live: rerun
-		// solo on our own context.
-		if coalesced && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
-			c, err := s.execQuery(ctx, p)
-			if err != nil {
-				return nil, false, false, err
-			}
-			if !c.Degraded {
-				s.cache.Put(key, c, c.size())
-			}
-			return c, false, true, nil
-		}
-		return nil, false, false, err
+		return c, err
 	}
-	return v.(*queryCanonical), false, coalesced, nil
+	v, coalesced, err := s.flight.Do(key, func() (any, error) { return run() })
+	if err == nil {
+		return v.(C), false, coalesced, nil
+	}
+	// A coalesced leader's client may disconnect — or its server-side
+	// deadline may fire — while this request is still live: rerun solo on
+	// our own context.
+	if coalesced && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
+		c, err = run()
+		return c, false, err == nil, err
+	}
+	return c, false, false, err
 }
 
 // execQuery is the canonical single-relation execution: uncapped (the
@@ -242,41 +207,8 @@ func (s *Server) execQuery(ctx context.Context, p *queryParams) (*queryCanonical
 	}, nil
 }
 
-// runJoin serves a join request through the canonical path: LRU
-// lookup, single-flight coalescing, canonical (capped) execution, with
-// the same rerun rule as runQuery.
-func (s *Server) runJoin(ctx context.Context, p *joinParams) (jc *joinCanonical, cached, coalesced bool, err error) {
-	key := p.cacheKey()
-	if v, ok := s.cache.Get(key); ok {
-		return v.(*joinCanonical), true, false, nil
-	}
-	v, coalesced, err := s.flight.Do(key, func() (any, error) {
-		c, err := s.execJoin(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Put(key, c, c.size())
-		return c, nil
-	})
-	if err != nil {
-		// A coalesced leader's client may disconnect — or its server-side
-		// deadline may fire — while this request is still live: rerun
-		// solo on our own context.
-		if coalesced && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
-			c, err := s.execJoin(ctx, p)
-			if err != nil {
-				return nil, false, false, err
-			}
-			s.cache.Put(key, c, c.size())
-			return c, false, true, nil
-		}
-		return nil, false, false, err
-	}
-	return v.(*joinCanonical), false, coalesced, nil
-}
-
 // execJoin is the canonical join execution: capped at MaxJoinPairs (every
-// request limit is a prefix of it), per-tile-pair cached.
+// request limit is a prefix of it).
 func (s *Server) execJoin(ctx context.Context, p *joinParams) (*joinCanonical, error) {
 	var ex multistep.Explain
 	opts := []multistep.Option{
@@ -294,7 +226,7 @@ func (s *Server) execJoin(ctx context.Context, p *joinParams) (*joinCanonical, e
 	} else {
 		opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
 	}
-	pairs, st, err := shard.JoinCached(ctx, p.eR.Sh, p.eS.Sh, s.joinTileCache(p), opts...)
+	pairs, st, err := shard.Join(ctx, p.eR.Sh, p.eS.Sh, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -537,7 +537,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *endpointT
 	if !ok {
 		return
 	}
-	qc, cached, coalesced, err := s.runQuery(r.Context(), p)
+	qc, cached, coalesced, err := runCanonical(r.Context(), s, p, s.execQuery)
 	if !s.finishQuery(w, r, t, err) {
 		return
 	}
@@ -628,7 +628,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request, t *endpoi
 	if !ok {
 		return
 	}
-	qc, cached, coalesced, err := s.runQuery(r.Context(), p)
+	qc, cached, coalesced, err := runCanonical(r.Context(), s, p, s.execQuery)
 	if !s.finishQuery(w, r, t, err) {
 		return
 	}
@@ -683,7 +683,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, t *endpointT
 	// this request's limit is a sorted prefix of it. The request
 	// context rides along and fans out to every tile, so a disconnected
 	// client stops all sub-joins.
-	jc, cached, coalesced, err := s.runJoin(r.Context(), p)
+	jc, cached, coalesced, err := runCanonical(r.Context(), s, p, s.execJoin)
 	if !s.finishQuery(w, r, t, err) {
 		return
 	}

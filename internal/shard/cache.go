@@ -4,23 +4,23 @@ import (
 	"spatialjoin/internal/multistep"
 )
 
-// Per-tile(-pair) sub-result caching hooks. A sharded relation's
-// scatter-gather layer runs every request as independent sub-joins and
-// sub-queries on deterministic per-tile session snapshots, which makes
-// those sub-results cacheable. The keys below discriminate on the same
-// fields as the serving layer's whole-response keys — tile (pair),
-// predicate, configuration override, plan mode, the requested worker
-// count of a join, the target of a query — with one exception: a
-// query's partial=1 flag is in its whole-response key only, so the same
-// query asked with and without it shares tile entries. Any other
-// request that misses the whole-response cache misses here too, unless
-// its whole-response entry was evicted while its tile entries survived;
-// and tile entries are Put before the whole-response entry built from
-// them, so the byte-bounded LRU evicts them first. Measured on the
-// repository benchmark: 0 hits in 133,729 tile-cache lookups (ROADMAP
-// item 5, "Bytes", which also says why the layer is still here).
+// Per-tile sub-query caching hooks. A sharded relation's scatter-gather
+// layer runs every query as independent sub-queries on deterministic
+// per-tile session snapshots, which makes those sub-results cacheable.
+// The key below discriminates on the same fields as the serving layer's
+// whole-response key — tile, predicate, configuration override, plan
+// mode, target — with one exception: a query's partial=1 flag is in its
+// whole-response key only, so the same query asked with and without it
+// shares tile entries. Any other request that misses the whole-response
+// cache misses here too, unless its whole-response entry was evicted
+// while its tile entries survived; and tile entries are Put before the
+// whole-response entry built from them, so the byte-bounded LRU evicts
+// them first. Measured on the repository benchmark: 0 hits in 133,729
+// tile-cache lookups. It stays only until the benchmark's serve_scan
+// warm-up, which sends requests until the cache first evicts, counts
+// them instead (ROADMAP item 3(d)).
 //
-// The interfaces are implemented by the serving layer over its shared
+// The interface is implemented by the serving layer over its shared
 // byte-bounded LRU (internal/mqe); shard itself stays storage-agnostic.
 // Keys deliberately exclude the relation identity: the implementation
 // scopes them (internal/serve prefixes the catalog entry's generation
@@ -78,41 +78,6 @@ type QueryTileCache interface {
 	PutQueryTile(QueryTileKey, QueryTileResult)
 }
 
-// JoinTileKey identifies one tile-pair sub-join within one sharded
-// relation pair.
-type JoinTileKey struct {
-	// RTile and STile are the pair's tile indices.
-	RTile, STile int
-	// Pred is the predicate's canonical string form.
-	Pred string
-	// CfgFP fingerprints a WithConfig override; 0 without one.
-	CfgFP uint64
-	// Planned reports WithPlan.
-	Planned bool
-	// Workers is the *requested* worker count (0 when unset). It is part
-	// of the identity because the sub-join's plan record — which feeds
-	// the aggregated plan echo — depends on it, even though the pairs
-	// and statistics do not.
-	Workers int
-}
-
-// JoinTileResult is one tile pair's cached sub-join outcome.
-type JoinTileResult struct {
-	// Pairs is the tile pair's run of the response: global object IDs,
-	// (A, B)-sorted — what the merge layer reads, whether the run was
-	// just computed or comes from the cache.
-	Pairs   []multistep.Pair
-	Stats   multistep.Stats
-	Explain *multistep.Explain
-}
-
-// JoinTileCache caches per-tile-pair sub-join results, with the same
-// contract as QueryTileCache.
-type JoinTileCache interface {
-	GetJoinTile(JoinTileKey) (JoinTileResult, bool)
-	PutJoinTile(JoinTileKey, JoinTileResult)
-}
-
 // queryTileKey builds the cache key of one tile's sub-query under the
 // resolved options.
 func queryTileKey(tile int, res multistep.Resolved) QueryTileKey {
@@ -136,22 +101,6 @@ func queryTileKey(tile int, res multistep.Resolved) QueryTileKey {
 	case res.Point != nil:
 		k.MinX, k.MaxX = res.Point.X, res.Point.X
 		k.MinY, k.MaxY = res.Point.Y, res.Point.Y
-	}
-	return k
-}
-
-// joinTileKey builds the cache key of one tile pair's sub-join under
-// the resolved options.
-func joinTileKey(ri, si int, res multistep.Resolved) JoinTileKey {
-	k := JoinTileKey{
-		RTile:   ri,
-		STile:   si,
-		Pred:    res.Pred.String(),
-		Planned: res.Plan,
-		Workers: res.Workers,
-	}
-	if res.Cfg != nil {
-		k.CfgFP = multistep.ConfigFingerprint(*res.Cfg)
 	}
 	return k
 }

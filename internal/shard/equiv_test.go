@@ -89,73 +89,6 @@ func TestJoinEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinLimitIsGlobalSortedPrefix: a WithLimit cap on the
-// scatter-gather join returns the prefix of the globally sorted
-// response, not a first-arrived subset, in an allocation of exactly its
-// size — a caller who keeps it keeps nothing of the rest.
-func TestJoinLimitIsGlobalSortedPrefix(t *testing.T) {
-	rp, sp, cfg := testWorkload(t)
-	r := multistep.NewRelation("R", rp, cfg)
-	s := multistep.NewRelation("S", sp, cfg)
-	want, _, err := multistep.Join(context.Background(), r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{0, 1, 7, 50, len(want) - 1, len(want) + 10} {
-		wantCap := want
-		if limit < len(want) {
-			wantCap = want[:limit]
-		}
-		for _, n := range shardCounts {
-			shR, shS := Build("R", rp, n, cfg), Build("S", sp, n, cfg)
-			got, _, err := Join(context.Background(), shR, shS, multistep.WithLimit(limit))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, wantCap) {
-				t.Fatalf("n=%d limit=%d: got %d pairs, want the global sorted prefix of %d", n, limit, len(got), len(wantCap))
-			}
-			if cap(got) != len(wantCap) {
-				t.Errorf("n=%d limit=%d: cap(pairs) = %d, want %d", n, limit, cap(got), len(wantCap))
-			}
-		}
-	}
-}
-
-// TestJoinStreamMatchesCollect: streaming emits exactly the collected
-// response set (as a set — arrival order is unspecified), with global
-// IDs, and the stats agree.
-func TestJoinStreamMatchesCollect(t *testing.T) {
-	rp, sp, cfg := testWorkload(t)
-	shR, shS := Build("R", rp, 4, cfg), Build("S", sp, 4, cfg)
-	want, wantSt, err := Join(context.Background(), shR, shS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []multistep.Pair
-	ps, gotSt, err := Join(context.Background(), shR, shS,
-		multistep.WithStream(func(p multistep.Pair) { got = append(got, p) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps != nil {
-		t.Error("streaming join must not also collect")
-	}
-	slices.SortFunc(got, func(p, q multistep.Pair) int {
-		if p.A != q.A {
-			return int(p.A - q.A)
-		}
-		return int(p.B - q.B)
-	})
-	if !slices.Equal(got, want) {
-		t.Fatalf("streamed %d pairs differ from collected %d", len(got), len(want))
-	}
-	if gotSt.ResultPairs != wantSt.ResultPairs || gotSt.CandidatePairs != wantSt.CandidatePairs {
-		t.Errorf("streaming stats differ: %d/%d pairs, %d/%d candidates",
-			gotSt.ResultPairs, wantSt.ResultPairs, gotSt.CandidatePairs, wantSt.CandidatePairs)
-	}
-}
-
 // sortedIDs is the unsharded query response brought into the sharded
 // contract's order (ascending global IDs).
 func sortedIDs(ids []int32) []int32 {

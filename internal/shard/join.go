@@ -67,37 +67,24 @@ func addStats(dst *multistep.Stats, src multistep.Stats) {
 // (A, B)-sorted with adjacent duplicates removed, and a WithLimit cap is
 // the prefix of that global order. A WithStream emitter receives
 // globally-translated pairs in arrival order, interleaved across
-// sub-joins. It is JoinCached without a tile cache — there is one
-// scatter-gather loop.
-func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multistep.Pair, JoinStats, error) {
-	return JoinCached(ctx, r, s, nil, opts...)
-}
-
-// JoinCached is Join with a tile-pair sub-result cache. Each eligible
-// tile pair runs one sub-join (multistep.RunJoin) on a fresh session
-// pair, so its page accounting is the solo per-tile figure. Its goroutine
-// translates the sub-join's pairs to global IDs and sorts them, so the
-// sorts run in parallel; the merge layer k-way merges these runs and
-// applies the limit (sub-joins run uncapped: a tile's run holds only its
-// own pairs, so its prefix need not contain the global one).
+// sub-joins.
+//
+// Each eligible tile pair runs one sub-join (multistep.RunJoin) on a
+// fresh session pair, so its page accounting is the solo per-tile figure.
+// Its goroutine translates the sub-join's pairs to global IDs and sorts
+// them, so the sorts run in parallel; the merge layer k-way merges these
+// runs and applies the limit (sub-joins run uncapped: a tile's run holds
+// only its own pairs, so its prefix need not contain the global one).
 //
 // Routing: sub-join (i, j) runs iff r.Tiles[i].MBR expanded by the
 // predicate's ε intersects s.Tiles[j].MBR — tile MBRs are true object
 // bounds, so no qualifying pair can be routed away.
 //
-// tc, when non-nil, caches tile-pair sub-results: a tile pair whose
-// identity (predicate, config override, plan mode, requested workers)
-// hits the cache skips its sub-join and contributes the original run's
-// sub-statistics. Bufferless and streaming joins bypass the cache (their
-// sub-results carry no pairs and must not be served to collecting
-// joins). A nil tc is exactly Join; the caller must scope tc to this
-// exact relation pair — see JoinTileCache.
-//
 // Cancellation fans out: the first sub-join error (including ctx
-// cancellation) cancels every other sub-join, and JoinCached returns only
+// cancellation) cancels every other sub-join, and Join returns only
 // after all of them have stopped — no goroutine outlives the call. Joins
 // fail closed: one failed tile pair fails the join.
-func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...multistep.Option) ([]multistep.Pair, JoinStats, error) {
+func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multistep.Pair, JoinStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -108,10 +95,6 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 	if res.Cfg == nil && r.Fingerprint() != s.Fingerprint() {
 		return nil, JoinStats{}, fmt.Errorf("shard: relations %q and %q were built under different configurations: %w",
 			r.Name, s.Name, multistep.ErrConfigMismatch)
-	}
-	collects := !res.Bufferless && res.Stream == nil
-	if !collects {
-		tc = nil
 	}
 
 	eligible := eligiblePairs(r, s, res.Pred.Epsilon())
@@ -126,7 +109,7 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 		// subs[k] is the outcome of sub-join eligible[k], written by that
 		// sub-join's goroutine alone and merged after all of them have
 		// stopped.
-		subs = make([]JoinTileResult, len(eligible))
+		subs = make([]subJoin, len(eligible))
 	)
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
@@ -140,14 +123,6 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 				return
 			}
 			rt, st := r.Tiles[e.ri], s.Tiles[e.si]
-			var key JoinTileKey
-			if tc != nil {
-				key = joinTileKey(e.ri, e.si, res)
-				if cr, ok := tc.GetJoinTile(key); ok {
-					subs[k] = cr
-					return
-				}
-			}
 
 			// The sub-join is a recovery boundary: a panic in this tile
 			// pair's sub-join becomes its error (and, joins failing closed,
@@ -160,16 +135,14 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 				// The resolved options, copied for this sub-join: its own
 				// sessions and its own Explain — the caller's capture target
 				// must not be written by N goroutines, and per-tile-pair
-				// plans are the point. The caching path always captures one
-				// (see QueryCached), so a later join that wants the plan can
-				// be served from cache.
+				// plans are the point.
 				sessR, sessS := rt.Rel.NewSession(), st.Rel.NewSession()
 				sub := res
 				sub.AxR, sub.AxS, sub.Explain = sessR, sessS, nil
-				var tr JoinTileResult
-				if res.Explain != nil || tc != nil {
-					tr.Explain = new(multistep.Explain)
-					sub.Explain = tr.Explain
+				var sj subJoin
+				if res.Explain != nil {
+					sj.explain = new(multistep.Explain)
+					sub.Explain = sj.explain
 				}
 				if emit := res.Stream; emit != nil {
 					sub.Stream = func(p multistep.Pair) {
@@ -183,17 +156,13 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 					return err
 				}
 				// The pairs are this sub-join's own allocation: translated
-				// and sorted in place, they become the run the merge reads
-				// and the cache keeps.
+				// and sorted in place, they become the run the merge reads.
 				for i, p := range pairs {
 					pairs[i] = multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]}
 				}
 				slices.SortFunc(pairs, multistep.ComparePairs)
-				tr.Pairs, tr.Stats = pairs, sst
-				if tc != nil {
-					tc.PutJoinTile(key, tr)
-				}
-				subs[k] = tr
+				sj.pairs, sj.stats = pairs, sst
+				subs[k] = sj
 				return nil
 			}()
 			if err != nil {
@@ -218,38 +187,40 @@ func JoinCached(ctx context.Context, r, s *Sharded, tc JoinTileCache, opts ...mu
 	}
 
 	stats := JoinStats{SubJoins: len(eligible)}
+	runs := make([][]multistep.Pair, len(subs))
 	// eligible is in (RTile, STile) order, and so is PerTile.
 	for k, e := range eligible {
-		tr := subs[k]
-		if res.Explain == nil {
-			tr.Explain = nil // captured for the cache only
-		}
-		stats.PerTile = append(stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: tr.Stats, Explain: tr.Explain})
-		addStats(&stats.Stats, tr.Stats)
+		sj := subs[k]
+		stats.PerTile = append(stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: sj.stats, Explain: sj.explain})
+		addStats(&stats.Stats, sj.stats)
+		runs[k] = sj.pairs
 	}
 	if res.Explain != nil {
 		*res.Explain = aggregateExplain(stats.PerTile, res.Stream != nil)
 	}
 	var pairs []multistep.Pair
-	if collects {
-		runs := make([][]multistep.Pair, len(subs))
-		for k := range subs {
-			runs[k] = subs[k].Pairs
-		}
+	if !res.Bufferless && res.Stream == nil {
 		pairs = mergePairs(runs, res.Limit)
 	}
 	return pairs, stats, nil
 }
 
+// subJoin is one tile pair's outcome: its run of the response (global
+// IDs, (A, B)-sorted), its statistics and, under WithExplain, its plan.
+type subJoin struct {
+	pairs   []multistep.Pair
+	stats   multistep.Stats
+	explain *multistep.Explain
+}
+
 // mergePairs merges the sub-joins' runs — each in global IDs and
-// (A, B)-sorted, read only, as they may be tile-cache entries — into the
-// single-relation response: (A, B)-sorted, adjacent duplicates dropped,
-// cut to the first limit pairs (limit < 0: all). It allocates the
-// response once, at min(total, limit) pairs, and stops at the limit; the
-// runs slice itself is consumed as the merge heap's storage. The
-// partition is disjoint, so duplicates cannot arise; dropping them is
-// the cheap invariant that keeps the merge correct should a replicating
-// partitioner ever be plugged in.
+// (A, B)-sorted — into the single-relation response: (A, B)-sorted,
+// adjacent duplicates dropped, cut to the first limit pairs (limit < 0:
+// all). It allocates the response once, at min(total, limit) pairs, and
+// stops at the limit; the runs slice itself is consumed as the merge
+// heap's storage. The partition is disjoint, so duplicates cannot arise;
+// dropping them is the cheap invariant that keeps the merge correct
+// should a replicating partitioner ever be plugged in.
 func mergePairs(runs [][]multistep.Pair, limit int) []multistep.Pair {
 	// heap is a binary min-heap of the non-empty runs, keyed by their
 	// first pair: each merged pair costs O(log k) comparisons for k runs.

@@ -18,6 +18,7 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -70,12 +71,10 @@ func (s *Sharded) MBR() geom.Rect { return s.mbr }
 // tile — the compatibility key for joins and stores.
 func (s *Sharded) Fingerprint() uint64 { return multistep.ConfigFingerprint(s.Cfg) }
 
-// ZCenter returns the Z code of a rectangle's center quantized onto the
-// data space at the finest zorder level — the partition key of Build.
-// Degenerate data-space axes (all centers collinear) quantize to cell 0
-// on that axis. Exported so incremental builders (internal/loadgen) can
-// reproduce Build's partition without materializing the relation.
-func ZCenter(r, ds geom.Rect) uint64 {
+// zCenter returns the Z code of a rectangle's center quantized onto the
+// data space at the finest zorder level. Degenerate data-space axes (all
+// centers collinear) quantize to cell 0 on that axis.
+func zCenter(r, ds geom.Rect) uint64 {
 	n := float64(uint32(1) << zorder.MaxLevel)
 	quant := func(v, lo, hi float64) uint32 {
 		if hi <= lo {
@@ -94,65 +93,59 @@ func ZCenter(r, ds geom.Rect) uint64 {
 	return zorder.Encode(quant(c.X, ds.MinX, ds.MaxX), quant(c.Y, ds.MinY, ds.MaxY))
 }
 
-// Build partitions polys into at most shards tiles and preprocesses each
-// tile as its own relation under cfg. The shard count clamps to
-// [1, len(polys)] (and to exactly 1 for an empty input), so requesting
-// more tiles than objects degrades gracefully.
-//
-// Objects are sorted by the Z-order code of their MBR center over the
-// data space (the union MBR of the input) and split into contiguous,
-// balanced runs — tile t holds Z-rank positions [t·n/N, (t+1)·n/N).
-func Build(name string, polys []*geom.Polygon, shards int, cfg multistep.Config) *Sharded {
-	n := len(polys)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = max(n, 1)
-	}
-
-	ds := geom.EmptyRect()
-	bounds := make([]geom.Rect, n)
-	for i, p := range polys {
-		bounds[i] = p.Bounds()
-		ds = ds.Union(bounds[i])
-	}
-
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+// Partition is the tile partition of every store, shared by Build and
+// internal/loadgen's streaming build: objects, given by their MBRs, are
+// sorted by the Z code of their MBR center over the data space ds (the
+// union of bounds), ties broken by object index, and cut into contiguous,
+// balanced runs — run t holds Z-rank positions [t·n/N, (t+1)·n/N). The
+// shard count clamps to [1, len(bounds)] (exactly 1 for no objects). The
+// runs are three-index slices of one order array, so appending to one
+// cannot spill into the next.
+func Partition(bounds []geom.Rect, shards int) (runs [][]int32, ds geom.Rect) {
+	n := len(bounds)
+	shards = max(1, min(shards, n))
+	ds = geom.EmptyRect()
+	for _, b := range bounds {
+		ds = ds.Union(b)
 	}
 	codes := make([]uint64, n)
-	for i := range codes {
-		codes[i] = ZCenter(bounds[i], ds)
+	order := make([]int32, n)
+	for i, b := range bounds {
+		codes[i] = zCenter(b, ds)
+		order[i] = int32(i)
 	}
-	slices.SortStableFunc(order, func(a, b int32) int {
-		switch {
-		case codes[a] != codes[b]:
-			if codes[a] < codes[b] {
-				return -1
-			}
-			return 1
-		default:
-			return int(a - b)
-		}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(codes[a], codes[b]), cmp.Compare(a, b))
 	})
-
-	sh := &Sharded{Name: name, Cfg: cfg, objects: n, mbr: ds}
-	for t := 0; t < shards; t++ {
+	runs = make([][]int32, shards)
+	for t := range runs {
 		lo, hi := t*n/shards, (t+1)*n/shards
-		global := make([]int32, 0, hi-lo)
-		sub := make([]*geom.Polygon, 0, hi-lo)
+		runs[t] = order[lo:hi:hi]
+	}
+	return runs, ds
+}
+
+// Build partitions polys into at most shards tiles (Partition) and
+// preprocesses each tile as its own relation under cfg. Requesting more
+// tiles than objects degrades gracefully to one object per tile.
+func Build(name string, polys []*geom.Polygon, shards int, cfg multistep.Config) *Sharded {
+	bounds := make([]geom.Rect, len(polys))
+	for i, p := range polys {
+		bounds[i] = p.Bounds()
+	}
+	runs, ds := Partition(bounds, shards)
+	sh := &Sharded{Name: name, Cfg: cfg, objects: len(polys), mbr: ds}
+	for t, run := range runs {
+		sub := make([]*geom.Polygon, len(run))
 		mbr := geom.EmptyRect()
-		for _, g := range order[lo:hi] {
-			global = append(global, g)
-			sub = append(sub, polys[g])
+		for i, g := range run {
+			sub[i] = polys[g]
 			mbr = mbr.Union(bounds[g])
 		}
 		sh.Tiles = append(sh.Tiles, &Tile{
 			Index:  t,
 			Rel:    multistep.NewRelation(fmt.Sprintf("%s[%d]", name, t), sub, cfg),
-			Global: global,
+			Global: run,
 			MBR:    mbr,
 		})
 	}

@@ -1,7 +1,7 @@
 // Package zorder computes Z-order (Morton) cell codes: the bits of a
 // cell's x and y coordinates interleaved, so that sorting cells by their
 // code visits the plane quadrant by quadrant. The tile layer orders and
-// partitions objects by the code of their MBR center (shard.ZCenter).
+// partitions objects by the code of their MBR center (shard.Partition).
 package zorder
 
 // MaxLevel is the finest quadtree level supported: a 2^20 × 2^20 grid.

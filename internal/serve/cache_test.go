@@ -2,14 +2,17 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"spatialjoin/internal/data"
+	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
 	"spatialjoin/internal/resilience/fault"
 	"spatialjoin/internal/shard"
@@ -328,7 +331,7 @@ func TestCacheEvictionBudget(t *testing.T) {
 }
 
 func trimFloat(v float64) string {
-	return strings.TrimRight(strings.TrimRight(fmtFloat(v), "0"), ".")
+	return strings.TrimRight(strings.TrimRight(strconv.FormatFloat(v, 'g', -1, 64), "0"), ".")
 }
 
 // TestWindowLimit: the new limit parameter of /window and /point is
@@ -359,7 +362,7 @@ func TestWindowLimit(t *testing.T) {
 // out field by field, so every field must reach the key, fields must not
 // run into each other, and equal structs must give equal keys.
 func TestTileKeysDifferExactlyWhenStructsDo(t *testing.T) {
-	qa := queryTileAdapter{scope: "tq|R|1"}
+	qa := queryTileAdapter{scope: "R#1@0"}
 	qk := []shard.QueryTileKey{
 		{},
 		{Tile: 1}, {Tile: 12, K: 3}, {Tile: 1, K: 23}, {K: 1}, {Nearest: true}, {Planned: true},
@@ -375,7 +378,58 @@ func TestTileKeysDifferExactlyWhenStructsDo(t *testing.T) {
 			}
 		}
 	}
-	if other := (queryTileAdapter{scope: "tq|S|1"}); other.key(qk[1]) == qa.key(qk[1]) {
+	if other := (queryTileAdapter{scope: "S#1@0"}); other.key(qk[1]) == qa.key(qk[1]) {
 		t.Error("keys of different scopes collide")
 	}
+}
+
+// TestCacheKeysKeepTheirSpelling: the cache keys are appended with
+// strconv from each entry's precomputed scope, and must spell exactly
+// what the fmt formulation of the same key spells.
+func TestCacheKeysKeepTheirSpelling(t *testing.T) {
+	cat, _ := testCatalog(t)
+	cat.Add("S", mustGet(t, cat, "S").Sh) // a second generation
+	eR, eS := mustGet(t, cat, "R"), mustGet(t, cat, "S")
+	scope := func(name string, e *Entry) string {
+		return fmt.Sprintf("%s#%d@%016x", name, e.Gen, multistep.ConfigFingerprint(e.Sh.Cfg))
+	}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	floats := []float64{0, 0.31, -0.47, 1e-300, 1e21, 123456789, 0.1 + 0.2, -1e300}
+	preds := []multistep.Predicate{multistep.Intersects(), multistep.Contains(), multistep.WithinDistance(0), multistep.WithinDistance(0.015)}
+	for i, x := range floats {
+		y := floats[(i+3)%len(floats)]
+		for j, pred := range preds {
+			plan, partial := i%2 == 0, j%2 == 1
+			tail := fmt.Sprintf("|%s|pl%t|pt%t", pred, plan, partial)
+			for _, tc := range []struct {
+				p    queryParams
+				want string
+			}{
+				{queryParams{e: eR, name: "R", kind: kindWindow, win: geom.Rect{MinX: x, MinY: y, MaxX: -y, MaxY: -x}, pred: pred, plan: plan, partial: partial},
+					fmt.Sprintf("q|%s|w|%s,%s,%s,%s", scope("R", eR), g(x), g(y), g(-y), g(-x)) + tail},
+				{queryParams{e: eS, name: "S", kind: kindPoint, pt: geom.Point{X: x, Y: y}, pred: pred, plan: plan, partial: partial},
+					fmt.Sprintf("q|%s|p|%s,%s", scope("S", eS), g(x), g(y)) + tail},
+				{queryParams{e: eR, name: "R", kind: kindNearest, pt: geom.Point{X: x, Y: y}, k: i + 1, partial: partial},
+					fmt.Sprintf("q|%s|n|%s,%s|k%d|pt%t", scope("R", eR), g(x), g(y), i+1, partial)},
+			} {
+				if got := tc.p.cacheKey(); got != tc.want {
+					t.Errorf("query key %q, want %q", got, tc.want)
+				}
+			}
+			jp := joinParams{eR: eR, eS: eS, nameR: "R", nameS: "S", pred: pred, workers: i - 1, plan: plan}
+			want := fmt.Sprintf("j|%s|%s|%s|w%d|pl%t", scope("R", eR), scope("S", eS), pred, i-1, plan)
+			if got := jp.cacheKey(); got != want {
+				t.Errorf("join key %q, want %q", got, want)
+			}
+		}
+	}
+}
+
+func mustGet(t *testing.T, cat *Catalog, name string) *Entry {
+	t.Helper()
+	e, ok := cat.Get(name)
+	if !ok {
+		t.Fatalf("relation %q is not registered", name)
+	}
+	return e
 }

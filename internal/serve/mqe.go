@@ -91,19 +91,20 @@ func (s *Server) init() {
 }
 
 // queryTileAdapter scopes the shared LRU to one entry's per-tile
-// sub-query results.
+// sub-query results: its keys are "tq|" and the entry's scope.
 type queryTileAdapter struct {
 	c     *mqe.Cache
 	scope string
 }
 
-// key spells a tile-cache key out: the adapter's scope, every other field
-// as an integer (a float by its bits), and last the predicate, the one
-// field that could hold the separator — so two keys of a scope are equal
-// exactly when their structs are (0 and -0 aside, which miss).
+// key spells a tile-cache key out: "tq|", the adapter's scope, every
+// other field as an integer (a float by its bits), and last the
+// predicate, the one field that could hold the separator — so two keys
+// of a scope are equal exactly when their structs are (0 and -0 aside,
+// which miss).
 func (a queryTileAdapter) key(k shard.QueryTileKey) string {
 	var buf [192]byte
-	b := append(buf[:0], a.scope...)
+	b := append(append(buf[:0], "tq|"...), a.scope...)
 	for _, n := range [...]uint64{uint64(k.Tile), uint64(k.K), bit(k.Nearest), bit(k.Planned), k.CfgFP,
 		math.Float64bits(k.MinX), math.Float64bits(k.MinY), math.Float64bits(k.MaxX), math.Float64bits(k.MaxY)} {
 		b = strconv.AppendUint(append(b, '|'), n, 36)
@@ -137,7 +138,7 @@ func (s *Server) queryTileCache(p *queryParams) shard.QueryTileCache {
 	if s.cache == nil {
 		return nil
 	}
-	return queryTileAdapter{c: s.cache, scope: "tq|" + entryScope(p.name, p.e)}
+	return queryTileAdapter{c: s.cache, scope: p.e.scope}
 }
 
 // runCanonical serves a request through the canonical path: LRU lookup,

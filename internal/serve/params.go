@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -12,16 +13,21 @@ import (
 	"spatialjoin/internal/multistep"
 )
 
-// Request parameter parsing. Every query endpoint funnels through
-// parseQuery or parseJoin: one validated parse producing the typed
-// parameter set that is also the canonical cache identity — the same
-// struct builds the normalized cache key (cacheKey), so a request can
-// never be cached under parameters other than the ones it validated.
+// Request parameter parsing. The query string is parsed once per
+// request (the guard in Handler) and every reader below takes the
+// parsed url.Values: like url.Values.Get, a duplicated key resolves to
+// its first value, and a pair that fails to parse (a malformed escape, a
+// ';') is dropped without rejecting the request. Every query endpoint
+// funnels through parseQuery or parseJoin: one validated parse producing
+// the typed parameter set that is also the canonical cache identity —
+// the same struct builds the normalized cache key (cacheKey), so a
+// request can never be cached under parameters other than the ones it
+// validated.
 
 // relParam resolves the relation named by the query parameter key,
 // returning the entry and its catalog name.
-func (s *Server) relParam(w http.ResponseWriter, r *http.Request, key string) (*Entry, string, bool) {
-	name := r.URL.Query().Get(key)
+func (s *Server) relParam(w http.ResponseWriter, q url.Values, key string) (*Entry, string, bool) {
+	name := q.Get(key)
 	if name == "" {
 		writeError(w, http.StatusBadRequest, "missing relation parameter %q", key)
 		return nil, "", false
@@ -54,8 +60,8 @@ func parseFinite(raw string) (float64, error) {
 }
 
 // floatParam parses a required float query parameter.
-func floatParam(w http.ResponseWriter, r *http.Request, key string) (float64, bool) {
-	raw := r.URL.Query().Get(key)
+func floatParam(w http.ResponseWriter, q url.Values, key string) (float64, bool) {
+	raw := q.Get(key)
 	if raw == "" {
 		writeError(w, http.StatusBadRequest, "missing parameter %q", key)
 		return 0, false
@@ -69,8 +75,8 @@ func floatParam(w http.ResponseWriter, r *http.Request, key string) (float64, bo
 }
 
 // intParam parses an optional int query parameter with a default.
-func intParam(w http.ResponseWriter, r *http.Request, key string, def int) (int, bool) {
-	raw := r.URL.Query().Get(key)
+func intParam(w http.ResponseWriter, q url.Values, key string, def int) (int, bool) {
+	raw := q.Get(key)
 	if raw == "" {
 		return def, true
 	}
@@ -87,8 +93,8 @@ func intParam(w http.ResponseWriter, r *http.Request, key string, def int) (int,
 // computing limits (paging arithmetic gone wrong, integer overflow on
 // its side) should hear about it, not receive the largest possible
 // response. Out-of-range numerals (strconv overflow) fail the same way.
-func limitParam(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
-	raw := r.URL.Query().Get("limit")
+func limitParam(w http.ResponseWriter, q url.Values, def int) (int, bool) {
+	raw := q.Get("limit")
 	if raw == "" {
 		return def, true
 	}
@@ -110,9 +116,9 @@ func limitParam(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 // As in cmd/spatialjoin, an epsilon promotes the (default or explicit)
 // intersects predicate to within; an epsilon on a predicate that takes
 // none (contains) is rejected rather than silently dropped.
-func predicateParam(w http.ResponseWriter, r *http.Request) (multistep.Predicate, bool) {
-	name := r.URL.Query().Get("predicate")
-	rawEps := r.URL.Query().Get("epsilon")
+func predicateParam(w http.ResponseWriter, q url.Values) (multistep.Predicate, bool) {
+	name := q.Get("predicate")
+	rawEps := q.Get("epsilon")
 	eps := 0.0
 	if rawEps != "" {
 		v, err := parseFinite(rawEps)
@@ -142,8 +148,8 @@ func predicateParam(w http.ResponseWriter, r *http.Request) (multistep.Predicate
 // planParam reports whether the request should resolve its open options
 // through the planner: on by default, switched off with plan=off (or
 // 0/false/no).
-func planParam(r *http.Request) bool {
-	switch strings.ToLower(r.URL.Query().Get("plan")) {
+func planParam(q url.Values) bool {
+	switch strings.ToLower(q.Get("plan")) {
 	case "off", "0", "false", "no":
 		return false
 	}
@@ -181,9 +187,10 @@ type queryParams struct {
 	limit int
 }
 
-// partialParam reads the optional partial parameter (1/true/yes/on).
-func partialParam(r *http.Request) bool {
-	switch strings.ToLower(r.URL.Query().Get("partial")) {
+// flagParam reads an optional boolean parameter (partial, run): off
+// unless set to 1, true, yes or on.
+func flagParam(q url.Values, key string) bool {
+	switch strings.ToLower(q.Get(key)) {
 	case "1", "true", "yes", "on":
 		return true
 	}
@@ -191,45 +198,45 @@ func partialParam(r *http.Request) bool {
 }
 
 // parseQuery validates a single-relation request of the given kind.
-func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, kind queryKind) (*queryParams, bool) {
+func (s *Server) parseQuery(w http.ResponseWriter, q url.Values, kind queryKind) (*queryParams, bool) {
 	p := &queryParams{kind: kind, limit: -1}
 	var ok bool
-	if p.e, p.name, ok = s.relParam(w, r, "rel"); !ok {
+	if p.e, p.name, ok = s.relParam(w, q, "rel"); !ok {
 		return nil, false
 	}
 	switch kind {
 	case kindWindow:
-		minx, ok := floatParam(w, r, "minx")
+		minx, ok := floatParam(w, q, "minx")
 		if !ok {
 			return nil, false
 		}
-		miny, ok := floatParam(w, r, "miny")
+		miny, ok := floatParam(w, q, "miny")
 		if !ok {
 			return nil, false
 		}
-		maxx, ok := floatParam(w, r, "maxx")
+		maxx, ok := floatParam(w, q, "maxx")
 		if !ok {
 			return nil, false
 		}
-		maxy, ok := floatParam(w, r, "maxy")
+		maxy, ok := floatParam(w, q, "maxy")
 		if !ok {
 			return nil, false
 		}
 		p.win = geom.Rect{MinX: minx, MinY: miny, MaxX: maxx, MaxY: maxy}
 	case kindPoint, kindNearest:
-		x, ok := floatParam(w, r, "x")
+		x, ok := floatParam(w, q, "x")
 		if !ok {
 			return nil, false
 		}
-		y, ok := floatParam(w, r, "y")
+		y, ok := floatParam(w, q, "y")
 		if !ok {
 			return nil, false
 		}
 		p.pt = geom.Point{X: x, Y: y}
 	}
-	p.partial = partialParam(r)
+	p.partial = flagParam(q, "partial")
 	if kind == kindNearest {
-		k, ok := intParam(w, r, "k", 5)
+		k, ok := intParam(w, q, "k", 5)
 		if !ok {
 			return nil, false
 		}
@@ -241,15 +248,15 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, kind queryKi
 		return p, true
 	}
 	var ok2 bool
-	if p.pred, ok2 = predicateParam(w, r); !ok2 {
+	if p.pred, ok2 = predicateParam(w, q); !ok2 {
 		return nil, false
 	}
-	limit, ok2 := limitParam(w, r, -1)
+	limit, ok2 := limitParam(w, q, -1)
 	if !ok2 {
 		return nil, false
 	}
 	p.limit = limit
-	p.plan = planParam(r)
+	p.plan = planParam(q)
 	return p, true
 }
 
@@ -270,20 +277,20 @@ type joinParams struct {
 // parseJoin validates a relation-pair request. workersDef is the
 // default worker count (/join passes the server's JoinWorkers, /explain
 // 0); withLimit selects whether the limit parameter applies.
-func (s *Server) parseJoin(w http.ResponseWriter, r *http.Request, workersDef int, withLimit bool) (*joinParams, bool) {
+func (s *Server) parseJoin(w http.ResponseWriter, q url.Values, workersDef int, withLimit bool) (*joinParams, bool) {
 	p := &joinParams{limit: -1}
 	// Joins fail closed: a degraded join silently missing a tile pair's
 	// share of the response set is indistinguishable from a correct
 	// smaller answer, so the parameter is rejected rather than ignored.
-	if partialParam(r) {
+	if flagParam(q, "partial") {
 		writeError(w, http.StatusBadRequest, "parameter %q is not supported on joins: joins fail closed", "partial")
 		return nil, false
 	}
 	var ok bool
-	if p.eR, p.nameR, ok = s.relParam(w, r, "r"); !ok {
+	if p.eR, p.nameR, ok = s.relParam(w, q, "r"); !ok {
 		return nil, false
 	}
-	if p.eS, p.nameS, ok = s.relParam(w, r, "s"); !ok {
+	if p.eS, p.nameS, ok = s.relParam(w, q, "s"); !ok {
 		return nil, false
 	}
 	if p.eR.Sh.Fingerprint() != p.eS.Sh.Fingerprint() {
@@ -295,11 +302,11 @@ func (s *Server) parseJoin(w http.ResponseWriter, r *http.Request, workersDef in
 		})
 		return nil, false
 	}
-	if p.pred, ok = predicateParam(w, r); !ok {
+	if p.pred, ok = predicateParam(w, q); !ok {
 		return nil, false
 	}
 	if withLimit {
-		limit, ok := limitParam(w, r, s.MaxJoinPairs)
+		limit, ok := limitParam(w, q, s.MaxJoinPairs)
 		if !ok {
 			return nil, false
 		}
@@ -308,7 +315,7 @@ func (s *Server) parseJoin(w http.ResponseWriter, r *http.Request, workersDef in
 		}
 		p.limit = limit
 	}
-	workers, ok := intParam(w, r, "workers", workersDef)
+	workers, ok := intParam(w, q, "workers", workersDef)
 	if !ok {
 		return nil, false
 	}
@@ -318,42 +325,49 @@ func (s *Server) parseJoin(w http.ResponseWriter, r *http.Request, workersDef in
 		workers = maxWorkers
 	}
 	p.workers = workers
-	p.plan = planParam(r)
+	p.plan = planParam(q)
 	return p, true
 }
-
-// fmtFloat renders a float for a cache key in shortest round-trip
-// notation (injective over float64).
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // entryScope is the cache-key scope of one catalog entry: name,
 // generation and preprocessing fingerprint. The generation makes
 // swapping a relation (re-Add under the same name) invalidate every
 // cached response involving the old entry even when the new build has
 // the same configuration fingerprint; the fingerprint documents the
-// configuration identity that joins additionally require.
-func entryScope(name string, e *Entry) string {
-	return fmt.Sprintf("%s#%d@%016x", name, e.Gen, e.Sh.Fingerprint())
+// configuration identity that joins additionally require. Catalog.Add
+// computes it once per registration (Entry.scope).
+func entryScope(name string, gen, fp uint64) string {
+	return fmt.Sprintf("%s#%d@%016x", name, gen, fp)
+}
+
+// appendFloat appends a float for a cache key in shortest round-trip
+// notation (injective over float64).
+func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+
+// appendPoint appends "x,y".
+func appendPoint(b []byte, x, y float64) []byte {
+	return appendFloat(append(appendFloat(b, x), ','), y)
 }
 
 // cacheKey is the normalized whole-response key of a single-relation
 // request: entry scope, target geometry, predicate and plan mode. The
 // limit is excluded by design (limit-insensitive canonical form).
 func (p *queryParams) cacheKey() string {
-	var b strings.Builder
-	b.WriteString("q|")
-	b.WriteString(entryScope(p.name, p.e))
+	var buf [160]byte
+	b := append(append(buf[:0], "q|"...), p.e.scope...)
 	switch p.kind {
 	case kindWindow:
-		fmt.Fprintf(&b, "|w|%s,%s,%s,%s", fmtFloat(p.win.MinX), fmtFloat(p.win.MinY), fmtFloat(p.win.MaxX), fmtFloat(p.win.MaxY))
+		b = appendPoint(append(appendPoint(append(b, "|w|"...), p.win.MinX, p.win.MinY), ','), p.win.MaxX, p.win.MaxY)
 	case kindPoint:
-		fmt.Fprintf(&b, "|p|%s,%s", fmtFloat(p.pt.X), fmtFloat(p.pt.Y))
+		b = appendPoint(append(b, "|p|"...), p.pt.X, p.pt.Y)
 	case kindNearest:
-		fmt.Fprintf(&b, "|n|%s,%s|k%d|pt%t", fmtFloat(p.pt.X), fmtFloat(p.pt.Y), p.k, p.partial)
-		return b.String()
+		b = appendPoint(append(b, "|n|"...), p.pt.X, p.pt.Y)
+		b = strconv.AppendInt(append(b, "|k"...), int64(p.k), 10)
+		return string(strconv.AppendBool(append(b, "|pt"...), p.partial))
 	}
-	fmt.Fprintf(&b, "|%s|pl%t|pt%t", p.pred.String(), p.plan, p.partial)
-	return b.String()
+	b = append(append(b, '|'), p.pred.String()...)
+	b = strconv.AppendBool(append(b, "|pl"...), p.plan)
+	return string(strconv.AppendBool(append(b, "|pt"...), p.partial))
 }
 
 // cacheKey is the normalized whole-response key of a join request:
@@ -361,6 +375,9 @@ func (p *queryParams) cacheKey() string {
 // limit is excluded (limit-insensitive canonical form); the workers
 // parameter is included because the plan echo depends on it.
 func (p *joinParams) cacheKey() string {
-	return fmt.Sprintf("j|%s|%s|%s|w%d|pl%t",
-		entryScope(p.nameR, p.eR), entryScope(p.nameS, p.eS), p.pred.String(), p.workers, p.plan)
+	var buf [160]byte
+	b := append(append(buf[:0], "j|"...), p.eR.scope...)
+	b = append(append(append(append(b, '|'), p.eS.scope...), '|'), p.pred.String()...)
+	b = strconv.AppendInt(append(b, "|w"...), int64(p.workers), 10)
+	return string(strconv.AppendBool(append(b, "|pl"...), p.plan))
 }

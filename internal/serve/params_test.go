@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/data"
@@ -130,5 +131,66 @@ func TestValidLimitsStillServe(t *testing.T) {
 	get(t, h, "/join?r=R&s=S&limit=1000000000", http.StatusOK, &join)
 	if join.Stats.ResultPairs == 0 {
 		t.Fatal("join returned no pairs at all")
+	}
+}
+
+// TestQueryStringSemantics pins what parsing the query string once must
+// keep from reading each parameter with r.URL.Query(): a duplicated key
+// resolves to its first value, a pair that fails to parse (a malformed
+// escape, a ';') is dropped without rejecting the request, escapes
+// decode in keys and values alike ("%2B" is a plus sign, "+" a space),
+// and timeout_ms is still validated. A 200 case must answer the same
+// body as its plain spelling, an error case an error naming the cause.
+// The cache is off, so no answer carries a cached marker.
+func TestQueryStringSemantics(t *testing.T) {
+	cat, _ := testCatalog(t)
+	srv := NewServer(cat)
+	srv.CacheBytes = -1
+	h := srv.Handler()
+
+	const pt = "/point?rel=R&x=0.31&y=0.47"
+	const win = "/window?rel=R&minx=0&miny=0&maxx=1&maxy=1"
+	cases := []struct {
+		name, url string
+		status    int
+		same      string // 200: the URL whose body this one must equal
+		errHas    string // 4xx: a substring of the error message
+	}{
+		{"duplicated limit", win + "&limit=5&limit=7", http.StatusOK, win + "&limit=5", ""},
+		{"duplicated rel", "/point?rel=R&rel=S&x=0.31&y=0.47", http.StatusOK, pt, ""},
+		{"duplicated bad limit after a good one", win + "&limit=5&limit=-1", http.StatusOK, win + "&limit=5", ""},
+		{"duplicated good limit after a bad one", win + "&limit=-1&limit=5", http.StatusBadRequest, "", `"limit" must not be negative`},
+		{"malformed escape in an unrelated pair", pt + "&junk=%zz", http.StatusOK, pt, ""},
+		{"semicolon in an unrelated pair", pt + "&a=1;b=2", http.StatusOK, pt, ""},
+		{"malformed escape drops its own pair", "/point?rel=R&x=0.31&y=0.4%zz", http.StatusBadRequest, "", `missing parameter "y"`},
+		{"semicolon drops its own pair", "/point?rel=R&x=0.31;y=0.47&y=0.47", http.StatusBadRequest, "", `missing parameter "x"`},
+		{"escaped key", "/point?%72el=R&x=0.31&y=0.47", http.StatusOK, pt, ""},
+		{"%2B sign in a float", "/point?rel=R&x=%2B0.31&y=0.47", http.StatusOK, pt, ""},
+		{"%2B exponent in a float", "/point?rel=R&x=0.031e%2B1&y=0.47", http.StatusOK, pt, ""},
+		{"+ is a space in a float", "/point?rel=R&x=+0.31&y=0.47", http.StatusBadRequest, "", `parameter "x"`},
+		{"+ is a space in an exponent", "/point?rel=R&x=0.031e+1&y=0.47", http.StatusBadRequest, "", `parameter "x"`},
+		{"%2B in epsilon", pt + "&epsilon=%2B0.01", http.StatusOK, pt + "&epsilon=0.01", ""},
+		{"empty limit is no limit", win + "&limit=", http.StatusOK, win, ""},
+		{"valid timeout_ms", pt + "&timeout_ms=60000", http.StatusOK, pt, ""},
+		{"zero timeout_ms", pt + "&timeout_ms=0", http.StatusBadRequest, "", "timeout_ms"},
+		{"malformed timeout_ms", pt + "&timeout_ms=soon", http.StatusBadRequest, "", "timeout_ms"},
+		{"duplicated timeout_ms, valid first", pt + "&timeout_ms=60000&timeout_ms=soon", http.StatusOK, pt, ""},
+		{"duplicated timeout_ms, malformed first", pt + "&timeout_ms=soon&timeout_ms=60000", http.StatusBadRequest, "", "timeout_ms"},
+		{"duplicated predicate", "/join?r=R&s=S&predicate=contains&predicate=overlaps&limit=3", http.StatusOK, "/join?r=R&s=S&predicate=contains&limit=3", ""},
+		{"duplicated run flag", "/explain?r=R&s=S&run=0&run=1", http.StatusOK, "/explain?r=R&s=S", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.status != http.StatusOK {
+				if e := getError(t, h, tc.url, tc.status); !strings.Contains(e.Error, tc.errHas) {
+					t.Fatalf("GET %s: error %q does not contain %q", tc.url, e.Error, tc.errHas)
+				}
+				return
+			}
+			got, want := getBody(t, h, tc.url, tc.status), getBody(t, h, tc.same, http.StatusOK)
+			if got != want {
+				t.Fatalf("GET %s answered\n%s\nwant the body of GET %s:\n%s", tc.url, got, tc.same, want)
+			}
+		})
 	}
 }

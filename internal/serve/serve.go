@@ -19,15 +19,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,9 @@ type Entry struct {
 	// fingerprint — the fingerprint identifies the preprocessing
 	// configuration, not the data.
 	Gen uint64
+	// scope is the entry's cache-key scope (entryScope), fixed at
+	// registration.
+	scope string
 }
 
 // Catalog is the named set of relations a server exposes. Relations are
@@ -84,7 +88,7 @@ func (c *Catalog) Add(name string, sh *shard.Sharded) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen++
-	c.rels[name] = &Entry{Sh: sh, Gen: c.gen}
+	c.rels[name] = &Entry{Sh: sh, Gen: c.gen, scope: entryScope(name, c.gen, sh.Fingerprint())}
 	delete(c.quarantined, name)
 }
 
@@ -305,8 +309,9 @@ func (s *Server) Handler() http.Handler {
 	// admission control (shed with 429 + Retry-After when saturated),
 	// the server-side deadline (?timeout_ms= capped by the server max),
 	// and the request-level panic boundary (500 with an incident ID; the
-	// process keeps serving).
-	guard := func(name string, h func(http.ResponseWriter, *http.Request, *endpointTally)) {
+	// process keeps serving). It parses the query string, once: the
+	// deadline and every parameter reader take the parsed values.
+	guard := func(name string, h func(http.ResponseWriter, *http.Request, url.Values, *endpointTally)) {
 		t := tally(name)
 		mux.HandleFunc("GET /"+name, func(w http.ResponseWriter, r *http.Request) {
 			t.requests.Add(1)
@@ -325,7 +330,8 @@ func (s *Server) Handler() http.Handler {
 			defer release()
 			t.inflight.Add(1)
 			defer t.inflight.Add(-1)
-			r2, cancel, ok := s.withDeadline(w, r)
+			q := r.URL.Query()
+			r2, cancel, ok := s.withDeadline(w, r, q)
 			if !ok {
 				return
 			}
@@ -339,7 +345,7 @@ func (s *Server) Handler() http.Handler {
 						errorBody{Error: fmt.Sprintf("internal error (incident %s)", pe.Incident), Incident: pe.Incident})
 				}
 			}()
-			h(w, r2, t)
+			h(w, r2, q, t)
 		})
 	}
 	register("healthz", s.handleHealthz)
@@ -365,9 +371,9 @@ var errDeadline = fmt.Errorf("server-side request deadline exceeded: %w", contex
 // (positive integer milliseconds), else the server default, both capped
 // by MaxRequestTimeout. It reports false after writing a 400 for a
 // malformed or non-positive timeout_ms.
-func (s *Server) withDeadline(w http.ResponseWriter, r *http.Request) (*http.Request, context.CancelFunc, bool) {
+func (s *Server) withDeadline(w http.ResponseWriter, r *http.Request, q url.Values) (*http.Request, context.CancelFunc, bool) {
 	d := s.RequestTimeout
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
+	if raw := q.Get("timeout_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
 		if err != nil || ms <= 0 {
 			writeError(w, http.StatusBadRequest, "parameter %q must be a positive integer of milliseconds", "timeout_ms")
@@ -390,12 +396,44 @@ func (s *Server) withDeadline(w http.ResponseWriter, r *http.Request) (*http.Req
 // /readyz reports 503 so orchestrators stop routing to it.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
+// jsonWriter is a pooled response encoder: a body buffer and an
+// indenting json.Encoder over it, whose indent buffer is reused with it.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledBody bounds the buffer of a jsonWriter that goes back to the
+// pool: a writer that grew past it (a large /join body) is dropped, so
+// one large response cannot pin its buffers for the process lifetime.
+const maxPooledBody = 1 << 20
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// writeJSON answers with v as an indented JSON body. The body is encoded
+// before the status line is written, so a value encoding/json rejects
+// (a non-finite float, say) answers 500 with an errorBody instead of the
+// intended status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	if err := jw.enc.Encode(v); err != nil {
+		log.Printf("serve: encode response: %v", err)
+		jw.buf.Reset()
+		status = http.StatusInternalServerError
+		_ = jw.enc.Encode(errorBody{Error: fmt.Sprintf("internal error: encode response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(jw.buf.Bytes())
+	if jw.buf.Cap() <= maxPooledBody {
+		jw.buf.Reset()
+		jsonWriters.Put(jw)
+	}
 }
 
 type errorBody struct {
@@ -521,19 +559,19 @@ type windowResponse struct {
 	Stats       shard.QueryStats    `json:"stats"`
 }
 
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, t *endpointTally) {
-	s.serveQuery(w, r, t, kindWindow)
+func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally) {
+	s.serveQuery(w, r, q, t, kindWindow)
 }
 
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, t *endpointTally) {
-	s.serveQuery(w, r, t, kindPoint)
+func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally) {
+	s.serveQuery(w, r, q, t, kindPoint)
 }
 
 // serveQuery is the shared /window and /point handler: canonical
 // execution through the multi-query layer, then per-request derivation
 // (sorted-prefix limit, recomputed result count).
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *endpointTally, kind queryKind) {
-	p, ok := s.parseQuery(w, r, kind)
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally, kind queryKind) {
+	p, ok := s.parseQuery(w, q, kind)
 	if !ok {
 		return
 	}
@@ -623,8 +661,8 @@ type nearestResponse struct {
 	Stats       nearestStats         `json:"stats"`
 }
 
-func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request, t *endpointTally) {
-	p, ok := s.parseQuery(w, r, kindNearest)
+func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally) {
+	p, ok := s.parseQuery(w, q, kindNearest)
 	if !ok {
 		return
 	}
@@ -670,8 +708,8 @@ type joinResponse struct {
 	Stats     multistep.Stats  `json:"stats"`
 }
 
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, t *endpointTally) {
-	p, ok := s.parseJoin(w, r, s.JoinWorkers, true)
+func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally) {
+	p, ok := s.parseJoin(w, q, s.JoinWorkers, true)
 	if !ok {
 		return
 	}
@@ -718,16 +756,12 @@ type explainResponse struct {
 	shard.ExplainResult
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, t *endpointTally) {
-	p, ok := s.parseJoin(w, r, 0, false)
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally) {
+	p, ok := s.parseJoin(w, q, 0, false)
 	if !ok {
 		return
 	}
-	run := false
-	switch strings.ToLower(r.URL.Query().Get("run")) {
-	case "1", "true", "yes", "on":
-		run = true
-	}
+	run := flagParam(q, "run")
 	opts := []multistep.Option{multistep.WithPredicate(p.pred)}
 	if p.workers > 0 {
 		opts = append(opts, multistep.WithWorkers(p.workers))

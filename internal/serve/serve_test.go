@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -589,5 +591,66 @@ func TestCancelledRequestReleasesWorkers(t *testing.T) {
 				runtime.NumGoroutine(), before, time.Since(start))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestHitPathAllocs bounds the allocations of a cache hit on each query
+// endpoint, sent through Handler() with a fresh httptest.ResponseRecorder
+// (whose own allocations are counted too). A hit parses the query string
+// once, builds its key from the entry's scope and encodes through the
+// pooled encoder; re-parsing the query in one parameter reader, or an
+// encoder built per response, shows as several more allocations.
+func TestHitPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; the response encoder is pooled")
+	}
+	cat, _ := testCatalog(t)
+	h := NewServer(cat).Handler()
+	for _, tc := range []struct {
+		url string
+		max float64
+	}{
+		{"/point?rel=R&x=0.31&y=0.47&epsilon=0.01", 22},
+		{"/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&limit=100", 22},
+		{"/nearest?rel=R&x=0.31&y=0.47&k=4", 20},
+		{"/join?r=R&s=S&limit=10", 19},
+	} {
+		getBody(t, h, tc.url, http.StatusOK) // the miss that fills the cache
+		req := httptest.NewRequest("GET", tc.url, nil)
+		cached := true
+		n := testing.AllocsPerRun(100, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			cached = cached && rec.Code == http.StatusOK && bytes.HasPrefix(rec.Body.Bytes(), []byte("{\n  \"cached\": true,"))
+		})
+		if !cached {
+			t.Fatalf("GET %s: a repeat was not answered from the cache", tc.url)
+		}
+		t.Logf("GET %s: %.0f allocations per cache hit (bound %.0f)", tc.url, n, tc.max)
+		if n > tc.max {
+			t.Errorf("GET %s: %.0f allocations per cache hit, want ≤ %.0f", tc.url, n, tc.max)
+		}
+	}
+}
+
+// TestEncodeFailureAnswers500: a value encoding/json rejects answers 500
+// with an errorBody, not the intended status with an empty body, and the
+// pooled encoder serves the next response intact.
+func TestEncodeFailureAnswers500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"ratio": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %q", rec.Code, rec.Body)
+	}
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("body %q: want an errorBody naming the encode error (%v)", rec.Body, err)
+	}
+	for range 4 {
+		rec = httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, map[string]int{"a": 1})
+		if rec.Code != http.StatusOK || rec.Body.String() != "{\n  \"a\": 1\n}\n" {
+			t.Fatalf("after a failed encode: status %d, body %q", rec.Code, rec.Body)
+		}
 	}
 }

@@ -49,13 +49,15 @@ type Tile struct {
 type Sharded struct {
 	// Name is the facade name; tile relations are named "Name[i]".
 	Name string
-	// Cfg is the configuration every tile was preprocessed under.
+	// Cfg is the configuration every tile was preprocessed under. It is
+	// fixed at construction: Fingerprint is computed from it once.
 	Cfg multistep.Config
 	// Tiles holds the shards in Z order of their object runs.
 	Tiles []*Tile
 
 	objects int
 	mbr     geom.Rect
+	fp      uint64
 }
 
 // Shards returns the tile count.
@@ -68,8 +70,9 @@ func (s *Sharded) Objects() int { return s.objects }
 func (s *Sharded) MBR() geom.Rect { return s.mbr }
 
 // Fingerprint returns the configuration fingerprint shared by every
-// tile — the compatibility key for joins and stores.
-func (s *Sharded) Fingerprint() uint64 { return multistep.ConfigFingerprint(s.Cfg) }
+// tile — the compatibility key for joins and stores — as computed at
+// construction.
+func (s *Sharded) Fingerprint() uint64 { return s.fp }
 
 // zCenter returns the Z code of a rectangle's center quantized onto the
 // data space at the finest zorder level. Degenerate data-space axes (all
@@ -134,7 +137,7 @@ func Build(name string, polys []*geom.Polygon, shards int, cfg multistep.Config)
 		bounds[i] = p.Bounds()
 	}
 	runs, ds := Partition(bounds, shards)
-	sh := &Sharded{Name: name, Cfg: cfg, objects: len(polys), mbr: ds}
+	sh := &Sharded{Name: name, Cfg: cfg, objects: len(polys), mbr: ds, fp: multistep.ConfigFingerprint(cfg)}
 	for t, run := range runs {
 		sub := make([]*geom.Polygon, len(run))
 		mbr := geom.EmptyRect()
@@ -169,5 +172,6 @@ func FromRelation(rel *multistep.Relation) *Sharded {
 		Tiles:   []*Tile{{Index: 0, Rel: rel, Global: global, MBR: mbr}},
 		objects: len(rel.Objects),
 		mbr:     mbr,
+		fp:      multistep.ConfigFingerprint(rel.Cfg),
 	}
 }

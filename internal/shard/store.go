@@ -129,7 +129,7 @@ func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 		return nil, fmt.Errorf("%w: %d objects exceed the manifest", ErrBadManifest, objects)
 	}
 
-	sh := &Sharded{Name: name, Cfg: cfg, objects: objects, mbr: geom.EmptyRect()}
+	sh := &Sharded{Name: name, Cfg: cfg, objects: objects, mbr: geom.EmptyRect(), fp: fp}
 	seen := make([]bool, objects)
 	for t := 0; t < tiles; t++ {
 		mbr := geom.Rect{

@@ -12,18 +12,17 @@
 //	        [-store out.store] [-shards N] [-strategy ""|A|B|B2] [-name NAME]
 //	        [-engine trstar] [-conservative 5C] [-progressive MER]
 //	        [-no-filter] [-page 4096] [-buffer 131072] [-policy lru]
-//	        [-stream] [-sf F] [-side R|S]
+//	        [-sf F] [-side R|S]
 //
-// -stream switches to the bounded-memory streaming generator
-// (data.StreamMap): polygons are emitted one at a time and never
-// materialized, so -n in the millions builds in constant memory. With
-// -store the relation streams through a spill file into a store
-// directory (-shards tiles) whose bytes are identical to the
-// materialized shard.Build path; with -bin the binary relation streams
-// straight to disk. -sf F builds one side of the scale-factor dataset
-// pair of internal/loadgen instead — object count, extent and seeds
-// derive from F, -side picks the R or S relation, and the store name
-// defaults to the spec's (sf1-R style) so cmd/loadtest finds it.
+// The map comes from data.StreamMap, the one generator, which emits the
+// polygons one at a time: -stats, -bin and the WKT output never hold the
+// whole relation, and -store streams it through a spill file into the
+// store directory (loadgen.BuildStore; the same bytes as
+// shard.Save(shard.Build(...))), so -n in the millions builds in bounded
+// memory. -sf F builds one side of the scale-factor dataset pair of
+// internal/loadgen instead — object count, extent and seeds derive from
+// F, -side picks the R or S relation, and the store name defaults to the
+// spec's (sf1-R style) so cmd/loadtest finds it.
 //
 // With -store, the configuration flags select the preprocessing
 // (approximations, exact engine, page geometry, buffer policy) and are
@@ -33,7 +32,9 @@
 // the paper's single R*-tree). -strategy transforms the generated map
 // into the paper's test-series counterpart before preprocessing: A is
 // the shifted copy, and B/B2 are the two randomized placements
-// cmd/spatialjoin joins as R and S under its -strategy B.
+// cmd/spatialjoin joins as R and S under its -strategy B. The
+// transforms need the whole map, so -strategy materialises it and is
+// not available with -sf.
 package main
 
 import (
@@ -62,9 +63,8 @@ func main() {
 	name := flag.String("name", "", "with -store: relation name (default: the store path)")
 	config := multistep.ConfigFlags(flag.CommandLine)
 	shards := flag.Int("shards", 1, "with -store: partition the relation into this many Z-order tiles")
-	sf := flag.Float64("sf", 0, "build a scale-factor dataset side instead of -n/-verts/-holes/-seed (implies -stream; see -side)")
+	sf := flag.Float64("sf", 0, "build a scale-factor dataset side instead of -n/-verts/-holes/-seed (see -side)")
 	side := flag.String("side", "R", "with -sf: which relation of the dataset pair to build: R or S")
-	stream := flag.Bool("stream", false, "generate with the bounded-memory streaming generator (for very large -n; a different — equally valid — polygon sequence than the default generator)")
 	flag.Parse()
 
 	cfg, err := config()
@@ -72,8 +72,11 @@ func main() {
 		fatal(err)
 	}
 	mc := data.MapConfig{Cells: *n, TargetVerts: *verts, HoleFraction: *holes, Seed: *seed}
-	sfName := ""
+	relName := *name
 	if *sf > 0 {
+		if *strategy != "" {
+			fatal(fmt.Errorf("-strategy is not available with -sf: the test-series transforms need the materialized map"))
+		}
 		spec, err := loadgen.For(*sf)
 		if err != nil {
 			fatal(err)
@@ -81,109 +84,32 @@ func main() {
 		if mc, err = spec.MapConfig(strings.ToUpper(*side)); err != nil {
 			fatal(err)
 		}
-		sfName = spec.RelationName(strings.ToUpper(*side))
-		*stream = true
+		if relName == "" {
+			relName = spec.RelationName(strings.ToUpper(*side))
+		}
 		fmt.Fprintf(os.Stderr, "datagen: SF=%g side %s: %d objects over [0, %.3f]²\n",
 			*sf, strings.ToUpper(*side), mc.Cells, mc.Extent)
 	}
-	if *stream {
-		streamMain(mc, sfName, *statsOnly, *binOut, *storeOut, *shards, *strategy, *name, cfg)
-		return
+	if relName == "" {
+		relName = *storeOut
 	}
 
-	rel := data.GenerateMap(mc)
-	if *statsOnly {
-		st := data.Stats(rel)
+	switch {
+	case *statsOnly:
+		var st data.VertexStats
+		if _, err := data.StreamMap(mc, func(_ int32, p *geom.Polygon) error {
+			st.Add(p)
+			return nil
+		}); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("objects=%d m_avg=%.1f m_min=%d m_max=%d with_holes=%d\n",
 			st.Objects, st.Avg, st.Min, st.Max, st.WithHoles)
-		return
-	}
-	if *binOut != "" {
+	case *binOut != "":
 		f, err := os.Create(*binOut)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		if err := data.WriteRelation(f, rel); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *storeOut != "" {
-		// The seed offsets mirror cmd/spatialjoin's test-series pairs:
-		// its strategy B joins StrategyB(base, seed+1) with
-		// StrategyB(base, seed+2), so B emits the R side and B2 the S
-		// side — the prebuilt stores reproduce the generate path
-		// exactly for both strategies.
-		switch strings.ToUpper(*strategy) {
-		case "":
-		case "A":
-			rel = data.StrategyA(rel, 0.45)
-		case "B":
-			rel = data.StrategyB(rel, *seed+1)
-		case "B2":
-			rel = data.StrategyB(rel, *seed+2)
-		default:
-			fatal(fmt.Errorf("unknown strategy %q", *strategy))
-		}
-		relName := *name
-		if relName == "" {
-			relName = *storeOut
-		}
-		sh := shard.Build(relName, rel, *shards, cfg)
-		if err := shard.Save(*storeOut, sh); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s: %d objects preprocessed into %d tile(s) (engine %s, filter %s+%s, page %d, policy %s)\n",
-			*storeOut, sh.Objects(), sh.Shards(), cfg.Engine, cfg.Filter.Conservative, cfg.Filter.Progressive,
-			cfg.PageSize, cfg.BufferPolicy)
-		return
-	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for i, p := range rel {
-		fmt.Fprintf(w, "%d\t%s\n", i, wkt(p))
-	}
-}
-
-// streamMain is the bounded-memory path (-stream, and always -sf): the
-// relation is generated by data.StreamMap and never materialized.
-// -store writes the store directory via the spill-and-partition builder;
-// -bin streams the binary relation; the default streams WKT rows.
-func streamMain(mc data.MapConfig, sfName string, statsOnly bool, binOut, storeOut string,
-	shards int, strategy, name string, cfg multistep.Config) {
-	if strategy != "" {
-		fatal(fmt.Errorf("-strategy is not available with -stream/-sf: the test-series transforms need the materialized map"))
-	}
-	switch {
-	case statsOnly:
-		var count, withHoles, vmin, vmax, vsum int
-		_, err := data.StreamMap(mc, func(_ int32, p *geom.Polygon) error {
-			v := p.NumVertices()
-			if count == 0 || v < vmin {
-				vmin = v
-			}
-			if v > vmax {
-				vmax = v
-			}
-			vsum += v
-			if len(p.Holes) > 0 {
-				withHoles++
-			}
-			count++
-			return nil
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("objects=%d m_avg=%.1f m_min=%d m_max=%d with_holes=%d\n",
-			count, float64(vsum)/float64(max(count, 1)), vmin, vmax, withHoles)
-	case binOut != "":
-		f, err := os.Create(binOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
 		rw, err := data.NewRelationWriter(f, mc.Cells)
 		if err != nil {
 			fatal(err)
@@ -194,28 +120,50 @@ func streamMain(mc data.MapConfig, sfName string, statsOnly bool, binOut, storeO
 		if err := rw.Close(); err != nil {
 			fatal(err)
 		}
-	case storeOut != "":
-		relName := name
-		if relName == "" {
-			relName = sfName
+		if err := f.Close(); err != nil {
+			fatal(err)
 		}
-		if relName == "" {
-			relName = storeOut
-		}
-		bs, err := loadgen.BuildStore(storeOut, relName, mc, shards, cfg)
+	case *storeOut != "" && *strategy == "":
+		bs, err := loadgen.BuildStore(*storeOut, relName, mc, *shards, cfg)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s: relation %q, %d objects streamed into %d tile(s) (%.1f MB spill, %d seams, %d quad fallbacks; engine %s, filter %s+%s, page %d, policy %s)\n",
-			storeOut, relName, bs.Objects, bs.Tiles, float64(bs.SpillBytes)/(1<<20), bs.Seams, bs.QuadFallbacks,
+			*storeOut, relName, bs.Objects, bs.Tiles, float64(bs.SpillBytes)/(1<<20), bs.Seams, bs.QuadFallbacks,
+			cfg.Engine, cfg.Filter.Conservative, cfg.Filter.Progressive, cfg.PageSize, cfg.BufferPolicy)
+	case *storeOut != "":
+		// The seed offsets mirror cmd/spatialjoin's test-series pairs:
+		// its strategy B joins StrategyB(base, seed+1) with
+		// StrategyB(base, seed+2), so B emits the R side and B2 the S
+		// side — the prebuilt stores reproduce the generate path
+		// exactly for both strategies.
+		rel := data.GenerateMap(mc)
+		switch strings.ToUpper(*strategy) {
+		case "A":
+			rel = data.StrategyA(rel, 0.45)
+		case "B":
+			rel = data.StrategyB(rel, *seed+1)
+		case "B2":
+			rel = data.StrategyB(rel, *seed+2)
+		default:
+			fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		}
+		sh := shard.Build(relName, rel, *shards, cfg)
+		if err := shard.Save(*storeOut, sh); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %s: relation %q, %d objects preprocessed into %d tile(s) (strategy %s; engine %s, filter %s+%s, page %d, policy %s)\n",
+			*storeOut, relName, sh.Objects(), sh.Shards(), strings.ToUpper(*strategy),
 			cfg.Engine, cfg.Filter.Conservative, cfg.Filter.Progressive, cfg.PageSize, cfg.BufferPolicy)
 	default:
 		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
 		if _, err := data.StreamMap(mc, func(id int32, p *geom.Polygon) error {
 			_, err := fmt.Fprintf(w, "%d\t%s\n", id, wkt(p))
 			return err
 		}); err != nil {
+			fatal(err)
+		}
+		if err := w.Flush(); err != nil {
 			fatal(err)
 		}
 	}

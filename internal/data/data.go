@@ -8,8 +8,9 @@
 // edges in general position relative to the axes, reproducing the high
 // normalized MBR false areas the paper measures on real data (Table 1:
 // ∅ ≈ 0.9–1.0). A configurable fraction of cells carries a lake-like hole
-// (section 2.1: polygons with holes). All generation is deterministic in
-// the seed.
+// (section 2.1: polygons with holes). One generator, StreamMap, emits a
+// map polygon by polygon; GenerateMap collects it. All generation is
+// deterministic in the seed.
 //
 // The paper's test series are reproduced by the two strategies of
 // section 3.1: strategy A joins a relation with a shifted copy of itself;
@@ -20,12 +21,11 @@ package data
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"spatialjoin/internal/geom"
 )
 
-// MapConfig parameterizes GenerateMap.
+// MapConfig parameterizes StreamMap and GenerateMap.
 type MapConfig struct {
 	// Cells is the approximate number of polygons (rounded to a grid).
 	Cells int
@@ -38,7 +38,7 @@ type MapConfig struct {
 	// make MBRs as loose as on real maps. Defaults to ≈ 0.5 rad when 0.
 	Rotation float64
 	// Roughness of the fractal boundary displacement in (0, 0.5); defaults
-	// to 0.17 when 0.
+	// to 0.24 when 0.
 	Roughness float64
 	// FjordProb is the probability that a cell boundary carries a deep
 	// bay. Real municipalities are strongly non-convex (the paper's
@@ -49,7 +49,7 @@ type MapConfig struct {
 	// Extent scales the data space to [0, Extent]²; 0 means the unit
 	// square. The scale-factor datasets (internal/loadgen) grow the
 	// territory with √SF so object sizes and densities stay constant
-	// across scale factors. Honoured by StreamMap and GenerateMap alike.
+	// across scale factors.
 	Extent float64
 	// Seed makes generation reproducible.
 	Seed int64
@@ -75,189 +75,19 @@ func BigConfig(n int, seed int64) MapConfig {
 	return MapConfig{Cells: n, TargetVerts: 28, HoleFraction: 0.02, Seed: seed}
 }
 
-// GenerateMap builds one relation: a rotated, jittered grid tiling of
-// fractal-boundary polygons over the unit data space.
+// GenerateMap materialises the map StreamMap emits: the same polygons in
+// the same order, collected into one slice.
 func GenerateMap(cfg MapConfig) []*geom.Polygon {
 	if cfg.Cells < 1 {
 		return nil
 	}
-	if cfg.Rotation == 0 {
-		cfg.Rotation = 0.5
-	}
-	if cfg.Roughness == 0 {
-		cfg.Roughness = 0.24
-	}
-	if cfg.FjordProb == 0 {
-		cfg.FjordProb = 0.7
-	}
-	if cfg.FjordProb < 0 {
-		cfg.FjordProb = 0
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	kx := int(math.Round(math.Sqrt(float64(cfg.Cells))))
-	if kx < 1 {
-		kx = 1
-	}
-	ky := (cfg.Cells + kx - 1) / kx
-
-	// Jittered grid corners. The jitter is bounded well below half a cell
-	// so cells remain simple quads.
-	corners := make([][]geom.Point, kx+1)
-	for i := 0; i <= kx; i++ {
-		corners[i] = make([]geom.Point, ky+1)
-		for j := 0; j <= ky; j++ {
-			jx := (rng.Float64() - 0.5) * 0.42
-			jy := (rng.Float64() - 0.5) * 0.42
-			corners[i][j] = geom.Point{
-				X: (float64(i) + jx) / float64(kx),
-				Y: (float64(j) + jy) / float64(ky),
-			}
-		}
-	}
-
-	// The subdivision depth d yields 2^d segments per cell side; four
-	// sides must average TargetVerts vertices.
-	perSide := float64(cfg.TargetVerts) / 4
-	baseDepth := int(math.Round(math.Log2(math.Max(1, perSide))))
-
-	// Shared displaced boundaries: horizontal edges H[i][j] connect
-	// corners (i,j)-(i+1,j); vertical edges V[i][j] connect (i,j)-(i,j+1).
-	// Each edge carries an aggressiveness level: level 0 is the full
-	// fractal + fjord carving; the repair loop below tames individual
-	// edges (level 1: half roughness, no fjords; level 2: gentle) when a
-	// cell turns out non-simple, so validity never caps the global
-	// concavity parameters.
-	genEdge := func(a, b geom.Point, seed int64, level int) []geom.Point {
-		erng := rand.New(rand.NewSource(seed))
-		rough := cfg.Roughness
-		fjord := cfg.FjordProb
-		switch level {
-		case 1:
-			rough /= 2
-			fjord = 0
-		case 2:
-			rough /= 6
-			fjord = 0
-		}
-		e := displace(erng, a, b, edgeDepth(erng, baseDepth), rough)
-		return addFjords(erng, e, fjord)
-	}
-	hSeed := func(i, j int) int64 { return cfg.Seed*1_000_003 + int64(i)*7919 + int64(j)*104729 + 1 }
-	vSeed := func(i, j int) int64 { return cfg.Seed*1_000_003 + int64(i)*7919 + int64(j)*104729 + 2 }
-
-	hEdges := make([][][]geom.Point, kx)
-	hLevel := make([][]int, kx)
-	for i := 0; i < kx; i++ {
-		hEdges[i] = make([][]geom.Point, ky+1)
-		hLevel[i] = make([]int, ky+1)
-		for j := 0; j <= ky; j++ {
-			hEdges[i][j] = genEdge(corners[i][j], corners[i+1][j], hSeed(i, j), 0)
-		}
-	}
-	vEdges := make([][][]geom.Point, kx+1)
-	vLevel := make([][]int, kx+1)
-	for i := 0; i <= kx; i++ {
-		vEdges[i] = make([][]geom.Point, ky)
-		vLevel[i] = make([]int, ky)
-		for j := 0; j < ky; j++ {
-			vEdges[i][j] = genEdge(corners[i][j], corners[i][j+1], vSeed(i, j), 0)
-		}
-	}
-
-	buildCell := func(i, j int) geom.Ring {
-		return geom.NewRing(assembleCell(hEdges[i][j], vEdges[i+1][j], hEdges[i][j+1], vEdges[i][j]))
-	}
-
-	// Repair loop: tame the edges of non-simple cells and re-validate the
-	// affected neighbourhood until every cell is simple. Cells are
-	// processed in row-major order — map iteration order would make the
-	// bump pattern, and with it the generated polygons, nondeterministic.
-	type cellID struct{ i, j int }
-	pending := make(map[cellID]bool, kx*ky)
-	for j := 0; j < ky; j++ {
-		for i := 0; i < kx; i++ {
-			pending[cellID{i, j}] = true
-		}
-	}
-	for round := 0; round < 4 && len(pending) > 0; round++ {
-		order := make([]cellID, 0, len(pending))
-		for c := range pending {
-			order = append(order, c)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if order[a].j != order[b].j {
-				return order[a].j < order[b].j
-			}
-			return order[a].i < order[b].i
-		})
-		next := make(map[cellID]bool)
-		for _, c := range order {
-			ring := buildCell(c.i, c.j)
-			if !ring.SelfIntersects() {
-				continue
-			}
-			// Tame all four edges one level and re-check the neighbours
-			// that share them.
-			bump := func(kind byte, i, j int) {
-				if kind == 'h' {
-					if hLevel[i][j] < 2 {
-						hLevel[i][j]++
-						hEdges[i][j] = genEdge(corners[i][j], corners[i+1][j], hSeed(i, j), hLevel[i][j])
-					}
-					if j > 0 {
-						next[cellID{i, j - 1}] = true
-					}
-					if j < ky {
-						next[cellID{i, j}] = true
-					}
-				} else {
-					if vLevel[i][j] < 2 {
-						vLevel[i][j]++
-						vEdges[i][j] = genEdge(corners[i][j], corners[i][j+1], vSeed(i, j), vLevel[i][j])
-					}
-					if i > 0 {
-						next[cellID{i - 1, j}] = true
-					}
-					if i < kx {
-						next[cellID{i, j}] = true
-					}
-				}
-			}
-			bump('h', c.i, c.j)
-			bump('h', c.i, c.j+1)
-			bump('v', c.i, c.j)
-			bump('v', c.i+1, c.j)
-		}
-		// Re-validate only cells adjacent to re-generated edges, but make
-		// sure the bumped cells themselves are rechecked.
-		pending = next
-	}
-
-	center := geom.Point{X: 0.5, Y: 0.5}
-	rot := func(p geom.Point) geom.Point { return p.RotateAround(cfg.Rotation, center) }
-	if cfg.Extent > 0 && cfg.Extent != 1 {
-		// Scale after rotation so Extent purely grows the territory; the
-		// default 0 leaves the historical unit-square output untouched.
-		ext := cfg.Extent
-		rot = func(p geom.Point) geom.Point {
-			q := p.RotateAround(cfg.Rotation, center)
-			return geom.Point{X: q.X * ext, Y: q.Y * ext}
-		}
-	}
-
 	polys := make([]*geom.Polygon, 0, cfg.Cells)
-	for j := 0; j < ky && len(polys) < cfg.Cells; j++ {
-		for i := 0; i < kx && len(polys) < cfg.Cells; i++ {
-			p := &geom.Polygon{Outer: buildCell(i, j)}
-			if rng.Float64() < cfg.HoleFraction {
-				if hole, ok := makeHole(rng, p); ok {
-					p.Holes = append(p.Holes, hole)
-				}
-			}
-			polys = append(polys, p.Transform(rot))
-		}
-	}
+	// StreamMap fails only with an error of the callback, and this one
+	// returns none.
+	_, _ = StreamMap(cfg, func(_ int32, p *geom.Polygon) error {
+		polys = append(polys, p)
+		return nil
+	})
 	return polys
 }
 
@@ -355,7 +185,9 @@ func assembleCell(bottom, right, top, left []geom.Point) []geom.Point {
 }
 
 // makeHole cuts a lake-like star hole around the cell centroid. ok is
-// false when the hole would touch the boundary.
+// false when the holed polygon would not pass ValidateSimple, so a hole
+// never touches the outer ring; a rejected hole draws no more numbers
+// from rng than a kept one.
 func makeHole(rng *rand.Rand, p *geom.Polygon) (geom.Ring, bool) {
 	c := p.Outer.Centroid()
 	if !p.Outer.ContainsPoint(c) {
@@ -370,12 +202,12 @@ func makeHole(rng *rand.Rand, p *geom.Polygon) (geom.Ring, bool) {
 		rr := r * (0.6 + 0.4*rng.Float64())
 		pts[i] = geom.Point{X: c.X + rr*math.Cos(ang), Y: c.Y + rr*math.Sin(ang)}
 	}
-	for _, pt := range pts {
-		if !p.Outer.ContainsPoint(pt) {
-			return nil, false
-		}
+	hole := geom.NewRing(pts).Reversed()
+	holed := geom.Polygon{Outer: p.Outer, Holes: []geom.Ring{hole}}
+	if holed.ValidateSimple() != nil {
+		return nil, false
 	}
-	return geom.NewRing(pts).Reversed(), true
+	return hole, true
 }
 
 // StrategyA returns the paper's strategy A counterpart of rel: a copy
@@ -488,26 +320,28 @@ type VertexStats struct {
 	TotalVertexCount int
 }
 
+// Add accounts one more polygon of the relation.
+func (st *VertexStats) Add(p *geom.Polygon) {
+	n := p.NumVertices()
+	if st.Objects == 0 || n < st.Min {
+		st.Min = n
+	}
+	if n > st.Max {
+		st.Max = n
+	}
+	if len(p.Holes) > 0 {
+		st.WithHoles++
+	}
+	st.Objects++
+	st.TotalVertexCount += n
+	st.Avg = float64(st.TotalVertexCount) / float64(st.Objects)
+}
+
 // Stats computes the Figure 2 measures for a relation.
 func Stats(rel []*geom.Polygon) VertexStats {
-	st := VertexStats{Objects: len(rel), Min: math.MaxInt}
+	var st VertexStats
 	for _, p := range rel {
-		n := p.NumVertices()
-		st.TotalVertexCount += n
-		if n < st.Min {
-			st.Min = n
-		}
-		if n > st.Max {
-			st.Max = n
-		}
-		if len(p.Holes) > 0 {
-			st.WithHoles++
-		}
-	}
-	if st.Objects > 0 {
-		st.Avg = float64(st.TotalVertexCount) / float64(st.Objects)
-	} else {
-		st.Min = 0
+		st.Add(p)
 	}
 	return st
 }

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -56,21 +57,41 @@ func TestGenerateMapVertexTarget(t *testing.T) {
 }
 
 func TestGeneratedPolygonsAreValid(t *testing.T) {
-	rel := GenerateMap(MapConfig{Cells: 120, TargetVerts: 84, HoleFraction: 0.5, Seed: 13})
-	holes := 0
-	for i, p := range rel {
-		if err := p.ValidateSimple(); err != nil {
-			t.Fatalf("polygon %d invalid: %v", i, err)
-		}
-		if len(p.Holes) > 0 {
-			holes++
-		}
-		if p.Area() <= 0 {
-			t.Fatalf("polygon %d has non-positive area", i)
-		}
+	cases := []struct {
+		name     string
+		cfg      MapConfig
+		seamless bool // the paper's maps: no seam, no quad fallback
+	}{
+		{"holey", MapConfig{Cells: 120, TargetVerts: 84, HoleFraction: 0.5, Seed: 13}, false},
+		{"Europe", EuropeConfig(), true},
+		{"BW", BWConfig(), true},
+		{"lattice map", MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211}, false},
+		{"lattice self", MapConfig{Cells: 50, TargetVerts: 32, HoleFraction: 0.2, Seed: 229}, false},
+		{"SF 0.01 R", MapConfig{Cells: 1300, TargetVerts: 28, HoleFraction: 0.06, Extent: 0.1, Seed: 73520100}, false},
 	}
-	if holes == 0 {
-		t.Error("with HoleFraction 0.5 some polygons must have holes")
+	for _, c := range cases {
+		holes := 0
+		st, err := StreamMap(c.cfg, func(id int32, p *geom.Polygon) error {
+			if err := p.ValidateSimple(); err != nil {
+				return fmt.Errorf("polygon %d invalid: %w", id, err)
+			}
+			if len(p.Holes) > 0 {
+				holes++
+			}
+			if p.Area() <= 0 {
+				return fmt.Errorf("polygon %d has non-positive area", id)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if holes == 0 {
+			t.Errorf("%s: with HoleFraction %g some polygons must have holes", c.name, c.cfg.HoleFraction)
+		}
+		if c.seamless && (st.Seams != 0 || st.QuadFallbacks != 0) {
+			t.Errorf("%s: %d seams, %d quad fallbacks; want none", c.name, st.Seams, st.QuadFallbacks)
+		}
 	}
 }
 

@@ -7,30 +7,27 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// StreamMap is the bounded-memory counterpart of GenerateMap: it emits
-// the polygons of a generated map one at a time, in row-major cell
-// order, holding only a two-row window of cell boundaries in memory —
-// O(√n · m∅) instead of O(n · m∅). It exists for the scale-factor
-// datasets of the load harness (internal/loadgen), where an SF=10
-// relation has millions of polygons and materializing the full slice
-// before preprocessing would dominate the build's footprint.
+// StreamMap is the map generator: it emits the polygons of a generated
+// map one at a time, in row-major cell order, holding only a two-row
+// window of cell boundaries in memory — O(√n · m∅) instead of O(n · m∅).
+// GenerateMap collects its output for the paper's experiments; the
+// scale-factor datasets of the load harness (internal/loadgen), where
+// an SF=10 relation has millions of polygons, consume it directly.
 //
-// The generated map has the same character as GenerateMap's — a
-// rotated, jittered grid of fractal-boundary counties with shared cell
-// boundaries, lake holes and fjords — but is NOT polygon-identical to
-// it: corner jitter derives from per-corner hashes instead of one
-// sequential random stream, and boundary repair is row-local (a cell
-// may only tame edges no later row has already consumed) instead of
-// global. Both choices are what make single-pass bounded-memory
-// emission possible. Repair resolutions:
+// Corner jitter derives from per-corner hashes and each cell's hole
+// decision from a per-cell seed, so no state crosses the window but the
+// frozen row boundary. Boundary repair is row-local: a cell may only
+// tame edges no later row has already consumed. Repair resolutions:
 //
 //  1. A non-simple cell tames its top and side edges (its bottom edge
 //     is frozen — the previous row already emitted it) and re-checks,
-//     up to the same two taming levels GenerateMap uses.
+//     up to two taming levels (half roughness without fjords, then a
+//     sixth).
 //  2. If still non-simple, the cell regenerates a private gentle copy
 //     of its bottom edge. The neighbour below keeps the wild version,
 //     so the shared-boundary tiling is broken along that one edge (a
-//     "seam"); StreamStats counts them.
+//     "seam"); StreamStats counts them. The paper's Europe and BW maps
+//     have none.
 //  3. As a last resort the cell falls back to its plain jittered quad,
 //     which the jitter bound keeps simple.
 //

@@ -18,6 +18,10 @@ import (
 // The ablation experiments quantify the design decisions DESIGN.md §8
 // calls out, beyond what the paper's own figures cover.
 
+// decompSample is how many BW polygons, from the first, the
+// decomposition ablation decomposes.
+const decompSample = 40
+
 // AblationDecomposition compares the three decomposition techniques of
 // Figure 14 on the BW relation: component counts and the TR*-tree exact
 // cost when each technique's components back the tree (trapezoids and
@@ -38,10 +42,7 @@ func AblationDecomposition(e *Env) *Table {
 		{"triangles", func(i int) decomp.Stats { return decomp.TriangleStats(bw[i]) }},
 		{"convex parts", func(i int) decomp.Stats { return decomp.ConvexPartStats(bw[i]) }},
 	}
-	sample := 40
-	if sample > len(bw) {
-		sample = len(bw)
-	}
+	sample := min(decompSample, len(bw))
 	for _, tech := range techs {
 		var comps, verts, areaErr float64
 		for i := 0; i < sample; i++ {
@@ -58,7 +59,8 @@ func AblationDecomposition(e *Env) *Table {
 			fmt.Sprintf("%.1f", verts/float64(sample)),
 			fmt.Sprintf("%.2e", areaErr/float64(sample)))
 	}
-	t.Comment = "Trapezoids give the fewest components with exactly MBR-approximable shapes — the paper's choice."
+	t.Comment = "Convex parts give the fewest components, of unbounded vertex count; trapezoids, four corners\n" +
+		"each and exactly MBR-approximable, are the paper's choice."
 	return t
 }
 

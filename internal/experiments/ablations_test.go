@@ -2,17 +2,31 @@ package experiments
 
 import (
 	"testing"
+
+	"spatialjoin/internal/decomp"
 )
 
 func TestAblationDecompositionShape(t *testing.T) {
 	skipInShort(t)
-	tab := AblationDecomposition(sharedEnv())
-	traps := cell(t, tab, 0, 1)
+	e := sharedEnv()
+	tab := AblationDecomposition(e)
+	// Per polygon: ear clipping splits a hole-free polygon into exactly
+	// vertices − 2 triangles, and a holey one is triangulated by splitting
+	// its trapezoids, so it has at least as many triangles as trapezoids.
+	bw := e.BW()
+	for i := 0; i < min(decompSample, len(bw)); i++ {
+		p := bw[i]
+		tris := decomp.TriangleStats(p).Components
+		if len(p.Holes) == 0 {
+			if want := p.NumVertices() - 2; tris != want {
+				t.Errorf("polygon %d: %d triangles, want vertices − 2 = %d", i, tris, want)
+			}
+		} else if traps := decomp.TrapezoidStats(p).Components; tris < traps {
+			t.Errorf("polygon %d (holey): %d triangles, fewer than its %d trapezoids", i, tris, traps)
+		}
+	}
 	tris := cell(t, tab, 1, 1)
 	convex := cell(t, tab, 2, 1)
-	if tris < traps {
-		t.Errorf("triangles (%v) must be at least as many as trapezoids (%v)", tris, traps)
-	}
 	if convex > tris {
 		t.Errorf("convex parts (%v) must not exceed triangles (%v)", convex, tris)
 	}

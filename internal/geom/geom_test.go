@@ -425,6 +425,18 @@ func TestValidateSimpleFailures(t *testing.T) {
 	if err := holeOutside.ValidateSimple(); err == nil {
 		t.Error("hole outside outer ring must fail validation")
 	}
+	// A bay of the outer ring reaches between two hole vertices: every
+	// hole vertex lies inside, yet the hole's top edge crosses the bay.
+	bay := NewPolygon(Ring{{0, 0}, {4, 0}, {4, 4}, {2.2, 4}, {2, 2.5}, {1.8, 4}, {0, 4}})
+	bay.Holes = append(bay.Holes, NewRing(Ring{{1, 1}, {3, 1}, {3, 3}, {1, 3}}).Reversed())
+	for _, v := range bay.Holes[0] {
+		if !bay.Outer.ContainsPoint(v) {
+			t.Fatalf("hole vertex %v outside: the case no longer tests the edge check", v)
+		}
+	}
+	if err := bay.ValidateSimple(); err == nil {
+		t.Error("hole edge crossing the outer ring must fail validation")
+	}
 }
 
 // randomStar returns a random star-shaped simple ring around (cx, cy).

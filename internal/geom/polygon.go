@@ -277,7 +277,8 @@ func offLine(l, lo, hi, c float64) bool {
 
 // ValidateSimple checks structural invariants: every ring is simple
 // (non-self-intersecting), the outer ring is counterclockwise, holes are
-// clockwise and lie inside the outer ring. It is quadratic and meant for
+// clockwise and lie strictly inside the outer ring (no hole edge meets an
+// outer edge). It is quadratic and meant for
 // tests and the data generator.
 func (p *Polygon) ValidateSimple() error {
 	if len(p.Outer) < 3 {
@@ -302,6 +303,16 @@ func (p *Polygon) ValidateSimple() error {
 		for _, v := range h {
 			if !p.Outer.ContainsPoint(v) {
 				return errValidation("hole vertex outside outer ring")
+			}
+		}
+		// Vertices inside are not enough: an outer bay can reach in
+		// between two hole vertices and cut the hole's edge.
+		for i := range h {
+			e := h.Edge(i)
+			for j := range p.Outer {
+				if e.Intersects(p.Outer.Edge(j)) {
+					return errValidation("hole edge meets outer ring")
+				}
 			}
 		}
 	}

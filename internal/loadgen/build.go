@@ -24,8 +24,8 @@ type BuildStats struct {
 	SpillBytes int64
 }
 
-// BuildStore generates the relation described by mc with the streaming
-// generator and writes it as a sharded store directory at dir, under
+// BuildStore generates the relation described by mc with data.StreamMap
+// and writes it as a sharded store directory at dir, under
 // the facade name and preprocessing configuration given — without ever
 // materializing the full relation. The build runs in three passes:
 //

@@ -67,7 +67,7 @@ func For(sf float64) (Spec, error) {
 	}, nil
 }
 
-// MapConfig returns the streaming-generator configuration for one side
+// MapConfig returns the map generator configuration for one side
 // of the dataset (side "R" or "S").
 func (s Spec) MapConfig(side string) (data.MapConfig, error) {
 	cfg := data.MapConfig{

@@ -3,6 +3,7 @@ package multistep
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"spatialjoin/internal/approx"
@@ -70,7 +71,10 @@ func (p Predicate) String() string {
 	case predContains:
 		return "contains"
 	case predWithin:
-		return fmt.Sprintf("within(%g)", p.eps)
+		b := make([]byte, 0, 32)
+		b = append(b, "within("...)
+		b = strconv.AppendFloat(b, p.eps, 'g', -1, 64)
+		return string(append(b, ')'))
 	default:
 		return "intersects"
 	}

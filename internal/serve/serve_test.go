@@ -610,7 +610,7 @@ func TestHitPathAllocs(t *testing.T) {
 		url string
 		max float64
 	}{
-		{"/point?rel=R&x=0.31&y=0.47&epsilon=0.01", 22},
+		{"/point?rel=R&x=0.31&y=0.47&epsilon=0.01", 21},
 		{"/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&limit=100", 22},
 		{"/nearest?rel=R&x=0.31&y=0.47&k=4", 20},
 		{"/join?r=R&s=S&limit=10", 19},

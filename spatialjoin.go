@@ -302,9 +302,9 @@ var (
 // directory: one file per tile — polygons, approximations, the R*-tree
 // in page-granular layout, its buffer state and (under the TR*-tree
 // engine) every object's TR*-tree — plus a manifest with the tile MBRs,
-// the object ID mapping, planner statistics and the fingerprint of the
-// configuration the relation was built under. OpenRelation reopens it
-// instantly instead of re-running NewRelation.
+// the object ID mapping and the fingerprint of the configuration the
+// relation was built under. No planner statistics are stored: every open
+// derives them. OpenRelation reopens it without re-running NewRelation.
 func SaveRelation(dir string, rel *Relation) error { return shard.Save(dir, rel) }
 
 // OpenRelation reopens a store written by SaveRelation (or a single-file

@@ -12,7 +12,7 @@
 //	                 [-engine trstar|planesweep|quadratic]
 //	                 [-conservative 5C|RMBR|CH|4C|MBC|MBE] [-progressive MER|MEC]
 //	                 [-no-filter] [-page 4096] [-buffer 131072] [-policy lru|fifo|clock]
-//	                 [-join-workers 0] [-cache-bytes 67108864]
+//	                 [-cache-bytes 67108864]
 //	                 [-drain 15s] [-timeout 0] [-max-timeout 0]
 //	                 [-max-inflight 0] [-max-queue 0] [-queue-wait 100ms]
 //	                 [-faults spec]
@@ -105,7 +105,6 @@ func main() {
 	demo := flag.Int("demo", 0, "serve a generated demo relation pair of this many objects instead of stores")
 	seed := flag.Int64("seed", 9401, "with -demo: generation seed")
 	config := multistep.ConfigFlags(flag.CommandLine)
-	joinWorkers := flag.Int("join-workers", 0, "streaming-join workers per request (0 = GOMAXPROCS)")
 	maxPairs := flag.Int("max-pairs", serve.DefaultMaxJoinPairs, "cap on join pairs returned inline per request")
 	cacheBytes := flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result/tile cache budget in bytes (<=0 disables caching)")
 	drain := flag.Duration("drain", 15*time.Second, "how long to let in-flight requests drain on SIGINT/SIGTERM before closing connections")
@@ -161,7 +160,6 @@ func main() {
 	}
 
 	srv := serve.NewServer(cat)
-	srv.JoinWorkers = *joinWorkers
 	srv.MaxJoinPairs = *maxPairs
 	srv.CacheBytes = *cacheBytes
 	srv.RequestTimeout = *timeout

@@ -209,13 +209,11 @@ func boolTri(b bool) Tri {
 //     the pair is a false hit.
 //   - cons(b) ⊆ prog(a) implies b ⊆ cons(b) ⊆ prog(a) ⊆ a; a hit.
 func (f FilterConfig) ClassifyContains(a, b *Set) Class {
-	if !f.NoConservative && !f.NoProgressive {
-		if ContainsApprox(f.Conservative, a, f.Progressive, b) == No {
-			return FalseHit
-		}
-		if ContainsApprox(f.Progressive, a, f.Conservative, b) == Yes {
-			return Hit
-		}
+	if ContainsApprox(f.Conservative, a, f.Progressive, b) == No {
+		return FalseHit
+	}
+	if ContainsApprox(f.Progressive, a, f.Conservative, b) == Yes {
+		return Hit
 	}
 	return Candidate
 }

@@ -123,11 +123,6 @@ func TestClassifyContainsDegenerate(t *testing.T) {
 	if got := f.ClassifyContains(a, far); got != FalseHit {
 		t.Errorf("far squares: got %v, want false hit", got)
 	}
-	// With the filter disabled the classifier must defer.
-	off := FilterConfig{NoConservative: true, NoProgressive: true}
-	if got := off.ClassifyContains(a, b); got != Candidate {
-		t.Errorf("disabled filter: got %v, want candidate", got)
-	}
 }
 
 func TestIntersectsRectAllKinds(t *testing.T) {

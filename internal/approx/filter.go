@@ -112,11 +112,9 @@ func FalseAreaHit(k Kind, a, b *Set) bool {
 // section 3.6: a conservative kind to identify false hits, a progressive
 // kind to identify hits, and optionally the false-area test.
 type FilterConfig struct {
-	Conservative   Kind // e.g. C5 (the paper's recommendation); MBR disables
-	Progressive    Kind // e.g. MER (the paper's recommendation)
-	UseFalseArea   bool // additionally apply the false-area test
-	NoConservative bool // skip the conservative step entirely
-	NoProgressive  bool // skip the progressive step entirely
+	Conservative Kind // e.g. C5 (the paper's recommendation); MBR disables
+	Progressive  Kind // e.g. MER (the paper's recommendation)
+	UseFalseArea bool // additionally apply the false-area test
 }
 
 // RecommendedFilter is the paper's section 3.6 recommendation: identify
@@ -130,15 +128,11 @@ func RecommendedFilter() FilterConfig {
 // follows the paper: conservative test first (cheapest useful outcome:
 // false hit), then progressive test, then optionally the false-area test.
 func (f FilterConfig) Classify(a, b *Set) Class {
-	if !f.NoConservative && f.Conservative != MBR {
-		if !ConservativeIntersects(f.Conservative, a, b) {
-			return FalseHit
-		}
+	if f.Conservative != MBR && !ConservativeIntersects(f.Conservative, a, b) {
+		return FalseHit
 	}
-	if !f.NoProgressive {
-		if ProgressiveIntersects(f.Progressive, a, b) {
-			return Hit
-		}
+	if ProgressiveIntersects(f.Progressive, a, b) {
+		return Hit
 	}
 	if f.UseFalseArea {
 		if FalseAreaHit(f.Conservative, a, b) {
@@ -169,15 +163,11 @@ func (f FilterConfig) Classify(a, b *Set) Class {
 // kernels and the boolean intersection tests agree (they do for every
 // polygonal kind; both are exact).
 func (f FilterConfig) ClassifyWithin(a, b *Set, eps float64) Class {
-	if !f.NoConservative {
-		if !ConservativeWithin(f.Conservative, a, b, eps) {
-			return FalseHit
-		}
+	if !ConservativeWithin(f.Conservative, a, b, eps) {
+		return FalseHit
 	}
-	if !f.NoProgressive {
-		if ProgressiveWithin(f.Progressive, a, b, eps) {
-			return Hit
-		}
+	if ProgressiveWithin(f.Progressive, a, b, eps) {
+		return Hit
 	}
 	if f.UseFalseArea {
 		if FalseAreaHit(f.Conservative, a, b) {
@@ -262,14 +252,9 @@ func circlesWithin(a, b *Circle, eps float64) bool {
 // Kinds returns the approximation kinds Classify consumes, for use as
 // Compute options.
 func (f FilterConfig) Kinds() Options {
-	var opt Options
-	if !f.NoConservative && f.Conservative != MBR {
-		opt.Conservative = append(opt.Conservative, f.Conservative)
-	} else if f.UseFalseArea && f.Conservative != MBR {
-		opt.Conservative = append(opt.Conservative, f.Conservative)
-	}
-	if !f.NoProgressive {
-		opt.Progressive = append(opt.Progressive, f.Progressive)
+	opt := Options{Progressive: []Kind{f.Progressive}}
+	if f.Conservative != MBR {
+		opt.Conservative = []Kind{f.Conservative}
 	}
 	return opt
 }

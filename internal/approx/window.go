@@ -57,15 +57,11 @@ func circleRect(c Circle, w geom.Rect) bool {
 // is exact, so a conservative miss proves a false hit and a progressive
 // hit proves a hit.
 func (f FilterConfig) ClassifyWindow(s *Set, w geom.Rect) Class {
-	if !f.NoConservative && f.Conservative != MBR {
-		if !IntersectsRect(f.Conservative, s, w) {
-			return FalseHit
-		}
+	if f.Conservative != MBR && !IntersectsRect(f.Conservative, s, w) {
+		return FalseHit
 	}
-	if !f.NoProgressive {
-		if IntersectsRect(f.Progressive, s, w) {
-			return Hit
-		}
+	if IntersectsRect(f.Progressive, s, w) {
+		return Hit
 	}
 	return Candidate
 }

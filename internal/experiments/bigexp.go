@@ -134,15 +134,16 @@ func Figure10(p BigParams) *Table {
 					switch class {
 					case 0:
 						for _, pt := range points {
-							tr.PointQuery(pt, func(rstar.Item) {})
+							pr := geom.Rect{MinX: pt.X, MinY: pt.Y, MaxX: pt.X, MaxY: pt.Y}
+							tr.WindowQueryAccess(tr.Buffer(), pr, func(rstar.Item) {})
 						}
 					case 1:
 						for _, w := range w1 {
-							tr.WindowQuery(w, func(rstar.Item) {})
+							tr.WindowQueryAccess(tr.Buffer(), w, func(rstar.Item) {})
 						}
 					case 2:
 						for _, w := range w5 {
-							tr.WindowQuery(w, func(rstar.Item) {})
+							tr.WindowQueryAccess(tr.Buffer(), w, func(rstar.Item) {})
 						}
 					}
 				})

@@ -1,14 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment is one exported function returning a
-// printable result; cmd/experiments runs them all and bench_test.go wraps
-// each in a testing.B benchmark. Results are deterministic in the data
-// seeds.
+// printable result; cmd/experiments runs them all. Results are
+// deterministic in the data seeds.
 //
 // Absolute numbers differ from the paper's — the data is synthetic and the
 // hardware is not an HP 720 — but every qualitative shape the paper
 // reports is reproduced and asserted in the experiment tests: who wins, by
-// roughly what factor, and where the crossovers fall. EXPERIMENTS.md
-// records paper-vs-measured values side by side.
+// roughly what factor, and where the crossovers fall. DESIGN.md §8 holds
+// the ledgers of measured values.
 package experiments
 
 import (
@@ -185,10 +184,12 @@ func (sd *SeriesData) FalseHits() int { return len(sd.Pairs) - sd.Hits }
 
 // seqJoin runs the unified join sequentially (one worker) under an
 // explicit configuration — the experiments' measurement mode, matching
-// the paper's single-CPU accounting.
+// the paper's single-CPU accounting. Each join runs on fresh sessions,
+// so it starts from the built buffer, as a served join does, and not
+// from the pages an earlier join on the same trees left behind.
 func seqJoin(r, s *multistep.Relation, cfg multistep.Config) ([]multistep.Pair, multistep.Stats) {
-	pairs, st, err := multistep.Join(context.Background(), r, s,
-		multistep.WithConfig(cfg), multistep.WithWorkers(1))
+	pairs, st, err := multistep.Join(context.Background(), r, s, multistep.WithConfig(cfg),
+		multistep.WithWorkers(1), multistep.WithSessions(r.NewSession(), s.NewSession()))
 	if err != nil {
 		panic(err)
 	}

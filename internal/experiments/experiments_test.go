@@ -131,9 +131,10 @@ func TestTable4Shape(t *testing.T) {
 		ch := cell(t, tab, row, 5)
 		// Paper: ≈0 for the MBR and ≈5–8 for the 5-C. The synthetic tiles
 		// are less fjorded than real municipalities, so the test fires
-		// somewhat more often here (see EXPERIMENTS.md); the bounds assert
-		// the same qualitative regime: MBR nearly useless, 5-C a small
-		// fraction, both far below the progressive tests of Table 5.
+		// somewhat more often here (DESIGN.md §8 ledgers the measured
+		// values); the bounds assert the same qualitative regime: MBR
+		// nearly useless, 5-C a small fraction, both far below the
+		// progressive tests of Table 5.
 		if mbr > 6 {
 			t.Errorf("row %d: false-area test with MBR identified %v%%, paper says ≈0", row, mbr)
 		}
@@ -396,6 +397,11 @@ func TestFigure18Shape(t *testing.T) {
 	// Version 3: exact test practically negligible.
 	if rows[2].Breakdown.ExactTest > 0.15*v3 {
 		t.Errorf("v3 exact test %.1f should be a small share of %.1f", rows[2].Breakdown.ExactTest, v3)
+	}
+	// Versions 2 and 3 run the same MBR-join on the same trees, each
+	// from the built buffer.
+	if rows[1].Breakdown.MBRJoin != rows[2].Breakdown.MBRJoin {
+		t.Errorf("MBR-join: version 2 %.2f, version 3 %.2f; want equal", rows[1].Breakdown.MBRJoin, rows[2].Breakdown.MBRJoin)
 	}
 	// Version 1: object access + exact test dominate.
 	if rows[0].Breakdown.MBRJoin > rows[0].Breakdown.ObjectAccess {

@@ -223,14 +223,7 @@ func EntryBytes(cfg Config) int {
 	if !cfg.UseFilter {
 		return approx.ApproxByteSize()
 	}
-	var extras []approx.Kind
-	if !cfg.Filter.NoConservative {
-		extras = append(extras, cfg.Filter.Conservative)
-	}
-	if !cfg.Filter.NoProgressive {
-		extras = append(extras, cfg.Filter.Progressive)
-	}
-	return approx.ApproxByteSize(extras...)
+	return approx.ApproxByteSize(cfg.Filter.Conservative, cfg.Filter.Progressive)
 }
 
 // NewRelation preprocesses a relation: approximations for every object

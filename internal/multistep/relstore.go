@@ -80,12 +80,15 @@ var (
 // and the MEC precision. Join-time-only fields (the worker options,
 // PlaneSweepRestrict) are excluded — the same store serves any
 // of them.
+//
+// The hashed text keeps "nocons=false|noprog=false" as a literal: it
+// spelled two filter switches that are gone, and every existing store
+// and manifest carries the fingerprint of this exact text.
 func ConfigFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v%d|filter=%t|cons=%d|prog=%d|fa=%t|nocons=%t|noprog=%t|engine=%d|trcap=%d|page=%d|buffer=%d|policy=%d|mec=%g",
+	fmt.Fprintf(h, "v%d|filter=%t|cons=%d|prog=%d|fa=%t|nocons=false|noprog=false|engine=%d|trcap=%d|page=%d|buffer=%d|policy=%d|mec=%g",
 		fingerprintVersion, cfg.UseFilter,
 		cfg.Filter.Conservative, cfg.Filter.Progressive, cfg.Filter.UseFalseArea,
-		cfg.Filter.NoConservative, cfg.Filter.NoProgressive,
 		cfg.Engine, cfg.TRCapacity, cfg.PageSize, cfg.BufferBytes,
 		cfg.BufferPolicy, cfg.MECPrecision)
 	return h.Sum64()

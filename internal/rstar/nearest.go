@@ -13,18 +13,12 @@ type nnCandidate struct {
 	e    *entry
 }
 
-// NearestNeighbors returns the k items whose key rectangles are closest to
-// p (by minimum distance; 0 for covering rectangles), using best-first
-// traversal with a distance-ordered priority queue. Spatial selections
-// like this are among the basic operations the paper lists in section 2.
-// Page visits are accounted on the shared buffer (single-query mode).
-func (t *Tree) NearestNeighbors(p geom.Point, k int) []Item {
-	return t.NearestNeighborsAccess(t.buf, p, k)
-}
-
-// NearestNeighborsAccess is NearestNeighbors with page visits routed
-// through an explicit access context (see PointQueryAccess): the first k
-// items of the ranking.
+// NearestNeighborsAccess returns the k items whose key rectangles are
+// closest to p (by minimum distance; 0 for covering rectangles): the
+// first k items of the best-first ranking. Spatial selections like this
+// are among the basic operations the paper lists in section 2. Page
+// visits are routed through the access context ax (see
+// WindowQueryAccess).
 func (t *Tree) NearestNeighborsAccess(ax storage.Accessor, p geom.Point, k int) []Item {
 	if k <= 0 || t.size == 0 {
 		return nil

@@ -17,7 +17,7 @@ func TestNearestNeighbors(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		k := 1 + rng.Intn(10)
-		got := tree.NearestNeighbors(p, k)
+		got := tree.NearestNeighborsAccess(tree.Buffer(), p, k)
 		if len(got) != k {
 			t.Fatalf("trial %d: got %d neighbours, want %d", trial, len(got), k)
 		}
@@ -37,11 +37,11 @@ func TestNearestNeighbors(t *testing.T) {
 			}
 		}
 	}
-	if got := tree.NearestNeighbors(geom.Point{}, 0); got != nil {
+	if got := tree.NearestNeighborsAccess(tree.Buffer(), geom.Point{}, 0); got != nil {
 		t.Error("k=0 must return nil")
 	}
 	empty := New(DefaultConfig())
-	if got := empty.NearestNeighbors(geom.Point{}, 3); got != nil {
+	if got := empty.NearestNeighborsAccess(empty.Buffer(), geom.Point{}, 3); got != nil {
 		t.Error("empty tree must return nil")
 	}
 }

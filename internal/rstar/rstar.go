@@ -294,28 +294,11 @@ func (t *Tree) split(n *node) *node {
 	return sib
 }
 
-// PointQuery calls fn for every item whose key rectangle contains p,
-// with page visits accounted on the shared buffer (single-query mode).
-func (t *Tree) PointQuery(p geom.Point, fn func(Item)) {
-	t.PointQueryAccess(t.buf, p, fn)
-}
-
-// PointQueryAccess is PointQuery with page visits routed through an
-// explicit access context. With per-query sessions (NewSession), any
-// number of searches may run concurrently on the same tree.
-func (t *Tree) PointQueryAccess(ax storage.Accessor, p geom.Point, fn func(Item)) {
-	t.searchRect(ax, t.root, geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}, nil, fn)
-}
-
-// WindowQuery calls fn for every item whose key rectangle intersects the
-// query window w, with page visits accounted on the shared buffer
-// (single-query mode).
-func (t *Tree) WindowQuery(w geom.Rect, fn func(Item)) {
-	t.WindowQueryAccess(t.buf, w, fn)
-}
-
-// WindowQueryAccess is WindowQuery with page visits routed through an
-// explicit access context (see PointQueryAccess).
+// WindowQueryAccess calls fn for every item whose key rectangle
+// intersects the query window w, with page visits routed through the
+// access context ax: the tree's shared Buffer, or a per-query session
+// (NewSession), with which any number of searches may run concurrently
+// on the same tree. A point query is the degenerate window.
 func (t *Tree) WindowQueryAccess(ax storage.Accessor, w geom.Rect, fn func(Item)) {
 	t.WindowQueryAccessStop(ax, w, nil, fn)
 }
@@ -343,11 +326,6 @@ func (t *Tree) searchRect(ax storage.Accessor, n *node, w geom.Rect, stop func()
 			t.searchRect(ax, e.child, w, stop, fn)
 		}
 	}
-}
-
-// All calls fn for every stored item (a full scan in tree order).
-func (t *Tree) All(fn func(Item)) {
-	t.searchRect(t.buf, t.root, geom.Rect{MinX: -1e300, MinY: -1e300, MaxX: 1e300, MaxY: 1e300}, nil, fn)
 }
 
 // Validate checks the structural invariants; for tests.

@@ -61,7 +61,7 @@ func TestWindowQueryAgainstScan(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		w := randRect(rng, 100, 15)
 		got := map[int32]bool{}
-		tree.WindowQuery(w, func(it Item) { got[it.ID] = true })
+		tree.WindowQueryAccess(tree.Buffer(), w, func(it Item) { got[it.ID] = true })
 		want := map[int32]bool{}
 		for _, it := range items {
 			if it.Rect.Intersects(w) {
@@ -85,7 +85,7 @@ func TestPointQueryAgainstScan(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		got := 0
-		tree.PointQuery(p, func(Item) { got++ })
+		tree.WindowQueryAccess(tree.Buffer(), geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}, func(Item) { got++ })
 		want := 0
 		for _, it := range items {
 			if it.Rect.ContainsPoint(p) {
@@ -102,9 +102,10 @@ func TestAllVisitsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(167))
 	tree, items := buildTree(t, rng, 500, DefaultConfig())
 	seen := map[int32]bool{}
-	tree.All(func(it Item) { seen[it.ID] = true })
+	everything := geom.Rect{MinX: -1e300, MinY: -1e300, MaxX: 1e300, MaxY: 1e300}
+	tree.WindowQueryAccess(tree.Buffer(), everything, func(it Item) { seen[it.ID] = true })
 	if len(seen) != len(items) {
-		t.Fatalf("All visited %d of %d items", len(seen), len(items))
+		t.Fatalf("a full-plane window visited %d of %d items", len(seen), len(items))
 	}
 }
 
@@ -193,7 +194,7 @@ func TestBufferCountsPageAccesses(t *testing.T) {
 	tree.Buffer().ResetCounters()
 	for i := 0; i < 100; i++ {
 		w := randRect(rng, 100, 5)
-		tree.WindowQuery(w, func(Item) {})
+		tree.WindowQueryAccess(tree.Buffer(), w, func(Item) {})
 	}
 	if tree.Buffer().Accesses() == 0 {
 		t.Fatal("queries must touch pages")
@@ -220,7 +221,7 @@ func TestSmallerPagesMoreAccesses(t *testing.T) {
 		tree.Buffer().Clear()
 		for trial := 0; trial < 200; trial++ {
 			w := randRect(rng, 100, 8)
-			tree.WindowQuery(w, func(Item) {})
+			tree.WindowQueryAccess(tree.Buffer(), w, func(Item) {})
 		}
 		counts[ps] = tree.Buffer().Accesses()
 	}

@@ -212,8 +212,7 @@ func UnmarshalTree(data []byte, cfg Config) (*Tree, error) {
 
 // Items calls fn for every stored item in tree order without routing the
 // walk through the page buffer — a structural scan for serialization and
-// validation that must not disturb the modelled access counts (contrast
-// All, which simulates a full paged scan).
+// validation that must not disturb the modelled access counts.
 func (t *Tree) Items(fn func(Item)) { itemsRec(t.root, fn) }
 
 func itemsRec(n *node, fn func(Item)) {

@@ -70,8 +70,8 @@ func TestTreeSerializeRoundTrip(t *testing.T) {
 			got.Buffer().Clear()
 			w := geom.Rect{MinX: 100, MinY: 100, MaxX: 400, MaxY: 400}
 			var wantIDs, gotIDs []int32
-			tr.WindowQuery(w, func(it Item) { wantIDs = append(wantIDs, it.ID) })
-			got.WindowQuery(w, func(it Item) { gotIDs = append(gotIDs, it.ID) })
+			tr.WindowQueryAccess(tr.Buffer(), w, func(it Item) { wantIDs = append(wantIDs, it.ID) })
+			got.WindowQueryAccess(got.Buffer(), w, func(it Item) { gotIDs = append(gotIDs, it.ID) })
 			if len(wantIDs) == 0 || len(wantIDs) != len(gotIDs) {
 				t.Fatalf("window query %d results, want %d (nonzero)", len(gotIDs), len(wantIDs))
 			}
@@ -212,7 +212,7 @@ func FuzzUnmarshalTree(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tr.WindowQuery(geom.Rect{MinX: 100, MinY: 100, MaxX: 600, MaxY: 600}, func(Item) {})
+		tr.WindowQueryAccess(tr.Buffer(), geom.Rect{MinX: 100, MinY: 100, MaxX: 600, MaxY: 600}, func(Item) {})
 		JoinParallelAccess(context.Background(), tr, tr, tr.NewSession(), tr.NewSession(), 0, 2, func(int, Item, Item) {})
 	})
 }

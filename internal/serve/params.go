@@ -274,10 +274,9 @@ type joinParams struct {
 	limit int
 }
 
-// parseJoin validates a relation-pair request. workersDef is the
-// default worker count (/join passes the server's JoinWorkers, /explain
-// 0); withLimit selects whether the limit parameter applies.
-func (s *Server) parseJoin(w http.ResponseWriter, q url.Values, workersDef int, withLimit bool) (*joinParams, bool) {
+// parseJoin validates a relation-pair request; withLimit selects whether
+// the limit parameter applies.
+func (s *Server) parseJoin(w http.ResponseWriter, q url.Values, withLimit bool) (*joinParams, bool) {
 	p := &joinParams{limit: -1}
 	// Joins fail closed: a degraded join silently missing a tile pair's
 	// share of the response set is indistinguishable from a correct
@@ -315,7 +314,7 @@ func (s *Server) parseJoin(w http.ResponseWriter, q url.Values, workersDef int, 
 		}
 		p.limit = limit
 	}
-	workers, ok := intParam(w, q, "workers", workersDef)
+	workers, ok := intParam(w, q, "workers", 0)
 	if !ok {
 		return nil, false
 	}

@@ -183,9 +183,6 @@ type Server struct {
 	// returns inline (the full count is always reported in the
 	// statistics). Defaults to DefaultMaxJoinPairs.
 	MaxJoinPairs int
-	// JoinWorkers is the per-request worker count of the streaming join
-	// pipeline; ≤ 0 runs GOMAXPROCS workers.
-	JoinWorkers int
 	// CacheBytes bounds the shared result/tile cache in bytes; ≤ 0
 	// disables caching. NewServer sets DefaultCacheBytes.
 	CacheBytes int64
@@ -709,7 +706,7 @@ type joinResponse struct {
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally) {
-	p, ok := s.parseJoin(w, q, s.JoinWorkers, true)
+	p, ok := s.parseJoin(w, q, true)
 	if !ok {
 		return
 	}
@@ -757,7 +754,7 @@ type explainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, q url.Values, t *endpointTally) {
-	p, ok := s.parseJoin(w, q, 0, false)
+	p, ok := s.parseJoin(w, q, false)
 	if !ok {
 		return
 	}

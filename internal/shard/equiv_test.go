@@ -14,169 +14,8 @@ import (
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
+	"spatialjoin/internal/resilience/fault"
 )
-
-var shardCounts = []int{1, 2, 4}
-
-// TestJoinEquivalence is the core acceptance criterion: for every
-// predicate and every shard count, the scatter-gather join returns
-// byte-identical pairs to the unsharded join, and the aggregated
-// candidate/filter/exact counters sum to the unsharded run's.
-func TestJoinEquivalence(t *testing.T) {
-	rp, sp, cfg := testWorkload(t)
-	// The translated overlay exercises intersects and within-ε; the
-	// contains predicate needs actual containments, so its S relation
-	// shrinks every R object toward its MBR center.
-	shrunk := make([]*geom.Polygon, len(rp))
-	for i, p := range rp {
-		c := p.Bounds().Center()
-		shrunk[i] = p.Transform(func(q geom.Point) geom.Point {
-			return geom.Point{X: c.X + (q.X-c.X)*0.25, Y: c.Y + (q.Y-c.Y)*0.25}
-		})
-	}
-	preds := []struct {
-		pred multistep.Predicate
-		sp   []*geom.Polygon
-	}{
-		{multistep.Intersects(), sp},
-		{multistep.Contains(), shrunk},
-		{multistep.WithinDistance(0.02), sp},
-	}
-	for _, pc := range preds {
-		pred, sp := pc.pred, pc.sp
-		r := multistep.NewRelation("R", rp, cfg)
-		s := multistep.NewRelation("S", sp, cfg)
-		want, wantSt, err := multistep.Join(context.Background(), r, s, multistep.WithPredicate(pred))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantSt.ResultPairs == 0 {
-			t.Fatalf("%v: workload joins to nothing; test is vacuous", pred)
-		}
-		for _, n := range shardCounts {
-			shR := Build("R", rp, n, cfg)
-			shS := Build("S", sp, n, cfg)
-			got, gotSt, err := Join(context.Background(), shR, shS, multistep.WithPredicate(pred))
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", pred, n, err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v n=%d: %d pairs, want %d; responses differ", pred, n, len(got), len(want))
-			}
-			type counts struct{ cand, fh, ffh, et, eh, rp int64 }
-			w := counts{wantSt.CandidatePairs, wantSt.FilterHits, wantSt.FilterFalseHits, wantSt.ExactTested, wantSt.ExactHits, wantSt.ResultPairs}
-			g := counts{gotSt.CandidatePairs, gotSt.FilterHits, gotSt.FilterFalseHits, gotSt.ExactTested, gotSt.ExactHits, gotSt.ResultPairs}
-			if g != w {
-				t.Errorf("%v n=%d: aggregated stats %+v, want %+v", pred, n, g, w)
-			}
-			// Per-tile accounting must itself sum to the aggregate.
-			var sub counts
-			for _, ps := range gotSt.PerTile {
-				sub.cand += ps.Stats.CandidatePairs
-				sub.fh += ps.Stats.FilterHits
-				sub.ffh += ps.Stats.FilterFalseHits
-				sub.et += ps.Stats.ExactTested
-				sub.eh += ps.Stats.ExactHits
-				sub.rp += ps.Stats.ResultPairs
-			}
-			if sub != g {
-				t.Errorf("%v n=%d: per-tile stats %+v don't sum to aggregate %+v", pred, n, sub, g)
-			}
-			if len(gotSt.PerTile) != gotSt.SubJoins {
-				t.Errorf("%v n=%d: %d per-tile entries for %d sub-joins", pred, n, len(gotSt.PerTile), gotSt.SubJoins)
-			}
-		}
-	}
-}
-
-// sortedIDs is the unsharded query response brought into the sharded
-// contract's order (ascending global IDs).
-func sortedIDs(ids []int32) []int32 {
-	out := slices.Clone(ids)
-	slices.Sort(out)
-	return out
-}
-
-// TestQueryEquivalence covers window, point, ε-range and nearest targets
-// across shard counts, including the Stats sums.
-func TestQueryEquivalence(t *testing.T) {
-	rp, _, cfg := testWorkload(t)
-	r := multistep.NewRelation("R", rp, cfg)
-	win := geom.Rect{MinX: 0.2, MinY: 0.25, MaxX: 0.55, MaxY: 0.6}
-	pt := geom.Point{X: 0.4, Y: 0.45}
-	cases := []struct {
-		name string
-		opts []multistep.Option
-	}{
-		{"window", []multistep.Option{multistep.ForWindow(win)}},
-		{"window-within", []multistep.Option{multistep.ForWindow(win), multistep.WithPredicate(multistep.WithinDistance(0.03))}},
-		{"point", []multistep.Option{multistep.ForPoint(pt)}},
-		{"nearest", []multistep.Option{multistep.ForNearest(pt, 7)}},
-	}
-	for _, tc := range cases {
-		want, err := multistep.Query(context.Background(), r, tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Stats.ResultObjects == 0 {
-			t.Fatalf("%s: empty baseline; test is vacuous", tc.name)
-		}
-		for _, n := range shardCounts {
-			sh := Build("R", rp, n, cfg)
-			got, err := Query(context.Background(), sh, tc.opts...)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", tc.name, n, err)
-			}
-			if !slices.Equal(got.IDs, sortedIDs(want.IDs)) {
-				t.Fatalf("%s n=%d: IDs %v, want %v", tc.name, n, got.IDs, sortedIDs(want.IDs))
-			}
-			if !slices.Equal(got.Neighbors, want.Neighbors) {
-				t.Fatalf("%s n=%d: neighbors %v, want %v", tc.name, n, got.Neighbors, want.Neighbors)
-			}
-			if got.Stats.ResultObjects != want.Stats.ResultObjects {
-				t.Errorf("%s n=%d: %d results, want %d", tc.name, n, got.Stats.ResultObjects, want.Stats.ResultObjects)
-			}
-			if tc.name != "nearest" {
-				// Disjoint tiles: per-object counters sum exactly.
-				if got.Stats.Candidates != want.Stats.Candidates ||
-					got.Stats.FilterHits != want.Stats.FilterHits ||
-					got.Stats.FilterFalseHits != want.Stats.FilterFalseHits ||
-					got.Stats.ExactTested != want.Stats.ExactTested {
-					t.Errorf("%s n=%d: stats %+v, want %+v", tc.name, n, got.Stats.WindowStats, want.Stats)
-				}
-			}
-			var pages int64
-			for _, ts := range got.Stats.Tiles {
-				pages += ts.Stats.PageAccesses
-			}
-			if pages != got.Stats.PageAccesses {
-				t.Errorf("%s n=%d: per-tile pages %d don't sum to aggregate %d", tc.name, n, pages, got.Stats.PageAccesses)
-			}
-		}
-	}
-}
-
-// TestQueryLimitIsSortedPrefix: the query limit truncates the merged
-// ascending-ID response, not the per-tile delivery order.
-func TestQueryLimitIsSortedPrefix(t *testing.T) {
-	rp, _, cfg := testWorkload(t)
-	sh := Build("R", rp, 4, cfg)
-	win := geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.8, MaxY: 0.8}
-	full, err := Query(context.Background(), sh, multistep.ForWindow(win))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.IDs) < 4 {
-		t.Fatal("window too small; test is vacuous")
-	}
-	capped, err := Query(context.Background(), sh, multistep.ForWindow(win), multistep.WithLimit(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(capped.IDs, full.IDs[:3]) {
-		t.Errorf("limit 3: %v, want prefix %v", capped.IDs, full.IDs[:3])
-	}
-}
 
 // TestJoinConfigMismatch: sharded relations built under different
 // configurations refuse to join, as the single-relation path does.
@@ -316,6 +155,42 @@ func TestScatterGatherCancelledBeforeStart(t *testing.T) {
 		t.Fatalf("pre-cancelled query returned %v", err)
 	}
 	waitForGoroutines(t, before)
+}
+
+// TestScatterGatherFirstErrorCancels: the first failed unit cancels the
+// units not yet started. With GOMAXPROCS 1 the fan-out admits one unit
+// at a time, so after the first unit's injected error every other unit
+// must skip its work — the fault site is checked once, not once per
+// tile pair or tile.
+func TestScatterGatherFirstErrorCancels(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	t.Cleanup(fault.Disarm)
+	rp, sp, cfg := testWorkload(t)
+	r, s := Build("R", rp, 4, cfg), Build("S", sp, 4, cfg)
+	if n := len(eligiblePairs(r, s, 0)); n < 2 {
+		t.Fatalf("%d eligible tile pairs; test is vacuous", n)
+	}
+	calls := []struct {
+		site string
+		run  func() error
+	}{
+		{"tile-join", func() error { _, _, err := Join(context.Background(), r, s); return err }},
+		{"tile-query", func() error {
+			_, err := Query(context.Background(), r, multistep.ForNearest(geom.Point{X: 0.5, Y: 0.5}, 3))
+			return err
+		}},
+	}
+	for _, c := range calls {
+		if err := fault.Arm(c.site + ":error"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.run(); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s: %v, want fault.ErrInjected", c.site, err)
+		}
+		if st := fault.Stats(); len(st) != 1 || st[0].Checks != 1 {
+			t.Errorf("%s: injection stats %+v, want one site checked once", c.site, st)
+		}
+	}
 }
 
 // waitForGoroutines polls until the goroutine count returns to (at most)

@@ -51,19 +51,19 @@ type ExplainResult struct {
 	PerTile []TileExplain `json:"perTile"`
 }
 
-// aggregateExplain folds the per-sub-join explains of a completed join
-// into one record: sums for the counters and wall times, the plan
-// knobs merged ("mixed" when sub-joins chose different engines).
-func aggregateExplain(perTile []SubJoinStats, stream bool) multistep.Explain {
+// aggregateExplain folds the per-unit explains of a completed join or
+// query, in tile order, into one record: sums for the counters and wall
+// times, the plan knobs merged ("mixed" when units chose different
+// engines). Nil explains are skipped.
+func aggregateExplain(explains []*multistep.Explain, stream bool) multistep.Explain {
 	var agg multistep.Explain
 	agg.Executed = true
 	agg.Plan.Stream = stream
 	first := true
-	for _, sj := range perTile {
-		if sj.Explain == nil {
+	for _, ex := range explains {
+		if ex == nil {
 			continue
 		}
-		ex := sj.Explain
 		if first {
 			agg.Plan = ex.Plan
 			agg.Plan.Stream = stream
@@ -129,7 +129,7 @@ func Explain(ctx context.Context, r, s *Sharded, run bool, opts ...multistep.Opt
 
 	eligible := eligiblePairs(r, s, res.Pred.Epsilon())
 	out := ExplainResult{SubJoins: len(eligible)}
-	subStats := make([]SubJoinStats, 0, len(eligible))
+	explains := make([]*multistep.Explain, 0, len(eligible))
 	for _, e := range eligible {
 		if err := ctx.Err(); err != nil {
 			return ExplainResult{}, err
@@ -139,10 +139,9 @@ func Explain(ctx context.Context, r, s *Sharded, run bool, opts ...multistep.Opt
 			return ExplainResult{}, err
 		}
 		out.PerTile = append(out.PerTile, TileExplain{RTile: e.ri, STile: e.si, Explain: ex})
-		exCopy := ex
-		subStats = append(subStats, SubJoinStats{RTile: e.ri, STile: e.si, Explain: &exCopy})
+		explains = append(explains, &ex)
 	}
-	out.Explain = aggregateExplain(subStats, res.Stream != nil)
+	out.Explain = aggregateExplain(explains, res.Stream != nil)
 	out.Explain.Executed = false
 	return out, nil
 }

@@ -3,13 +3,10 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
 	"spatialjoin/internal/multistep"
-	"spatialjoin/internal/resilience"
-	"spatialjoin/internal/resilience/fault"
 )
 
 // SubJoinStats is the accounting of one tile-pair sub-join.
@@ -80,10 +77,11 @@ func addStats(dst *multistep.Stats, src multistep.Stats) {
 // predicate's ε intersects s.Tiles[j].MBR — tile MBRs are true object
 // bounds, so no qualifying pair can be routed away.
 //
-// Cancellation fans out: the first sub-join error (including ctx
-// cancellation) cancels every other sub-join, and Join returns only
-// after all of them have stopped — no goroutine outlives the call. Joins
-// fail closed: one failed tile pair fails the join.
+// The sub-joins run through fanOut, the one scatter-gather loop: the
+// first sub-join error (including ctx cancellation) cancels every other
+// sub-join, and Join returns only after all of them have stopped — no
+// goroutine outlives the call. Joins fail closed: one failed tile pair
+// fails the join.
 func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multistep.Pair, JoinStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -99,104 +97,63 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 
 	eligible := eligiblePairs(r, s, res.Pred.Epsilon())
 
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
-		mu       sync.Mutex // guards firstErr and serializes the stream emitter
-		firstErr error
-		// subs[k] is the outcome of sub-join eligible[k], written by that
-		// sub-join's goroutine alone and merged after all of them have
-		// stopped.
+		mu sync.Mutex // serializes the stream emitter
+		// subs[k] is the outcome of sub-join eligible[k].
 		subs = make([]subJoin, len(eligible))
 	)
-	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
-	var wg sync.WaitGroup
-	for k, e := range eligible {
-		wg.Add(1)
-		go func(k int, e tilePair) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			rt, st := r.Tiles[e.ri], s.Tiles[e.si]
-
-			// The sub-join is a recovery boundary: a panic in this tile
-			// pair's sub-join becomes its error (and, joins failing closed,
-			// the join's) instead of killing the process.
-			err := func() (err error) {
-				defer resilience.RecoverTo(&err, "tile-join")
-				if ferr := fault.Check("tile-join"); ferr != nil {
-					return ferr
-				}
-				// The resolved options, copied for this sub-join: its own
-				// sessions and its own Explain — the caller's capture target
-				// must not be written by N goroutines, and per-tile-pair
-				// plans are the point.
-				sessR, sessS := rt.Rel.NewSession(), st.Rel.NewSession()
-				sub := res
-				sub.AxR, sub.AxS, sub.Explain = sessR, sessS, nil
-				var sj subJoin
-				if res.Explain != nil {
-					sj.explain = new(multistep.Explain)
-					sub.Explain = sj.explain
-				}
-				if emit := res.Stream; emit != nil {
-					sub.Stream = func(p multistep.Pair) {
-						mu.Lock()
-						defer mu.Unlock()
-						emit(multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
-					}
-				}
-				pairs, sst, err := multistep.RunJoin(ctx, rt.Rel, st.Rel, sub)
-				if err != nil {
-					return err
-				}
-				// The pairs are this sub-join's own allocation: translated
-				// and sorted in place, they become the run the merge reads.
-				for i, p := range pairs {
-					pairs[i] = multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]}
-				}
-				slices.SortFunc(pairs, multistep.ComparePairs)
-				sj.pairs, sj.stats = pairs, sst
-				subs[k] = sj
-				return nil
-			}()
-			if err != nil {
+	err := fanOut(ctx, len(eligible), "tile-join", nil, func(ctx context.Context, k int) error {
+		rt, st := r.Tiles[eligible[k].ri], s.Tiles[eligible[k].si]
+		// The resolved options, copied for this sub-join: its own
+		// sessions and its own Explain — the caller's capture target
+		// must not be written by N goroutines, and per-tile-pair plans
+		// are the point.
+		sub := res
+		sub.AxR, sub.AxS, sub.Explain = rt.Rel.NewSession(), st.Rel.NewSession(), nil
+		sj := &subs[k]
+		if res.Explain != nil {
+			sj.explain = new(multistep.Explain)
+			sub.Explain = sj.explain
+		}
+		if emit := res.Stream; emit != nil {
+			sub.Stream = func(p multistep.Pair) {
 				mu.Lock()
 				defer mu.Unlock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
+				emit(multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
 			}
-		}(k, e)
-	}
-	wg.Wait()
-
-	if firstErr == nil {
-		// Every sub-join may have skipped work on a context that was
-		// cancelled before it started; surface the caller's error.
-		firstErr = parent.Err()
-	}
-	if firstErr != nil {
-		return nil, JoinStats{}, firstErr
+		}
+		pairs, sst, err := multistep.RunJoin(ctx, rt.Rel, st.Rel, sub)
+		if err != nil {
+			return err
+		}
+		// The pairs are this sub-join's own allocation: translated and
+		// sorted in place, they become the run the merge reads.
+		for i, p := range pairs {
+			pairs[i] = multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]}
+		}
+		slices.SortFunc(pairs, multistep.ComparePairs)
+		sj.pairs, sj.stats = pairs, sst
+		return nil
+	})
+	if err != nil {
+		return nil, JoinStats{}, err
 	}
 
 	stats := JoinStats{SubJoins: len(eligible)}
 	runs := make([][]multistep.Pair, len(subs))
+	var explains []*multistep.Explain
 	// eligible is in (RTile, STile) order, and so is PerTile.
 	for k, e := range eligible {
 		sj := subs[k]
 		stats.PerTile = append(stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: sj.stats, Explain: sj.explain})
 		addStats(&stats.Stats, sj.stats)
 		runs[k] = sj.pairs
+		if sj.explain != nil {
+			explains = append(explains, sj.explain)
+		}
 	}
 	if res.Explain != nil {
-		*res.Explain = aggregateExplain(stats.PerTile, res.Stream != nil)
+		*res.Explain = aggregateExplain(explains, res.Stream != nil)
 	}
 	var pairs []multistep.Pair
 	if !res.Bufferless && res.Stream == nil {

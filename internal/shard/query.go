@@ -2,15 +2,10 @@ package shard
 
 import (
 	"context"
-	"errors"
-	"runtime"
 	"slices"
-	"sync"
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
-	"spatialjoin/internal/resilience"
-	"spatialjoin/internal/resilience/fault"
 )
 
 // TileQueryStats is the accounting of one tile's sub-query.
@@ -81,7 +76,8 @@ type QueryResult struct {
 // uncapped): per-tile truncation happens in tree-delivery order, which
 // cannot be reconciled with the global sorted-prefix contract.
 //
-// Cancellation fans out exactly as in Join.
+// The sub-queries run through fanOut, as Join's sub-joins do, and
+// cancellation fans out the same way.
 func Query(ctx context.Context, r *Sharded, opts ...multistep.Option) (QueryResult, error) {
 	return QueryCached(ctx, r, nil, opts...)
 }
@@ -123,116 +119,94 @@ func QueryCached(ctx context.Context, r *Sharded, tc QueryTileCache, opts ...mul
 		}
 	}
 
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type tileFailure struct {
-		tile int
-		err  error
+	// outs[k] is the outcome of tiles[k]'s sub-query: its result or,
+	// under WithPartialResults, its failure.
+	type tileOutcome struct {
+		tr  QueryTileResult
+		err error
 	}
+	outs := make([]tileOutcome, len(tiles))
+	var failed func(int, error)
+	if res.Partial {
+		failed = func(k int, err error) { outs[k].err = err }
+	}
+	err := fanOut(ctx, len(tiles), "tile-query", failed, func(ctx context.Context, k int) error {
+		t := tiles[k]
+		var key QueryTileKey
+		if tc != nil {
+			key = queryTileKey(t.Index, res)
+			if cr, ok := tc.GetQueryTile(key); ok {
+				outs[k].tr = cr
+				return nil
+			}
+		}
+		// The resolved options, copied for this tile: its own session,
+		// the limit lifted to the merge layer, and its own Explain — the
+		// caller's capture target must not be written by N goroutines.
+		// The caching path always captures one, so a cached sub-result
+		// can serve a later request that wants the plan echo.
+		sess := t.Rel.NewSession()
+		sub := res
+		sub.AxR, sub.Limit, sub.Explain = sess, -1, nil
+		if res.Explain != nil || tc != nil {
+			sub.Explain = new(multistep.Explain)
+		}
+		qr, err := multistep.RunQuery(ctx, t.Rel, sub)
+		if err != nil {
+			return err
+		}
+		outs[k].tr = QueryTileResult{IDs: qr.IDs, Neighbors: qr.Neighbors, Stats: qr.Stats, PageTouches: sess.Accesses(), Explain: sub.Explain}
+		if tc != nil {
+			tc.PutQueryTile(key, outs[k].tr)
+		}
+		return nil
+	})
+	if err != nil {
+		return QueryResult{}, err
+	}
+
+	// The merge, in tile order. A sub-result's local IDs are translated
+	// through its tile's Global table (cached slices are only ever read),
+	// and its Explain is surfaced only when the caller asked for one, so
+	// cached and uncached merges build identical results.
 	var (
-		mu        sync.Mutex
-		firstErr  error
-		failures  []tileFailure
+		out       QueryResult
 		ids       []int32
 		neighbors []multistep.Neighbor
-		stats     QueryStats
+		explains  []*multistep.Explain
 	)
-	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
-	var wg sync.WaitGroup
-	for _, t := range tiles {
-		wg.Add(1)
-		go func(t *Tile) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			// The sub-query body is a recovery boundary: a panic inside
-			// one tile's traversal becomes this tile's error instead of
-			// killing the process.
-			err := func() (err error) {
-				defer resilience.RecoverTo(&err, "tile-query")
-				if ferr := fault.Check("tile-query"); ferr != nil {
-					return ferr
-				}
-				var key QueryTileKey
-				if tc != nil {
-					key = queryTileKey(t.Index, res)
-					if cr, ok := tc.GetQueryTile(key); ok {
-						mergeTileResult(&mu, t, cr, res.Explain != nil, &ids, &neighbors, &stats)
-						return nil
-					}
-				}
-				// The resolved options, copied for this tile: its own session,
-				// the limit lifted to the merge layer, and its own Explain —
-				// the caller's capture target must not be written by N
-				// goroutines. The caching path always captures one, so a
-				// cached sub-result can serve a later request that wants the
-				// plan echo.
-				sess := t.Rel.NewSession()
-				sub := res
-				sub.AxR, sub.Limit, sub.Explain = sess, -1, nil
-				if res.Explain != nil || tc != nil {
-					sub.Explain = new(multistep.Explain)
-				}
-				qr, qerr := multistep.RunQuery(ctx, t.Rel, sub)
-				if qerr != nil {
-					return qerr
-				}
-				tr := QueryTileResult{IDs: qr.IDs, Neighbors: qr.Neighbors, Stats: qr.Stats, PageTouches: sess.Accesses(), Explain: sub.Explain}
-				if tc != nil {
-					tc.PutQueryTile(key, tr)
-				}
-				mergeTileResult(&mu, t, tr, res.Explain != nil, &ids, &neighbors, &stats)
-				return nil
-			}()
-			if err == nil {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			// Degradation is for broken tiles only: cancellation and
-			// deadline expiry always fail the whole query.
-			if res.Partial && parent.Err() == nil &&
-				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				failures = append(failures, tileFailure{tile: t.Index, err: err})
-				return
-			}
-			if firstErr == nil {
-				firstErr = err
-				cancel()
-			}
-		}(t)
-	}
-	wg.Wait()
-
-	if firstErr == nil {
-		firstErr = parent.Err()
-	}
-	if firstErr != nil {
-		return QueryResult{}, firstErr
-	}
-	slices.SortFunc(failures, func(a, b tileFailure) int { return a.tile - b.tile })
-	if len(failures) > 0 && len(stats.Tiles) == 0 {
-		// Every routed tile failed: nothing to degrade to.
-		return QueryResult{}, failures[0].err
-	}
-	slices.SortFunc(stats.Tiles, func(a, b TileQueryStats) int { return a.Tile - b.Tile })
-	if res.Explain != nil {
-		subStats := make([]SubJoinStats, 0, len(stats.Tiles))
-		for _, t := range stats.Tiles {
-			subStats = append(subStats, SubJoinStats{Explain: t.Explain})
+	stats := &out.Stats
+	for k, t := range tiles {
+		if err := outs[k].err; err != nil {
+			out.Failed = append(out.Failed, TileFailure{Tile: t.Index, Err: err.Error()})
+			continue
 		}
-		*res.Explain = aggregateExplain(subStats, false)
+		tr := &outs[k].tr
+		for _, id := range tr.IDs {
+			ids = append(ids, t.Global[id])
+		}
+		for _, n := range tr.Neighbors {
+			neighbors = append(neighbors, multistep.Neighbor{ID: t.Global[n.ID], Dist: n.Dist})
+		}
+		var ex *multistep.Explain
+		if res.Explain != nil {
+			ex = tr.Explain
+			explains = append(explains, ex)
+		}
+		stats.Tiles = append(stats.Tiles, TileQueryStats{Tile: t.Index, Stats: tr.Stats, PageTouches: tr.PageTouches, Explain: ex})
+		stats.Candidates += tr.Stats.Candidates
+		stats.FilterHits += tr.Stats.FilterHits
+		stats.FilterFalseHits += tr.Stats.FilterFalseHits
+		stats.ExactTested += tr.Stats.ExactTested
+		stats.PageAccesses += tr.Stats.PageAccesses
+		stats.PageTouches += tr.PageTouches
 	}
-
-	var out QueryResult
-	out.Stats = stats
-	for _, f := range failures {
-		out.Failed = append(out.Failed, TileFailure{Tile: f.tile, Err: f.err.Error()})
+	if len(out.Failed) > 0 && len(stats.Tiles) == 0 {
+		// Every routed tile failed: nothing to degrade to.
+		return QueryResult{}, outs[0].err
+	}
+	if res.Explain != nil {
+		*res.Explain = aggregateExplain(explains, false)
 	}
 	out.Degraded = len(out.Failed) > 0
 	if res.Nearest {
@@ -256,32 +230,4 @@ func QueryCached(ctx context.Context, r *Sharded, tc QueryTileCache, opts ...mul
 	out.IDs = ids
 	out.Stats.ResultObjects = int64(len(ids))
 	return out, nil
-}
-
-// mergeTileResult folds one tile's sub-result — fresh or cached — into
-// the merge state under mu. The sub-result's local IDs are translated
-// through the tile's Global table on every use (the cached slices are
-// only ever read), and its Explain is surfaced only when the caller
-// asked for one, so cached and uncached merges build identical state.
-func mergeTileResult(mu *sync.Mutex, t *Tile, tr QueryTileResult, wantExplain bool,
-	ids *[]int32, neighbors *[]multistep.Neighbor, stats *QueryStats) {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, id := range tr.IDs {
-		*ids = append(*ids, t.Global[id])
-	}
-	for _, n := range tr.Neighbors {
-		*neighbors = append(*neighbors, multistep.Neighbor{ID: t.Global[n.ID], Dist: n.Dist})
-	}
-	ex := tr.Explain
-	if !wantExplain {
-		ex = nil
-	}
-	stats.Tiles = append(stats.Tiles, TileQueryStats{Tile: t.Index, Stats: tr.Stats, PageTouches: tr.PageTouches, Explain: ex})
-	stats.Candidates += tr.Stats.Candidates
-	stats.FilterHits += tr.Stats.FilterHits
-	stats.FilterFalseHits += tr.Stats.FilterFalseHits
-	stats.ExactTested += tr.Stats.ExactTested
-	stats.PageAccesses += tr.Stats.PageAccesses
-	stats.PageTouches += tr.PageTouches
 }

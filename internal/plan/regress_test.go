@@ -10,11 +10,9 @@ package plan_test
 
 import (
 	"context"
-	"errors"
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/multistep"
@@ -31,39 +29,6 @@ func buildPair(t testing.TB, n, verts int) (*multistep.Relation, *multistep.Rela
 	r := multistep.NewRelation("R", base, cfg)
 	s := multistep.NewRelation("S", shifted, cfg)
 	return r, s, cfg
-}
-
-// timeJoin returns the fastest of 1+reps runs of the join — the robust
-// wall-clock estimator under scheduler noise (the first run doubles as
-// the warm-up paying the lazy exact representations). A run still going
-// after limit (if > 0) is cancelled and counts as limit.
-func timeJoin(t *testing.T, r, s *multistep.Relation, reps int, limit time.Duration, opts ...multistep.Option) time.Duration {
-	t.Helper()
-	opts = append(opts, multistep.WithBufferless())
-	run := func() time.Duration {
-		ctx := context.Background()
-		if limit > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, limit)
-			defer cancel()
-		}
-		t0 := time.Now()
-		_, _, err := multistep.Join(ctx, r, s, opts...)
-		if errors.Is(err, context.DeadlineExceeded) {
-			return limit
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(t0)
-	}
-	best := run()
-	for i := 0; i < reps; i++ {
-		if d := run(); d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 var regressEngines = []multistep.Engine{
@@ -86,27 +51,14 @@ func regressPreds() []struct {
 
 // TestPlannerWithinBoundOfBestStatic is the 1.5× guarantee: for every
 // predicate and vertex class, the planner-chosen execution must cost at
-// most 1.5× the best static engine×filter cell (plus a small absolute
-// slack — at sub-millisecond cell times the ratio alone is scheduler
-// noise), and must strictly beat the worst static cell whenever the
-// grid spreads by more than 2×. A static cell still running at the
-// bound of the best cell so far cannot be the best one, so it is cut
-// off there; quadratic cells above 48 vertices, seconds each, are
-// skipped. Inclusion joins are held to the same guarantee in counted
-// work instead of wall clock (checkCountedWork).
+// most 1.5× the best static engine×filter cell and strictly less than
+// the worst one whenever the grid spreads by more than 2×, in counted
+// work (checkCountedWork). The classes span the vertex counts where the
+// exact engines trade places: at 1,200 vertices the plane-sweep cells
+// cost several times the TR*-tree ones, which is the misplan a cost
+// model calibrated at 48 vertices makes there. Quadratic cells above 48
+// vertices, seconds each and never the best, are skipped.
 func TestPlannerWithinBoundOfBestStatic(t *testing.T) {
-	reps := 3
-	if testing.Short() {
-		reps = 2
-	}
-	const slack = 25 * time.Millisecond
-	bound := func(best time.Duration) time.Duration { return best + best/2 + slack }
-	// The low and middle classes are sized so that their best intersects
-	// and within cells take about 10 ms, where the slack cannot hide a
-	// misplan. At 1,200 vertices a 10 ms TR*-tree cell would need some
-	// 2,500 objects and over a minute of map generation; 40 objects put
-	// the plane-sweep cells at several times the bound instead, which is
-	// the misplan a cost model calibrated at 48 vertices makes there.
 	classes := []struct {
 		name     string
 		verts, n int
@@ -122,68 +74,21 @@ func TestPlannerWithinBoundOfBestStatic(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			for _, w := range classes {
 				t.Run(w.name, func(t *testing.T) {
-					if pc.name == "contains" {
-						checkCountedWork(t, w.r, w.s, w.cfg, pc.pred)
-						return
-					}
-					var best, worst time.Duration
-					var bestName, worstName string
-					for _, eng := range regressEngines {
-						if eng == multistep.EngineQuadratic && w.verts > 48 {
-							continue
-						}
-						for _, filt := range []bool{true, false} {
-							c := w.cfg
-							c.Engine = eng
-							c.UseFilter = filt
-							var limit time.Duration
-							if best > 0 {
-								limit = bound(best)
-							}
-							d := timeJoin(t, w.r, w.s, reps, limit,
-								multistep.WithConfig(c), multistep.WithPredicate(pc.pred), multistep.WithWorkers(1))
-							name := eng.String()
-							if !filt {
-								name += "/nofilter"
-							}
-							if limit > 0 && d >= limit {
-								name += ", cut off"
-							}
-							if best == 0 || d < best {
-								best, bestName = d, name
-							}
-							if d > worst {
-								worst, worstName = d, name
-							}
-						}
-					}
-					got := timeJoin(t, w.r, w.s, reps, 0,
-						multistep.WithPlan(), multistep.WithPredicate(pc.pred))
-					t.Logf("%.0f mean vertices: planner %v vs best %v (%s), worst %v (%s)",
-						w.r.Stats.MeanVerts, got, best, bestName, worst, worstName)
-					if b := bound(best); got > b {
-						t.Errorf("planner took %v, above the 1.5× bound %v of best static %v (%s)",
-							got, b, best, bestName)
-					}
-					if worst > 2*best && got >= worst {
-						t.Errorf("planner took %v, not better than the worst static %v (%s) despite a %0.1f× grid spread",
-							got, worst, worstName, float64(worst)/float64(best))
-					}
+					checkCountedWork(t, w.r, w.s, w.cfg, pc.pred, w.verts > 48)
 				})
 			}
 		})
 	}
 }
 
-// checkCountedWork is the 1.5× guarantee for inclusion joins, stated in
+// checkCountedWork is the 1.5× guarantee of one grid cell, stated in
 // counted work: the exact tests and the step 3 operations, weighted by
-// the paper's Table 6. On these maps the MBR-nesting pretest leaves an
-// inclusion join a few dozen candidates at most, so every engine×filter
-// cell runs the same step 1 and the cells differ by a dozen exact tests:
-// their 1–2 ms wall times rank scheduler noise, not plans, and the 10 ms
-// the other predicates are sized to would take several times the
-// objects. The counts are exact on any host under any load.
-func checkCountedWork(t *testing.T, r, s *multistep.Relation, cfg multistep.Config, pred multistep.Predicate) {
+// the paper's Table 6. Every engine×filter cell runs the same step 1, so
+// the cells differ in exactly these counts, and the counts are exact on
+// any host under any load, where wall times of a few milliseconds rank
+// scheduler noise (under -race beside other packages a 48-vertex within
+// join once read 256 ms against a 192 ms bound), not plans.
+func checkCountedWork(t *testing.T, r, s *multistep.Relation, cfg multistep.Config, pred multistep.Predicate, skipQuadratic bool) {
 	w := ops.PaperWeights()
 	run := func(opts ...multistep.Option) (int64, float64) {
 		opts = append(opts, multistep.WithPredicate(pred), multistep.WithBufferless())
@@ -197,6 +102,9 @@ func checkCountedWork(t *testing.T, r, s *multistep.Relation, cfg multistep.Conf
 	var worstExact int64
 	var worstCost float64
 	for _, eng := range regressEngines {
+		if eng == multistep.EngineQuadratic && skipQuadratic {
+			continue
+		}
 		for _, filt := range []bool{true, false} {
 			c := cfg
 			c.Engine = eng

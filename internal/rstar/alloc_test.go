@@ -2,22 +2,23 @@ package rstar
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"spatialjoin/internal/geom"
 )
 
-// buildAllocTrees returns two joined trees whose pages all fit the
-// buffer, so a warmed traversal performs no buffer faults (a miss
-// allocates a frame node — legitimate, but not part of the node-pair
-// expansion under test).
-func buildAllocTrees(t *testing.T) (*Tree, *Tree) {
+// buildAllocTrees returns two joined trees of n items each whose pages
+// all fit the buffer, so a warmed traversal only hits: the guards below
+// price the traversal, not the replacement simulation (whose misses on
+// a full buffer allocate nothing either, see storage's guard).
+func buildAllocTrees(t *testing.T, n int) (*Tree, *Tree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	cfg := DefaultConfig()
 	cfg.BufferBytes = 64 << 20 // every page stays resident
 	t1, t2 := New(cfg), New(cfg)
-	for i := 0; i < 1500; i++ {
+	for i := 0; i < n; i++ {
 		x, y := rng.Float64(), rng.Float64()
 		w, h := 0.01+0.02*rng.Float64(), 0.01+0.02*rng.Float64()
 		t1.Insert(Item{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}, ID: int32(i)})
@@ -33,7 +34,7 @@ func buildAllocTrees(t *testing.T) (*Tree, *Tree) {
 // node-pair expansion — search-space restriction, plane-sweep sort, pair
 // enumeration — must perform zero heap allocations.
 func TestNodePairSweepAllocFree(t *testing.T) {
-	t1, t2 := buildAllocTrees(t)
+	t1, t2 := buildAllocTrees(t, 1500)
 	var st JoinStats
 	var pairs int64
 	v := newJoinVisit(t1, t2, &st, 0, nil, func(a, b Item) { pairs++ })
@@ -53,22 +54,34 @@ func TestNodePairSweepAllocFree(t *testing.T) {
 	}
 }
 
-// TestJoinAllocsBounded guards the whole-join allocation budget: a full
-// sequential join on warmed trees may allocate only the visitor and its
-// scratch ladder, independent of the data size.
+// TestJoinAllocsBounded guards the whole-join allocation budget: a
+// warmed join, sequential or partitioned over two workers, allocates a
+// constant — its emit closures, and for the partitioned traversal the
+// workers and their shared counters — while visitors, scratch ladders,
+// the task list and the page traces come back from their pools. The
+// budget holds at two tree sizes whose task counts differ several fold,
+// so nothing in it grows with the data.
 func TestJoinAllocsBounded(t *testing.T) {
-	t1, t2 := buildAllocTrees(t)
-	var pairs int64
-	fn := func(a, b Item) { pairs++ }
-	seqJoin(t1, t2, fn) // warm the buffers
-
-	allocs := testing.AllocsPerRun(10, func() {
-		seqJoin(t1, t2, fn)
-	})
-	// Visitor + scratch ladder + a few restrict-buffer growths to the
-	// high-water mark; anything near the node-pair count is a regression.
-	const budget = 64
-	if allocs > budget {
-		t.Fatalf("the sequential join allocates %.1f objects per join, want <= %d", allocs, budget)
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; the join scratch is pooled")
+	}
+	for _, n := range []int{1500, 6000} {
+		t1, t2 := buildAllocTrees(t, n)
+		var pairs atomic.Int64
+		for _, workers := range []int{1, 2} {
+			join := func() {
+				joinShared(t1, t2, workers, func(_ int, a, b Item) { pairs.Add(1) })
+			}
+			join() // warm the buffers and the pools
+			allocs := testing.AllocsPerRun(10, join)
+			t.Logf("%d items (%d×%d root entries), %d workers: %.1f objects per join",
+				n, len(t1.root.entries), len(t2.root.entries), workers, allocs)
+			// Anything near the task or node-pair count is a regression.
+			const budget = 16
+			if allocs > budget {
+				t.Errorf("%d items, %d workers: the join allocates %.1f objects, want <= %d",
+					n, workers, allocs, budget)
+			}
+		}
 	}
 }

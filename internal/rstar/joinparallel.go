@@ -65,6 +65,7 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 		v := newJoinVisit(t1, t2, &st, eps, stop, func(a, b Item) { emit(0, a, b) })
 		v.ax1, v.ax2 = ax1, ax2
 		v.nodes(t1.root, t2.root, t1.root.bounds(), t2.root.bounds())
+		v.release()
 		return st
 	}
 
@@ -78,21 +79,13 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 	if inter.IsEmpty() {
 		return st
 	}
-	type task struct {
-		n1, n2 *node
-		b1, b2 geom.Rect
-	}
-	var tasks []task
-	var rootScratch sweepScratch
-	sweepPairs(t1.root.entries, t2.root.entries, inter, eps, &st, &rootScratch, func(e1, e2 *entry) {
-		tasks = append(tasks, task{e1.child, e2.child, e1.rect, e2.rect})
+	js := joinScratchPool.Get().(*joinScratch)
+	defer js.release()
+	sweepPairs(t1.root.entries, t2.root.entries, inter, eps, &st, &js.root, func(e1, e2 *entry) {
+		js.tasks = append(js.tasks, joinTask{e1.child, e2.child, e1.rect, e2.rect})
 	})
+	tasks, results := js.tasks, js.resultsFor(len(js.tasks))
 
-	type taskResult struct {
-		st             JoinStats
-		trace1, trace2 []storage.PageID
-	}
-	results := make([]taskResult, len(tasks))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -102,6 +95,7 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 			// One visitor per worker: the sweep scratch is reused across
 			// every task the worker processes.
 			v := newJoinVisit(t1, t2, nil, eps, stop, func(a, b Item) { emit(w, a, b) })
+			defer v.release()
 			for {
 				if stop != nil && stop() {
 					return
@@ -141,4 +135,53 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 		}
 	}
 	return st
+}
+
+// joinTask is one pairing of root children: a subtree pair one worker
+// traverses.
+type joinTask struct {
+	n1, n2 *node
+	b1, b2 geom.Rect
+}
+
+// taskResult is what the traversal of one task leaves for the merge: its
+// statistics and its page traces.
+type taskResult struct {
+	st             JoinStats
+	trace1, trace2 []storage.PageID
+}
+
+// joinScratch is the per-join state of the partitioned traversal: the
+// root pairing's sweep scratch, the task list and the per-task results.
+// It comes from a pool and every slice keeps its capacity, the traces'
+// included, so a warmed join grows none of it.
+type joinScratch struct {
+	root    sweepScratch
+	tasks   []joinTask
+	results []taskResult
+}
+
+var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
+
+// resultsFor returns n empty task results, reusing every earlier result's
+// trace buffers.
+func (js *joinScratch) resultsFor(n int) []taskResult {
+	rs := js.results[:cap(js.results)]
+	if n > len(rs) {
+		rs = append(rs, make([]taskResult, n-len(rs))...)
+	}
+	rs = rs[:n]
+	for i := range rs {
+		rs[i] = taskResult{trace1: rs[i].trace1[:0], trace2: rs[i].trace2[:0]}
+	}
+	js.results = rs
+	return rs
+}
+
+// release returns the scratch to the pool. The entries left in its
+// buffers keep the finished join's nodes reachable until the next join
+// overwrites them or a garbage collection empties the pool.
+func (js *joinScratch) release() {
+	js.tasks = js.tasks[:0]
+	joinScratchPool.Put(js)
 }

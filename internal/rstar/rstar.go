@@ -14,6 +14,7 @@ package rstar
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/rtreecore"
@@ -384,8 +385,11 @@ type JoinStats struct {
 //
 // The visitor owns one sweep scratch per traversal depth, so the restrict
 // and plane-sweep buffers of every node-pair expansion are reused across
-// sibling pairs at the same depth: in steady state the expansion performs
-// zero heap allocations (guarded by TestNodePairSweepAllocFree).
+// sibling pairs at the same depth. Visitors come from a pool and keep
+// their ladders when released, so the reuse spans joins too: in steady
+// state an expansion performs zero heap allocations (guarded by
+// TestNodePairSweepAllocFree) and a warmed join allocates a constant
+// (TestJoinAllocsBounded).
 type joinVisit struct {
 	ax1, ax2       storage.Accessor // nil: record into the traces instead
 	trace1, trace2 *[]storage.PageID
@@ -402,14 +406,24 @@ type joinVisit struct {
 // survives to the next node pair at that depth.
 type sweepScratch struct{ r1, r2 []entry }
 
-// newJoinVisit sizes a visitor for a traversal of the two trees: the
-// recursion descends at least one tree per level, so the depth never
-// exceeds the height sum.
+var visitPool = sync.Pool{New: func() any { return new(joinVisit) }}
+
+// newJoinVisit takes a visitor from the pool for a traversal of the two
+// trees, its ladder sized for the recursion: it descends at least one
+// tree per level, so the depth never exceeds the height sum. The caller
+// returns it with release when the traversal ends.
 func newJoinVisit(t1, t2 *Tree, st *JoinStats, eps float64, stop func() bool, fn func(a, b Item)) *joinVisit {
-	return &joinVisit{
-		st: st, fn: fn, eps: eps, stop: stop,
-		scratch: make([]sweepScratch, t1.height+t2.height+1),
-	}
+	v := visitPool.Get().(*joinVisit)
+	v.st, v.fn, v.eps, v.stop = st, fn, eps, stop
+	v.scratchAt(t1.height + t2.height)
+	return v
+}
+
+// release returns the visitor to the pool, keeping its scratch ladder
+// and dropping the finished join's callbacks, accessors and traces.
+func (v *joinVisit) release() {
+	*v = joinVisit{scratch: v.scratch}
+	visitPool.Put(v)
 }
 
 // scratchAt returns the sweep scratch of one traversal depth, growing the

@@ -97,6 +97,7 @@ type BufferManager struct {
 	head   *frameNode // most recently used / newest
 	tail   *frameNode // least recently used / oldest
 	hand   *frameNode // clock hand (Clock policy)
+	spare  *frameNode // the last evicted node, reused by the next miss
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -158,15 +159,24 @@ func (b *BufferManager) Access(id PageID) {
 		return
 	}
 	b.misses.Add(1)
-	n := &frameNode{id: id}
+	n := b.spare
+	if n != nil {
+		b.spare = nil
+		*n = frameNode{id: id}
+	} else {
+		n = &frameNode{id: id}
+	}
 	b.table[id] = n
+	// Push, then evict: Clock's sweep may spare the old pages and evict
+	// the new one (TestSingleFrameClockReferencedEviction).
 	b.pushFront(n)
 	if len(b.table) > b.frames {
 		b.evict()
 	}
 }
 
-// evict removes one page according to the policy.
+// evict removes one page according to the policy and keeps its node,
+// unlinked and out of the table, as the spare for the next miss.
 func (b *BufferManager) evict() {
 	switch b.policy {
 	case Clock:
@@ -185,6 +195,7 @@ func (b *BufferManager) evict() {
 				b.hand = next
 				b.unlink(victim)
 				delete(b.table, victim.id)
+				b.spare = victim
 				return
 			}
 			victim.referenced = false
@@ -197,6 +208,7 @@ func (b *BufferManager) evict() {
 		evict := b.tail
 		b.unlink(evict)
 		delete(b.table, evict.id)
+		b.spare = evict
 	}
 }
 
@@ -217,9 +229,10 @@ func (b *BufferManager) ResetCounters() {
 	b.misses.Store(0)
 }
 
-// Clear drops all buffered pages and zeroes the statistics.
+// Clear drops all buffered pages and zeroes the statistics. The frame
+// table keeps its storage.
 func (b *BufferManager) Clear() {
-	b.table = make(map[PageID]*frameNode, b.frames)
+	clear(b.table)
 	b.head, b.tail, b.hand = nil, nil, nil
 	b.hits.Store(0)
 	b.misses.Store(0)
@@ -246,7 +259,7 @@ type BufferState struct {
 
 // State snapshots the buffer contents (see BufferState).
 func (b *BufferManager) State() BufferState {
-	st := BufferState{Hand: -1}
+	st := BufferState{Frames: make([]FrameState, 0, len(b.table)), Hand: -1}
 	for n := b.tail; n != nil; n = n.prev {
 		if n == b.hand {
 			st.Hand = len(st.Frames)
@@ -264,7 +277,8 @@ func (b *BufferManager) Restore(st BufferState) {
 	b.Clear()
 	b.hits.Store(hits)
 	b.misses.Store(misses)
-	drop := len(st.Frames) - b.frames // oldest frames beyond capacity
+	drop := max(0, len(st.Frames)-b.frames) // oldest frames beyond capacity
+	nodes := make([]frameNode, len(st.Frames)-drop)
 	for i, f := range st.Frames {
 		if i < drop {
 			continue
@@ -272,7 +286,8 @@ func (b *BufferManager) Restore(st BufferState) {
 		if _, dup := b.table[f.ID]; dup {
 			continue
 		}
-		n := &frameNode{id: f.ID, referenced: f.Referenced}
+		n := &nodes[i-drop]
+		*n = frameNode{id: f.ID, referenced: f.Referenced}
 		b.table[f.ID] = n
 		b.pushFront(n) // oldest first: each push becomes the new head
 		if i == st.Hand {

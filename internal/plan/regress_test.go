@@ -54,10 +54,12 @@ func regressPreds() []struct {
 // most 1.5× the best static engine×filter cell and strictly less than
 // the worst one whenever the grid spreads by more than 2×, in counted
 // work (checkCountedWork). The classes span the vertex counts where the
-// exact engines trade places: at 1,200 vertices the plane-sweep cells
-// cost several times the TR*-tree ones, which is the misplan a cost
-// model calibrated at 48 vertices makes there. Quadratic cells above 48
-// vertices, seconds each and never the best, are skipped.
+// exact engines trade places: at 1,200 vertices the intersects and
+// within plane-sweep cells cost 70 to 650 times the best TR*-tree cell
+// in counted operations, which is the misplan a cost model calibrated
+// at 48 vertices makes there. Their quadratic cells above 48 vertices,
+// seconds each and never the best, are skipped; contains runs its
+// whole grid.
 func TestPlannerWithinBoundOfBestStatic(t *testing.T) {
 	classes := []struct {
 		name     string
@@ -74,7 +76,7 @@ func TestPlannerWithinBoundOfBestStatic(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			for _, w := range classes {
 				t.Run(w.name, func(t *testing.T) {
-					checkCountedWork(t, w.r, w.s, w.cfg, pc.pred, w.verts > 48)
+					checkCountedWork(t, w.r, w.s, w.cfg, pc.pred, pc.name != "contains" && w.verts > 48)
 				})
 			}
 		})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +14,6 @@ import (
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/multistep"
-	"spatialjoin/internal/resilience"
 	"spatialjoin/internal/resilience/fault"
 )
 
@@ -191,51 +189,6 @@ func TestScatterGatherFirstErrorCancels(t *testing.T) {
 		}
 		if st := fault.Stats(); len(st) != 1 || st[0].Checks != 1 {
 			t.Errorf("%s: injection stats %+v, want one site checked once", c.site, st)
-		}
-	}
-}
-
-// TestLoneTileQueryPanicRecovered: a query routed to exactly one tile
-// runs its unit on the caller's goroutine behind the same recovery
-// boundary. An injected panic comes back as the unit's error, with the
-// caller's frames on its stack, and WithPartialResults cannot degrade
-// around it, because the one routed tile is every routed tile.
-func TestLoneTileQueryPanicRecovered(t *testing.T) {
-	t.Cleanup(fault.Disarm)
-	rp, _, cfg := testWorkload(t)
-	r := Build("R", rp, 4, cfg)
-	var pt geom.Point
-	found := false
-	for i := 0; i < 400 && !found; i++ {
-		pt = geom.Point{X: float64(i%20)/20 + 0.025, Y: float64(i/20)/20 + 0.025}
-		routed := 0
-		for _, tl := range r.Tiles {
-			if tl.MBR.Intersects(geom.Rect{MinX: pt.X, MinY: pt.Y, MaxX: pt.X, MaxY: pt.Y}) {
-				routed++
-			}
-		}
-		found = routed == 1
-	}
-	if !found {
-		t.Fatal("no grid point routes to exactly one tile; test is vacuous")
-	}
-	if qr, err := Query(context.Background(), r, multistep.ForPoint(pt)); err != nil || len(qr.Stats.Tiles) != 1 {
-		t.Fatalf("unarmed point query: %d tiles, err %v; want one tile", len(qr.Stats.Tiles), err)
-	}
-	if err := fault.Arm("tile-query:panic"); err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range [][]multistep.Option{
-		{multistep.ForPoint(pt)},
-		{multistep.ForPoint(pt), multistep.WithPartialResults()},
-	} {
-		_, err := Query(context.Background(), r, opts...)
-		pe, ok := resilience.AsPanic(err)
-		if !ok || pe.Site != "tile-query" {
-			t.Fatalf("partial %v: %v, want a recovered tile-query panic", len(opts) > 1, err)
-		}
-		if !strings.Contains(string(pe.Stack), "TestLoneTileQueryPanicRecovered") {
-			t.Errorf("partial %v: the lone unit did not run on the caller's goroutine:\n%s", len(opts) > 1, pe.Stack)
 		}
 	}
 }

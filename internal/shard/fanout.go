@@ -13,11 +13,8 @@ import (
 // fanOut is the scatter-gather loop of Join and Query. It runs
 // unit(ctx, k) for k = 0..n-1, each on its own goroutine and at most
 // GOMAXPROCS at a time, and returns only after every unit has stopped.
-// A lone unit (a query routed to one tile) runs on the caller's
-// goroutine instead: there is nothing to overlap it with, and a new
-// goroutine would grow a fresh stack for it. Unit k writes its outcome
-// into slot k of the caller's slice, which the caller merges in order
-// once fanOut returns: no lock, no sort.
+// Unit k writes its outcome into slot k of the caller's slice, which the
+// caller merges in order once fanOut returns: no lock, no sort.
 //
 // Each unit is a recovery boundary (a panic becomes its error) and
 // passes the fault site first. The first error cancels every unit still
@@ -35,48 +32,41 @@ func fanOut(ctx context.Context, n int, site string, failed func(k int, err erro
 	var (
 		once     sync.Once // records the first error
 		firstErr error
+		wg       sync.WaitGroup
 	)
-	run := func(k int) {
-		if ctx.Err() != nil {
-			return
-		}
-		err := func() (err error) {
-			defer resilience.RecoverTo(&err, site)
-			if err := fault.Check(site); err != nil {
-				return err
+	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
+	for k := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if ctx.Err() != nil {
+				return
 			}
-			return unit(ctx, k)
-		}()
-		switch {
-		case err == nil:
-		case failed != nil && parent.Err() == nil &&
-			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
-			failed(k, err)
-		default:
-			// Cancelled before this unit gives up its slot, so a unit
-			// waiting for the slot sees the cancellation and skips.
-			once.Do(func() {
-				firstErr = err
-				cancel()
-			})
-		}
-	}
-	if n == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
-		for k := range n {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				run(k)
+			err := func() (err error) {
+				defer resilience.RecoverTo(&err, site)
+				if err := fault.Check(site); err != nil {
+					return err
+				}
+				return unit(ctx, k)
 			}()
-		}
-		wg.Wait()
+			switch {
+			case err == nil:
+			case failed != nil && parent.Err() == nil &&
+				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+				failed(k, err)
+			default:
+				// Cancelled before this unit gives up its slot, so a unit
+				// waiting for the slot sees the cancellation and skips.
+				once.Do(func() {
+					firstErr = err
+					cancel()
+				})
+			}
+		}()
 	}
+	wg.Wait()
 
 	if firstErr == nil {
 		firstErr = parent.Err()

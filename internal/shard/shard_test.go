@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -133,5 +134,54 @@ func TestMergePairs(t *testing.T) {
 				t.Fatalf("trial %d, %d runs, limit %d: merged %v, want %v", trial, len(runs), limit, got, w)
 			}
 		}
+	}
+}
+
+// BenchmarkTiledQuery measures the scatter-gather cost of a tiled query
+// on the four-way split of testWorkload: fanOut starts a goroutine per
+// routed tile, whose fresh stack the unit grows. point/1-tile routes
+// every query to exactly one tile; window queries (a tenth of the
+// territory on a side) route to one to four, and tiles/op is their mean.
+func BenchmarkTiledQuery(b *testing.B) {
+	rp, _, cfg := testWorkload(b)
+	r := Build("R", rp, 4, cfg)
+	routed := func(q geom.Rect) int {
+		n := 0
+		for _, t := range r.Tiles {
+			if t.MBR.Intersects(q) {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(991))
+	var points []multistep.Option
+	for len(points) < 256 {
+		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		if routed(geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}) == 1 {
+			points = append(points, multistep.ForPoint(p))
+		}
+	}
+	windows := make([]multistep.Option, 256)
+	for i := range windows {
+		x, y := rng.Float64()*0.9, rng.Float64()*0.9
+		windows[i] = multistep.ForWindow(geom.Rect{MinX: x, MinY: y, MaxX: x + 0.1, MaxY: y + 0.1})
+	}
+	for _, c := range []struct {
+		name    string
+		targets []multistep.Option
+	}{{"point/1-tile", points}, {"window", windows}} {
+		b.Run(c.name, func(b *testing.B) {
+			var tiles int
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				qr, err := Query(context.Background(), r, c.targets[i%len(c.targets)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				tiles += len(qr.Stats.Tiles)
+			}
+			b.ReportMetric(float64(tiles)/float64(b.N), "tiles/op")
+		})
 	}
 }

@@ -65,7 +65,7 @@ func main() {
 	seed := flag.Int64("seed", 9401, "data seed")
 	predicate := flag.String("predicate", "intersects", "join predicate: intersects, contains, or within (the ε-distance join)")
 	epsilon := flag.Float64("epsilon", 0, "distance bound of the within predicate (implies -predicate within)")
-	parallel := flag.Int("parallel", 0, "worker count of the step 1 traversal and the filter/exact pool; 0 = the planner's choice, or with -plan=false sequential (GOMAXPROCS with -stream)")
+	parallel := flag.Int("parallel", 0, "worker count of the join (step 1 traversal and steps 2+3 alike); 0 = the planner's choice, or with -plan=false sequential (GOMAXPROCS with -stream)")
 	stream := flag.Bool("stream", false, "stream the response pairs (WithStream): bounded memory, -parallel workers")
 	planOn := flag.Bool("plan", true, "resolve unset options (engine, filter, workers) through the planner; explicitly-set flags stay pinned")
 	explain := flag.Bool("explain", false, "print the chosen plan and predicted counts before the join, and the predicted-vs-actual error after (implies -plan)")
@@ -148,9 +148,8 @@ func main() {
 	}
 	var pairs []multistep.Pair
 	if *stream {
-		// The streaming pipeline emits pairs as they are decided instead
-		// of materializing the candidate set; collect them here only for
-		// the summary line.
+		// A streamed join emits pairs as they are decided instead of
+		// collecting them; collect them here only for the summary line.
 		opts = append(opts, multistep.WithStream(func(p multistep.Pair) { pairs = append(pairs, p) }))
 	}
 	// The explain capture rides along on every run: it resolves the

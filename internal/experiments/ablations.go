@@ -145,7 +145,7 @@ func Figure18Wall(p BigParams) *Table {
 // the version 3 join statistics fed through the CPU/I/O parallelism model
 // for several disk and worker counts, plus the measured wall-clock scaling
 // of the collected join (collect-then-sort) and the streamed one
-// (WithStream: bounded channels, nothing materialized).
+// (WithStream: each pair emitted as it is decided, nothing materialized).
 func AblationParallelism(p BigParams) *Table {
 	r, s := bigRelations(p)
 	cfg := multistep.DefaultConfig()
@@ -184,7 +184,7 @@ func AblationParallelism(p BigParams) *Table {
 	}
 	t.Comment = "The modelled column divides I/O by the disk count and exact CPU by the worker count;\n" +
 		"the wall columns measure real parallelism on this host. Both runs are the same pipeline\n" +
-		"(partitioned step 1, pooled batches); streaming only keeps memory bounded by its depth."
+		"(partitioned step 1, each worker deciding its own candidates); streaming only holds no pairs."
 	return t
 }
 

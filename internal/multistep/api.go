@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"spatialjoin/internal/approx"
-	"spatialjoin/internal/ctxpoll"
 	"spatialjoin/internal/exact"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/resilience/fault"
@@ -60,19 +59,20 @@ func WithConfig(cfg Config) Option {
 	return func(o *Resolved) { o.Cfg = &cfg }
 }
 
-// WithWorkers sets the worker count of the join pipeline: the step 1
-// traversal fan-out and the step 2+3 pool size alike. n ≤ 0 selects
-// GOMAXPROCS (the default); values above 4×GOMAXPROCS are clamped —
-// beyond that, extra workers only cost memory and scheduling overhead.
+// WithWorkers sets the worker count of a join: the step 1 traversal
+// fan-out, whose workers also decide their candidates through steps 2
+// and 3. n ≤ 0 selects GOMAXPROCS (the default); values above
+// 4×GOMAXPROCS are clamped — beyond that, extra workers only cost memory
+// and scheduling overhead.
 // Statistics are independent of the worker count by construction.
 func WithWorkers(n int) Option {
 	return func(o *Resolved) { o.Workers = n }
 }
 
-// WithStream streams response pairs to emit as they are decided (from a
-// single collector goroutine, in no particular order) instead of
-// collecting them: Join returns a nil slice and memory stays bounded by
-// the pipeline depth regardless of the response-set size.
+// WithStream streams response pairs to emit as they are decided (on the
+// worker that decided them, one call at a time under a mutex, in no
+// particular order) instead of collecting them: Join returns a nil slice
+// and holds no response pair, whatever the response-set size.
 func WithStream(emit func(Pair)) Option {
 	return func(o *Resolved) { o.Stream = emit }
 }
@@ -231,7 +231,7 @@ func joinConfig(r, s *Relation, o *Resolved) (Config, error) {
 	if o.Cfg != nil {
 		return *o.Cfg, nil
 	}
-	if ConfigFingerprint(r.Cfg) != ConfigFingerprint(s.Cfg) {
+	if r.fp != s.fp {
 		return Config{}, fmt.Errorf("multistep: relations %q and %q were built under different configurations: %w",
 			r.Name, s.Name, ErrConfigMismatch)
 	}
@@ -331,13 +331,11 @@ func rangeQuery(ctx context.Context, r *Relation, ax storage.Accessor, w geom.Re
 	var res QueryResult
 	eps := pred.step1Eps()
 	missesBefore := ax.Misses()
-	stop, release := ctxpoll.Stop(ctx)
-	defer release()
 	// ferr latches the first fault the "exact" injection site fires on
 	// this query's exact decisions; the traversal keeps its shape (the
 	// counters stay deterministic) and the error surfaces afterwards.
 	var ferr error
-	r.Tree.WindowQueryAccessStop(ax, w.Expand(eps), stop, func(it rstar.Item) {
+	r.Tree.WindowQueryAccessStop(ax, w.Expand(eps), ctx.Done(), func(it rstar.Item) {
 		res.Stats.Candidates++
 		o := r.Objects[it.ID]
 		if pred.kind == predWithin {
@@ -403,12 +401,16 @@ func nearestQuery(ctx context.Context, r *Relation, ax storage.Accessor, p geom.
 	if k <= 0 {
 		return res, nil
 	}
-	stop, release := ctxpoll.Stop(ctx)
-	defer release()
+	done := ctx.Done()
 	best := make(kNearest, 0, k)
 	r.Tree.NearestRankAccess(ax, p, func(it rstar.Item, mbrDist float64) bool {
-		if len(best) == k && mbrDist > best[0].Dist || stop != nil && stop() {
+		if len(best) == k && mbrDist > best[0].Dist {
 			return false
+		}
+		select {
+		case <-done:
+			return false
+		default:
 		}
 		res.Stats.Candidates++
 		res.Stats.ExactTested++

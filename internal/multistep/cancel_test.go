@@ -3,6 +3,7 @@ package multistep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -10,11 +11,12 @@ import (
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/resilience"
+	"spatialjoin/internal/resilience/fault"
 )
 
-// cancelSeries is a workload with enough result pairs, spread over
-// enough result batches, that a mid-join cancellation is observable in
-// the count of emitted pairs.
+// cancelSeries is a workload with enough result pairs that a mid-join
+// cancellation is observable in the count of emitted pairs.
 func cancelSeries(t testing.TB) (*Relation, *Relation, Config) {
 	t.Helper()
 	rp := data.GenerateMap(data.MapConfig{Cells: 700, TargetVerts: 56, HoleFraction: 0.1, Seed: 601})
@@ -29,9 +31,9 @@ func cancelSeries(t testing.TB) (*Relation, *Relation, Config) {
 // join cancelled on its first streamed pair must surface
 // context.Canceled, stop the pipeline well before the full join's work
 // is done, and leak no goroutines (checked under -race by the leak guard
-// below). The work is counted, not timed: the collector emits every
-// result batch it receives, so the pairs the callback sees measure what
-// the pipeline still did after the cancellation.
+// below). The work is counted, not timed: every decided pair is emitted
+// as it is found, so the pairs the callback sees measure what the
+// workers still did after the cancellation.
 func TestJoinCancellationStopsEarly(t *testing.T) {
 	r, s, _ := cancelSeries(t)
 
@@ -101,6 +103,43 @@ func TestQueryCancellation(t *testing.T) {
 	cancel()
 	if _, err := Query(ctx, r, ForNearest(geom.Point{X: 0.5, Y: 0.5}, 3)); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled nearest query returned %v", err)
+	}
+}
+
+// TestJoinExactPanicFailsClosed arms a panic at the exact-decision site
+// mid-join. The decision recovers it on the worker that found the pair —
+// the calling goroutine on one worker, step 1's traversal workers on two
+// — and the join fails closed: a *resilience.PanicError at site "exact",
+// no pairs, and no goroutine left behind.
+func TestJoinExactPanicFailsClosed(t *testing.T) {
+	r, s, _ := cancelSeries(t)
+	if r.Tree.Height() < 2 || s.Tree.Height() < 2 {
+		t.Fatalf("trees of height %d and %d; the partitioned traversal would not run",
+			r.Tree.Height(), s.Tree.Height())
+	}
+	_, full, err := Join(context.Background(), r, s, WithBufferless())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const every = 50
+	if full.ExactTested < 2*every {
+		t.Fatalf("only %d exact tests; the injection would not fire mid-join", full.ExactTested)
+	}
+	for _, workers := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		if err := fault.Arm(fmt.Sprintf("exact:panic@%d", every)); err != nil {
+			t.Fatal(err)
+		}
+		pairs, _, err := Join(context.Background(), r, s, WithWorkers(workers))
+		fault.Disarm()
+		var pe *resilience.PanicError
+		if !errors.As(err, &pe) || pe.Site != "exact" {
+			t.Fatalf("workers=%d: err = %v, want a PanicError at site exact", workers, err)
+		}
+		if pairs != nil {
+			t.Errorf("workers=%d: a failed join returned %d pairs", workers, len(pairs))
+		}
+		waitForGoroutines(t, before)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/bitset"
-	"spatialjoin/internal/ctxpoll"
 	"spatialjoin/internal/ops"
 	"spatialjoin/internal/resilience"
 	"spatialjoin/internal/resilience/fault"
@@ -23,27 +22,15 @@ import (
 // so the statistics of one request do not depend on how its pairs were
 // delivered.
 
-// The pipeline shape: candidate pairs per batch, and the bounded depth of
-// the candidate and result channels in batches per worker. Together they
-// cap the in-flight memory at O((queue + 2·workers)·batch) candidate
-// pairs — the pipeline never materializes the candidate set. Larger
-// batches amortize channel traffic, smaller ones lower latency and peak
-// memory; no caller ever needed other values. Variables only so that the
-// back-pressure test can shrink them.
-var (
-	batchPairs     = 256
-	queuePerWorker = 4
-)
-
 // Join runs the multi-step spatial join of r and s under the configured
 // predicate (default Intersects) and returns the response set sorted by
 // (A, B) along with the per-step statistics. Every statistic is
 // independent of the worker count and of streaming by construction, so
 // one entry point serves measurement and production alike.
 //
-// Cancellation: when ctx is cancelled, the step 1 traversal workers, the
-// filter/exact pool and the collector all stop at their next check and
-// Join returns ctx.Err().
+// Cancellation: when ctx is cancelled, the step 1 traversal workers stop
+// at their next node pair, decide no further candidate, and Join returns
+// ctx.Err().
 //
 // Accounting: without WithSessions the page accounting runs on the shared
 // tree buffers (counters reset first) — the paper's sequential mode, one
@@ -107,59 +94,48 @@ func RunJoin(ctx context.Context, r, s *Relation, o Resolved) ([]Pair, Stats, er
 	return pairs, st, nil
 }
 
-// candPair is one candidate pair in flight between step 1 and step 2: a
-// rectangle-test survivor that passed the predicate's pretest.
-type candPair struct{ a, b int32 }
-
-// candBatchPool and pairBatchPool recycle the pipeline's batch buffers:
-// the channels carry *[]T so a drained batch returns to the pool with its
-// backing array AND its box, making the steady-state batch traffic
-// allocation-free. Batches abandoned on cancellation simply fall to the
-// garbage collector.
-var (
-	candBatchPool = sync.Pool{New: func() any { return new([]candPair) }}
-	pairBatchPool = sync.Pool{New: func() any { return new([]Pair) }}
-)
-
-// workerShare accumulates one worker's share of the steps 2+3
-// statistics; the shares are merged deterministically after the pipeline
-// drains. The fetched-object sets are bitsets over the dense object
-// indexes — one bit per object instead of a hash-set entry per fetch.
+// workerShare is one step 1 worker's share of the steps 2+3 work: its
+// counters, its fetched-object sets and, in a collected join, the pairs
+// it decided to be responses. The shares are merged deterministically
+// after the traversal. The fetched-object sets are bitsets over the dense
+// object indexes — one bit per object instead of a hash-set entry per
+// fetch.
 type workerShare struct {
-	hits, falseHits    int64
-	exactTested        int64
-	exactHits          int64
-	ops                ops.Counters
-	fetchedR, fetchedS *bitset.Set
+	cands, hits, falseHits int64
+	exactTested, exactHits int64
+	ops                    ops.Counters
+	fetchedR, fetchedS     *bitset.Set
+	out                    *[]Pair // from hitPool; nil unless the join collects
 }
 
+// hitPool recycles the workers' response buffers: a warmed collected join
+// copies its response out of them once, into a slice of exactly its size,
+// and grows none of them.
+var hitPool = sync.Pool{New: func() any { return new([]Pair) }}
+
 // joinPipeline executes one resolved join under the effective
-// configuration cfg as a streaming, fully parallel pipeline:
+// configuration cfg, the paper's three steps on one pool of workers:
+// step 1, the R*-tree join, partitions its synchronized traversal at the
+// subtree level over the workers (rstar.JoinParallelAccess), evaluating
+// the (possibly ε-expanded) rectangle test, and each worker decides every
+// survivor it finds on the spot — the predicate's pretest, then the
+// geometric filter (step 2, once), then the exact geometry test (step 3)
+// for the pairs the filter leaves open. No candidate set is materialized
+// and no candidate leaves the worker that found it.
 //
-//	step 1  — the R*-tree join runs as the producer: its synchronized
-//	          traversal is partitioned at the subtree level over the workers
-//	          (rstar.JoinParallelAccess), evaluating the (possibly
-//	          ε-expanded) rectangle test; each survivor that passes the
-//	          predicate's pretest becomes a candidate.
-//	steps 2+3 — candidate batches flow through a bounded channel into a
-//	          pool of workers that classify each pair with the geometric
-//	          filter (once) and decide the survivors on the exact
-//	          geometry test.
+// A worker counts into its own share and keeps its responses in its own
+// buffer; a streamed join instead hands each response to the WithStream
+// emitter, serialized by a mutex, in no particular order. After the
+// traversal the counters are summed, the fetch sets ORed and a collected
+// response is copied out once.
 //
-// A single collector goroutine counts the decided pairs and either hands
-// them to the WithStream emitter, one pair at a time and in no particular
-// order, or keeps the result batches until the pipeline has drained and
-// the response can be copied out once, into a slice of exactly its size.
-// A streamed or bufferless join keeps its memory bounded by the channel
-// depths regardless of the candidate-set size.
-//
-// Cancellation: the traversal workers poll the context at every node
-// pair, the producers at every batch boundary, and the filter/exact pool
-// at every pair; a cancelled context drains the pipeline without further
-// work and surfaces ctx.Err(). A worker that panics (a bug in an exact
-// kernel, or an injected fault) or hits a fired "exact" injection cancels
-// the pipeline with itself as the cause — the failure is contained to
-// this join, which fails closed, instead of killing the process.
+// Cancellation: the traversal polls the context at every node pair and
+// the decision at every candidate, so a cancelled context ends the join
+// without further work and surfaces ctx.Err(). A decision that panics (a
+// bug in an exact kernel, or an injected fault) or hits a fired "exact"
+// injection cancels the join with itself as the cause — the failure is
+// contained to this join, which fails closed, instead of killing the
+// process.
 func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) ([]Pair, Stats, error) {
 	workers := effectiveWorkers(o.Workers)
 	pred := o.Pred
@@ -178,172 +154,108 @@ func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) 
 
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
-	stop, release := ctxpoll.Stop(ctx)
-	defer release()
-	stopCh := ctx.Done() // nil for uncancellable contexts: a select then blocks on its send alone
+	done := ctx.Done()
 
-	candCh := make(chan *[]candPair, queuePerWorker*workers)
-	resCh := make(chan *[]Pair, queuePerWorker*workers)
-
-	// Steps 2+3: the worker pool, one counter block per worker.
 	shares := make([]workerShare, workers)
-	var wg sync.WaitGroup
 	for w := range shares {
-		wg.Add(1)
-		go func(ws *workerShare) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					fail(resilience.Recovered("exact", rec))
-				}
-			}()
-			ws.fetchedR = bitset.New(len(r.Objects))
-			ws.fetchedS = bitset.New(len(s.Objects))
-			for bp := range candCh {
-				op := pairBatchPool.Get().(*[]Pair)
-				out := (*op)[:0]
-				for _, c := range *bp {
-					if stop != nil && stop() {
-						break
-					}
-					oa, ob := r.Objects[c.a], s.Objects[c.b]
-					// Step 2: the geometric filter, evaluated exactly once
-					// per candidate.
-					if cfg.UseFilter {
-						switch pred.classify(cfg.Filter, oa, ob) {
-						case approx.Hit:
-							ws.hits++
-							out = append(out, Pair{A: c.a, B: c.b})
-							continue
-						case approx.FalseHit:
-							ws.falseHits++
-							continue
-						}
-					}
-					// Step 3: the exact geometry test.
-					ws.exactTested++
-					ws.fetchedR.Set(int(c.a))
-					ws.fetchedS.Set(int(c.b))
-					if ferr := fault.Check("exact"); ferr != nil {
-						fail(ferr)
-						break
-					}
-					if pred.exactDecide(cfg, oa, ob, &ws.ops) {
-						ws.exactHits++
-						out = append(out, Pair{A: c.a, B: c.b})
-					}
-				}
-				*bp = (*bp)[:0]
-				candBatchPool.Put(bp)
-				*op = out
-				if len(out) == 0 {
-					pairBatchPool.Put(op)
-					continue
-				}
-				select {
-				case resCh <- op:
-				case <-stopCh:
-				}
-			}
-		}(&shares[w])
+		ws := &shares[w]
+		ws.fetchedR, ws.fetchedS = bitset.New(len(r.Objects)), bitset.New(len(s.Objects))
+		if collects {
+			ws.out = hitPool.Get().(*[]Pair)
+		}
 	}
-
-	// The collector serializes counting and emission of the decided pairs.
-	emit := o.Stream
-	var (
-		resultPairs int64
-		held        []*[]Pair
-	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for op := range resCh {
-			resultPairs += int64(len(*op))
-			if emit != nil {
-				for _, p := range *op {
-					emit(p)
-				}
+	defer func() {
+		for w := range shares {
+			if out := shares[w].out; out != nil {
+				*out = (*out)[:0]
+				hitPool.Put(out)
 			}
-			if collects {
-				held = append(held, op)
-				continue
-			}
-			*op = (*op)[:0]
-			pairBatchPool.Put(op)
 		}
 	}()
 
-	// Step 1: the candidate producer, on the calling goroutine. offer takes
-	// one rectangle-test survivor from generator worker w (calls with the
-	// same w are serial, so the per-worker batch buffers and candidate
-	// counters need no locks) and queues it if the pretest admits it.
-	// Candidate counting happens here, producer-side: the counts are pure
-	// sums, so the merge is scheduling-independent.
-	var st Stats
-	eps := pred.step1Eps()
-	batches := make([]*[]candPair, workers)
-	cands := make([]int64, workers)
-	send := func(bp *[]candPair) {
-		select {
-		case candCh <- bp:
-		case <-stopCh: // abandoned: the workers are draining by then
+	// decide runs steps 2 and 3 on one rectangle-test survivor and reports
+	// whether the pair is a response. It is the recovery boundary of the
+	// exact kernels: a panic fails the join instead of the worker, and the
+	// decision returns false.
+	decide := func(ws *workerShare, a, b int32) bool {
+		defer func() {
+			if rec := recover(); rec != nil {
+				fail(resilience.Recovered("exact", rec))
+			}
+		}()
+		oa, ob := r.Objects[a], s.Objects[b]
+		if !pred.pretest(oa, ob) {
+			return false
 		}
+		ws.cands++
+		// Step 2: the geometric filter, evaluated exactly once per
+		// candidate.
+		if cfg.UseFilter {
+			switch pred.classify(cfg.Filter, oa, ob) {
+			case approx.Hit:
+				ws.hits++
+				return true
+			case approx.FalseHit:
+				ws.falseHits++
+				return false
+			}
+		}
+		// Step 3: the exact geometry test.
+		ws.exactTested++
+		ws.fetchedR.Set(int(a))
+		ws.fetchedS.Set(int(b))
+		if err := fault.Check("exact"); err != nil {
+			fail(err)
+			return false
+		}
+		if pred.exactDecide(cfg, oa, ob, &ws.ops) {
+			ws.exactHits++
+			return true
+		}
+		return false
 	}
-	offer := func(w int, a, b int32) {
-		if !pred.pretest(r.Objects[a], s.Objects[b]) {
+
+	// Step 1 on the calling goroutine and its workers. Calls with the same
+	// w are serial, so a worker's share needs no lock; only the stream
+	// emitter is shared.
+	var st Stats
+	var emitMu sync.Mutex
+	st.MBRJoin = rstar.JoinParallelAccess(ctx, r.Tree, s.Tree, axR, axS, pred.step1Eps(), workers, func(w int, a, b rstar.Item) {
+		select {
+		case <-done:
+			return // cancelled or failed: decide nothing more
+		default:
+		}
+		ws := &shares[w]
+		if !decide(ws, a.ID, b.ID) {
 			return
 		}
-		cands[w]++
-		bp := batches[w]
-		if bp == nil {
-			bp = candBatchPool.Get().(*[]candPair)
-			batches[w] = bp
+		switch p := (Pair{A: a.ID, B: b.ID}); {
+		case collects:
+			*ws.out = append(*ws.out, p)
+		case o.Stream != nil:
+			emitMu.Lock()
+			o.Stream(p)
+			emitMu.Unlock()
 		}
-		*bp = append(*bp, candPair{a, b})
-		if len(*bp) >= batchPairs {
-			send(bp)
-			batches[w] = nil
-		}
-	}
-	st.MBRJoin = rstar.JoinParallelAccess(ctx, r.Tree, s.Tree, axR, axS, eps, workers, func(w int, a, b rstar.Item) {
-		offer(w, a.ID, b.ID)
 	})
-	for _, bp := range batches {
-		if bp != nil {
-			send(bp)
-		}
-	}
-	close(candCh)
-	wg.Wait()
-	close(resCh)
-	<-done
 
 	if ctx.Err() != nil {
-		// Cause distinguishes an internal failure (worker panic, fired
+		// Cause distinguishes an internal failure (a panic, a fired
 		// injection) from the caller's own cancellation, for which it
 		// reproduces ctx.Err().
 		return nil, Stats{}, context.Cause(ctx)
 	}
 
-	// Deterministic merge: the response set is allocated at exactly its
-	// size (callers cache it), every counter is a sum and the fetch sets
-	// are unions (word-wise ORs of the per-worker bitsets).
-	st.ResultPairs = resultPairs
-	var pairs []Pair
-	if collects && resultPairs > 0 {
-		pairs = make([]Pair, 0, resultPairs)
-	}
-	for _, op := range held {
-		pairs = append(pairs, *op...)
-		*op = (*op)[:0]
-		pairBatchPool.Put(op)
-	}
+	// Deterministic merge: every counter is a sum, the fetch sets are
+	// unions (word-wise ORs of the per-worker bitsets, into worker 0's)
+	// and the response set is allocated at exactly its size (callers cache
+	// it).
 	st.PageAccessesR, st.PageAccessesS = axR.Misses()-missesR, axS.Misses()-missesS
-	unionR := bitset.New(len(r.Objects))
-	unionS := bitset.New(len(s.Objects))
+	unionR, unionS := shares[0].fetchedR, shares[0].fetchedS
 	for w := range shares {
-		st.CandidatePairs += cands[w]
 		ws := &shares[w]
+		st.CandidatePairs += ws.cands
 		st.FilterHits += ws.hits
 		st.FilterFalseHits += ws.falseHits
 		st.ExactTested += ws.exactTested
@@ -353,5 +265,13 @@ func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) 
 		unionS.Or(ws.fetchedS)
 	}
 	st.ObjectFetches = int64(unionR.Count() + unionS.Count())
+	st.ResultPairs = st.FilterHits + st.ExactHits
+	var pairs []Pair
+	if collects && st.ResultPairs > 0 {
+		pairs = make([]Pair, 0, st.ResultPairs)
+		for w := range shares {
+			pairs = append(pairs, *shares[w].out...)
+		}
+	}
 	return pairs, st, nil
 }

@@ -10,11 +10,11 @@
 //	         decided on the exact representation (quadratic, plane sweep,
 //	         or TR*-tree over decomposed objects).
 //
-// Candidate pairs stream through the steps without materializing an
-// intermediate candidate set (section 2.4). The pipeline is
-// predicate-generic — section 2.2's "for other predicates ... a similar
-// approach can be used" — and the public surface reflects that: one
-// context-aware, option-driven entry point per query shape,
+// Each step 1 candidate is handed straight to steps 2 and 3 without
+// materializing an intermediate candidate set (section 2.4). The
+// processor is predicate-generic — section 2.2's "for other predicates
+// ... a similar approach can be used" — and the public surface reflects
+// that: one context-aware, option-driven entry point per query shape,
 //
 //	Join(ctx, r, s, opts...)   // intersection, inclusion, ε-distance joins
 //	Query(ctx, r, opts...)     // window, point, ε-range, nearest queries
@@ -22,10 +22,11 @@
 // with the Predicate (Intersects, Contains, WithinDistance) specializing
 // all three steps and functional options covering workers, streaming,
 // per-query access contexts and limits (see api.go and predicate.go).
-// The streaming core spreads the traversal and the filter/exact steps
-// over a worker pool — the CPU parallelism the paper defers to future
-// work in section 6 — while producing exactly the sequential response
-// set and statistics.
+// A join runs on one worker pool — the CPU parallelism the paper defers
+// to future work in section 6: step 1's traversal is partitioned over the
+// workers, and each worker decides the candidates it finds through steps
+// 2 and 3 itself, producing exactly the sequential response set and
+// statistics.
 package multistep
 
 import (
@@ -124,9 +125,9 @@ func DefaultConfig() Config {
 
 // Object is one spatial object with its precomputed approximations and
 // lazily built exact-geometry representations. The lazy builders are safe
-// for concurrent use, so the streaming pipeline's workers can share
-// objects without coordination; the builds are deterministic, so a
-// duplicated concurrent build yields an equivalent representation.
+// for concurrent use, so the join's workers can share objects without
+// coordination; the builds are deterministic, so a duplicated concurrent
+// build yields an equivalent representation.
 type Object struct {
 	ID     int32
 	Poly   *geom.Polygon
@@ -200,7 +201,14 @@ type Relation struct {
 	// relations assembled by hand — the planner then falls back to
 	// static defaults.
 	Stats *plan.Stats
+	// fp is ConfigFingerprint(Cfg), hashed once with Stats.
+	fp uint64
 }
+
+// Fingerprint returns ConfigFingerprint of the relation's configuration,
+// computed once when the relation was built or opened: two relations join
+// under their own configuration only if their fingerprints agree.
+func (r *Relation) Fingerprint() uint64 { return r.fp }
 
 // computeStats derives the planner statistics from the object table.
 func (r *Relation) computeStats() *plan.Stats {
@@ -247,7 +255,7 @@ func NewRelation(name string, polys []*geom.Polygon, cfg Config) *Relation {
 		tree.Insert(rstar.Item{Rect: o.Approx.MBR, ID: o.ID})
 	}
 	rel.Tree = tree
-	rel.Stats = rel.computeStats()
+	rel.Stats, rel.fp = rel.computeStats(), ConfigFingerprint(cfg)
 	return rel
 }
 

@@ -167,9 +167,10 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	if d.Err() == nil && (version < 1 || version > relstoreVersion) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadRelationStore, version)
 	}
-	if fp := d.U64(); d.Err() == nil && fp != ConfigFingerprint(cfg) {
+	want := ConfigFingerprint(cfg)
+	if fp := d.U64(); d.Err() == nil && fp != want {
 		return nil, fmt.Errorf("%w: fingerprint %#x, this configuration is %#x",
-			ErrConfigMismatch, fp, ConfigFingerprint(cfg))
+			ErrConfigMismatch, fp, want)
 	}
 	name := string(d.Bytes(int(d.U16())))
 	count := int(d.U32())
@@ -283,7 +284,7 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRelationStore, d.Remaining())
 	}
-	rel.Stats = rel.computeStats()
+	rel.Stats, rel.fp = rel.computeStats(), want
 
 	// The tree items must index the object table: same cardinality, IDs
 	// in range, every entry rectangle equal to its object's MBR.

@@ -58,60 +58,49 @@ func TestJoinStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinStreamBackpressure runs the pipeline with the smallest possible
-// batches and queue so every channel operation and flush path is
-// exercised under back-pressure.
-func TestJoinStreamBackpressure(t *testing.T) {
-	rp, sp := smallSeries(t)
-	cfg := DefaultConfig()
-	r := NewRelation("R", rp, cfg)
-	s := NewRelation("S", sp, cfg)
-
-	clearBuffers(r, s)
-	want, wantSt := testJoin(t, r, s, cfg)
-
-	clearBuffers(r, s)
-	var got []Pair
-	defer func(b, q int) { batchPairs, queuePerWorker = b, q }(batchPairs, queuePerWorker)
-	batchPairs, queuePerWorker = 1, 0 // one pair per batch, unbuffered channels
-	st := testJoinStream(t, r, s, cfg,
-		func(p Pair) { got = append(got, p) }, WithWorkers(3))
-	assertSameResponse(t, "batch=1", got, want)
-	if st != wantSt {
-		t.Errorf("batch=1: stats diverge:\n got %+v\nwant %+v", st, wantSt)
-	}
-}
-
-// TestJoinAllocsBounded guards the pooled batch buffers: a warmed join
-// allocates its per-worker state, its channels, its response slice and
-// the R*-tree traversal's scratch — nothing that grows with the number of
-// candidate or result batches. With 16-pair batches the workload moves
-// several hundred of each, so an unpooled batch path shows as more than
-// one allocation per candidate batch.
+// TestJoinAllocsBounded guards the join's scratch: a warmed, collected
+// join allocates its response slice and a constant — its context, its
+// per-worker shares and fetch sets, its closures and step 1's own
+// constant — while the response buffers come back from their pool. On
+// one worker and on two, the count is the same at two relation sizes
+// whose candidate and response counts differ several fold, so nothing in
+// it grows with the data.
 func TestJoinAllocsBounded(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector empties sync.Pool at random; the batch buffers are pooled")
+		t.Skip("the race detector empties sync.Pool at random; the join scratch is pooled")
 	}
 	cfg := DefaultConfig()
-	rp := data.GenerateMap(data.MapConfig{Cells: 1200, TargetVerts: 20, Seed: 223})
-	r, s := NewRelation("r", rp, cfg), NewRelation("s", data.StrategyA(rp, 0.45), cfg)
-	defer func(b int) { batchPairs = b }(batchPairs)
-	batchPairs = 16
-	var batches int64
-	run := func() {
-		_, st, err := Join(context.Background(), r, s, WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
+	type workload struct{ r, s *Relation }
+	var loads []workload
+	for _, cells := range []int{300, 1200} {
+		rp := data.GenerateMap(data.MapConfig{Cells: cells, TargetVerts: 20, Seed: 223})
+		r, s := NewRelation("r", rp, cfg), NewRelation("s", data.StrategyA(rp, 0.45), cfg)
+		if r.Tree.Height() < 2 || s.Tree.Height() < 2 {
+			t.Fatalf("%d cells: trees of height %d and %d; the partitioned traversal would not run",
+				cells, r.Tree.Height(), s.Tree.Height())
 		}
-		batches = st.CandidatePairs / int64(batchPairs)
+		loads = append(loads, workload{r, s})
 	}
-	run() // warm the pools, the buffers and the lazily built exact representations
-	allocs := testing.AllocsPerRun(5, run)
-	if batches < 400 {
-		t.Fatalf("only %d candidate batches; the guard is vacuous", batches)
-	}
-	if allocs > float64(batches)/2 {
-		t.Errorf("a warmed join of %d candidate batches allocates %.0f objects, want at most one per two batches", batches, allocs)
+	for _, workers := range []int{1, 2} {
+		var counts []float64
+		for _, l := range loads {
+			var st Stats
+			run := func() {
+				var err error
+				if _, st, err = Join(context.Background(), l.r, l.s, WithWorkers(workers)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the pools, the buffers and the lazily built exact representations
+			allocs := testing.AllocsPerRun(5, run)
+			t.Logf("%d workers, %d×%d objects: %d candidates, %d responses, %.0f objects per join",
+				workers, len(l.r.Objects), len(l.s.Objects), st.CandidatePairs, st.ResultPairs, allocs)
+			counts = append(counts, allocs)
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%d workers: a warmed join allocates %.0f objects on the small relations and %.0f on the large ones, want the same",
+				workers, counts[0], counts[1])
+		}
 	}
 }
 
@@ -151,13 +140,5 @@ func TestJoinStreamRepeatable(t *testing.T) {
 	second := testJoinStream(t, r, s, cfg, nil, WithWorkers(4))
 	if first != second {
 		t.Errorf("streaming join not repeatable:\n first %+v\nsecond %+v", first, second)
-	}
-}
-
-// TestPipelineShapeDefaults pins the documented pipeline shape: 256-pair
-// batches and a channel depth of four batches per worker.
-func TestPipelineShapeDefaults(t *testing.T) {
-	if batchPairs != 256 || queuePerWorker != 4 {
-		t.Errorf("unexpected pipeline shape: batch %d, queue %d per worker", batchPairs, queuePerWorker)
 	}
 }

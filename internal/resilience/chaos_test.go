@@ -145,7 +145,7 @@ func TestChaos(t *testing.T) {
 	// Every site armed at once. The primes keep the sites' firing
 	// patterns out of phase so the storm sees mixed, not synchronized,
 	// failure modes; deterministic counters keep the run reproducible.
-	if err := fault.Arm("tile-query:latency=5ms@7,tile-query:error@31,tile-join:panic@29,exact:error@43"); err != nil {
+	if err := fault.Arm("tile-query:latency=5ms@7,tile-query:error@31,tile-join:panic@29,exact:error@43,exact:panic@61"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fault.Disarm)
@@ -234,6 +234,7 @@ func TestChaos(t *testing.T) {
 	if counts[statusBoom] == 0 {
 		t.Error("no injected failure surfaced — the storm did not exercise the faults")
 	}
+	t.Logf("injections: %+v", fault.Stats())
 
 	// The server must come out healthy: faults off, every baseline URL
 	// answers byte-identically — nothing degraded or corrupt was cached.

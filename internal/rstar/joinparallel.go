@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"spatialjoin/internal/ctxpoll"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/storage"
 )
@@ -47,10 +46,12 @@ import (
 // the whole join — traversal fan-out included — is safe to run
 // concurrently with other queries on the same trees.
 //
-// Cancellation is cooperative: when ctx is cancelled the traversal stops
-// at the next node pair, pending tasks are dropped, the page-trace replay
-// is skipped, and the partial statistics are returned (the caller observes
-// the cancellation via ctx.Err()).
+// Cancellation is cooperative: every node pair polls ctx.Done() without
+// blocking, and no helper goroutine watches the context. Once ctx is
+// cancelled the traversal stops at the next node pair, pending tasks are
+// dropped, the page-trace replay is skipped, and the partial statistics
+// are returned (the caller observes the cancellation via ctx.Err()). The
+// caller may cancel ctx from emit, on any worker, to end the join early.
 func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Accessor, eps float64, workers int, emit func(worker int, a, b Item)) JoinStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -59,10 +60,9 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 	if t1.size == 0 || t2.size == 0 {
 		return st
 	}
-	stop, release := ctxpoll.Stop(ctx)
-	defer release()
+	done := ctx.Done()
 	if workers == 1 || t1.root.leaf || t2.root.leaf {
-		v := newJoinVisit(t1, t2, &st, eps, stop, func(a, b Item) { emit(0, a, b) })
+		v := newJoinVisit(t1, t2, &st, eps, done, func(a, b Item) { emit(0, a, b) })
 		v.ax1, v.ax2 = ax1, ax2
 		v.nodes(t1.root, t2.root, t1.root.bounds(), t2.root.bounds())
 		v.release()
@@ -94,10 +94,10 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 			defer wg.Done()
 			// One visitor per worker: the sweep scratch is reused across
 			// every task the worker processes.
-			v := newJoinVisit(t1, t2, nil, eps, stop, func(a, b Item) { emit(w, a, b) })
+			v := newJoinVisit(t1, t2, nil, eps, done, func(a, b Item) { emit(w, a, b) })
 			defer v.release()
 			for {
-				if stop != nil && stop() {
+				if cancelled(done) {
 					return
 				}
 				i := int(next.Add(1)) - 1

@@ -304,16 +304,15 @@ func (t *Tree) WindowQueryAccess(ax storage.Accessor, w geom.Rect, fn func(Item)
 	t.WindowQueryAccessStop(ax, w, nil, fn)
 }
 
-// WindowQueryAccessStop is WindowQueryAccess with an abort hook: a
-// non-nil stop is polled at every node visit and ends the search when it
-// returns true — the cancellation hook of the context-threaded query
-// entry points.
-func (t *Tree) WindowQueryAccessStop(ax storage.Accessor, w geom.Rect, stop func() bool, fn func(Item)) {
-	t.searchRect(ax, t.root, w, stop, fn)
+// WindowQueryAccessStop is WindowQueryAccess with an abort channel: done
+// is polled at every node visit and ends the search once it is closed —
+// pass a context's Done channel (nil never aborts).
+func (t *Tree) WindowQueryAccessStop(ax storage.Accessor, w geom.Rect, done <-chan struct{}, fn func(Item)) {
+	t.searchRect(ax, t.root, w, done, fn)
 }
 
-func (t *Tree) searchRect(ax storage.Accessor, n *node, w geom.Rect, stop func() bool, fn func(Item)) {
-	if stop != nil && stop() {
+func (t *Tree) searchRect(ax storage.Accessor, n *node, w geom.Rect, done <-chan struct{}, fn func(Item)) {
+	if cancelled(done) {
 		return
 	}
 	ax.Access(n.page)
@@ -324,7 +323,7 @@ func (t *Tree) searchRect(ax storage.Accessor, n *node, w geom.Rect, stop func()
 		if n.leaf {
 			fn(e.item)
 		} else {
-			t.searchRect(ax, e.child, w, stop, fn)
+			t.searchRect(ax, e.child, w, done, fn)
 		}
 	}
 }
@@ -380,8 +379,8 @@ type JoinStats struct {
 // them afterwards (the buffer manager is not safe for concurrent use, and
 // replaying in canonical order keeps the miss counts identical to the
 // sequential traversal). eps widens every rectangle predicate for the
-// within-distance join (0 = plain intersection); stop, when non-nil,
-// aborts the traversal early.
+// within-distance join (0 = plain intersection); closing done aborts the
+// traversal early.
 //
 // The visitor owns one sweep scratch per traversal depth, so the restrict
 // and plane-sweep buffers of every node-pair expansion are reused across
@@ -396,7 +395,7 @@ type joinVisit struct {
 	st             *JoinStats
 	fn             func(a, b Item)
 	eps            float64
-	stop           func() bool
+	done           <-chan struct{}
 	depth          int
 	scratch        []sweepScratch
 }
@@ -412,9 +411,9 @@ var visitPool = sync.Pool{New: func() any { return new(joinVisit) }}
 // trees, its ladder sized for the recursion: it descends at least one
 // tree per level, so the depth never exceeds the height sum. The caller
 // returns it with release when the traversal ends.
-func newJoinVisit(t1, t2 *Tree, st *JoinStats, eps float64, stop func() bool, fn func(a, b Item)) *joinVisit {
+func newJoinVisit(t1, t2 *Tree, st *JoinStats, eps float64, done <-chan struct{}, fn func(a, b Item)) *joinVisit {
 	v := visitPool.Get().(*joinVisit)
-	v.st, v.fn, v.eps, v.stop = st, fn, eps, stop
+	v.st, v.fn, v.eps, v.done = st, fn, eps, done
 	v.scratchAt(t1.height + t2.height)
 	return v
 }
@@ -451,6 +450,18 @@ func (v *joinVisit) touch2(n *node) {
 	*v.trace2 = append(*v.trace2, n.page)
 }
 
+// cancelled reports, without blocking, whether done is closed: the
+// cancellation poll of the traversals, cheap enough for every node visit.
+// A nil done (an uncancellable context's) is never closed.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // within reports whether the per-axis gap between two rectangles is at
 // most eps — the ε-expanded intersection predicate. With eps = 0 it is
 // exactly Rect.Intersects.
@@ -467,7 +478,7 @@ func within(a, b geom.Rect, eps float64) bool {
 // rectangle exactly the child's bounds), so the traversal never recomputes
 // a bounds union.
 func (v *joinVisit) nodes(n1, n2 *node, b1, b2 geom.Rect) {
-	if v.stop != nil && v.stop() {
+	if cancelled(v.done) {
 		return
 	}
 	v.touch1(n1)

@@ -269,10 +269,9 @@ func NewServer(cat *Catalog) *Server {
 // statistics (the original run's, as DESIGN.md §12 specifies).
 //
 // Every handler threads the request context through the query pipeline:
-// when the client disconnects, the step 1 traversal workers, the
-// filter/exact pool and the collector all stop at their next check, so a
-// cancelled request releases its workers instead of running the join to
-// completion.
+// when the client disconnects, every join worker stops at its next node
+// pair, so a cancelled request releases its workers instead of running
+// the join to completion.
 //
 // Query endpoints additionally accept &timeout_ms= (a per-request
 // server-side deadline, capped by MaxRequestTimeout; a fired deadline

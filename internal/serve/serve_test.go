@@ -582,8 +582,8 @@ func TestCancelledRequestReleasesWorkers(t *testing.T) {
 		t.Log("request finished before the cancellation point; leak check still applies")
 	}
 
-	// All request-scoped goroutines — HTTP handler, traversal workers,
-	// filter/exact pool, collector — must drain promptly.
+	// All request-scoped goroutines — the HTTP handler and the join
+	// workers — must drain promptly.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

@@ -172,6 +172,6 @@ func FromRelation(rel *multistep.Relation) *Sharded {
 		Tiles:   []*Tile{{Index: 0, Rel: rel, Global: global, MBR: mbr}},
 		objects: len(rel.Objects),
 		mbr:     mbr,
-		fp:      multistep.ConfigFingerprint(rel.Cfg),
+		fp:      rel.Fingerprint(),
 	}
 }

@@ -185,11 +185,11 @@ func WithPredicate(p Predicate) Option { return multistep.WithPredicate(p) }
 // relations' build configuration).
 func WithConfig(cfg Config) Option { return multistep.WithConfig(cfg) }
 
-// WithWorkers sets the join pipeline's worker count (≤ 0: GOMAXPROCS).
+// WithWorkers sets a join's worker count (≤ 0: GOMAXPROCS).
 func WithWorkers(n int) Option { return multistep.WithWorkers(n) }
 
-// WithStream streams response pairs to emit as they are decided instead
-// of collecting them; memory stays bounded by the pipeline depth.
+// WithStream streams response pairs to emit as they are decided, one
+// call at a time, instead of collecting them; no response pair is held.
 func WithStream(emit func(Pair)) Option { return multistep.WithStream(emit) }
 
 // WithBufferless discards the response set and returns statistics only.
@@ -251,8 +251,8 @@ func ExplainJoin(ctx context.Context, r, s *Relation, run bool, opts ...Option) 
 // predicate (default Intersects), one sub-join per pair of tiles whose
 // MBRs can hold a qualifying pair, and returns the response set sorted
 // by (A, B) with per-step statistics; WithLimit is a prefix of that
-// order. Cancelling ctx stops every sub-join — traversal workers,
-// filter/exact pool and collector — and surfaces ctx.Err().
+// order. Cancelling ctx stops every sub-join's workers at their next
+// node pair and surfaces ctx.Err().
 func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, error) {
 	return shard.Join(ctx, r, s, opts...)
 }

@@ -2,12 +2,13 @@ package multistep
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/bitset"
+	"spatialjoin/internal/freelist"
 	"spatialjoin/internal/ops"
 	"spatialjoin/internal/resilience"
 	"spatialjoin/internal/resilience/fault"
@@ -16,11 +17,11 @@ import (
 
 // This file is the join driver of the package — the only one. Join
 // resolves its options, RunJoin executes them — validate and plan the
-// request, run the one pipeline, then fill the explain — and Join sorts
-// and cuts the collected response. Every delivery mode (collected,
-// streamed, bufferless) and every worker count runs the same pipeline,
-// so the statistics of one request do not depend on how its pairs were
-// delivered.
+// request, run the one pipeline, then fill the explain — and Join orders
+// and cuts the collected response with OrderPairs. Every delivery mode
+// (collected, streamed, bufferless) and every worker count runs the same
+// pipeline, so the statistics of one request do not depend on how its
+// pairs were delivered.
 
 // Join runs the multi-step spatial join of r and s under the configured
 // predicate (default Intersects) and returns the response set sorted by
@@ -38,24 +39,26 @@ import (
 // fully concurrent-safe.
 func Join(ctx context.Context, r, s *Relation, opts ...Option) ([]Pair, Stats, error) {
 	o := ResolveOptions(opts)
-	pairs, st, err := RunJoin(ctx, r, s, o)
+	pairs, st, err := RunJoin(ctx, r, s, o, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	slices.SortFunc(pairs, ComparePairs)
-	if o.Limit >= 0 && len(pairs) > o.Limit {
-		pairs = pairs[:o.Limit]
+	if pairs != nil {
+		// Ordered in place: the response keeps the slice RunJoin sized.
+		pairs = OrderPairs([][]Pair{pairs}, len(r.Objects), len(s.Objects), o.Limit, pairs)
 	}
 	return pairs, st, nil
 }
 
 // RunJoin is Join on an already resolved option set, except that it
-// returns the collected response in pipeline order, unsorted and uncut:
-// o.Limit is not applied. It is the entry of coordinators that resolve a
-// request once and run it on several relation pairs (internal/shard
-// hands each tile pair a copy with its own sessions in AxR/AxS and its
-// own Explain, and orders, merges and cuts the responses itself).
-func RunJoin(ctx context.Context, r, s *Relation, o Resolved) ([]Pair, Stats, error) {
+// appends the collected response to dst in pipeline order, unsorted and
+// uncut: o.Limit is not applied. A nil dst gets a new slice of exactly
+// the response's size; a reused buffer grows only past its capacity. It
+// is the entry of coordinators that resolve a request once and run it on
+// several relation pairs (internal/shard hands each tile pair a copy
+// with its own sessions in AxR/AxS, its own Explain and its own run
+// buffer, and orders and cuts the responses itself).
+func RunJoin(ctx context.Context, r, s *Relation, o Resolved, dst []Pair) ([]Pair, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -81,7 +84,7 @@ func RunJoin(ctx context.Context, r, s *Relation, o Resolved) ([]Pair, Stats, er
 	if o.Explain != nil {
 		started = time.Now()
 	}
-	pairs, st, err := joinPipeline(ctx, r, s, &o, cfg)
+	pairs, st, err := joinPipeline(ctx, r, s, &o, cfg, dst)
 	elapsed := time.Since(started)
 	if o.Explain != nil {
 		// On error the explain records the plan with zero actuals,
@@ -105,13 +108,14 @@ type workerShare struct {
 	exactTested, exactHits int64
 	ops                    ops.Counters
 	fetchedR, fetchedS     *bitset.Set
-	out                    *[]Pair // from hitPool; nil unless the join collects
+	out                    *[]Pair // from hitBuffers; nil unless the join collects
 }
 
-// hitPool recycles the workers' response buffers: a warmed collected join
-// copies its response out of them once, into a slice of exactly its size,
-// and grows none of them.
-var hitPool = sync.Pool{New: func() any { return new([]Pair) }}
+// hitBuffers keeps the workers' response buffers between joins. A buffer
+// goes back with room for the whole response of the join that used it,
+// so a warmed join grows none of them whichever worker gets which buffer
+// and however the traversal's tasks fall to the workers.
+var hitBuffers freelist.List[[]Pair]
 
 // joinPipeline executes one resolved join under the effective
 // configuration cfg, the paper's three steps on one pool of workers:
@@ -136,10 +140,10 @@ var hitPool = sync.Pool{New: func() any { return new([]Pair) }}
 // injection cancels the join with itself as the cause — the failure is
 // contained to this join, which fails closed, instead of killing the
 // process.
-func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) ([]Pair, Stats, error) {
+func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config, dst []Pair) ([]Pair, Stats, error) {
 	workers := effectiveWorkers(o.Workers)
-	pred := o.Pred
-	collects := o.Stream == nil && !o.Bufferless
+	pred, stream := o.Pred, o.Stream
+	collects := stream == nil && !o.Bufferless
 
 	axR, axS := o.AxR, o.AxS
 	if axR == nil {
@@ -161,14 +165,18 @@ func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) 
 		ws := &shares[w]
 		ws.fetchedR, ws.fetchedS = bitset.New(len(r.Objects)), bitset.New(len(s.Objects))
 		if collects {
-			ws.out = hitPool.Get().(*[]Pair)
+			ws.out = hitBuffers.Get()
 		}
 	}
+	// responses is the join's response count, once known.
+	var responses int
 	defer func() {
 		for w := range shares {
 			if out := shares[w].out; out != nil {
-				*out = (*out)[:0]
-				hitPool.Put(out)
+				if *out = (*out)[:0]; cap(*out) < responses {
+					*out = make([]Pair, 0, responses)
+				}
+				hitBuffers.Put(out, cap(*out)*int(unsafe.Sizeof(Pair{})))
 			}
 		}
 	}()
@@ -233,9 +241,9 @@ func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) 
 		switch p := (Pair{A: a.ID, B: b.ID}); {
 		case collects:
 			*ws.out = append(*ws.out, p)
-		case o.Stream != nil:
+		case stream != nil:
 			emitMu.Lock()
-			o.Stream(p)
+			stream(p)
 			emitMu.Unlock()
 		}
 	})
@@ -249,8 +257,8 @@ func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) 
 
 	// Deterministic merge: every counter is a sum, the fetch sets are
 	// unions (word-wise ORs of the per-worker bitsets, into worker 0's)
-	// and the response set is allocated at exactly its size (callers cache
-	// it).
+	// and the response set is appended to dst, which a nil dst allocates
+	// at exactly the response's size.
 	st.PageAccessesR, st.PageAccessesS = axR.Misses()-missesR, axS.Misses()-missesS
 	unionR, unionS := shares[0].fetchedR, shares[0].fetchedS
 	for w := range shares {
@@ -266,12 +274,15 @@ func joinPipeline(ctx context.Context, r, s *Relation, o *Resolved, cfg Config) 
 	}
 	st.ObjectFetches = int64(unionR.Count() + unionS.Count())
 	st.ResultPairs = st.FilterHits + st.ExactHits
-	var pairs []Pair
-	if collects && st.ResultPairs > 0 {
-		pairs = make([]Pair, 0, st.ResultPairs)
-		for w := range shares {
-			pairs = append(pairs, *shares[w].out...)
-		}
+	if !collects || st.ResultPairs == 0 {
+		return dst, st, nil
 	}
-	return pairs, st, nil
+	responses = int(st.ResultPairs)
+	if dst == nil {
+		dst = make([]Pair, 0, responses)
+	}
+	for w := range shares {
+		dst = append(dst, *shares[w].out...)
+	}
+	return dst, st, nil
 }

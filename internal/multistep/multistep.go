@@ -265,7 +265,8 @@ type Pair struct {
 }
 
 // ComparePairs orders pairs by (A, B), the order of every collected join
-// response.
+// response. OrderPairs produces that order without comparing; this is
+// its definition for callers that sort or check pairs themselves.
 func ComparePairs(p, q Pair) int {
 	if p.A != q.A {
 		return int(p.A - q.A)

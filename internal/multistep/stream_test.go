@@ -61,14 +61,11 @@ func TestJoinStreamEquivalence(t *testing.T) {
 // TestJoinAllocsBounded guards the join's scratch: a warmed, collected
 // join allocates its response slice and a constant — its context, its
 // per-worker shares and fetch sets, its closures and step 1's own
-// constant — while the response buffers come back from their pool. On
+// constant — while the response buffers come back from their free list. On
 // one worker and on two, the count is the same at two relation sizes
 // whose candidate and response counts differ several fold, so nothing in
 // it grows with the data.
 func TestJoinAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector empties sync.Pool at random; the join scratch is pooled")
-	}
 	cfg := DefaultConfig()
 	type workload struct{ r, s *Relation }
 	var loads []workload
@@ -91,7 +88,7 @@ func TestJoinAllocsBounded(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run() // warm the pools, the buffers and the lazily built exact representations
+			run() // warm the free lists, the buffers and the lazily built exact representations
 			allocs := testing.AllocsPerRun(5, run)
 			t.Logf("%d workers, %d×%d objects: %d candidates, %d responses, %.0f objects per join",
 				workers, len(l.r.Objects), len(l.s.Objects), st.CandidatePairs, st.ResultPairs, allocs)

@@ -31,10 +31,12 @@ func buildAllocTrees(t *testing.T, n int) (*Tree, *Tree) {
 // TestNodePairSweepAllocFree is the allocation-regression guard of the
 // synchronized-traversal hot path: once the visitor's per-depth scratch
 // buffers have reached their high-water mark (one warm-up traversal), the
-// node-pair expansion — search-space restriction, plane-sweep sort, pair
+// node-pair expansion — search-space restriction in x-order, pair
 // enumeration — must perform zero heap allocations.
 func TestNodePairSweepAllocFree(t *testing.T) {
 	t1, t2 := buildAllocTrees(t, 1500)
+	t1.orderEntries()
+	t2.orderEntries()
 	var st JoinStats
 	var pairs int64
 	v := newJoinVisit(t1, t2, &st, 0, nil, func(a, b Item) { pairs++ })
@@ -58,13 +60,10 @@ func TestNodePairSweepAllocFree(t *testing.T) {
 // warmed join, sequential or partitioned over two workers, allocates a
 // constant — its emit closures, and for the partitioned traversal the
 // workers and their shared counters — while visitors, scratch ladders,
-// the task list and the page traces come back from their pools. The
+// the task list and the page traces come back from their free lists. The
 // budget holds at two tree sizes whose task counts differ several fold,
 // so nothing in it grows with the data.
 func TestJoinAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector empties sync.Pool at random; the join scratch is pooled")
-	}
 	for _, n := range []int{1500, 6000} {
 		t1, t2 := buildAllocTrees(t, n)
 		var pairs atomic.Int64
@@ -72,7 +71,7 @@ func TestJoinAllocsBounded(t *testing.T) {
 			join := func() {
 				joinShared(t1, t2, workers, func(_ int, a, b Item) { pairs.Add(1) })
 			}
-			join() // warm the buffers and the pools
+			join() // warm the buffers and the free lists
 			allocs := testing.AllocsPerRun(10, join)
 			t.Logf("%d items (%d×%d root entries), %d workers: %.1f objects per join",
 				n, len(t1.root.entries), len(t2.root.entries), workers, allocs)

@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"spatialjoin/internal/freelist"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/storage"
 )
@@ -13,8 +15,9 @@ import (
 // JoinParallelAccess runs the MBR-join of step 1 [BKS 93a]: a synchronized
 // depth-first traversal of both trees. At each node pair the search space
 // is restricted to the intersection rectangle of the (ε-expanded) node
-// regions, entries are sorted by their lower x bound, and qualifying entry
-// pairs are enumerated with a plane sweep over that order. emit receives
+// regions, and qualifying entry pairs are enumerated with a plane sweep
+// over the entries' order by lower x bound, which each node keeps from
+// the tree's first join (or its decode) on. emit receives
 // every pair of items whose key rectangles come within eps of each other
 // per axis — the candidate set of the multi-step join; eps = 0 is the
 // plain MBR intersection join, eps > 0 the candidate predicate of the
@@ -60,6 +63,8 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 	if t1.size == 0 || t2.size == 0 {
 		return st
 	}
+	t1.orderEntries()
+	t2.orderEntries()
 	done := ctx.Done()
 	if workers == 1 || t1.root.leaf || t2.root.leaf {
 		v := newJoinVisit(t1, t2, &st, eps, done, func(a, b Item) { emit(0, a, b) })
@@ -79,9 +84,10 @@ func JoinParallelAccess(ctx context.Context, t1, t2 *Tree, ax1, ax2 storage.Acce
 	if inter.IsEmpty() {
 		return st
 	}
-	js := joinScratchPool.Get().(*joinScratch)
+	js := joinScratches.Get()
 	defer js.release()
-	sweepPairs(t1.root.entries, t2.root.entries, inter, eps, &st, &js.root, func(e1, e2 *entry) {
+	js.root.fit(t1.fanout(), t2.fanout())
+	sweepPairs(t1.root, t2.root, inter, eps, &st, &js.root, func(e1, e2 *entry) {
 		js.tasks = append(js.tasks, joinTask{e1.child, e2.child, e1.rect, e2.rect})
 	})
 	tasks, results := js.tasks, js.resultsFor(len(js.tasks))
@@ -153,15 +159,16 @@ type taskResult struct {
 
 // joinScratch is the per-join state of the partitioned traversal: the
 // root pairing's sweep scratch, the task list and the per-task results.
-// It comes from a pool and every slice keeps its capacity, the traces'
-// included, so a warmed join grows none of it.
+// It comes from a free list and every slice keeps its capacity, the
+// traces' included, so a warmed join grows none of it: task i of a join
+// leaves a trace the length task i of the last identical join left.
 type joinScratch struct {
 	root    sweepScratch
 	tasks   []joinTask
 	results []taskResult
 }
 
-var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
+var joinScratches freelist.List[joinScratch]
 
 // resultsFor returns n empty task results, reusing every earlier result's
 // trace buffers.
@@ -178,10 +185,15 @@ func (js *joinScratch) resultsFor(n int) []taskResult {
 	return rs
 }
 
-// release returns the scratch to the pool. The entries left in its
-// buffers keep the finished join's nodes reachable until the next join
-// overwrites them or a garbage collection empties the pool.
+// release returns the scratch to the free list. The task list is
+// cleared first: nothing empties a free list, so a task left in it would
+// keep a replaced tree's nodes reachable.
 func (js *joinScratch) release() {
+	clear(js.tasks)
 	js.tasks = js.tasks[:0]
-	joinScratchPool.Put(js)
+	pages := 0
+	for _, r := range js.results[:cap(js.results)] {
+		pages += cap(r.trace1) + cap(r.trace2)
+	}
+	joinScratches.Put(js, cap(js.tasks)*int(unsafe.Sizeof(joinTask{}))+pages*int(unsafe.Sizeof(storage.PageID(0))))
 }

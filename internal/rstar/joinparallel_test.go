@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spatialjoin/internal/geom"
@@ -46,6 +47,49 @@ func sortedPairs(ps []idPair) []idPair {
 		return ps[i].b < ps[j].b
 	})
 	return ps
+}
+
+// TestConcurrentFirstJoins runs the first joins of freshly built trees
+// at once, as the tile fan-out runs sub-joins that share a tile: the
+// entry orders are computed once, under the tree's lock, and every join
+// reports what a later join on the ordered trees reports (run with
+// -race).
+func TestConcurrentFirstJoins(t *testing.T) {
+	t1, t2 := joinTrees(800)
+	type outcome struct {
+		st             JoinStats
+		pairs          int64
+		miss1, miss2   int64
+		first1, first2 bool
+	}
+	run := func() outcome {
+		s1, s2 := t1.NewSession(), t2.NewSession()
+		o := outcome{first1: !t1.ordered.Load(), first2: !t2.ordered.Load()}
+		var pairs atomic.Int64
+		o.st = JoinParallelAccess(context.Background(), t1, t2, s1, s2, 0, 2, func(int, Item, Item) { pairs.Add(1) })
+		o.pairs, o.miss1, o.miss2 = pairs.Load(), s1.Misses(), s2.Misses()
+		return o
+	}
+	outs := make([]outcome, 8)
+	var wg sync.WaitGroup
+	for g := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[g] = run()
+		}()
+	}
+	wg.Wait()
+	want := run()
+	if want.first1 || want.first2 || want.pairs == 0 {
+		t.Fatalf("after the concurrent joins: trees unordered (%v, %v) or no pairs (%d)", want.first1, want.first2, want.pairs)
+	}
+	for g, o := range outs {
+		o.first1, o.first2 = false, false
+		if o != want {
+			t.Errorf("join %d: %+v, want %+v", g, o, want)
+		}
+	}
 }
 
 // TestJoinParallelMatchesJoin checks that the partitioned traversal

@@ -12,10 +12,13 @@
 package rstar
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
+	"spatialjoin/internal/freelist"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/rtreecore"
 	"spatialjoin/internal/storage"
@@ -69,6 +72,12 @@ type Tree struct {
 	minLeaf  int
 	minInner int
 	nextPage storage.PageID
+
+	// ordered reports that every node's xorder is current. Insert clears
+	// it; orderEntries, under orderMu, sets it once the orders are
+	// computed, so concurrent joins on a finished tree share them.
+	ordered atomic.Bool
+	orderMu sync.Mutex
 }
 
 type entry struct {
@@ -81,6 +90,10 @@ type node struct {
 	page    storage.PageID
 	leaf    bool
 	entries []entry
+	// xorder lists the entry indexes by rect.MinX, ties by index: the
+	// plane-sweep order of the MBR-join, computed once per finished tree
+	// (orderEntries) instead of at every node-pair expansion.
+	xorder []int32
 }
 
 func (n *node) bounds() geom.Rect {
@@ -196,6 +209,7 @@ func (t *Tree) NewSession() *storage.Session { return storage.NewSession(t.buf) 
 // (ChooseSubtree by overlap/area enlargement, forced reinsertion on the
 // first overflow per level, topological split otherwise).
 func (t *Tree) Insert(it Item) {
+	t.ordered.Store(false)
 	t.size++
 	queue := []pendingEntry{{e: entry{rect: it.Rect, item: it}, level: 1}}
 	reinserted := make(map[int]bool)
@@ -372,6 +386,43 @@ type JoinStats struct {
 	LeafTests int64 // key intersection tests between data entries only
 }
 
+// orderEntries computes every node's xorder unless the tree's orders are
+// current. A tree is finished once no Insert follows: the first join
+// after a build orders it (a decoded tree is ordered by UnmarshalTree),
+// and the joins after that only load the flag. The mutex makes
+// concurrent first joins on one tree, as the tile fan-out runs them,
+// compute the orders once and read them after they are written.
+func (t *Tree) orderEntries() {
+	if t.ordered.Load() {
+		return
+	}
+	t.orderMu.Lock()
+	defer t.orderMu.Unlock()
+	if t.ordered.Load() {
+		return
+	}
+	var order func(n *node)
+	order = func(n *node) {
+		n.xorder = make([]int32, len(n.entries))
+		for i := range n.xorder {
+			n.xorder[i] = int32(i)
+		}
+		slices.SortFunc(n.xorder, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(n.entries[a].rect.MinX, n.entries[b].rect.MinX), cmp.Compare(a, b))
+		})
+		if !n.leaf {
+			for i := range n.entries {
+				order(n.entries[i].child)
+			}
+		}
+	}
+	order(t.root)
+	t.ordered.Store(true)
+}
+
+// fanout returns the most entries a node of the tree holds.
+func (t *Tree) fanout() int { return max(t.leafCap, t.innerCap) }
+
 // joinVisit is the synchronized traversal of JoinParallelAccess,
 // parameterized over how node visits are recorded: the sequential
 // traversal routes them through access contexts (ax1/ax2), while the
@@ -383,12 +434,12 @@ type JoinStats struct {
 // traversal early.
 //
 // The visitor owns one sweep scratch per traversal depth, so the restrict
-// and plane-sweep buffers of every node-pair expansion are reused across
-// sibling pairs at the same depth. Visitors come from a pool and keep
-// their ladders when released, so the reuse spans joins too: in steady
-// state an expansion performs zero heap allocations (guarded by
+// buffers of every node-pair expansion are reused across sibling pairs at
+// the same depth. Visitors come from a free list and keep their ladders,
+// every rung sized to the trees' fan-out, so the reuse spans joins too:
+// in steady state an expansion performs zero heap allocations (guarded by
 // TestNodePairSweepAllocFree) and a warmed join allocates a constant
-// (TestJoinAllocsBounded).
+// (TestJoinAllocsBounded), whichever visitor each worker gets.
 type joinVisit struct {
 	ax1, ax2       storage.Accessor // nil: record into the traces instead
 	trace1, trace2 *[]storage.PageID
@@ -397,32 +448,38 @@ type joinVisit struct {
 	eps            float64
 	done           <-chan struct{}
 	depth          int
+	fan1, fan2     int // the trees' fan-outs, the rungs' capacities
 	scratch        []sweepScratch
 }
 
-// sweepScratch holds the reusable restrict buffers of one traversal
-// depth. The slices are stored back after every use so their capacity
-// survives to the next node pair at that depth.
-type sweepScratch struct{ r1, r2 []entry }
+// sweepScratch holds the restricted entry indexes of one traversal
+// depth, in x-order. The slices are stored back after every use so their
+// capacity survives to the next node pair at that depth.
+type sweepScratch struct{ r1, r2 []int32 }
 
-var visitPool = sync.Pool{New: func() any { return new(joinVisit) }}
+var visits freelist.List[joinVisit]
 
-// newJoinVisit takes a visitor from the pool for a traversal of the two
-// trees, its ladder sized for the recursion: it descends at least one
+// newJoinVisit takes a visitor from the free list for a traversal of the
+// two trees, its ladder sized for the recursion: it descends at least one
 // tree per level, so the depth never exceeds the height sum. The caller
 // returns it with release when the traversal ends.
 func newJoinVisit(t1, t2 *Tree, st *JoinStats, eps float64, done <-chan struct{}, fn func(a, b Item)) *joinVisit {
-	v := visitPool.Get().(*joinVisit)
+	v := visits.Get()
 	v.st, v.fn, v.eps, v.done = st, fn, eps, done
+	v.fan1, v.fan2 = t1.fanout(), t2.fanout()
+	for i := range v.scratch {
+		v.scratch[i].fit(v.fan1, v.fan2)
+	}
 	v.scratchAt(t1.height + t2.height)
 	return v
 }
 
-// release returns the visitor to the pool, keeping its scratch ladder
-// and dropping the finished join's callbacks, accessors and traces.
+// release returns the visitor to the free list, keeping its scratch
+// ladder and dropping the finished join's callbacks, accessors and
+// traces.
 func (v *joinVisit) release() {
 	*v = joinVisit{scratch: v.scratch}
-	visitPool.Put(v)
+	visits.Put(v, 0)
 }
 
 // scratchAt returns the sweep scratch of one traversal depth, growing the
@@ -430,8 +487,19 @@ func (v *joinVisit) release() {
 func (v *joinVisit) scratchAt(d int) *sweepScratch {
 	for d >= len(v.scratch) {
 		v.scratch = append(v.scratch, sweepScratch{})
+		v.scratch[len(v.scratch)-1].fit(v.fan1, v.fan2)
 	}
 	return &v.scratch[d]
+}
+
+// fit gives the scratch room for two nodes of n1 and n2 entries.
+func (sc *sweepScratch) fit(n1, n2 int) {
+	if cap(sc.r1) < n1 {
+		sc.r1 = make([]int32, 0, n1)
+	}
+	if cap(sc.r2) < n2 {
+		sc.r2 = make([]int32, 0, n2)
+	}
 }
 
 func (v *joinVisit) touch1(n *node) {
@@ -476,7 +544,7 @@ func within(a, b geom.Rect, eps float64) bool {
 // nodes expands one node pair. b1 and b2 are the node regions, threaded
 // down from the parent entries (the directory invariant makes the entry
 // rectangle exactly the child's bounds), so the traversal never recomputes
-// a bounds union.
+// a bounds union. Both trees must be ordered (orderEntries).
 func (v *joinVisit) nodes(n1, n2 *node, b1, b2 geom.Rect) {
 	if cancelled(v.done) {
 		return
@@ -496,13 +564,13 @@ func (v *joinVisit) nodes(n1, n2 *node, b1, b2 geom.Rect) {
 	switch {
 	case n1.leaf && n2.leaf:
 		before := v.st.RectTests
-		sweepPairs(n1.entries, n2.entries, inter, v.eps, v.st, sc, func(e1, e2 *entry) {
+		sweepPairs(n1, n2, inter, v.eps, v.st, sc, func(e1, e2 *entry) {
 			v.st.Pairs++
 			v.fn(e1.item, e2.item)
 		})
 		v.st.LeafTests += v.st.RectTests - before
 	case !n1.leaf && !n2.leaf:
-		sweepPairs(n1.entries, n2.entries, inter, v.eps, v.st, sc, func(e1, e2 *entry) {
+		sweepPairs(n1, n2, inter, v.eps, v.st, sc, func(e1, e2 *entry) {
 			v.nodes(e1.child, e2.child, e1.rect, e2.rect)
 		})
 	case n1.leaf:
@@ -524,75 +592,60 @@ func (v *joinVisit) nodes(n1, n2 *node, b1, b2 geom.Rect) {
 	v.depth--
 }
 
-// sweepPairs enumerates the pairs of entries whose rectangles satisfy the
-// ε-expanded intersection predicate. Restricting the search space: only
-// entries intersecting the (ε-expanded) common intersection rectangle
-// participate. Plane-sweep order: both restricted sequences are sorted by
-// MinX and swept, so an entry is only tested against entries whose x
-// ranges come within eps of its own [BKS 93a]. The restricted sequences
-// live in sc's reusable buffers, so a warmed traversal allocates nothing
-// here.
-func sweepPairs(e1, e2 []entry, inter geom.Rect, eps float64, st *JoinStats, sc *sweepScratch, emit func(a, b *entry)) {
-	r1 := restrict(e1, inter, st, sc.r1[:0])
+// sweepPairs enumerates the pairs of entries of two nodes whose
+// rectangles satisfy the ε-expanded intersection predicate. Restricting
+// the search space: only entries intersecting the (ε-expanded) common
+// intersection rectangle participate. Plane-sweep order: each node's
+// restricted entries are taken in its x-order (by MinX) and swept, so an
+// entry is only tested against entries whose x ranges come within eps of
+// its own [BKS 93a]. The restriction keeps entry indexes in sc's reusable
+// buffers: an expansion sorts nothing, copies no entry and, warmed,
+// allocates nothing.
+func sweepPairs(n1, n2 *node, inter geom.Rect, eps float64, st *JoinStats, sc *sweepScratch, emit func(a, b *entry)) {
+	r1 := restrict(n1, inter, st, sc.r1[:0])
 	sc.r1 = r1
-	r2 := restrict(e2, inter, st, sc.r2[:0])
+	r2 := restrict(n2, inter, st, sc.r2[:0])
 	sc.r2 = r2
-	if len(r1) == 0 || len(r2) == 0 {
-		return
-	}
-	slices.SortFunc(r1, compareMinX)
-	slices.SortFunc(r2, compareMinX)
+	e1, e2 := n1.entries, n2.entries
 	i, j := 0, 0
 	for i < len(r1) && j < len(r2) {
-		if r1[i].rect.MinX <= r2[j].rect.MinX {
-			sweepInternal(&r1[i], r2, j, eps, st, emit, false)
+		if a, b := &e1[r1[i]], &e2[r2[j]]; a.rect.MinX <= b.rect.MinX {
+			sweepInternal(a, e2, r2[j:], eps, st, emit, false)
 			i++
 		} else {
-			sweepInternal(&r2[j], r1, i, eps, st, emit, true)
+			sweepInternal(b, e1, r1[i:], eps, st, emit, true)
 			j++
 		}
 	}
 }
 
-// compareMinX orders entries by their lower x bound — the plane-sweep
-// order of [BKS 93a]. A typed comparison: sort.Slice's reflection-based
-// swapper allocated on every node pair and dominated the join's
-// allocation profile.
-func compareMinX(a, b entry) int {
-	switch {
-	case a.rect.MinX < b.rect.MinX:
-		return -1
-	case b.rect.MinX < a.rect.MinX:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// sweepInternal tests pivot against others[from:] while their x ranges
-// come within eps of the pivot's.
-func sweepInternal(pivot *entry, others []entry, from int, eps float64, st *JoinStats, emit func(a, b *entry), swapped bool) {
-	for k := from; k < len(others) && others[k].rect.MinX <= pivot.rect.MaxX+eps; k++ {
+// sweepInternal tests pivot against the entries of others listed in
+// order while their x ranges come within eps of the pivot's.
+func sweepInternal(pivot *entry, others []entry, order []int32, eps float64, st *JoinStats, emit func(a, b *entry), swapped bool) {
+	for _, k := range order {
+		o := &others[k]
+		if o.rect.MinX > pivot.rect.MaxX+eps {
+			return
+		}
 		st.RectTests++
-		if pivot.rect.MinY <= others[k].rect.MaxY+eps && others[k].rect.MinY <= pivot.rect.MaxY+eps {
+		if pivot.rect.MinY <= o.rect.MaxY+eps && o.rect.MinY <= pivot.rect.MaxY+eps {
 			if swapped {
-				emit(&others[k], pivot)
+				emit(o, pivot)
 			} else {
-				emit(pivot, &others[k])
+				emit(pivot, o)
 			}
 		}
 	}
 }
 
-// restrict filters entries to those intersecting the search-space
-// rectangle, appending to buf (the caller's reusable scratch).
-func restrict(es []entry, inter geom.Rect, st *JoinStats, buf []entry) []entry {
-	out := buf
-	for i := range es {
+// restrict appends to buf, in x-order, the indexes of the node's entries
+// that intersect the search-space rectangle.
+func restrict(n *node, inter geom.Rect, st *JoinStats, buf []int32) []int32 {
+	for _, k := range n.xorder {
 		st.RectTests++
-		if es[i].rect.Intersects(inter) {
-			out = append(out, es[i])
+		if n.entries[k].rect.Intersects(inter) {
+			buf = append(buf, k)
 		}
 	}
-	return out
+	return buf
 }

@@ -114,39 +114,50 @@ func TestJoinAgainstNestedLoops(t *testing.T) {
 	cfg := DefaultConfig()
 	t1, items1 := buildTree(t, rng, 800, cfg)
 	t2, items2 := buildTree(t, rng, 700, cfg)
-	type pair struct{ a, b int32 }
-	got := map[pair]int{}
-	st := seqJoin(t1, t2, func(a, b Item) { got[pair{a.ID, b.ID}]++ })
-	want := map[pair]bool{}
-	for _, a := range items1 {
-		for _, b := range items2 {
-			if a.Rect.Intersects(b.Rect) {
-				want[pair{a.ID, b.ID}] = true
+	// The second round inserts into a tree the first join ordered: the
+	// join must see the new entries in its plane-sweep order.
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			for i := 0; i < 200; i++ {
+				it := Item{Rect: randRect(rng, 100, 3), ID: int32(len(items1))}
+				items1 = append(items1, it)
+				t1.Insert(it)
 			}
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("join found %d pairs, nested loops %d", len(got), len(want))
-	}
-	for p, count := range got {
-		if !want[p] {
-			t.Fatalf("join emitted wrong pair %v", p)
+		type pair struct{ a, b int32 }
+		got := map[pair]int{}
+		st := seqJoin(t1, t2, func(a, b Item) { got[pair{a.ID, b.ID}]++ })
+		want := map[pair]bool{}
+		for _, a := range items1 {
+			for _, b := range items2 {
+				if a.Rect.Intersects(b.Rect) {
+					want[pair{a.ID, b.ID}] = true
+				}
+			}
 		}
-		if count != 1 {
-			t.Fatalf("pair %v emitted %d times, want exactly once", p, count)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: join found %d pairs, nested loops %d", round, len(got), len(want))
 		}
-	}
-	if st.Pairs != int64(len(want)) {
-		t.Fatalf("JoinStats.Pairs = %d, want %d", st.Pairs, len(want))
-	}
-	if st.RectTests <= 0 {
-		t.Fatal("join must count rectangle tests")
-	}
-	// The plane-sweep/restriction join must test far fewer pairs than
-	// nested loops over the full Cartesian product of entries.
-	if st.RectTests >= int64(len(items1))*int64(len(items2)) {
-		t.Fatalf("join rect tests %d not better than nested loops %d",
-			st.RectTests, len(items1)*len(items2))
+		for p, count := range got {
+			if !want[p] {
+				t.Fatalf("round %d: join emitted wrong pair %v", round, p)
+			}
+			if count != 1 {
+				t.Fatalf("round %d: pair %v emitted %d times, want exactly once", round, p, count)
+			}
+		}
+		if st.Pairs != int64(len(want)) {
+			t.Fatalf("round %d: JoinStats.Pairs = %d, want %d", round, st.Pairs, len(want))
+		}
+		if st.RectTests <= 0 {
+			t.Fatal("join must count rectangle tests")
+		}
+		// The plane-sweep/restriction join must test far fewer pairs than
+		// nested loops over the full Cartesian product of entries.
+		if st.RectTests >= int64(len(items1))*int64(len(items2)) {
+			t.Fatalf("join rect tests %d not better than nested loops %d",
+				st.RectTests, len(items1)*len(items2))
+		}
 	}
 }
 

@@ -133,7 +133,9 @@ type rawNode struct {
 // must equal the one the tree was built with — the relation store's
 // config fingerprint enforces this). Page IDs, structure and statistics
 // are restored exactly; the buffer starts empty (restore a snapshot with
-// Buffer().Restore to resume a saved buffer state).
+// Buffer().Restore to resume a saved buffer state). The tree comes back
+// finished: its nodes' plane-sweep orders are computed here, before any
+// join.
 func UnmarshalTree(data []byte, cfg Config) (*Tree, error) {
 	t := New(cfg)
 	if len(data) < treeHeaderBytes {
@@ -207,6 +209,7 @@ func UnmarshalTree(data []byte, cfg Config) (*Tree, error) {
 	t.height = height
 	t.size = items
 	t.nextPage = storage.PageID(nextPage)
+	t.orderEntries()
 	return t, nil
 }
 

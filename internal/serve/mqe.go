@@ -153,6 +153,7 @@ func runCanonical[P interface{ cacheKey() string }, C canonical](ctx context.Con
 	}
 	run := func() (C, error) {
 		c, err := exec(ctx, p)
+		logIncident(err)
 		if err == nil && c.storable() {
 			s.cache.Put(key, c, c.size())
 		}

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -150,6 +153,64 @@ func TestPanicIsolation(t *testing.T) {
 	if len(win.IDs) == 0 {
 		t.Error("server did not recover after the injected panic")
 	}
+}
+
+// TestCoalescedPanicLoggedOnce: a panic in an execution that another
+// request coalesced onto is one incident. Both requests answer 500 with
+// its incident ID, and the log holds its record, stack and all, once. An
+// injected tile-join latency holds the leader open until the follower has
+// joined it; every exact decision then panics.
+func TestCoalescedPanicLoggedOnce(t *testing.T) {
+	cat, _ := testCatalog(t)
+	srv := NewServer(cat)
+	h := srv.Handler()
+	var logs lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	armFaults(t, "tile-join:latency=300ms,exact:panic")
+
+	const u = "/join?r=R&s=S&plan=off"
+	leaderCh := serveAsync(h, httptest.NewRequest("GET", u, nil))
+	waitFor(t, "the leader to reach the injected latency", func() bool { return fired("tile-join") >= 1 })
+	followerCh := serveAsync(h, httptest.NewRequest("GET", u, nil))
+	waitFor(t, "the follower to coalesce", func() bool { return srv.flight.Coalesced() >= 1 })
+	var incidents []string
+	for _, rec := range []*httptest.ResponseRecorder{<-leaderCh, <-followerCh} {
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError || e.Incident == "" {
+			t.Fatalf("status %d, body %s: want a 500 with an incident ID", rec.Code, rec.Body)
+		}
+		incidents = append(incidents, e.Incident)
+	}
+	if incidents[0] != incidents[1] {
+		t.Fatalf("leader and follower report incidents %s and %s, want one", incidents[0], incidents[1])
+	}
+	out := logs.String()
+	if n := strings.Count(out, "(incident "+incidents[0]+")"); n != 1 {
+		t.Errorf("incident %s logged %d times, want once:\n%s", incidents[0], n, out)
+	}
+	if !strings.Contains(out, "goroutine ") {
+		t.Errorf("the incident's log record carries no stack:\n%s", out)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for concurrent writers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestPartialDegradedResponse: with partial=1, a window query over a

@@ -336,7 +336,7 @@ func (s *Server) Handler() http.Handler {
 				if rec := recover(); rec != nil {
 					pe := resilience.Recovered(name, rec)
 					t.panics.Add(1)
-					log.Printf("serve: %v\n%s", pe, pe.Stack)
+					logIncident(pe)
 					writeJSON(w, http.StatusInternalServerError,
 						errorBody{Error: fmt.Sprintf("internal error (incident %s)", pe.Incident), Incident: pe.Incident})
 				}
@@ -606,7 +606,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q url.Values
 // deadline is 504, a recovered panic or fired injection is 500 (the
 // panic with its incident ID), a client that went away on its own gets
 // nothing written, and any other error is a bad request. It reports
-// whether the handler should proceed to write the result.
+// whether the handler should proceed to write the result. It logs
+// nothing: the execution that recovered a panic logged it (logIncident),
+// and every request coalesced onto that execution answers with the same
+// incident ID.
 func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, t *endpointTally, err error) bool {
 	if err == nil {
 		return true
@@ -622,7 +625,6 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, t *endpoint
 	}
 	if pe, ok := resilience.AsPanic(err); ok {
 		t.panics.Add(1)
-		log.Printf("serve: %v\n%s", pe, pe.Stack)
 		writeJSON(w, http.StatusInternalServerError,
 			errorBody{Error: fmt.Sprintf("internal error (incident %s)", pe.Incident), Incident: pe.Incident})
 		return false
@@ -633,6 +635,16 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, t *endpoint
 	}
 	writeError(w, http.StatusBadRequest, "%v", err)
 	return false
+}
+
+// logIncident logs a recovered panic's stack under its incident ID. An
+// execution calls it once with its own error, so an incident is logged
+// once however many coalesced requests answer with it, and whether or
+// not the client that started the execution is still there.
+func logIncident(err error) {
+	if pe, ok := resilience.AsPanic(err); ok {
+		log.Printf("serve: %v\n%s", pe, pe.Stack)
+	}
 }
 
 // nearestStats carries the per-query page accounting of a nearest
@@ -768,6 +780,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, q url.Val
 		opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
 	}
 	res, err := shard.Explain(r.Context(), p.eR.Sh, p.eS.Sh, run, opts...)
+	logIncident(err)
 	if !s.finishQuery(w, r, t, err) {
 		return
 	}

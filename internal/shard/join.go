@@ -3,9 +3,10 @@ package shard
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
+	"unsafe"
 
+	"spatialjoin/internal/freelist"
 	"spatialjoin/internal/multistep"
 )
 
@@ -68,10 +69,12 @@ func addStats(dst *multistep.Stats, src multistep.Stats) {
 //
 // Each eligible tile pair runs one sub-join (multistep.RunJoin) on a
 // fresh session pair, so its page accounting is the solo per-tile figure.
-// Its goroutine translates the sub-join's pairs to global IDs and sorts
-// them, so the sorts run in parallel; the merge layer k-way merges these
-// runs and applies the limit (sub-joins run uncapped: a tile's run holds
-// only its own pairs, so its prefix need not contain the global one).
+// It appends its pairs to a run buffer of its own, reused across joins,
+// and translates them to global IDs in place. Once every sub-join has
+// returned, one counting pass (multistep.OrderPairs) orders the runs,
+// drops duplicates and applies the limit, writing the response once, at
+// its exact size (sub-joins run uncapped: a tile's run holds only its own
+// pairs, so its prefix need not contain the global one).
 //
 // Routing: sub-join (i, j) runs iff r.Tiles[i].MBR expanded by the
 // predicate's ε intersects s.Tiles[j].MBR — tile MBRs are true object
@@ -99,9 +102,13 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 
 	var (
 		mu sync.Mutex // serializes the stream emitter
-		// subs[k] is the outcome of sub-join eligible[k].
+		// subs[k] is the outcome of sub-join eligible[k], runs[k] its
+		// response run.
 		subs = make([]subJoin, len(eligible))
+		rb   = runBuffers.Get()
+		runs = rb.reset(len(eligible))
 	)
+	defer rb.release()
 	err := fanOut(ctx, len(eligible), "tile-join", nil, func(ctx context.Context, k int) error {
 		rt, st := r.Tiles[eligible[k].ri], s.Tiles[eligible[k].si]
 		// The resolved options, copied for this sub-join: its own
@@ -122,17 +129,14 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 				emit(multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]})
 			}
 		}
-		pairs, sst, err := multistep.RunJoin(ctx, rt.Rel, st.Rel, sub)
+		pairs, sst, err := multistep.RunJoin(ctx, rt.Rel, st.Rel, sub, runs[k])
 		if err != nil {
 			return err
 		}
-		// The pairs are this sub-join's own allocation: translated and
-		// sorted in place, they become the run the merge reads.
 		for i, p := range pairs {
 			pairs[i] = multistep.Pair{A: rt.Global[p.A], B: st.Global[p.B]}
 		}
-		slices.SortFunc(pairs, multistep.ComparePairs)
-		sj.pairs, sj.stats = pairs, sst
+		runs[k], sj.stats = pairs, sst
 		return nil
 	})
 	if err != nil {
@@ -140,14 +144,12 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 	}
 
 	stats := JoinStats{SubJoins: len(eligible)}
-	runs := make([][]multistep.Pair, len(subs))
 	var explains []*multistep.Explain
 	// eligible is in (RTile, STile) order, and so is PerTile.
 	for k, e := range eligible {
 		sj := subs[k]
 		stats.PerTile = append(stats.PerTile, SubJoinStats{RTile: e.ri, STile: e.si, Stats: sj.stats, Explain: sj.explain})
 		addStats(&stats.Stats, sj.stats)
-		runs[k] = sj.pairs
 		if sj.explain != nil {
 			explains = append(explains, sj.explain)
 		}
@@ -157,75 +159,43 @@ func Join(ctx context.Context, r, s *Sharded, opts ...multistep.Option) ([]multi
 	}
 	var pairs []multistep.Pair
 	if !res.Bufferless && res.Stream == nil {
-		pairs = mergePairs(runs, res.Limit)
+		pairs = multistep.OrderPairs(runs, r.Objects(), s.Objects(), res.Limit, nil)
 	}
 	return pairs, stats, nil
 }
 
-// subJoin is one tile pair's outcome: its run of the response (global
-// IDs, (A, B)-sorted), its statistics and, under WithExplain, its plan.
+// subJoin is one tile pair's outcome: its statistics and, under
+// WithExplain, its plan.
 type subJoin struct {
-	pairs   []multistep.Pair
 	stats   multistep.Stats
 	explain *multistep.Explain
 }
 
-// mergePairs merges the sub-joins' runs — each in global IDs and
-// (A, B)-sorted — into the single-relation response: (A, B)-sorted,
-// adjacent duplicates dropped, cut to the first limit pairs (limit < 0:
-// all). It allocates the response once, at min(total, limit) pairs, and
-// stops at the limit; the runs slice itself is consumed as the merge
-// heap's storage. The partition is disjoint, so duplicates cannot arise;
-// dropping them is the cheap invariant that keeps the merge correct
-// should a replicating partitioner ever be plugged in.
-func mergePairs(runs [][]multistep.Pair, limit int) []multistep.Pair {
-	// heap is a binary min-heap of the non-empty runs, keyed by their
-	// first pair: each merged pair costs O(log k) comparisons for k runs.
-	heap := runs[:0]
-	total := 0
-	for _, run := range runs {
-		if len(run) > 0 {
-			heap = append(heap, run)
-			total += len(run)
-		}
+// runSet holds one join's sub-join runs. Run k serves sub-join k, and a
+// join with the same tile pairs gets the set back from runBuffers with
+// each run as long as its last use left it, so a warmed join grows none.
+type runSet struct{ runs [][]multistep.Pair }
+
+var runBuffers freelist.List[runSet]
+
+// reset returns n empty runs, keeping every run's capacity.
+func (rb *runSet) reset(n int) [][]multistep.Pair {
+	if n > cap(rb.runs) {
+		rb.runs = append(rb.runs[:cap(rb.runs)], make([][]multistep.Pair, n-cap(rb.runs))...)
 	}
-	if total == 0 {
-		return nil
+	rb.runs = rb.runs[:n]
+	for k := range rb.runs {
+		rb.runs[k] = rb.runs[k][:0]
 	}
-	if limit >= 0 {
-		total = min(total, limit)
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i)
-	}
-	out := make([]multistep.Pair, 0, total)
-	for len(out) < total && len(heap) > 0 {
-		p := heap[0][0]
-		if n := len(out); n == 0 || out[n-1] != p {
-			out = append(out, p)
-		}
-		if heap[0] = heap[0][1:]; len(heap[0]) == 0 {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(heap, 0)
-	}
-	return out
+	return rb.runs
 }
 
-// siftDown restores the heap order of mergePairs below index i.
-func siftDown(heap [][]multistep.Pair, i int) {
-	for {
-		least := i
-		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < len(heap) && multistep.ComparePairs(heap[c][0], heap[least][0]) < 0 {
-				least = c
-			}
-		}
-		if least == i {
-			return
-		}
-		heap[i], heap[least] = heap[least], heap[i]
-		i = least
+// release returns the set to runBuffers, unless its runs hold more than
+// the free list keeps.
+func (rb *runSet) release() {
+	size := 0
+	for _, run := range rb.runs[:cap(rb.runs)] {
+		size += cap(run) * int(unsafe.Sizeof(multistep.Pair{}))
 	}
+	runBuffers.Put(rb, size)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
@@ -105,35 +106,76 @@ func TestFromRelationWrapsIdentity(t *testing.T) {
 	}
 }
 
-// TestMergePairs holds the k-way merge to its definition — concatenate,
-// sort, drop duplicates, cut — on runs that share pairs (which the
-// disjoint partition never produces, but the merge must survive), at
-// run counts from 0 to 40 and limits below, at and above the total.
+// TestMergePairs holds the merge of the sub-joins' runs to its
+// definition — concatenate, sort, drop duplicates, cut — on unsorted runs
+// that share pairs (which the disjoint partition never produces, but the
+// merge must survive), at run counts from 0 to 40 and limits below, at
+// and above the total. The merge is multistep.OrderPairs, writing a new
+// response as shard.Join does and ordering one run in place as the solo
+// multistep.Join does. A skewed answer, one A with 20,000 Bs, must take
+// linear time: a sort that finishes each A's bucket by insertion would
+// be quadratic there.
 func TestMergePairs(t *testing.T) {
+	const ids = 20
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
 		runs := make([][]multistep.Pair, rng.Intn(41))
 		var all []multistep.Pair
 		for k := range runs {
 			for n := rng.Intn(30); n > 0; n-- {
-				runs[k] = append(runs[k], multistep.Pair{A: int32(rng.Intn(20)), B: int32(rng.Intn(20))})
+				runs[k] = append(runs[k], multistep.Pair{A: int32(rng.Intn(ids)), B: int32(rng.Intn(ids))})
 			}
-			slices.SortFunc(runs[k], multistep.ComparePairs)
-			runs[k] = slices.Compact(runs[k])
 			all = append(all, runs[k]...)
 		}
+		solo := slices.Clone(all)
 		slices.SortFunc(all, multistep.ComparePairs)
 		want := slices.Compact(all)
 		for _, limit := range []int{-1, 0, 1, len(want) / 2, len(want), len(want) + 1} {
-			got := mergePairs(slices.Clone(runs), limit)
 			w := want
 			if limit >= 0 && limit < len(w) {
 				w = w[:limit]
 			}
-			if !slices.Equal(got, w) {
-				t.Fatalf("trial %d, %d runs, limit %d: merged %v, want %v", trial, len(runs), limit, got, w)
+			got := multistep.OrderPairs(runs, ids, ids, limit, nil)
+			if !slices.Equal(got, w) || (len(solo) > 0 && cap(got) != len(w)) {
+				t.Fatalf("trial %d, %d runs, limit %d: merged %v (capacity %d), want %v", trial, len(runs), limit, got, cap(got), w)
+			}
+			run := slices.Clone(solo)
+			if got := multistep.OrderPairs([][]multistep.Pair{run}, ids, ids, limit, run); !slices.Equal(got, w) {
+				t.Fatalf("trial %d, limit %d: the run ordered in place reads %v, want %v", trial, limit, got, w)
 			}
 		}
+	}
+
+	// The skewed answer against a uniform one of the same size, each
+	// timed at its fastest of five.
+	const n = 20000
+	skewed, uniform := make([]multistep.Pair, n), make([]multistep.Pair, n)
+	for i := range skewed {
+		skewed[i] = multistep.Pair{A: 7, B: int32(n - 1 - i)}
+		uniform[i] = multistep.Pair{A: int32(rng.Intn(n)), B: int32(rng.Intn(n))}
+	}
+	fastest := func(ps []multistep.Pair) (time.Duration, []multistep.Pair) {
+		var best time.Duration
+		var out []multistep.Pair
+		for range 5 {
+			start := time.Now()
+			out = multistep.OrderPairs([][]multistep.Pair{ps[:n/2], ps[n/2:]}, n, n, -1, nil)
+			if d := time.Since(start); best == 0 || d < best {
+				best = d
+			}
+		}
+		return best, out
+	}
+	tSkewed, got := fastest(skewed)
+	for i, p := range got {
+		if p != (multistep.Pair{A: 7, B: int32(i)}) {
+			t.Fatalf("skewed answer: pair %d is %v", i, p)
+		}
+	}
+	tUniform, _ := fastest(uniform)
+	t.Logf("%d pairs: one A %v, uniform %v", n, tSkewed, tUniform)
+	if tSkewed > 8*tUniform+2*time.Millisecond {
+		t.Errorf("%d pairs of one A take %v, uniform ones %v: the merge is not linear in the skew", n, tSkewed, tUniform)
 	}
 }
 

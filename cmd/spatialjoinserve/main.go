@@ -18,8 +18,9 @@
 //	                 [-faults spec]
 //	spatialjoinserve [-addr :8080] -demo 810
 //
-// A -rel path is a store directory (cmd/datagen -store, any -shards N)
-// or a single-file store written by an earlier version. The
+// A -rel path is a store directory (cmd/datagen -store, any -shards N);
+// a single-file store or a store of another format version is refused
+// and quarantined with a reason that says to rebuild it. The
 // configuration flags must match the ones the stores were built with; a
 // mismatch is rejected at startup via the stores' config fingerprint
 // (manifest and every tile file). -demo skips the stores and serves a
@@ -101,7 +102,7 @@ func (r *relFlags) Set(v string) error {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	var rels relFlags
-	flag.Var(&rels, "rel", "serve a relation store as name=path (repeatable)")
+	flag.Var(&rels, "rel", "serve a relation store directory as name=path (repeatable)")
 	demo := flag.Int("demo", 0, "serve a generated demo relation pair of this many objects instead of stores")
 	seed := flag.Int64("seed", 9401, "with -demo: generation seed")
 	config := multistep.ConfigFlags(flag.CommandLine)

@@ -46,29 +46,26 @@ import (
 //	  tr-tree   uint32 length + trstar.MarshalBinary (if hasTRTrees)
 //
 // The planner statistics are not stored: every open derives them from
-// the decoded objects. Versions 2 and 3 ended in a statistics trailer
-// (uint32 length + blob); it is length-checked and skipped. Version 3
-// changed no other byte: it marks stores whose MERs
-// approx.MaxEnclosedRect certified to lie inside their objects. Earlier
-// MERs could leave the object — a filter hit without the pair
-// intersecting — so opening a version 1 or 2 store recomputes every MER
-// from its polygon. Version 4 dropped the trailer.
+// the decoded objects. A store is a build artifact: the decoder reads
+// version 4 only, and a store of any other version is refused, to be
+// rebuilt from its source data. A format change bumps the version.
 const (
 	relstoreMagic   = 0x534A524C // "SJRL"
 	relstoreVersion = 4
 
-	// fingerprintVersion seeds ConfigFingerprint. It is deliberately
-	// decoupled from relstoreVersion: the fingerprint identifies the
-	// *configuration* a relation was preprocessed under, not the codec
-	// revision, and fingerprints are persisted in every existing store
-	// and shard manifest. Bump it only when the meaning of a hashed
-	// configuration field changes.
+	// fingerprintVersion seeds ConfigFingerprint. It is decoupled from
+	// relstoreVersion: the fingerprint identifies the *configuration* a
+	// relation was preprocessed under, not the codec revision. Its value
+	// is part of the bytes every current store and manifest holds, so it
+	// changes only with the meaning of a hashed configuration field.
 	fingerprintVersion = 1
 )
 
 var (
-	// ErrBadRelationStore reports a malformed relation store.
-	ErrBadRelationStore = errors.New("multistep: corrupt relation store")
+	// ErrBadRelationStore reports a relation store this build cannot
+	// read: malformed, or of another format version. Stores are build
+	// artifacts, so its text names the fix.
+	ErrBadRelationStore = errors.New("multistep: unreadable relation store (rebuild it with cmd/datagen)")
 	// ErrConfigMismatch reports a relation store built under a different
 	// configuration than it is being opened with.
 	ErrConfigMismatch = errors.New("multistep: relation store built under a different configuration")
@@ -82,8 +79,9 @@ var (
 // of them.
 //
 // The hashed text keeps "nocons=false|noprog=false" as a literal: it
-// spelled two filter switches that are gone, and every existing store
-// and manifest carries the fingerprint of this exact text.
+// spelled two filter switches that are gone, and the fingerprint of
+// this exact text is part of the current format's bytes — dropping it
+// would change every store a build writes.
 func ConfigFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v%d|filter=%t|cons=%d|prog=%d|fa=%t|nocons=false|noprog=false|engine=%d|trcap=%d|page=%d|buffer=%d|policy=%d|mec=%g",
@@ -154,18 +152,16 @@ func appendRelation(buf []byte, rel *Relation, cfg Config) ([]byte, error) {
 
 // decodeRelation reads a relation store written by appendRelation under
 // the same configuration. The restored relation is ready to join
-// immediately: no approximations are recomputed (except the MERs of a
-// store older than version 3), no trees rebuilt, and the R*-tree resumes
-// in the exact page layout and buffer state it was saved in, so join
-// results and statistics equal the original's.
+// immediately: no approximations are recomputed, no trees rebuilt, and
+// the R*-tree resumes in the exact page layout and buffer state it was
+// saved in, so join results and statistics equal the original's.
 func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	d := codec.New(blob, fmt.Errorf("%w: truncated", ErrBadRelationStore))
 	if d.U32() != relstoreMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadRelationStore)
 	}
-	version := d.U16()
-	if d.Err() == nil && (version < 1 || version > relstoreVersion) {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadRelationStore, version)
+	if v := d.U16(); d.Err() == nil && v != relstoreVersion {
+		return nil, fmt.Errorf("%w: version %d, this build reads version %d only", ErrBadRelationStore, v, relstoreVersion)
 	}
 	want := ConfigFingerprint(cfg)
 	if fp := d.U64(); d.Err() == nil && fp != want {
@@ -242,10 +238,6 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 				return nil, fmt.Errorf("%w: object %d lacks the %v approximation the filter reads", ErrBadRelationStore, i, k)
 			}
 		}
-		if version < 3 && set.MERA != nil {
-			mer := approx.MaxEnclosedRect(poly)
-			set.MERA = &mer
-		}
 		o := &Object{ID: int32(i), Poly: poly, Approx: set}
 		if hasTR {
 			trLen := int(d.U32())
@@ -270,16 +262,6 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 	}
 	if d.Err() != nil {
 		return nil, d.Err()
-	}
-	if version == 2 || version == 3 {
-		statsLen := int(d.U32())
-		if d.Err() == nil && d.Remaining() < statsLen {
-			return nil, fmt.Errorf("%w: stats trailer of %d bytes exceeds the remaining data", ErrBadRelationStore, statsLen)
-		}
-		d.Skip(statsLen)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRelationStore, d.Remaining())

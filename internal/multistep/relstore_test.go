@@ -6,6 +6,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/approx"
@@ -77,48 +78,6 @@ func TestRelationStoreRoundTripEquivalence(t *testing.T) {
 	}
 }
 
-// TestRelationStoreStreamEquivalence runs the reopened relations through
-// the parallel streaming pipeline: statistics must still match the
-// in-memory build exactly.
-func TestRelationStoreStreamEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	r, s := buildPair(cfg)
-	rBlob, sBlob := storeBlob(t, r, cfg), storeBlob(t, s, cfg)
-	wantStats := testJoinStream(t, r, s, cfg, nil, WithWorkers(3))
-
-	r2, err := decodeRelation(rBlob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := decodeRelation(sBlob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotStats := testJoinStream(t, r2, s2, cfg, nil, WithWorkers(3))
-	if gotStats != wantStats {
-		t.Errorf("streaming stats differ after reopen:\n got %+v\nwant %+v", gotStats, wantStats)
-	}
-}
-
-// TestRelationStoreWindowQuery checks the window-query path on a
-// reopened relation.
-func TestRelationStoreWindowQuery(t *testing.T) {
-	cfg := DefaultConfig()
-	r, _ := buildPair(cfg)
-	blob := storeBlob(t, r, cfg)
-	w := r.Objects[3].Approx.MBR
-	wantIDs, wantStats := testWindow(t, r, w, cfg)
-
-	r2, err := decodeRelation(blob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIDs, gotStats := testWindow(t, r2, w, cfg)
-	if !reflect.DeepEqual(gotIDs, wantIDs) || gotStats != wantStats {
-		t.Errorf("window query differs after reopen: %v/%+v, want %v/%+v", gotIDs, gotStats, wantIDs, wantStats)
-	}
-}
-
 // TestRelationStoreFileRoundTrip exercises the file path:
 // SaveRelationFile writes the store file and OpenRelationFile reads it
 // back.
@@ -175,8 +134,9 @@ func TestRelationStoreConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestRelationStoreCorruptInputs: corrupt or truncated stores must
-// return errors, never panic.
+// TestRelationStoreCorruptInputs: corrupt or truncated stores, and
+// stores of any version but the current one, must return errors, never
+// panic.
 func TestRelationStoreCorruptInputs(t *testing.T) {
 	cfg := DefaultConfig()
 	base := data.GenerateMap(data.MapConfig{Cells: 8, TargetVerts: 16, Seed: 31})
@@ -187,6 +147,14 @@ func TestRelationStoreCorruptInputs(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 13, 16, 40, 100, len(blob) / 2, len(blob) - 1} {
 		if _, err := decodeRelation(blob[:n], cfg); err == nil {
 			t.Errorf("truncation to %d bytes: no error", n)
+		}
+	}
+	// An older or a newer version is refused, not migrated.
+	for _, v := range []uint16{relstoreVersion - 1, relstoreVersion + 1} {
+		mut := append([]byte{}, blob...)
+		binary.LittleEndian.PutUint16(mut[4:], v)
+		if _, err := decodeRelation(mut, cfg); !errors.Is(err, ErrBadRelationStore) || !strings.Contains(err.Error(), "cmd/datagen") {
+			t.Errorf("version %d: err = %v, want ErrBadRelationStore naming cmd/datagen", v, err)
 		}
 	}
 	// Trailing garbage must be rejected.

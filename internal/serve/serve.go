@@ -125,12 +125,12 @@ func (c *Catalog) QuarantinedAll() map[string]string {
 	return out
 }
 
-// LoadDir opens a persisted store under cfg — a store directory or a
-// legacy single-file relation store (shard.Open) — and registers it
-// under name. On failure the name is quarantined instead of registered,
-// and the error is returned so the caller can log it: a server loading
-// several relations keeps serving the healthy ones while the quarantined
-// name answers 503 with the reason.
+// LoadDir opens a store directory under cfg (shard.Open, which refuses
+// a single-file store or another format version with a rebuild message)
+// and registers it under name. On failure the name is quarantined
+// instead of registered, and the error is returned so the caller can log
+// it: a server loading several relations keeps serving the healthy ones
+// while the quarantined name answers 503 with the reason.
 func (c *Catalog) LoadDir(name, path string, cfg multistep.Config) error {
 	sh, err := shard.Open(path, cfg)
 	if err != nil {

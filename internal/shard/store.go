@@ -34,10 +34,9 @@ import (
 //	  count     uint32
 //	  global    count × uint32 global object IDs (local order)
 //
-// Version 2 appended a per-tile planner-statistics blob (uint32 length +
-// blob) to each tile record; version 3 dropped it again. A version 2
-// blob is length-checked and skipped: every tile's statistics are
-// derived when multistep opens its tile file.
+// Open reads manifest version 3 only and refuses any other, as
+// multistep refuses a tile file of another version: a store is a build
+// artifact, rebuilt from its source data when its format changes.
 const (
 	manifestMagic   = 0x534A534D // "SJSM"
 	manifestVersion = 3
@@ -46,9 +45,11 @@ const (
 	ManifestName = "manifest.sjsm"
 )
 
-// ErrBadManifest reports a malformed sharded-store manifest, or a
-// manifest inconsistent with the tile files beside it.
-var ErrBadManifest = errors.New("shard: corrupt sharded store manifest")
+// ErrBadManifest reports a store whose manifest this build cannot read
+// — malformed, of another format version, inconsistent with the tile
+// files beside it, or missing because the path is a file. Stores are
+// build artifacts, so its text names the fix.
+var ErrBadManifest = errors.New("shard: unreadable store manifest (rebuild the store with cmd/datagen)")
 
 // tilePath names tile t's relation store inside dir.
 func tilePath(dir string, t int) string {
@@ -71,32 +72,20 @@ func Save(dir string, sh *Sharded) error {
 	return w.Finish()
 }
 
-// Open reopens a persisted relation under cfg — the one open path. path
-// is a store directory or a legacy single-file SJRL relation store
-// (multistep.SaveRelationFile layout, what cmd/datagen -store wrote
-// before every store became a directory), which opens as a one-tile
-// relation through FromRelation.
+// Open reopens a store directory under cfg — the one open path. A
+// regular file is refused with ErrBadManifest: a persisted relation is a
+// directory.
 //
-// For a directory the manifest's fingerprint must match cfg
-// (multistep.ErrConfigMismatch otherwise), every tile file must itself
-// open under cfg — a tile built under a different configuration fails
-// its own fingerprint check — and the manifest's counts, MBRs and ID
-// mapping must agree with the tiles: the global IDs must be a bijection
-// onto 0..objects-1 and each tile MBR must equal the union of the
-// reopened tile's object MBRs bit for bit.
-func Open(path string, cfg multistep.Config) (*Sharded, error) {
-	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
-		rel, err := multistep.OpenRelationFile(path, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard: store file %q: %w", path, err)
-		}
-		return FromRelation(rel), nil
+// The manifest's fingerprint must match cfg (multistep.ErrConfigMismatch
+// otherwise), every tile file must itself open under cfg — a tile built
+// under a different configuration fails its own fingerprint check — and
+// the manifest's counts, MBRs and ID mapping must agree with the tiles:
+// the global IDs must be a bijection onto 0..objects-1 and each tile MBR
+// must equal the union of the reopened tile's object MBRs bit for bit.
+func Open(dir string, cfg multistep.Config) (*Sharded, error) {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("%w: %q is a file, and a store is a directory", ErrBadManifest, dir)
 	}
-	return openDir(path, cfg)
-}
-
-// openDir opens a store directory: the manifest plus one tile file each.
-func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
@@ -106,9 +95,8 @@ func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 	if magic := d.U32(); d.Err() == nil && magic != manifestMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadManifest, magic)
 	}
-	version := d.U16()
-	if d.Err() == nil && (version < 1 || version > manifestVersion) {
-		return nil, fmt.Errorf("%w: version %d, this build reads ≤ %d", ErrBadManifest, version, manifestVersion)
+	if v := d.U16(); d.Err() == nil && v != manifestVersion {
+		return nil, fmt.Errorf("%w: version %d, this build reads version %d only", ErrBadManifest, v, manifestVersion)
 	}
 	fp := d.U64()
 	if d.Err() == nil && fp != multistep.ConfigFingerprint(cfg) {
@@ -156,16 +144,6 @@ func openDir(dir string, cfg multistep.Config) (*Sharded, error) {
 			}
 			seen[g] = true
 			global[i] = int32(g)
-		}
-		if version == 2 {
-			statsLen := int(d.U32())
-			if d.Err() == nil && d.Remaining() < statsLen {
-				return nil, fmt.Errorf("%w: tile %d stats of %d bytes exceed the remaining data", ErrBadManifest, t, statsLen)
-			}
-			d.Skip(statsLen)
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
 		}
 		rel, err := multistep.OpenRelationFile(tilePath(dir, t), cfg)
 		if err != nil {

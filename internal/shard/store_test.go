@@ -120,8 +120,8 @@ func TestOpenRejectsSwappedTile(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsCorruptManifest covers truncation, bad magic and
-// trailing garbage.
+// TestOpenRejectsCorruptManifest covers truncation, bad magic, an older
+// version and trailing garbage.
 func TestOpenRejectsCorruptManifest(t *testing.T) {
 	rp, _, cfg := testWorkload(t)
 	dir := filepath.Join(t.TempDir(), "R")
@@ -140,6 +140,7 @@ func TestOpenRejectsCorruptManifest(t *testing.T) {
 	}{
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
 		{"bad magic", func(b []byte) []byte { c := slices.Clone(b); c[0] ^= 0xFF; return c }},
+		{"version 2", func(b []byte) []byte { c := slices.Clone(b); binary.LittleEndian.PutUint16(c[4:], 2); return c }},
 		{"trailing bytes", func(b []byte) []byte { return append(slices.Clone(b), 0, 0, 0) }},
 	}
 	for _, tc := range cases {

@@ -287,10 +287,12 @@ func RandomizedCopy(rel []*Polygon, seed int64) []*Polygon {
 
 // Relation store errors.
 var (
-	// ErrBadRelationStore reports a corrupt tile file of a relation store.
+	// ErrBadRelationStore reports a tile file of a relation store that is
+	// corrupt or of another format version.
 	ErrBadRelationStore = multistep.ErrBadRelationStore
-	// ErrBadShardManifest reports a corrupt store manifest, or one that
-	// disagrees with the tile files beside it.
+	// ErrBadShardManifest reports a store manifest that is corrupt, of
+	// another format version or at odds with the tile files beside it,
+	// or a store path that is a file.
 	ErrBadShardManifest = shard.ErrBadManifest
 	// ErrConfigMismatch reports a relation store built under a different
 	// configuration than it is being opened with, or a join of relations
@@ -307,12 +309,14 @@ var (
 // derives them. OpenRelation reopens it without re-running NewRelation.
 func SaveRelation(dir string, rel *Relation) error { return shard.Save(dir, rel) }
 
-// OpenRelation reopens a store written by SaveRelation (or a single-file
-// store of an earlier version, as a one-tile relation) under the same
-// cfg; a store built under a different configuration fails with
-// ErrConfigMismatch. Joins on the reopened relation produce the
-// identical response set and identical statistics, page accesses
-// included, as on the originally built one.
+// OpenRelation reopens a store directory written by SaveRelation under
+// the same cfg; a store built under a different configuration fails
+// with ErrConfigMismatch. A store of another format version, or a
+// single-file store, is refused with ErrBadRelationStore or
+// ErrBadShardManifest, whose text names the fix: rebuild it with
+// cmd/datagen. Joins on the reopened relation produce the identical
+// response set and identical statistics, page accesses included, as on
+// the originally built one.
 func OpenRelation(path string, cfg Config) (*Relation, error) { return shard.Open(path, cfg) }
 
 // WritePolygons persists a relation in the compact binary format of

@@ -143,9 +143,9 @@ func (c Circle) Outline(n int) geom.Ring {
 // (see convex.EllipseSupport).
 type Ellipse = convex.EllipseSupport
 
-// EllipseOutline returns a polygonal outline of e with n vertices,
+// ellipseOutline returns a polygonal outline of e with n vertices,
 // used only for area metrics.
-func EllipseOutline(e Ellipse, n int) geom.Ring {
+func ellipseOutline(e Ellipse, n int) geom.Ring {
 	ring := make(geom.Ring, n)
 	for i := 0; i < n; i++ {
 		a := 2 * math.Pi * float64(i) / float64(n)

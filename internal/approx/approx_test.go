@@ -54,14 +54,14 @@ func TestKindStringsAndParams(t *testing.T) {
 
 func TestMinBoundingCircleBasics(t *testing.T) {
 	pts := []geom.Point{{X: -1, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 0.2}}
-	c := MinBoundingCircle(pts)
+	c := minBoundingCircle(pts)
 	if !almostEq(c.R, 1, 1e-9) || !almostEq(c.C.X, 0, 1e-9) || !almostEq(c.C.Y, 0, 1e-9) {
 		t.Errorf("MBC = %+v, want center (0,0) radius 1", c)
 	}
-	if got := MinBoundingCircle(nil); got.R != 0 {
+	if got := minBoundingCircle(nil); got.R != 0 {
 		t.Error("empty input must give zero circle")
 	}
-	one := MinBoundingCircle([]geom.Point{{X: 3, Y: 4}})
+	one := minBoundingCircle([]geom.Point{{X: 3, Y: 4}})
 	if one.R != 0 || one.C != (geom.Point{X: 3, Y: 4}) {
 		t.Errorf("single point MBC = %+v", one)
 	}
@@ -102,7 +102,7 @@ func TestMinBoundingCirclePropertyMinimalAndConservative(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 		}
-		c := MinBoundingCircle(pts)
+		c := minBoundingCircle(pts)
 		for _, p := range pts {
 			if c.C.Dist(p) > c.R+1e-9 {
 				t.Fatalf("trial %d: MBC does not contain %v", trial, p)
@@ -121,7 +121,7 @@ func TestMinBoundingEllipseConservative(t *testing.T) {
 		poly := starPoly(rng, rng.Float64()*5, rng.Float64()*5, 1+rng.Float64(), 5+rng.Intn(40))
 		var verts []geom.Point
 		verts = poly.Vertices(verts)
-		e := MinBoundingEllipse(verts)
+		e := minBoundingEllipse(verts)
 		for _, p := range verts {
 			if !e.ContainsPoint(p) {
 				t.Fatalf("trial %d: MBE does not contain vertex %v", trial, p)
@@ -129,7 +129,7 @@ func TestMinBoundingEllipseConservative(t *testing.T) {
 		}
 		// The MBE should not be worse than the bounding circle (a circle
 		// is an ellipse, so the minimum ellipse area is at most πR²).
-		mbc := MinBoundingCircle(verts)
+		mbc := minBoundingCircle(verts)
 		if e.Area() > mbc.Area()*1.02 {
 			t.Fatalf("trial %d: MBE area %v exceeds MBC area %v", trial, e.Area(), mbc.Area())
 		}
@@ -143,8 +143,8 @@ func TestMinBoundingEllipseElongated(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		pts = append(pts, geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 0.5})
 	}
-	e := MinBoundingEllipse(pts)
-	c := MinBoundingCircle(pts)
+	e := minBoundingEllipse(pts)
+	c := minBoundingCircle(pts)
 	if e.Area() > c.Area()/3 {
 		t.Errorf("elongated cloud: MBE area %v should be well below MBC area %v", e.Area(), c.Area())
 	}
@@ -152,7 +152,7 @@ func TestMinBoundingEllipseElongated(t *testing.T) {
 
 func TestMaxEnclosedCircleSquare(t *testing.T) {
 	p := geom.NewPolygon(sq(0, 0, 1))
-	c := MaxEnclosedCircle(p, 1e-4)
+	c := maxEnclosedCircle(p, 1e-4)
 	if !almostEq(c.C.X, 0, 0.01) || !almostEq(c.C.Y, 0, 0.01) {
 		t.Errorf("MEC center = %v, want ~(0,0)", c.C)
 	}
@@ -164,7 +164,7 @@ func TestMaxEnclosedCircleSquare(t *testing.T) {
 func TestMaxEnclosedCircleWithHole(t *testing.T) {
 	// Annulus: the MEC must avoid the hole.
 	p := geom.NewPolygon(sq(0, 0, 2), sq(0, 0, 1))
-	c := MaxEnclosedCircle(p, 1e-3)
+	c := maxEnclosedCircle(p, 1e-3)
 	// The optimum sits in a corner of the square annulus: the circle
 	// touching the hole corner and both outer walls has radius
 	// 2 − (2+√2)/(1+√2) ≈ 0.5858, beating the 0.5 band width.
@@ -185,7 +185,7 @@ func TestMaxEnclosedCirclePropertyInside(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 25; trial++ {
 		poly := starPoly(rng, 0, 0, 1, 6+rng.Intn(20))
-		c := MaxEnclosedCircle(poly, 1e-3)
+		c := maxEnclosedCircle(poly, 1e-3)
 		if c.R <= 0 {
 			t.Fatalf("trial %d: MEC radius %v must be positive for a star polygon", trial, c.R)
 		}
@@ -201,7 +201,7 @@ func TestMaxEnclosedCirclePropertyInside(t *testing.T) {
 
 func TestMaxEnclosedRectSquare(t *testing.T) {
 	p := geom.NewPolygon(sq(0, 0, 1))
-	r := MaxEnclosedRect(p)
+	r := maxEnclosedRect(p)
 	if !almostEq(r.Area(), 4, 1e-9) {
 		t.Errorf("MER of a square = %v (area %v), want the square itself", r, r.Area())
 	}
@@ -212,7 +212,7 @@ func TestMaxEnclosedRectLShape(t *testing.T) {
 	p := geom.NewPolygon([]geom.Point{
 		{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 2}, {X: 0, Y: 2},
 	})
-	r := MaxEnclosedRect(p)
+	r := maxEnclosedRect(p)
 	if !almostEq(r.Area(), 2, 1e-9) {
 		t.Errorf("MER of L-shape area = %v, want 2 (rect %v)", r.Area(), r)
 	}
@@ -222,7 +222,7 @@ func TestMaxEnclosedRectPropertyInside(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
 		poly := starPoly(rng, 0, 0, 1, 6+rng.Intn(25))
-		r := MaxEnclosedRect(poly)
+		r := maxEnclosedRect(poly)
 		if r.IsEmpty() {
 			t.Fatalf("trial %d: MER must exist for a star polygon", trial)
 		}
@@ -422,7 +422,7 @@ func TestCircleOutline(t *testing.T) {
 
 func TestEllipseOutline(t *testing.T) {
 	e := Ellipse{C: geom.Point{X: 0, Y: 0}, B00: 2, B11: 1}
-	ring := EllipseOutline(e, 96)
+	ring := ellipseOutline(e, 96)
 	if !ring.IsCCW() {
 		t.Error("ellipse outline must be CCW")
 	}
@@ -431,7 +431,7 @@ func TestEllipseOutline(t *testing.T) {
 	}
 	// Mirrored map (negative determinant) must still give a CCW ring.
 	m := Ellipse{C: geom.Point{X: 0, Y: 0}, B00: -2, B11: 1}
-	if !EllipseOutline(m, 64).IsCCW() {
+	if !ellipseOutline(m, 64).IsCCW() {
 		t.Error("mirrored ellipse outline must be normalized to CCW")
 	}
 }

@@ -130,10 +130,10 @@ func TestIntersectsRectAllKinds(t *testing.T) {
 	inside := geom.Rect{MinX: -0.2, MinY: -0.2, MaxX: 0.2, MaxY: 0.2}
 	outside := geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}
 	for _, k := range []Kind{MBR, RMBR, CH, C4, C5, MBC, MBE, MEC, MER} {
-		if !IntersectsRect(k, s, inside) {
+		if !intersectsRect(k, s, inside) {
 			t.Errorf("%v must intersect a window at the object center", k)
 		}
-		if IntersectsRect(k, s, outside) {
+		if intersectsRect(k, s, outside) {
 			t.Errorf("%v must not reach a far window", k)
 		}
 	}

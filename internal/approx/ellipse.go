@@ -7,7 +7,7 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// MinBoundingEllipse returns a minimum bounding ellipse (MBE) of pts.
+// minBoundingEllipse returns a minimum bounding ellipse (MBE) of pts.
 //
 // The paper uses Welzl's randomized algorithm [Wel 91]; this implementation
 // substitutes Khachiyan's minimum-volume-enclosing-ellipsoid iteration on
@@ -15,7 +15,7 @@ import (
 // tolerance (see DESIGN.md, substitutions). The result is inflated so that
 // it provably contains every input point, keeping the approximation
 // conservative under floating-point rounding.
-func MinBoundingEllipse(pts []geom.Point) Ellipse {
+func minBoundingEllipse(pts []geom.Point) Ellipse {
 	hull := convex.Hull(pts)
 	switch len(hull) {
 	case 0:
@@ -96,7 +96,7 @@ func MinBoundingEllipse(pts []geom.Point) Ellipse {
 	det := sxx*syy - sxy*sxy
 	if det <= geom.Eps*geom.Eps {
 		// Nearly degenerate: fall back to the bounding-circle ellipse.
-		mbc := MinBoundingCircle(pts)
+		mbc := minBoundingCircle(pts)
 		return Ellipse{C: mbc.C, B00: mbc.R, B11: mbc.R}
 	}
 	// A = (1/d)·S⁻¹ where S is the covariance-like matrix above.

@@ -163,10 +163,10 @@ func (f FilterConfig) Classify(a, b *Set) Class {
 // kernels and the boolean intersection tests agree (they do for every
 // polygonal kind; both are exact).
 func (f FilterConfig) ClassifyWithin(a, b *Set, eps float64) Class {
-	if !ConservativeWithin(f.Conservative, a, b, eps) {
+	if !conservativeWithin(f.Conservative, a, b, eps) {
 		return FalseHit
 	}
-	if ProgressiveWithin(f.Progressive, a, b, eps) {
+	if progressiveWithin(f.Progressive, a, b, eps) {
 		return Hit
 	}
 	if f.UseFalseArea {
@@ -177,14 +177,14 @@ func (f FilterConfig) ClassifyWithin(a, b *Set, eps float64) Class {
 	return Candidate
 }
 
-// ConservativeWithin reports whether the conservative approximations of
+// conservativeWithin reports whether the conservative approximations of
 // kind k of the two objects lie within distance eps of each other. A
 // negative answer proves the pair is a false hit of the ε-join (supersets
 // are closer than the objects); a positive answer proves nothing. The
 // test is exact for polygonal and circular kinds and falls back to the
 // MBRs for kinds without a cheap exact test (ellipses) or with
 // degenerate data.
-func ConservativeWithin(k Kind, a, b *Set, eps float64) bool {
+func conservativeWithin(k Kind, a, b *Set, eps float64) bool {
 	switch k {
 	case MBR, MBE:
 		// MBE: no closed-form ellipse distance; the MBR is the sound
@@ -219,12 +219,12 @@ func ringsWithin(ra, rb geom.Ring, a, b *Set, eps float64) bool {
 	return convex.WithinDist(ra, rb, eps)
 }
 
-// ProgressiveWithin reports whether the progressive approximations of
+// progressiveWithin reports whether the progressive approximations of
 // kind k of the two objects lie within distance eps of each other. A
 // positive answer proves the pair is a hit of the ε-join (subsets are
 // farther apart than the objects); it is negative, proving nothing, when
 // either object has no progressive approximation.
-func ProgressiveWithin(k Kind, a, b *Set, eps float64) bool {
+func progressiveWithin(k Kind, a, b *Set, eps float64) bool {
 	switch k {
 	case MEC:
 		if a.MECA == nil || b.MECA == nil || a.MECA.R <= 0 || b.MECA.R <= 0 {

@@ -7,7 +7,7 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// MaxEnclosedCircle returns the maximum enclosed circle (MEC) of p: the
+// maxEnclosedCircle returns the maximum enclosed circle (MEC) of p: the
 // largest circle contained in the closed polygonal region, i.e. the circle
 // centered at the pole of inaccessibility with radius equal to the
 // distance to the boundary.
@@ -20,7 +20,7 @@ import (
 // within precision·diameter (precision defaults to 1e-3 when ≤ 0). The
 // returned circle is shrunk by the bracketing error so it provably lies
 // inside the polygon, keeping the approximation progressive.
-func MaxEnclosedCircle(p *geom.Polygon, precision float64) Circle {
+func maxEnclosedCircle(p *geom.Polygon, precision float64) Circle {
 	if precision <= 0 {
 		precision = 1e-3
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // MERMaxCandidates caps the number of distinct x coordinates enumerated by
-// MaxEnclosedRect. The paper's definition restricts rectangle coordinates
+// maxEnclosedRect. The paper's definition restricts rectangle coordinates
 // to vertex coordinates; with complex objects (the BW relation averages
 // 527 vertices) the implementation subsamples the candidate set uniformly
 // beyond this cap, which bounds the strips per object at MERMaxCandidates²/2
@@ -18,7 +18,7 @@ import (
 // by the Figure 8 experiment).
 const MERMaxCandidates = 48
 
-// MaxEnclosedRect returns the paper's maximum enclosed rectangle (MER) of
+// maxEnclosedRect returns the paper's maximum enclosed rectangle (MER) of
 // p (section 3.3): a rectilinear rectangle contained in the closed region
 // that (1) intersects the longest enclosed horizontal connection starting
 // in a vertex of the polygon and (2) has x and y coordinates drawn from
@@ -36,7 +36,7 @@ const MERMaxCandidates = 48
 // first strip an edge crosses at chord level or that has no room left —
 // widening a strip only adds boundary, so every wider strip fails too.
 // The result is the first largest rectangle that enclosed certifies.
-func MaxEnclosedRect(p *geom.Polygon) geom.Rect {
+func maxEnclosedRect(p *geom.Polygon) geom.Rect {
 	edges := p.Edges(nil)
 	verts := p.Vertices(nil)
 

@@ -61,7 +61,7 @@ func TestMaxEnclosedRectMatchesReference(t *testing.T) {
 	for _, side := range []string{"R", "S"} {
 		var repaired []int
 		for id, p := range sf001(t, side, 0) {
-			got, ref := MaxEnclosedRect(p), referenceMER(p)
+			got, ref := maxEnclosedRect(p), referenceMER(p)
 			if !merEnclosed(p, got) {
 				t.Errorf("%s %d: MER %v is not enclosed", side, id, got)
 			}
@@ -115,7 +115,7 @@ func TestMaxEnclosedRectEnclosed(t *testing.T) {
 		cases = append(cases, tc{name: fmt.Sprintf("star %d with hole", i), p: geom.NewPolygon(star.Outer, hole.Outer)})
 	}
 	for _, c := range cases {
-		r := MaxEnclosedRect(c.p)
+		r := maxEnclosedRect(c.p)
 		if r.IsEmpty() || r.Area() <= 0 {
 			t.Errorf("%s: no MER (%v)", c.name, r)
 			continue
@@ -160,7 +160,7 @@ func FuzzMaxEnclosedRect(f *testing.F) {
 		if p.ValidateSimple() != nil {
 			t.Skip("not a simple polygon")
 		}
-		if r := MaxEnclosedRect(p); !merEnclosed(p, r) {
+		if r := maxEnclosedRect(p); !merEnclosed(p, r) {
 			t.Fatalf("MER %v is not enclosed by %v", r, p)
 		}
 	})
@@ -190,7 +190,7 @@ func BenchmarkCompute(b *testing.B) {
 	}
 }
 
-// referenceMER is MaxEnclosedRect as it was before the strip sweep: every
+// referenceMER is maxEnclosedRect as it was before the strip sweep: every
 // strip evaluated from scratch by stripFreeInterval, strips touching the
 // chord at an endpoint admitted, no certificate, and the chord found by
 // one ray walk per direction (referenceChord).

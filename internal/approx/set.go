@@ -75,20 +75,20 @@ func Compute(p *geom.Polygon, opt Options) *Set {
 		case C5:
 			s.C5A = convex.MinBoundingKGon(hull, 5)
 		case MBC:
-			c := MinBoundingCircle(verts)
+			c := minBoundingCircle(verts)
 			s.MBCA = &c
 		case MBE:
-			e := MinBoundingEllipse(verts)
+			e := minBoundingEllipse(verts)
 			s.MBEA = &e
 		}
 	}
 	for _, k := range opt.Progressive {
 		switch k {
 		case MEC:
-			c := MaxEnclosedCircle(p, opt.MECPrecision)
+			c := maxEnclosedCircle(p, opt.MECPrecision)
 			s.MECA = &c
 		case MER:
-			r := MaxEnclosedRect(p)
+			r := maxEnclosedRect(p)
 			s.MERA = &r
 		}
 	}
@@ -178,7 +178,7 @@ func (s *Set) Outline(k Kind) geom.Ring {
 	case MBC:
 		return s.MBCA.Outline(outlineSegments)
 	case MBE:
-		return EllipseOutline(*s.MBEA, outlineSegments)
+		return ellipseOutline(*s.MBEA, outlineSegments)
 	case MEC:
 		return s.MECA.Outline(outlineSegments)
 	case MER:
@@ -237,16 +237,6 @@ func (s *Set) ProgressiveQuality(k Kind) float64 {
 		return 0
 	}
 	return s.Area(k) / s.ObjArea
-}
-
-// AreaExtension returns the product of the x and y extensions of the
-// approximation of kind k — the section 3.4 measure of how much a
-// non-rectilinear geometric key would blow up R*-tree page regions.
-func (s *Set) AreaExtension(k Kind) float64 {
-	if k == MBR {
-		return s.MBR.Area()
-	}
-	return s.Outline(k).Bounds().Area()
 }
 
 // Support adapts the approximation of kind k to the GJK support interface.

@@ -7,12 +7,12 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// MinBoundingCircle returns the minimum bounding circle (MBC) of pts using
+// minBoundingCircle returns the minimum bounding circle (MBC) of pts using
 // Welzl's randomized move-to-front algorithm [Wel 91], which the paper
 // also uses; expected linear time. The returned circle contains every
 // input point (verified and, if necessary, inflated by a few ULPs to
 // absorb floating-point rounding, keeping the approximation conservative).
-func MinBoundingCircle(pts []geom.Point) Circle {
+func minBoundingCircle(pts []geom.Point) Circle {
 	if len(pts) == 0 {
 		return Circle{}
 	}

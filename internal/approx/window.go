@@ -5,12 +5,12 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// IntersectsRect reports whether the approximation of kind k intersects
+// intersectsRect reports whether the approximation of kind k intersects
 // the rectilinear window w. It is exact for every kind, so the multi-step
 // window query can use conservative kinds to prove misses and progressive
 // kinds to prove hits against a window (the point-/window-query framework
 // of [KBS 93, BHKS 93] that section 2.4 extends to joins).
-func IntersectsRect(k Kind, s *Set, w geom.Rect) bool {
+func intersectsRect(k Kind, s *Set, w geom.Rect) bool {
 	sh := s.shapeOf(k)
 	switch {
 	case sh.rect != nil:
@@ -57,10 +57,10 @@ func circleRect(c Circle, w geom.Rect) bool {
 // is exact, so a conservative miss proves a false hit and a progressive
 // hit proves a hit.
 func (f FilterConfig) ClassifyWindow(s *Set, w geom.Rect) Class {
-	if f.Conservative != MBR && !IntersectsRect(f.Conservative, s, w) {
+	if f.Conservative != MBR && !intersectsRect(f.Conservative, s, w) {
 		return FalseHit
 	}
-	if IntersectsRect(f.Progressive, s, w) {
+	if intersectsRect(f.Progressive, s, w) {
 		return Hit
 	}
 	return Candidate

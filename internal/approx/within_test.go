@@ -43,8 +43,8 @@ func TestWithinKernelsDecideApproximationDistance(t *testing.T) {
 					t.Fatalf("%v of objects %d,%d: approximations %.9g apart, objects %.9g", k, i, j, d, truth)
 				}
 				for _, eps := range []float64{0, d * 0.5, d * (1 - 1e-6), d * (1 + 1e-6), d*2 + 1e-3} {
-					if got, want := ConservativeWithin(k, a, b, eps), d <= eps; got != want && eps != d {
-						t.Fatalf("ConservativeWithin(%v, %d, %d, %.17g) = %v, approximation distance %.17g", k, i, j, eps, got, d)
+					if got, want := conservativeWithin(k, a, b, eps), d <= eps; got != want && eps != d {
+						t.Fatalf("conservativeWithin(%v, %d, %d, %.17g) = %v, approximation distance %.17g", k, i, j, eps, got, d)
 					}
 					checked++
 				}
@@ -59,13 +59,13 @@ func TestWithinKernelsDecideApproximationDistance(t *testing.T) {
 			}
 			for _, f := range []float64{0, 0.5, 1 - 1e-6, 1 + 1e-6, 2} {
 				if eps := mer * f; !math.IsInf(mer, 1) && eps != mer {
-					if got := ProgressiveWithin(MER, a, b, eps); got != (mer <= eps) {
-						t.Fatalf("ProgressiveWithin(MER, %d, %d, %.17g) = %v, rectangle distance %.17g", i, j, eps, got, mer)
+					if got := progressiveWithin(MER, a, b, eps); got != (mer <= eps) {
+						t.Fatalf("progressiveWithin(MER, %d, %d, %.17g) = %v, rectangle distance %.17g", i, j, eps, got, mer)
 					}
 				}
 				if eps := mec * f; !math.IsInf(mec, 1) && eps != mec {
-					if got := ProgressiveWithin(MEC, a, b, eps); got != (mec <= eps) {
-						t.Fatalf("ProgressiveWithin(MEC, %d, %d, %.17g) = %v, circle distance %.17g", i, j, eps, got, mec)
+					if got := progressiveWithin(MEC, a, b, eps); got != (mec <= eps) {
+						t.Fatalf("progressiveWithin(MEC, %d, %d, %.17g) = %v, circle distance %.17g", i, j, eps, got, mec)
 					}
 				}
 				checked++

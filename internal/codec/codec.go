@@ -37,15 +37,6 @@ func New(data []byte, truncated error) *Decoder {
 // Err returns the sticky error, nil while all reads have succeeded.
 func (d *Decoder) Err() error { return d.err }
 
-// SetErr installs err as the sticky error unless one is already set.
-// Callers use it to fail decoding on semantic (non-length) errors while
-// keeping the single-check control flow.
-func (d *Decoder) SetErr(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
 // Pos returns the number of bytes consumed so far.
 func (d *Decoder) Pos() int { return d.pos }
 

@@ -76,20 +76,6 @@ func TestNegativeAndOversizedBytes(t *testing.T) {
 	}
 }
 
-func TestSetErrWinsOverLaterTruncation(t *testing.T) {
-	semantic := errors.New("test: semantic")
-	d := New([]byte{1}, errTrunc)
-	d.SetErr(semantic)
-	d.U64() // would truncate, but the earlier error sticks
-	if !errors.Is(d.Err(), semantic) {
-		t.Errorf("Err = %v, want the first error", d.Err())
-	}
-	d.SetErr(errors.New("another"))
-	if !errors.Is(d.Err(), semantic) {
-		t.Error("SetErr must not overwrite an existing error")
-	}
-}
-
 func TestRestAndSkip(t *testing.T) {
 	d := New([]byte{1, 2, 3, 4}, errTrunc)
 	d.U8()

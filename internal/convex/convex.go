@@ -227,31 +227,9 @@ func MinBoundingKGon(hull geom.Ring, k int) geom.Ring {
 	return ring
 }
 
-// Clip returns the intersection of two convex counterclockwise rings via
-// Sutherland–Hodgman clipping. The result is a convex ring, possibly with
-// fewer than three vertices when the intersection is empty or degenerate.
-// It backs the false-area test of section 3.3, which needs the area of the
-// intersection of two conservative approximations.
-func Clip(subject, clip geom.Ring) geom.Ring {
-	out := subject.Clone()
-	n := len(clip)
-	for i := 0; i < n && len(out) > 0; i++ {
-		a := clip[i]
-		b := clip[(i+1)%n]
-		out = clipHalfPlane(out, a, b)
-	}
-	return out
-}
-
-// clipHalfPlane keeps the part of ring on the left of the directed line
-// a→b (inclusive).
-func clipHalfPlane(ring geom.Ring, a, b geom.Point) geom.Ring {
-	return clipHalfPlaneInto(nil, ring, a, b)
-}
-
-// clipHalfPlaneInto is clipHalfPlane appending into dst (which must not
-// alias ring).
-func clipHalfPlaneInto(dst geom.Ring, ring geom.Ring, a, b geom.Point) geom.Ring {
+// clipHalfPlane appends to dst the part of ring on the left of the
+// directed line a→b (inclusive); dst must not alias ring.
+func clipHalfPlane(dst geom.Ring, ring geom.Ring, a, b geom.Point) geom.Ring {
 	out := dst
 	n := len(ring)
 	for i := 0; i < n; i++ {
@@ -284,10 +262,10 @@ type clipScratch struct{ a, b geom.Ring }
 var clipPool = sync.Pool{New: func() any { return new(clipScratch) }}
 
 // IntersectionArea returns the area of the intersection of two convex
-// counterclockwise rings. Unlike Clip it retains no result: the
-// intersection is built in pooled scratch buffers and only its area
-// escapes, so the per-pair false-area test allocates nothing in steady
-// state.
+// counterclockwise rings via Sutherland–Hodgman clipping. It retains no
+// result: the intersection is built in pooled scratch buffers and only
+// its area escapes, so the per-pair false-area test of section 3.3
+// allocates nothing in steady state.
 func IntersectionArea(a, b geom.Ring) float64 {
 	sc := clipPool.Get().(*clipScratch)
 	defer clipPool.Put(sc)
@@ -295,7 +273,7 @@ func IntersectionArea(a, b geom.Ring) float64 {
 	out := sc.b[:0]
 	n := len(b)
 	for i := 0; i < n && len(cur) > 0; i++ {
-		out = clipHalfPlaneInto(out[:0], cur, b[i], b[(i+1)%n])
+		out = clipHalfPlane(out[:0], cur, b[i], b[(i+1)%n])
 		cur, out = out, cur
 	}
 	sc.a, sc.b = cur, out // store back the grown capacities

@@ -270,45 +270,39 @@ func StrategyB(rel []*geom.Polygon, seed int64) []*geom.Polygon {
 	return out
 }
 
-// Relation bundles a generated relation with its name for reporting.
-type Relation struct {
-	Name  string
-	Polys []*geom.Polygon
-}
-
 // Series is one of the paper's four test series (section 3.1).
 type Series struct {
 	Name string
 	R, S []*geom.Polygon
 }
 
-// EuropeA returns the Europe A test series.
-func EuropeA() Series {
+// europeA returns the Europe A test series.
+func europeA() Series {
 	r := GenerateMap(EuropeConfig())
 	return Series{Name: "Europe A", R: r, S: StrategyA(r, 0.45)}
 }
 
-// EuropeB returns the Europe B test series.
-func EuropeB() Series {
+// europeB returns the Europe B test series.
+func europeB() Series {
 	r := GenerateMap(EuropeConfig())
 	return Series{Name: "Europe B", R: StrategyB(r, 31), S: StrategyB(r, 32)}
 }
 
-// BWA returns the BW A test series.
-func BWA() Series {
+// bwA returns the BW A test series.
+func bwA() Series {
 	r := GenerateMap(BWConfig())
 	return Series{Name: "BW A", R: r, S: StrategyA(r, 0.45)}
 }
 
-// BWB returns the BW B test series.
-func BWB() Series {
+// bwB returns the BW B test series.
+func bwB() Series {
 	r := GenerateMap(BWConfig())
 	return Series{Name: "BW B", R: StrategyB(r, 41), S: StrategyB(r, 42)}
 }
 
 // AllSeries returns the four test series of Table 2.
 func AllSeries() []Series {
-	return []Series{EuropeA(), EuropeB(), BWA(), BWB()}
+	return []Series{europeA(), europeB(), bwA(), bwB()}
 }
 
 // VertexStats reports the Figure 2 complexity measures of a relation.

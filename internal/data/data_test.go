@@ -196,7 +196,7 @@ func TestStrategyB(t *testing.T) {
 }
 
 func TestSeriesConstructors(t *testing.T) {
-	for _, s := range []Series{EuropeA(), BWA()} {
+	for _, s := range []Series{europeA(), bwA()} {
 		if len(s.R) == 0 || len(s.S) == 0 {
 			t.Fatalf("%s: empty side", s.Name)
 		}

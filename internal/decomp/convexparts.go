@@ -6,14 +6,14 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// ConvexParts decomposes a polygon into convex polygons (Figure 14) in the
+// convexParts decomposes a polygon into convex polygons (Figure 14) in the
 // spirit of Hertel–Mehlhorn: starting from a triangulation, inessential
 // diagonals are removed greedily — two parts sharing an edge are merged
 // whenever their union stays convex. The result is exact (parts tile the
 // region) and within the Hertel–Mehlhorn 4-approximation of the minimal
 // convex decomposition for hole-free polygons.
-func ConvexParts(p *geom.Polygon) []geom.Ring {
-	tris := Triangulate(p)
+func convexParts(p *geom.Polygon) []geom.Ring {
+	tris := triangulate(p)
 	parts := make([]geom.Ring, len(tris))
 	for i, t := range tris {
 		parts[i] = t.Ring()
@@ -147,7 +147,7 @@ func TrapezoidStats(p *geom.Polygon) Stats {
 
 // TriangleStats summarizes the triangle decomposition of p.
 func TriangleStats(p *geom.Polygon) Stats {
-	tris := Triangulate(p)
+	tris := triangulate(p)
 	s := Stats{Components: len(tris), MaxVerts: 3}
 	for _, t := range tris {
 		s.TotalArea += t.Area()
@@ -157,7 +157,7 @@ func TriangleStats(p *geom.Polygon) Stats {
 
 // ConvexPartStats summarizes the convex decomposition of p.
 func ConvexPartStats(p *geom.Polygon) Stats {
-	parts := ConvexParts(p)
+	parts := convexParts(p)
 	s := Stats{Components: len(parts)}
 	for _, part := range parts {
 		s.TotalArea += part.Area()

@@ -158,7 +158,7 @@ func TestTrapezoidIntersects(t *testing.T) {
 
 func TestTriangulateSquareAndStar(t *testing.T) {
 	p := geom.NewPolygon(sq(0, 0, 1))
-	tris := Triangulate(p)
+	tris := triangulate(p)
 	if len(tris) != 2 {
 		t.Errorf("square: got %d triangles, want 2", len(tris))
 	}
@@ -172,7 +172,7 @@ func TestTriangulateSquareAndStar(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 30; trial++ {
 		poly := starPoly(rng, 0, 0, 1, 5+rng.Intn(30))
-		tris := Triangulate(poly)
+		tris := triangulate(poly)
 		if len(tris) != poly.NumVertices()-2 {
 			t.Fatalf("trial %d: ear clipping must produce n-2 triangles, got %d for n=%d",
 				trial, len(tris), poly.NumVertices())
@@ -189,7 +189,7 @@ func TestTriangulateSquareAndStar(t *testing.T) {
 
 func TestTriangulateWithHoles(t *testing.T) {
 	p := geom.NewPolygon(sq(0, 0, 2), sq(0, 0, 1))
-	tris := Triangulate(p)
+	tris := triangulate(p)
 	var area float64
 	for _, tr := range tris {
 		area += tr.Area()
@@ -202,7 +202,7 @@ func TestTriangulateWithHoles(t *testing.T) {
 func TestConvexParts(t *testing.T) {
 	// A convex polygon collapses back to one part.
 	p := geom.NewPolygon(sq(0, 0, 1))
-	parts := ConvexParts(p)
+	parts := convexParts(p)
 	if len(parts) != 1 {
 		t.Errorf("square convex parts = %d, want 1", len(parts))
 	}
@@ -210,7 +210,7 @@ func TestConvexParts(t *testing.T) {
 	l := geom.NewPolygon([]geom.Point{
 		{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 2}, {X: 0, Y: 2},
 	})
-	parts = ConvexParts(l)
+	parts = convexParts(l)
 	if len(parts) < 2 {
 		t.Errorf("L-shape convex parts = %d, want >= 2", len(parts))
 	}
@@ -230,8 +230,8 @@ func TestConvexPartsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 25; trial++ {
 		poly := starPoly(rng, 0, 0, 1, 6+rng.Intn(25))
-		parts := ConvexParts(poly)
-		tris := Triangulate(poly)
+		parts := convexParts(poly)
+		tris := triangulate(poly)
 		if len(parts) > len(tris) {
 			t.Fatalf("trial %d: merging must not increase component count", trial)
 		}

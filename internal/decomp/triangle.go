@@ -29,13 +29,13 @@ func (t Triangle) Ring() geom.Ring {
 	return geom.Ring{t.A, t.C, t.B}
 }
 
-// Triangulate decomposes a polygon into triangles. Hole-free polygons use
+// triangulate decomposes a polygon into triangles. Hole-free polygons use
 // ear clipping [PS 85]; polygons with holes are first trapezoidized and
 // each trapezoid is split along a diagonal, which is also an exact
 // triangulation (with roughly twice as many components as an optimal one —
 // the Figure 14 comparison reports component counts, so the difference is
 // visible rather than hidden).
-func Triangulate(p *geom.Polygon) []Triangle {
+func triangulate(p *geom.Polygon) []Triangle {
 	if len(p.Holes) == 0 {
 		if tris, ok := earClip(p.Outer); ok {
 			return tris

@@ -13,11 +13,11 @@ import (
 	"spatialjoin/internal/trstar"
 )
 
-// MeasureWeights times the six geometric primitives of Table 6 on the
+// measureWeights times the six geometric primitives of Table 6 on the
 // host, returning seconds per operation. The paper measured them on an
 // HP 720 workstation; the ratios, not the absolute values, drive all
 // weighted-cost comparisons.
-func MeasureWeights() ops.Weights {
+func measureWeights() ops.Weights {
 	rng := rand.New(rand.NewSource(271))
 	const n = 4096
 	segs := make([]geom.Segment, n)
@@ -71,7 +71,7 @@ func MeasureWeights() ops.Weights {
 
 // Table6 reports the paper's operation weights next to host-measured ones.
 func Table6() *Table {
-	host := MeasureWeights()
+	host := measureWeights()
 	paper := ops.PaperWeights()
 	t := &Table{
 		Title:  "Table 6 — weights of the geometric operations (µs)",

@@ -180,15 +180,6 @@ func Figure4(e *Env) *Table {
 	return t
 }
 
-// Figure5Point is one point of the Figure 5 scatter: an approximation's
-// average MBR-based false area against the share of false hits it
-// identifies, for the Europe B series.
-type Figure5Point struct {
-	Kind          string
-	FalseArea     float64
-	IdentifiedPct float64
-}
-
 // Figure5 reproduces Figure 5 for the Europe B series.
 func Figure5(e *Env) *Table {
 	sd := e.SeriesByName("Europe B")

@@ -34,7 +34,7 @@ func FuzzSegmentIntersects(f *testing.F) {
 			t.Fatalf("Intersects=%v, IntersectionPoint found=%v", got, found)
 		}
 		if found {
-			scale := 1 + s.Length() + u.Length()
+			scale := 1 + s.A.Dist(s.B) + u.A.Dist(u.B)
 			if s.DistToPoint(p) > 1e-6*scale || u.DistToPoint(p) > 1e-6*scale {
 				t.Fatalf("intersection point %v off the segments", p)
 			}

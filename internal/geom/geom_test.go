@@ -184,6 +184,36 @@ func TestSegmentIntersects(t *testing.T) {
 	}
 }
 
+// IntersectionPoint returns a common point of two intersecting segments,
+// the witness the tests hold Segment.Intersects to.
+// The second result is false when the segments do not intersect. For
+// collinear overlaps an arbitrary shared endpoint is returned.
+func (s Segment) IntersectionPoint(t Segment) (Point, bool) {
+	d1 := s.B.Sub(s.A)
+	d2 := t.B.Sub(t.A)
+	den := d1.CrossVec(d2)
+	if math.Abs(den) > Eps {
+		u := t.A.Sub(s.A).CrossVec(d2) / den
+		v := t.A.Sub(s.A).CrossVec(d1) / den
+		if u >= -Eps && u <= 1+Eps && v >= -Eps && v <= 1+Eps {
+			return s.A.Add(d1.Scale(u)), true
+		}
+		return Point{}, false
+	}
+	// Parallel: only collinear overlap can intersect.
+	for _, p := range []Point{t.A, t.B} {
+		if s.ContainsPoint(p) {
+			return p, true
+		}
+	}
+	for _, p := range []Point{s.A, s.B} {
+		if t.ContainsPoint(p) {
+			return p, true
+		}
+	}
+	return Point{}, false
+}
+
 func TestSegmentIntersectionPoint(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{2, 2}}
 	u := Segment{Point{0, 2}, Point{2, 0}}

@@ -152,7 +152,7 @@ func TestDistKernelsMatchReference(t *testing.T) {
 			targets = append(targets, c)
 			for i := range ring {
 				e := ring.Edge(i)
-				targets = append(targets, e.A, e.Midpoint())
+				targets = append(targets, e.A, Point{X: (e.A.X + e.B.X) / 2, Y: (e.A.Y + e.B.Y) / 2})
 			}
 		}
 		for i := 0; i < 40; i++ {

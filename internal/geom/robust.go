@@ -64,29 +64,3 @@ func orientationBig(o, a, b Point) int {
 	t2 := new(big.Rat).Mul(ayr, bxr)
 	return t1.Cmp(t2)
 }
-
-// SegmentsCrossAdaptive reports whether two closed segments share a point,
-// decided with exact arithmetic in the borderline cases — the robust
-// counterpart of Segment.Intersects.
-func SegmentsCrossAdaptive(s, t Segment) bool {
-	o1 := OrientationAdaptive(s.A, s.B, t.A)
-	o2 := OrientationAdaptive(s.A, s.B, t.B)
-	o3 := OrientationAdaptive(t.A, t.B, s.A)
-	o4 := OrientationAdaptive(t.A, t.B, s.B)
-	if o1 != o2 && o3 != o4 {
-		return true
-	}
-	if o1 == 0 && s.onSegment(t.A) {
-		return true
-	}
-	if o2 == 0 && s.onSegment(t.B) {
-		return true
-	}
-	if o3 == 0 && t.onSegment(s.A) {
-		return true
-	}
-	if o4 == 0 && t.onSegment(s.B) {
-		return true
-	}
-	return false
-}

@@ -73,21 +73,6 @@ func TestOrientationAdaptiveExactCases(t *testing.T) {
 	}
 }
 
-func TestSegmentsCrossAdaptiveAgreesOnGenericInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(823))
-	for trial := 0; trial < 3000; trial++ {
-		s := Segment{A: Point{X: rng.Float64(), Y: rng.Float64()}, B: Point{X: rng.Float64(), Y: rng.Float64()}}
-		u := Segment{A: Point{X: rng.Float64(), Y: rng.Float64()}, B: Point{X: rng.Float64(), Y: rng.Float64()}}
-		if SegmentsCrossAdaptive(s, u) != s.Intersects(u) {
-			// Disagreement is only acceptable within epsilon of touching.
-			p, ok := s.IntersectionPoint(u)
-			if !ok || s.DistToPoint(p) > 1e-9 || u.DistToPoint(p) > 1e-9 {
-				t.Fatalf("trial %d: adaptive and float kernels disagree on generic input", trial)
-			}
-		}
-	}
-}
-
 func BenchmarkOrientationFloat(b *testing.B) {
 	o := Point{X: 0.1, Y: 0.2}
 	p := Point{X: 0.7, Y: 0.9}

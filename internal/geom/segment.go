@@ -20,14 +20,6 @@ func (s Segment) Bounds() Rect {
 	}
 }
 
-// Length returns the Euclidean length of s.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Point {
-	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
-}
-
 // onSegment reports whether p, already known to be collinear with s, lies
 // within the bounding box of s.
 func (s Segment) onSegment(p Point) bool {
@@ -107,35 +99,6 @@ func (s Segment) YAt(x float64) float64 {
 	}
 	t := (x - s.A.X) / dx
 	return s.A.Y + t*(s.B.Y-s.A.Y)
-}
-
-// IntersectionPoint returns a common point of two intersecting segments.
-// The second result is false when the segments do not intersect. For
-// collinear overlaps an arbitrary shared endpoint is returned.
-func (s Segment) IntersectionPoint(t Segment) (Point, bool) {
-	d1 := s.B.Sub(s.A)
-	d2 := t.B.Sub(t.A)
-	den := d1.CrossVec(d2)
-	if math.Abs(den) > Eps {
-		u := t.A.Sub(s.A).CrossVec(d2) / den
-		v := t.A.Sub(s.A).CrossVec(d1) / den
-		if u >= -Eps && u <= 1+Eps && v >= -Eps && v <= 1+Eps {
-			return s.A.Add(d1.Scale(u)), true
-		}
-		return Point{}, false
-	}
-	// Parallel: only collinear overlap can intersect.
-	for _, p := range []Point{t.A, t.B} {
-		if s.ContainsPoint(p) {
-			return p, true
-		}
-	}
-	for _, p := range []Point{s.A, s.B} {
-		if t.ContainsPoint(p) {
-			return p, true
-		}
-	}
-	return Point{}, false
 }
 
 // DistToSegment returns the Euclidean distance between the closed

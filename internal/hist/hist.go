@@ -96,9 +96,6 @@ func (h *Histogram) RecordDuration(d time.Duration) { h.Record(d.Nanoseconds()) 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Max returns the largest recorded observation (exact, not bucketed).
 func (h *Histogram) Max() int64 { return h.max.Load() }
 
@@ -137,24 +134,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max.Load()
-}
-
-// Merge adds other's observations into h. The exact max is preserved;
-// bucket counts add.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := 0; i < nBuckets; i++ {
-		if c := other.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		old, v := h.max.Load(), other.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			return
-		}
-	}
 }
 
 // Snapshot is a fixed set of reporting quantiles in milliseconds — the

@@ -91,17 +91,3 @@ func TestConcurrentRecord(t *testing.T) {
 }
 
 // TestMerge proves merged histograms report the union.
-func TestMerge(t *testing.T) {
-	var a, b Histogram
-	for i := int64(1); i <= 100; i++ {
-		a.Record(i * 1000)
-	}
-	b.Record(1 << 30)
-	a.Merge(&b)
-	if a.Count() != 101 {
-		t.Fatalf("count %d, want 101", a.Count())
-	}
-	if a.Max() != 1<<30 {
-		t.Fatalf("max %d, want %d", a.Max(), int64(1)<<30)
-	}
-}

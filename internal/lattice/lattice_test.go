@@ -50,8 +50,19 @@ var (
 	workers    = []int{1, 3, 0}
 	deliveries = []string{"collect", "stream", "bufferless"}
 	plans      = []bool{false, true}
-	stores     = []bool{false, true} // as built, or saved and reopened
-	limits     = []int{-1, 0, 7, allButOne, oneMore}
+	// stores: as built, or saved and reopened. A relation is built under
+	// the TR*-tree engine, which stores every object's TR*-tree, or under
+	// the plane-sweep engine, which stores none and opens only under it.
+	stores = []struct {
+		name     string
+		reopened bool
+		build    multistep.Engine
+	}{
+		{"as built", false, multistep.EngineTRStar},
+		{"reopened", true, multistep.EngineTRStar},
+		{"reopened plane-sweep build", true, multistep.EnginePlaneSweep},
+	}
+	limits = []int{-1, 0, 7, allButOne, oneMore}
 )
 
 // The limits one short of the answer and one past it.
@@ -71,9 +82,9 @@ func (c cell) String() string {
 	if limit == "" {
 		limit = fmt.Sprint(limits[c.limit])
 	}
-	return fmt.Sprintf("%s/%s/%v/filter %s/tiles %v/workers %d/%s/planned %t/reopened %t/limit %s",
+	return fmt.Sprintf("%s/%s/%v/filter %s/tiles %v/workers %d/%s/planned %t/%s/limit %s",
 		theDatasets[c.ds].name, predicates[c.pred].name, engines[c.engine], filters[c.filter], drivers[c.driver],
-		workers[c.workers], deliveries[c.delivery], plans[c.plan], stores[c.store], limit)
+		workers[c.workers], deliveries[c.delivery], plans[c.plan], stores[c.store].name, limit)
 }
 
 // reference is the cell's answer cell, or its reference execution on
@@ -113,11 +124,9 @@ type harness struct {
 	runs    map[cell]outcome
 }
 
-// relKey names one side (0 is R, 1 is S) of a dataset at a tile count.
-type relKey struct {
-	ds, filter, side, tiles int
-	reopened                bool
-}
+// relKey names one side (0 is R, 1 is S) of a dataset at a tile count
+// and store value.
+type relKey struct{ ds, filter, side, tiles, store int }
 
 var h = &harness{answers: map[[2]int][]multistep.Pair{}, rels: map[relKey]*shard.Sharded{}, runs: map[cell]outcome{}}
 
@@ -140,10 +149,11 @@ func (h *harness) answer(ds, pred int) []multistep.Pair {
 	return h.answers[k]
 }
 
-// rel builds (once) one side of a dataset, saved and reopened if asked:
-// the facade's relation of that many tiles, or at 0 tiles one solo
-// relation in a tile of its own (shard.FromRelation), so its tile's IDs
-// are the dataset's. A self-join's sides are one relation.
+// rel builds (once) one side of a dataset under its store's build engine,
+// saved and reopened if asked: the facade's relation of that many tiles,
+// or at 0 tiles one solo relation in a tile of its own
+// (shard.FromRelation), so its tile's IDs are the dataset's. A
+// self-join's sides are one relation.
 func (h *harness) rel(t testing.TB, k relKey) *shard.Sharded {
 	d := theDatasets[k.ds]
 	if d.self {
@@ -153,6 +163,7 @@ func (h *harness) rel(t testing.TB, k relKey) *shard.Sharded {
 		return rel
 	}
 	polys, name, cfg := d.r, "R", buildConfig(k.filter)
+	cfg.Engine = stores[k.store].build
 	if k.side == 1 {
 		polys, name = d.s, "S"
 	}
@@ -163,8 +174,8 @@ func (h *harness) rel(t testing.TB, k relKey) *shard.Sharded {
 			t.Fatalf("%d objects in %d tiles: %d tiles, %d objects", len(polys), k.tiles, rel.Shards(), rel.Objects())
 		}
 	}
-	if k.reopened {
-		dir := filepath.Join(h.dir, fmt.Sprintf("%d-%d-%s-%d", k.ds, k.filter, name, k.tiles))
+	if stores[k.store].reopened {
+		dir := filepath.Join(h.dir, fmt.Sprintf("%d-%d-%s-%d-%d", k.ds, k.filter, name, k.tiles, k.store))
 		err := spatialjoin.SaveRelation(dir, rel)
 		if err == nil {
 			rel, err = spatialjoin.OpenRelation(dir, cfg)
@@ -180,7 +191,7 @@ func (h *harness) rel(t testing.TB, k relKey) *shard.Sharded {
 // pair returns a cell's relations.
 func (h *harness) pair(t testing.TB, c cell) (r, s *shard.Sharded) {
 	tiles := drivers[c.driver]
-	return h.rel(t, relKey{c.ds, c.filter, 0, tiles[0], stores[c.store]}), h.rel(t, relKey{c.ds, c.filter, 1, tiles[1], stores[c.store]})
+	return h.rel(t, relKey{c.ds, c.filter, 0, tiles[0], c.store}), h.rel(t, relKey{c.ds, c.filter, 1, tiles[1], c.store})
 }
 
 // outcome is what one execution of a cell returned.

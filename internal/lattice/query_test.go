@@ -110,12 +110,12 @@ type queryResult struct {
 
 // query runs a target on the R side of a dataset; a solo query gets a
 // fresh session.
-func (h *harness) query(t testing.TB, ds, filter, driver int, planned, reopened bool, tg target) (queryResult, error) {
+func (h *harness) query(t testing.TB, ds, filter, driver int, planned bool, store int, tg target) (queryResult, error) {
 	opts := slices.Clone(tg.opts)
 	if planned {
 		opts = append(opts, multistep.WithPlan())
 	}
-	r := h.rel(t, relKey{ds, filter, 0, drivers[driver][0], reopened})
+	r := h.rel(t, relKey{ds, filter, 0, drivers[driver][0], store})
 	if driver == 0 {
 		rel := r.Tiles[0].Rel
 		res, err := multistep.Query(context.Background(), rel, append(opts, multistep.WithSession(rel.NewSession()))...)
@@ -144,10 +144,12 @@ func TestQueriesMatchScans(t *testing.T) {
 				refs := map[int]queryResult{}
 				for driver := range drivers {
 					for _, planned := range plans {
-						for _, reopened := range stores {
-							name := fmt.Sprintf("%s/%s/filter %s/tiles %v/planned %t/reopened %t",
-								d.name, tg.name, filters[filter], drivers[driver], planned, reopened)
-							got, err := h.query(t, ds, filter, driver, planned, reopened, tg)
+						// A query reads no engine, so the plane-sweep build
+						// is left to the joins.
+						for store := range stores[:2] {
+							name := fmt.Sprintf("%s/%s/filter %s/tiles %v/planned %t/%s",
+								d.name, tg.name, filters[filter], drivers[driver], planned, stores[store].name)
+							got, err := h.query(t, ds, filter, driver, planned, store, tg)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}

@@ -33,7 +33,7 @@ func TestConcurrentReplay(t *testing.T) {
 		for _, tg := range targets(d.r) {
 			for _, driver := range []int{0, 3} {
 				names = append(names, fmt.Sprintf("%s/%s/tiles %v", d.name, tg.name, drivers[driver]))
-				jobs = append(jobs, func() (any, error) { return h.query(t, ds, 1, driver, false, ds%2 == 1, tg) })
+				jobs = append(jobs, func() (any, error) { return h.query(t, ds, 1, driver, false, ds%2, tg) })
 			}
 		}
 	}

@@ -130,13 +130,13 @@ func TestFlightCalibration(t *testing.T) {
 	// Re-fetch after calibration: cardinalities must be stable, and a
 	// deliberately wrong expectation must be caught.
 	for _, q := range f.Queries {
-		if _, err := Fetch(ctx, ts.Client(), ts.URL, q); err != nil {
+		if _, err := fetch(ctx, ts.Client(), ts.URL, q); err != nil {
 			t.Errorf("%s: post-calibration fetch: %v", q.Name, err)
 		}
 	}
 	bad := *byName["window_low"]
 	bad.Expected++
-	if _, err := Fetch(ctx, ts.Client(), ts.URL, &bad); err == nil {
+	if _, err := fetch(ctx, ts.Client(), ts.URL, &bad); err == nil {
 		t.Error("cardinality mismatch went undetected")
 	}
 }

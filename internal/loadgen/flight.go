@@ -131,7 +131,7 @@ func intSqrt(n int) int {
 // the flight's smoke test: any non-200 response fails calibration.
 func (f *Flight) Calibrate(ctx context.Context, client *http.Client, base string) error {
 	for _, q := range f.Queries {
-		card, err := Fetch(ctx, client, base, q)
+		card, err := fetch(ctx, client, base, q)
 		if err != nil {
 			return fmt.Errorf("loadgen: calibrate %s: %w", q.Name, err)
 		}
@@ -166,11 +166,11 @@ type errorSliver struct {
 	Error string `json:"error"`
 }
 
-// Fetch issues q against base and returns the response cardinality.
+// fetch issues q against base and returns the response cardinality.
 // Anything but a well-formed, non-degraded 200 is an error: a shed (429),
 // a server-side timeout (504) and a degraded partial answer included. So
 // is, once q is calibrated, a cardinality other than the calibrated one.
-func Fetch(ctx context.Context, client *http.Client, base string, q *Query) (int64, error) {
+func fetch(ctx context.Context, client *http.Client, base string, q *Query) (int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+q.Path, nil)
 	if err != nil {
 		return 0, err
@@ -257,7 +257,7 @@ func (f *Flight) Check(ctx context.Context, client *http.Client, base string, wo
 			defer wg.Done()
 			for i := range checkPasses * len(f.Queries) {
 				q := f.Queries[(w+i)%len(f.Queries)]
-				if _, err := Fetch(ctx, client, base, q); err != nil {
+				if _, err := fetch(ctx, client, base, q); err != nil {
 					fail(fmt.Errorf("loadgen: check %s: %w", q.Name, err))
 					return
 				}

@@ -33,51 +33,6 @@ func storeBlob(t testing.TB, rel *Relation, cfg Config) []byte {
 	return blob
 }
 
-// TestRelationStoreRoundTripEquivalence is the acceptance criterion of
-// the pluggable-store refactor: a reopened relation joins with the
-// identical response set AND identical Stats — including the buffer
-// hit/miss counts of the counting store — as the relation it was saved
-// from, across all three exact engines.
-func TestRelationStoreRoundTripEquivalence(t *testing.T) {
-	for _, engine := range []Engine{EngineQuadratic, EnginePlaneSweep, EngineTRStar} {
-		t.Run(engine.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Engine = engine
-			r, s := buildPair(cfg)
-
-			// Save before joining: the store captures the
-			// post-construction buffer state that the in-memory join
-			// starts from.
-			rBlob, sBlob := storeBlob(t, r, cfg), storeBlob(t, s, cfg)
-
-			wantPairs, wantStats := testJoin(t, r, s, cfg)
-
-			r2, err := decodeRelation(rBlob, cfg)
-			if err != nil {
-				t.Fatalf("decode R: %v", err)
-			}
-			s2, err := decodeRelation(sBlob, cfg)
-			if err != nil {
-				t.Fatalf("decode S: %v", err)
-			}
-			if r2.Name != "R" || s2.Name != "S" {
-				t.Errorf("names %q, %q after reopen", r2.Name, s2.Name)
-			}
-			gotPairs, gotStats := testJoin(t, r2, s2, cfg)
-
-			if !reflect.DeepEqual(gotPairs, wantPairs) {
-				t.Errorf("response set differs after reopen: %d pairs, want %d", len(gotPairs), len(wantPairs))
-			}
-			if gotStats != wantStats {
-				t.Errorf("stats differ after reopen:\n got %+v\nwant %+v", gotStats, wantStats)
-			}
-			if len(wantPairs) == 0 {
-				t.Fatal("degenerate test: empty response set")
-			}
-		})
-	}
-}
-
 // TestRelationStoreFileRoundTrip exercises the file path:
 // SaveRelationFile writes the store file and OpenRelationFile reads it
 // back.

@@ -15,49 +15,6 @@ func clearBuffers(r, s *Relation) {
 	s.Tree.Buffer().Clear()
 }
 
-// TestJoinStreamEquivalence is the streaming pipeline's correctness
-// theorem: for every exact engine and every worker count, a streamed Join
-// (and a collected multi-worker one) produces exactly the one-worker
-// Join's response set and statistics — candidate counts, filter
-// decisions, exact tests, object fetches, operation counters and page
-// accesses alike.
-func TestJoinStreamEquivalence(t *testing.T) {
-	rp, sp := smallSeries(t)
-	for _, engine := range []Engine{EngineQuadratic, EnginePlaneSweep, EngineTRStar} {
-		cfg := DefaultConfig()
-		cfg.Engine = engine
-		r := NewRelation("R", rp, cfg)
-		s := NewRelation("S", sp, cfg)
-		name := engine.String()
-
-		clearBuffers(r, s)
-		want, wantSt := testJoin(t, r, s, cfg)
-		if len(want) == 0 {
-			t.Fatalf("%s: join produced nothing; test is vacuous", name)
-		}
-
-		for _, workers := range []int{1, 2, 4, 0} {
-			clearBuffers(r, s)
-			var got []Pair
-			st := testJoinStream(t, r, s, cfg,
-				func(p Pair) { got = append(got, p) }, WithWorkers(workers))
-			assertSameResponse(t, name, got, want)
-			if st != wantSt {
-				t.Errorf("%s workers=%d: stats diverge:\n got %+v\nwant %+v",
-					name, workers, st, wantSt)
-			}
-		}
-
-		clearBuffers(r, s)
-		got, st := testJoinWorkers(t, r, s, cfg, 4)
-		assertSameResponse(t, name+"/workers=4 collected", got, want)
-		if st != wantSt {
-			t.Errorf("%s: collected 4-worker stats diverge:\n got %+v\nwant %+v",
-				name, st, wantSt)
-		}
-	}
-}
-
 // TestJoinAllocsBounded guards the join's scratch: a warmed, collected
 // join allocates its response slice and a constant — its context, its
 // per-worker shares and fetch sets, its closures and step 1's own
@@ -119,23 +76,5 @@ func TestJoinStreamNilEmit(t *testing.T) {
 	}
 	if st.ResultPairs != int64(len(want)) {
 		t.Errorf("nil emit: ResultPairs = %d, want %d", st.ResultPairs, len(want))
-	}
-}
-
-// TestJoinStreamRepeatable runs the same streaming join twice from the
-// same buffer state and demands identical statistics — the deterministic
-// merge must hide the scheduling.
-func TestJoinStreamRepeatable(t *testing.T) {
-	rp, sp := smallSeries(t)
-	cfg := DefaultConfig()
-	r := NewRelation("R", rp, cfg)
-	s := NewRelation("S", sp, cfg)
-
-	clearBuffers(r, s)
-	first := testJoinStream(t, r, s, cfg, nil, WithWorkers(4))
-	clearBuffers(r, s)
-	second := testJoinStream(t, r, s, cfg, nil, WithWorkers(4))
-	if first != second {
-		t.Errorf("streaming join not repeatable:\n first %+v\nsecond %+v", first, second)
 	}
 }

@@ -111,42 +111,6 @@ func TestWithinZeroEqualsIntersects(t *testing.T) {
 	}
 }
 
-// TestWithinStreamingEquivalence proves the streaming emission of the
-// ε-join equals the collected response set with identical statistics,
-// across worker counts — the new predicate rides the same pipeline
-// guarantees as the intersection join.
-func TestWithinStreamingEquivalence(t *testing.T) {
-	rp, sp := withinSeries(t)
-	const eps = 0.02
-	cfg := DefaultConfig()
-	r := NewRelation("R", rp, cfg)
-	s := NewRelation("S", sp, cfg)
-
-	clearBuffers(r, s)
-	want, wantSt, err := Join(context.Background(), r, s,
-		WithPredicate(WithinDistance(eps)), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("ε-join produced nothing; test is vacuous")
-	}
-	for _, workers := range []int{1, 2, 4, 0} {
-		clearBuffers(r, s)
-		var got []Pair
-		_, st, err := Join(context.Background(), r, s,
-			WithPredicate(WithinDistance(eps)), WithWorkers(workers),
-			WithStream(func(p Pair) { got = append(got, p) }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResponse(t, "stream", got, want)
-		if st != wantSt {
-			t.Errorf("workers=%d: streamed ε-join stats diverge:\n got %+v\nwant %+v", workers, st, wantSt)
-		}
-	}
-}
-
 // TestWithinFilterSoundness checks the distance filter classifications
 // directly against exact distances: a FalseHit must have distance > ε, a
 // Hit must have distance ≤ ε.

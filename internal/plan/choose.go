@@ -112,7 +112,7 @@ func Choose(r, s *Stats, w Weights, req Request) Choice {
 		c.Workers = req.Workers[0]
 	}
 
-	c.PredCandidates = EstimateCandidates(r, s, req.Pred, req.Eps, w)
+	c.PredCandidates = estimateCandidates(r, s, req.Pred, req.Eps, w)
 	c.PredResults = c.PredCandidates * w.HitFracPrior[req.Pred]
 	c.PredExactTested = c.PredCandidates
 	if c.UseFilter {

@@ -72,7 +72,7 @@ func ComputeStats(n int, rect func(int) geom.Rect, verts func(int) int) *Stats {
 	s := &Stats{Objects: int64(n), Grid: make([]float64, GridDim*GridDim)}
 	if n == 0 {
 		// An empty relation has no data space: keep the zero Rect rather
-		// than the ±Inf EmptyRect() sentinel (EstimateCandidates returns 0
+		// than the ±Inf EmptyRect() sentinel (estimateCandidates returns 0
 		// for it before reading the MBR).
 		return s
 	}
@@ -115,14 +115,14 @@ func cellCoord(lo, hi, v float64) int {
 	return c
 }
 
-// EstimateCandidates predicts the step 1 candidate count of the MBR join
+// estimateCandidates predicts the step 1 candidate count of the MBR join
 // of two relations under the given predicate: the histogram-overlap
 // selectivity over the two center histograms, with the mean-extent
 // Minkowski threshold (two MBRs intersect iff their centers are within
 // (wa+wb)/2 + ε per axis). The inclusion predicate's MBR-nesting
 // pretest is modelled as a constant nesting prior on top of the
 // intersection estimate.
-func EstimateCandidates(r, s *Stats, p Pred, eps float64, w Weights) float64 {
+func estimateCandidates(r, s *Stats, p Pred, eps float64, w Weights) float64 {
 	if r == nil || s == nil || r.Objects == 0 || s.Objects == 0 {
 		return 0
 	}

@@ -60,18 +60,18 @@ func uniformStats(n int, seed int64, w, h float64) *Stats {
 func TestEstimateCandidatesUniform(t *testing.T) {
 	r := uniformStats(500, 1, 0.02, 0.02)
 	s := uniformStats(400, 2, 0.02, 0.02)
-	got := EstimateCandidates(r, s, PredIntersects, 0, DefaultWeights())
+	got := estimateCandidates(r, s, PredIntersects, 0, DefaultWeights())
 	want := 500.0 * 400.0 * 0.04 * 0.04 // ≈ 320
 	if got < want/2 || got > want*2 {
 		t.Fatalf("uniform estimate = %.1f, closed form ≈ %.1f (want within 2×)", got, want)
 	}
 	// Within-distance must predict strictly more candidates.
-	within := EstimateCandidates(r, s, PredWithin, 0.05, DefaultWeights())
+	within := estimateCandidates(r, s, PredWithin, 0.05, DefaultWeights())
 	if within <= got {
 		t.Fatalf("within(ε=0.05) estimate %.1f not greater than intersects estimate %.1f", within, got)
 	}
 	// Contains candidates pass the nesting pretest: far fewer.
-	contains := EstimateCandidates(r, s, PredContains, 0, DefaultWeights())
+	contains := estimateCandidates(r, s, PredContains, 0, DefaultWeights())
 	if contains >= got {
 		t.Fatalf("contains estimate %.1f not below intersects estimate %.1f", contains, got)
 	}
@@ -89,7 +89,7 @@ func TestEstimateCandidatesSkew(t *testing.T) {
 	}
 	skew := ComputeStats(500, func(i int) geom.Rect { return rects[i] }, func(int) int { return 10 })
 	w := DefaultWeights()
-	if eu, es := EstimateCandidates(uni, uni, PredIntersects, 0, w), EstimateCandidates(skew, skew, PredIntersects, 0, w); es <= eu {
+	if eu, es := estimateCandidates(uni, uni, PredIntersects, 0, w), estimateCandidates(skew, skew, PredIntersects, 0, w); es <= eu {
 		t.Fatalf("skewed self-join estimate %.1f not above uniform %.1f", es, eu)
 	}
 }
@@ -195,8 +195,8 @@ func TestChoosePredictions(t *testing.T) {
 	w := DefaultWeights()
 	on := Choose(r, r, w, Request{Pred: PredIntersects})
 	off := Choose(r, r, w, Request{Pred: PredIntersects, Filters: []bool{false}})
-	if on.PredCandidates <= 0 || on.PredCandidates != EstimateCandidates(r, r, PredIntersects, 0, w) {
-		t.Fatalf("predicted candidates %v, estimator says %v", on.PredCandidates, EstimateCandidates(r, r, PredIntersects, 0, w))
+	if on.PredCandidates <= 0 || on.PredCandidates != estimateCandidates(r, r, PredIntersects, 0, w) {
+		t.Fatalf("predicted candidates %v, estimator says %v", on.PredCandidates, estimateCandidates(r, r, PredIntersects, 0, w))
 	}
 	if off.PredExactTested != off.PredCandidates || on.PredExactTested != on.PredCandidates*(1-w.IdentPrior[PredIntersects]) {
 		t.Fatalf("predicted exact tests %v with the filter, %v without, of %v candidates",

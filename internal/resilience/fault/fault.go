@@ -73,9 +73,9 @@ var ErrInjected = errors.New("fault: injected error")
 // IsInjected reports whether err originates from a fired injection.
 func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
 
-// Sites returns the registered site names, sorted — the fault-site
+// sites returns the registered site names, sorted — the fault-site
 // registry DESIGN.md documents.
-func Sites() []string {
+func sites() []string {
 	out := make([]string, 0, len(siteRegistry))
 	for s := range siteRegistry {
 		out = append(out, s)
@@ -140,7 +140,7 @@ func parseInjection(part string) (*injection, error) {
 		return nil, fmt.Errorf("fault: %q: want site:kind[=param][@every]", part)
 	}
 	if !siteRegistry[site] {
-		return nil, fmt.Errorf("fault: unknown site %q (sites: %s)", site, strings.Join(Sites(), ", "))
+		return nil, fmt.Errorf("fault: unknown site %q (sites: %s)", site, strings.Join(sites(), ", "))
 	}
 	rest, everyStr, hasEvery := strings.Cut(rest, "@")
 	kindStr, param, hasParam := strings.Cut(rest, "=")

@@ -17,7 +17,7 @@ func arm(t *testing.T, spec string) {
 
 func TestDisarmedCheckIsNil(t *testing.T) {
 	Disarm()
-	for _, site := range Sites() {
+	for _, site := range sites() {
 		if err := Check(site); err != nil {
 			t.Fatalf("disarmed Check(%q) = %v, want nil", site, err)
 		}
@@ -30,10 +30,10 @@ func TestDisarmedCheckIsNil(t *testing.T) {
 // TestEverySiteAcceptsEveryKind pins the registry: three sites, and no
 // kind is restricted to some of them.
 func TestEverySiteAcceptsEveryKind(t *testing.T) {
-	if got := strings.Join(Sites(), ","); got != "exact,tile-join,tile-query" {
-		t.Fatalf("Sites() = %s", got)
+	if got := strings.Join(sites(), ","); got != "exact,tile-join,tile-query" {
+		t.Fatalf("sites() = %s", got)
 	}
-	for _, site := range Sites() {
+	for _, site := range sites() {
 		for _, kind := range []string{"latency", "error", "panic"} {
 			arm(t, site+":"+kind)
 		}

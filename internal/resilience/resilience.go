@@ -41,15 +41,15 @@ var (
 	incidentBoot = time.Now().UnixNano() & 0xffffffff
 )
 
-// NewIncidentID returns a fresh process-unique incident ID.
-func NewIncidentID() string {
+// newIncidentID returns a fresh process-unique incident ID.
+func newIncidentID() string {
 	return fmt.Sprintf("%08x-%06d", incidentBoot, incidentSeq.Add(1))
 }
 
 // Recovered wraps a recovered panic value as a PanicError with a fresh
 // incident ID and the current stack.
 func Recovered(site string, v any) *PanicError {
-	return &PanicError{Incident: NewIncidentID(), Site: site, Value: v, Stack: debug.Stack()}
+	return &PanicError{Incident: newIncidentID(), Site: site, Value: v, Stack: debug.Stack()}
 }
 
 // RecoverTo is the sub-task recovery boundary, used as

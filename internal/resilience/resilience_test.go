@@ -53,7 +53,7 @@ func TestAsPanicUnwraps(t *testing.T) {
 func TestIncidentIDsUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 100; i++ {
-		id := NewIncidentID()
+		id := newIncidentID()
 		if seen[id] {
 			t.Fatalf("duplicate incident ID %s", id)
 		}

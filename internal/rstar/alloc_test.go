@@ -15,7 +15,7 @@ import (
 func buildAllocTrees(t *testing.T, n int) (*Tree, *Tree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.BufferBytes = 64 << 20 // every page stays resident
 	t1, t2 := New(cfg), New(cfg)
 	for i := 0; i < n; i++ {

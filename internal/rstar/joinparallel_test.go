@@ -12,8 +12,8 @@ import (
 
 // joinTrees builds two deterministic trees whose item sets overlap.
 func joinTrees(n int) (*Tree, *Tree) {
-	t1 := New(DefaultConfig())
-	t2 := New(DefaultConfig())
+	t1 := New(paperConfig())
+	t2 := New(paperConfig())
 	for i := 0; i < n; i++ {
 		x := float64(i%97) / 97
 		y := float64((i*31)%89) / 89

@@ -13,7 +13,7 @@ import (
 
 func TestNearestNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
-	tree, items := buildTree(t, rng, 2000, DefaultConfig())
+	tree, items := buildTree(t, rng, 2000, paperConfig())
 	for trial := 0; trial < 50; trial++ {
 		p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		k := 1 + rng.Intn(10)
@@ -40,7 +40,7 @@ func TestNearestNeighbors(t *testing.T) {
 	if got := tree.NearestNeighborsAccess(tree.Buffer(), geom.Point{}, 0); got != nil {
 		t.Error("k=0 must return nil")
 	}
-	empty := New(DefaultConfig())
+	empty := New(paperConfig())
 	if got := empty.NearestNeighborsAccess(empty.Buffer(), geom.Point{}, 3); got != nil {
 		t.Error("empty tree must return nil")
 	}
@@ -146,7 +146,7 @@ func bulkNearest(t *Tree, ax storage.Accessor, p geom.Point, k int) []Item {
 // one.
 func TestNearestRankMatchesBulkSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(433))
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.PageSize = 1024
 	cfg.BufferBytes = 4096
 	tree, items := buildTree(t, rng, 1500, cfg)

@@ -49,12 +49,6 @@ type Config struct {
 	BufferPolicy storage.Policy
 }
 
-// DefaultConfig mirrors the section 5 setup: 4 KB pages, MBR-only entries,
-// 128 KB buffer.
-func DefaultConfig() Config {
-	return Config{PageSize: 4096, LeafEntryBytes: 48, BufferBytes: 128 << 10}
-}
-
 const (
 	pageHeaderBytes    = 16 // level, count, ...
 	internalEntryBytes = 20 // MBR (16 B) + child pointer (4 B)

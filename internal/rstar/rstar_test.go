@@ -7,6 +7,12 @@ import (
 	"spatialjoin/internal/geom"
 )
 
+// paperConfig is the section 5 setup: 4 KB pages, MBR-only entries and a
+// 128 KB buffer.
+func paperConfig() Config {
+	return Config{PageSize: 4096, LeafEntryBytes: 48, BufferBytes: 128 << 10}
+}
+
 func randRect(rng *rand.Rand, space, maxExt float64) geom.Rect {
 	x := rng.Float64() * space
 	y := rng.Float64() * space
@@ -30,7 +36,7 @@ func buildTree(t *testing.T, rng *rand.Rand, n int, cfg Config) (*Tree, []Item) 
 func TestInsertAndValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	for _, pageSize := range []int{2048, 4096} {
-		cfg := DefaultConfig()
+		cfg := paperConfig()
 		cfg.PageSize = pageSize
 		tree, _ := buildTree(t, rng, 2000, cfg)
 		if tree.Size() != 2000 {
@@ -57,7 +63,7 @@ func TestLeafCapacityReflectsEntrySize(t *testing.T) {
 
 func TestWindowQueryAgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(157))
-	tree, items := buildTree(t, rng, 3000, DefaultConfig())
+	tree, items := buildTree(t, rng, 3000, paperConfig())
 	for trial := 0; trial < 50; trial++ {
 		w := randRect(rng, 100, 15)
 		got := map[int32]bool{}
@@ -81,7 +87,7 @@ func TestWindowQueryAgainstScan(t *testing.T) {
 
 func TestPointQueryAgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(163))
-	tree, items := buildTree(t, rng, 2000, DefaultConfig())
+	tree, items := buildTree(t, rng, 2000, paperConfig())
 	for trial := 0; trial < 100; trial++ {
 		p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		got := 0
@@ -100,7 +106,7 @@ func TestPointQueryAgainstScan(t *testing.T) {
 
 func TestAllVisitsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(167))
-	tree, items := buildTree(t, rng, 500, DefaultConfig())
+	tree, items := buildTree(t, rng, 500, paperConfig())
 	seen := map[int32]bool{}
 	everything := geom.Rect{MinX: -1e300, MinY: -1e300, MaxX: 1e300, MaxY: 1e300}
 	tree.WindowQueryAccess(tree.Buffer(), everything, func(it Item) { seen[it.ID] = true })
@@ -111,7 +117,7 @@ func TestAllVisitsEverything(t *testing.T) {
 
 func TestJoinAgainstNestedLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	t1, items1 := buildTree(t, rng, 800, cfg)
 	t2, items2 := buildTree(t, rng, 700, cfg)
 	// The second round inserts into a tree the first join ordered: the
@@ -162,7 +168,7 @@ func TestJoinAgainstNestedLoops(t *testing.T) {
 }
 
 func TestJoinEmptyTrees(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	empty := New(cfg)
 	rng := rand.New(rand.NewSource(179))
 	full, _ := buildTree(t, rng, 100, cfg)
@@ -176,7 +182,7 @@ func TestJoinEmptyTrees(t *testing.T) {
 
 func TestJoinDifferentHeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(181))
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	big, items1 := buildTree(t, rng, 4000, cfg)
 	small, items2 := buildTree(t, rng, 30, cfg)
 	if big.Height() == small.Height() {
@@ -199,7 +205,7 @@ func TestJoinDifferentHeights(t *testing.T) {
 
 func TestBufferCountsPageAccesses(t *testing.T) {
 	rng := rand.New(rand.NewSource(191))
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.BufferBytes = 32 * cfg.PageSize
 	tree, _ := buildTree(t, rng, 5000, cfg)
 	tree.Buffer().ResetCounters()
@@ -250,13 +256,13 @@ func TestSmallerPagesMoreAccesses(t *testing.T) {
 func TestPageBreakdownCountsLivePages(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 
-	small := New(DefaultConfig())
+	small := New(paperConfig())
 	small.Insert(Item{Rect: randRect(rng, 100, 3), ID: 0})
 	if l, d := small.PageBreakdown(); l != 1 || d != 0 {
 		t.Fatalf("single-page tree reported %d leaves, %d directories", l, d)
 	}
 
-	tree, items := buildTree(t, rng, 3000, DefaultConfig())
+	tree, items := buildTree(t, rng, 3000, paperConfig())
 	leaves, dirs := tree.PageBreakdown()
 	if leaves < 2 || dirs < 1 {
 		t.Fatalf("3000 items must spread over several pages, got %d leaves, %d directories", leaves, dirs)

@@ -32,7 +32,7 @@ func insertAll(cfg Config, items []Item) *Tree {
 }
 
 func TestTreeSerializeRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	// "full" is one leaf filled exactly to capacity: the page slot holds
 	// the largest node the configuration admits.
 	leafCap := New(cfg).leafCap
@@ -89,7 +89,7 @@ func TestTreeSerializeRoundTrip(t *testing.T) {
 }
 
 func TestTreeSerializeJoinEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	t1 := insertAll(cfg, randomItems(400, 5))
 	t2 := insertAll(cfg, randomItems(400, 6))
 	b1, err := t1.MarshalBinary()
@@ -126,7 +126,7 @@ func TestTreeSerializeJoinEquivalence(t *testing.T) {
 }
 
 func TestTreeSerializeInsertAfterReopen(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	tr := insertAll(cfg, randomItems(200, 9))
 	blob, err := tr.MarshalBinary()
 	if err != nil {
@@ -151,7 +151,7 @@ func TestTreeSerializeInsertAfterReopen(t *testing.T) {
 }
 
 func TestTreeSerializeCorruptInputs(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	tr := insertAll(cfg, randomItems(150, 3))
 	blob, err := tr.MarshalBinary()
 	if err != nil {

@@ -9,7 +9,7 @@ import "testing"
 // table, one snapshot slice and one slice of frame nodes.
 func TestBufferAllocationGuards(t *testing.T) {
 	for _, policy := range []Policy{LRU, Clock} {
-		b := NewBufferFrames(8, policy)
+		b := newBufferFrames(8, policy)
 		next := PageID(0)
 		for ; next < 64; next++ {
 			b.Access(next) // fill, then evict: the spare exists
@@ -26,7 +26,7 @@ func TestBufferAllocationGuards(t *testing.T) {
 
 	const sessionBudget = 8
 	for _, frames := range []int{8, 32, 256} {
-		store := NewBufferFrames(frames, LRU)
+		store := newBufferFrames(frames, LRU)
 		for id := range PageID(frames) {
 			store.Access(id)
 		}

@@ -36,7 +36,7 @@ var _ Accessor = (*Session)(nil)
 // concurrently mutating buf in shared mode (sessions themselves never
 // mutate it).
 func NewSession(buf *BufferManager) *Session {
-	sim := NewBufferFrames(buf.Frames(), buf.Policy())
+	sim := newBufferFrames(buf.Frames(), buf.Policy())
 	sim.Restore(buf.State())
 	return &Session{sim: sim}
 }

@@ -17,7 +17,7 @@ func accessPattern(n int) []PageID {
 
 func TestSessionCountersMatchSharedReplay(t *testing.T) {
 	for _, policy := range []Policy{LRU, FIFO, Clock} {
-		store := NewBufferFrames(4, policy)
+		store := newBufferFrames(4, policy)
 		// Warm the store so sessions snapshot a non-empty state.
 		for _, id := range accessPattern(20) {
 			store.Access(id)
@@ -26,7 +26,7 @@ func TestSessionCountersMatchSharedReplay(t *testing.T) {
 		seq := accessPattern(50)
 
 		// Reference: a shared-mode replay from the warmed state.
-		ref := NewBufferFrames(4, policy)
+		ref := newBufferFrames(4, policy)
 		ref.Restore(warm)
 		for _, id := range seq {
 			ref.Access(id)
@@ -63,7 +63,7 @@ func bufferStatesEqual(a, b BufferState) bool {
 }
 
 func TestSessionsAreIsolated(t *testing.T) {
-	store := NewBufferFrames(3, LRU)
+	store := newBufferFrames(3, LRU)
 	seqA := accessPattern(40)
 	seqB := make([]PageID, len(seqA))
 	for i, id := range seqA {
@@ -92,7 +92,7 @@ func TestSessionsAreIsolated(t *testing.T) {
 }
 
 func TestSessionResetCounters(t *testing.T) {
-	store := NewBufferFrames(2, LRU)
+	store := newBufferFrames(2, LRU)
 	sess := NewSession(store)
 	sess.Access(1)
 	sess.Access(1)
@@ -110,7 +110,7 @@ func TestSessionResetCounters(t *testing.T) {
 // once (under -race in CI): each must report the solo session's
 // counters, and none may touch the shared buffer's counters or contents.
 func TestSessionsConcurrent(t *testing.T) {
-	store := NewBufferFrames(4, LRU)
+	store := newBufferFrames(4, LRU)
 	for _, id := range accessPattern(20) {
 		store.Access(id)
 	}

@@ -20,9 +20,6 @@ import (
 // PageID identifies one page of the store.
 type PageID int32
 
-// InvalidPage is the zero value no allocated page ever gets.
-const InvalidPage PageID = -1
-
 // Accessor is the page-access face of one query: every node visit of a
 // tree traversal is routed through an Accessor, which decides hit or
 // miss and counts both. A BufferManager is itself an Accessor — the
@@ -112,21 +109,15 @@ type frameNode struct {
 	referenced bool // Clock policy second-chance bit
 }
 
-// NewBufferManager sizes an LRU buffer holding bufferBytes worth of pages
-// of pageSize bytes each (at least one frame).
-func NewBufferManager(bufferBytes, pageSize int) *BufferManager {
-	return NewBufferManagerPolicy(bufferBytes, pageSize, LRU)
-}
-
 // NewBufferManagerPolicy sizes a buffer with an explicit replacement
 // policy.
 func NewBufferManagerPolicy(bufferBytes, pageSize int, policy Policy) *BufferManager {
-	return NewBufferFrames(bufferBytes/pageSize, policy)
+	return newBufferFrames(bufferBytes/pageSize, policy)
 }
 
-// NewBufferFrames sizes a buffer by frame count directly (at least one
+// newBufferFrames sizes a buffer by frame count directly (at least one
 // frame).
-func NewBufferFrames(frames int, policy Policy) *BufferManager {
+func newBufferFrames(frames int, policy Policy) *BufferManager {
 	if frames < 1 {
 		frames = 1
 	}

@@ -3,7 +3,7 @@ package storage
 import "testing"
 
 func TestBufferBasics(t *testing.T) {
-	b := NewBufferManager(4096, 1024) // 4 frames
+	b := NewBufferManagerPolicy(4096, 1024, LRU) // 4 frames
 	if b.Frames() != 4 {
 		t.Fatalf("Frames = %d, want 4", b.Frames())
 	}
@@ -26,7 +26,7 @@ func TestBufferBasics(t *testing.T) {
 }
 
 func TestBufferEvictsLRU(t *testing.T) {
-	b := NewBufferManager(2048, 1024) // 2 frames
+	b := NewBufferManagerPolicy(2048, 1024, LRU) // 2 frames
 	b.Access(1)
 	b.Access(2)
 	b.Access(1) // 1 is now most recent
@@ -43,7 +43,7 @@ func TestBufferEvictsLRU(t *testing.T) {
 }
 
 func TestBufferSingleFrame(t *testing.T) {
-	b := NewBufferManager(100, 1024) // under one page: clamped to 1 frame
+	b := NewBufferManagerPolicy(100, 1024, LRU) // under one page: clamped to 1 frame
 	if b.Frames() != 1 {
 		t.Fatalf("Frames = %d, want 1", b.Frames())
 	}
@@ -56,7 +56,7 @@ func TestBufferSingleFrame(t *testing.T) {
 }
 
 func TestBufferClearAndReset(t *testing.T) {
-	b := NewBufferManager(4096, 1024)
+	b := NewBufferManagerPolicy(4096, 1024, LRU)
 	b.Access(1)
 	b.Access(1)
 	b.ResetCounters()
@@ -297,7 +297,7 @@ func TestRestoreDropsOverflowFrames(t *testing.T) {
 
 func TestBufferScanPattern(t *testing.T) {
 	// Sequential scan over more pages than frames: every access misses.
-	b := NewBufferManager(8192, 1024) // 8 frames
+	b := NewBufferManagerPolicy(8192, 1024, LRU) // 8 frames
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 16; i++ {
 			b.Access(PageID(i))

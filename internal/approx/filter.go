@@ -143,38 +143,89 @@ func (f FilterConfig) Classify(a, b *Set) Class {
 }
 
 // ClassifyWithin runs the geometric filter on one candidate pair of the
-// within-distance (ε-)join. The step order mirrors Classify:
+// within-distance (ε-)join. It tries the cheap hit proofs first, because
+// most candidates of an ε-join are hits:
 //
-//   - conservative approximations are supersets, so they are at most as
-//     far apart as the objects — conservative approximations more than
-//     eps apart prove a false hit;
 //   - progressive approximations are subsets, so they are at least as far
 //     apart as the objects — progressive approximations within eps prove
 //     a hit;
+//   - so are the witness vertices, points of the objects on their MBRs'
+//     sides — two witnesses, or a witness and the other object's MER,
+//     within eps prove a hit (witnessWithin);
+//   - conservative approximations are supersets, so they are at most as
+//     far apart as the objects — conservative approximations more than
+//     eps apart prove a false hit;
 //   - the false-area test proves the objects intersect, i.e. distance 0,
 //     which is a hit for every eps ≥ 0.
 //
-// Both tests decide "within eps" directly (squared gaps against eps²,
-// early exits in the convex kernel); no distance is computed. Unlike the
-// intersection filter, the MBR is a useful conservative kind here: step 1
-// prunes with the ε-expanded (per-axis) MBR test, while the Euclidean MBR
-// distance additionally rejects diagonal near-misses. With eps = 0 the
-// classification is equivalent to Classify wherever the within-eps
-// kernels and the boolean intersection tests agree (they do for every
-// polygonal kind; both are exact).
+// A proven hit is never a conservative false hit (a subset lies within
+// eps only if its superset does), so the order changes the work, not the
+// classes. The tests decide "within eps" directly (squared gaps against
+// eps², early exits in the convex kernel), each at roundingMargin from
+// eps; no distance is computed. Unlike the intersection filter, the MBR
+// is a useful conservative kind here: step 1 prunes with the ε-expanded
+// (per-axis) MBR test, while the Euclidean MBR distance additionally
+// rejects diagonal near-misses. With eps = 0 the witness test proves
+// nothing, and the classification is equivalent to Classify wherever the
+// within-eps kernels and the boolean intersection tests agree (they do
+// for every polygonal kind; both are exact).
 func (f FilterConfig) ClassifyWithin(a, b *Set, eps float64) Class {
-	if !conservativeWithin(f.Conservative, a, b, eps) {
-		return FalseHit
-	}
-	if progressiveWithin(f.Progressive, a, b, eps) {
+	if near := eps * (1 - roundingMargin); progressiveWithin(f.Progressive, a, b, near) || witnessWithin(a, b, near) {
 		return Hit
 	}
-	if f.UseFalseArea {
-		if FalseAreaHit(f.Conservative, a, b) {
-			return Hit
-		}
+	if !conservativeWithin(f.Conservative, a, b, eps*(1+roundingMargin)) {
+		return FalseHit
+	}
+	if f.UseFalseArea && FalseAreaHit(f.Conservative, a, b) {
+		return Hit
 	}
 	return Candidate
+}
+
+// roundingMargin bounds the relative rounding error of a distance the
+// filter computes in float64 (below 1e-15: a difference, a square and a
+// sum, each rounded once, plus the rounding of eps²). Each proof of the
+// ε-join filter keeps this margin from eps, so that rounding never
+// decides a pair at distance eps: progressive approximations and
+// witnesses prove a hit only within eps·(1 − roundingMargin), and
+// conservative approximations prove a false hit only beyond
+// eps·(1 + roundingMargin). A pair inside the margin stays open for
+// step 3.
+const roundingMargin = 1e-12
+
+// witnessWithin reports whether a witness vertex of one object lies
+// strictly within eps of a witness vertex or the MER of the other. Both
+// are points of the objects, so a positive answer proves a hit of the
+// ε-join; it is negative, proving nothing, for eps = 0 (the comparison is
+// strict) and for a set without witnesses.
+func witnessWithin(a, b *Set, eps float64) bool {
+	lim := eps * eps
+	if !a.hasWit || !b.hasWit || lim <= 0 {
+		return false
+	}
+	if b.MERA != nil && pointsNearRect(&a.wit, *b.MERA, lim) ||
+		a.MERA != nil && pointsNearRect(&b.wit, *a.MERA, lim) {
+		return true
+	}
+	for _, p := range a.wit {
+		for _, q := range b.wit {
+			if p.Dist2(q) < lim {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pointsNearRect reports whether one of the points lies closer to r than
+// squared distance lim; an empty r is infinitely far.
+func pointsNearRect(pts *[4]geom.Point, r geom.Rect, lim float64) bool {
+	for _, p := range pts {
+		if r.Dist2(geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}) < lim {
+			return true
+		}
+	}
+	return false
 }
 
 // conservativeWithin reports whether the conservative approximations of

@@ -85,8 +85,10 @@ func (s *Set) AppendBinary(buf []byte) ([]byte, error) {
 }
 
 // DecodeSet decodes one set from the front of data, returning the set
-// and the number of bytes consumed.
-func DecodeSet(data []byte) (*Set, int, error) {
+// and the number of bytes consumed. p is the object the set
+// approximates: its witness vertices are derived from it, as Compute
+// derives them, because the format does not store them.
+func DecodeSet(data []byte, p *geom.Polygon) (*Set, int, error) {
 	d := codec.New(data, fmt.Errorf("%w: truncated", ErrCorruptSet))
 	point := func() geom.Point { return geom.Point{X: d.F64(), Y: d.F64()} }
 	rect := func() geom.Rect {
@@ -137,6 +139,7 @@ func DecodeSet(data []byte) (*Set, int, error) {
 	if d.Err() != nil {
 		return nil, 0, d.Err()
 	}
+	s.deriveWitnesses(p)
 	return s, d.Pos(), nil
 }
 

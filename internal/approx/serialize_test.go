@@ -22,7 +22,7 @@ func TestSetSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("poly %d: %v", i, err)
 			}
-			got, n, err := DecodeSet(blob)
+			got, n, err := DecodeSet(blob, p)
 			if err != nil {
 				t.Fatalf("poly %d: %v", i, err)
 			}
@@ -50,11 +50,11 @@ func TestSetSerializeConcatenation(t *testing.T) {
 	if blob, err = b.AppendBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	gotA, n, err := DecodeSet(blob)
+	gotA, n, err := DecodeSet(blob, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, m, err := DecodeSet(blob[n:])
+	gotB, m, err := DecodeSet(blob[n:], p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,19 +73,19 @@ func TestSetSerializeCorruptInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(blob); n += 7 {
-		if _, _, err := DecodeSet(blob[:n]); !errors.Is(err, ErrCorruptSet) {
+		if _, _, err := DecodeSet(blob[:n], p); !errors.Is(err, ErrCorruptSet) {
 			t.Errorf("truncation to %d: err = %v, want ErrCorruptSet", n, err)
 		}
 	}
 	// Unknown kind bits must be rejected.
 	bad := append([]byte{}, blob...)
 	bad[1] |= 0x80 // bit 15: beyond MER
-	if _, _, err := DecodeSet(bad); !errors.Is(err, ErrCorruptSet) {
+	if _, _, err := DecodeSet(bad, p); !errors.Is(err, ErrCorruptSet) {
 		t.Errorf("unknown kind bit: err = %v, want ErrCorruptSet", err)
 	}
 	// A hull length pointing past the data must not over-allocate.
 	noMBR := []byte{0x00, 0x00} // flags without the MBR bit
-	if _, _, err := DecodeSet(noMBR); !errors.Is(err, ErrCorruptSet) {
+	if _, _, err := DecodeSet(noMBR, p); !errors.Is(err, ErrCorruptSet) {
 		t.Errorf("missing MBR bit: err = %v, want ErrCorruptSet", err)
 	}
 }
@@ -106,7 +106,7 @@ func FuzzDecodeSet(f *testing.F) {
 	ref := Compute(geom.NewPolygon([]geom.Point{{X: 1, Y: 1}, {X: 5, Y: 2}, {X: 3, Y: 6}}), AllOptions())
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		s, _, err := DecodeSet(blob)
+		s, _, err := DecodeSet(blob, p)
 		if err != nil {
 			return
 		}

@@ -40,6 +40,15 @@ type Set struct {
 
 	MECA *Circle    // maximum enclosed circle
 	MERA *geom.Rect // maximum enclosed rectangle
+
+	// wit holds the object's witness vertices: the outer ring's leftmost,
+	// rightmost, lowest and highest vertex. Each is a point of the object
+	// on one side of its MBR, so ClassifyWithin proves hits with them.
+	// They are derived from the polygon, never stored (a stored witness
+	// would have to be checked against the polygon to be trusted); hasWit
+	// is false in a Set assembled field by field.
+	wit    [4]geom.Point
+	hasWit bool
 }
 
 // Compute derives the requested approximations of p. This is the paper's
@@ -49,6 +58,7 @@ func Compute(p *geom.Polygon, opt Options) *Set {
 		ObjArea: p.Area(),
 		MBR:     p.Bounds(),
 	}
+	s.deriveWitnesses(p)
 	var hull geom.Ring
 	needHull := false
 	for _, k := range opt.Conservative {
@@ -93,6 +103,30 @@ func Compute(p *geom.Polygon, opt Options) *Set {
 		}
 	}
 	return s
+}
+
+// deriveWitnesses sets the witness vertices of p's outer ring; the
+// first of several vertices on a side is its witness.
+func (s *Set) deriveWitnesses(p *geom.Polygon) {
+	if len(p.Outer) == 0 {
+		return
+	}
+	w := [4]geom.Point{p.Outer[0], p.Outer[0], p.Outer[0], p.Outer[0]}
+	for _, v := range p.Outer[1:] {
+		if v.X < w[0].X {
+			w[0] = v
+		}
+		if v.X > w[1].X {
+			w[1] = v
+		}
+		if v.Y < w[2].Y {
+			w[2] = v
+		}
+		if v.Y > w[3].Y {
+			w[3] = v
+		}
+	}
+	s.wit, s.hasWit = w, true
 }
 
 func containsKind(ks []Kind, k Kind) bool {

@@ -2,10 +2,12 @@ package approx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"spatialjoin/internal/convex"
 	"spatialjoin/internal/data"
+	"spatialjoin/internal/geom"
 )
 
 // TestWithinKernelsDecideApproximationDistance checks the step 2 decision
@@ -79,6 +81,157 @@ func TestWithinKernelsDecideApproximationDistance(t *testing.T) {
 	if checked < 10000 {
 		t.Fatalf("only %d decisions checked", checked)
 	}
+}
+
+// withinFilters are the filter configurations the soundness checks run:
+// the recommended one, the MBR as the conservative kind, and circles with
+// the false-area test.
+var withinFilters = []FilterConfig{
+	RecommendedFilter(),
+	{Conservative: MBR, Progressive: MER},
+	{Conservative: C5, Progressive: MEC, UseFalseArea: true},
+}
+
+// witnessDist is the distance at which the witness test of a and b turns:
+// the least distance between a witness of one object and a witness or the
+// MER of the other.
+func witnessDist(a, b *Set) float64 {
+	d2 := math.Inf(1)
+	for _, p := range a.wit {
+		for _, q := range b.wit {
+			d2 = min(d2, p.Dist2(q))
+		}
+	}
+	for _, pr := range [][2]*Set{{a, b}, {b, a}} {
+		for _, p := range pr[0].wit {
+			d2 = min(d2, pr[1].MERA.Dist2(geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}))
+		}
+	}
+	return math.Sqrt(d2)
+}
+
+// checkWithinSound classifies the pair (pa, pb) under every filter of
+// withinFilters with eps swept across the objects' distance d and the
+// witness test's turning distance w — 0, and x·(1 − 1e-9), x and
+// x·(1 + 1e-9) for x in {d, w} — and fails unless every Hit lies within
+// eps and every FalseHit beyond it. It returns the number of hits only
+// the witness test proved.
+func checkWithinSound(t testing.TB, pa, pb *geom.Polygon) (witnessHits int) {
+	a, b := Compute(pa, AllOptions()), Compute(pb, AllOptions())
+	d := pa.DistToPolygon(pb)
+	epss := []float64{0}
+	for _, x := range []float64{d, witnessDist(a, b)} {
+		epss = append(epss, x*(1-1e-9), x, x*(1+1e-9))
+	}
+	for _, f := range withinFilters {
+		for _, eps := range epss {
+			for _, pr := range [][2]*Set{{a, b}, {b, a}} {
+				switch f.ClassifyWithin(pr[0], pr[1], eps) {
+				case Hit:
+					if d > eps {
+						t.Fatalf("UNSOUND: %+v at ε %.17g says hit, objects %.17g apart:\n%v\n%v", f, eps, d, pa, pb)
+					}
+					if !progressiveWithin(f.Progressive, pr[0], pr[1], eps) && witnessWithin(pr[0], pr[1], eps) {
+						witnessHits++
+					}
+				case FalseHit:
+					if d <= eps {
+						t.Fatalf("UNSOUND: %+v at ε %.17g says false hit, objects %.17g apart:\n%v\n%v", f, eps, d, pa, pb)
+					}
+				}
+			}
+		}
+	}
+	return witnessHits
+}
+
+// snappedStar is a random star polygon around (cx, cy), some with a hole,
+// with its vertices snapped to a grid of k units per radius, so that equal
+// coordinates, collinear and axis-parallel edges are common; nil when the
+// snapping made it self-intersect.
+func snappedStar(rng *rand.Rand, cx, cy float64, n int, k float64, holey bool) *geom.Polygon {
+	snap := func(p *geom.Polygon) []geom.Point {
+		pts := p.Outer.Clone()
+		for i := range pts {
+			pts[i] = geom.Point{X: math.Round((pts[i].X + cx) * k), Y: math.Round((pts[i].Y + cy) * k)}
+		}
+		return pts
+	}
+	outer := snap(starPoly(rng, 0, 0, 1, n))
+	p := geom.NewPolygon(outer)
+	if holey {
+		p = geom.NewPolygon(outer, snap(starPoly(rng, 0, 0, 0.3, 3+n%5)))
+	}
+	if p.ValidateSimple() != nil {
+		return nil
+	}
+	return p
+}
+
+// TestClassifyWithinSound: a Hit of the ε-join filter is within ε and a
+// FalseHit beyond it, with ε swept across each pair's true distance and
+// across the witness test's turning point. The pairs are neighbours of
+// a map with holes (shared, collinear edges), hand-made touching, nested,
+// collinear and holey pairs, and grid-snapped stars.
+func TestClassifyWithinSound(t *testing.T) {
+	var pairs [][2]*geom.Polygon
+	polys := data.GenerateMap(data.MapConfig{Cells: 25, TargetVerts: 24, HoleFraction: 0.3, Seed: 41})
+	for i := range polys {
+		for j := i + 1; j < len(polys); j++ {
+			pairs = append(pairs, [2]*geom.Polygon{polys[i], polys[j]})
+		}
+	}
+	rect := func(x0, y0, x1, y1 float64) []geom.Point {
+		return []geom.Point{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
+	}
+	np := func(outer []geom.Point, holes ...[]geom.Point) *geom.Polygon { return geom.NewPolygon(outer, holes...) }
+	pairs = append(pairs,
+		[2]*geom.Polygon{np(sq(0, 0, 1)), np(sq(2, 0, 1))},                                                 // touching along an edge
+		[2]*geom.Polygon{np(sq(0, 0, 1)), np(sq(2, 2, 1))},                                                 // touching at a corner
+		[2]*geom.Polygon{np(rect(0, 0, 1, 1)), np(rect(1.5, 0, 2.5, 1))},                                   // collinear, witnesses realise the gap
+		[2]*geom.Polygon{np(rect(0, 0, 1, 1)), np(rect(1.5, 0.25, 2.5, 0.75))},                             // collinear, witnesses do not
+		[2]*geom.Polygon{np(sq(0, 0, 3)), np(sq(0.5, 0.5, 1))},                                             // nested
+		[2]*geom.Polygon{np(sq(0, 0, 3), sq(0, 0, 2)), np(sq(0.25, 0, 1))},                                 // in a hole, 0.75 from its edge
+		[2]*geom.Polygon{np(sq(0, 0, 3), sq(0, 0, 2)), np(sq(0, 0, 3.5), sq(0, 0, 3.25))},                  // ring around a ring
+		[2]*geom.Polygon{np([]geom.Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 1, Y: 1}}), np(rect(0, 1, 2, 2))}, // apex on an edge
+		[2]*geom.Polygon{np([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 3}, {X: 0, Y: 2}}), np([]geom.Point{{X: 1.5, Y: 0}, {X: 3, Y: 0}, {X: 1.5, Y: 3}})},
+	)
+	rng := rand.New(rand.NewSource(53))
+	for len(pairs) < 800 {
+		k := float64(2 + rng.Intn(12))
+		a := snappedStar(rng, 0, 0, 3+rng.Intn(40), k, rng.Intn(3) == 0)
+		b := snappedStar(rng, float64(rng.Intn(5)-2)*0.5, float64(rng.Intn(5)-2)*0.5, 3+rng.Intn(40), k, rng.Intn(3) == 0)
+		if a != nil && b != nil {
+			pairs = append(pairs, [2]*geom.Polygon{a, b})
+		}
+	}
+	witnessHits := 0
+	for _, pr := range pairs {
+		witnessHits += checkWithinSound(t, pr[0], pr[1])
+	}
+	if witnessHits == 0 {
+		t.Fatal("no hit was proved by the witness test alone")
+	}
+	t.Logf("%d pairs, %d hits proved by witnesses alone", len(pairs), witnessHits)
+}
+
+// FuzzClassifyWithinSound is TestClassifyWithinSound's assertion on two
+// grid-snapped stars, some with a hole, offset by a fuzzed number of
+// grid steps.
+func FuzzClassifyWithinSound(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(4), int8(3), int8(0))
+	f.Add(int64(2), uint8(30), uint8(9), int8(-7), int8(5))
+	f.Add(int64(7), uint8(5), uint8(1), int8(0), int8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n, step uint8, dx, dy int8) {
+		rng := rand.New(rand.NewSource(seed))
+		k := float64(2 + step%12)
+		a := snappedStar(rng, 0, 0, 3+int(n%60), k, seed%2 == 0)
+		b := snappedStar(rng, float64(dx)/k, float64(dy)/k, 3+int(n/4%60), k, seed%3 == 0)
+		if a == nil || b == nil {
+			t.Skip("not a simple polygon")
+		}
+		checkWithinSound(t, a, b)
+	})
 }
 
 var sinkClass Class

@@ -31,7 +31,10 @@ import (
 // more when the generator stopped cutting holes that cross their outer
 // ring: R lost one such hole, which made one within filter hit an exact
 // test and moved the kernels' operation counts; the responses and their
-// hashes stayed.
+// hashes stayed. The within row moved again when the ε-join filter began
+// proving hits with witness vertices: 8,134 pairs that step 3 used to
+// confirm became filter hits; candidates, false hits and the response
+// stayed.
 func TestJoinPinnedCounts(t *testing.T) {
 	spec, err := For(0.01)
 	if err != nil {
@@ -81,12 +84,12 @@ func TestJoinPinnedCounts(t *testing.T) {
 		{
 			name:      "within",
 			pred:      multistep.WithinDistance(eps),
-			counts:    counts{cand: 28395, hits: 13048, falseHits: 5117, tested: 10230, exactHits: 9367, result: 22415},
+			counts:    counts{cand: 28395, hits: 21182, falseHits: 5117, tested: 2096, exactHits: 1233, result: 22415},
 			pairsHash: 0xde915b299f0aa26b,
 			ops: map[multistep.Engine]ops.Counters{
-				multistep.EngineTRStar:     {RectIntersection: 276579, TrapIntersection: 25022},
-				multistep.EnginePlaneSweep: {EdgeIntersection: 272359, EdgeRect: 716877, RectIntersection: 10230},
-				multistep.EngineQuadratic:  {EdgeIntersection: 4512934, RectIntersection: 10230},
+				multistep.EngineTRStar:     {RectIntersection: 102332, TrapIntersection: 8682},
+				multistep.EnginePlaneSweep: {EdgeIntersection: 97066, EdgeRect: 147444, RectIntersection: 2096},
+				multistep.EngineQuadratic:  {EdgeIntersection: 1625360, RectIntersection: 2096},
 			},
 		},
 	}

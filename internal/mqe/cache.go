@@ -12,6 +12,7 @@ package mqe
 
 import (
 	"container/list"
+	"math"
 	"sync"
 )
 
@@ -39,6 +40,7 @@ type cacheEntry struct {
 	key   string
 	val   any
 	bytes int64
+	rank  int64
 }
 
 // NewCache returns a cache bounded to maxBytes. maxBytes <= 0 returns
@@ -57,14 +59,19 @@ func NewCache(maxBytes int64) *Cache {
 
 // Get returns the value cached under key and marks it most recently
 // used. The second result reports whether the key was present.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key string) (any, bool) { return c.GetRanked(key, math.MinInt64) }
+
+// GetRanked is Get for values that supersede one another (see
+// PutRanked): a value of a rank below minRank counts, and is reported,
+// as a miss.
+func (c *Cache) GetRanked(key string, minRank int64) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok {
+	if !ok || el.Value.(*cacheEntry).rank < minRank {
 		c.misses++
 		return nil, false
 	}
@@ -77,8 +84,14 @@ func (c *Cache) Get(key string) (any, bool) {
 // and evicts LRU entries until the total fits. Re-putting an existing
 // key replaces its value and size. Entries larger than the budget are
 // dropped (the cache is left untouched). It reports whether the entry
-// was retained.
-func (c *Cache) Put(key string, val any, size int64) bool {
+// was retained. Put stores rank 0 (see PutRanked).
+func (c *Cache) Put(key string, val any, size int64) bool { return c.PutRanked(key, val, size, 0) }
+
+// PutRanked is Put for values that supersede one another, such as
+// answers computed to different lengths: it replaces the value stored
+// under key only when rank is at least that value's rank, and otherwise
+// leaves the cache untouched and reports false.
+func (c *Cache) PutRanked(key string, val any, size, rank int64) bool {
 	if c == nil {
 		return false
 	}
@@ -92,11 +105,14 @@ func (c *Cache) Put(key string, val any, size int64) bool {
 	}
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
+		if rank < ent.rank {
+			return false
+		}
 		c.bytes += size - ent.bytes
-		ent.val, ent.bytes = val, size
+		ent.val, ent.bytes, ent.rank = val, size, rank
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, bytes: size})
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, bytes: size, rank: rank})
 		c.bytes += size
 	}
 	for c.bytes > c.max {

@@ -68,6 +68,35 @@ func TestCacheReplaceAdjustsBytes(t *testing.T) {
 	}
 }
 
+// TestCachePutRankedKeepsHigherRank: a value never replaces one of a
+// higher rank; one of an equal or higher rank does. GetRanked misses a
+// value ranked below its bound.
+func TestCachePutRankedKeepsHigherRank(t *testing.T) {
+	c := NewCache(100)
+	for _, tc := range []struct {
+		val    string
+		rank   int64
+		stored bool
+		want   string
+	}{{"a", 5, true, "a"}, {"b", 3, false, "a"}, {"c", 5, true, "c"}, {"d", 9, true, "d"}} {
+		if got := c.PutRanked("k", tc.val, 10, tc.rank); got != tc.stored {
+			t.Errorf("PutRanked(%q, rank %d) = %t, want %t", tc.val, tc.rank, got, tc.stored)
+		}
+		if v, _ := c.Get("k"); v != tc.want {
+			t.Errorf("after PutRanked(%q, rank %d): Get = %v, want %q", tc.val, tc.rank, v, tc.want)
+		}
+	}
+	if v, ok := c.GetRanked("k", 10); ok {
+		t.Errorf("GetRanked above the stored rank 9 = %v, want a miss", v)
+	}
+	if v, ok := c.GetRanked("k", 9); !ok || v != "d" {
+		t.Errorf("GetRanked at the stored rank 9 = %v, %t, want d", v, ok)
+	}
+	if got := c.Bytes(); got != 10 {
+		t.Fatalf("Bytes = %d, want 10", got)
+	}
+}
+
 // TestCacheConcurrentFillKeepsBudget hammers the cache from many
 // goroutines with random entry sizes and checks the byte budget is
 // never exceeded — the ISSUE's "eviction keeps the byte budget under

@@ -228,7 +228,7 @@ func decodeRelation(blob []byte, cfg Config) (*Relation, error) {
 			return nil, fmt.Errorf("%w: object %d: %v", ErrBadRelationStore, i, err)
 		}
 		d.Skip(n)
-		set, n, err := approx.DecodeSet(d.Rest())
+		set, n, err := approx.DecodeSet(d.Rest(), poly)
 		if err != nil {
 			return nil, fmt.Errorf("%w: object %d: %v", ErrBadRelationStore, i, err)
 		}

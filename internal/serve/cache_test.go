@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -432,4 +433,96 @@ func mustGet(t *testing.T, cat *Catalog, name string) *Entry {
 		t.Fatalf("relation %q is not registered", name)
 	}
 	return e
+}
+
+// TestJoinAnswersAtTheRequestLimit: a join is computed and cached at its
+// request's limit. A cached answer serves a shorter limit (cached, a
+// cache hit); a longer one recomputes and replaces it (a miss); and no
+// answer differs from a cache-off server's beyond the markers.
+func TestJoinAnswersAtTheRequestLimit(t *testing.T) {
+	cat, _ := testCatalog(t)
+	h := NewServer(cat).Handler()
+	noCacheSrv := NewServer(cat)
+	noCacheSrv.CacheBytes = -1
+	noCache := noCacheSrv.Handler()
+
+	var full joinResponse
+	get(t, noCache, "/join?r=R&s=S&epsilon=0.01&plan=off", http.StatusOK, &full)
+	if full.Stats.ResultPairs <= 10 {
+		t.Fatalf("the join has %d pairs; the test needs more than 10", full.Stats.ResultPairs)
+	}
+	for i, tc := range []struct {
+		limit  int
+		cached bool
+	}{{10, false}, {5000, false}, {10, true}, {3, true}} {
+		u := "/join?r=R&s=S&epsilon=0.01&plan=off&limit=" + strconv.Itoa(tc.limit)
+		body := getBody(t, h, u, http.StatusOK)
+		if got := strings.Contains(body, `"cached": true`); got != tc.cached {
+			t.Errorf("request %d (limit %d): cached %t, want %t", i, tc.limit, got, tc.cached)
+		}
+		if want := getBody(t, noCache, u, http.StatusOK); stripMarkers(body) != want {
+			t.Errorf("request %d (limit %d) differs from the cache-off server's:\ngot:  %s\nwant: %s", i, tc.limit, body, want)
+		}
+	}
+	// An answer too short for a request counts as a miss.
+	var st serveStats
+	get(t, h, "/stats", http.StatusOK, &st)
+	if st.Cache.Hits != 2 || st.Cache.Misses != 2 {
+		t.Errorf("cache hits %d and misses %d, want 2 and 2", st.Cache.Hits, st.Cache.Misses)
+	}
+}
+
+// TestCoalescedFollowerWithLongerLimit: a follower coalesced onto a
+// leader that computes fewer pairs than the follower asked for
+// recomputes at its own limit and answers its full prefix.
+func TestCoalescedFollowerWithLongerLimit(t *testing.T) {
+	cat, _ := testCatalog(t)
+	soloSrv := NewServer(cat)
+	soloSrv.CacheBytes = -1
+	const leaderURL, followerURL = "/join?r=R&s=S&plan=off&limit=3", "/join?r=R&s=S&plan=off&limit=50"
+	solo := getBody(t, soloSrv.Handler(), followerURL, http.StatusOK)
+
+	srv := NewServer(cat)
+	h := srv.Handler()
+	armFaults(t, "tile-join:latency=300ms")
+	leaderCh := serveAsync(h, httptest.NewRequest("GET", leaderURL, nil))
+	waitFor(t, "the leader to reach the injected latency", func() bool { return fired("tile-join") >= 1 })
+	followerCh := serveAsync(h, httptest.NewRequest("GET", followerURL, nil))
+	waitFor(t, "the follower to coalesce", func() bool { return srv.flight.Coalesced() >= 1 })
+	leader, follower := <-leaderCh, <-followerCh
+	if leader.Code != http.StatusOK || follower.Code != http.StatusOK {
+		t.Fatalf("statuses %d and %d, want 200:\nleader:   %s\nfollower: %s", leader.Code, follower.Code, leader.Body, follower.Body)
+	}
+	var got joinResponse
+	if err := json.Unmarshal(follower.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := min(50, got.Stats.ResultPairs); int64(len(got.Pairs)) != want {
+		t.Fatalf("the follower received %d pairs, want %d", len(got.Pairs), want)
+	}
+	if stripMarkers(follower.Body.String()) != solo {
+		t.Fatalf("the follower's answer differs from the solo one:\nfollower: %s\nsolo:     %s", follower.Body, solo)
+	}
+}
+
+// TestJoinWithoutLimitCachesMaxJoinPairs: a request that names no limit
+// computes and caches MaxJoinPairs pairs.
+func TestJoinWithoutLimitCachesMaxJoinPairs(t *testing.T) {
+	cat, _ := testCatalog(t)
+	srv := NewServer(cat)
+	srv.MaxJoinPairs = 20
+	h := srv.Handler()
+	var resp joinResponse
+	get(t, h, "/join?r=R&s=S&plan=off", http.StatusOK, &resp)
+	if resp.Stats.ResultPairs <= 20 || len(resp.Pairs) != 20 || !resp.Truncated {
+		t.Fatalf("%d of %d pairs, truncated %t; want 20 of more than 20, truncated", len(resp.Pairs), resp.Stats.ResultPairs, resp.Truncated)
+	}
+	jp := joinParams{eR: mustGet(t, cat, "R"), eS: mustGet(t, cat, "S"), pred: multistep.Intersects()}
+	v, ok := srv.cache.Get(jp.cacheKey())
+	if !ok {
+		t.Fatal("the join left no cache entry")
+	}
+	if n := len(v.(*joinCanonical).Pairs); n != 20 {
+		t.Fatalf("the cached answer holds %d pairs, want MaxJoinPairs = 20", n)
+	}
 }

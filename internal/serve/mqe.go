@@ -21,7 +21,8 @@ import (
 // normalized, limit-insensitive key; identical concurrent requests
 // coalesce into a single execution (mqe.Group); and completed canonical
 // results live in one byte-bounded LRU (mqe.Cache) shared between
-// whole responses and per-tile sub-query results. Each response is then
+// whole responses and per-tile sub-query results. A canonical result
+// serves every request whose limit it reaches. Each response is then
 // derived from the canonical result per request — sorted-prefix limit,
 // recomputed truncation — so cached, coalesced and solo runs are
 // byte-identical up to the cached/coalesced markers.
@@ -42,9 +43,9 @@ type queryCanonical struct {
 }
 
 // joinCanonical is the cached canonical result of a join request: the
-// sorted response-set prefix at the server's MaxJoinPairs cap (every
-// request limit is a prefix of it) plus aggregated stats and the plan
-// echo.
+// sorted response-set prefix at the limit of the request that computed
+// it (a shorter limit's answer is a prefix of it) plus aggregated stats
+// and the plan echo.
 type joinCanonical struct {
 	Pairs []multistep.Pair
 	Stats shard.JoinStats
@@ -52,10 +53,14 @@ type joinCanonical struct {
 }
 
 // canonical is a cached canonical result: its charged size in the LRU,
-// and whether it may be stored there at all.
+// whether it may be stored there at all, and its reach — the largest
+// limit it answers: the number of results it holds, or math.MaxInt64
+// when it holds them all. A request reads a result only if it reaches
+// the request's limit, and a result never replaces one of longer reach.
 type canonical interface {
 	size() int64
 	storable() bool
+	reach() int64
 }
 
 // entryOverhead is the assumed fixed footprint of one cache entry
@@ -73,6 +78,16 @@ func (c *joinCanonical) size() int64 {
 func (c *queryCanonical) storable() bool { return !c.Degraded }
 
 func (c *joinCanonical) storable() bool { return true }
+
+// reach: a query result is computed uncapped.
+func (c *queryCanonical) reach() int64 { return math.MaxInt64 }
+
+func (c *joinCanonical) reach() int64 {
+	if n := int64(len(c.Pairs)); n < c.Stats.ResultPairs {
+		return n
+	}
+	return math.MaxInt64
+}
 
 func queryTileSize(r shard.QueryTileResult) int64 {
 	return entryOverhead + 4*int64(len(r.IDs)) + 16*int64(len(r.Neighbors))
@@ -141,27 +156,33 @@ func (s *Server) queryTileCache(p *queryParams) shard.QueryTileCache {
 	return queryTileAdapter{c: s.cache, scope: p.e.scope}
 }
 
-// runCanonical serves a request through the canonical path: LRU lookup,
-// single-flight coalescing, canonical execution, and a store of the
-// result unless it is not storable. cached and coalesced report how the
+// runCanonical serves a request for limit results (-1: all) through the
+// canonical path: LRU lookup, single-flight coalescing, canonical
+// execution, and a store of the result unless it is not storable or the
+// cache holds one of longer reach. cached and coalesced report how the
 // result was obtained.
-func runCanonical[P interface{ cacheKey() string }, C canonical](ctx context.Context, s *Server, p P,
+func runCanonical[P interface{ cacheKey() string }, C canonical](ctx context.Context, s *Server, p P, limit int,
 	exec func(context.Context, P) (C, error)) (c C, cached, coalesced bool, err error) {
 	key := p.cacheKey()
-	if v, ok := s.cache.Get(key); ok {
+	if v, ok := s.cache.GetRanked(key, int64(limit)); ok {
 		return v.(C), true, false, nil
 	}
 	run := func() (C, error) {
 		c, err := exec(ctx, p)
 		logIncident(err)
 		if err == nil && c.storable() {
-			s.cache.Put(key, c, c.size())
+			s.cache.PutRanked(key, c, c.size(), c.reach())
 		}
 		return c, err
 	}
 	v, coalesced, err := s.flight.Do(key, func() (any, error) { return run() })
 	if err == nil {
-		return v.(C), false, coalesced, nil
+		if c = v.(C); c.reach() >= int64(limit) {
+			return c, false, coalesced, nil
+		}
+		// The leader ran at a smaller limit: compute ours alone.
+		c, err = run()
+		return c, false, false, err
 	}
 	// A coalesced leader's client may disconnect — or its server-side
 	// deadline may fire — while this request is still live: rerun solo on
@@ -209,14 +230,14 @@ func (s *Server) execQuery(ctx context.Context, p *queryParams) (*queryCanonical
 	}, nil
 }
 
-// execJoin is the canonical join execution: capped at MaxJoinPairs (every
-// request limit is a prefix of it).
+// execJoin is the canonical join execution: capped at the request's
+// limit (every shorter limit's answer is a prefix of it).
 func (s *Server) execJoin(ctx context.Context, p *joinParams) (*joinCanonical, error) {
 	var ex multistep.Explain
 	opts := []multistep.Option{
 		multistep.WithPredicate(p.pred),
 		multistep.WithWorkers(p.workers),
-		multistep.WithLimit(s.MaxJoinPairs),
+		multistep.WithLimit(p.limit),
 		multistep.WithExplain(&ex),
 	}
 	if p.plan {

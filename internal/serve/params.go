@@ -268,9 +268,10 @@ type joinParams struct {
 	pred         multistep.Predicate
 	workers      int
 	plan         bool
-	// limit caps the response pairs; excluded from the cache key (the
-	// canonical result is computed at the server's MaxJoinPairs cap and
-	// every smaller limit is its sorted prefix).
+	// limit caps the response pairs, at most MaxJoinPairs (the default).
+	// The join is computed at this limit; the limit is excluded from the
+	// cache key, because a cached answer serves every limit it reaches
+	// (every shorter limit's answer is its sorted prefix).
 	limit int
 }
 

@@ -180,8 +180,9 @@ func (c *Catalog) Names() []string {
 type Server struct {
 	cat *Catalog
 	// MaxJoinPairs caps the number of response pairs a /join request
-	// returns inline (the full count is always reported in the
-	// statistics). Defaults to DefaultMaxJoinPairs.
+	// returns inline, and is the limit of a request that names none (the
+	// full count is always reported in the statistics). Defaults to
+	// DefaultMaxJoinPairs.
 	MaxJoinPairs int
 	// CacheBytes bounds the shared result/tile cache in bytes; ≤ 0
 	// disables caching. NewServer sets DefaultCacheBytes.
@@ -571,7 +572,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q url.Values
 	if !ok {
 		return
 	}
-	qc, cached, coalesced, err := runCanonical(r.Context(), s, p, s.execQuery)
+	qc, cached, coalesced, err := runCanonical(r.Context(), s, p, p.limit, s.execQuery)
 	if !s.finishQuery(w, r, t, err) {
 		return
 	}
@@ -674,7 +675,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request, q url.Val
 	if !ok {
 		return
 	}
-	qc, cached, coalesced, err := runCanonical(r.Context(), s, p, s.execQuery)
+	qc, cached, coalesced, err := runCanonical(r.Context(), s, p, p.limit, s.execQuery)
 	if !s.finishQuery(w, r, t, err) {
 		return
 	}
@@ -725,11 +726,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, q url.Values
 	// before truncating: both sub-join emission order and tile
 	// completion order depend on scheduling, so keeping "the first
 	// limit pairs" would return a different subset per request on
-	// multi-core hosts. The canonical result is capped at MaxJoinPairs;
-	// this request's limit is a sorted prefix of it. The request
-	// context rides along and fans out to every tile, so a disconnected
-	// client stops all sub-joins.
-	jc, cached, coalesced, err := runCanonical(r.Context(), s, p, s.execJoin)
+	// multi-core hosts. The canonical result is capped at the limit of
+	// the request that computed it and serves only requests whose limit
+	// it reaches, so this request's answer is a sorted prefix of it. The
+	// request context rides along and fans out to every tile, so a
+	// disconnected client stops all sub-joins.
+	jc, cached, coalesced, err := runCanonical(r.Context(), s, p, p.limit, s.execJoin)
 	if !s.finishQuery(w, r, t, err) {
 		return
 	}

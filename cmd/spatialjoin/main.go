@@ -12,7 +12,7 @@
 //	            [-conservative 5C|RMBR|CH|4C|MBC|MBE] [-progressive MER|MEC]
 //	            [-no-filter] [-page 4096] [-buffer 131072] [-policy lru|fifo|clock] [-seed 9401]
 //	            [-predicate intersects|contains|within] [-epsilon ε]
-//	            [-parallel N] [-stream] [-plan=false] [-explain]
+//	            [-parallel N] [-stream]
 //	            [-rstore R.store -sstore S.store]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out]
 //
@@ -25,20 +25,14 @@
 // Joins run through the one join entry point, shard.Join: -predicate
 // selects the spatial predicate (-epsilon is the distance bound of the
 // within predicate, and implies it), -parallel spreads the pipeline over
-// N workers, and -stream switches from collect-and-sort to the
-// bounded-memory streaming emission. -rstore/-sstore open prebuilt
-// stores (both must be given, and the configuration flags must match the
-// ones the stores were built with — a mismatch is rejected via the
-// stores' config fingerprint).
-//
-// The planner (internal/plan) resolves the options left at their
-// defaults — the TR*-tree engine, the filter on, GOMAXPROCS workers —
-// unless the corresponding flag was set explicitly on the command line
-// (an explicit -engine/-no-filter pins both, an explicit -parallel pins
-// the workers — exactly the WithConfig / WithWorkers contract).
-// -plan=false disables planning entirely; -explain prints the chosen
-// plan and its predicted counts before the join, and the
-// predicted-vs-actual error after it.
+// N workers (0, the default, means GOMAXPROCS), and -stream switches
+// from collect-and-sort to the bounded-memory streaming emission, which
+// counts the pairs instead of holding them. -rstore/-sstore open
+// prebuilt stores (both must be given, and the configuration flags must
+// match the ones the stores were built with — a mismatch is rejected via
+// the stores' config fingerprint). The join runs the relations' build
+// configuration, and the report names the engine, filter and workers
+// that ran.
 package main
 
 import (
@@ -65,10 +59,8 @@ func main() {
 	seed := flag.Int64("seed", 9401, "data seed")
 	predicate := flag.String("predicate", "intersects", "join predicate: intersects, contains, or within (the ε-distance join)")
 	epsilon := flag.Float64("epsilon", 0, "distance bound of the within predicate (implies -predicate within)")
-	parallel := flag.Int("parallel", 0, "worker count of the join (step 1 traversal and steps 2+3 alike); 0 = the planner's choice, or with -plan=false sequential (GOMAXPROCS with -stream)")
+	parallel := flag.Int("parallel", 0, "worker count of the join (step 1 traversal and steps 2+3 alike); 0 = GOMAXPROCS")
 	stream := flag.Bool("stream", false, "stream the response pairs (WithStream): bounded memory, -parallel workers")
-	planOn := flag.Bool("plan", true, "resolve unset options (engine, filter, workers) through the planner; explicitly-set flags stay pinned")
-	explain := flag.Bool("explain", false, "print the chosen plan and predicted counts before the join, and the predicted-vs-actual error after (implies -plan)")
 	rstorePath := flag.String("rstore", "", "open relation R from this prebuilt store instead of generating it")
 	sstorePath := flag.String("sstore", "", "open relation S from this prebuilt store instead of generating it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the join phase to this file")
@@ -124,52 +116,15 @@ func main() {
 
 	// One entry point for every variant: the predicate, the worker count
 	// and the emission mode are orthogonal options of the unified join.
-	// Explicitly-set flags pin their dimension for the planner: flag.Visit
-	// distinguishes "-engine trstar" (a decision) from the default value
-	// (an open choice).
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// -explain without an explicit -plan=false still plans; an explicit
-	// -plan=false -explain echoes the static configuration instead.
-	usePlanner := *planOn || (*explain && !set["plan"])
-	opts := []multistep.Option{multistep.WithPredicate(pred)}
-	if !usePlanner || set["engine"] || set["no-filter"] {
-		opts = append(opts, multistep.WithConfig(cfg))
-	}
-	if usePlanner {
-		opts = append(opts, multistep.WithPlan())
-	}
-	workers := *parallel
-	if workers <= 0 && !*stream && !usePlanner {
-		workers = 1 // sequential measurement mode, the paper's accounting
-	}
-	if workers > 0 || !usePlanner {
-		opts = append(opts, multistep.WithWorkers(workers))
-	}
-	var pairs []multistep.Pair
+	// The explain capture records the engine, filter and workers that ran
+	// for the report below.
+	var ex multistep.Explain
+	opts := []multistep.Option{multistep.WithPredicate(pred), multistep.WithWorkers(*parallel), multistep.WithExplain(&ex)}
+	var responses int
 	if *stream {
 		// A streamed join emits pairs as they are decided instead of
-		// collecting them; collect them here only for the summary line.
-		opts = append(opts, multistep.WithStream(func(p multistep.Pair) { pairs = append(pairs, p) }))
-	}
-	// The explain capture rides along on every run: it resolves the
-	// executed engine and filter for the report below, planned or not.
-	var ex multistep.Explain
-	opts = append(opts, multistep.WithExplain(&ex))
-	if *explain {
-		pre, err := shard.Explain(context.Background(), r, s, false, opts...)
-		if err != nil {
-			fatal(err)
-		}
-		p := pre.Explain.Plan
-		fmt.Printf("\nplan: engine=%s filter=%v workers=%d planned=%v\n", p.Engine, p.UseFilter, p.Workers, p.Planned)
-		if p.Planned {
-			fmt.Printf("predicted: %.0f candidates, %.0f exact tests, %.0f result pairs\n",
-				p.PredictedCandidates, p.PredictedExactTested, p.PredictedResultPairs)
-			if p.StreamRecommended && !*stream {
-				fmt.Println("planner recommends -stream: the predicted response set is large")
-			}
-		}
+		// collecting them; only their count is kept, for the summary line.
+		opts = append(opts, multistep.WithStream(func(multistep.Pair) { responses++ }))
 	}
 	// Profiling brackets the join phase only: preprocessing (approximation
 	// computation, tree construction) is excluded, exactly as the paper
@@ -186,12 +141,12 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	t1 := time.Now()
-	collected, st, err := shard.Join(context.Background(), r, s, opts...)
+	pairs, st, err := shard.Join(context.Background(), r, s, opts...)
 	if err != nil {
 		fatal(err)
 	}
 	if !*stream {
-		pairs = collected
+		responses = len(pairs)
 	}
 	joinTime := time.Since(t1)
 	if *cpuprofile != "" {
@@ -209,17 +164,11 @@ func main() {
 		f.Close()
 	}
 
-	// Report what actually executed: under the planner, cfg's engine and
-	// filter flags are only the admissible choices — and tile pairs
-	// choose independently, so the aggregate engine may be "mixed".
-	engineName := ex.Plan.Engine
-	if e, err := multistep.ParseEngine(engineName); err == nil {
-		engineName = e.String()
-	}
-	cfg.UseFilter = ex.Plan.UseFilter
-
-	fmt.Printf("\njoin wall time: %.3fs (predicate %s, buffer policy %s)\n\n",
+	// The join ran the relations' build configuration, cfg; the explain
+	// record names it and the worker count.
+	fmt.Printf("\njoin wall time: %.3fs (predicate %s, buffer policy %s)\n",
 		joinTime.Seconds(), pred, cfg.BufferPolicy)
+	fmt.Printf("plan: engine=%s filter=%v workers=%d\n\n", ex.Plan.Engine, ex.Plan.UseFilter, ex.Plan.Workers)
 	fmt.Printf("step 1 (MBR-join):      %8d candidate pairs, %d page accesses\n",
 		st.CandidatePairs, st.PageAccessesR+st.PageAccessesS)
 	if cfg.UseFilter {
@@ -228,11 +177,8 @@ func main() {
 			st.FilterHits, st.FilterFalseHits, 100*st.Identified())
 	}
 	fmt.Printf("step 3 (%s):   %8d pairs tested, %d hits; ops: %s\n",
-		engineName, st.ExactTested, st.ExactHits, st.Ops.String())
-	fmt.Printf("\nresponse set: %d pairs (%s)\n", len(pairs), pred)
-	if *explain && ex.Plan.Planned {
-		fmt.Printf("plan accuracy: candidates %.2fx (predicted/actual; 1 is perfect)\n", ex.CandidateError)
-	}
+		cfg.Engine, st.ExactTested, st.ExactHits, st.Ops.String())
+	fmt.Printf("\nresponse set: %d pairs (%s)\n", responses, pred)
 
 	b, err := modelledCost(st)
 	if err != nil {
@@ -243,9 +189,8 @@ func main() {
 }
 
 // modelledCost is the section 5 model of a finished join. The model
-// prices a pair by the engine that tested it and tile pairs choose their
-// engines independently, so it is summed over the sub-joins, each under
-// the engine its plan record names.
+// prices a pair by the engine that tested it, so it is summed over the
+// sub-joins, each under the engine its plan record names.
 func modelledCost(st shard.JoinStats) (plan.Breakdown, error) {
 	var b plan.Breakdown
 	for _, sub := range st.PerTile {

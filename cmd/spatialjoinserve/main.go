@@ -31,10 +31,10 @@
 //	spatialjoinserve -rel R=r.store -rel S=s.store &
 //	curl 'localhost:8080/join?r=R&s=S&limit=3'
 //
-// Requests plan through the planner by default (see internal/serve); a
-// request opts out with &plan=off and runs the build configuration
-// verbatim. GET /explain reports the per-tile-pair plans without (or
-// with run=1, alongside) executing the join.
+// Every request runs the relations' build configuration (see
+// internal/serve), and its response echoes the plan that ran. GET
+// /explain reports the per-tile-pair plans without (or with run=1,
+// alongside) executing the join.
 //
 // Responses are served through the multi-query execution layer
 // (DESIGN.md §12): repeated requests answer from a fingerprint-keyed

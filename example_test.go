@@ -210,24 +210,24 @@ func ExampleWithConfig() {
 	// TR*-tree    61 of 78 hits, edge=0 edgeLine=0 pos=0 edgeRect=0 rect=1700 trap=80
 }
 
-// ExampleExplainJoin asks the planner for a plan and compares its
-// predicted candidates with the ones the join produced. The planner picks
-// the TR*-tree engine with the filter on whenever the relations carry
-// object trees and approximations.
+// ExampleExplainJoin runs a join for its EXPLAIN record: the plan it ran
+// under — the relations' build configuration, the TR*-tree engine with
+// the filter on — and the counts it measured.
 func ExampleExplainJoin() {
 	base := spatialjoin.GenerateMap(spatialjoin.MapConfig{Cells: 100, TargetVerts: 24, Seed: 7})
 	cfg := spatialjoin.DefaultConfig()
 	r := spatialjoin.NewRelation("R", base, 1, cfg)
 	s := spatialjoin.NewRelation("S", spatialjoin.ShiftedCopy(base, 0.45), 1, cfg)
 
-	ex, err := spatialjoin.ExplainJoin(context.Background(), r, s, true, spatialjoin.WithPlan())
+	ex, err := spatialjoin.ExplainJoin(context.Background(), r, s, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	p := ex.Explain.Plan
 	fmt.Printf("plan: engine %s, filter %t\n", p.Engine, p.UseFilter)
-	fmt.Printf("candidates: %.0f predicted, %d actual\n", p.PredictedCandidates, ex.Explain.ActualCandidates)
+	fmt.Printf("candidates: %d, exact tests: %d, result pairs: %d\n",
+		ex.Explain.ActualCandidates, ex.Explain.ActualExactTested, ex.Explain.ActualResultPairs)
 	// Output:
 	// plan: engine trstar, filter true
-	// candidates: 640 predicted, 640 actual
+	// candidates: 640, exact tests: 314, result pairs: 443
 }

@@ -110,11 +110,8 @@ type queryResult struct {
 
 // query runs a target on the R side of a dataset; a solo query gets a
 // fresh session.
-func (h *harness) query(t testing.TB, ds, filter, driver int, planned bool, store int, tg target) (queryResult, error) {
+func (h *harness) query(t testing.TB, ds, filter, driver, store int, tg target) (queryResult, error) {
 	opts := slices.Clone(tg.opts)
-	if planned {
-		opts = append(opts, multistep.WithPlan())
-	}
 	r := h.rel(t, relKey{ds, filter, 0, drivers[driver][0], store})
 	if driver == 0 {
 		rel := r.Tiles[0].Rel
@@ -126,13 +123,13 @@ func (h *harness) query(t testing.TB, ds, filter, driver int, planned bool, stor
 }
 
 // TestQueriesMatchScans holds window, point, ε-range and nearest queries
-// to the linear scans on every dataset × filter × driver × plan × store
+// to the linear scans on every dataset × filter × driver × store
 // (invariant 6; -short keeps the filters off and recommended). The solo
 // driver answers in tree order and cuts a limit there, the facade in
 // ascending IDs. Window and point queries report the statistics of the
-// solo unplanned run on the built relation — on the facade with the page
-// accesses of its tiles, which sum to the total and equal those of its
-// unplanned run on the built tiles.
+// solo run on the built relation — on the facade with the page accesses
+// of its tiles, which sum to the total and equal those of its run on the
+// built tiles.
 func TestQueriesMatchScans(t *testing.T) {
 	residuals, decided := 0, int64(0)
 	for ds, d := range theDatasets {
@@ -143,45 +140,43 @@ func TestQueriesMatchScans(t *testing.T) {
 				}
 				refs := map[int]queryResult{}
 				for driver := range drivers {
-					for _, planned := range plans {
-						// A query reads no engine, so the plane-sweep build
-						// is left to the joins.
-						for store := range stores[:2] {
-							name := fmt.Sprintf("%s/%s/filter %s/tiles %v/planned %t/%s",
-								d.name, tg.name, filters[filter], drivers[driver], planned, stores[store].name)
-							got, err := h.query(t, ds, filter, driver, planned, store, tg)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							if tg.nearest != nil {
-								if !slices.Equal(got.neighbors, tg.nearest) {
-									if driver == 0 || !tieResidual(got.neighbors, tg) {
-										t.Errorf("%s: neighbours %v, the scan %v", name, got.neighbors, tg.nearest)
-									}
-									residuals++
+					// A query reads no engine, so the plane-sweep build
+					// is left to the joins.
+					for store := range stores[:2] {
+						name := fmt.Sprintf("%s/%s/filter %s/tiles %v/%s",
+							d.name, tg.name, filters[filter], drivers[driver], stores[store].name)
+						got, err := h.query(t, ds, filter, driver, store, tg)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if tg.nearest != nil {
+							if !slices.Equal(got.neighbors, tg.nearest) {
+								if driver == 0 || !tieResidual(got.neighbors, tg) {
+									t.Errorf("%s: neighbours %v, the scan %v", name, got.neighbors, tg.nearest)
 								}
-								continue
+								residuals++
 							}
-							checkIDs(t, name, tg, driver == 0, got.ids)
-							decided += got.stats.FilterHits + got.stats.FilterFalseHits
-							ref, ok := refs[driver]
-							if !ok {
-								refs[driver], ref = got, got
+							continue
+						}
+						checkIDs(t, name, tg, driver == 0, got.ids)
+						decided += got.stats.FilterHits + got.stats.FilterFalseHits
+						ref, ok := refs[driver]
+						if !ok {
+							refs[driver], ref = got, got
+						}
+						want := refs[0].stats
+						if driver > 0 {
+							var pages int64
+							for _, ts := range got.tiles {
+								pages += ts.Stats.PageAccesses
 							}
-							want := refs[0].stats
-							if driver > 0 {
-								var pages int64
-								for _, ts := range got.tiles {
-									pages += ts.Stats.PageAccesses
-								}
-								if pages != got.stats.PageAccesses {
-									t.Errorf("%s: per-tile page accesses sum to %d, not %d", name, pages, got.stats.PageAccesses)
-								}
-								want.PageAccesses = got.stats.PageAccesses
+							if pages != got.stats.PageAccesses {
+								t.Errorf("%s: per-tile page accesses sum to %d, not %d", name, pages, got.stats.PageAccesses)
 							}
-							if got.stats != want || got.stats != ref.stats || !reflect.DeepEqual(got.tiles, ref.tiles) {
-								t.Errorf("%s: statistics %+v %+v, want %+v and %+v", name, got.stats, got.tiles, want, ref)
-							}
+							want.PageAccesses = got.stats.PageAccesses
+						}
+						if got.stats != want || got.stats != ref.stats || !reflect.DeepEqual(got.tiles, ref.tiles) {
+							t.Errorf("%s: statistics %+v %+v, want %+v and %+v", name, got.stats, got.tiles, want, ref)
 						}
 					}
 				}

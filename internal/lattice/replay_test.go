@@ -33,7 +33,7 @@ func TestConcurrentReplay(t *testing.T) {
 		for _, tg := range targets(d.r) {
 			for _, driver := range []int{0, 3} {
 				names = append(names, fmt.Sprintf("%s/%s/tiles %v", d.name, tg.name, drivers[driver]))
-				jobs = append(jobs, func() (any, error) { return h.query(t, ds, 1, driver, false, ds%2, tg) })
+				jobs = append(jobs, func() (any, error) { return h.query(t, ds, 1, driver, ds%2, tg) })
 			}
 		}
 	}
@@ -63,8 +63,8 @@ func TestConcurrentReplay(t *testing.T) {
 // TestCacheByteIdentical serves every dataset, on 4 and 2 tiles, from a
 // server with the default result cache and from one without: joins at
 // two distances on the same server, a limited join, and window, ε-range
-// window, point and nearest queries, planned and not. The cached server's cold and
-// warm bodies are the uncached server's, byte for byte once the markers
+// window, point and nearest queries. The cached server's cold and warm
+// bodies are the uncached server's, byte for byte once the markers
 // are stripped, and the warm one is marked cached.
 func TestCacheByteIdentical(t *testing.T) {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -81,13 +81,10 @@ func TestCacheByteIdentical(t *testing.T) {
 
 		pr, join := probesOf(d.r), "/join?r=R&s="+s
 		urls := []string{fmt.Sprintf("/nearest?rel=R&x=%s&y=%s&k=4", f(pr.center.X), f(pr.center.Y))}
-		for _, plan := range []string{"&plan=off", ""} {
-			urls = append(urls, join+plan, join+"&predicate=contains"+plan, join+"&epsilon=0.01"+plan,
-				join+"&epsilon=0.1"+plan, join+"&epsilon=0.1&limit=7"+plan,
-				fmt.Sprintf("/window?rel=R&minx=%s&miny=%s&maxx=%s&maxy=%s%s", f(pr.mid.MinX), f(pr.mid.MinY), f(pr.mid.MaxX), f(pr.mid.MaxY), plan),
-				fmt.Sprintf("/window?rel=R&minx=%s&miny=%s&maxx=%s&maxy=%s&epsilon=0.01%s", f(pr.mid.MinX), f(pr.mid.MinY), f(pr.mid.MaxX), f(pr.mid.MaxY), plan),
-				fmt.Sprintf("/point?rel=R&x=%s&y=%s%s", f(pr.vertex.X), f(pr.vertex.Y), plan))
-		}
+		urls = append(urls, join, join+"&predicate=contains", join+"&epsilon=0.01", join+"&epsilon=0.1", join+"&epsilon=0.1&limit=7",
+			fmt.Sprintf("/window?rel=R&minx=%s&miny=%s&maxx=%s&maxy=%s", f(pr.mid.MinX), f(pr.mid.MinY), f(pr.mid.MaxX), f(pr.mid.MaxY)),
+			fmt.Sprintf("/window?rel=R&minx=%s&miny=%s&maxx=%s&maxy=%s&epsilon=0.01", f(pr.mid.MinX), f(pr.mid.MinY), f(pr.mid.MaxX), f(pr.mid.MaxY)),
+			fmt.Sprintf("/point?rel=R&x=%s&y=%s", f(pr.vertex.X), f(pr.vertex.Y)))
 		for _, u := range urls {
 			off, cold, warm := get(t, uncached, u), get(t, cached, u), get(t, cached, u)
 			if !strings.Contains(warm, `"cached": true`) || stripMarkers(cold) != off || stripMarkers(warm) != off {

@@ -10,6 +10,7 @@ import (
 	"spatialjoin/internal/approx"
 	"spatialjoin/internal/exact"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/plan"
 	"spatialjoin/internal/resilience/fault"
 	"spatialjoin/internal/rstar"
 	"spatialjoin/internal/storage"
@@ -171,10 +172,10 @@ type Resolved struct {
 	Point    *geom.Point
 	Nearest  bool
 	NearestK int
-	// Plan reports WithPlan; Explain is the WithExplain capture target,
-	// nil without one. A coordinator fanning one logical join across
-	// tile pairs must give each sub-join its own Explain and aggregate
-	// afterwards.
+	// Plan reports WithPlan, which joins apply and queries ignore;
+	// Explain is the WithExplain capture target, nil without one. A
+	// coordinator fanning one logical join across tile pairs must give
+	// each sub-join its own Explain and aggregate afterwards.
 	Plan    bool
 	Explain *Explain
 	// Workers is the WithWorkers value, 0 when unset (the planner, or
@@ -281,13 +282,6 @@ func RunQuery(ctx context.Context, r *Relation, o Resolved) (QueryResult, error)
 	if o.Cfg != nil {
 		cfg = *o.Cfg
 	}
-	// Adaptive planning for single-relation queries: the only open
-	// dimension is the filter (queries are single-threaded and engine-
-	// free), pinned by an explicit WithConfig as usual.
-	var pl Plan
-	if o.Plan || o.Explain != nil {
-		cfg, pl = planQuery(r, cfg, &o)
-	}
 	ax := o.AxR
 	if ax == nil {
 		buf := r.Tree.Buffer()
@@ -297,6 +291,14 @@ func RunQuery(ctx context.Context, r *Relation, o Resolved) (QueryResult, error)
 	started := time.Now()
 	res, err := queryDispatch(ctx, r, ax, cfg, &o)
 	if ex := o.Explain; ex != nil {
+		// A query runs on one worker and reads no engine; an ε-range
+		// query decides every candidate by its exact distance, so the
+		// filter runs only under the other predicates.
+		pl := Plan{
+			Engine:    plan.Engine(cfg.Engine).String(),
+			UseFilter: cfg.UseFilter && o.Pred.kind != predWithin,
+			Workers:   1,
+		}
 		*ex = Explain{Plan: pl, Executed: err == nil}
 		if err == nil {
 			ex.ActualCandidates = res.Stats.Candidates

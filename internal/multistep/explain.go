@@ -7,25 +7,26 @@ import (
 	"spatialjoin/internal/plan"
 )
 
-// This file is the adaptive-planning surface of the join processor. The
-// planner itself lives in internal/plan (statistics, selectivity, the
-// rules); here it is bridged into the option machinery:
+// This file is the EXPLAIN surface of the join processor:
 //
-//   - WithPlan() lets Join resolve the options the caller left unset —
-//     exact engine, filter on/off, worker count — through the planner.
-//     Explicit options always win: WithConfig pins the engine and the
-//     filter, WithWorkers pins the worker count, and a pinned dimension
-//     reaches the planner as a one-element candidate list, so a fully
-//     pinned planned join executes bit-identically to the unplanned
-//     call (the regression tests assert exactly that).
-//   - WithExplain(&ex) captures the chosen plan, its predicted counts,
-//     and — after execution — the predicted-vs-actual error.
-//   - ExplainJoin plans without executing (the EXPLAIN verb).
+//   - WithExplain(&ex) captures the plan a call ran under — the
+//     relations' build configuration, or the WithConfig override — and,
+//     after execution, the measured counts.
+//   - ExplainJoin describes a join without executing it (the EXPLAIN
+//     verb).
+//   - WithPlan() lets a join resolve the options the caller left unset —
+//     exact engine, filter on/off, worker count — through internal/plan
+//     and attaches its predictions. Explicit options always win:
+//     WithConfig pins the engine and the filter, WithWorkers pins the
+//     worker count, and a pinned dimension reaches the planner as a
+//     one-element candidate list, so a fully pinned planned join executes
+//     bit-identically to the unplanned call.
 //
-// Planning is opt-in by design: the bare Join/Query entry points keep
-// the paper's semantics (the relations' build configuration verbatim),
-// so every golden-statistics suite pins the same numbers it always did.
-// The serving layer and the CLI tools turn planning on by default.
+// No shipped program plans: the server, the CLI tools and the facade run
+// the build configuration. WithPlan, planJoin, the Predicted* fields of
+// Plan and Explain.CandidateError remain only because the benchmark's
+// stage replay calls and reads them; they go with it (ROADMAP items 4(b)
+// and 23).
 
 // Plan describes the execution configuration one call ran (or would
 // run) under. Engine names use the canonical parseable spelling
@@ -39,13 +40,10 @@ type Plan struct {
 	Engine    string `json:"engine"`
 	UseFilter bool   `json:"filter"`
 	Workers   int    `json:"workers"`
-	// Stream reports the caller's emission mode (WithStream);
-	// StreamRecommended is the planner's advice to stream when the
-	// predicted response set is large. The planner cannot change the
-	// caller's API shape, so the two may disagree.
-	Stream            bool `json:"stream"`
-	StreamRecommended bool `json:"streamRecommended,omitempty"`
+	// Stream reports the caller's emission mode (WithStream).
+	Stream bool `json:"stream"`
 	// Predicted* are the planner's estimates; zero when not planned.
+	// Only the benchmark's stage replay plans (ROADMAP items 4(b), 23).
 	PredictedCandidates  float64 `json:"predictedCandidates,omitempty"`
 	PredictedExactTested float64 `json:"predictedExactTested,omitempty"`
 	PredictedResultPairs float64 `json:"predictedResultPairs,omitempty"`
@@ -63,22 +61,24 @@ type Explain struct {
 	ActualWallNs      int64 `json:"actualWallNs,omitempty"`
 	// CandidateError is the predicted/actual candidate ratio (1 is a
 	// perfect prediction); zero when the run was not planned or had no
-	// candidates.
+	// candidates. Only the benchmark's stage replay reads it (ROADMAP
+	// items 4(b), 23).
 	CandidateError float64 `json:"candidateError,omitempty"`
 }
 
-// WithPlan resolves the options the caller left unset through the
-// planner: the exact engine and filter setting (unless WithConfig pinned
-// them) and the worker count (unless WithWorkers did). Relations without
+// WithPlan resolves the options a join left unset through the planner:
+// the exact engine and filter setting (unless WithConfig pinned them)
+// and the worker count (unless WithWorkers did). Relations without
 // statistics fall back to their build configuration unchanged. See
-// plan.Choose for the rules.
+// plan.Choose for the rules. Queries ignore it. Only the benchmark's
+// stage replay calls it; it goes with that replay (ROADMAP items 4(b)
+// and 23).
 func WithPlan() Option {
 	return func(o *Resolved) { o.Plan = true }
 }
 
-// WithExplain records the resolved plan and, after execution, the
-// predicted-vs-actual error into *ex. It composes with WithPlan (the
-// chosen plan) or without it (an echo of the static configuration).
+// WithExplain records the plan a call ran under and, after execution,
+// its measured counts into *ex.
 func WithExplain(ex *Explain) Option {
 	return func(o *Resolved) { o.Explain = ex }
 }
@@ -145,7 +145,6 @@ func planJoin(r, s *Relation, cfg Config, o *Resolved) (Config, int, Plan) {
 		Pred:     planPred(o.Pred),
 		Eps:      o.Pred.Epsilon(),
 		MaxProcs: runtime.GOMAXPROCS(0),
-		Collect:  o.Stream == nil && !o.Bufferless,
 	}
 	if o.Cfg != nil {
 		// An explicit configuration pins the engine and the filter.
@@ -178,35 +177,11 @@ func planJoin(r, s *Relation, cfg Config, o *Resolved) (Config, int, Plan) {
 		UseFilter:            c.UseFilter,
 		Workers:              c.Workers,
 		Stream:               o.Stream != nil,
-		StreamRecommended:    c.StreamRecommended,
 		PredictedCandidates:  c.PredCandidates,
 		PredictedExactTested: c.PredExactTested,
 		PredictedResultPairs: c.PredResults,
 	}
 	return cfg, c.Workers, pl
-}
-
-// planQuery resolves the filter dimension of a single-relation query —
-// the only open knob there: queries are single-threaded and engine-free
-// (the exact window test has one kernel). WithConfig pins the filter
-// as it does for joins.
-func planQuery(r *Relation, cfg Config, o *Resolved) (Config, Plan) {
-	pl := Plan{
-		Engine:    plan.Engine(cfg.Engine).String(),
-		UseFilter: cfg.UseFilter,
-		Workers:   1,
-	}
-	if !o.Plan || o.Cfg != nil || r.Stats == nil {
-		return cfg, pl
-	}
-	// The filter stays as built, except for distance (ε-range) queries:
-	// they go straight to the exact distance kernel.
-	if o.Pred.kind == predWithin {
-		cfg.UseFilter = false
-	}
-	pl.Planned = true
-	pl.UseFilter = cfg.UseFilter
-	return cfg, pl
 }
 
 // fillExplain completes an Explain record after execution.

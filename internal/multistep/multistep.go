@@ -199,7 +199,8 @@ type Relation struct {
 	// object table whenever the relation is built or opened and never
 	// updated afterwards; the stores do not persist them. Nil on
 	// relations assembled by hand — the planner then falls back to
-	// static defaults.
+	// static defaults. Only WithPlan reads them, for the benchmark's stage
+	// replay; they go with it (ROADMAP items 4(b) and 23).
 	Stats *plan.Stats
 	// fp is ConfigFingerprint(Cfg), hashed once with Stats.
 	fp uint64

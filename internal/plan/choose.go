@@ -27,6 +27,7 @@ func (e Engine) String() string {
 // predicate grid of 1200 objects per relation at ~48 vertices per
 // object with the filter on. They shape EXPLAIN's predictions, never a
 // decision.
+// Only the benchmark's stage replay reaches it (ROADMAP items 4(b), 23).
 type Weights struct {
 	// IdentPrior and HitFracPrior are the grid's measured filter
 	// identification rate and response pairs per candidate, per Pred.
@@ -34,24 +35,21 @@ type Weights struct {
 	HitFracPrior [3]float64
 	// ContainPrior is P(MBR nesting | MBR intersection).
 	ContainPrior float64
-	// StreamResultThreshold is the predicted response size above which
-	// a collecting caller is advised to stream.
-	StreamResultThreshold float64
 }
 
 // DefaultWeights returns the measured priors.
 func DefaultWeights() Weights {
 	return Weights{
-		IdentPrior:            [3]float64{0.85, 0.80, 0.70},
-		HitFracPrior:          [3]float64{0.55, 0.30, 0.60},
-		ContainPrior:          0.02,
-		StreamResultThreshold: 200000,
+		IdentPrior:   [3]float64{0.85, 0.80, 0.70},
+		HitFracPrior: [3]float64{0.55, 0.30, 0.60},
+		ContainPrior: 0.02,
 	}
 }
 
 // Request describes one planning problem: the predicate, the choices
 // the caller left to the planner (as candidate lists — a pinned
 // dimension is a one-element list), and the context of the run.
+// Only the benchmark's stage replay reaches it (ROADMAP items 4(b), 23).
 type Request struct {
 	Pred Pred
 	Eps  float64
@@ -64,24 +62,19 @@ type Request struct {
 	Workers []int
 	// MaxProcs is GOMAXPROCS at plan time.
 	MaxProcs int
-	// PagesR and PagesS are unused: no rule reads the R*-tree page
-	// counts. They remain because callers outside this module set them.
+	// PagesR, PagesS and Collect are unused: no rule reads the R*-tree
+	// page counts or the delivery mode. They remain because callers
+	// outside this module set them.
 	PagesR, PagesS int
-	// Collect is true when the caller materializes the response set
-	// (Join without WithStream); large predicted results then earn a
-	// recommendation to stream.
-	Collect bool
+	Collect        bool
 }
 
 // Choice is the plan Choose settled on, with its predictions.
+// Only the benchmark's stage replay reaches it (ROADMAP items 4(b), 23).
 type Choice struct {
 	Engine    Engine
 	UseFilter bool
 	Workers   int
-	// StreamRecommended is advice, not a decision: the planner cannot
-	// change the caller's API shape (collect vs callback), but flags
-	// result sets predicted past StreamResultThreshold.
-	StreamRecommended bool
 
 	PredCandidates  float64
 	PredExactTested float64
@@ -100,6 +93,7 @@ type Choice struct {
 // The statistics feed only the predictions. Both must be non-nil; the
 // multistep layer falls back to its static defaults when a relation
 // has none.
+// Only the benchmark's stage replay reaches it (ROADMAP items 4(b), 23).
 func Choose(r, s *Stats, w Weights, req Request) Choice {
 	c := Choice{Engine: EngineTRStar, UseFilter: true, Workers: max(req.MaxProcs, 1)}
 	if len(req.Engines) > 0 {
@@ -118,6 +112,5 @@ func Choose(r, s *Stats, w Weights, req Request) Choice {
 	if c.UseFilter {
 		c.PredExactTested *= 1 - w.IdentPrior[req.Pred]
 	}
-	c.StreamRecommended = req.Collect && c.PredResults > w.StreamResultThreshold
 	return c
 }

@@ -7,6 +7,13 @@
 // the options a join left open (exact engine, filter on/off, worker
 // count) by three rules and attaches the estimates EXPLAIN reports.
 //
+// No shipped program plans: the server, the CLI and the facade run the
+// relations' build configuration. The prescriptive side (Stats,
+// ComputeStats, Request, Choice, Weights and Choose) is reachable only
+// through multistep.WithPlan, which the benchmark's stage replay still
+// calls; it is deleted once that replay goes (ROADMAP items 4(b) and
+// 23).
+//
 // The package is a leaf: it imports only internal/geom, so the multistep
 // processor can consult it without an import cycle. All inputs are plain
 // statistics; the bridge from multistep.Relation is on the multistep
@@ -47,6 +54,7 @@ const (
 // derived by ComputeStats from the relation's objects. A Stats value is
 // never modified after ComputeStats returns it, so any number of
 // concurrent plans may read it.
+// Only the benchmark's stage replay reaches it (ROADMAP items 4(b), 23).
 type Stats struct {
 	// Objects is the relation cardinality.
 	Objects int64
@@ -68,6 +76,7 @@ type Stats struct {
 // and verts deliver the MBR and vertex count of object i. One pass, no
 // allocation beyond the histogram — cheap enough to run unconditionally
 // at build and open time.
+// Only the benchmark's stage replay reaches it (ROADMAP items 4(b), 23).
 func ComputeStats(n int, rect func(int) geom.Rect, verts func(int) int) *Stats {
 	s := &Stats{Objects: int64(n), Grid: make([]float64, GridDim*GridDim)}
 	if n == 0 {

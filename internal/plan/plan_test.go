@@ -187,9 +187,7 @@ func TestChooseOrdersEngines(t *testing.T) {
 }
 
 // TestChoosePredictions: the estimates ride along with the rules — the
-// filter removes the identified share of the candidates from step 3,
-// and only a collecting caller with a large predicted result is advised
-// to stream.
+// filter removes the identified share of the candidates from step 3.
 func TestChoosePredictions(t *testing.T) {
 	r := uniformStats(2000, 8, 0.05, 0.05)
 	w := DefaultWeights()
@@ -201,13 +199,6 @@ func TestChoosePredictions(t *testing.T) {
 	if off.PredExactTested != off.PredCandidates || on.PredExactTested != on.PredCandidates*(1-w.IdentPrior[PredIntersects]) {
 		t.Fatalf("predicted exact tests %v with the filter, %v without, of %v candidates",
 			on.PredExactTested, off.PredExactTested, on.PredCandidates)
-	}
-	w.StreamResultThreshold = on.PredResults / 2
-	if c := Choose(r, r, w, Request{Pred: PredIntersects, Collect: true}); !c.StreamRecommended {
-		t.Error("collecting caller with a large predicted result not advised to stream")
-	}
-	if c := Choose(r, r, w, Request{Pred: PredIntersects}); c.StreamRecommended {
-		t.Error("streaming caller advised to stream")
 	}
 }
 

@@ -153,7 +153,8 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // the statistics hook for the adaptive planner, whose traversal cost
 // term charges per page touched. It walks the current node structure,
 // so (unlike Pages, which reports the allocation high-water mark) the
-// counts reflect pages a traversal can actually reach.
+// counts reflect pages a traversal can actually reach. Only the
+// benchmark's stage replay calls it (ROADMAP items 4(b), 23).
 func (t *Tree) PageBreakdown() (leaves, dirs int) {
 	var walk func(n *node)
 	walk = func(n *node) {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"spatialjoin/internal/data"
 	"spatialjoin/internal/geom"
@@ -34,10 +35,8 @@ func getBody(t *testing.T, h http.Handler, url string, wantStatus int) string {
 // TestCachedResponsesByteIdentical is the whole-response cache
 // acceptance test: for every endpoint and predicate, a cache-served
 // response must be byte-identical to the uncached response except for
-// the "cached": true marker line. Every request runs both with plan=off
-// and on the default planned path (/nearest never plans); the two
-// servers share one catalog, so a plan that depended on earlier runs
-// would show here.
+// the "cached": true marker line. The two servers share one catalog, so
+// a response that depended on earlier runs would show here.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	cat, _ := testCatalog(t)
 	withCache := NewServer(cat).Handler()
@@ -45,18 +44,15 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	noCacheSrv.CacheBytes = -1
 	noCache := noCacheSrv.Handler()
 
-	unplanned := []string{
-		"/join?r=R&s=S&plan=off",
-		"/join?r=R&s=S&predicate=contains&plan=off",
-		"/join?r=R&s=S&epsilon=0.01&plan=off",
-		"/join?r=R&s=S&limit=7&plan=off",
-		"/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&plan=off",
-		"/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&epsilon=0.03&plan=off",
-		"/point?rel=R&x=0.31&y=0.47&plan=off",
-	}
-	urls := []string{"/nearest?rel=R&x=0.31&y=0.47&k=4"}
-	for _, u := range unplanned {
-		urls = append(urls, u, strings.TrimSuffix(u, "&plan=off"))
+	urls := []string{
+		"/nearest?rel=R&x=0.31&y=0.47&k=4",
+		"/join?r=R&s=S",
+		"/join?r=R&s=S&predicate=contains",
+		"/join?r=R&s=S&epsilon=0.01",
+		"/join?r=R&s=S&limit=7",
+		"/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4",
+		"/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&epsilon=0.03",
+		"/point?rel=R&x=0.31&y=0.47",
 	}
 	for _, u := range urls {
 		off := getBody(t, noCache, u, http.StatusOK)
@@ -74,9 +70,9 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExplainUnchangedByJoins: the planner reads only the relations'
-// load-time statistics, so /explain of a request answers the same bytes
-// before and after a planned join of a neighbouring request ran.
+// TestExplainUnchangedByJoins: /explain reads nothing a join leaves
+// behind, so it answers the same bytes before and after a join of a
+// neighbouring request ran.
 func TestExplainUnchangedByJoins(t *testing.T) {
 	cat, _ := testCatalog(t)
 	h := NewServer(cat).Handler()
@@ -103,7 +99,7 @@ func TestCachedShardedJoin(t *testing.T) {
 	cat.Add("S", shard.Build("S", sp, 4, cfg))
 	h := NewServer(cat).Handler()
 
-	const u = "/join?r=R&s=S&epsilon=0.01&limit=5&plan=off"
+	const u = "/join?r=R&s=S&epsilon=0.01&limit=5"
 	first := getBody(t, h, u, http.StatusOK)
 	second := getBody(t, h, u, http.StatusOK)
 	if !strings.Contains(second, `"cached": true`) {
@@ -117,8 +113,8 @@ func TestCachedShardedJoin(t *testing.T) {
 	// request is a whole-response hit on the full one's entry; the
 	// response must be the canonical sorted prefix.
 	var full, limited joinResponse
-	get(t, h, "/join?r=R&s=S&plan=off", http.StatusOK, &full)
-	get(t, h, "/join?r=R&s=S&limit=2&plan=off", http.StatusOK, &limited)
+	get(t, h, "/join?r=R&s=S", http.StatusOK, &full)
+	get(t, h, "/join?r=R&s=S&limit=2", http.StatusOK, &limited)
 	if len(limited.Pairs) != 2 || !reflect.DeepEqual(limited.Pairs, full.Pairs[:2]) {
 		t.Fatalf("limit variant is not the sorted prefix: %v vs %v", limited.Pairs, full.Pairs[:2])
 	}
@@ -140,7 +136,7 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	cat.Add("S", shard.FromRelation(multistep.NewRelation("S", sp, cfg)))
 	h := NewServer(cat).Handler()
 
-	const u = "/join?r=R&s=S&plan=off"
+	const u = "/join?r=R&s=S"
 	getBody(t, h, u, http.StatusOK)
 	warm := getBody(t, h, u, http.StatusOK)
 	if !strings.Contains(warm, `"cached": true`) {
@@ -211,7 +207,7 @@ func TestCoalescedJoinMatchesSolo(t *testing.T) {
 	h := NewServer(cat).Handler()
 	armFaults(t, "tile-join:latency=300ms")
 
-	const u = "/join?r=R&s=S&plan=off"
+	const u = "/join?r=R&s=S"
 	leaderCh := serveAsync(h, httptest.NewRequest("GET", u, nil))
 	waitFor(t, "the leader to reach the injected latency", func() bool { return fired("tile-join") >= 1 })
 	followerCh := serveAsync(h, httptest.NewRequest("GET", u, nil))
@@ -234,8 +230,8 @@ func TestCoalescedJoinMatchesSolo(t *testing.T) {
 // it executes again instead of waiting on another flight.
 func TestCancelledLeaderFollowerReruns(t *testing.T) {
 	cases := []struct{ name, site, url string }{
-		{"join", "tile-join", "/join?r=R&s=S&plan=off"},
-		{"window", "tile-query", "/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&plan=off"},
+		{"join", "tile-join", "/join?r=R&s=S"},
+		{"window", "tile-query", "/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,9 +294,13 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("stats after a cold join = %+v", st)
 	}
 	// One join, one entry: the canonical response, and no tile-pair
-	// sub-results beside it.
+	// sub-results beside it. The entry is charged its struct and its
+	// three pairs, nothing per tile pair.
 	if st.Cache.Entries != 1 {
 		t.Fatalf("a cold join left %d cache entries, want 1", st.Cache.Entries)
+	}
+	if want := entryOverhead + int64(unsafe.Sizeof(joinCanonical{})) + 3*int64(unsafe.Sizeof(multistep.Pair{})); st.Cache.Bytes != want {
+		t.Fatalf("a cold join with limit 3 is charged %d bytes, want %d", st.Cache.Bytes, want)
 	}
 	getBody(t, h, u, http.StatusOK)
 	get(t, h, "/stats", http.StatusOK, &st)
@@ -319,7 +319,7 @@ func TestCacheEvictionBudget(t *testing.T) {
 
 	for i := 0; i < 12; i++ {
 		x := 0.05 + float64(i)*0.07
-		getBody(t, h, "/point?rel=R&x="+trimFloat(x)+"&y=0.5&plan=off", http.StatusOK)
+		getBody(t, h, "/point?rel=R&x="+trimFloat(x)+"&y=0.5", http.StatusOK)
 	}
 	var st serveStats
 	get(t, h, "/stats", http.StatusOK, &st)
@@ -343,11 +343,11 @@ func TestWindowLimit(t *testing.T) {
 	h := NewServer(cat).Handler()
 
 	var full, limited windowResponse
-	get(t, h, "/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&plan=off", http.StatusOK, &full)
+	get(t, h, "/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4", http.StatusOK, &full)
 	if len(full.IDs) < 4 || full.Truncated {
 		t.Fatalf("full window = %+v", full)
 	}
-	get(t, h, "/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&limit=3&plan=off", http.StatusOK, &limited)
+	get(t, h, "/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&limit=3", http.StatusOK, &limited)
 	if !limited.Cached {
 		t.Fatal("limit variant missed the limit-insensitive cache key")
 	}
@@ -366,7 +366,7 @@ func TestTileKeysDifferExactlyWhenStructsDo(t *testing.T) {
 	qa := queryTileAdapter{scope: "R#1@0"}
 	qk := []shard.QueryTileKey{
 		{},
-		{Tile: 1}, {Tile: 12, K: 3}, {Tile: 1, K: 23}, {K: 1}, {Nearest: true}, {Planned: true},
+		{Tile: 1}, {Tile: 12, K: 3}, {Tile: 1, K: 23}, {K: 1}, {Nearest: true},
 		{MinX: 1}, {MinY: 1}, {MaxX: 1}, {MaxY: 1}, {MinX: 0.1, MinY: 0.2}, {MinX: 0.1, MaxX: 0.2},
 		{MinX: 1e-300}, {MinX: 0.30000000000000004}, {MinX: 0.3},
 		{CfgFP: 1}, {CfgFP: 0x10}, {Tile: 1, CfgFP: 0}, {Pred: "intersects"}, {Pred: "within(0.5)"},
@@ -400,15 +400,15 @@ func TestCacheKeysKeepTheirSpelling(t *testing.T) {
 	for i, x := range floats {
 		y := floats[(i+3)%len(floats)]
 		for j, pred := range preds {
-			plan, partial := i%2 == 0, j%2 == 1
-			tail := fmt.Sprintf("|%s|pl%t|pt%t", pred, plan, partial)
+			partial := j%2 == 1
+			tail := fmt.Sprintf("|%s|pt%t", pred, partial)
 			for _, tc := range []struct {
 				p    queryParams
 				want string
 			}{
-				{queryParams{e: eR, name: "R", kind: kindWindow, win: geom.Rect{MinX: x, MinY: y, MaxX: -y, MaxY: -x}, pred: pred, plan: plan, partial: partial},
+				{queryParams{e: eR, name: "R", kind: kindWindow, win: geom.Rect{MinX: x, MinY: y, MaxX: -y, MaxY: -x}, pred: pred, partial: partial},
 					fmt.Sprintf("q|%s|w|%s,%s,%s,%s", scope("R", eR), g(x), g(y), g(-y), g(-x)) + tail},
-				{queryParams{e: eS, name: "S", kind: kindPoint, pt: geom.Point{X: x, Y: y}, pred: pred, plan: plan, partial: partial},
+				{queryParams{e: eS, name: "S", kind: kindPoint, pt: geom.Point{X: x, Y: y}, pred: pred, partial: partial},
 					fmt.Sprintf("q|%s|p|%s,%s", scope("S", eS), g(x), g(y)) + tail},
 				{queryParams{e: eR, name: "R", kind: kindNearest, pt: geom.Point{X: x, Y: y}, k: i + 1, partial: partial},
 					fmt.Sprintf("q|%s|n|%s,%s|k%d|pt%t", scope("R", eR), g(x), g(y), i+1, partial)},
@@ -417,8 +417,8 @@ func TestCacheKeysKeepTheirSpelling(t *testing.T) {
 					t.Errorf("query key %q, want %q", got, tc.want)
 				}
 			}
-			jp := joinParams{eR: eR, eS: eS, nameR: "R", nameS: "S", pred: pred, workers: i - 1, plan: plan}
-			want := fmt.Sprintf("j|%s|%s|%s|w%d|pl%t", scope("R", eR), scope("S", eS), pred, i-1, plan)
+			jp := joinParams{eR: eR, eS: eS, nameR: "R", nameS: "S", pred: pred, workers: i - 1}
+			want := fmt.Sprintf("j|%s|%s|%s|w%d", scope("R", eR), scope("S", eS), pred, i-1)
 			if got := jp.cacheKey(); got != want {
 				t.Errorf("join key %q, want %q", got, want)
 			}
@@ -447,7 +447,7 @@ func TestJoinAnswersAtTheRequestLimit(t *testing.T) {
 	noCache := noCacheSrv.Handler()
 
 	var full joinResponse
-	get(t, noCache, "/join?r=R&s=S&epsilon=0.01&plan=off", http.StatusOK, &full)
+	get(t, noCache, "/join?r=R&s=S&epsilon=0.01", http.StatusOK, &full)
 	if full.Stats.ResultPairs <= 10 {
 		t.Fatalf("the join has %d pairs; the test needs more than 10", full.Stats.ResultPairs)
 	}
@@ -455,7 +455,7 @@ func TestJoinAnswersAtTheRequestLimit(t *testing.T) {
 		limit  int
 		cached bool
 	}{{10, false}, {5000, false}, {10, true}, {3, true}} {
-		u := "/join?r=R&s=S&epsilon=0.01&plan=off&limit=" + strconv.Itoa(tc.limit)
+		u := "/join?r=R&s=S&epsilon=0.01&limit=" + strconv.Itoa(tc.limit)
 		body := getBody(t, h, u, http.StatusOK)
 		if got := strings.Contains(body, `"cached": true`); got != tc.cached {
 			t.Errorf("request %d (limit %d): cached %t, want %t", i, tc.limit, got, tc.cached)
@@ -479,7 +479,7 @@ func TestCoalescedFollowerWithLongerLimit(t *testing.T) {
 	cat, _ := testCatalog(t)
 	soloSrv := NewServer(cat)
 	soloSrv.CacheBytes = -1
-	const leaderURL, followerURL = "/join?r=R&s=S&plan=off&limit=3", "/join?r=R&s=S&plan=off&limit=50"
+	const leaderURL, followerURL = "/join?r=R&s=S&limit=3", "/join?r=R&s=S&limit=50"
 	solo := getBody(t, soloSrv.Handler(), followerURL, http.StatusOK)
 
 	srv := NewServer(cat)
@@ -513,7 +513,7 @@ func TestJoinWithoutLimitCachesMaxJoinPairs(t *testing.T) {
 	srv.MaxJoinPairs = 20
 	h := srv.Handler()
 	var resp joinResponse
-	get(t, h, "/join?r=R&s=S&plan=off", http.StatusOK, &resp)
+	get(t, h, "/join?r=R&s=S", http.StatusOK, &resp)
 	if resp.Stats.ResultPairs <= 20 || len(resp.Pairs) != 20 || !resp.Truncated {
 		t.Fatalf("%d of %d pairs, truncated %t; want 20 of more than 20, truncated", len(resp.Pairs), resp.Stats.ResultPairs, resp.Truncated)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"unsafe"
 
 	"spatialjoin/internal/hist"
 	"spatialjoin/internal/mqe"
@@ -44,12 +45,14 @@ type queryCanonical struct {
 
 // joinCanonical is the cached canonical result of a join request: the
 // sorted response-set prefix at the limit of the request that computed
-// it (a shorter limit's answer is a prefix of it) plus aggregated stats
-// and the plan echo.
+// it (a shorter limit's answer is a prefix of it) plus what /join shows
+// of the rest: the aggregated stats, the sub-join count and the plan
+// echo. The per-tile-pair breakdown is not kept.
 type joinCanonical struct {
-	Pairs []multistep.Pair
-	Stats shard.JoinStats
-	Plan  planEcho
+	Pairs    []multistep.Pair
+	Stats    multistep.Stats
+	SubJoins int
+	Plan     planEcho
 }
 
 // canonical is a cached canonical result: its charged size in the LRU,
@@ -71,8 +74,9 @@ func (c *queryCanonical) size() int64 {
 	return entryOverhead + 4*int64(len(c.IDs)) + 16*int64(len(c.Neighbors)) + 96*int64(len(c.Stats.Tiles))
 }
 
+// size charges a join entry its struct and its pairs' backing array.
 func (c *joinCanonical) size() int64 {
-	return entryOverhead + 8*int64(len(c.Pairs)) + 160*int64(len(c.Stats.PerTile))
+	return entryOverhead + int64(unsafe.Sizeof(*c)) + int64(unsafe.Sizeof(multistep.Pair{}))*int64(cap(c.Pairs))
 }
 
 func (c *queryCanonical) storable() bool { return !c.Degraded }
@@ -120,7 +124,7 @@ type queryTileAdapter struct {
 func (a queryTileAdapter) key(k shard.QueryTileKey) string {
 	var buf [192]byte
 	b := append(append(buf[:0], "tq|"...), a.scope...)
-	for _, n := range [...]uint64{uint64(k.Tile), uint64(k.K), bit(k.Nearest), bit(k.Planned), k.CfgFP,
+	for _, n := range [...]uint64{uint64(k.Tile), uint64(k.K), bit(k.Nearest), k.CfgFP,
 		math.Float64bits(k.MinX), math.Float64bits(k.MinY), math.Float64bits(k.MaxX), math.Float64bits(k.MaxY)} {
 		b = strconv.AppendUint(append(b, '|'), n, 36)
 	}
@@ -209,13 +213,6 @@ func (s *Server) execQuery(ctx context.Context, p *queryParams) (*queryCanonical
 	}
 	if p.kind != kindNearest {
 		opts = append(opts, multistep.WithPredicate(p.pred), multistep.WithExplain(&ex))
-		if p.plan {
-			// WithConfig would pin the filter knob; the planner path runs on
-			// the tiles' build configuration and chooses the filter per tile.
-			opts = append(opts, multistep.WithPlan())
-		} else {
-			opts = append(opts, multistep.WithConfig(p.e.Sh.Cfg))
-		}
 	}
 	if p.partial {
 		opts = append(opts, multistep.WithPartialResults())
@@ -240,20 +237,11 @@ func (s *Server) execJoin(ctx context.Context, p *joinParams) (*joinCanonical, e
 		multistep.WithLimit(p.limit),
 		multistep.WithExplain(&ex),
 	}
-	if p.plan {
-		// WithPlan resolves engine, filter and workers per tile pair; an
-		// explicit workers parameter stays pinned (WithWorkers > 0 wins).
-		// WithConfig would pin engine and filter, so the planner path
-		// relies on the tiles' build configuration instead.
-		opts = append(opts, multistep.WithPlan())
-	} else {
-		opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
-	}
 	pairs, st, err := shard.Join(ctx, p.eR.Sh, p.eS.Sh, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return &joinCanonical{Pairs: pairs, Stats: st, Plan: echoOf(ex.Plan)}, nil
+	return &joinCanonical{Pairs: pairs, Stats: st.Stats, SubJoins: st.SubJoins, Plan: echoOf(ex.Plan)}, nil
 }
 
 // serveStats answers GET /stats: the shared cache counters, the

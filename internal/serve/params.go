@@ -145,17 +145,6 @@ func predicateParam(w http.ResponseWriter, q url.Values) (multistep.Predicate, b
 	return pred, true
 }
 
-// planParam reports whether the request should resolve its open options
-// through the planner: on by default, switched off with plan=off (or
-// 0/false/no).
-func planParam(q url.Values) bool {
-	switch strings.ToLower(q.Get("plan")) {
-	case "off", "0", "false", "no":
-		return false
-	}
-	return true
-}
-
 // queryKind selects the target shape of a single-relation request.
 type queryKind int
 
@@ -175,7 +164,6 @@ type queryParams struct {
 	pt   geom.Point
 	k    int
 	pred multistep.Predicate
-	plan bool
 	// partial opts into graceful degradation: tile failures drop out of
 	// the merged answer (degraded response) instead of failing the whole
 	// request. Part of the cache key — a strict request must never be
@@ -256,7 +244,6 @@ func (s *Server) parseQuery(w http.ResponseWriter, q url.Values, kind queryKind)
 		return nil, false
 	}
 	p.limit = limit
-	p.plan = planParam(q)
 	return p, true
 }
 
@@ -267,7 +254,6 @@ type joinParams struct {
 	nameR, nameS string
 	pred         multistep.Predicate
 	workers      int
-	plan         bool
 	// limit caps the response pairs, at most MaxJoinPairs (the default).
 	// The join is computed at this limit; the limit is excluded from the
 	// cache key, because a cached answer serves every limit it reaches
@@ -325,7 +311,6 @@ func (s *Server) parseJoin(w http.ResponseWriter, q url.Values, withLimit bool) 
 		workers = maxWorkers
 	}
 	p.workers = workers
-	p.plan = planParam(q)
 	return p, true
 }
 
@@ -350,8 +335,8 @@ func appendPoint(b []byte, x, y float64) []byte {
 }
 
 // cacheKey is the normalized whole-response key of a single-relation
-// request: entry scope, target geometry, predicate and plan mode. The
-// limit is excluded by design (limit-insensitive canonical form).
+// request: entry scope, target geometry, predicate and the partial flag.
+// The limit is excluded by design (limit-insensitive canonical form).
 func (p *queryParams) cacheKey() string {
 	var buf [160]byte
 	b := append(append(buf[:0], "q|"...), p.e.scope...)
@@ -366,18 +351,16 @@ func (p *queryParams) cacheKey() string {
 		return string(strconv.AppendBool(append(b, "|pt"...), p.partial))
 	}
 	b = append(append(b, '|'), p.pred.String()...)
-	b = strconv.AppendBool(append(b, "|pl"...), p.plan)
 	return string(strconv.AppendBool(append(b, "|pt"...), p.partial))
 }
 
 // cacheKey is the normalized whole-response key of a join request:
-// both entry scopes, predicate, requested workers and plan mode. The
-// limit is excluded (limit-insensitive canonical form); the workers
-// parameter is included because the plan echo depends on it.
+// both entry scopes, predicate and requested workers. The limit is
+// excluded (limit-insensitive canonical form); the workers parameter is
+// included because the plan echo depends on it.
 func (p *joinParams) cacheKey() string {
 	var buf [160]byte
 	b := append(append(buf[:0], "j|"...), p.eR.scope...)
 	b = append(append(append(append(b, '|'), p.eS.scope...), '|'), p.pred.String()...)
-	b = strconv.AppendInt(append(b, "|w"...), int64(p.workers), 10)
-	return string(strconv.AppendBool(append(b, "|pl"...), p.plan))
+	return string(strconv.AppendInt(append(b, "|w"...), int64(p.workers), 10))
 }

@@ -170,7 +170,7 @@ func TestCoalescedPanicLoggedOnce(t *testing.T) {
 	t.Cleanup(func() { log.SetOutput(prev) })
 	armFaults(t, "tile-join:latency=300ms,exact:panic")
 
-	const u = "/join?r=R&s=S&plan=off"
+	const u = "/join?r=R&s=S"
 	leaderCh := serveAsync(h, httptest.NewRequest("GET", u, nil))
 	waitFor(t, "the leader to reach the injected latency", func() bool { return fired("tile-join") >= 1 })
 	followerCh := serveAsync(h, httptest.NewRequest("GET", u, nil))

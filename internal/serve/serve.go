@@ -165,11 +165,10 @@ func (c *Catalog) Names() []string {
 // Server serves the catalog over HTTP. Every query request creates
 // per-query sessions, so requests are handled fully concurrently.
 //
-// Joins and window/point queries run through the planner (internal/plan)
-// by default: the engine, filter setting and worker count the request
-// left open are resolved per tile pair, and every response echoes the
-// resolved plan. A request opts out with plan=off (the build
-// configuration verbatim).
+// Joins and window/point queries run the relations' build
+// configuration — its engine and filter setting, and GOMAXPROCS workers
+// unless a join names its own — and every response echoes the plan that
+// ran.
 //
 // Responses are served through the multi-query execution layer: a
 // byte-bounded LRU result cache (CacheBytes) and single-flight
@@ -254,14 +253,13 @@ func NewServer(cat *Catalog) *Server {
 //	GET /join?r=R&s=S[&predicate=intersects|contains|within]
 //	         [&epsilon=ε][&limit=][&workers=]        multi-step spatial join
 //	GET /explain?r=R&s=S[&predicate=][&epsilon=]     EXPLAIN a join: per-tile-pair
-//	         [&run=1][&workers=][&plan=off]          plans, with run=1 executed with
-//	                                                 predicted-vs-actual errors
+//	         [&run=1][&workers=]                     plans, with run=1 executed and
+//	                                                 the measured counts
 //
 // All responses are JSON; query statistics (the paper's per-step
 // measures, including the per-query buffer page accesses) ride along
-// with every result. /join, /window and /point plan through the planner
-// by default and echo the resolved plan (engine, filter, workers) in the
-// response; plan=off pins the build configuration instead.
+// with every result. /join, /window and /point echo the plan that ran
+// (engine, filter, workers) in the response.
 //
 // A response served from the result cache carries "cached": true; one
 // that received a concurrent identical request's result carries
@@ -521,25 +519,22 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 }
 
 // planEcho is the execution-plan echo of /join, /window and /point: the
-// resolved knobs only, which is what ran. The planner's predictions are
-// left out; /explain reports them.
+// knobs that ran.
 type planEcho struct {
-	Planned bool   `json:"planned"`
 	Engine  string `json:"engine"`
 	Filter  bool   `json:"filter"`
 	Workers int    `json:"workers"`
 }
 
 func echoOf(p multistep.Plan) planEcho {
-	return planEcho{Planned: p.Planned, Engine: p.Engine, Filter: p.UseFilter, Workers: p.Workers}
+	return planEcho{Engine: p.Engine, Filter: p.UseFilter, Workers: p.Workers}
 }
 
 // windowResponse answers /window and /point. IDs are ascending global
 // object IDs (the scatter-gather merge order), truncated to the limit
 // when one was given; Stats aggregates the routed tiles, with the
-// per-tile breakdown alongside. Plan echoes the resolved execution
-// plan aggregated over the routed tiles — the shard fan-out is
-// len(Stats.Tiles). Cached and Coalesced are the multi-query execution
+// per-tile breakdown alongside. Plan echoes the plan the routed tiles
+// ran — the shard fan-out is len(Stats.Tiles). Cached and Coalesced are the multi-query execution
 // markers; they lead the struct so stripping their lines from the JSON
 // body yields the solo-run response.
 type windowResponse struct {
@@ -700,10 +695,9 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request, q url.Val
 // joinResponse answers /join. Pairs is truncated to the limit; the full
 // response-set size is Stats.ResultPairs. Stats aggregates the tile-pair
 // sub-joins (SubJoins of them) as shard.Join documents. Plan echoes the
-// resolved execution plan aggregated over the sub-joins ("mixed" engine
-// when skewed tiles chose differently); /explain has the per-tile-pair
-// breakdown. Cached and Coalesced lead the struct so stripping their
-// lines from the JSON body yields the solo-run response.
+// plan the sub-joins ran; /explain has the per-tile-pair breakdown.
+// Cached and Coalesced lead the struct so stripping their lines from the
+// JSON body yields the solo-run response.
 type joinResponse struct {
 	Cached    bool             `json:"cached,omitempty"`
 	Coalesced bool             `json:"coalesced,omitempty"`
@@ -750,9 +744,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, q url.Values
 		Predicate: p.pred.String(),
 		Pairs:     pairs,
 		Truncated: jc.Stats.ResultPairs > int64(len(pairs)),
-		SubJoins:  jc.Stats.SubJoins,
+		SubJoins:  jc.SubJoins,
 		Plan:      jc.Plan,
-		Stats:     jc.Stats.Stats,
+		Stats:     jc.Stats,
 	})
 }
 
@@ -775,11 +769,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, q url.Val
 	opts := []multistep.Option{multistep.WithPredicate(p.pred)}
 	if p.workers > 0 {
 		opts = append(opts, multistep.WithWorkers(p.workers))
-	}
-	if p.plan {
-		opts = append(opts, multistep.WithPlan())
-	} else {
-		opts = append(opts, multistep.WithConfig(p.eR.Sh.Cfg))
 	}
 	res, err := shard.Explain(r.Context(), p.eR.Sh, p.eS.Sh, run, opts...)
 	logIncident(err)

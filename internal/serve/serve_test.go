@@ -530,6 +530,48 @@ func TestJoinPredicates(t *testing.T) {
 	}
 }
 
+// TestPlaneSweepStoreRunsPlaneSweep: relations built under the
+// plane-sweep engine join under it. Their configuration keeps the
+// default TR*-tree node capacity, but the server runs the build
+// configuration, so no TR*-tree is built or searched while the request
+// runs: no rectangle or trapezoid test is counted.
+func TestPlaneSweepStoreRunsPlaneSweep(t *testing.T) {
+	cfg := multistep.DefaultConfig()
+	cfg.Engine = multistep.EnginePlaneSweep
+	rp := data.GenerateMap(data.MapConfig{Cells: 80, TargetVerts: 48, HoleFraction: 0.1, Seed: 211})
+	cat := NewCatalog()
+	cat.Add("R", shard.Build("R", rp, 2, cfg))
+	cat.Add("S", shard.Build("S", data.StrategyA(rp, 0.45), 2, cfg))
+	h := NewServer(cat).Handler()
+
+	var resp joinResponse
+	get(t, h, "/join?r=R&s=S", http.StatusOK, &resp)
+	ops := resp.Stats.Ops
+	if resp.Plan.Engine != "planesweep" || resp.Stats.ExactTested == 0 || ops.RectIntersection != 0 || ops.TrapIntersection != 0 {
+		t.Fatalf("plan %+v, %d exact tests, ops %+v; want the plane sweep and no TR*-tree tests",
+			resp.Plan, resp.Stats.ExactTested, ops)
+	}
+}
+
+// TestPlanParameterIgnored: the server has one execution per request, so
+// a leftover plan=off changes nothing in a cache-off server's bodies.
+func TestPlanParameterIgnored(t *testing.T) {
+	cat, _ := testCatalog(t)
+	srv := NewServer(cat)
+	srv.CacheBytes = -1
+	h := srv.Handler()
+	for _, u := range []string{
+		"/join?r=R&s=S",
+		"/join?r=R&s=S&epsilon=0.01",
+		"/window?rel=R&minx=0.2&miny=0.2&maxx=0.45&maxy=0.4&epsilon=0.03",
+		"/point?rel=R&x=0.31&y=0.47",
+	} {
+		if bare, off := getBody(t, h, u, http.StatusOK), getBody(t, h, u+"&plan=off", http.StatusOK); bare != off {
+			t.Errorf("%s: plan=off changed the body:\nbare: %s\noff:  %s", u, bare, off)
+		}
+	}
+}
+
 // TestCancelledRequestReleasesWorkers is the serving-layer cancellation
 // acceptance test: a /join request whose client disconnects mid-join
 // must stop its pipeline workers (no goroutine leak — run under -race in

@@ -8,12 +8,12 @@ import (
 // layer runs every query as independent sub-queries on deterministic
 // per-tile session snapshots, which makes those sub-results cacheable.
 // The key below discriminates on the same fields as the serving layer's
-// whole-response key — tile, predicate, configuration override, plan
-// mode, target — with one exception: a query's partial=1 flag is in its
-// whole-response key only, so the same query asked with and without it
-// shares tile entries. Any other request that misses the whole-response
-// cache misses here too, unless its whole-response entry was evicted
-// while its tile entries survived; and tile entries are Put before the
+// whole-response key — tile, predicate, configuration override, target —
+// with one exception: a query's partial=1 flag is in its whole-response
+// key only, so the same query asked with and without it shares tile
+// entries. Any other request that misses the whole-response cache
+// misses here too, unless its whole-response entry was evicted while
+// its tile entries survived; and tile entries are Put before the
 // whole-response entry built from them, so the byte-bounded LRU evicts
 // them first. Measured on the repository benchmark: 0 hits in 133,729
 // tile-cache lookups. It stays only until the benchmark's serve_scan
@@ -51,9 +51,6 @@ type QueryTileKey struct {
 	// tile's build configuration, already pinned by the caller's scoped
 	// prefix).
 	CfgFP uint64
-	// Planned reports WithPlan: planned and pinned sub-queries may
-	// resolve different filter settings.
-	Planned bool
 }
 
 // QueryTileResult is one tile's cached sub-query outcome. IDs and
@@ -82,9 +79,8 @@ type QueryTileCache interface {
 // resolved options.
 func queryTileKey(tile int, res multistep.Resolved) QueryTileKey {
 	k := QueryTileKey{
-		Tile:    tile,
-		Pred:    res.Pred.String(),
-		Planned: res.Plan,
+		Tile: tile,
+		Pred: res.Pred.String(),
 	}
 	if res.Cfg != nil {
 		k.CfgFP = multistep.ConfigFingerprint(*res.Cfg)

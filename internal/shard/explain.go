@@ -35,9 +35,10 @@ type TileExplain struct {
 }
 
 // ExplainResult is the EXPLAIN record of a scatter-gather join: the
-// aggregate over all sub-joins plus the per-tile-pair breakdown (each
-// tile pair is planned independently from its own tiles' statistics, so
-// skewed tiles legitimately show different engines or worker counts).
+// aggregate over all sub-joins plus the per-tile-pair breakdown (a
+// planned join plans each tile pair independently from its own tiles'
+// statistics, so skewed tiles may show different engines or worker
+// counts).
 type ExplainResult struct {
 	// Explain aggregates the sub-joins: predicted and actual counters
 	// are sums; the summed wall time is serial-equivalent work
@@ -78,7 +79,6 @@ func aggregateExplain(explains []*multistep.Explain, stream bool) multistep.Expl
 				agg.Plan.Workers = ex.Plan.Workers
 			}
 			agg.Plan.Planned = agg.Plan.Planned || ex.Plan.Planned
-			agg.Plan.StreamRecommended = agg.Plan.StreamRecommended || ex.Plan.StreamRecommended
 			agg.Plan.PredictedCandidates += ex.Plan.PredictedCandidates
 			agg.Plan.PredictedExactTested += ex.Plan.PredictedExactTested
 			agg.Plan.PredictedResultPairs += ex.Plan.PredictedResultPairs
@@ -95,12 +95,12 @@ func aggregateExplain(explains []*multistep.Explain, stream bool) multistep.Expl
 	return agg
 }
 
-// Explain plans (and with run, executes) a scatter-gather join and
+// Explain describes (and with run, executes) a scatter-gather join and
 // returns the aggregate plus per-tile-pair plan records — the EXPLAIN
 // verb of the sharded layer. Without run, every eligible tile pair is
-// planned through multistep.ExplainJoin and nothing executes; with run,
-// the join executes bufferlessly (statistics and plans, no pairs) and
-// the records carry predicted-vs-actual errors.
+// described through multistep.ExplainJoin and nothing executes; with
+// run, the join executes bufferlessly (statistics and plans, no pairs)
+// and the records carry the measured counts.
 func Explain(ctx context.Context, r, s *Sharded, run bool, opts ...multistep.Option) (ExplainResult, error) {
 	res := multistep.ResolveOptions(opts)
 	if err := res.Pred.Validate(); err != nil {

@@ -19,9 +19,9 @@ type SubJoinStats struct {
 	// per-tile sessions).
 	Stats multistep.Stats
 	// Explain is the sub-join's plan record, captured when the caller
-	// passed WithExplain (each sub-join is planned independently from
-	// its own tiles' statistics, so skewed tiles run different plans).
-	// Nil otherwise.
+	// passed WithExplain (a planned join plans each sub-join
+	// independently from its own tiles' statistics, so skewed tiles may
+	// run different plans). Nil otherwise.
 	Explain *multistep.Explain
 }
 

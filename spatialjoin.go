@@ -209,40 +209,28 @@ func ForPoint(p Point) Option { return multistep.ForPoint(p) }
 // region distance.
 func ForNearest(p Point, k int) Option { return multistep.ForNearest(p, k) }
 
-// Adaptive planning (internal/plan). Planning is opt-in: a bare Join
-// runs the relations' build configuration verbatim, WithPlan lets the
-// planner resolve the options the caller left unset.
+// EXPLAIN. A join runs the relations' build configuration verbatim (or
+// the WithConfig override); the records name what ran.
 type (
 	// Plan describes the execution configuration one call ran (or would
-	// run) under, with the planner's predictions when planned.
+	// run) under.
 	Plan = multistep.Plan
 	// Explain is the EXPLAIN record of one join, summed over its tile
-	// pairs: the plan and, after execution, the measured counts and
-	// prediction errors.
+	// pairs: the plan and, after execution, the measured counts.
 	Explain = multistep.Explain
 	// ExplainResult is what ExplainJoin returns: the aggregate Explain
 	// plus the plan record of every tile pair.
 	ExplainResult = shard.ExplainResult
 )
 
-// WithPlan resolves the options the caller left unset — exact engine,
-// filter setting, worker count — through the planner, per tile pair:
-// the TR*-tree engine, the filter on and GOMAXPROCS workers wherever the
-// relations' build configuration allows. Explicit options always win: WithConfig pins the engine and
-// filter, WithWorkers pins the workers, and a fully pinned planned join
-// executes bit-identically to the unplanned call.
-func WithPlan() Option { return multistep.WithPlan() }
-
-// WithExplain records the resolved plan and, after execution, the
-// predicted-vs-actual error into *ex.
+// WithExplain records the plan a join ran under and, after execution,
+// its measured counts into *ex.
 func WithExplain(ex *Explain) Option { return multistep.WithExplain(ex) }
 
-// ExplainJoin plans a join exactly as Join with the same options would —
-// the EXPLAIN verb. Each tile pair is planned from its own tiles'
-// statistics, so skewed tiles legitimately show different engines or
-// worker counts. Without run nothing executes; with run the join
-// executes without collecting pairs and the records carry the measured
-// counts and prediction errors.
+// ExplainJoin describes a join exactly as Join with the same options
+// would run it — the EXPLAIN verb — with one record per tile pair.
+// Without run nothing executes; with run the join executes without
+// collecting pairs and the records carry the measured counts.
 func ExplainJoin(ctx context.Context, r, s *Relation, run bool, opts ...Option) (ExplainResult, error) {
 	return shard.Explain(ctx, r, s, run, opts...)
 }
